@@ -10,8 +10,8 @@
      <any core single-block SQL statement>;   run it
      \t <SQL>      show the spreadsheet-algebra translation, then run
                    it both ways and compare
-     \profile <SQL>  translate, run through the plan interpreter, and
-                   print per-node rows and timings (EXPLAIN ANALYZE)
+     \profile <SQL>  translate, run through the plan executor, and
+                   print its profile record (EXPLAIN ANALYZE)
      \doctor       Sheetdoctor anomaly detection over the profiles
                    recorded so far this session
      \timing       toggle per-statement wall-time reporting
@@ -92,8 +92,8 @@ let run_sql catalog sql =
   | Error msg -> Printf.printf "error: %s\n" msg);
   if !timing then Printf.printf "Time: %.3f ms\n" ms
 
-(* \profile: Theorem-1 translation, then the plan interpreter with
-   per-node instrumentation — the SQL shell's EXPLAIN ANALYZE. *)
+(* \profile: Theorem-1 translation, then the plan executor's profile
+   record of the run — the SQL shell's EXPLAIN ANALYZE. *)
 let profile_sql catalog sql =
   match Sql_parser.parse sql with
   | Error msg -> Printf.printf "parse error: %s\n" msg
@@ -105,12 +105,12 @@ let profile_sql catalog sql =
           | Error msg -> Printf.printf "error: %s\n" msg
           | Ok session ->
               let sheet = Sheet_core.Session.current session in
-              let _rel, _profile, text =
+              let _rel, text =
                 Sheet_core.Plan.explain_analyze
                   ~uid:sheet.Sheet_core.Spreadsheet.uid
                   (Sheet_core.Plan.of_sheet sheet)
               in
-              print_string text))
+              print_endline text))
 
 let translate_and_run catalog sql =
   match Sql_parser.parse sql with

@@ -62,7 +62,7 @@ let lint_pred ?type_of ?known ~loc (pred : Expr.t) : Diagnostic.t list =
            (if List.length unknown > 1 then "s" else "")
            (String.concat ", " unknown)) ]
   else
-    match Expr_domain.check ?type_of pred with
+    match Sheetsolve.check ?type_of pred with
     | `Unsat cols ->
         let detail =
           match cols with
@@ -86,7 +86,7 @@ let lint_pred ?type_of ?known ~loc (pred : Expr.t) : Diagnostic.t list =
     | `Maybe ->
         let diags = ref [] in
         let add d = diags := d :: !diags in
-        if Expr_domain.tautology ?type_of pred then
+        if Sheetsolve.tautology ?type_of pred then
           add
             (Diagnostic.warning ~code:"tautology" ~loc
                (Printf.sprintf "predicate %s holds on every row — the filter is a no-op"
@@ -140,7 +140,7 @@ let lint_pred ?type_of ?known ~loc (pred : Expr.t) : Diagnostic.t list =
           for i = n - 1 downto 0 do
             if
               (not reported.(i))
-              && Expr_domain.implies ?type_of
+              && Sheetsolve.implies ?type_of
                    (conj_where conjs (fun j -> j <> i && not reported.(j)))
                    arr.(i)
             then begin

@@ -1,4 +1,4 @@
-(** Lints on a single predicate, powered by {!Sheet_rel.Expr_domain}.
+(** Lints on a single predicate, powered by {!Sheet_rel.Sheetsolve}.
 
     Produced diagnostics:
     - [unknown-column] (error): references a column absent from

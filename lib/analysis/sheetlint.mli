@@ -7,7 +7,7 @@
     an exception (fuzz-tested in [test/test_fuzz.ml]).
 
     The passes live in {!Expr_lint} (predicate satisfiability and
-    redundancy via {!Sheet_rel.Expr_domain}), {!State_lint}
+    redundancy via {!Sheet_rel.Sheetsolve}), {!State_lint}
     (query-state structure) and {!Sql_lint} (SQL clauses + the
     Theorem-1 translation of the query). *)
 

@@ -59,7 +59,7 @@ let lint_query (catalog : Catalog.t) (query : Sql_ast.query) :
         | Some w, Some h
           when (not (Diagnostic.has_errors (where @ having)))
                && not
-                    (Expr_domain.satisfiable ~type_of (Expr.And (w, h))) ->
+                    (Sheetsolve.satisfiable ~type_of (Expr.And (w, h))) ->
             [ Diagnostic.error ~code:"conflicting-clauses"
                 ~loc:(Diagnostic.Clause "HAVING")
                 "contradicts the WHERE clause — no group can satisfy both" ]

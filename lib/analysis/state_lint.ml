@@ -20,7 +20,7 @@ let selection_diags ~type_of (state : Query_state.t) =
     |> List.concat_map (fun (s : Query_state.selection) ->
            Expr_lint.lint_pred ~type_of ~loc:(Diagnostic.Selection s.id) s.pred)
   in
-  let sat i = Expr_domain.satisfiable ~type_of sels.(i).Query_state.pred in
+  let sat i = Sheetsolve.satisfiable ~type_of sels.(i).Query_state.pred in
   let cross = ref [] in
   let add d = cross := d :: !cross in
   let pair_conflict = ref false in
@@ -29,7 +29,7 @@ let selection_diags ~type_of (state : Query_state.t) =
       let pi = sels.(i).Query_state.pred and pj = sels.(j).Query_state.pred in
       let idi = sels.(i).Query_state.id and idj = sels.(j).Query_state.id in
       if sat i && sat j then
-        if not (Expr_domain.satisfiable ~type_of (Expr.And (pi, pj))) then begin
+        if not (Sheetsolve.satisfiable ~type_of (Expr.And (pi, pj))) then begin
           pair_conflict := true;
           add
             (Diagnostic.error ~code:"conflicting-selections"
@@ -39,8 +39,8 @@ let selection_diags ~type_of (state : Query_state.t) =
                   idi (Expr.to_string pi)))
         end
         else begin
-          let i_implies_j = Expr_domain.implies ~type_of pi pj
-          and j_implies_i = Expr_domain.implies ~type_of pj pi in
+          let i_implies_j = Sheetsolve.implies ~type_of pi pj
+          and j_implies_i = Sheetsolve.implies ~type_of pj pi in
           if i_implies_j && j_implies_i then
             add
               (Diagnostic.warning ~code:"duplicate-selection"
@@ -70,7 +70,7 @@ let selection_diags ~type_of (state : Query_state.t) =
     && (not !pair_conflict)
     && List.for_all (fun i -> sat i) (List.init n Fun.id)
     && not
-         (Expr_domain.satisfiable ~type_of
+         (Sheetsolve.satisfiable ~type_of
             (and_all
                (List.map
                   (fun (s : Query_state.selection) -> s.pred)

@@ -4,16 +4,6 @@ module Obs = Sheet_obs.Obs
 let c_derivations = Obs.Metrics.counter Obs.k_incremental_derivations
 let c_fallbacks = Obs.Metrics.counter Obs.k_incremental_fallbacks
 
-let sort_keys_of sheet =
-  List.map
-    (fun (attr, dir) ->
-      (attr, match dir with Grouping.Asc -> `Asc | Grouping.Desc -> `Desc))
-    (Grouping.sort_keys (Spreadsheet.grouping sheet))
-
-let resort child parent_full =
-  let keys = sort_keys_of child in
-  if keys = [] then parent_full else Rel_algebra.sort keys parent_full
-
 (* The newest computed column of the child, when the operator just
    appended one. *)
 let last_computed (child : Spreadsheet.t) =
@@ -21,103 +11,60 @@ let last_computed (child : Spreadsheet.t) =
   | c :: _ -> c
   | [] -> invalid_arg "Incremental.last_computed"
 
-let append_computed child parent_full =
-  let c = last_computed child in
-  let schema = Relation.schema parent_full in
-  let data = Relation.to_array parent_full in
-  let index = Schema.compile_index schema in
-  let cells =
-    match c.Computed.spec with
-    | Computed.Formula e ->
-        Array.map
-          (fun row ->
-            Expr_eval.eval ~lookup:(fun name -> Row.get row (index name)) e)
-          data
-    | Computed.Aggregate { fn; arg; level } ->
-        let basis =
-          Grouping.cumulative_basis (Spreadsheet.grouping child) level
-        in
-        let positions =
-          Array.of_list (List.map (Schema.index_exn schema) basis)
-        in
-        let groups = Row.Tbl.create (max 16 (Array.length data)) in
-        Array.iter
-          (fun row ->
-            let key = Row.project_arr row positions in
-            match Row.Tbl.find_opt groups key with
-            | Some cell -> cell := row :: !cell
-            | None -> Row.Tbl.add groups key (ref [ row ]))
-          data;
-        let value_of = Row.Tbl.create (max 16 (Row.Tbl.length groups)) in
-        Row.Tbl.iter
-          (fun key cell ->
-            let group_rows = List.rev !cell in
-            let values =
-              match (fn, arg) with
-              | Expr.Count_star, _ ->
-                  List.map (fun _ -> Value.Null) group_rows
-              | _, Some e ->
-                  List.map
-                    (fun row ->
-                      Expr_eval.eval
-                        ~lookup:(fun name -> Row.get row (index name))
-                        e)
-                    group_rows
-              | _, None -> failwith "aggregate without argument"
-            in
-            Row.Tbl.add value_of key (Expr_eval.apply_agg fn values))
-          groups;
-        Array.map
-          (fun row ->
-            let key = Row.project_arr row positions in
-            match Row.Tbl.find_opt value_of key with
-            | Some v -> v
-            | None -> assert false)
-          data
-  in
-  let schema =
-    Schema.append schema { Schema.name = c.Computed.name; ty = c.Computed.ty }
-  in
-  Relation.unsafe_of_array schema (Array.map2 Row.append1 data cells)
-
-let filter_full pred parent_full =
-  let schema = Relation.schema parent_full in
-  Relation.unsafe_of_array schema
-    (Rel_algebra.select_rows ~rel:parent_full schema [ pred ]
-       (Relation.to_array parent_full))
-
+(* Each derivation is a short plan over a [Scan] of the parent's
+   cached rows, run by the one executor; its profile notes land in
+   the child's region (same uid). *)
 let derive ~(parent : Spreadsheet.t) ~(op : Op.t) ~(child : Spreadsheet.t) =
-  let parent_full () = Materialize.full_cached parent in
+  let over_parent plan_of =
+    Some
+      (Plan.execute ~uid:child.Spreadsheet.uid
+         (plan_of (Plan.Scan (Materialize.full_cached parent))))
+  in
   let state = child.Spreadsheet.state in
   match op with
   | Op.Project _ | Op.Unproject _ ->
       (* presentational — unless DE keys off the visible column set *)
-      if state.Query_state.dedup then None else Some (parent_full ())
+      if state.Query_state.dedup then None
+      else Some (Materialize.full_cached parent)
   | Op.Group _ | Op.Regroup _ | Op.Ungroup | Op.Order _
   | Op.Order_groups _ ->
       (* content is unchanged (the engine refused anything that would
          invalidate computed values); only the presentation order
-         moves *)
-      Some (resort child (parent_full ()))
+         moves. A stable re-sort of the parent's rows leaves ties in
+         the parent's order, which is base order only among rows
+         equal on every parent sort key — so it reproduces a full
+         replay exactly when each parent key column is a child key
+         column; otherwise the order would depend on the history *)
+      let key_cols sheet =
+        List.map fst (Grouping.sort_keys (Spreadsheet.grouping sheet))
+      in
+      if
+        List.for_all
+          (fun col -> List.mem col (key_cols child))
+          (key_cols parent)
+      then over_parent (Plan.sorted child)
+      else None
   | Op.Select pred ->
       (* safe only when the selection lands in the highest stratum:
          nothing recomputes after it *)
       if
         Query_state.selection_stratum state pred
         = List.length state.Query_state.computed
-      then Some (filter_full pred (parent_full ()))
+      then over_parent (fun scan -> Plan.Filter (pred, scan))
       else None
   | Op.Aggregate _ | Op.Formula _ ->
       (* a fresh computed column is appended after every existing
          stratum; the appended column cannot disturb the sort keys *)
-      Some (append_computed child (parent_full ()))
+      over_parent (Plan.extend child (last_computed child))
   | Op.Dedup ->
       (* equal visible rows are equal full rows only when nothing is
          hidden and no computed column could differ *)
       if
         state.Query_state.hidden = []
         && state.Query_state.computed = []
-      then Some (Rel_algebra.distinct (parent_full ()))
+      then
+        over_parent (fun scan ->
+            Plan.Distinct_on (Plan.output_columns scan, scan))
       else None
   | Op.Rename _ | Op.Product _ | Op.Union _ | Op.Diff _ | Op.Join _ ->
       None
@@ -127,36 +74,25 @@ let h_derive = Obs.Histogram.histogram Obs.h_incremental_derive
 let materialize_after ~parent ~op ~child =
   (* One profile region per derived child; [derive] reaching the
      parent through [Materialize.full_cached] opens (and commits) its
-     own region for the parent's uid, while the fallback
-     [Materialize.full child] collapses into this one. *)
-  Obs.Profile.enter ~kind:"incremental" ~uid:child.Spreadsheet.uid;
-  let commit rel = Obs.Profile.commit ~rows_out:(Relation.cardinality rel) in
-  match
-    let sp =
-      Obs.span ~uid:child.Spreadsheet.uid ~kind:(Op.kind op)
-        "incremental.materialize_after"
-    in
-    let t0 = Obs.now_ns () in
-    let rel =
-      match derive ~parent ~op ~child with
-      | Some rel ->
-          Obs.Metrics.incr c_derivations;
-          Obs.Histogram.record h_derive (Obs.now_ns () - t0);
-          Obs.Profile.note_strategy "incremental";
-          rel
-      | None ->
-          Obs.Metrics.incr c_fallbacks;
-          Materialize.full child
-    in
-    Materialize.seed_cache child rel;
-    Obs.finish
-      ~rows_out:(if Obs.recording () then Relation.cardinality rel else -1)
-      sp;
-    rel
-  with
-  | rel ->
-      commit rel;
-      rel
-  | exception e ->
-      Obs.Profile.commit ~rows_out:(-1);
-      raise e
+     own region for the parent's uid, while the derivation plan and
+     the fallback [Materialize.full child] collapse into this one. *)
+  let uid = child.Spreadsheet.uid in
+  Obs.Profile.region ~kind:"incremental" ~uid ~rows_out:Relation.cardinality
+  @@ fun () ->
+  Obs.with_span ~uid ~kind:(Op.kind op) ~rows_out:Relation.cardinality
+    "incremental.materialize_after"
+  @@ fun () ->
+  let t0 = Obs.now_ns () in
+  let rel =
+    match derive ~parent ~op ~child with
+    | Some rel ->
+        Obs.Metrics.incr c_derivations;
+        Obs.Histogram.record h_derive (Obs.now_ns () - t0);
+        Obs.Profile.note_strategy "incremental";
+        rel
+    | None ->
+        Obs.Metrics.incr c_fallbacks;
+        Materialize.full child
+  in
+  Materialize.seed_cache child rel;
+  rel

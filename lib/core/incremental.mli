@@ -7,23 +7,29 @@
     sheet whose materialization is known and the operator that
     produced a child sheet, it derives the child's materialization
     without replaying the whole query state, whenever the operator's
-    effect on the materialized relation is local:
+    effect on the materialized relation is local. Each derivation is
+    a short plan over a [Scan] of the parent's cached rows, run by
+    {!Plan.execute} — the same executor a full replay uses:
 
     - projection / inverse projection: the full materialization is
       unchanged (hidden columns are presentational) — unless duplicate
       elimination is active, whose key is the visible column set;
-    - grouping and ordering operators: a re-sort of the parent rows
-      (their guards ensure no computed value changes);
+    - grouping and ordering operators: a [Sort] of the parent rows
+      (their guards ensure no computed value changes), provided every
+      parent sort column is a child sort column — otherwise ties
+      would keep the parent's order instead of base order;
     - a selection applied at the highest stratum (no computed column
-      defined after it): a filter of the parent rows;
-    - a new aggregation or formula column: computed over the parent
-      rows and appended.
+      defined after it): a [Filter] of the parent rows;
+    - a new aggregation or formula column: one [Extend_*] node
+      ({!Plan.extend}) over the parent rows;
+    - duplicate elimination with nothing hidden and no computed
+      column: a [Distinct_on] every column.
 
     Anything else — duplicate elimination with computed columns,
     renames, binary operators, query modification — answers [None]
     and falls back to full replay. Derivations are exact: the result
-    is the relation {!Materialize.full} would compute (checked by the
-    property suite). *)
+    is the relation {!Materialize.full} would compute, rows and order
+    (checked against the test oracle by the differential battery). *)
 
 open Sheet_rel
 

@@ -9,228 +9,25 @@ let c_evictions = Obs.Metrics.counter Obs.k_cache_evictions
 let c_seeds = Obs.Metrics.counter Obs.k_cache_seeds
 let c_full_replays = Obs.Metrics.counter Obs.k_full_replays
 let h_full = Obs.Histogram.histogram Obs.h_materialize_full
-let h_stratum = Obs.Histogram.histogram Obs.h_materialize_stratum
-
-let internal_error fmt =
-  Printf.ksprintf (fun s -> failwith ("Materialize: internal error: " ^ s)) fmt
-
-(* Partition the rows by equality on the columns at [positions];
-   returns the groups in first-occurrence order, keyed on real row
-   equality. *)
-let partition positions data =
-  let tbl = Row.Tbl.create (max 16 (Array.length data)) in
-  let order = Vec.create () in
-  Array.iter
-    (fun row ->
-      let key = Row.project_arr row positions in
-      match Row.Tbl.find_opt tbl key with
-      | Some cell -> cell := row :: !cell
-      | None ->
-          let cell = ref [ row ] in
-          Row.Tbl.add tbl key cell;
-          Vec.push order (key, cell))
-    data;
-  Array.to_list
-    (Array.map (fun (key, cell) -> (key, List.rev !cell)) (Vec.to_array order))
-
-(* Duplicate elimination considers the columns the user can see
-   (projection removes a column from the sheet's C, Def. 6); hidden
-   column values of the first occurrence survive. *)
-let distinct_rows ~key_positions data =
-  let seen = Row.Tbl.create (max 16 (Array.length data)) in
-  Vec.filter_array
-    (fun row ->
-      let key = Row.project_arr row key_positions in
-      if Row.Tbl.mem seen key then false
-      else begin
-        Row.Tbl.add seen key ();
-        true
-      end)
-    data
-
-let apply_selections ?rel schema preds data =
-  Rel_algebra.select_rows ?rel schema preds data
-
-(* Compute one computed column over the current rows, returning the
-   cell value for each row (row order preserved). *)
-let computed_cells (sheet : Spreadsheet.t) schema data (c : Computed.t) =
-  match c.Computed.spec with
-  | Computed.Formula e ->
-      let index = Schema.compile_index schema in
-      Array.map
-        (fun row ->
-          Expr_eval.eval ~lookup:(fun name -> Row.get row (index name)) e)
-        data
-  | Computed.Aggregate { fn; arg; level } ->
-      let basis =
-        Grouping.cumulative_basis (Spreadsheet.grouping sheet) level
-      in
-      let positions = Array.of_list (List.map (Schema.index_exn schema) basis) in
-      let index = Schema.compile_index schema in
-      let groups = Row.Tbl.create (max 16 (Array.length data)) in
-      Array.iter
-        (fun row ->
-          let key = Row.project_arr row positions in
-          match Row.Tbl.find_opt groups key with
-          | Some cell -> cell := row :: !cell
-          | None -> Row.Tbl.add groups key (ref [ row ]))
-        data;
-      let agg_of_key = Row.Tbl.create (max 16 (Row.Tbl.length groups)) in
-      Row.Tbl.iter
-        (fun key cell ->
-          let group_rows = List.rev !cell in
-          let values =
-            match (fn, arg) with
-            | Expr.Count_star, _ ->
-                List.map (fun _ -> Value.Null) group_rows
-            | _, Some e ->
-                List.map
-                  (fun row ->
-                    Expr_eval.eval
-                      ~lookup:(fun name -> Row.get row (index name))
-                      e)
-                  group_rows
-            | _, None ->
-                internal_error "aggregate %s without argument"
-                  (Expr.agg_fun_name fn)
-          in
-          Row.Tbl.add agg_of_key key (Expr_eval.apply_agg fn values))
-        groups;
-      Array.map
-        (fun row ->
-          let key = Row.project_arr row positions in
-          match Row.Tbl.find_opt agg_of_key key with
-          | Some v -> v
-          | None -> internal_error "group key vanished during aggregation")
-        data
-
-let unsorted_full (sheet : Spreadsheet.t) =
-  let state = sheet.Spreadsheet.state in
-  let base_schema = Spreadsheet.base_schema sheet in
-  (* Selections per stratum (ranks depend only on the state). *)
-  let stratum pred = Query_state.selection_stratum state pred in
-  let preds_at k =
-    List.filter_map
-      (fun (s : Query_state.selection) ->
-        if stratum s.Query_state.pred = k then Some s.Query_state.pred
-        else None)
-      state.Query_state.selections
-  in
-  (* row counts are O(1) on the array representation, so the stratum
-     spans always carry real counts *)
-  let rows =
-    let sp =
-      Obs.span ~uid:sheet.Spreadsheet.uid ~kind:"stratum 0"
-        "materialize.stratum"
-    in
-    let a0 = Gc.allocated_bytes () in
-    let t0 = Obs.now_ns () in
-    let base_rows = Relation.to_array sheet.Spreadsheet.base in
-    let rows =
-      apply_selections ~rel:sheet.Spreadsheet.base base_schema (preds_at 0)
-        base_rows
-    in
-    let rows =
-      if state.Query_state.dedup then
-        let visible_base =
-          List.filter
-            (fun n -> not (List.mem n state.Query_state.hidden))
-            (Schema.names base_schema)
-        in
-        let key_positions =
-          Array.of_list
-            (List.map (Schema.index_exn base_schema) visible_base)
-        in
-        distinct_rows ~key_positions rows
-      else rows
-    in
-    let dt = Obs.now_ns () - t0 in
-    Obs.Histogram.record h_stratum dt;
-    Obs.finish ~rows_in:(Array.length base_rows)
-      ~rows_out:(Array.length rows) sp;
-    Obs.Profile.note_node ~rows_in:(Array.length base_rows)
-      ~rows_out:(Array.length rows) ~kind:"stratum" ~label:"stratum 0"
-      ~time_ns:dt ~alloc_bytes:(Gc.allocated_bytes () -. a0) ();
-    rows
-  in
-  let schema, rows, _ =
-    List.fold_left
-      (fun (schema, rows, k) (c : Computed.t) ->
-        let sp =
-          Obs.span ~uid:sheet.Spreadsheet.uid
-            ~kind:(Printf.sprintf "stratum %d: %s" k c.Computed.name)
-            "materialize.stratum"
-        in
-        let rows_in = Array.length rows in
-        let a0 = Gc.allocated_bytes () in
-        let t0 = Obs.now_ns () in
-        let cells = computed_cells sheet schema rows c in
-        let schema =
-          Schema.append schema
-            { Schema.name = c.Computed.name; ty = c.Computed.ty }
-        in
-        let rows = Array.map2 Row.append1 rows cells in
-        let rows = apply_selections schema (preds_at k) rows in
-        let dt = Obs.now_ns () - t0 in
-        Obs.Histogram.record h_stratum dt;
-        Obs.finish ~rows_in ~rows_out:(Array.length rows) sp;
-        Obs.Profile.note_node ~rows_in ~rows_out:(Array.length rows)
-          ~kind:"stratum"
-          ~label:(Printf.sprintf "stratum %d: %s" k c.Computed.name)
-          ~time_ns:dt ~alloc_bytes:(Gc.allocated_bytes () -. a0) ();
-        (schema, rows, k + 1))
-      (base_schema, rows, 1)
-      state.Query_state.computed
-  in
-  Relation.unsafe_of_array schema rows
 
 (* Run [f ()] inside a Sheetdoctor profile region keyed on the sheet's
    uid; when an enclosing region already covers the same uid (e.g.
    [full] reached through a [full_cached] miss) the nested enter is
-   collapsed so one request yields one record. *)
+   collapsed so one request yields one record — and so does the
+   region [Plan.execute] opens underneath. *)
 let profiled ~uid f =
-  Obs.Profile.enter ~kind:"materialize" ~uid;
-  match f () with
-  | rel ->
-      Obs.Profile.commit ~rows_out:(Relation.cardinality rel);
-      rel
-  | exception e ->
-      Obs.Profile.commit ~rows_out:(-1);
-      raise e
+  Obs.Profile.region ~kind:"materialize" ~uid ~rows_out:Relation.cardinality f
 
 let full (sheet : Spreadsheet.t) =
+  let uid = sheet.Spreadsheet.uid in
   Obs.Metrics.incr c_full_replays;
-  profiled ~uid:sheet.Spreadsheet.uid @@ fun () ->
+  profiled ~uid @@ fun () ->
   Obs.Profile.note_strategy "full-replay";
-  Obs.with_span ~uid:sheet.Spreadsheet.uid ~kind:"full" "materialize.full"
-    (fun () ->
-      let t0 = Obs.now_ns () in
-      Fun.protect
-        ~finally:(fun () -> Obs.Histogram.record h_full (Obs.now_ns () - t0))
-      @@ fun () ->
-      let rel = unsorted_full sheet in
-      let keys =
-        List.map
-          (fun (attr, dir) ->
-            ( attr,
-              match dir with Grouping.Asc -> `Asc | Grouping.Desc -> `Desc ))
-          (Grouping.sort_keys (Spreadsheet.grouping sheet))
-      in
-      if keys = [] then rel
-      else
-        Obs.with_span ~uid:sheet.Spreadsheet.uid ~kind:"sort"
-          "materialize.sort" (fun () ->
-            let a0 = Gc.allocated_bytes () in
-            let t0 = Obs.now_ns () in
-            let sorted = Rel_algebra.sort keys rel in
-            Obs.Profile.note_node ~rows_in:(Relation.cardinality rel)
-              ~rows_out:(Relation.cardinality sorted) ~kind:"sort"
-              ~label:
-                (Printf.sprintf "sort [%s]"
-                   (String.concat ", " (List.map fst keys)))
-              ~time_ns:(Obs.now_ns () - t0)
-              ~alloc_bytes:(Gc.allocated_bytes () -. a0) ();
-            sorted))
+  Obs.with_span ~uid ~kind:"full" "materialize.full" @@ fun () ->
+  let t0 = Obs.now_ns () in
+  Fun.protect
+    ~finally:(fun () -> Obs.Histogram.record h_full (Obs.now_ns () - t0))
+  @@ fun () -> Plan.execute ~uid (Plan.of_sheet sheet)
 
 (* ---------- the materialization cache ----------
 
@@ -407,24 +204,13 @@ let find_subsumer (sheet : Spreadsheet.t) =
    identical schemas, computed cells and dedup survivors), then
    re-sort for [sheet]'s grouping/ordering. *)
 let serve_subsumed (sheet : Spreadsheet.t) (cached_rel : Relation.t) =
-  let schema = Relation.schema cached_rel in
-  let preds =
-    List.map
-      (fun (s : Query_state.selection) -> s.Query_state.pred)
-      sheet.Spreadsheet.state.Query_state.selections
+  let filtered =
+    List.fold_left
+      (fun plan (s : Query_state.selection) ->
+        Plan.Filter (s.Query_state.pred, plan))
+      (Plan.Scan cached_rel) sheet.Spreadsheet.state.Query_state.selections
   in
-  let rows =
-    apply_selections ~rel:cached_rel schema preds
-      (Relation.to_array cached_rel)
-  in
-  let rel = Relation.unsafe_of_array schema rows in
-  let keys =
-    List.map
-      (fun (attr, dir) ->
-        (attr, match dir with Grouping.Asc -> `Asc | Grouping.Desc -> `Desc))
-      (Grouping.sort_keys (Spreadsheet.grouping sheet))
-  in
-  if keys = [] then rel else Rel_algebra.sort keys rel
+  Plan.execute ~uid:sheet.Spreadsheet.uid (Plan.sorted sheet filtered)
 
 let full_cached (sheet : Spreadsheet.t) =
   with_cache_lock @@ fun () ->
@@ -480,9 +266,7 @@ let visible (sheet : Spreadsheet.t) =
     (full_cached sheet)
 
 let current_base_rows (sheet : Spreadsheet.t) =
-  Rel_algebra.project
-    (Schema.names (Spreadsheet.base_schema sheet))
-    (unsorted_full sheet)
+  Plan.execute ~uid:sheet.Spreadsheet.uid (Plan.base_rows sheet)
 
 let finest_group_boundaries (sheet : Spreadsheet.t) (rel : Relation.t) =
   let grouping = Spreadsheet.grouping sheet in
@@ -502,11 +286,3 @@ let finest_group_boundaries (sheet : Spreadsheet.t) (rel : Relation.t) =
       if not (Row.equal ki kj) then out := i :: !out
     done;
     List.rev !out
-
-let group_count (sheet : Spreadsheet.t) ~level =
-  let rel = unsorted_full sheet in
-  let basis = Grouping.cumulative_basis (Spreadsheet.grouping sheet) level in
-  let positions =
-    Array.of_list (List.map (Schema.index_exn (Relation.schema rel)) basis)
-  in
-  List.length (partition positions (Relation.to_array rel))

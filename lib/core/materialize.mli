@@ -1,7 +1,10 @@
 (** Materialization: evaluate a spreadsheet's query state against its
-    base relation to produce the relation the user sees.
+    base relation to produce the relation the user sees, and cache
+    the result.
 
-    Evaluation is {e precedence-stratified replay} (DESIGN.md §4):
+    Evaluation is {e precedence-stratified replay} (DESIGN.md §4),
+    compiled by {!Plan.of_sheet} and run by {!Plan.execute} — the one
+    evaluator of a query state:
 
     + apply every selection that references only base columns, then
       duplicate elimination if requested (stratum 0);
@@ -20,7 +23,11 @@
 open Sheet_rel
 
 val full : Spreadsheet.t -> Relation.t
-(** All columns (hidden ones included), rows in presentation order. *)
+(** All columns (hidden ones included), rows in presentation order:
+    [Plan.execute (Plan.of_sheet sheet)] inside a ["materialize"]
+    profile region keyed on the sheet's uid (the plan's own region
+    collapses into it), a [materialize.full] span and histogram
+    sample, and a [materialize.full_replays] count. *)
 
 val full_cached : Spreadsheet.t -> Relation.t
 (** Like {!full}, memoized on the sheet's {!Spreadsheet.t.uid}
@@ -33,7 +40,8 @@ val full_cached : Spreadsheet.t -> Relation.t
     states for one that {!State_subsume.check} proves subsumes the
     request (same base relation and computed columns, a provably
     weaker selection) and answers by re-filtering/re-sorting that
-    entry's rows — a {e subsumed hit} — before falling back to a full
+    entry's rows — a {e subsumed hit}, run as a Filter/Sort plan over
+    a [Scan] of the cached relation — before falling back to a full
     replay. Only {e order-safe} subsumers are eligible: the entry's
     sort keys must be a prefix of the request's, so the stable re-sort
     reproduces a full replay's row order exactly (ties in base order)
@@ -93,15 +101,12 @@ val reset_cache : unit -> unit
     registry). *)
 
 val current_base_rows : Spreadsheet.t -> Relation.t
-(** The paper's [R^j]: the base relation filtered by the accumulated
-    selections and duplicate elimination — base columns only, no
-    presentation ordering. This is what binary operators combine. *)
+(** The paper's [R^j] ({!Plan.base_rows}, executed): the base
+    relation filtered by the accumulated selections and duplicate
+    elimination — base columns only, no presentation ordering. This
+    is what binary operators combine. *)
 
 val finest_group_boundaries : Spreadsheet.t -> Relation.t -> int list
 (** 0-based indices of rows that end a finest-level group in a
     materialized relation (excluding the last row). Empty when the
     sheet has no grouping. *)
-
-val group_count : Spreadsheet.t -> level:int -> int
-(** Number of groups at a paper group level of the materialized
-    sheet. *)

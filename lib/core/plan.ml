@@ -24,61 +24,9 @@ and extend_agg = {
   basis : string list;
 }
 
-(* ---------- compilation (mirrors Materialize's stratified replay) -- *)
+(* ---------- compilation: stratified replay as an operator chain ---- *)
 
-let of_sheet (sheet : Spreadsheet.t) =
-  let state = sheet.Spreadsheet.state in
-  let stratum pred = Query_state.selection_stratum state pred in
-  let preds_at k =
-    List.filter_map
-      (fun (s : Query_state.selection) ->
-        if stratum s.Query_state.pred = k then Some s.Query_state.pred
-        else None)
-      state.Query_state.selections
-  in
-  let base_schema = Spreadsheet.base_schema sheet in
-  let plan = Scan sheet.Spreadsheet.base in
-  let plan =
-    List.fold_left (fun plan pred -> Filter (pred, plan)) plan (preds_at 0)
-  in
-  let plan =
-    if state.Query_state.dedup then
-      let visible_base =
-        List.filter
-          (fun n -> not (List.mem n state.Query_state.hidden))
-          (Schema.names base_schema)
-      in
-      Distinct_on (visible_base, plan)
-    else plan
-  in
-  let plan, _ =
-    List.fold_left
-      (fun (plan, k) (c : Computed.t) ->
-        let plan =
-          match c.Computed.spec with
-          | Computed.Formula expr ->
-              Extend_formula
-                ({ name = c.Computed.name; ty = c.Computed.ty; expr }, plan)
-          | Computed.Aggregate { fn; arg; level } ->
-              Extend_aggregate
-                ( { agg_name = c.Computed.name;
-                    agg_ty = c.Computed.ty;
-                    fn;
-                    arg;
-                    basis =
-                      Grouping.cumulative_basis
-                        (Spreadsheet.grouping sheet)
-                        level },
-                  plan )
-        in
-        let plan =
-          List.fold_left
-            (fun plan pred -> Filter (pred, plan))
-            plan (preds_at k)
-        in
-        (plan, k + 1))
-      (plan, 1) state.Query_state.computed
-  in
+let sorted (sheet : Spreadsheet.t) plan =
   let keys =
     List.map
       (fun (attr, dir) ->
@@ -87,11 +35,55 @@ let of_sheet (sheet : Spreadsheet.t) =
   in
   if keys = [] then plan else Sort (keys, plan)
 
-(* ---------- execution ---------- *)
+let extend (sheet : Spreadsheet.t) (c : Computed.t) plan =
+  match c.Computed.spec with
+  | Computed.Formula expr ->
+      Extend_formula
+        ({ name = c.Computed.name; ty = c.Computed.ty; expr }, plan)
+  | Computed.Aggregate { fn; arg; level } ->
+      Extend_aggregate
+        ( { agg_name = c.Computed.name;
+            agg_ty = c.Computed.ty;
+            fn;
+            arg;
+            basis =
+              Grouping.cumulative_basis (Spreadsheet.grouping sheet) level },
+          plan )
 
-(* Every node has zero (Scan) or one child: a plan is a chain. The
-   per-node work is factored out of the recursion so [execute] and
-   [execute_instrumented] interpret each node with the same code. *)
+let unsorted (sheet : Spreadsheet.t) =
+  let state = sheet.Spreadsheet.state in
+  let filters_at k plan =
+    List.fold_left
+      (fun plan (s : Query_state.selection) ->
+        if Query_state.selection_stratum state s.Query_state.pred = k then
+          Filter (s.Query_state.pred, plan)
+        else plan)
+      plan state.Query_state.selections
+  in
+  let base_schema = Spreadsheet.base_schema sheet in
+  let plan = filters_at 0 (Scan sheet.Spreadsheet.base) in
+  let plan =
+    (* duplicate elimination keys on the columns the user can see
+       (projection removes a column from the sheet's C, Def. 6) *)
+    if state.Query_state.dedup then
+      Distinct_on
+        ( List.filter
+            (fun n -> not (List.mem n state.Query_state.hidden))
+            (Schema.names base_schema),
+          plan )
+    else plan
+  in
+  fst
+    (List.fold_left
+       (fun (plan, k) c -> (filters_at k (extend sheet c plan), k + 1))
+       (plan, 1) state.Query_state.computed)
+
+let of_sheet sheet = sorted sheet (unsorted sheet)
+
+let base_rows (sheet : Spreadsheet.t) =
+  Project (Schema.names (Spreadsheet.base_schema sheet), unsorted sheet)
+
+(* ---------- node labels and kinds ---------- *)
 
 let child = function
   | Scan _ -> None
@@ -102,74 +94,6 @@ let child = function
   | Extend_aggregate (_, c)
   | Sort (_, c) ->
       Some c
-
-(* [apply_node node input] evaluates one node given its child's
-   result; [input] is [None] exactly for [Scan]. *)
-let apply_node node input =
-  let rel () =
-    match input with
-    | Some rel -> rel
-    | None -> invalid_arg "Plan.apply_node: inner node without input"
-  in
-  match node with
-  | Scan rel -> rel
-  | Project (cols, _) -> Rel_algebra.project cols (rel ())
-  | Filter (pred, _) -> Rel_algebra.select pred (rel ())
-  | Distinct_on (keys, _) ->
-      let rel = rel () in
-      let schema = Relation.schema rel in
-      let positions = List.map (Schema.index_exn schema) keys in
-      let seen = Hashtbl.create 64 in
-      let rows =
-        List.filter
-          (fun row ->
-            let key = Row.project row positions in
-            let h = Row.hash key in
-            let bucket =
-              Hashtbl.find_opt seen h |> Option.value ~default:[]
-            in
-            if List.exists (fun x -> Row.equal x key) bucket then false
-            else begin
-              Hashtbl.replace seen h (key :: bucket);
-              true
-            end)
-          (Relation.rows rel)
-      in
-      Relation.unsafe_make schema rows
-  | Extend_formula ({ name; ty; expr }, _) ->
-      let rel = rel () in
-      let schema = Relation.schema rel in
-      Rel_algebra.extend name ty
-        (fun row ->
-          Expr_eval.eval
-            ~lookup:(fun n -> Row.get row (Schema.index_exn schema n))
-            expr)
-        rel
-  | Extend_aggregate ({ agg_name; agg_ty; fn; arg; basis }, _) ->
-      let rel = rel () in
-      let schema = Relation.schema rel in
-      let positions = List.map (Schema.index_exn schema) basis in
-      let groups = Rel_algebra.group_rows basis rel in
-      let table = Hashtbl.create 32 in
-      List.iter
-        (fun (key, rows) ->
-          Hashtbl.add table (Row.hash key)
-            (key, Rel_algebra.aggregate_value rel rows fn arg))
-        groups;
-      Rel_algebra.extend agg_name agg_ty
-        (fun row ->
-          let key = Row.project row positions in
-          match
-            List.find_opt
-              (fun (k, _) -> Row.equal k key)
-              (Hashtbl.find_all table (Row.hash key))
-          with
-          | Some (_, v) -> v
-          | None -> Value.Null)
-        rel
-  | Sort (keys, _) -> Rel_algebra.sort keys (rel ())
-
-(* ---------- node labels (shared by explain / explain analyze) ---- *)
 
 let node_label = function
   | Scan rel ->
@@ -205,23 +129,28 @@ let node_kind = function
   | Extend_aggregate _ -> "extend-agg"
   | Sort _ -> "sort"
 
-let node_histogram node =
-  Obs.Histogram.histogram (Obs.h_plan_node_prefix ^ node_kind node)
+let kind_histogram kind =
+  Obs.Histogram.histogram (Obs.h_plan_node_prefix ^ kind)
 
-(* ---------- fused execution ----------
+(* ---------- execution ----------
 
-   [execute] does not interpret the chain node by node. It linearizes
-   the plan and compiles each maximal run of streaming nodes
-   (Filter / Project / Extend_formula) into per-row closures applied
-   in a single pass over the current row array — one intermediate
-   array per run instead of one per node. Blocking nodes
-   (Distinct_on, Extend_aggregate, Sort) cut a run: they need the
-   whole input, and run as one array operation each (hash tables
-   keyed on real row equality, pre-sized to the input; Sort orders an
-   index permutation). Per-node-kind histograms are still fed: a
-   fused pass records its duration under every node kind it
-   subsumes. [execute_instrumented] stays node-at-a-time so EXPLAIN
-   ANALYZE and the span-per-node contract keep exact self-times. *)
+   A plan is a chain (every node has zero or one child). The executor
+   linearizes it and runs it as a sequence of {e units}:
+
+   - a columnar filter: the Filter nodes directly above the Scan,
+     when every predicate compiles against the scanned relation's
+     Sheetcol image, run as one selection-vector pass;
+   - a fused run: a maximal run of streaming nodes (Filter / Project /
+     Extend_formula) compiled into per-row closures applied in one
+     morsel-parallel pass — one intermediate array per run instead of
+     one per node;
+   - a blocking node (Distinct_on, Extend_aggregate, Sort), which
+     needs its whole input and runs as one array operation.
+
+   Each unit opens one [plan.node] span, bumps the [plan.*] counters,
+   records its time under every node kind it covers and notes one
+   node in the open Sheetdoctor profile region — the record EXPLAIN
+   ANALYZE renders. *)
 
 let linearize node =
   let rec go acc = function
@@ -233,17 +162,24 @@ let linearize node =
   in
   go [] node
 
+let rec take_while p = function
+  | x :: rest when p x ->
+      let xs, ys = take_while p rest in
+      (x :: xs, ys)
+  | rest -> ([], rest)
+
+let check_selection schema pred =
+  match Expr_check.check_pred schema pred with
+  | Ok () -> ()
+  | Error msg -> raise (Rel_algebra.Algebra_error ("selection: " ^ msg))
+
 type step = Keep of (Row.t -> bool) | Map of (Row.t -> Row.t)
 
 (* Compile one streaming node against its input schema; returns the
-   per-row step and the output schema. Type errors surface as the
-   same [Algebra_error] the unfused interpreter raised. *)
+   per-row step and the output schema. *)
 let compile_streaming schema = function
   | Filter (pred, _) ->
-      (match Expr_check.check_pred schema pred with
-      | Ok () -> ()
-      | Error msg ->
-          raise (Rel_algebra.Algebra_error ("selection: " ^ msg)));
+      check_selection schema pred;
       let index = Schema.compile_index schema in
       ( Keep
           (fun row ->
@@ -274,47 +210,9 @@ let is_streaming = function
   | Filter _ | Project _ | Extend_formula _ -> true
   | Scan _ | Distinct_on _ | Extend_aggregate _ | Sort _ -> false
 
-let run_streaming ~record ?rel nodes schema data =
-  (* When this run starts directly on a scan's relation, its leading
-     Filter nodes can execute over the relation's Sheetcol image as
-     compiled selection vectors. Checks run first (same Algebra_error
-     the step compiler raises), and a predicate that does not compile
-     drops the whole prefix back into the fused row loop below. *)
-  let nodes, data =
-    match rel with
-    | Some r when Relation.to_array r == data -> (
-        let rec split preds acc = function
-          | (Filter (p, _) as n) :: rest -> split (p :: preds) (n :: acc) rest
-          | rest -> (List.rev preds, List.rev acc, rest)
-        in
-        let preds, consumed, rest = split [] [] nodes in
-        if preds = [] then (nodes, data)
-        else begin
-          List.iter
-            (fun p ->
-              match Expr_check.check_pred schema p with
-              | Ok () -> ()
-              | Error msg ->
-                  raise (Rel_algebra.Algebra_error ("selection: " ^ msg)))
-            preds;
-          let a0 = Gc.allocated_bytes () in
-          let t0 = Obs.now_ns () in
-          match Rel_algebra.columnar_filter r preds with
-          | Some out ->
-              let dt = Obs.now_ns () - t0 in
-              List.iter (fun node -> record (node_kind node) dt) consumed;
-              Obs.Profile.note_node ~rows_in:(Array.length data)
-                ~rows_out:(Array.length out) ~path:"columnar" ~kind:"filter"
-                ~label:(String.concat " + " (List.map node_label consumed))
-                ~time_ns:dt
-                ~alloc_bytes:(Gc.allocated_bytes () -. a0) ();
-              (rest, out)
-          | None -> (nodes, data)
-        end)
-    | _ -> (nodes, data)
-  in
-  if nodes = [] then (schema, data)
-  else begin
+let is_filter = function Filter _ -> true | _ -> false
+
+let fused_run nodes schema data =
   let steps, out_schema =
     List.fold_left
       (fun (steps, schema) node ->
@@ -324,12 +222,9 @@ let run_streaming ~record ?rel nodes schema data =
   in
   let steps = Array.of_list (List.rev steps) in
   let nsteps = Array.length steps in
-  let a0 = Gc.allocated_bytes () in
-  let t0 = Obs.now_ns () in
-  let n = Array.length data in
   let out =
     Par.concat
-      (Par.run ~n (fun lo hi ->
+      (Par.run ~n:(Array.length data) (fun lo hi ->
            let buf = Array.make (hi - lo) data.(lo) in
            let k = ref 0 in
            for i = lo to hi - 1 do
@@ -349,213 +244,161 @@ let run_streaming ~record ?rel nodes schema data =
            done;
            if !k = hi - lo then buf else Array.sub buf 0 !k))
   in
-  let dt = Obs.now_ns () - t0 in
-  List.iter (fun node -> record (node_kind node) dt) nodes;
-  Obs.Profile.note_node ~rows_in:n ~rows_out:(Array.length out) ~path:"fused"
-    ~kind:"run"
-    ~label:(String.concat " + " (List.map node_label nodes))
-    ~time_ns:dt
-    ~alloc_bytes:(Gc.allocated_bytes () -. a0) ();
   (out_schema, out)
-  end
 
-let run_blocking ~record node schema data =
+(* Grouped aggregation with per-row broadcast: one hash pass assigns
+   every row its group, each group's aggregate is computed once, and
+   every row is extended with its group's value (Table III). *)
+let extend_aggregate schema { agg_name; agg_ty; fn; arg; basis } data =
+  let positions = Array.of_list (List.map (Schema.index_exn schema) basis) in
+  let index = Schema.compile_index schema in
+  let group_of = Row.Tbl.create (max 16 (Array.length data)) in
+  let members = Vec.create () in
+  let gid =
+    Array.map
+      (fun row ->
+        let key = Row.project_arr row positions in
+        match Row.Tbl.find_opt group_of key with
+        | Some (g, cell) ->
+            cell := row :: !cell;
+            g
+        | None ->
+            let g = Vec.length members in
+            let cell = ref [ row ] in
+            Row.Tbl.add group_of key (g, cell);
+            Vec.push members cell;
+            g)
+      data
+  in
+  let value_of cell =
+    let rows = List.rev !cell in
+    Expr_eval.apply_agg fn
+      (match (fn, arg) with
+      | Expr.Count_star, _ -> List.map (fun _ -> Value.Null) rows
+      | _, Some e ->
+          List.map
+            (fun row ->
+              Expr_eval.eval ~lookup:(fun name -> Row.get row (index name)) e)
+            rows
+      | _, None ->
+          raise
+            (Rel_algebra.Algebra_error
+               (Printf.sprintf "aggregate %s needs an argument"
+                  (Expr.agg_fun_name fn))))
+  in
+  let values = Array.map value_of (Vec.to_array members) in
+  ( Schema.append schema { Schema.name = agg_name; ty = agg_ty },
+    Array.mapi (fun i row -> Row.append1 row values.(gid.(i))) data )
+
+let run_blocking node schema data =
+  match node with
+  | Distinct_on (keys, _) ->
+      let positions = Array.of_list (List.map (Schema.index_exn schema) keys) in
+      let seen = Row.Tbl.create (max 16 (Array.length data)) in
+      let keep row =
+        let key = Row.project_arr row positions in
+        if Row.Tbl.mem seen key then false
+        else begin
+          Row.Tbl.add seen key ();
+          true
+        end
+      in
+      (schema, Vec.filter_array keep data)
+  | Extend_aggregate (e, _) -> extend_aggregate schema e data
+  | Sort (keys, _) ->
+      ( schema,
+        Relation.to_array
+          (Rel_algebra.sort keys (Relation.unsafe_of_array schema data)) )
+  | Scan _ | Filter _ | Project _ | Extend_formula _ ->
+      invalid_arg "Plan.run_blocking: streaming node"
+
+(* One executed unit over [nodes]: span, counters, per-kind
+   histograms and one profile node around [f]. *)
+let run_unit ~uid ~path ~kind nodes data f =
+  let rows_in = Array.length data in
+  Obs.with_span ~uid ~kind ~rows_in
+    ~rows_out:(fun (_, out) -> Array.length out)
+    "plan.node"
+  @@ fun () ->
   let a0 = Gc.allocated_bytes () in
   let t0 = Obs.now_ns () in
-  let result =
-    match node with
-    | Distinct_on (keys, _) ->
-        let positions =
-          Array.of_list (List.map (Schema.index_exn schema) keys)
-        in
-        let seen = Row.Tbl.create (max 16 (Array.length data)) in
-        let keep row =
-          let key = Row.project_arr row positions in
-          if Row.Tbl.mem seen key then false
-          else begin
-            Row.Tbl.add seen key ();
-            true
-          end
-        in
-        (schema, Vec.filter_array keep data)
-    | Extend_aggregate ({ agg_name; agg_ty; fn; arg; basis }, _) ->
-        let positions =
-          Array.of_list (List.map (Schema.index_exn schema) basis)
-        in
-        let groups = Row.Tbl.create (max 16 (Array.length data)) in
-        Array.iter
-          (fun row ->
-            let key = Row.project_arr row positions in
-            match Row.Tbl.find_opt groups key with
-            | Some cell -> cell := row :: !cell
-            | None -> Row.Tbl.add groups key (ref [ row ]))
-          data;
-        let for_schema = Relation.empty schema in
-        let value_of = Row.Tbl.create (max 16 (Row.Tbl.length groups)) in
-        Row.Tbl.iter
-          (fun key cell ->
-            Row.Tbl.add value_of key
-              (Rel_algebra.aggregate_value for_schema (List.rev !cell) fn arg))
-          groups;
-        let out =
-          Array.map
-            (fun row ->
-              let key = Row.project_arr row positions in
-              let v =
-                match Row.Tbl.find_opt value_of key with
-                | Some v -> v
-                | None -> Value.Null
-              in
-              Row.append1 row v)
-            data
-        in
-        (Schema.append schema { Schema.name = agg_name; ty = agg_ty }, out)
-    | Sort (keys, _) ->
-        let positions =
-          List.map
-            (fun (name, dir) -> (Schema.index_exn schema name, dir))
-            keys
-        in
-        let compare_rows ra rb =
-          let rec go = function
-            | [] -> 0
-            | (i, dir) :: rest ->
-                let c = Value.compare (Row.get ra i) (Row.get rb i) in
-                let c = match dir with `Asc -> c | `Desc -> -c in
-                if c <> 0 then c else go rest
-          in
-          go positions
-        in
-        (schema, Vec.stable_sorted compare_rows data)
-    | Scan _ | Filter _ | Project _ | Extend_formula _ ->
-        invalid_arg "Plan.run_blocking: streaming node"
-  in
+  let ((_, out) as result) = f () in
   let dt = Obs.now_ns () - t0 in
-  record (node_kind node) dt;
-  Obs.Profile.note_node ~rows_in:(Array.length data)
-    ~rows_out:(Array.length (snd result)) ~path:"blocking"
-    ~kind:(node_kind node) ~label:(node_label node) ~time_ns:dt
-    ~alloc_bytes:(Gc.allocated_bytes () -. a0) ();
+  let rows_out = Array.length out in
+  List.iter
+    (fun node -> Obs.Histogram.record (kind_histogram (node_kind node)) dt)
+    nodes;
+  Obs.Metrics.incr c_plan_nodes;
+  Obs.Metrics.incr ~by:rows_in c_plan_rows_in;
+  Obs.Metrics.incr ~by:rows_out c_plan_rows_out;
+  (* labels render predicates: only worth it when a region records *)
+  if Obs.Profile.in_region () then
+    Obs.Profile.note_node ~rows_in ~rows_out ~path ~kind
+      ~label:(String.concat " + " (List.map node_label nodes))
+      ~time_ns:dt
+      ~alloc_bytes:(Gc.allocated_bytes () -. a0)
+      ();
   result
 
-(* Run [f ()] inside a Sheetdoctor profile region and commit it with
-   the result cardinality (or -1 when [f] raises). The attribution
-   hooks in [run_streaming]/[run_blocking]/[Rel_algebra] only record
-   while such a region is open. *)
-let profiled ~kind ~uid f =
-  Obs.Profile.enter ~kind ~uid;
-  match f () with
-  | rel ->
-      Obs.Profile.commit ~rows_out:(Relation.cardinality rel);
-      rel
-  | exception e ->
-      Obs.Profile.commit ~rows_out:(-1);
-      raise e
-
-let execute_raw node =
+let run ~uid node =
   let base, ops = linearize node in
-  let record kind dt =
-    Obs.Histogram.record
-      (Obs.Histogram.histogram (Obs.h_plan_node_prefix ^ kind))
-      dt
-  in
   let t0 = Obs.now_ns () in
   let schema = Relation.schema base in
   let data = Relation.to_array base in
-  record "scan" (Obs.now_ns () - t0);
-  (* [rel] is the relation whose array [data] still is — only the
-     scan's, before any node transformed it — so the first streaming
-     run can use its columnar image. *)
-  let rec go rel schema data = function
+  Obs.Histogram.record (kind_histogram "scan") (Obs.now_ns () - t0);
+  (* [scan] is [Some base] while [data] is still the scan's own array,
+     so filters right above it can use its columnar image *)
+  let rec go scan schema data = function
     | [] -> (schema, data)
-    | n :: _ as ops when is_streaming n ->
-        let rec split acc = function
-          | m :: rest when is_streaming m -> split (m :: acc) rest
-          | rest -> (List.rev acc, rest)
+    | n :: _ as ops when is_streaming n -> (
+        let streaming, rest = take_while is_streaming ops in
+        let fused () =
+          let schema, data =
+            run_unit ~uid ~path:"fused" ~kind:"run" streaming data (fun () ->
+                fused_run streaming schema data)
+          in
+          go None schema data rest
         in
-        let run, rest = split [] ops in
-        let schema, data = run_streaming ~record ?rel run schema data in
-        go None schema data rest
+        let filters, after = take_while is_filter streaming in
+        match scan with
+        | Some r when filters <> [] -> (
+            let preds =
+              List.filter_map
+                (function Filter (p, _) -> Some p | _ -> None)
+                filters
+            in
+            List.iter (check_selection schema) preds;
+            match Rel_algebra.compile_filter r preds with
+            | Some filter ->
+                let schema, data =
+                  run_unit ~uid ~path:"columnar" ~kind:"filter" filters data
+                    (fun () -> (schema, filter ()))
+                in
+                go None schema data (after @ rest)
+            | None -> fused ())
+        | _ -> fused ())
     | n :: rest ->
-        let schema, data = run_blocking ~record n schema data in
+        let schema, data =
+          run_unit ~uid ~path:"blocking" ~kind:(node_kind n) [ n ] data
+            (fun () -> run_blocking n schema data)
+        in
         go None schema data rest
   in
   let schema, data = go (Some base) schema data ops in
   Relation.unsafe_of_array schema data
 
 let execute ?(uid = 0) node =
-  profiled ~kind:"plan" ~uid (fun () -> execute_raw node)
+  Obs.Profile.region ~kind:"plan" ~uid ~rows_out:Relation.cardinality
+    (fun () -> run ~uid node)
 
-(* ---------- instrumented execution (EXPLAIN ANALYZE) ---------- *)
-
-type profile = {
-  p_label : string;
-  p_rows_out : int;
-  p_time_ns : int;  (** this node only, child excluded *)
-  p_child : profile option;
-}
-
-let rec instrumented_node node =
-  (* the child runs first, outside this node's span, so [p_time_ns]
-     and the span duration are self-time *)
-  let below = Option.map instrumented_node (child node) in
-  let input = Option.map fst below in
-  let rows_in = match input with Some r -> Relation.cardinality r | None -> 0 in
-  let sp = Obs.span ~kind:(node_kind node) "plan.node" in
-  let a0 = Gc.allocated_bytes () in
-  let t0 = Obs.now_ns () in
-  let rel = apply_node node input in
-  let dt = Obs.now_ns () - t0 in
-  Obs.Histogram.record (node_histogram node) dt;
-  let rows_out = Relation.cardinality rel in
-  Obs.Metrics.incr c_plan_nodes;
-  Obs.Metrics.incr ~by:rows_in c_plan_rows_in;
-  Obs.Metrics.incr ~by:rows_out c_plan_rows_out;
-  Obs.finish ~rows_in ~rows_out sp;
-  Obs.Profile.note_node ~rows_in ~rows_out ~kind:(node_kind node)
-    ~label:(node_label node) ~time_ns:dt
-    ~alloc_bytes:(Gc.allocated_bytes () -. a0) ();
-  ( rel,
-    { p_label = node_label node;
-      p_rows_out = rows_out;
-      p_time_ns = dt;
-      p_child = Option.map snd below } )
-
-let execute_instrumented ?(uid = 0) node =
-  Obs.Profile.enter ~kind:"plan" ~uid;
-  match instrumented_node node with
-  | (rel, _) as res ->
-      Obs.Profile.commit ~rows_out:(Relation.cardinality rel);
-      res
-  | exception e ->
-      Obs.Profile.commit ~rows_out:(-1);
-      raise e
-
-let rec profile_total_ns p =
-  p.p_time_ns
-  + match p.p_child with Some c -> profile_total_ns c | None -> 0
-
-let render_profile profile =
-  let buf = Buffer.create 512 in
-  let total = float_of_int (max 1 (profile_total_ns profile)) in
-  let rec go indent (p : profile) =
-    Buffer.add_string buf
-      (Printf.sprintf "%s%s  (rows=%d, time=%.3f ms, %.1f%%)\n" indent
-         p.p_label p.p_rows_out
-         (float_of_int p.p_time_ns /. 1e6)
-         (100. *. float_of_int p.p_time_ns /. total));
-    match p.p_child with
-    | Some c -> go (indent ^ "  ") c
-    | None -> ()
+let explain_analyze ?(uid = 0) node =
+  let rel = execute ~uid node in
+  let text =
+    match Obs.Profile.find ~uid with
+    | Some r when Obs.Profile.enabled () -> Obs.Profile.render_record r
+    | _ -> "no profile recorded (profile collection is off)"
   in
-  go "" profile;
-  Buffer.add_string buf
-    (Printf.sprintf "Total: %.3f ms\n" (total /. 1e6));
-  Buffer.contents buf
-
-let explain_analyze ?(uid = 0) plan =
-  let rel, profile = execute_instrumented ~uid plan in
-  (rel, profile, render_profile profile)
+  (rel, text)
 
 (* ---------- schema of a plan ---------- *)
 
@@ -681,8 +524,8 @@ let prune_conjuncts ~type_of conjs =
   for i = Array.length arr - 1 downto 0 do
     let rest = kept_except i in
     if
-      Expr_domain.tautology ~type_of arr.(i)
-      || (rest <> [] && Expr_domain.implies ~type_of (and_all rest) arr.(i))
+      Sheetsolve.tautology ~type_of arr.(i)
+      || (rest <> [] && Sheetsolve.implies ~type_of (and_all rest) arr.(i))
     then keep.(i) <- false
   done;
   Array.to_list arr |> List.filteri (fun j _ -> keep.(j))
@@ -694,7 +537,7 @@ let rec simplify_filters = function
       match Expr_simplify.simplify pred with
       | Expr.Const (Value.Bool true) -> c
       | pred ->
-          if not (Expr_domain.satisfiable ~type_of pred) then
+          if not (Sheetsolve.satisfiable ~type_of pred) then
             (* a provably-false filter: the whole subtree compiles to
                an empty scan of the same schema *)
             Scan (Relation.empty (output_schema c))

@@ -1,17 +1,21 @@
-(** Physical evaluation plans.
+(** Physical evaluation plans — the one evaluator of a query state.
 
-    {!Materialize} interprets the query state directly; this module
-    compiles the same state into an explicit operator tree — the shape
-    in which the paper's prototype pushed manipulations down to its
-    RDBMS — so that it can be inspected ([explain], the REPL's
-    [explain] command), optimized, and compared against the
-    interpreter (property-tested equal).
+    {!of_sheet} compiles a sheet's query state into an explicit
+    operator chain — the shape in which the paper's prototype pushed
+    manipulations down to its RDBMS — and {!execute} runs it. Every
+    materialization in the engine goes through {!execute}:
+    {!Materialize.full} is {!of_sheet} plus {!execute}, the semantic
+    cache's subsumed hits and every {!Incremental} derivation are
+    short plans over a [Scan] of a cached relation, and EXPLAIN
+    ANALYZE renders the profile record {!execute} wrote. An
+    independent, deliberately naive interpreter lives in the test
+    suite as the oracle.
 
-    The compiled plan mirrors the stratified replay exactly: filters
-    sit at their precedence stratum, aggregate extensions carry their
-    grouping basis, and a final sort realizes the recursive grouping.
-    {!optimize} then applies classical, semantics-preserving
-    rewrites:
+    The compiled plan is the stratified replay of DESIGN.md §4:
+    selections sit at their precedence stratum (Theorem 2), aggregate
+    extensions carry their grouping basis, and a final sort realizes
+    the recursive grouping. {!optimize} then applies classical,
+    semantics-preserving rewrites:
 
     - {e filter fusion}: adjacent filters merge into one conjunction
       (one pass over the data instead of several);
@@ -23,13 +27,13 @@
     - {e projection pruning}: when the consumer only needs some
       columns ([~keep]), a projection is pushed onto the scan and
       extensions whose outputs are never consumed are dropped;
-    - {e predicate pruning} (via {!Sheet_rel.Expr_domain}): a fused
+    - {e predicate pruning} (via {!Sheet_rel.Sheetsolve}): a fused
       filter proved unsatisfiable compiles its subtree to an empty
       scan of the right schema without reading a row, and conjuncts
       proved tautological or implied by the remaining conjuncts are
       dropped. Both proofs hold over every row (nulls included), so
-      {!execute} on the optimized plan still equals
-      {!Materialize.full} — property-tested. *)
+      {!execute} on the optimized plan still equals the unoptimized
+      result — property-tested against the oracle. *)
 
 open Sheet_rel
 
@@ -55,42 +59,38 @@ and extend_agg = {
 }
 
 val of_sheet : Spreadsheet.t -> node
-(** Compile the sheet's query state. Executing the result equals
-    {!Materialize.full}. *)
+(** Compile the sheet's query state: all columns (hidden ones
+    included), rows in presentation order. *)
+
+val base_rows : Spreadsheet.t -> node
+(** The paper's [R^j]: the base relation filtered by the accumulated
+    selections and duplicate elimination — base columns only, no
+    presentation ordering. *)
+
+val sorted : Spreadsheet.t -> node -> node
+(** Wrap a plan in the sheet's presentation [Sort] (the flat ordering
+    that emulates the recursive grouping, {!Grouping.sort_keys}); the
+    plan itself when the sheet has no ordering. *)
+
+val extend : Spreadsheet.t -> Computed.t -> node -> node
+(** The extension node computing one computed column of the sheet
+    (an aggregate's basis is read off the sheet's grouping). *)
 
 val execute : ?uid:int -> node -> Relation.t
 (** Run the plan. Opens a Sheetdoctor profile region (kind ["plan"],
-    keyed on [uid], default [0]) for the duration, so fused-run
-    extents, columnar-vs-row path attribution and counter deltas land
-    in {!Sheet_obs.Obs.Profile}. *)
+    keyed on [uid], default [0]; it collapses into an enclosing region
+    for the same uid) and notes one profile node per executed unit: a
+    columnar filter over the scan, a fused run of streaming nodes, or
+    one blocking node. Each unit also opens a [plan.node] span and
+    bumps the [plan.*] counters.
+    @raise Sheet_rel.Rel_algebra.Algebra_error on an ill-typed
+    selection. *)
 
-(** {2 Instrumented execution — EXPLAIN ANALYZE}
-
-    A plan is a chain (every node has at most one child), so a profile
-    mirrors that chain: per node, the label {!explain} would print,
-    the output cardinality, and self wall time (child excluded). *)
-
-type profile = {
-  p_label : string;
-  p_rows_out : int;
-  p_time_ns : int;  (** this node only, child excluded *)
-  p_child : profile option;
-}
-
-val execute_instrumented : ?uid:int -> node -> Relation.t * profile
-(** Same result as {!execute} (property-tested, sink on or off), plus
-    the per-node profile. Emits one [plan.node] span per node and
-    bumps the [plan.*] counters whatever the sink. Also records a
-    Sheetdoctor profile region (kind ["plan"], keyed on [uid]) with
-    one node entry per plan node, including allocation deltas. *)
-
-val explain_analyze : ?uid:int -> node -> Relation.t * profile * string
-(** {!execute_instrumented} plus the rendered tree — one line per node
-    with rows, self time, and percentage of total. *)
-
-val profile_total_ns : profile -> int
-
-val render_profile : profile -> string
+val explain_analyze : ?uid:int -> node -> Relation.t * string
+(** EXPLAIN ANALYZE: {!execute}, then render the profile record it
+    wrote for [uid] ({!Sheet_obs.Obs.Profile.render_record}) — per
+    unit, the plan nodes it covers, rows in and out, wall time and
+    execution path. *)
 
 val optimize : ?keep:string list -> node -> node
 (** Rewrite the plan; [keep] lists the columns the consumer needs

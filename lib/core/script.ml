@@ -167,6 +167,13 @@ let strip_comment line =
 
 let run_line session line =
   let line = trim (strip_comment line) in
+  (* EXPLAIN ANALYZE of the raw (unoptimized) plan, whose root row
+     count equals the full materialization's; the run lands in the
+     Sheetdoctor ring under the sheet's uid *)
+  let analyze () =
+    let sheet = Session.current session in
+    snd (Plan.explain_analyze ~uid:sheet.Spreadsheet.uid (Plan.of_sheet sheet))
+  in
   if line = "" then Ok { session; output = None }
   else
     let cmd, rest = head_rest line in
@@ -332,27 +339,12 @@ let run_line session line =
               Some
                 ("plan:\n" ^ Plan.explain plan ^ "optimized (for visible \
                   columns):\n" ^ Plan.explain optimized) }
-    | "explain" (* analyze *) ->
-        (* the raw (unoptimized) plan mirrors the replay strata, so the
-           root's row count equals the full materialization's *)
-        let sheet = Session.current session in
-        let plan = Plan.of_sheet sheet in
-        let _rel, _profile, text =
-          Plan.explain_analyze ~uid:sheet.Spreadsheet.uid plan
-        in
-        Ok { session; output = Some text }
+    | "explain" (* analyze *) -> Ok { session; output = Some (analyze ()) }
     | "profile" -> (
         match split_words (String.lowercase_ascii rest) with
         | [] ->
-            (* bare [profile] keeps its EXPLAIN ANALYZE behavior; the
-               run also lands in the Sheetdoctor ring under the
-               sheet's uid *)
-            let sheet = Session.current session in
-            let plan = Plan.of_sheet sheet in
-            let _rel, _profile, text =
-              Plan.explain_analyze ~uid:sheet.Spreadsheet.uid plan
-            in
-            Ok { session; output = Some text }
+            (* bare [profile] is EXPLAIN ANALYZE *)
+            Ok { session; output = Some (analyze ()) }
         | [ "last" ] -> (
             match Obs.Profile.last () with
             | Some r ->

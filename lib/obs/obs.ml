@@ -206,14 +206,14 @@ let emit ?(uid = 0) ?(kind = "") ?(rows_in = -1) ?(rows_out = -1) ?depth
         rows_in;
         rows_out }
 
-let with_span ?uid ?kind name f =
+let with_span ?uid ?kind ?rows_in ?rows_out name f =
   let sp = span ?uid ?kind name in
   match f () with
   | x ->
-      finish sp;
+      finish ?rows_in ?rows_out:(Option.map (fun g -> g x) rows_out) sp;
       x
   | exception e ->
-      finish sp;
+      finish ?rows_in sp;
       raise e
 
 let open_spans () = List.length !open_stack
@@ -757,11 +757,10 @@ let k_gc_heap = "gc.heap_words"
 (* Well-known histogram names. [h_engine_apply] counts every
    [Engine.apply] (per-kind series ride alongside under
    "engine.apply.<kind>", per-session ones under
-   "engine.apply{session=...}"); the plan interpreter records one
-   sample per node under "plan.node.<kind>". *)
+   "engine.apply{session=...}"); the plan executor records one
+   sample per plan node under "plan.node.<kind>". *)
 let h_engine_apply = "engine.apply"
 let h_materialize_full = "materialize.full"
-let h_materialize_stratum = "materialize.stratum"
 let h_incremental_derive = "incremental.derive"
 let h_plan_node_prefix = "plan.node."
 let h_sql_run = "sql.run"
@@ -784,8 +783,8 @@ let () =
       k_gc_promoted; k_gc_heap ];
   List.iter
     (fun k -> ignore (Histogram.histogram k))
-    [ h_engine_apply; h_materialize_full; h_materialize_stratum;
-      h_incremental_derive; h_sql_run; h_par_morsel ];
+    [ h_engine_apply; h_materialize_full; h_incremental_derive; h_sql_run;
+      h_par_morsel ];
   List.iter
     (fun kind -> ignore (Histogram.histogram (h_plan_node_prefix ^ kind)))
     [ "scan"; "project"; "filter"; "distinct"; "extend"; "extend-agg";
@@ -1051,7 +1050,7 @@ module Profile = struct
   type t = {
     p_session : string;  (* ambient labels at commit, "" when none *)
     p_uid : int;  (* 0 when no sheet is involved *)
-    p_kind : string;  (* "materialize" | "plan" *)
+    p_kind : string;  (* "materialize" | "incremental" | "plan" *)
     p_rows_out : int;  (* -1 when the region failed *)
     p_total_ns : int;
     p_alloc_bytes : float;
@@ -1182,6 +1181,16 @@ module Profile = struct
                 p_compiled = List.rev p.pd_compiled;
                 p_fallbacks = List.rev p.pd_fallbacks;
                 p_nodes = List.rev p.pd_nodes })
+
+  let region ~kind ~uid ~rows_out f =
+    enter ~kind ~uid;
+    match f () with
+    | x ->
+        commit ~rows_out:(rows_out x);
+        x
+    | exception e ->
+        commit ~rows_out:(-1);
+        raise e
 
   let note f = match find_region !stack with None -> () | Some p -> f p
   let note_cache outcome = note (fun p -> p.pd_cache <- outcome)

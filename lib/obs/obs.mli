@@ -87,8 +87,17 @@ val finish : ?rows_in:int -> ?rows_out:int -> span -> unit
     Closing out of order is tolerated (the span is removed wherever
     it sits) but counted — see {!nesting_ok}. *)
 
-val with_span : ?uid:int -> ?kind:string -> string -> (unit -> 'a) -> 'a
-(** Bracket a thunk; the span is closed on exceptions too. *)
+val with_span :
+  ?uid:int ->
+  ?kind:string ->
+  ?rows_in:int ->
+  ?rows_out:('a -> int) ->
+  string ->
+  (unit -> 'a) ->
+  'a
+(** Bracket a thunk; the span is closed on exceptions too. [rows_out]
+    reads the output cardinality off the thunk's result (a raising
+    thunk's span carries none). *)
 
 val current_depth : unit -> int
 (** The driving thread's current span-nesting depth — captured before
@@ -324,11 +333,10 @@ end
 
 val h_engine_apply : string
 val h_materialize_full : string
-val h_materialize_stratum : string
 val h_incremental_derive : string
 
 val h_plan_node_prefix : string
-(** ["plan.node."] — the interpreter appends the node kind. *)
+(** ["plan.node."] — the plan executor appends the node kind. *)
 
 val h_sql_run : string
 
@@ -558,7 +566,7 @@ end
 
 module Profile : sig
   type node = {
-    n_kind : string;  (** e.g. ["filter"], ["sort"], ["stratum"] *)
+    n_kind : string;  (** e.g. ["filter"], ["run"], ["sort"] *)
     n_label : string;
     n_rows_in : int;  (** -1 when unknown *)
     n_rows_out : int;  (** -1 when unknown *)
@@ -573,7 +581,7 @@ module Profile : sig
     p_session : string;
         (** the ambient labels at commit ([""] when none) *)
     p_uid : int;  (** 0 when no sheet is involved *)
-    p_kind : string;  (** ["materialize"] | ["plan"] *)
+    p_kind : string;  (** ["materialize"] | ["incremental"] | ["plan"] *)
     p_rows_out : int;  (** -1 when the region failed *)
     p_total_ns : int;
     p_alloc_bytes : float;
@@ -604,6 +612,11 @@ module Profile : sig
   (** Close the innermost region; a real (non-nested) region pushes
       its record into the ring. Callers pass [-1] on the exception
       path. *)
+
+  val region : kind:string -> uid:int -> rows_out:('a -> int) ->
+    (unit -> 'a) -> 'a
+  (** [enter], run the thunk, [commit] with [rows_out] of its result —
+      or [-1] when it raises, the region still closed. *)
 
   val note_cache : string -> unit
   (** Record the cache outcome on the nearest open region (no-op

@@ -1,5 +1,5 @@
 (** Intervals over the total order of {!Value.compare} — the abstract
-    domain behind static predicate analysis ({!Expr_domain}).
+    domain behind static predicate analysis ({!Sheetsolve}).
 
     An interval denotes a set of {e non-null} values; [Null] (and the
     question of whether a constraint tolerates it) is tracked

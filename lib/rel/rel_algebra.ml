@@ -4,11 +4,6 @@ exception Algebra_error of string
 
 let err fmt = Printf.ksprintf (fun s -> raise (Algebra_error s)) fmt
 
-let lookup_in schema row name = Row.get row (Schema.index_exn schema name)
-
-let eval_on (r : Relation.t) row e =
-  Expr_eval.eval ~lookup:(fun name -> lookup_in (Relation.schema r) row name) e
-
 let c_sel_in = Obs.Metrics.counter Obs.k_col_sel_rows_in
 let c_sel_out = Obs.Metrics.counter Obs.k_col_sel_rows_out
 
@@ -29,85 +24,75 @@ let c_sel_out = Obs.Metrics.counter Obs.k_col_sel_rows_out
    3. Both cut over to a single sequential morsel below the Par
       threshold.
 
-   [select_rows] is the shared driver; Materialize's stratified
-   replay and the subsumption-serving re-filter call it with the
-   relation whose array they are filtering, so they ride the same
-   columnar path. *)
+   [select] drives them; the plan executor calls [compile_filter]
+   directly for the filters that run straight off a scan. *)
 
-let compile_columnar (r : Relation.t) preds =
-  match Relation.columnar_hot r with
-  | None -> None
-  | Some view ->
-      let schema = Relation.schema r in
-      let rec go acc = function
-        | [] -> Some (List.rev acc)
-        | p :: rest -> (
-            match Col_pred.compile schema view p with
-            | Some f -> go (f :: acc) rest
-            | None -> None)
-      in
-      go [] preds
+(* Run compiled selection-vector filters [fs] over [r]'s rows. *)
+let run_compiled (r : Relation.t) fs =
+  let data = Relation.to_array r in
+  let n = Array.length data in
+  Obs.Metrics.incr ~by:n c_sel_in;
+  let chunks =
+    Par.run ~n (fun lo hi ->
+        let m = hi - lo in
+        let sel = Array.init m (fun i -> lo + i) in
+        let k = List.fold_left (fun k f -> f sel k) m fs in
+        if k = 0 then [||]
+        else begin
+          let out = Array.make k data.(Array.unsafe_get sel 0) in
+          for j = 0 to k - 1 do
+            Array.unsafe_set out j
+              (Array.unsafe_get data (Array.unsafe_get sel j))
+          done;
+          out
+        end)
+  in
+  let out = Par.concat chunks in
+  Obs.Metrics.incr ~by:(Array.length out) c_sel_out;
+  out
 
-(* Path attribution for the profiler: name which predicates ran as
-   compiled selection vectors and which fall back to the row path —
-   and why (no columnar image, or the non-total subtree Col_pred
-   refuses). Rendering predicates costs a little, so the whole walk
-   is skipped unless a profile region is open. *)
-let attribute_fallback (r : Relation.t) preds =
-  if Obs.Profile.in_region () then
-    match Relation.columnar_hot r with
-    | None ->
-        List.iter
-          (fun p ->
-            Obs.Profile.note_fallback ~pred:(Expr.to_string p)
-              ~reason:"no columnar image")
-          preds
+(* Columnar filtering of [Relation.to_array r] through [preds],
+   compiled now and run when the thunk is forced; [None] when the
+   relation has no columnar image or a predicate does not compile
+   (caller falls back to the row path). Inside a profile region each
+   predicate is attributed to the path it will really take, with the
+   reason for a fallback: no image, or the non-total subtree
+   [Col_pred] refuses. *)
+let compile_filter (r : Relation.t) preds =
+  let schema = Relation.schema r in
+  let view = Relation.columnar_hot r in
+  let compiled =
+    match view with
+    | None -> None
     | Some view ->
-        let schema = Relation.schema r in
-        List.iter
-          (fun p ->
-            match Col_pred.diagnose schema view p with
-            | None -> Obs.Profile.note_compiled (Expr.to_string p)
-            | Some subtree ->
-                Obs.Profile.note_fallback ~pred:(Expr.to_string p)
-                  ~reason:("non-total subtree " ^ subtree))
-          preds
-
-let attribute_compiled preds =
+        let rec go acc = function
+          | [] -> Some (List.rev acc)
+          | p :: rest -> (
+              match Col_pred.compile schema view p with
+              | Some f -> go (f :: acc) rest
+              | None -> None)
+        in
+        go [] preds
+  in
   if Obs.Profile.in_region () then
-    List.iter (fun p -> Obs.Profile.note_compiled (Expr.to_string p)) preds
+    List.iter
+      (fun p ->
+        let pred = Expr.to_string p in
+        match (compiled, view) with
+        | Some _, _ -> Obs.Profile.note_compiled pred
+        | None, None ->
+            Obs.Profile.note_fallback ~pred ~reason:"no columnar image"
+        | None, Some view ->
+            Obs.Profile.note_fallback ~pred
+              ~reason:
+                (match Col_pred.diagnose schema view p with
+                | Some subtree -> "non-total subtree " ^ subtree
+                | None -> "a predicate it runs with does not compile"))
+      preds;
+  Option.map (fun fs () -> run_compiled r fs) compiled
 
-(* Columnar filtering of [Relation.to_array r] through [preds];
-   [None] when a predicate does not compile (caller falls back to the
-   row path). *)
-let columnar_filter (r : Relation.t) preds : Row.t array option =
-  match compile_columnar r preds with
-  | None ->
-      attribute_fallback r preds;
-      None
-  | Some fs ->
-      attribute_compiled preds;
-      let data = Relation.to_array r in
-      let n = Array.length data in
-      Obs.Metrics.incr ~by:n c_sel_in;
-      let chunks =
-        Par.run ~n (fun lo hi ->
-            let m = hi - lo in
-            let sel = Array.init m (fun i -> lo + i) in
-            let k = List.fold_left (fun k f -> f sel k) m fs in
-            if k = 0 then [||]
-            else begin
-              let out = Array.make k data.(Array.unsafe_get sel 0) in
-              for j = 0 to k - 1 do
-                Array.unsafe_set out j
-                  (Array.unsafe_get data (Array.unsafe_get sel j))
-              done;
-              out
-            end)
-      in
-      let out = Par.concat chunks in
-      Obs.Metrics.incr ~by:(Array.length out) c_sel_out;
-      Some out
+let columnar_filter r preds =
+  Option.map (fun run -> run ()) (compile_filter r preds)
 
 (* One predicate-major row-path pass, morselized. *)
 let filter_pass schema pred (data : Row.t array) =
@@ -130,35 +115,15 @@ let filter_pass schema pred (data : Row.t array) =
          done;
          if !k = hi - lo then buf else Array.sub buf 0 !k))
 
-let select_rows ?rel schema preds (data : Row.t array) =
-  match preds with
-  | [] -> data
-  | _ -> (
-      let columnar =
-        match rel with
-        | Some r when Relation.to_array r == data -> columnar_filter r preds
-        | _ ->
-            (* no relation handle (or a derived row array): the
-               columnar image cannot serve this scan at all *)
-            if Obs.Profile.in_region () then
-              List.iter
-                (fun p ->
-                  Obs.Profile.note_fallback ~pred:(Expr.to_string p)
-                    ~reason:"detached row array")
-                preds;
-            None
-      in
-      match columnar with
-      | Some out -> out
-      | None -> List.fold_left (fun d p -> filter_pass schema p d) data preds)
-
 let select pred (r : Relation.t) =
   let schema = Relation.schema r in
   (match Expr_check.check_pred schema pred with
   | Ok () -> ()
   | Error msg -> err "selection: %s" msg);
   Relation.unsafe_of_array schema
-    (select_rows ~rel:r schema [ pred ] (Relation.to_array r))
+    (match columnar_filter r [ pred ] with
+    | Some out -> out
+    | None -> filter_pass schema pred (Relation.to_array r))
 
 let project names (r : Relation.t) =
   let rschema = Relation.schema r in
@@ -422,12 +387,3 @@ let group_rows cols (r : Relation.t) =
     data;
   Array.to_list
     (Array.map (fun (key, cell) -> (key, List.rev !cell)) (Vec.to_array order))
-
-let aggregate_value (r : Relation.t) group_rows g arg =
-  let values =
-    match (g, arg) with
-    | Expr.Count_star, _ -> List.map (fun _ -> Value.Null) group_rows
-    | _, Some e -> List.map (fun row -> eval_on r row e) group_rows
-    | _, None -> err "aggregate %s needs an argument" (Expr.agg_fun_name g)
-  in
-  Expr_eval.apply_agg g values

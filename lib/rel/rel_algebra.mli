@@ -3,8 +3,8 @@
     These are the relational counterparts (subscript "r" in the paper)
     that the spreadsheet operators are defined against: selection
     [σ_r], projection [π_r], product [×_r], union [∪_r], difference
-    [−_r], join [⋈_r], plus sorting, duplicate elimination and
-    grouped aggregation used by the SQL executor. *)
+    [−_r], join [⋈_r], plus sorting, duplicate elimination and the
+    row grouping the SQL executor and the group tree build on. *)
 
 exception Algebra_error of string
 
@@ -15,20 +15,16 @@ val select : Expr.t -> Relation.t -> Relation.t
     with a row-at-a-time fallback that is observationally identical.
     @raise Algebra_error on an ill-typed predicate. *)
 
-val select_rows :
-  ?rel:Relation.t -> Schema.t -> Expr.t list -> Row.t array -> Row.t array
-(** Filter a row array through the predicates in order,
-    predicate-major (the whole array through the first predicate,
-    then the next), each pass morselized. When [rel] is given and
-    [Relation.to_array rel] is [data] itself, predicates that compile
-    run over [rel]'s columnar image instead. No type checking — for
-    replay paths whose predicates were validated at op time. *)
+val compile_filter :
+  Relation.t -> Expr.t list -> (unit -> Row.t array) option
+(** The columnar strategy alone: [Some run] when every predicate
+    compiles against the relation's image — forcing [run] yields the
+    surviving rows (originals, in order) — [None] otherwise. The plan
+    executor compiles first so that only a filter that really runs
+    columnar is timed and recorded as one. *)
 
 val columnar_filter : Relation.t -> Expr.t list -> Row.t array option
-(** The columnar strategy alone: [Some] surviving rows (originals, in
-    order) when every predicate compiles against the relation's
-    image, [None] otherwise. Exposed for the plan executor's fused
-    filter runs. *)
+(** {!compile_filter}, run at once. *)
 
 val project : string list -> Relation.t -> Relation.t
 (** [π_r]: keep the named columns in the given order; duplicates are
@@ -75,11 +71,3 @@ val group_rows : string list -> Relation.t -> (Row.t * Row.t list) list
 (** Partition rows by equality on the given columns. Each element is
     (representative key row restricted to the grouping columns, rows
     of the group); groups appear in first-occurrence order. *)
-
-val eval_on : Relation.t -> Row.t -> Expr.t -> Value.t
-(** Evaluate an aggregate-free expression on one row of the relation. *)
-
-val aggregate_value : Relation.t -> Row.t list -> Expr.agg_fun ->
-  Expr.t option -> Value.t
-(** Aggregate [f(arg)] over a set of rows of the relation;
-    [Count_star] ignores the argument. *)

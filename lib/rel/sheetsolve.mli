@@ -1,9 +1,10 @@
 (** Sheetsolve — a small, reusable predicate solver over the
     spreadsheet expression language.
 
-    This is {!Expr_domain}'s interval abstraction promoted into a
-    standalone module: each conjunct of a bounded DNF is abstracted
-    into one normalized {!constr} per column — an over-approximating
+    It is the interval abstraction behind static predicate analysis
+    (Sheetlint, the plan optimizer's pruning): each conjunct of a
+    bounded DNF is abstracted into one normalized {!constr} per
+    column — an over-approximating
     {!Interval.t} over the non-null values, a finite set of
     {e excluded} values (so equality/disequality atoms like
     [x = 3 AND x <> 3] refute each other), and a flag telling whether

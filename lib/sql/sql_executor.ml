@@ -103,32 +103,14 @@ let run catalog (q : Sql_ast.query) =
           (out, key))
         rows
     else begin
-      let positions =
-        Array.of_list (List.map (Schema.index_exn schema) q.Sql_ast.group_by)
-      in
       let groups =
         if q.Sql_ast.group_by = [] then
           (* aggregates without GROUP BY: one group over everything,
              even when empty *)
           [ (Row.of_list [], Array.to_list rows) ]
-        else begin
-          let tbl = Row.Tbl.create (max 16 (Array.length rows)) in
-          let order = Vec.create () in
-          Array.iter
-            (fun row ->
-              let key = Row.project_arr row positions in
-              match Row.Tbl.find_opt tbl key with
-              | Some cell -> cell := row :: !cell
-              | None ->
-                  let cell = ref [ row ] in
-                  Row.Tbl.add tbl key cell;
-                  Vec.push order (key, cell))
-            rows;
-          Array.to_list
-            (Array.map
-               (fun (k, cell) -> (k, List.rev !cell))
-               (Vec.to_array order))
-        end
+        else
+          Rel_algebra.group_rows q.Sql_ast.group_by
+            (Relation.unsafe_of_array schema rows)
       in
       let out = Vec.create () in
       List.iter

@@ -1,5 +1,5 @@
 (* Tests of the Sheetlint static analyzer: the interval/domain
-   reasoning of Expr_domain, the per-layer lint passes, the
+   reasoning of Sheetsolve, the per-layer lint passes, the
    analysis-driven plan pruning, and lint-cleanliness of every bundled
    TPC-H task. *)
 
@@ -14,15 +14,15 @@ let contains hay needle =
 
 let pred = Expr_parse.parse_string_exn
 let cars_types = Schema.type_of Sample_cars.schema
-let sat s = Expr_domain.satisfiable ~type_of:cars_types (pred s)
-let taut s = Expr_domain.tautology ~type_of:cars_types (pred s)
+let sat s = Sheetsolve.satisfiable ~type_of:cars_types (pred s)
+let taut s = Sheetsolve.tautology ~type_of:cars_types (pred s)
 let implies p q =
-  Expr_domain.implies ~type_of:cars_types (pred p) (pred q)
+  Sheetsolve.implies ~type_of:cars_types (pred p) (pred q)
 
 let check_sat name expected s =
   Alcotest.(check bool) name expected (sat s)
 
-(* ---------- Expr_domain ---------- *)
+(* ---------- Sheetsolve verdicts ---------- *)
 
 let test_unsat_conjunctions () =
   check_sat "disjoint ranges" false "Price < 10000 AND Price > 20000";
@@ -42,7 +42,7 @@ let test_type_clash () =
   check_sat "int column vs string" false "Price = 'Jetta'";
   (* without type information the same predicate must stay Maybe *)
   Alcotest.(check bool) "untyped stays maybe" true
-    (Expr_domain.satisfiable (pred "Model < 10"))
+    (Sheetsolve.satisfiable (pred "Model < 10"))
 
 let test_satisfiable_stays_maybe () =
   check_sat "plain range" true "Price < 10000";

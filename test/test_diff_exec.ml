@@ -1,12 +1,15 @@
 (* Differential execution battery.
 
-   The array-backed core gives every operator three-plus independent
-   execution paths: the stratified interpreter (Materialize.full), the
-   fused plan compiler (Plan.execute, with and without optimization),
-   the incremental derivation (Session/Incremental), and — where the
-   state is a single-block query — the SQL engine via the inverse
-   translation. Random query states over relations up to 10k rows must
-   agree on all of them.
+   Every path that materializes a query state — Materialize.full,
+   the cache (Materialize.full_cached, exact and subsumed hits),
+   Plan.execute on the optimized plan, and the incremental
+   derivations behind Session — runs the one plan executor, so the
+   battery checks each of them, rows and order, against two
+   independent references: the naive list interpreter in
+   test/oracle (Defs 5, 11, 12 and Theorem 2, no fusion, no columnar
+   path, no cache) and — where the state is a single-block query —
+   the SQL engine via the inverse translation. Random query states
+   over relations up to 10k rows must agree on all of them.
 
    A second battery attacks the hash-table paths (equijoin / distinct
    / diff / grouping all key on Value.hash or Row.hash): a generator
@@ -176,8 +179,8 @@ let sql_agrees sheet base =
    (bypassing Session so nothing seeds the candidate's own uid), warm
    the cache with a relaxed parent — the last Select dropped — and
    require that whatever the subsumption scan decides (exact hit,
-   proven subsumer, or full replay), the served relation equals
-   Materialize.full. *)
+   proven subsumer, or full replay), the served relation equals the
+   oracle's, rows and order. *)
 let subsumption_agrees rel ops =
   let build ops =
     List.fold_left
@@ -200,7 +203,7 @@ let subsumption_agrees rel ops =
   ignore (Materialize.full_cached parent);
   let candidate = build ops in
   let served = Materialize.full_cached candidate in
-  let ok = Relation.equal served (Materialize.full candidate) in
+  let ok = Oracle.same_rows_in_order served (Oracle.materialize candidate) in
   Materialize.reset_cache ();
   ok
 
@@ -215,37 +218,32 @@ let check_state rel ops =
       session ops
   in
   let sheet = Session.current session in
+  let expected = Oracle.materialize sheet in
+  let agrees rel = Oracle.same_rows_in_order rel expected in
   let full = Materialize.full sheet in
-  (* the Sheetdoctor profile must agree with every execution path —
-     and collecting it (always on, sink Off throughout this battery)
-     must not change any result *)
-  let rows = Relation.cardinality full in
+  (* the Sheetdoctor profile of the run agrees with its result — and
+     collecting it (always on, sink Off throughout this battery) must
+     not change any result *)
   let profile_agrees =
-    let prel, pprof =
-      Plan.execute_instrumented ~uid:sheet.Spreadsheet.uid
-        (Plan.of_sheet sheet)
-    in
-    Relation.equal prel full
-    && pprof.Plan.p_rows_out = rows
-    && Obs.Profile.open_regions () = 0
+    Obs.Profile.open_regions () = 0
     &&
-    match Obs.Profile.last () with
+    match Obs.Profile.find ~uid:sheet.Spreadsheet.uid with
     | Some r ->
-        r.Obs.Profile.p_kind = "plan"
-        && r.Obs.Profile.p_uid = sheet.Spreadsheet.uid
-        && r.Obs.Profile.p_rows_out = rows
-    | None -> Obs.Profile.dropped () = 0 && false
+        r.Obs.Profile.p_kind = "materialize"
+        && r.Obs.Profile.p_rows_out = Relation.cardinality full
+    | None -> false
   in
   let disabled_agrees =
     Obs.Profile.set_enabled false;
     Fun.protect ~finally:(fun () -> Obs.Profile.set_enabled true)
-    @@ fun () -> Relation.equal (Plan.execute (Plan.of_sheet sheet)) full
+    @@ fun () -> agrees (Plan.execute (Plan.of_sheet sheet))
   in
-  Relation.equal (Plan.execute (Plan.of_sheet sheet)) full
-  && Relation.equal (Plan.execute (Plan.optimize (Plan.of_sheet sheet))) full
-  && Relation.equal (Session.materialized session)
-       (Rel_algebra.project (Spreadsheet.visible_columns sheet) full)
-  && profile_agrees && disabled_agrees
+  agrees full && profile_agrees
+  && agrees (Materialize.full_cached sheet)
+  && agrees (Plan.execute (Plan.optimize (Plan.of_sheet sheet)))
+  && Oracle.same_rows_in_order (Session.materialized session)
+       (Rel_algebra.project (Spreadsheet.visible_columns sheet) expected)
+  && disabled_agrees
   && sql_agrees sheet rel
   && subsumption_agrees rel ops
 

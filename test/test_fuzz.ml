@@ -238,16 +238,16 @@ let gen_adversarial_expr : Expr.t QCheck.Gen.t =
 
 let print_expr e = Expr.to_string e
 
-let expr_domain_total =
+let sheetsolve_total =
   QCheck.Test.make ~count:1000
-    ~name:"Expr_domain.check/tautology never raise"
+    ~name:"Sheetsolve.check/tautology never raise"
     (QCheck.make ~print:print_expr gen_adversarial_expr)
     (fun e ->
       let type_of = Schema.type_of Sample_cars.schema in
       match
-        ( Expr_domain.check ~type_of e,
-          Expr_domain.tautology ~type_of e,
-          Expr_domain.check e )
+        ( Sheetsolve.check ~type_of e,
+          Sheetsolve.tautology ~type_of e,
+          Sheetsolve.check e )
       with
       | _ -> true
       | exception _ -> false)
@@ -379,7 +379,7 @@ let () =
         [ script_total; sql_executor_total; persist_total; csv_total;
           csv_ragged_total ];
       suite "analysis"
-        [ expr_domain_total; sheetlint_expr_total; sheetlint_sql_total ];
+        [ sheetsolve_total; sheetlint_expr_total; sheetlint_sql_total ];
       suite "json"
         [ json_parser_total; json_round_trip; profile_of_json_total;
           profile_of_json_envelope_total ];

@@ -50,7 +50,7 @@ order delta desc level 2|}
   (* the group tree agrees with the group counts *)
   let tree = Group_tree.build (Session.current s) in
   Alcotest.(check int) "tree groups == materialize groups"
-    (Materialize.group_count (Session.current s) ~level:2)
+    (Oracle.group_count (Session.current s) ~level:2)
     (Group_tree.group_count tree ~level:2);
 
   (* filter on the analysis, then rewrite history *)

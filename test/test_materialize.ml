@@ -101,11 +101,11 @@ let test_aggregation_levels () =
         (Value.equal (get row "per_model") (Value.Int expected_model)))
     (Relation.rows rel);
   Alcotest.(check int) "4 distinct (model, year) groups" 4
-    (Materialize.group_count s ~level:3);
+    (Oracle.group_count s ~level:3);
   Alcotest.(check int) "2 model groups" 2
-    (Materialize.group_count s ~level:2);
+    (Oracle.group_count s ~level:2);
   Alcotest.(check int) "root is one group" 1
-    (Materialize.group_count s ~level:1)
+    (Oracle.group_count s ~level:1)
 
 (* ---- NULL handling ---- *)
 
@@ -132,7 +132,7 @@ let test_null_grouping_and_aggregation () =
   in
   (* the two NULL models form one group, as in SQL GROUP BY *)
   Alcotest.(check int) "3 groups incl. the null group" 3
-    (Materialize.group_count s ~level:2);
+    (Oracle.group_count s ~level:2);
   let rel = Materialize.full s in
   let get row c = Row.get row (Schema.index_exn (Relation.schema rel) c) in
   (* nulls sort last in ascending group order *)
@@ -177,7 +177,7 @@ let test_empty_relation () =
   in
   Alcotest.(check int) "still empty, no crash" 0
     (Relation.cardinality (Materialize.full s));
-  Alcotest.(check int) "zero groups" 0 (Materialize.group_count s ~level:2)
+  Alcotest.(check int) "zero groups" 0 (Oracle.group_count s ~level:2)
 
 (* ---- boundaries ---- *)
 

@@ -1,11 +1,15 @@
 (* Sheetscope: the instrumentation must never change what a query
    returns, and what it records must be well formed.
 
-   - with the sink off (the default), [Plan.execute_instrumented]
-     equals [Plan.execute] equals [Materialize.full] on random query
-     states (the generator style of test_props.ml);
+   - with the sink off (the default), [Plan.explain_analyze] equals
+     [Plan.execute] equals [Materialize.full] on random query states
+     (the generator style of test_props.ml), and its text is the
+     profile record the run wrote;
    - the same with the Memory sink on, plus: spans balanced, properly
-     nested, and interval-consistent;
+     nested, and interval-consistent — also when materialization
+     raises;
+   - the production executor writes the plan telemetry: one
+     [plan.nodes_executed] per profile node;
    - counters are monotone across work; gauges are not counters;
    - the Chrome trace export parses back through Obs_json and
      round-trips;
@@ -110,25 +114,38 @@ let sheet_arbitrary =
     ~print:(fun sheet -> Render.status_line sheet)
     gen_sheet
 
-(* ---------- instrumented = plain = materializer ---------- *)
+(* ---------- EXPLAIN ANALYZE = plain = materializer ---------- *)
 
 let with_sink sink f =
   let old = Obs.sink () in
   Obs.set_sink sink;
   Fun.protect ~finally:(fun () -> Obs.set_sink old) f
 
+let same_rows a b = List.equal Row.equal (Relation.rows a) (Relation.rows b)
+
+(* EXPLAIN ANALYZE of the sheet's plan: the result, and whether its
+   text is the rendered profile record the run wrote for the uid *)
+let analyze sheet =
+  let uid = sheet.Spreadsheet.uid in
+  let rel, text = Plan.explain_analyze ~uid (Plan.of_sheet sheet) in
+  let record = Obs.Profile.find ~uid in
+  ( rel,
+    record,
+    match record with
+    | Some r ->
+        r.Obs.Profile.p_rows_out = Relation.cardinality rel
+        && text = Obs.Profile.render_record r
+    | None -> false )
+
 let instrumented_equals_plain_off =
   QCheck.Test.make ~count:1000
-    ~name:"sink off: execute_instrumented = execute = Materialize.full"
+    ~name:"sink off: explain_analyze = plain execute = Materialize.full"
     sheet_arbitrary
     (fun sheet ->
       with_sink Obs.Off @@ fun () ->
-      let plan = Plan.of_sheet sheet in
-      let plain = Plan.execute plan in
-      let rel, profile = Plan.execute_instrumented plan in
-      Relation.equal rel plain
-      && Relation.equal rel (Materialize.full sheet)
-      && profile.Plan.p_rows_out = Relation.cardinality rel)
+      let plain = Plan.execute (Plan.of_sheet sheet) in
+      let rel, _, rendered = analyze sheet in
+      same_rows rel plain && same_rows rel (Materialize.full sheet) && rendered)
 
 let instrumented_equals_plain_memory =
   QCheck.Test.make ~count:300
@@ -137,10 +154,9 @@ let instrumented_equals_plain_memory =
     (fun sheet ->
       with_sink Obs.Memory @@ fun () ->
       Obs.clear_events ();
-      let plan = Plan.of_sheet sheet in
-      let rel, _profile = Plan.execute_instrumented plan in
-      let ok_result = Relation.equal rel (Materialize.full sheet) in
-      ok_result
+      let rel, _, rendered = analyze sheet in
+      same_rows rel (Materialize.full sheet)
+      && rendered
       && Obs.open_spans () = 0
       && Obs.nesting_ok ()
       && Obs.events_well_formed (Obs.events ()))
@@ -150,16 +166,74 @@ let profile_chain_rows =
     ~name:"profile chain: every node reports non-negative rows and time"
     sheet_arbitrary
     (fun sheet ->
-      let _rel, profile =
-        Plan.execute_instrumented (Plan.of_sheet sheet)
-      in
-      let rec ok (p : Plan.profile) =
-        p.Plan.p_rows_out >= 0
-        && p.Plan.p_time_ns >= 0
-        && p.Plan.p_label <> ""
-        && (match p.Plan.p_child with Some c -> ok c | None -> true)
-      in
-      ok profile && Plan.profile_total_ns profile >= 0)
+      match analyze sheet with
+      | _, Some r, _ ->
+          r.Obs.Profile.p_total_ns >= 0
+          && List.for_all
+               (fun (n : Obs.Profile.node) ->
+                 n.n_rows_in >= 0 && n.n_rows_out >= 0 && n.n_time_ns >= 0
+                 && n.n_label <> "")
+               r.Obs.Profile.p_nodes
+      | _, None, _ -> false)
+
+(* A derivation that raises (a hand-built child whose selection names
+   a missing column) must leave no span or profile region open. *)
+let failed_derivation_closes_spans () =
+  with_sink Obs.Memory @@ fun () ->
+  Obs.clear_events ();
+  let parent = Spreadsheet.of_relation ~name:"cars" Sample_cars.relation in
+  let pred =
+    Expr.Cmp (Expr.Lt, Expr.Col "Nope", Expr.Const (Value.Int 1))
+  in
+  let state, _ = Query_state.add_selection parent.Spreadsheet.state pred in
+  let child = { (Spreadsheet.bump parent) with Spreadsheet.state } in
+  (match Incremental.materialize_after ~parent ~op:(Op.Select pred) ~child with
+  | _ -> Alcotest.fail "a selection on a missing column materialized"
+  | exception _ -> ());
+  Alcotest.(check int) "no open span" 0 (Obs.open_spans ());
+  Alcotest.(check bool) "nesting ok" true (Obs.nesting_ok ());
+  Alcotest.(check int) "no open region" 0 (Obs.Profile.open_regions ())
+
+(* The production executor bumps the plan counters once per executed
+   unit — exactly the nodes its profile record lists. *)
+let executor_counts_plan_nodes () =
+  let sheet = Spreadsheet.of_relation ~name:"cars" Sample_cars.relation in
+  let apply sheet op =
+    match Engine.apply sheet op with
+    | Ok s -> s
+    | Error _ -> Alcotest.fail "op refused"
+  in
+  let sheet =
+    apply
+      (apply sheet
+         (Op.Select
+            (Expr.Cmp
+               (Expr.Lt, Expr.Col "Price", Expr.Const (Value.Int 20000)))))
+      (Op.Order { attr = "Year"; dir = Grouping.Desc; level = 1 })
+  in
+  let v = Obs.Metrics.value_of in
+  let nodes0 = v Obs.k_plan_nodes
+  and in0 = v Obs.k_plan_rows_in
+  and out0 = v Obs.k_plan_rows_out in
+  let rel = Materialize.full sheet in
+  match Obs.Profile.find ~uid:sheet.Spreadsheet.uid with
+  | None -> Alcotest.fail "no profile record"
+  | Some r ->
+      let nodes = r.Obs.Profile.p_nodes in
+      let sum f = List.fold_left (fun acc n -> acc + f n) 0 nodes in
+      Alcotest.(check string) "materialize record" "materialize"
+        r.Obs.Profile.p_kind;
+      Alcotest.(check int) "filter + sort" 2 (List.length nodes);
+      Alcotest.(check int) "plan.nodes_executed" (List.length nodes)
+        (v Obs.k_plan_nodes - nodes0);
+      Alcotest.(check int) "plan.rows_in"
+        (sum (fun (n : Obs.Profile.node) -> n.n_rows_in))
+        (v Obs.k_plan_rows_in - in0);
+      Alcotest.(check int) "plan.rows_out"
+        (sum (fun (n : Obs.Profile.node) -> n.n_rows_out))
+        (v Obs.k_plan_rows_out - out0);
+      Alcotest.(check int) "record rows" (Relation.cardinality rel)
+        r.Obs.Profile.p_rows_out
 
 (* ---------- counters ---------- *)
 
@@ -180,7 +254,7 @@ let counters_monotone =
       let before =
         List.map (fun n -> (n, Obs.Metrics.value_of n)) counter_names
       in
-      ignore (Plan.execute_instrumented (Plan.of_sheet sheet));
+      ignore (Plan.execute (Plan.of_sheet sheet));
       ignore (Engine.apply sheet Op.Dedup);
       List.for_all
         (fun (n, v0) -> Obs.Metrics.value_of n >= v0)
@@ -252,7 +326,7 @@ let trace_round_trip () =
     | Error _ -> Alcotest.fail "select refused"
   in
   ignore (Materialize.full sheet);
-  ignore (Plan.execute_instrumented (Plan.of_sheet sheet));
+  ignore (Plan.explain_analyze (Plan.of_sheet sheet));
   let text = Obs.chrome_trace_string () in
   match J.parse text with
   | Error msg -> Alcotest.fail ("trace does not parse: " ^ msg)
@@ -1270,7 +1344,11 @@ let () =
     [ ("equivalence",
        [ prop instrumented_equals_plain_off;
          prop instrumented_equals_plain_memory;
-         prop profile_chain_rows ]);
+         prop profile_chain_rows;
+         Alcotest.test_case "failed derivation closes its spans" `Quick
+           failed_derivation_closes_spans;
+         Alcotest.test_case "executor counts its plan nodes" `Quick
+           executor_counts_plan_nodes ]);
       ("metrics",
        [ prop counters_monotone;
          Alcotest.test_case "snapshot carries well-known names" `Quick

@@ -474,7 +474,7 @@ let group_tree_flatten =
 
 let group_tree_counts =
   QCheck.Test.make ~count:200
-    ~name:"group tree: node counts agree with Materialize.group_count"
+    ~name:"group tree: node counts agree with Materialize.full (oracle count)"
     (QCheck.make gen_sheet_with_state)
     (fun sheet ->
       let tree = Group_tree.build sheet in
@@ -483,7 +483,7 @@ let group_tree_counts =
       List.for_all
         (fun level ->
           Group_tree.group_count tree ~level
-          = Materialize.group_count sheet ~level)
+          = Oracle.group_count sheet ~level)
         (List.init n (fun i -> i + 1)))
 
 (* ---------- relational substrate ---------- *)
@@ -656,7 +656,7 @@ let plan_pruning_preserves =
 
 let domain_unsat_sound =
   QCheck.Test.make ~count:1000
-    ~name:"expr_domain: an Unsat verdict means no row satisfies"
+    ~name:"sheetsolve: an Unsat verdict means no row satisfies"
     QCheck.(
       make ~print:(fun (_, p) -> Expr.to_string p)
         Gen.(
@@ -665,7 +665,7 @@ let domain_unsat_sound =
           return (rel, p)))
     (fun (rel, p) ->
       match
-        Expr_domain.check ~type_of:(Schema.type_of Sample_cars.schema) p
+        Sheetsolve.check ~type_of:(Schema.type_of Sample_cars.schema) p
       with
       | `Maybe -> true
       | `Unsat _ -> Relation.cardinality (Rel_algebra.select p rel) = 0)

@@ -14,7 +14,7 @@
 
    Each property runs both typed (with a schema-derived type_of) and
    typeless. Unit tests pin the adversarial NULL cases documented in
-   expr_domain.mli / sheetsolve.mli, the proof shapes, cross-state
+   sheetsolve.mli, the proof shapes, cross-state
    subsumption on real sessions, and the semantic materialization
    cache (hit kinds, serving equality, oldest-half eviction). *)
 

@@ -1,7 +1,8 @@
 (* Sheetdoctor gate: replay every bundled TPC-H task with profile
    collection on and fail the build when the profiler itself lies —
-   a profile whose row counts disagree with the materializer or with
-   EXPLAIN ANALYZE, path attributions inconsistent with the columnar
+   a profile whose row counts disagree with the materializer, an
+   EXPLAIN ANALYZE that is not the rendered profile record of its
+   run, path attributions inconsistent with the columnar
    selection counters, unbalanced profile regions, a profile JSON
    export that does not round-trip, or a doctor pass that raises.
    A second phase replays every task under 1 domain and under 4 and
@@ -52,15 +53,6 @@ let reset_all task =
   Profile.clear ();
   Obs.set_ambient_labels (task_labels task)
 
-(* the instrumented plan chain, oldest-executed first, as the
-   (label, rows_out) list the profile ring must reproduce *)
-let chain_of_plan_profile (p : Plan.profile) =
-  let rec go acc (p : Plan.profile) =
-    let acc = (p.Plan.p_label, p.Plan.p_rows_out) :: acc in
-    match p.Plan.p_child with Some c -> go acc c | None -> acc
-  in
-  go [] p
-
 let run_task catalog (task : Sheet_tpch.Tpch_tasks.t) =
   let label what = Printf.sprintf "task %2d %s" task.id what in
   reset_all task;
@@ -90,11 +82,9 @@ let run_task catalog (task : Sheet_tpch.Tpch_tasks.t) =
                 (r.Profile.p_session
                 = Obs.Labels.to_string (task_labels task))
                 (Printf.sprintf "profile stamped %S" r.Profile.p_session));
-          (* EXPLAIN ANALYZE: the plan-kind record mirrors the
-             instrumented chain node for node, row for row *)
-          let _rel, pprof =
-            Plan.execute_instrumented ~uid (Plan.of_sheet sheet)
-          in
+          (* EXPLAIN ANALYZE: the text is the plan-kind record its run
+             pushed, rendered *)
+          let _rel, text = Plan.explain_analyze ~uid (Plan.of_sheet sheet) in
           (match Profile.last () with
           | None -> check (label "plan recorded") false "no profile pushed"
           | Some r ->
@@ -103,21 +93,12 @@ let run_task catalog (task : Sheet_tpch.Tpch_tasks.t) =
                 (Printf.sprintf "last record is %s #%d" r.Profile.p_kind
                    r.Profile.p_uid);
               check (label "plan rows")
-                (r.Profile.p_rows_out = rows
-                && pprof.Plan.p_rows_out = rows)
-                (Printf.sprintf "profile %d, chain %d, materializer %d"
-                   r.Profile.p_rows_out pprof.Plan.p_rows_out rows);
-              let chain = chain_of_plan_profile pprof in
-              let noted =
-                List.map
-                  (fun (n : Profile.node) -> (n.n_label, n.n_rows_out))
-                  r.Profile.p_nodes
-              in
-              check (label "plan nodes") (chain = noted)
-                (Printf.sprintf
-                   "EXPLAIN ANALYZE chain (%d nodes) and profile nodes \
-                    (%d) disagree"
-                   (List.length chain) (List.length noted)));
+                (r.Profile.p_rows_out = rows)
+                (Printf.sprintf "profile %d, materializer %d"
+                   r.Profile.p_rows_out rows);
+              check (label "explain analyze")
+                (text = Profile.render_record r)
+                "EXPLAIN ANALYZE text is not the rendered profile record");
           (* region discipline and attribution consistency over the
              whole ring *)
           check (label "regions") (Profile.open_regions () = 0)
@@ -215,7 +196,7 @@ let observe_profiles catalog (task : Sheet_tpch.Tpch_tasks.t) =
           let sheet = Session.current session in
           ignore (Materialize.full sheet);
           ignore
-            (Plan.execute_instrumented ~uid:sheet.Spreadsheet.uid
+            (Plan.explain_analyze ~uid:sheet.Spreadsheet.uid
                (Plan.of_sheet sheet));
           Ok (mask (Profile.records ())))
 

@@ -2,9 +2,11 @@
    tracing — morsel-parallel on 4 domains with the cutover forced low,
    so the sharded v3 registry genuinely sees concurrent writers — and
    fail the build when the instrumentation itself is broken: unclosed
-   or mis-nested spans, negative counters, a profiled row count that
-   disagrees with the materializer, per-task labeled series that do
-   not add up, or a Chrome trace export that does not parse back.
+   or mis-nested spans, negative counters, a sheet result that
+   disagrees with the task's SQL result (an oracle independent of the
+   plan executor), an EXPLAIN ANALYZE that is not the profile record
+   of its own run, per-task labeled series that do not add up, or a
+   Chrome trace export that does not parse back.
    A second phase replays every task under 1 domain and under 4
    against fresh catalogs and asserts the merged sharded totals
    (counters and histogram sample counts) are exactly equal — the
@@ -55,22 +57,23 @@ let run_task catalog (task : Sheet_tpch.Tpch_tasks.t) =
       | Error msg -> check (label "script") false msg
       | Ok session ->
           let sheet = Session.current session in
-          (* EXPLAIN ANALYZE agrees with the materializer on every row *)
-          let rel, profile = Plan.execute_instrumented (Plan.of_sheet sheet) in
-          let expected = Materialize.full sheet in
-          check (label "rows")
-            (profile.Plan.p_rows_out
-             = Sheet_rel.Relation.cardinality expected
-            && Sheet_rel.Relation.cardinality rel
-               = Sheet_rel.Relation.cardinality expected)
-            (Printf.sprintf "profiled %d rows, materializer %d"
-               profile.Plan.p_rows_out
-               (Sheet_rel.Relation.cardinality expected));
-          check (label "result")
-            (Sheet_rel.Relation.equal_unordered_data
-               (Sheet_rel.Relation.normalize rel)
-               (Sheet_rel.Relation.normalize expected))
-            "instrumented plan result differs from Materialize.full";
+          let uid = sheet.Spreadsheet.uid in
+          (* the sheet's rows agree with the task's SQL result *)
+          (match Sheet_tpch.Tpch_tasks.verify catalog task with
+          | Ok () -> ()
+          | Error msg -> check (label "result") false msg);
+          (* EXPLAIN ANALYZE renders the profile record its run wrote *)
+          let rel, text = Plan.explain_analyze ~uid (Plan.of_sheet sheet) in
+          (match Obs.Profile.find ~uid with
+          | Some r ->
+              check (label "explain analyze")
+                (text = Obs.Profile.render_record r
+                && r.Obs.Profile.p_rows_out
+                   = Sheet_rel.Relation.cardinality rel)
+                "EXPLAIN ANALYZE is not the profile record of its run"
+          | None ->
+              check (label "explain analyze") false
+                (Printf.sprintf "no profile record for sheet #%d" uid));
           (* spans balanced and properly nested *)
           check (label "spans") (Obs.open_spans () = 0)
             (Printf.sprintf "%d unclosed span(s)" (Obs.open_spans ()));

@@ -6,8 +6,8 @@
    artificially warm) and per-task zeroed telemetry. Fail the build
    when any task diverges between the two runs:
 
-   - rows, in content *or order*, on either execution path
-     (Materialize.full and Plan.execute);
+   - rows of Materialize.full (the plan executor), in content *or
+     order*;
    - counter totals (Sheetscope v3 shards per domain and merges on
      read — totals must be exactly those of the single-writer run);
    - histogram sample counts (the duration-free slice; durations are
@@ -49,8 +49,7 @@ let with_config ~domains f =
 
 (* everything a task run leaves behind, minus wall time *)
 type observation = {
-  o_mat : Row.t list;
-  o_plan : Row.t list;
+  o_rows : Row.t list;
   o_counters : (string * int) list;  (* nonzero counters, sorted *)
   o_hists : (string * int) list;  (* nonzero sample counts, sorted *)
   o_spans : (string * string * int * int * int) list;
@@ -72,16 +71,14 @@ let observe catalog (task : Sheet_tpch.Tpch_tasks.t) =
       | Error msg -> Error msg
       | Ok session ->
           let sheet = Session.current session in
-          let mat = Relation.rows (Materialize.full sheet) in
-          let plan = Relation.rows (Plan.execute (Plan.of_sheet sheet)) in
+          let rows = Relation.rows (Materialize.full sheet) in
           check
             (Printf.sprintf "task %2d balance" task.id)
             (Obs.open_spans () = 0 && Obs.nesting_ok ())
             (Printf.sprintf "%d unclosed span(s), nesting_ok %b"
                (Obs.open_spans ()) (Obs.nesting_ok ()));
           Ok
-            { o_mat = mat;
-              o_plan = plan;
+            { o_rows = rows;
               o_counters = nonzero (Obs.Metrics.counters_snapshot ());
               o_hists = nonzero (Obs.Histogram.counts_snapshot ());
               o_spans =
@@ -114,12 +111,9 @@ let run_task (task : Sheet_tpch.Tpch_tasks.t) seq par =
   match (seq, par) with
   | Error msg, _ | _, Error msg -> check (label "script") false msg
   | Ok s, Ok p ->
-      check (label "materialize")
-        (List.equal Row.equal s.o_mat p.o_mat)
+      check (label "rows")
+        (List.equal Row.equal s.o_rows p.o_rows)
         "row list diverges between 1 and 4 domains";
-      check (label "plan")
-        (List.equal Row.equal s.o_plan p.o_plan)
-        "plan rows diverge between 1 and 4 domains";
       check (label "counters")
         (s.o_counters = p.o_counters)
         (Printf.sprintf "sharded totals diverge: %s"
