@@ -426,8 +426,8 @@ let grouping_vs_sort sheet ~tree () =
       apply_exn sheet
         (Op.Group { basis = [ "Model"; "Year" ]; dir = Grouping.Asc })
     in
-    let rel = Materialize.full s in
-    ignore (Materialize.finest_group_boundaries s rel)
+    Materialize.reset_cache ();
+    ignore (Render.page s)
   end
   else
     ignore

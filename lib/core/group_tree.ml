@@ -31,7 +31,7 @@ let runs positions data =
   Array.to_list (Vec.to_array out)
 
 let build sheet =
-  let rel = Materialize.full sheet in
+  let rel = Materialize.full_cached sheet in
   let schema = Relation.schema rel in
   let grouping = Spreadsheet.grouping sheet in
   let rec split level data =

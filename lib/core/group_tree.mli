@@ -27,7 +27,8 @@ type t = {
 }
 
 val build : Spreadsheet.t -> t
-(** Build from the full materialization (hidden columns included). *)
+(** Build from the cached full materialization
+    ({!Materialize.full_cached}, hidden columns included). *)
 
 val rows : t -> Row.t list
 (** All tuples, flattened back, in presentation order — inverse of

@@ -267,22 +267,3 @@ let visible (sheet : Spreadsheet.t) =
 
 let current_base_rows (sheet : Spreadsheet.t) =
   Plan.execute ~uid:sheet.Spreadsheet.uid (Plan.base_rows sheet)
-
-let finest_group_boundaries (sheet : Spreadsheet.t) (rel : Relation.t) =
-  let grouping = Spreadsheet.grouping sheet in
-  if grouping.Grouping.levels = [] then []
-  else
-    let basis = Grouping.finest_basis grouping in
-    let positions =
-      Array.of_list
-        (List.map (Schema.index_exn (Relation.schema rel)) basis)
-    in
-    let rows = Relation.to_array rel in
-    let n = Array.length rows in
-    let out = ref [] in
-    for i = 0 to n - 2 do
-      let ki = Row.project_arr rows.(i) positions in
-      let kj = Row.project_arr rows.(i + 1) positions in
-      if not (Row.equal ki kj) then out := i :: !out
-    done;
-    List.rev !out

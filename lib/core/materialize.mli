@@ -18,7 +18,11 @@
 
     This realizes the paper's commutativity (Theorem 2): the result
     depends only on the query state, never on the order in which the
-    user issued the unary operators. *)
+    user issued the unary operators.
+
+    This module answers with whole relations; what a screen shows of
+    one — a window of rows, header markers, group breaks — is
+    {!Render.page}'s. *)
 
 open Sheet_rel
 
@@ -32,9 +36,8 @@ val full : Spreadsheet.t -> Relation.t
 val full_cached : Spreadsheet.t -> Relation.t
 (** Like {!full}, memoized on the sheet's {!Spreadsheet.t.uid}
     (sheets are immutable values, so the cache can never go stale).
-    The interface layer renders the same sheet several times per step
-    — status line, data view, group boundaries — which this makes
-    free.
+    The interface layer reads the same sheet several times per step
+    — status line, page views, [tree] — which this makes free.
 
     The cache is {e semantic}: on a uid miss it scans the cached
     states for one that {!State_subsume.check} proves subsumes the
@@ -53,7 +56,9 @@ val full_cached : Spreadsheet.t -> Relation.t
     Bounded: past 512 entries the oldest half is evicted. *)
 
 val visible : Spreadsheet.t -> Relation.t
-(** {!full} restricted to visible columns. *)
+(** {!full_cached} restricted to visible columns: the query's answer
+    as a relation (what [Session.materialized], the SQL translation
+    and the task checks compare). *)
 
 val seed_cache : Spreadsheet.t -> Relation.t -> unit
 (** Install a known-correct full materialization for a sheet (used by
@@ -105,8 +110,3 @@ val current_base_rows : Spreadsheet.t -> Relation.t
     relation filtered by the accumulated selections and duplicate
     elimination — base columns only, no presentation ordering. This
     is what binary operators combine. *)
-
-val finest_group_boundaries : Spreadsheet.t -> Relation.t -> int list
-(** 0-based indices of rows that end a finest-level group in a
-    materialized relation (excluding the last row). Empty when the
-    sheet has no grouping. *)

@@ -1,73 +1,109 @@
 open Sheet_rel
 
-let header_decoration sheet col =
-  let grouping = Spreadsheet.grouping sheet in
-  let level_marker =
-    let rec find_level idx = function
-      | [] -> None
-      | lv :: rest ->
-          if List.mem col lv.Grouping.basis_add then Some (idx + 1)
-          else find_level (idx + 1) rest
-    in
-    (* 1-based position among the stored (non-root) grouping levels *)
-    match find_level 0 grouping.Grouping.levels with
-    | Some lvl -> Printf.sprintf " *%d" lvl
-    | None -> ""
+type column = {
+  name : string;
+  ty : Value.vtype;
+  level : int option;
+  dir : Grouping.dir option;
+  computed : bool;
+}
+
+type page = {
+  columns : column list;
+  offset : int;
+  rows : Row.t array;
+  breaks : bool array;
+  total : int;
+}
+
+let column sheet (grouping : Grouping.t) (c : Schema.column) =
+  let name = c.Schema.name in
+  let rec find_level idx = function
+    | [] -> None
+    | lv :: rest ->
+        if List.mem name lv.Grouping.basis_add then Some (idx + 1, lv)
+        else find_level (idx + 1) rest
   in
-  let arrow =
-    match List.assoc_opt col grouping.Grouping.leaf_order with
+  let level = find_level 0 grouping.Grouping.levels in
+  {
+    name;
+    ty = c.Schema.ty;
+    level = Option.map fst level;
+    dir =
+      (match List.assoc_opt name grouping.Grouping.leaf_order with
+      | Some dir -> Some dir
+      | None -> Option.map (fun (_, lv) -> lv.Grouping.dir) level);
+    computed = Spreadsheet.is_computed sheet name;
+  }
+
+let page ?(offset = 0) ?limit sheet =
+  let full = Materialize.full_cached sheet in
+  let schema = Relation.schema full in
+  let data = Relation.to_array full in
+  let total = Array.length data in
+  let offset = max 0 (min offset total) in
+  let stop =
+    match limit with
+    | Some l -> min total (offset + max 0 l)
+    | None -> total
+  in
+  let n = stop - offset in
+  let grouping = Spreadsheet.grouping sheet in
+  let positions =
+    Array.of_list
+      (List.map (Schema.index_exn schema) (Spreadsheet.visible_columns sheet))
+  in
+  let breaks =
+    if grouping.Grouping.levels = [] then Array.make n false
+    else
+      let basis =
+        Array.of_list
+          (List.map (Schema.index_exn schema) (Grouping.finest_basis grouping))
+      in
+      let key i = Row.project_arr data.(offset + i) basis in
+      Array.init n (fun i -> i < n - 1 && not (Row.equal (key i) (key (i + 1))))
+  in
+  {
+    columns =
+      Array.to_list
+        (Array.map
+           (fun j -> column sheet grouping (Schema.column_at schema j))
+           positions);
+    offset;
+    rows = Array.init n (fun i -> Row.project_arr data.(offset + i) positions);
+    breaks;
+    total;
+  }
+
+let header_decoration c =
+  (match c.level with Some l -> Printf.sprintf " *%d" l | None -> "")
+  ^ (match c.dir with
     | Some Grouping.Asc -> " ^"
     | Some Grouping.Desc -> " v"
-    | None -> (
-        let rec dir_of = function
-          | [] -> ""
-          | lv :: _ when List.mem col lv.Grouping.basis_add -> (
-              match lv.Grouping.dir with
-              | Grouping.Asc -> " ^"
-              | Grouping.Desc -> " v")
-          | _ :: rest -> dir_of rest
-        in
-        dir_of grouping.Grouping.levels)
-  in
-  let computed_marker = if Spreadsheet.is_computed sheet col then " =" else "" in
-  level_marker ^ arrow ^ computed_marker
+    | None -> "")
+  ^ if c.computed then " =" else ""
 
 let to_string ?max_rows sheet =
-  let full = Materialize.full_cached sheet in
-  let visible_cols = Spreadsheet.visible_columns sheet in
-  let rel = Rel_algebra.project visible_cols full in
-  let boundaries = Materialize.finest_group_boundaries sheet full in
-  let header =
-    List.map (fun c -> c ^ header_decoration sheet c) visible_cols
-  in
-  let align_right =
-    List.map
-      (fun c -> Value.numeric c.Schema.ty)
-      (Schema.columns (Relation.schema rel))
-  in
-  let all_rows =
-    List.map
-      (fun row -> List.map Value.to_string (Row.to_list row))
-      (Relation.rows rel)
-  in
-  let total = List.length all_rows in
-  let rows, truncated =
-    match max_rows with
-    | Some m when total > m -> (List.filteri (fun i _ -> i < m) all_rows, true)
-    | _ -> (all_rows, false)
+  let p = page ?limit:max_rows sheet in
+  let header = List.map (fun c -> c.name ^ header_decoration c) p.columns in
+  let align_right = List.map (fun c -> Value.numeric c.ty) p.columns in
+  let rows =
+    Array.to_list
+      (Array.map (fun row -> List.map Value.to_string (Row.to_list row)) p.rows)
   in
   let separators_after =
-    match max_rows with
-    | Some m -> List.filter (fun i -> i < List.length rows - 1 && i < m - 1)
-                  boundaries
-    | None -> List.filter (fun i -> i < List.length rows - 1) boundaries
+    List.filter
+      (fun i -> p.breaks.(i))
+      (List.init (Array.length p.breaks) Fun.id)
   in
   let table =
     Table_print.render_cells ~align_right ~header ~separators_after rows
   in
-  if truncated then
-    table ^ Printf.sprintf "... (%d more rows)\n" (total - List.length rows)
-  else table
+  match max_rows with
+  | Some m when p.total > m ->
+      table
+      ^ Printf.sprintf "... (%d more rows)\n" (p.total - Array.length p.rows)
+  | _ -> table
 
 let print ?max_rows sheet = print_string (to_string ?max_rows sheet)
 

@@ -30,50 +30,38 @@ let css =
   tr.boundary td { border-top: 2px solid #888; }
 |}
 
-let header_cell sheet col =
-  let grouping = Spreadsheet.grouping sheet in
+let header_cell (c : Render.column) =
   let level_badge =
-    let rec find idx = function
-      | [] -> ""
-      | lv :: rest ->
-          if List.mem col lv.Grouping.basis_add then
-            Printf.sprintf {|<span class="level">g%d</span>|} (idx + 1)
-          else find (idx + 1) rest
-    in
-    find 0 grouping.Grouping.levels
-  in
-  let arrow_of = function
-    | Grouping.Asc -> {|<span class="arrow">&#9650;</span>|}
-    | Grouping.Desc -> {|<span class="arrow">&#9660;</span>|}
+    match c.level with
+    | Some l -> Printf.sprintf {|<span class="level">g%d</span>|} l
+    | None -> ""
   in
   let arrow =
-    match List.assoc_opt col grouping.Grouping.leaf_order with
-    | Some dir -> arrow_of dir
-    | None -> (
-        let rec dir_of = function
-          | [] -> ""
-          | lv :: _ when List.mem col lv.Grouping.basis_add ->
-              arrow_of lv.Grouping.dir
-          | _ :: rest -> dir_of rest
-        in
-        dir_of grouping.Grouping.levels)
+    match c.dir with
+    | Some Grouping.Asc -> {|<span class="arrow">&#9650;</span>|}
+    | Some Grouping.Desc -> {|<span class="arrow">&#9660;</span>|}
+    | None -> ""
   in
-  let cls = if Spreadsheet.is_computed sheet col then {| class="computed"|} else "" in
-  Printf.sprintf "<th%s>%s %s%s</th>" cls (escape col) arrow level_badge
+  let cls = if c.computed then {| class="computed"|} else "" in
+  Printf.sprintf "<th%s>%s %s%s</th>" cls (escape c.name) arrow level_badge
+
+let class_attr = function
+  | [] -> ""
+  | cs -> Printf.sprintf {| class="%s"|} (String.concat " " cs)
 
 let to_html ?title sheet =
   let title =
     Option.value title ~default:(sheet.Spreadsheet.name ^ " — SheetMusiq")
   in
-  let full = Materialize.full_cached sheet in
-  let visible = Spreadsheet.visible_columns sheet in
-  let rel = Rel_algebra.project visible full in
-  let schema = Relation.schema rel in
-  let boundaries = Materialize.finest_group_boundaries sheet full in
-  let numeric =
-    List.map (fun c -> Value.numeric c.Schema.ty) (Schema.columns schema)
+  let p = Render.page sheet in
+  let cell_classes =
+    Array.of_list
+      (List.map
+         (fun (c : Render.column) ->
+           (if Value.numeric c.ty then [ "num" ] else [])
+           @ if c.computed then [ "computed" ] else [])
+         p.columns)
   in
-  let computed = List.map (Spreadsheet.is_computed sheet) visible in
   let buf = Buffer.create 4096 in
   let pf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   pf
@@ -82,35 +70,23 @@ let to_html ?title sheet =
   pf "<h1>%s</h1>\n" (escape title);
   pf "<p class=\"meta\">%s</p>\n" (escape (Render.status_line sheet));
   pf "<table>\n<thead><tr>";
-  List.iter (fun col -> Buffer.add_string buf (header_cell sheet col)) visible;
+  List.iter (fun c -> Buffer.add_string buf (header_cell c)) p.columns;
   pf "</tr></thead>\n<tbody>\n";
   let group_idx = ref 0 in
-  List.iteri
+  Array.iteri
     (fun i row ->
-      let classes =
-        (if !group_idx mod 2 = 1 then [ "group-b" ] else [])
-        @ if i > 0 && List.mem (i - 1) boundaries then [ "boundary" ]
-          else []
-      in
       pf "<tr%s>"
-        (match classes with
-        | [] -> ""
-        | cs -> Printf.sprintf {| class="%s"|} (String.concat " " cs));
-      List.iteri
+        (class_attr
+           ((if !group_idx mod 2 = 1 then [ "group-b" ] else [])
+           @ if i > 0 && p.breaks.(i - 1) then [ "boundary" ] else []));
+      Array.iteri
         (fun j v ->
-          let cls =
-            (if List.nth numeric j then [ "num" ] else [])
-            @ if List.nth computed j then [ "computed" ] else []
-          in
-          pf "<td%s>%s</td>"
-            (match cls with
-            | [] -> ""
-            | cs -> Printf.sprintf {| class="%s"|} (String.concat " " cs))
+          pf "<td%s>%s</td>" (class_attr cell_classes.(j))
             (escape (Value.to_string v)))
-        (Row.to_list row);
+        row;
       pf "</tr>\n";
-      if List.mem i boundaries then incr group_idx)
-    (Relation.rows rel);
+      if p.breaks.(i) then incr group_idx)
+    p.rows;
   pf "</tbody>\n</table>\n</body></html>\n";
   Buffer.contents buf
 

@@ -165,6 +165,18 @@ let strip_comment line =
   in
   scan 0 false
 
+type reach = Sheet_only | Host_files | Process_telemetry
+
+let reach line =
+  let cmd, rest = head_rest (trim (strip_comment line)) in
+  let words = split_words (String.lowercase_ascii rest) in
+  match (String.lowercase_ascii cmd, words) with
+  | ("load" | "import" | "export" | "html"), _ | "trace", "export" :: _ ->
+      Host_files
+  | "trace", ([] | [ "status" ]) -> Sheet_only
+  | "trace", _ | "flightrec", [ "clear" ] -> Process_telemetry
+  | _ -> Sheet_only
+
 let run_line session line =
   let line = trim (strip_comment line) in
   (* EXPLAIN ANALYZE of the raw (unoptimized) plan, whose root row

@@ -46,6 +46,20 @@ val run_line : Session.t -> string -> (outcome, string) result
 (** Execute one command line. Engine refusals come back as [Error]
     with the user-facing message. *)
 
+(** What a command line touches beyond its own session, parsed as
+    {!run_line} parses it: a shell shared by many users (Sheetserve)
+    refuses everything but [Sheet_only]. *)
+type reach =
+  | Sheet_only
+  | Host_files
+      (** reads or writes the file system: [load], [import], [export],
+          [html], [trace export] *)
+  | Process_telemetry
+      (** changes telemetry for every session in the process:
+          [trace mem|logs|off|clear], [flightrec clear] *)
+
+val reach : string -> reach
+
 val run : Session.t -> string -> (Session.t, string) result
 (** Execute a whole script, printing informational output to stdout.
     Stops at the first error, reporting the line number. *)

@@ -320,25 +320,24 @@ let label_cap () = !label_cap_ref
 (* one mutex guards both registries and the per-family label counts *)
 let reg_mutex = Mutex.create ()
 
-(* admitted label sets per (registry tag, base name) *)
+(* admitted label sets per histogram family (base name) *)
 let label_sets : (string, int) Hashtbl.t = Hashtbl.create 16
 
 (* Resolve the registry key for [name]+[labels]: an existing labeled
    series, a fresh one while the family is under the cap, or the
    overflow series. Caller holds [reg_mutex]; [mem] answers "is this
    key already registered". *)
-let labeled_key ~tag ~mem name labels =
+let labeled_key ~mem name labels =
   if Labels.is_empty labels then name
   else
     let key = name ^ Labels.to_string labels in
     if mem key then key
     else
-      let family = tag ^ ":" ^ name in
       let admitted =
-        Option.value (Hashtbl.find_opt label_sets family) ~default:0
+        Option.value (Hashtbl.find_opt label_sets name) ~default:0
       in
       if admitted < !label_cap_ref then begin
-        Hashtbl.replace label_sets family (admitted + 1);
+        Hashtbl.replace label_sets name (admitted + 1);
         key
       end
       else name ^ overflow_suffix
@@ -373,12 +372,6 @@ module Metrics = struct
 
   let counter name = with_lock reg_mutex (fun () -> find_locked name Counter)
   let gauge name = with_lock reg_mutex (fun () -> find_locked name Gauge)
-
-  let counter_labeled name labels =
-    with_lock reg_mutex (fun () ->
-        find_locked
-          (labeled_key ~tag:"m" ~mem:(Hashtbl.mem registry) name labels)
-          Counter)
 
   let incr ?(by = 1) m =
     ignore (Atomic.fetch_and_add m.cells.(shard_index ()) by)
@@ -496,7 +489,7 @@ module Histogram = struct
   let histogram_labeled name labels =
     with_lock reg_mutex (fun () ->
         find_locked
-          (labeled_key ~tag:"h" ~mem:(Hashtbl.mem registry) name labels))
+          (labeled_key ~mem:(Hashtbl.mem registry) name labels))
 
   (* smallest i with v <= boundaries.(i); the overflow bucket past the
      last boundary *)
@@ -556,36 +549,10 @@ module Histogram = struct
               t_max = max acc.t_max (Atomic.get s.sh_max) })
       t h.shards
 
-  let of_totals name t =
-    let h = make name in
-    let s = fresh_shard () in
-    Array.iteri (fun i n -> Atomic.set s.sh_counts.(i) n) t.t_counts;
-    Atomic.set s.sh_count t.t_count;
-    Atomic.set s.sh_sum t.t_sum;
-    Atomic.set s.sh_max t.t_max;
-    Atomic.set h.shards.(0) (Some s);
-    h
-
   let count h = (totals h).t_count
   let sum_ns h = (totals h).t_sum
   let max_ns h = (totals h).t_max
   let name h = h.h_name
-
-  let merge a b =
-    let ta = totals a and tb = totals b in
-    of_totals a.h_name
-      { t_counts =
-          Array.init num_buckets (fun i -> ta.t_counts.(i) + tb.t_counts.(i));
-        t_count = ta.t_count + tb.t_count;
-        t_sum = ta.t_sum + tb.t_sum;
-        t_max = max ta.t_max tb.t_max }
-
-  (* data equality — the name is not compared, so merge commutativity
-     is testable on differently-named operands *)
-  let equal a b =
-    let ta = totals a and tb = totals b in
-    ta.t_count = tb.t_count && ta.t_sum = tb.t_sum && ta.t_max = tb.t_max
-    && ta.t_counts = tb.t_counts
 
   (* Estimate the [phi]-quantile (0 < phi <= 1): locate the bucket
      holding the ceil(phi*count)-th smallest sample, interpolate
@@ -804,50 +771,6 @@ let () =
       Metrics.set g_gc_major s.Gc.major_collections;
       Metrics.set g_gc_promoted (int_of_float s.Gc.promoted_words);
       Metrics.set g_gc_heap s.Gc.heap_words
-
-type core_stats = {
-  engine_ops : int;
-  engine_errors : int;
-  cache_requests : int;
-  cache_hits : int;
-  cache_hits_subsumed : int;
-  cache_misses : int;
-  cache_evictions : int;
-  cache_seeds : int;
-  full_replays : int;
-  incremental_derivations : int;
-  incremental_fallbacks : int;
-  plan_nodes : int;
-  plan_rows_in : int;
-  plan_rows_out : int;
-  undo_depth : int;
-  redo_depth : int;
-  sql_translations : int;
-  sql_inverse_translations : int;
-  sql_executions : int;
-}
-
-let core_stats () =
-  let v = Metrics.value_of in
-  { engine_ops = v k_engine_ops;
-    engine_errors = v k_engine_errors;
-    cache_requests = v k_cache_requests;
-    cache_hits = v k_cache_hits;
-    cache_hits_subsumed = v k_cache_hits_subsumed;
-    cache_misses = v k_cache_misses;
-    cache_evictions = v k_cache_evictions;
-    cache_seeds = v k_cache_seeds;
-    full_replays = v k_full_replays;
-    incremental_derivations = v k_incremental_derivations;
-    incremental_fallbacks = v k_incremental_fallbacks;
-    plan_nodes = v k_plan_nodes;
-    plan_rows_in = v k_plan_rows_in;
-    plan_rows_out = v k_plan_rows_out;
-    undo_depth = v k_undo_depth;
-    redo_depth = v k_redo_depth;
-    sql_translations = v k_sql_translations;
-    sql_inverse_translations = v k_sql_inverse_translations;
-    sql_executions = v k_sql_executions }
 
 (* ---------- session flight recorder ----------
 

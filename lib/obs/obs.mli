@@ -10,8 +10,7 @@
     - {e metrics}: a process-wide registry of named counters, gauges
       and latency histograms (cache hits/misses, replays vs
       derivations, rows per plan node, undo/redo depth, GC activity,
-      per-op latency), snapshotable as an association list, a typed
-      {!core_stats} record, or JSON.
+      per-op latency), snapshotable as an association list or JSON.
     - {e sinks}: where completed spans go. [Off] (the default) makes
       [span] a single mutable-bool test returning a shared dummy —
       instrumented code paths are property-tested byte-identical to
@@ -210,11 +209,6 @@ module Metrics : sig
 
   val gauge : string -> m
 
-  val counter_labeled : string -> Labels.t -> m
-  (** Intern the labeled series [name ^ Labels.to_string labels],
-      subject to the family cardinality cap (the overflow series past
-      it). With {!Labels.empty} this is [counter]. *)
-
   val incr : ?by:int -> m -> unit
   val set : m -> int -> unit
   val get : m -> int
@@ -265,11 +259,12 @@ module Histogram : sig
       the analogue of {!Metrics.counter}. *)
 
   val histogram_labeled : string -> Labels.t -> h
-  (** Intern the labeled series, subject to the family cardinality
-      cap — the analogue of {!Metrics.counter_labeled}. *)
+  (** Intern the labeled series [name ^ Labels.to_string labels],
+      subject to the family cardinality cap (the overflow series past
+      it). With {!Labels.empty} this is [histogram]. *)
 
   val make : string -> h
-  (** A detached, unregistered histogram (merging grounds, tests). *)
+  (** A detached, unregistered histogram (tests). *)
 
   val record : h -> int -> unit
   (** Record one duration in nanoseconds (negative samples clamp
@@ -283,15 +278,6 @@ module Histogram : sig
   val percentile : h -> float -> float
   (** [percentile h phi] estimates the [phi]-quantile in ns; 0 when
       empty. Monotone in [phi] and never above [max_ns h]. *)
-
-  val merge : h -> h -> h
-  (** Bucketwise sum (detached result, named after the left operand).
-      Commutative and associative up to {!equal}, with the empty
-      histogram as identity. *)
-
-  val equal : h -> h -> bool
-  (** Data equality (bucket counts, count, sum, max) — names are not
-      compared. *)
 
   type snapshot = {
     s_name : string;
@@ -424,31 +410,6 @@ val sample_gc_gauges : unit -> unit
 (** Refresh the GC gauges from [Gc.quick_stat] now. Called
     automatically by [span]/[finish] (when recording),
     {!metrics_report} and {!to_chrome_trace}. *)
-
-(** The registry's well-known slice as a typed record. *)
-type core_stats = {
-  engine_ops : int;
-  engine_errors : int;
-  cache_requests : int;
-  cache_hits : int;
-  cache_hits_subsumed : int;
-  cache_misses : int;
-  cache_evictions : int;
-  cache_seeds : int;
-  full_replays : int;
-  incremental_derivations : int;
-  incremental_fallbacks : int;
-  plan_nodes : int;
-  plan_rows_in : int;
-  plan_rows_out : int;
-  undo_depth : int;
-  redo_depth : int;
-  sql_translations : int;
-  sql_inverse_translations : int;
-  sql_executions : int;
-}
-
-val core_stats : unit -> core_stats
 
 (** {1 Session flight recorder}
 

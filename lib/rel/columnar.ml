@@ -65,12 +65,6 @@ let select_cols t positions =
     cols = Array.map (fun j -> t.cols.(j)) positions;
     widths = None }
 
-let append_col t col =
-  if not (uniform t) then invalid_arg "Columnar.append_col: ragged image";
-  if Column.length col <> t.nrows then
-    invalid_arg "Columnar.append_col: length mismatch";
-  { t with cols = Array.append t.cols [| col |] }
-
 type stats = {
   columns : int;
   specialized : int;  (* non-Boxed columns *)

@@ -30,11 +30,6 @@ val select_cols : t -> int array -> t
 (** Zero-copy column subset (projection push-through).
     @raise Invalid_argument on a non-uniform image. *)
 
-val append_col : t -> Column.t -> t
-(** Extend push-through.
-    @raise Invalid_argument on a non-uniform image or length
-    mismatch. *)
-
 type stats = { columns : int; specialized : int; dict_entries : int }
 
 val stats : t -> stats

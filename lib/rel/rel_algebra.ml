@@ -338,36 +338,6 @@ let sort keys (r : Relation.t) =
   Relation.unsafe_of_array (Relation.schema r)
     (Vec.stable_sorted compare_rows (Relation.to_array r))
 
-let extend name ty f (r : Relation.t) =
-  let schema = Schema.append (Relation.schema r) { Schema.name; ty } in
-  let data = Relation.to_array r in
-  let prime = Relation.columnar_if_built r <> None in
-  (* each morsel evaluates rows in ascending order, so the lowest
-     failing morsel's error is the sequential one (see Par) *)
-  let chunks =
-    Par.run ~n:(Array.length data) (fun lo hi ->
-        let m = hi - lo in
-        if m = 0 then ([||], [||])
-        else begin
-          let cells = if prime then Array.make m Value.Null else [||] in
-          let rows = Array.make m data.(lo) in
-          for i = 0 to m - 1 do
-            let row = Array.unsafe_get data (lo + i) in
-            let v = f row in
-            if prime then Array.unsafe_set cells i v;
-            Array.unsafe_set rows i (Row.append1 row v)
-          done;
-          (rows, cells)
-        end)
-  in
-  let out = Par.concat (Array.map fst chunks) in
-  match Relation.columnar_if_built r with
-  | Some view ->
-      let cells = Par.concat (Array.map snd chunks) in
-      Relation.unsafe_of_array_with_columnar schema out
-        (Columnar.append_col view (Column.of_values cells))
-  | None -> Relation.unsafe_of_array schema out
-
 let group_rows cols (r : Relation.t) =
   let positions =
     Array.of_list (List.map (Schema.index_exn (Relation.schema r)) cols)

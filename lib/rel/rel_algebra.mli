@@ -61,12 +61,6 @@ val sort : (string * [ `Asc | `Desc ]) list -> Relation.t -> Relation.t
 (** Stable sort by the given key columns; [Null]s sort last in
     ascending order (see {!Value.compare}). *)
 
-val extend : string -> Value.vtype -> (Row.t -> Value.t) -> Relation.t
-  -> Relation.t
-(** Append a computed column (morsel-parallel; when the input's
-    columnar image is already built, the output image is primed with
-    the new column). *)
-
 val group_rows : string list -> Relation.t -> (Row.t * Row.t list) list
 (** Partition rows by equality on the given columns. Each element is
     (representative key row restricted to the grouping columns, rows

@@ -42,15 +42,10 @@ let serve_conn l fd =
     match In_channel.input_line inch with
     | None -> ()
     | Some line ->
-        let resp = Server.handle l.server conn line in
+        let resp, quit = Server.handle l.server conn line in
         write_line fd resp;
         (* [quit] answers Bye and ends the connection *)
-        if
-          match Protocol.decode_request line with
-          | Ok Protocol.Quit -> true
-          | _ -> false
-        then ()
-        else loop ()
+        if not quit then loop ()
   in
   (try loop () with Unix.Unix_error _ | Sys_error _ | End_of_file -> ());
   untrack l fd;

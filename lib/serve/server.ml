@@ -156,26 +156,32 @@ let open_base t (st : session_state) base =
         }
 
 let run_line t (st : session_state) sess text =
-  match with_engine t st (fun () -> Script.run_line sess text) with
-  | Error msg -> refused msg
-  | Ok { Script.session; output } ->
-      st.sess <- Some session;
-      with_lock t.table_mutex (fun () -> t.ops <- t.ops + 1);
-      Obs.Metrics.incr (Lazy.force m_ops);
-      let sheet = Session.current session in
-      Protocol.Applied { uid = sheet.Spreadsheet.uid; output }
+  match Script.reach text with
+  | Script.Host_files ->
+      refused "commands that read or write files do not run on a server"
+  | Script.Process_telemetry ->
+      refused
+        "commands that change telemetry for every session do not run on a \
+         server"
+  | Script.Sheet_only -> (
+      match with_engine t st (fun () -> Script.run_line sess text) with
+      | Error msg -> refused msg
+      | Ok { Script.session; output } ->
+          st.sess <- Some session;
+          with_lock t.table_mutex (fun () -> t.ops <- t.ops + 1);
+          Obs.Metrics.incr (Lazy.force m_ops);
+          let sheet = Session.current session in
+          Protocol.Applied { uid = sheet.Spreadsheet.uid; output })
 
 let rows_of t (st : session_state) sess =
-  let rel = with_engine t st (fun () -> Session.materialized sess) in
   let sheet = Session.current sess in
+  let p = with_engine t st (fun () -> Render.page sheet) in
   Protocol.Table
     {
       uid = sheet.Spreadsheet.uid;
       columns =
-        List.map
-          (fun c -> (c.Schema.name, c.Schema.ty))
-          (Schema.columns (Relation.schema rel));
-      rows = List.map Row.to_list (Relation.rows rel);
+        List.map (fun c -> (c.Render.name, c.Render.ty)) p.Render.columns;
+      rows = Array.to_list (Array.map Row.to_list p.Render.rows);
     }
 
 let stats t =
@@ -227,12 +233,13 @@ let handle_request t conn req =
           | Some sess -> rows_of t st sess))
 
 let handle t conn line =
+  let req = Protocol.decode_request line in
   let resp =
-    match Protocol.decode_request line with
+    match req with
     | Error e -> refused ("parse error: " ^ e)
     | Ok req -> handle_request t conn req
   in
-  Protocol.encode_response resp
+  (Protocol.encode_response resp, req = Ok Protocol.Quit)
 
 let session_count t =
   with_lock t.table_mutex (fun () -> Hashtbl.length t.sessions)

@@ -42,7 +42,16 @@
     [hello] beyond [max_sessions] live sessions, and any [line] past
     the per-session [max_ops_per_s] budget of the current one-second
     window, are refused with [busy = true] — a well-formed "try again
-    later", not an error. *)
+    later", not an error.
+
+    {2 What a line may do}
+
+    A [line] runs one Script command in the caller's session, and only
+    commands whose {!Sheet_core.Script.reach} is [Sheet_only]: those
+    that read or write the daemon's file system ([load], [import],
+    [export], [html], [trace export]) or change telemetry for every
+    session in the process ([trace mem|logs|off|clear],
+    [flightrec clear]) are refused with [busy = false]. *)
 
 open Sheet_rel
 
@@ -80,10 +89,11 @@ type conn
 
 val connect : t -> conn
 
-val handle : t -> conn -> string -> string
+val handle : t -> conn -> string -> string * bool
 (** One raw request line in, one response line (no trailing newline)
-    out. Total: parse failures and engine refusals come back as
-    [Refused] responses. *)
+    out, and whether the request was [quit] (which ends the
+    connection). Total: parse failures and engine refusals come back
+    as [Refused] responses. *)
 
 val handle_request : t -> conn -> Protocol.request -> Protocol.response
 (** {!handle} after decoding — the seam the in-process tests drive. *)

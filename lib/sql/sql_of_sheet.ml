@@ -190,15 +190,43 @@ let compile ~table (sheet : Spreadsheet.t) =
                 (fun c -> (not (is_computed c)) && not (List.mem c group_by))
                 visible
           in
-          match bad_visible with
-          | Some c ->
+          (* the sheet eliminates duplicates on the visible base
+             columns before any computed column exists (Plan.of_sheet);
+             SELECT DISTINCT agrees only when no aggregate sees the
+             deduplicated rows and no visible formula reads a hidden
+             column *)
+          let reads_hidden c =
+            match resolve_expr computed (Expr.Col c) with
+            | Ok e ->
+                List.exists
+                  (fun col -> List.mem col state.Query_state.hidden)
+                  (Expr.columns e)
+            | Error _ -> false
+          in
+          let bad_dedup =
+            if not state.Query_state.dedup then None
+            else if List.exists Computed.is_aggregate computed then
+              Some
+                "the sheet eliminates duplicates before aggregating; \
+                 single-block SQL aggregates every row"
+            else
+              List.find_opt (fun c -> is_computed c && reads_hidden c) visible
+              |> Option.map
+                   (Printf.sprintf
+                      "the sheet eliminates duplicates before computing \
+                       %s, which reads a hidden column; SELECT DISTINCT \
+                       would keep rows the sheet drops")
+          in
+          match (bad_visible, bad_dedup) with
+          | Some c, _ ->
               err
                 (Printf.sprintf
                    "column %s is neither grouped nor aggregated; the \
                     sheet shows it per row, SQL would collapse it \
                     (project it out first)"
                    c)
-          | None -> (
+          | None, Some why -> err why
+          | None, None -> (
               let select_items = ref [] in
               let select_error = ref None in
               List.iter

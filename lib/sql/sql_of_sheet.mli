@@ -16,7 +16,10 @@
     levels, selections reading formula-over-aggregate chains deeper
     than one inlining pass can flatten, grouped sheets with visible
     non-grouped base columns (the sheet shows every row; SQL would
-    collapse them) — yield [`Not_single_block reason]. *)
+    collapse them), duplicate elimination under an aggregate or a
+    visible formula that reads a hidden column (the sheet drops
+    duplicates before computing either) — yield
+    [`Not_single_block reason]. *)
 
 open Sheet_core
 

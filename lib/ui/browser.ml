@@ -37,11 +37,11 @@ let init session =
     last_ms = None;
     quit = false }
 
-let visible t = Session.materialized t.session
+let sheet t = Session.current t.session
 
 let dims t =
-  let rel = visible t in
-  (Relation.cardinality rel, Schema.arity (Relation.schema rel))
+  let p = Render.page ~limit:0 (sheet t) in
+  (p.Render.total, List.length p.Render.columns)
 
 let clamp t ~page =
   let rows, cols = dims t in
@@ -54,23 +54,19 @@ let clamp t ~page =
   in
   { t with row; col; top = max 0 top }
 
-let cursor_cell t =
-  let rel = visible t in
-  match List.nth_opt (Relation.rows rel) t.row with
-  | Some r when Schema.arity (Relation.schema rel) > t.col ->
-      let c = Schema.column_at (Relation.schema rel) t.col in
-      Some (c.Schema.name, Row.get r t.col)
-  | _ -> None
-
 let cursor_column t =
-  let rel = visible t in
-  if Schema.arity (Relation.schema rel) > t.col then
-    Some (Schema.column_at (Relation.schema rel) t.col).Schema.name
-  else None
+  List.nth_opt (Render.page ~limit:0 (sheet t)).Render.columns t.col
+  |> Option.map (fun c -> c.Render.name)
+
+let cursor_cell t =
+  let p = Render.page ~offset:t.row ~limit:1 (sheet t) in
+  match (p.Render.rows, List.nth_opt p.Render.columns t.col) with
+  | [| r |], Some c -> Some (c.Render.name, Row.get r t.col)
+  | _ -> None
 
 (* current sort direction of a column, to flip on repeated 's' *)
 let next_dir t col =
-  let grouping = Spreadsheet.grouping (Session.current t.session) in
+  let grouping = Spreadsheet.grouping (sheet t) in
   match List.assoc_opt col grouping.Grouping.leaf_order with
   | Some Grouping.Asc -> "desc"
   | _ -> "asc"
@@ -147,7 +143,7 @@ let apply_key t ~page key =
       let items =
         Context_menu.menu
           ~stored:(Store.names (Session.store t.session))
-          (Session.current t.session)
+          (sheet t)
           (Context_menu.Header col)
       in
       { t with mode = Menu { items; selected = 0 } }
@@ -224,7 +220,7 @@ let pad width s =
    ring events, newest last, clipped to the window. *)
 let render_flightrec ~width ~height t =
   let buf = Buffer.create 2048 in
-  let status = Render.status_line (Session.current t.session) in
+  let status = Render.status_line (sheet t) in
   Buffer.add_string buf (pad width status);
   Buffer.add_char buf '\n';
   let body =
@@ -240,29 +236,24 @@ let render_flightrec ~width ~height t =
 let render_text ?(width = 100) ?(height = 24) t =
   if t.mode = Flightrec then render_flightrec ~width ~height t
   else
-  let rel = visible t in
-  let schema = Relation.schema rel in
-  let cols = Schema.names schema in
-  let rows = Relation.rows rel in
-  (* content-based column widths (header and visible cells) *)
+  let page = max 1 (height - 4) in
+  let p = Render.page ~offset:t.top ~limit:page (sheet t) in
+  let cols = List.map (fun c -> c.Render.name) p.Render.columns in
+  (* content-based column widths (header and the cells on screen) *)
   let widths =
     List.mapi
       (fun j name ->
-        List.fold_left
+        Array.fold_left
           (fun acc row ->
             max acc (String.length (Value.to_string (Row.get row j)) + 2))
           (max 8 (String.length name + 2))
-          rows)
+          p.Render.rows)
       cols
-  in
-  let boundaries =
-    Materialize.finest_group_boundaries (Session.current t.session)
-      (Materialize.full_cached (Session.current t.session))
   in
   let buf = Buffer.create 2048 in
   (* status, with the last command's wall time when known *)
   let status =
-    let base = Render.status_line (Session.current t.session) in
+    let base = Render.status_line (sheet t) in
     let base =
       match t.last_ms with
       | Some ms -> Printf.sprintf "%s | last %.1f ms" base ms
@@ -285,30 +276,27 @@ let render_text ?(width = 100) ?(height = 24) t =
   Buffer.add_string buf (pad width header);
   Buffer.add_char buf '\n';
   (* grid with group separators *)
-  let page = max 1 (height - 4) in
-  List.iteri
-    (fun i row ->
-      if i >= t.top && i < t.top + page then begin
-        let line =
-          String.concat " "
-            (List.mapi
-               (fun j v ->
-                 let w = List.nth widths j in
-                 let text = Value.to_string v in
-                 pad w
-                   (if i = t.row && j = t.col then "[" ^ text ^ "]"
-                    else " " ^ text))
-               (Row.to_list row))
-        in
-        Buffer.add_string buf (pad width line);
-        Buffer.add_char buf '\n';
-        if List.mem i boundaries && i < t.top + page - 1 then begin
-          Buffer.add_string buf
-            (pad width (String.make (min width 40) '-'));
-          Buffer.add_char buf '\n'
-        end
+  Array.iteri
+    (fun k row ->
+      let i = p.Render.offset + k in
+      let line =
+        String.concat " "
+          (List.mapi
+             (fun j v ->
+               let w = List.nth widths j in
+               let text = Value.to_string v in
+               pad w
+                 (if i = t.row && j = t.col then "[" ^ text ^ "]"
+                  else " " ^ text))
+             (Row.to_list row))
+      in
+      Buffer.add_string buf (pad width line);
+      Buffer.add_char buf '\n';
+      if p.Render.breaks.(k) then begin
+        Buffer.add_string buf (pad width (String.make (min width 40) '-'));
+        Buffer.add_char buf '\n'
       end)
-    rows;
+    p.Render.rows;
   (* mode line *)
   (match t.mode with
   | Grid | Flightrec -> Buffer.add_string buf (pad width t.message)

@@ -37,7 +37,7 @@ type mode =
 
 type t = {
   session : Session.t;
-  row : int;  (** cursor row within the visible materialization *)
+  row : int;  (** cursor row within the sheet, in presentation order *)
   col : int;  (** cursor column index within visible columns *)
   top : int;  (** first visible data row (scrolling) *)
   mode : mode;
@@ -66,9 +66,6 @@ val handle : ?page:int -> t -> event -> t
 (** Process one input event; [page] is the grid height used for
     paging and scroll clamping (default 20). *)
 
-val visible : t -> Relation.t
-(** The relation under the cursor (cached materialization). *)
-
 val cursor_cell : t -> (string * Value.t) option
 (** Column name and value under the cursor; [None] on an empty
     sheet. *)
@@ -76,4 +73,6 @@ val cursor_cell : t -> (string * Value.t) option
 val render_text : ?width:int -> ?height:int -> t -> string
 (** Plain-text rendering of the full screen (status line, grid with
     cursor brackets, menu or command line) — used by the terminal
-    front end and by tests. *)
+    front end and by tests. The grid is a {!Sheet_core.Render.page}
+    window of [height - 4] rows from [top]; column widths fit the
+    header and the cells on screen. *)

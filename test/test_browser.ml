@@ -13,6 +13,8 @@ let contains hay needle =
 let start () =
   Browser.init (Session.create ~name:"cars" Sample_cars.relation)
 
+let visible s = Session.materialized s.Browser.session
+
 let feed ?page state events =
   List.fold_left (fun s e -> Browser.handle ?page s e) state events
 
@@ -47,16 +49,16 @@ let test_filter_key () =
   (* cursor on ID of the first row (304): 'f' filters to that value *)
   let s = feed s [ Browser.Key 'f' ] in
   Alcotest.(check int) "one row left" 1
-    (Relation.cardinality (Browser.visible s));
+    (Relation.cardinality (visible s));
   (* undo brings everything back *)
   let s = feed s [ Browser.Key 'u' ] in
-  Alcotest.(check int) "undone" 9 (Relation.cardinality (Browser.visible s))
+  Alcotest.(check int) "undone" 9 (Relation.cardinality (visible s))
 
 let test_filter_string_cell () =
   let s = feed (start ()) [ Browser.Right; Browser.Key 'f' ] in
   (* Model = 'Jetta' *)
   Alcotest.(check int) "six Jettas" 6
-    (Relation.cardinality (Browser.visible s))
+    (Relation.cardinality (visible s))
 
 let test_sort_key_flips () =
   let s = start () in
@@ -68,10 +70,10 @@ let test_sort_key_flips () =
     | [] -> Value.Null
   in
   Alcotest.(check bool) "ascending first" true
-    (Value.equal (first_price (Browser.visible s)) (Value.Int 13500));
+    (Value.equal (first_price (visible s)) (Value.Int 13500));
   let s = feed s [ Browser.Key 's' ] in
   Alcotest.(check bool) "flips to descending" true
-    (Value.equal (first_price (Browser.visible s)) (Value.Int 18000))
+    (Value.equal (first_price (visible s)) (Value.Int 18000))
 
 let test_group_and_agg_keys () =
   let s = start () in
@@ -80,15 +82,15 @@ let test_group_and_agg_keys () =
     (Grouping.num_levels (Spreadsheet.grouping (Session.current s.Browser.session)));
   let s = feed s [ Browser.Right; Browser.Key 'a' ] in
   Alcotest.(check bool) "avg column appears" true
-    (Schema.mem (Relation.schema (Browser.visible s)) "Avg_Price");
+    (Schema.mem (Relation.schema (visible s)) "Avg_Price");
   let s = feed s [ Browser.Key 'c' ] in
   Alcotest.(check bool) "count column appears" true
-    (Schema.mem (Relation.schema (Browser.visible s)) "Count")
+    (Schema.mem (Relation.schema (visible s)) "Count")
 
 let test_hide_key () =
   let s = feed (start ()) [ Browser.Key 'h' ] in
   Alcotest.(check bool) "ID hidden" false
-    (Schema.mem (Relation.schema (Browser.visible s)) "ID")
+    (Schema.mem (Relation.schema (visible s)) "ID")
 
 let test_menu_mode () =
   let s = feed (start ()) [ Browser.Key 'm' ] in
@@ -117,7 +119,7 @@ let test_command_mode () =
   | _ -> Alcotest.fail "command mode");
   let s = feed s [ Browser.Enter ] in
   Alcotest.(check int) "command applied" 4
-    (Relation.cardinality (Browser.visible s));
+    (Relation.cardinality (visible s));
   (* backspace editing and escape *)
   let s = feed s [ Browser.Key ':'; Browser.Key 'x'; Browser.Backspace ] in
   (match s.Browser.mode with
@@ -151,7 +153,26 @@ let test_render_text () =
   Alcotest.(check bool) "status present" true (contains text "cars");
   let s = feed s [ Browser.Key ':' ] in
   let text = Browser.render_text s in
-  Alcotest.(check bool) "command prompt" true (contains text ":")
+  Alcotest.(check bool) "command prompt" true (contains text ":");
+  (* columns fit the rows on screen: a long cell below the window
+     widens its column only once it scrolls into view *)
+  let rel =
+    Relation.make
+      (Schema.of_list [ ("col", Value.TString); ("zz", Value.TInt) ])
+      (List.map
+         (fun v -> Row.of_list [ Value.String v; Value.Int 1 ])
+         [ "a"; "b"; "c"; String.make 30 'x' ])
+  in
+  let s = Browser.init (Session.create ~name:"t" rel) in
+  let zz_at s =
+    let text = Browser.render_text ~width:100 ~height:6 s in
+    let header = List.nth (String.split_on_char '\n' text) 1 in
+    let rec find i = if String.sub header i 2 = "zz" then i else find (i + 1) in
+    find 0
+  in
+  Alcotest.(check int) "narrow while off screen" 10 (zz_at s);
+  Alcotest.(check int) "wide once on screen" 34
+    (zz_at (feed ~page:2 s [ Browser.Down; Browser.Down; Browser.Down ]))
 
 let test_flightrec_pane () =
   Sheet_obs.Obs.Flightrec.clear ();

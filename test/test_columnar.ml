@@ -311,26 +311,7 @@ let test_parallel_determinism () =
   in
   Alcotest.(check bool)
     "identical row order under 4 domains" true
-    (List.equal Row.equal (Relation.rows seq) (Relation.rows par));
-  (* extend: same computed column, same order, errors aside *)
-  let ext r =
-    Rel_algebra.extend "PriceK" Value.TFloat
-      (fun row ->
-        match Row.get row 2 with
-        | Value.Int p -> Value.Float (float_of_int p /. 1000.)
-        | _ -> Value.Null)
-      r
-  in
-  let e_seq =
-    with_par_config ~domains:1 ~threshold:1_000_000 ~morsel:8192 (fun () ->
-        ext r)
-  in
-  let e_par =
-    with_par_config ~domains:4 ~threshold:64 ~morsel:512 (fun () -> ext r)
-  in
-  Alcotest.(check bool)
-    "extend identical under 4 domains" true
-    (List.equal Row.equal (Relation.rows e_seq) (Relation.rows e_par))
+    (List.equal Row.equal (Relation.rows seq) (Relation.rows par))
 
 let test_parallel_error_is_sequential_first () =
   (* the first failing row in sequential order must be the one

@@ -9,7 +9,9 @@
    test/oracle (Defs 5, 11, 12 and Theorem 2, no fusion, no columnar
    path, no cache) and — where the state is a single-block query —
    the SQL engine via the inverse translation. Random query states
-   over relations up to 10k rows must agree on all of them.
+   over relations up to 10k rows must agree on all of them, and so
+   must the windows Render.page cuts from them (cells and group
+   breaks).
 
    A second battery attacks the hash-table paths (equijoin / distinct
    / diff / grouping all key on Value.hash or Row.hash): a generator
@@ -207,6 +209,54 @@ let subsumption_agrees rel ops =
   Materialize.reset_cache ();
   ok
 
+(* Render.page against the oracle: for windows at the start, around
+   the first finest-group break, past the end and over the whole
+   sheet, the page's cells are the oracle's visible rows in that
+   window and its break flags are the breaks between the oracle's own
+   consecutive rows, read off the finest grouping basis by name. *)
+let pages_agree (sheet : Spreadsheet.t) expected =
+  let names = Schema.names (Relation.schema expected) in
+  let rows = Array.of_list (Relation.rows expected) in
+  let n = Array.length rows in
+  let cell row col =
+    let rec find i = function
+      | [] -> invalid_arg col
+      | c :: rest -> if c = col then Row.get row i else find (i + 1) rest
+    in
+    find 0 names
+  in
+  let project cols row = List.map (cell row) cols in
+  let basis = Grouping.finest_basis (Spreadsheet.grouping sheet) in
+  (* a finest-level group ends after row i *)
+  let ends_group i =
+    basis <> []
+    && i < n - 1
+    && not
+         (List.equal Value.equal (project basis rows.(i))
+            (project basis rows.(i + 1)))
+  in
+  let first_break =
+    let rec go i = if i >= n || ends_group i then i else go (i + 1) in
+    go 0
+  in
+  let visible = Spreadsheet.visible_columns sheet in
+  let window (offset, limit) =
+    let p = Render.page ~offset ?limit sheet in
+    let lo = max 0 (min offset n) in
+    let hi = match limit with Some l -> min n (lo + max 0 l) | None -> n in
+    p.Render.total = n
+    && p.Render.offset = lo
+    && List.map (fun c -> c.Render.name) p.Render.columns = visible
+    && List.equal (List.equal Value.equal)
+         (Array.to_list (Array.map Row.to_list p.Render.rows))
+         (List.init (hi - lo) (fun k -> project visible rows.(lo + k)))
+    && Array.to_list p.Render.breaks
+       = List.init (hi - lo) (fun k -> lo + k < hi - 1 && ends_group (lo + k))
+  in
+  List.for_all window
+    [ (0, None); (0, Some 3); (first_break - 1, Some 3); (first_break, Some 2);
+      (n / 2, Some 4); (n - 2, Some 5); (n + 3, Some 2); (1, Some 0) ]
+
 let check_state rel ops =
   let session = Session.create ~name:"cars" rel in
   let session =
@@ -244,6 +294,7 @@ let check_state rel ops =
   && Oracle.same_rows_in_order (Session.materialized session)
        (Rel_algebra.project (Spreadsheet.visible_columns sheet) expected)
   && disabled_agrees
+  && pages_agree sheet expected
   && sql_agrees sheet rel
   && subsumption_agrees rel ops
 

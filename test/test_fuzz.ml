@@ -172,7 +172,7 @@ let browser_total =
           state events
       with
       | final ->
-          let rel = Sheet_ui.Browser.visible final in
+          let rel = Session.materialized final.Sheet_ui.Browser.session in
           let rows = Relation.cardinality rel in
           let cols = Schema.arity (Relation.schema rel) in
           final.Sheet_ui.Browser.quit

@@ -91,6 +91,23 @@ let test_script_tree_command () =
       Alcotest.(check bool) "tree output" true (contains text "+ Model = ")
   | _ -> Alcotest.fail "tree command must produce output"
 
+(* [tree] reads the same cached materialization as [print]: showing
+   the tree of a sheet just printed replays nothing *)
+let test_tree_after_print_cached () =
+  let s = run_script (session ()) "group Model asc\norder Price desc" in
+  let run line =
+    match Script.run_line s line with
+    | Ok _ -> ()
+    | Error msg -> Alcotest.failf "%s: %s" line msg
+  in
+  run "print";
+  let replays () =
+    Sheet_obs.Obs.Metrics.value_of Sheet_obs.Obs.k_full_replays
+  in
+  let before = replays () in
+  run "tree";
+  Alcotest.(check int) "no full replay" before (replays ())
+
 let () =
   Alcotest.run "sheet_group_tree"
     [ ( "tree",
@@ -101,4 +118,6 @@ let () =
           Alcotest.test_case "script command" `Quick
             test_script_tree_command;
           Alcotest.test_case "order-groups ordering" `Quick
-            test_order_groups_ordering ] ) ]
+            test_order_groups_ordering;
+          Alcotest.test_case "tree after print replays nothing" `Quick
+            test_tree_after_print_cached ] ) ]

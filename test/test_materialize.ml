@@ -187,15 +187,22 @@ let test_group_boundaries () =
       [ Op.Group { basis = [ "Model" ]; dir = Grouping.Desc };
         Op.Group { basis = [ "Year" ]; dir = Grouping.Asc } ]
   in
-  let rel = Materialize.full s in
+  let breaks sheet =
+    let p = Render.page sheet in
+    List.filter (fun i -> p.Render.breaks.(i))
+      (List.init (Array.length p.Render.breaks) Fun.id)
+  in
   (* Jetta 2005 (3 rows) | Jetta 2006 (3) | Civic 2005 (1) | Civic 2006 (2) *)
-  Alcotest.(check (list int)) "boundaries after rows 2, 5, 6"
-    [ 2; 5; 6 ]
-    (Materialize.finest_group_boundaries s rel);
+  Alcotest.(check (list int)) "breaks after rows 2, 5, 6" [ 2; 5; 6 ]
+    (breaks s);
+  (* a window sees only the breaks between its own rows *)
+  let w = Render.page ~offset:2 ~limit:5 s in
+  Alcotest.(check (list bool)) "window [2, 7)"
+    [ true; false; false; true; false ]
+    (Array.to_list w.Render.breaks);
+  Alcotest.(check int) "window keeps the total" 9 w.Render.total;
   (* no grouping, no boundaries *)
-  let flat = cars () in
-  Alcotest.(check (list int)) "flat sheet" []
-    (Materialize.finest_group_boundaries flat (Materialize.full flat))
+  Alcotest.(check (list int)) "flat sheet" [] (breaks (cars ()))
 
 (* ---- formula over computed ---- *)
 

@@ -1,7 +1,8 @@
 (* Sheetserve tests: wire-protocol totality and round-trips, server
-   liveness on garbage input, admission control, per-session rate
-   caps, concurrent-vs-serial determinism (rows, order, final uids),
-   and the shared semantic cache hammered from many threads. *)
+   liveness on garbage input, refusal of commands that reach past the
+   session, admission control, per-session rate caps,
+   concurrent-vs-serial determinism (rows, order, final uids), and the
+   shared semantic cache hammered from many threads. *)
 
 open Sheet_rel
 open Sheet_core
@@ -120,7 +121,9 @@ let test_garbage_then_ping () =
   let conn = Server.connect server in
   List.iter
     (fun garbage ->
-      match Protocol.decode_response (Server.handle server conn garbage) with
+      match
+        Protocol.decode_response (fst (Server.handle server conn garbage))
+      with
       | Ok (Protocol.Refused { busy = false; _ }) -> ()
       | Ok r ->
           Alcotest.failf "garbage %S answered %s" garbage
@@ -129,7 +132,7 @@ let test_garbage_then_ping () =
     [ ""; "{"; "not json"; "{\"op\":42}"; "{\"op\":\"warp\"}"; "\xff\xfe" ];
   match
     Protocol.decode_response
-      (Server.handle server conn (Protocol.encode_request Protocol.Ping))
+      (fst (Server.handle server conn (Protocol.encode_request Protocol.Ping)))
   with
   | Ok Protocol.Pong -> ()
   | Ok r ->
@@ -169,6 +172,71 @@ let test_garbage_over_socket () =
         "pong after garbage" true
         (Protocol.decode_response line = Ok Protocol.Pong)
   | None -> Alcotest.fail "connection wedged after garbage"
+
+(* ---------- commands a shared server refuses ---------- *)
+
+let temp_path name =
+  Filename.concat (Filename.get_temp_dir_name ())
+    (Printf.sprintf "sheetserve-test-%d-%s" (Unix.getpid ()) name)
+
+(* One client on a real socket with the cars sheet open; every line in
+   [lines] must come back Refused (busy = false), and afterwards the
+   session still applies a selection and serves its rows. *)
+let refused_over_socket ~name lines =
+  let server = Server.create (Server.config cars_lookup) in
+  let path = temp_path (name ^ ".sock") in
+  let listener = Net.listen server ~path in
+  Fun.protect ~finally:(fun () -> Net.shutdown listener) @@ fun () ->
+  let c = Net.Client.connect ~path in
+  Fun.protect ~finally:(fun () -> Net.Client.close c) @@ fun () ->
+  let call = Net.Client.call_exn c in
+  expect_welcome (call (Protocol.Hello name));
+  ignore (call (Protocol.Open "cars"));
+  List.iter
+    (fun line ->
+      match call (Protocol.Line line) with
+      | Protocol.Refused { busy = false; _ } -> ()
+      | r ->
+          Alcotest.failf "%S answered %s" line (Protocol.encode_response r))
+    lines;
+  expect_applied (call (Protocol.Line "select Year = 2005"));
+  match call Protocol.Rows with
+  | Protocol.Table { columns; rows; _ } ->
+      Alcotest.(check (list string))
+        "still the cars sheet"
+        (Schema.names Sample_cars.schema)
+        (List.map fst columns);
+      Alcotest.(check int) "selection applied" 4 (List.length rows)
+  | r -> Alcotest.failf "rows answered %s" (Protocol.encode_response r)
+
+let test_refuse_host_files () =
+  (* a real CSV, so an unrefused [load] would replace the sheet *)
+  let csv = temp_path "input.csv" in
+  Out_channel.with_open_text csv (fun oc ->
+      output_string oc "a,b\n1,2\n");
+  Fun.protect ~finally:(fun () -> Sys.remove csv) @@ fun () ->
+  let export = temp_path "export.musiq"
+  and html = temp_path "view.html"
+  and trace = temp_path "trace.json" in
+  refused_over_socket ~name:"files"
+    [ "load " ^ csv; "import " ^ csv; "export " ^ export; "html " ^ html;
+      "trace export " ^ trace; "  EXPORT " ^ export ^ " # shouting" ];
+  List.iter
+    (fun f ->
+      Alcotest.(check bool) (f ^ " not written") false (Sys.file_exists f))
+    [ export; html; trace ]
+
+let test_refuse_process_telemetry () =
+  let module Obs = Sheet_obs.Obs in
+  Obs.Flightrec.record ~kind:"test" "kept";
+  let recorded = Obs.Flightrec.length () in
+  refused_over_socket ~name:"telemetry"
+    [ "trace mem"; "trace memory"; "trace logs"; "trace off"; "trace clear";
+      "flightrec clear" ];
+  Alcotest.(check bool) "sink untouched" true (Obs.sink () = Obs.Off);
+  Alcotest.(check bool) "flight recorder kept" true
+    (Obs.Flightrec.length () >= recorded);
+  Obs.Flightrec.clear ()
 
 (* ---------- admission control ---------- *)
 
@@ -474,6 +542,13 @@ let () =
             test_garbage_then_ping;
           Alcotest.test_case "garbage then ping (socket)" `Quick
             test_garbage_over_socket;
+        ] );
+      ( "refusals",
+        [
+          Alcotest.test_case "file commands (socket)" `Quick
+            test_refuse_host_files;
+          Alcotest.test_case "process telemetry commands (socket)" `Quick
+            test_refuse_process_telemetry;
         ] );
       ( "admission",
         [

@@ -158,10 +158,23 @@ hide Price
 hide Mileage
 hide Condition|}
   in
-  match compile_current s3 with
+  (match compile_current s3 with
   | Error reason ->
       Alcotest.(check bool) "mentions level" true (contains reason "level")
-  | Ok sql -> Alcotest.failf "unexpectedly compiled: %s" sql
+  | Ok sql -> Alcotest.failf "unexpectedly compiled: %s" sql);
+  (* duplicates go before computed columns: a visible formula over a
+     hidden column, or any aggregate, sees rows SELECT DISTINCT keeps *)
+  let refused ~says script =
+    match compile_current (session_with script) with
+    | Error reason ->
+        Alcotest.(check bool) ("mentions " ^ says) true (contains reason says)
+    | Ok sql -> Alcotest.failf "unexpectedly compiled: %s" sql
+  in
+  refused ~says:"hidden"
+    "formula k = Mileage / 1000\nhide ID\nhide Price\nhide Mileage\ndedup";
+  refused ~says:"aggregating"
+    "hide ID\nhide Price\nhide Year\nhide Mileage\nhide Condition\ndedup\n\
+     group Model asc\nagg count as n"
 
 let round_trip sql_text =
   let cat = catalog () in
