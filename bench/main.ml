@@ -7,6 +7,10 @@
               dune exec bench/main.exe -- quick   (skip microbenchmarks)
               dune exec bench/main.exe -- --json BENCH_sheetmusiq.json
               dune exec bench/main.exe -- --trace trace.json
+              dune exec bench/main.exe -- --only table/sort
+                 (only the rows whose name starts with the prefix; skips
+                  the artifacts, so takes neither quick nor --trace, and
+                  writes JSON only with --json)
 
    Microbenchmark runs also write a machine-readable baseline
    (benchmark name -> ns/run mean, exact p50/p90/p99/max sample
@@ -562,7 +566,7 @@ let write_json ~path results =
       output_char oc '\n');
   Printf.printf "\nbaseline written to %s\n" path
 
-let run_benchmarks ~json_path =
+let run_benchmarks ~workloads ~json_path =
   print_endline "\n============================================================";
   print_endline " Microbenchmarks (Bechamel, monotonic clock)";
   print_endline "============================================================\n";
@@ -637,8 +641,11 @@ let run_benchmarks ~json_path =
         (name, rows, estimate, pcts))
       workloads
   in
-  write_json ~path:json_path
-    (List.filter (fun (_, _, ns, _) -> not (Float.is_nan ns)) results)
+  Option.iter
+    (fun path ->
+      write_json ~path
+        (List.filter (fun (_, _, ns, _) -> not (Float.is_nan ns)) results))
+    json_path
 
 let () =
   let argv = Array.to_list Sys.argv in
@@ -652,15 +659,33 @@ let () =
     go argv
   in
   let trace_path = arg_value "--trace" in
-  let json_path =
-    Option.value (arg_value "--json") ~default:"BENCH_sheetmusiq.json"
-  in
-  if Option.is_some trace_path then Sheet_obs.Obs.set_sink Sheet_obs.Obs.Memory;
-  print_artifacts ();
-  (match trace_path with
-  | Some path ->
-      Sheet_obs.Obs.save_chrome_trace ~path;
-      Printf.printf "\ntrace written to %s (%d events)\n" path
-        (List.length (Sheet_obs.Obs.events ()))
-  | None -> ());
-  if not quick then run_benchmarks ~json_path
+  match arg_value "--only" with
+  | Some _ when quick || Option.is_some trace_path ->
+      prerr_endline "bench: --only runs no artifacts; drop quick and --trace";
+      exit 2
+  | Some prefix ->
+      (* a subset never overwrites the committed baseline by default *)
+      let workloads =
+        List.filter
+          (fun (name, _, _) -> String.starts_with ~prefix name)
+          workloads
+      in
+      if List.is_empty workloads then begin
+        prerr_endline ("bench: no benchmark name starts with " ^ prefix);
+        exit 2
+      end;
+      run_benchmarks ~workloads ~json_path:(arg_value "--json")
+  | None ->
+      let json_path =
+        Option.value (arg_value "--json") ~default:"BENCH_sheetmusiq.json"
+      in
+      if Option.is_some trace_path then
+        Sheet_obs.Obs.set_sink Sheet_obs.Obs.Memory;
+      print_artifacts ();
+      (match trace_path with
+      | Some path ->
+          Sheet_obs.Obs.save_chrome_trace ~path;
+          Printf.printf "\ntrace written to %s (%d events)\n" path
+            (List.length (Sheet_obs.Obs.events ()))
+      | None -> ());
+      if not quick then run_benchmarks ~workloads ~json_path:(Some json_path)

@@ -180,13 +180,7 @@ type step = Keep of (Row.t -> bool) | Map of (Row.t -> Row.t)
 let compile_streaming schema = function
   | Filter (pred, _) ->
       check_selection schema pred;
-      let index = Schema.compile_index schema in
-      ( Keep
-          (fun row ->
-            Expr_eval.eval_pred
-              ~lookup:(fun name -> Row.get row (index name))
-              pred),
-        schema )
+      (Keep (Expr_eval.compile_pred schema pred), schema)
   | Project (cols, _) ->
       let out = Schema.restrict schema cols in
       let positions =
@@ -195,14 +189,8 @@ let compile_streaming schema = function
       (Map (fun row -> Row.project_arr row positions), out)
   | Extend_formula ({ name; ty; expr }, _) ->
       let out = Schema.append schema { Schema.name; ty } in
-      let index = Schema.compile_index schema in
-      ( Map
-          (fun row ->
-            Row.append1 row
-              (Expr_eval.eval
-                 ~lookup:(fun name -> Row.get row (index name))
-                 expr)),
-        out )
+      let value = Expr_eval.compile schema expr in
+      (Map (fun row -> Row.append1 row (value row)), out)
   | Scan _ | Distinct_on _ | Extend_aggregate _ | Sort _ ->
       invalid_arg "Plan.compile_streaming: blocking node"
 
@@ -246,64 +234,117 @@ let fused_run nodes schema data =
   in
   (out_schema, out)
 
-(* Grouped aggregation with per-row broadcast: one hash pass assigns
-   every row its group, each group's aggregate is computed once, and
-   every row is extended with its group's value (Table III). *)
-let extend_aggregate schema { agg_name; agg_ty; fn; arg; basis } data =
-  let positions = Array.of_list (List.map (Schema.index_exn schema) basis) in
-  let index = Schema.compile_index schema in
-  let group_of = Row.Tbl.create (max 16 (Array.length data)) in
-  let members = Vec.create () in
-  let gid =
-    Array.map
-      (fun row ->
-        let key = Row.project_arr row positions in
-        match Row.Tbl.find_opt group_of key with
-        | Some (g, cell) ->
-            cell := row :: !cell;
-            g
-        | None ->
-            let g = Vec.length members in
-            let cell = ref [ row ] in
-            Row.Tbl.add group_of key (g, cell);
-            Vec.push members cell;
-            g)
-      data
+(* Grouped aggregation with per-row broadcast (Table III), with no
+   per-group list: [Rel_algebra.group_ids] gives every row its group
+   column by column, one pass folds each row's argument, in input
+   order, into its group's accumulator, and every row is extended
+   with its group's value. The folds reproduce [Expr_eval.apply_agg]
+   over the group's values exactly: a sum keeps an int total beside a
+   float total accumulated in row order, so either result is
+   bit-identical, and the first ill-typed argument in input order
+   raises. *)
+
+let aggregate fn arg gid groups data =
+  let n = Array.length data in
+  let fold f =
+    for j = 0 to n - 1 do
+      match arg (Array.unsafe_get data j) with
+      | Value.Null -> ()
+      | v -> f gid.(j) v
+    done
   in
-  let value_of cell =
-    let rows = List.rev !cell in
-    Expr_eval.apply_agg fn
-      (match (fn, arg) with
-      | Expr.Count_star, _ -> List.map (fun _ -> Value.Null) rows
-      | _, Some e ->
-          List.map
-            (fun row ->
-              Expr_eval.eval ~lookup:(fun name -> Row.get row (index name)) e)
-            rows
-      | _, None ->
+  let non_numeric name v =
+    raise
+      (Expr_eval.Eval_error
+         (Printf.sprintf "%s over non-numeric value %s" name
+            (Value.to_string v)))
+  in
+  let count = Array.make groups 0 in
+  let count_value g _ = count.(g) <- count.(g) + 1 in
+  match fn with
+  | Expr.Count_star ->
+      Array.iter (fun g -> count.(g) <- count.(g) + 1) gid;
+      Array.map (fun c -> Value.Int c) count
+  | Expr.Count ->
+      fold count_value;
+      Array.map (fun c -> Value.Int c) count
+  | Expr.Count_distinct ->
+      (* (group, value) pairs, values keyed on [Value.equal] *)
+      let seen = Row.Tbl.create 64 in
+      fold (fun g v ->
+          let key = [| Value.Int g; v |] in
+          if not (Row.Tbl.mem seen key) then begin
+            Row.Tbl.add seen key ();
+            count_value g v
+          end);
+      Array.map (fun c -> Value.Int c) count
+  | Expr.Sum | Expr.Avg ->
+      let name = if fn = Expr.Sum then "sum" else "avg" in
+      let isum = Array.make groups 0 in
+      let fsum = Array.make groups 0. in
+      let floats = Bytes.make groups '\000' in
+      fold (fun g v ->
+          count_value g v;
+          match v with
+          | Value.Int i ->
+              isum.(g) <- isum.(g) + i;
+              fsum.(g) <- fsum.(g) +. float_of_int i
+          | Value.Float f ->
+              Bytes.set floats g '\001';
+              fsum.(g) <- fsum.(g) +. f
+          | v -> non_numeric name v);
+      Array.init groups (fun g ->
+          if count.(g) = 0 then Value.Null
+          else if fn = Expr.Avg then
+            Value.Float (fsum.(g) /. float_of_int count.(g))
+          else if Bytes.get floats g = '\000' then Value.Int isum.(g)
+          else Value.Float fsum.(g))
+  | Expr.Min | Expr.Max ->
+      let sign = if fn = Expr.Min then -1 else 1 in
+      let best = Array.make groups Value.Null in
+      fold (fun g v ->
+          match best.(g) with
+          | Value.Null -> best.(g) <- v
+          | b -> if sign * Value.compare v b > 0 then best.(g) <- v);
+      best
+
+let extend_aggregate schema { agg_name; agg_ty; fn; arg; basis } data =
+  let gid, groups =
+    Rel_algebra.group_ids data (List.map (Schema.index_exn schema) basis)
+  in
+  let arg =
+    match (fn, arg) with
+    | Expr.Count_star, _ -> fun _ -> Value.Null
+    | _, Some e -> Expr_eval.compile schema e
+    | _, None ->
+        if groups > 0 then
           raise
             (Rel_algebra.Algebra_error
                (Printf.sprintf "aggregate %s needs an argument"
-                  (Expr.agg_fun_name fn))))
+                  (Expr.agg_fun_name fn)));
+        fun _ -> Value.Null
   in
-  let values = Array.map value_of (Vec.to_array members) in
+  let values = aggregate fn arg gid groups data in
   ( Schema.append schema { Schema.name = agg_name; ty = agg_ty },
     Array.mapi (fun i row -> Row.append1 row values.(gid.(i))) data )
 
 let run_blocking node schema data =
   match node with
   | Distinct_on (keys, _) ->
-      let positions = Array.of_list (List.map (Schema.index_exn schema) keys) in
-      let seen = Row.Tbl.create (max 16 (Array.length data)) in
-      let keep row =
-        let key = Row.project_arr row positions in
-        if Row.Tbl.mem seen key then false
-        else begin
-          Row.Tbl.add seen key ();
-          true
-        end
+      (* the first row of each key group survives *)
+      let gid, groups =
+        Rel_algebra.group_ids data (List.map (Schema.index_exn schema) keys)
       in
-      (schema, Vec.filter_array keep data)
+      let seen = Bytes.make groups '\000' in
+      let out = Vec.create () in
+      Array.iteri
+        (fun j g ->
+          if Bytes.get seen g = '\000' then begin
+            Bytes.set seen g '\001';
+            Vec.push out data.(j)
+          end)
+        gid;
+      (schema, Vec.to_array out)
   | Extend_aggregate (e, _) -> extend_aggregate schema e data
   | Sort (keys, _) ->
       ( schema,
@@ -384,8 +425,12 @@ let run ~uid node =
         in
         go None schema data rest
   in
-  let schema, data = go (Some base) schema data ops in
-  Relation.unsafe_of_array schema data
+  (* with no unit to run the answer is the scanned relation itself,
+     memoized columnar image and all *)
+  if ops = [] then base
+  else
+    let schema, data = go (Some base) schema data ops in
+    Relation.unsafe_of_array schema data
 
 let execute ?(uid = 0) node =
   Obs.Profile.region ~kind:"plan" ~uid ~rows_out:Relation.cardinality

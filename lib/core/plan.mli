@@ -83,8 +83,29 @@ val execute : ?uid:int -> node -> Relation.t
     columnar filter over the scan, a fused run of streaming nodes, or
     one blocking node. Each unit also opens a [plan.node] span and
     bumps the [plan.*] counters.
+
+    A plan with no unit to run — a bare [Scan] — returns the scanned
+    relation itself, not a copy, so a later filter over it reaches its
+    memoized columnar image.
+
+    Streaming nodes evaluate expressions compiled once against their
+    input schema ({!Sheet_rel.Expr_eval.compile}). The blocking units
+    run column at a time:
+    - [Sort] is {!Sheet_rel.Rel_algebra.sort}: key columns ranked into
+      ints, one stable radix sort of a row permutation;
+    - [Extend_aggregate] numbers each row's group from its basis
+      columns ({!Sheet_rel.Rel_algebra.group_ids}), then folds the
+      argument of every row, in input order, into per-group
+      accumulators (counts, an int and a float sum, min/max, distinct
+      sets). Results equal {!Sheet_rel.Expr_eval.apply_agg} over each
+      group's values bit for bit. An ill-typed argument — one that
+      fails to evaluate, or a non-numeric [SUM]/[AVG] input — raises
+      at the first such row in input order, whatever its group;
+    - [Distinct_on] keeps the first row of each key group.
     @raise Sheet_rel.Rel_algebra.Algebra_error on an ill-typed
-    selection. *)
+    selection.
+    @raise Sheet_rel.Expr_eval.Eval_error when an expression or an
+    aggregate argument fails on a row. *)
 
 val explain_analyze : ?uid:int -> node -> Relation.t * string
 (** EXPLAIN ANALYZE: {!execute}, then render the profile record it

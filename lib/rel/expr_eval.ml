@@ -72,85 +72,164 @@ let truthy = function
   | Value.Null -> false
   | v -> err "expected boolean, got %s" (Value.to_string v)
 
+(* Value-level helpers shared by [eval] and [compile], so the
+   interpreter and the compiled closures cannot drift apart. *)
+
+let neg = function
+  | Value.Null -> Value.Null
+  | Value.Int i -> Value.Int (-i)
+  | Value.Float f -> Value.Float (-.f)
+  | v -> err "cannot negate %s" (Value.to_string v)
+
+let concat x y =
+  match (x, y) with
+  | Value.Null, _ | _, Value.Null -> Value.Null
+  | x, y -> Value.String (Value.to_string x ^ Value.to_string y)
+
+let compare_op op x y =
+  match Value.sql_compare x y with
+  | None -> Value.Bool false
+  | Some c -> Value.Bool (cmp_result op c)
+
+let like pattern = function
+  | Value.Null -> Value.Bool false
+  | Value.String s -> Value.Bool (like_match ~pattern s)
+  | v -> err "LIKE on non-string %s" (Value.to_string v)
+
+let in_list vs = function
+  | Value.Null -> Value.Bool false
+  | v -> Value.Bool (List.exists (fun x -> Value.equal v x) vs)
+
+let between v lo hi =
+  match (Value.sql_compare v lo, Value.sql_compare v hi) with
+  | Some c1, Some c2 -> Value.Bool (c1 >= 0 && c2 <= 0)
+  | _ -> Value.Bool false
+
+let scalar g v =
+  match (g, v) with
+  | _, Value.Null -> Value.Null
+  | Expr.Year_of, Value.Date d ->
+      let y, _, _ = Value.ymd_of_days d in
+      Value.Int y
+  | Expr.Month_of, Value.Date d ->
+      let _, m, _ = Value.ymd_of_days d in
+      Value.Int m
+  | Expr.Day_of, Value.Date d ->
+      let _, _, dd = Value.ymd_of_days d in
+      Value.Int dd
+  | Expr.Abs, Value.Int i -> Value.Int (abs i)
+  | Expr.Abs, Value.Float f -> Value.Float (Float.abs f)
+  | Expr.Round, Value.Int i -> Value.Int i
+  | Expr.Round, Value.Float f -> Value.Int (int_of_float (Float.round f))
+  | Expr.Lower, Value.String s -> Value.String (String.lowercase_ascii s)
+  | Expr.Upper, Value.String s -> Value.String (String.uppercase_ascii s)
+  | Expr.Length, Value.String s -> Value.Int (String.length s)
+  | g, v -> err "%s applied to %s" (Expr.scalar_fun_name g) (Value.to_string v)
+
+let unknown_column c = err "unknown column %S" c
+
+let outside_grouping g =
+  err "aggregate %s used outside a grouping context" (Expr.agg_fun_name g)
+
 let rec eval ~lookup ?agg (e : Expr.t) : Value.t =
   let ev x = eval ~lookup ?agg x in
   match e with
   | Expr.Const v -> v
-  | Expr.Col c -> (
-      try lookup c with Not_found -> err "unknown column %S" c)
-  | Expr.Neg a -> (
-      match ev a with
-      | Value.Null -> Value.Null
-      | Value.Int i -> Value.Int (-i)
-      | Value.Float f -> Value.Float (-.f)
-      | v -> err "cannot negate %s" (Value.to_string v))
+  | Expr.Col c -> ( try lookup c with Not_found -> unknown_column c)
+  | Expr.Neg a -> neg (ev a)
   | Expr.Arith (op, a, b) -> arith_op op (ev a) (ev b)
-  | Expr.Concat (a, b) -> (
-      match (ev a, ev b) with
-      | Value.Null, _ | _, Value.Null -> Value.Null
-      | x, y -> Value.String (Value.to_string x ^ Value.to_string y))
-  | Expr.Cmp (op, a, b) -> (
-      match Value.sql_compare (ev a) (ev b) with
-      | None -> Value.Bool false
-      | Some c -> Value.Bool (cmp_result op c))
+  | Expr.Concat (a, b) -> concat (ev a) (ev b)
+  | Expr.Cmp (op, a, b) -> compare_op op (ev a) (ev b)
   | Expr.And (a, b) -> Value.Bool (truthy (ev a) && truthy (ev b))
   | Expr.Or (a, b) -> Value.Bool (truthy (ev a) || truthy (ev b))
   | Expr.Not a -> Value.Bool (not (truthy (ev a)))
   | Expr.Is_null a -> Value.Bool (Value.is_null (ev a))
-  | Expr.Like (a, pattern) -> (
-      match ev a with
-      | Value.Null -> Value.Bool false
-      | Value.String s -> Value.Bool (like_match ~pattern s)
-      | v -> err "LIKE on non-string %s" (Value.to_string v))
-  | Expr.In_list (a, vs) -> (
-      match ev a with
-      | Value.Null -> Value.Bool false
-      | v -> Value.Bool (List.exists (fun x -> Value.equal v x) vs))
-  | Expr.Between (a, lo, hi) -> (
+  | Expr.Like (a, pattern) -> like pattern (ev a)
+  | Expr.In_list (a, vs) -> in_list vs (ev a)
+  | Expr.Between (a, lo, hi) ->
       let v = ev a in
-      match (Value.sql_compare v (ev lo), Value.sql_compare v (ev hi)) with
-      | Some c1, Some c2 -> Value.Bool (c1 >= 0 && c2 <= 0)
-      | _ -> Value.Bool false)
-  | Expr.Fn (g, a) -> (
-      match (g, ev a) with
-      | _, Value.Null -> Value.Null
-      | Expr.Year_of, Value.Date d ->
-          let y, _, _ = Value.ymd_of_days d in
-          Value.Int y
-      | Expr.Month_of, Value.Date d ->
-          let _, m, _ = Value.ymd_of_days d in
-          Value.Int m
-      | Expr.Day_of, Value.Date d ->
-          let _, _, dd = Value.ymd_of_days d in
-          Value.Int dd
-      | Expr.Abs, Value.Int i -> Value.Int (abs i)
-      | Expr.Abs, Value.Float f -> Value.Float (Float.abs f)
-      | Expr.Round, Value.Int i -> Value.Int i
-      | Expr.Round, Value.Float f ->
-          Value.Int (int_of_float (Float.round f))
-      | Expr.Lower, Value.String s -> Value.String (String.lowercase_ascii s)
-      | Expr.Upper, Value.String s -> Value.String (String.uppercase_ascii s)
-      | Expr.Length, Value.String s -> Value.Int (String.length s)
-      | g, v ->
-          err "%s applied to %s" (Expr.scalar_fun_name g)
-            (Value.to_string v))
-  | Expr.Case (branches, default) -> (
+      between v (ev lo) (ev hi)
+  | Expr.Fn (g, a) -> scalar g (ev a)
+  | Expr.Case (branches, default) ->
       let rec first = function
         | [] -> ( match default with Some d -> ev d | None -> Value.Null)
         | (cond, expr) :: rest -> if truthy (ev cond) then ev expr else first rest
       in
-      first branches)
+      first branches
   | Expr.Agg (g, arg) -> (
-      match agg with
-      | Some handler -> handler g arg
-      | None -> err "aggregate %s used outside a grouping context"
-                  (Expr.agg_fun_name g))
+      match agg with Some handler -> handler g arg | None -> outside_grouping g)
+
+(* The closure mirrors [eval]'s shape node for node — the same
+   helpers, the same operand evaluation order — so a row gets the same
+   value or the same [Eval_error]; only column resolution moves to
+   compile time. An unknown column or an [Agg] node still raises per
+   row, as [eval] does. *)
+let compile schema e : Row.t -> Value.t =
+  let rec go (e : Expr.t) : Row.t -> Value.t =
+    match e with
+    | Expr.Const v -> fun _ -> v
+    | Expr.Col c -> (
+        match Schema.find schema c with
+        | Some (i, _) -> fun row -> Row.get row i
+        | None -> fun _ -> unknown_column c)
+    | Expr.Neg a ->
+        let a = go a in
+        fun row -> neg (a row)
+    | Expr.Arith (op, a, b) ->
+        let a = go a and b = go b in
+        fun row -> arith_op op (a row) (b row)
+    | Expr.Concat (a, b) ->
+        let a = go a and b = go b in
+        fun row -> concat (a row) (b row)
+    | Expr.Cmp (op, a, b) ->
+        let a = go a and b = go b in
+        fun row -> compare_op op (a row) (b row)
+    | Expr.And (a, b) ->
+        let a = go a and b = go b in
+        fun row -> Value.Bool (truthy (a row) && truthy (b row))
+    | Expr.Or (a, b) ->
+        let a = go a and b = go b in
+        fun row -> Value.Bool (truthy (a row) || truthy (b row))
+    | Expr.Not a ->
+        let a = go a in
+        fun row -> Value.Bool (not (truthy (a row)))
+    | Expr.Is_null a ->
+        let a = go a in
+        fun row -> Value.Bool (Value.is_null (a row))
+    | Expr.Like (a, pattern) ->
+        let a = go a in
+        fun row -> like pattern (a row)
+    | Expr.In_list (a, vs) ->
+        let a = go a in
+        fun row -> in_list vs (a row)
+    | Expr.Between (a, lo, hi) ->
+        let a = go a and lo = go lo and hi = go hi in
+        fun row ->
+          let v = a row in
+          between v (lo row) (hi row)
+    | Expr.Fn (g, a) ->
+        let a = go a in
+        fun row -> scalar g (a row)
+    | Expr.Case (branches, default) ->
+        let branches = List.map (fun (c, x) -> (go c, go x)) branches in
+        let default = Option.map go default in
+        fun row ->
+          let rec first = function
+            | [] -> (
+                match default with Some d -> d row | None -> Value.Null)
+            | (cond, expr) :: rest ->
+                if truthy (cond row) then expr row else first rest
+          in
+          first branches
+    | Expr.Agg (g, _) -> fun _ -> outside_grouping g
+  in
+  go e
+
+let compile_pred schema e =
+  let f = compile schema e in
+  fun row -> truthy (f row)
 
 let eval_pred ~lookup ?agg e = truthy (eval ~lookup ?agg e)
-
-let eval_row ~schema ~row e =
-  let lookup name = Row.get row (Schema.index_exn schema name) in
-  eval ~lookup e
 
 let apply_agg (g : Expr.agg_fun) (values : Value.t list) : Value.t =
   let non_null = List.filter (fun v -> not (Value.is_null v)) values in

@@ -30,8 +30,15 @@ val eval_pred :
     [Null] are false.
     @raise Eval_error when the expression yields a non-boolean. *)
 
-val eval_row : schema:Schema.t -> row:Row.t -> Expr.t -> Value.t
-(** Convenience wrapper resolving columns positionally via a schema. *)
+val compile : Schema.t -> Expr.t -> Row.t -> Value.t
+(** [compile schema e] resolves [e]'s column references against
+    [schema] once and returns a per-row closure equivalent to [eval]
+    with a positional lookup: on every row it yields the same value or
+    raises the same [Eval_error] (an unknown column or an aggregate
+    call raises when the closure runs, not at compile time). *)
+
+val compile_pred : Schema.t -> Expr.t -> Row.t -> bool
+(** {!compile}, read as a predicate as {!eval_pred} does. *)
 
 val apply_agg : Expr.agg_fun -> Value.t list -> Value.t
 (** Fold an aggregate function over the column values of one group

@@ -96,7 +96,7 @@ let columnar_filter r preds =
 
 (* One predicate-major row-path pass, morselized. *)
 let filter_pass schema pred (data : Row.t array) =
-  let index = Schema.compile_index schema in
+  let keep = Expr_eval.compile_pred schema pred in
   let n = Array.length data in
   Par.concat
     (Par.run ~n (fun lo hi ->
@@ -104,11 +104,7 @@ let filter_pass schema pred (data : Row.t array) =
          let k = ref 0 in
          for i = lo to hi - 1 do
            let row = Array.unsafe_get data i in
-           if
-             Expr_eval.eval_pred
-               ~lookup:(fun name -> Row.get row (index name))
-               pred
-           then begin
+           if keep row then begin
              Array.unsafe_set buf !k row;
              incr k
            end
@@ -305,38 +301,168 @@ let distinct (r : Relation.t) =
   in
   Relation.unsafe_of_array (Relation.schema r) (Vec.filter_array keep data)
 
-let sort keys (r : Relation.t) =
-  let positions =
-    List.map
-      (fun (name, dir) -> (Schema.index_exn (Relation.schema r) name, dir))
-      keys
+(* ---------- sort ----------
+
+   Column-at-a-time: each key column is ranked once into ints in
+   [0, m) that order exactly as [Value.compare] orders the cells (so
+   [Int 3] and [Float 3.0] share a rank), descending keys flip their
+   ranks, the ranks are combined into one order-preserving int key,
+   and a row-index permutation is stable-sorted on it; the rows are
+   gathered once at the end. No comparison ever looks at a boxed value
+   after ranking. *)
+
+(* Stable LSD radix sort of the indices [0, n) on an int key in
+   [0, m), in digit passes of up to 16 bits, least significant first.
+   Every pass is a stable counting sort, so ties keep input order. *)
+let radix_perm key m =
+  let n = Array.length key in
+  let bits =
+    let rec width b = if b < 16 && 1 lsl b < n then width (b + 1) else b in
+    width 8
   in
-  let dirc dir c = match dir with `Asc -> c | `Desc -> -c in
-  (* one- and two-key sorts dominate; a specialized comparator skips
-     the per-comparison walk over the key list *)
-  let compare_rows =
-    match positions with
-    | [ (i, d) ] ->
-        fun ra rb -> dirc d (Value.compare (Row.get ra i) (Row.get rb i))
-    | [ (i1, d1); (i2, d2) ] ->
-        fun ra rb ->
-          let c = dirc d1 (Value.compare (Row.get ra i1) (Row.get rb i1)) in
-          if c <> 0 then c
-          else dirc d2 (Value.compare (Row.get ra i2) (Row.get rb i2))
-    | positions ->
-        fun ra rb ->
-          let rec go = function
-            | [] -> 0
-            | (i, dir) :: rest ->
-                let c =
-                  dirc dir (Value.compare (Row.get ra i) (Row.get rb i))
-                in
-                if c <> 0 then c else go rest
+  let perm = ref (Array.init n Fun.id) in
+  let next = ref (Array.make n 0) in
+  let count = Array.make ((1 lsl bits) + 1) 0 in
+  let mask = (1 lsl bits) - 1 in
+  let shift = ref 0 in
+  while (m - 1) lsr !shift > 0 do
+    let sh = !shift in
+    let buckets = min (1 lsl bits) (((m - 1) lsr sh) + 1) in
+    let src = !perm and dst = !next in
+    Array.fill count 0 (buckets + 1) 0;
+    for j = 0 to n - 1 do
+      let d = (key.(src.(j)) lsr sh) land mask in
+      count.(d + 1) <- count.(d + 1) + 1
+    done;
+    for d = 1 to buckets do
+      count.(d) <- count.(d) + count.(d - 1)
+    done;
+    for j = 0 to n - 1 do
+      let i = src.(j) in
+      let d = (key.(i) lsr sh) land mask in
+      dst.(count.(d)) <- i;
+      count.(d) <- count.(d) + 1
+    done;
+    perm := dst;
+    next := src;
+    shift := sh + bits
+  done;
+  !perm
+
+(* Ranks by hashing: number the distinct cells ([Value.Tbl] keys
+   compare-equal cells, [Int 3] and [Float 3.0] included, together),
+   then sort only those. *)
+let rank_by_hashing n cell =
+  let ids = Value.Tbl.create 64 in
+  let distinct = Vec.create () in
+  let ranks =
+    Array.init n (fun j ->
+        let v = cell j in
+        match Value.Tbl.find_opt ids v with
+        | Some id -> id
+        | None ->
+            let id = Vec.length distinct in
+            Value.Tbl.add ids v id;
+            Vec.push distinct v;
+            id)
+  in
+  let distinct = Vec.to_array distinct in
+  let m = Array.length distinct in
+  let order = Array.init m Fun.id in
+  Array.stable_sort
+    (fun a b -> Value.compare distinct.(a) distinct.(b))
+    order;
+  let rank_of_id = Array.make m 0 in
+  Array.iteri (fun rank id -> rank_of_id.(id) <- rank) order;
+  Array.iteri (fun j id -> ranks.(j) <- rank_of_id.(id)) ranks;
+  (ranks, m)
+
+let rank_column (data : Row.t array) i =
+  let n = Array.length data in
+  let cell j = Row.get (Array.unsafe_get data j) i in
+  (* an int or date column's range, if every non-null cell is one *)
+  let rec scan j kind lo hi nulls =
+    if j = n then (kind, lo, hi, nulls)
+    else
+      match (cell j, kind) with
+      | Value.Null, _ -> scan (j + 1) kind lo hi true
+      | Value.Int x, (`Empty | `Int) ->
+          scan (j + 1) `Int (min lo x) (max hi x) nulls
+      | Value.Date x, (`Empty | `Date) ->
+          scan (j + 1) `Date (min lo x) (max hi x) nulls
+      | _ -> (`Mixed, lo, hi, nulls)
+  in
+  match scan 0 `Empty max_int min_int false with
+  | `Empty, _, _, _ -> (Array.make n 0, 1)
+  | (`Int | `Date), lo, hi, nulls when hi - lo >= 0 && hi - lo < max_int - 1
+    ->
+      (* offset from the minimum, nulls after the maximum: no sort *)
+      let range = hi - lo + 1 in
+      ( Array.init n (fun j ->
+            match cell j with Value.Int x | Value.Date x -> x - lo | _ -> range),
+        if nulls then range + 1 else range )
+  | _ -> rank_by_hashing n cell
+
+(* Dense numbering of an int key in [0, m), in key order: equal keys,
+   equal ids; a smaller key, a smaller id. *)
+let renumber key m =
+  let order = radix_perm key m in
+  let ids = Array.make (Array.length key) 0 in
+  let g = ref 0 in
+  Array.iteri
+    (fun k j ->
+      if k > 0 && key.(j) <> key.(order.(k - 1)) then incr g;
+      ids.(j) <- !g)
+    order;
+  (ids, !g + 1)
+
+(* A key in [0, m) of at most [n] values, in key order. *)
+let dense n (key, m) = if m > n then renumber key m else (key, m)
+
+(* One int key in [0, m) that orders [n] rows lexicographically by
+   their per-column ranks (each [(ranks, mc)], ranks in [0, mc)):
+   key * mc + rank while the product of the ranges fits; past that,
+   both factors are renumbered densely, to at most [n] each, first. *)
+let combine n = function
+  | [] -> (Array.make n 0, 1)
+  | first :: rest ->
+      List.fold_left
+        (fun (key, m) (ranks, mc) ->
+          let (key, m), (ranks, mc) =
+            if m <= max_int / mc then ((key, m), (ranks, mc))
+            else (dense n (key, m), dense n (ranks, mc))
           in
-          go positions
+          Array.iteri (fun j r -> key.(j) <- (key.(j) * mc) + r) ranks;
+          (key, m * mc))
+        first rest
+
+let group_ids (data : Row.t array) positions =
+  let n = Array.length data in
+  if n = 0 then ([||], 0)
+  else dense n (combine n (List.map (rank_column data) positions))
+
+let sort keys (r : Relation.t) =
+  let schema = Relation.schema r in
+  let keys =
+    List.map (fun (name, dir) -> (Schema.index_exn schema name, dir)) keys
   in
-  Relation.unsafe_of_array (Relation.schema r)
-    (Vec.stable_sorted compare_rows (Relation.to_array r))
+  let data = Relation.to_array r in
+  let n = Array.length data in
+  if keys = [] || n < 2 then r
+  else
+    let ranked =
+      List.map
+        (fun (i, dir) ->
+          let ranks, m = rank_column data i in
+          (match dir with
+          | `Asc -> ()
+          | `Desc -> Array.iteri (fun j r -> ranks.(j) <- m - 1 - r) ranks);
+          (ranks, m))
+        keys
+    in
+    let key, m = combine n ranked in
+    Relation.unsafe_of_array schema
+      (Array.map (Array.unsafe_get data) (radix_perm key m))
 
 let group_rows cols (r : Relation.t) =
   let positions =

@@ -58,8 +58,26 @@ val distinct : Relation.t -> Relation.t
 (** Remove duplicate rows, keeping the first occurrence of each. *)
 
 val sort : (string * [ `Asc | `Desc ]) list -> Relation.t -> Relation.t
-(** Stable sort by the given key columns; [Null]s sort last in
-    ascending order (see {!Value.compare}). *)
+(** Stable sort by the given key columns under {!Value.compare};
+    [Null]s sort last in ascending order. Rows and order equal a
+    stable comparison sort's, ties included ([Int 3] and [Float 3.0]
+    tie). Column at a time: each key column is ranked once into ints
+    that order as {!Value.compare} orders its cells — int and date
+    columns by offset from their minimum, anything else by hashing its
+    distinct values and sorting only those — and descending keys flip
+    their ranks. The ranks are combined into one order-preserving int
+    key (as in {!group_ids}), a row-index permutation is
+    LSD-radix-sorted on it, and the rows are gathered once. No keys or
+    fewer than two rows return the relation itself. *)
+
+val group_ids : Row.t array -> int list -> int array * int
+(** [group_ids rows positions] is [(gid, groups)]: rows get the same
+    id in [\[0, groups)] exactly when their cells at [positions] are
+    pairwise equal under {!Value.compare}, and ids follow key order —
+    a row whose cells are lexicographically smaller gets a smaller id
+    (computed from the same per-column ranks as {!sort}). [groups] is
+    at most the number of rows (no rows, no groups) but may exceed the
+    number of distinct keys: ids need not be dense. *)
 
 val group_rows : string list -> Relation.t -> (Row.t * Row.t list) list
 (** Partition rows by equality on the given columns. Each element is

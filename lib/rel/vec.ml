@@ -43,12 +43,13 @@ let filter_array keep data =
     if !k = n then out else Array.sub out 0 !k
   end
 
-(* Stable sort into a fresh array. Both branches are merge sorts; the
-   stdlib's list sort is measurably faster on small inputs (its merges
-   build young immutable cells, no write barrier), while the in-place
-   array sort wins once the list's cache behaviour degrades. An index
-   permutation loses everywhere: [Array.sort] is heapsort — ~2x the
-   comparisons — through a double indirection. *)
+(* Stable sort into a fresh array under an arbitrary comparison.
+   Both branches are merge sorts; the stdlib's list sort is measurably
+   faster on small inputs (its merges build young immutable cells, no
+   write barrier), while the in-place array sort wins once the list's
+   cache behaviour degrades. (Keys that rank into ints sort faster
+   still as a radix-sorted index permutation: see
+   [Rel_algebra.sort].) *)
 let small_sort_cutoff = 4096
 
 let stable_sorted compare data =

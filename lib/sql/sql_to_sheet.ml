@@ -261,10 +261,12 @@ let execute catalog q =
      so build the row projection manually. *)
   let schema = Relation.schema rel in
   let positions =
-    List.map (fun name -> Schema.index_exn schema name) fp.plan.output
+    Array.of_list
+      (List.map (fun name -> Schema.index_exn schema name) fp.plan.output)
   in
   let out_schema = Schema.of_list fp.sql_output in
-  let rows =
-    List.map (fun row -> Row.project row positions) (Relation.rows rel)
-  in
-  Ok (Relation.unsafe_make out_schema rows)
+  Ok
+    (Relation.unsafe_of_array out_schema
+       (Array.map
+          (fun row -> Row.project_arr row positions)
+          (Relation.to_array rel)))

@@ -1,0 +1,376 @@
+(* Column-at-a-time execution: the rank-based sort, the one-pass
+   grouped aggregation and compiled row expressions, each pinned to
+   the reference it replaces — a stable [Value.compare] sort,
+   [Expr_eval.apply_agg] over the group's values, and [Expr_eval.eval]
+   — plus the empty plan that hands back its scanned relation. *)
+
+open Sheet_rel
+open Sheet_core
+module Obs = Sheet_obs.Obs
+
+(* bit-exact value equality: same constructor, floats by bits *)
+let value_exact a b =
+  match (a, b) with
+  | Value.Float x, Value.Float y ->
+      Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | _ -> a = b
+
+let rows_identical a b =
+  Array.length a = Array.length b && Array.for_all2 ( == ) a b
+
+let print_rows rows =
+  String.concat "; "
+    (Array.to_list
+       (Array.map
+          (fun r -> Format.asprintf "%a" Row.pp r)
+          rows))
+
+(* ---------- sort ---------- *)
+
+(* Cell pools per column kind. Small pools make ties common; equal
+   [Int]/[Float] pairs must tie; the wide ints overflow a combined
+   rank range and the extreme ints an offset range. *)
+let gen_cell kind : Value.t QCheck.Gen.t =
+  let open QCheck.Gen in
+  let null_or g = frequency [ (1, return Value.Null); (5, g) ] in
+  match kind with
+  | `Ints -> null_or (map (fun i -> Value.Int i) (int_range (-5) 5))
+  | `Dates -> null_or (map (fun d -> Value.Date d) (int_range 0 9))
+  | `Ints_dates ->
+      null_or
+        (oneof
+           [ map (fun i -> Value.Int i) (int_range 0 5);
+             map (fun d -> Value.Date d) (int_range 0 5) ])
+  | `Floats ->
+      null_or
+        (map (fun f -> Value.Float f)
+           (oneofl [ -1.5; -0.0; 0.0; 2.5; 3.0; Float.nan; Float.infinity ]))
+  | `Strings -> null_or (map (fun s -> Value.String s) (oneofl [ "a"; "b"; "ab"; "" ]))
+  | `Wide -> map (fun i -> Value.Int i) (int_range (-(1 lsl 40)) (1 lsl 40))
+  | `Extreme -> map (fun i -> Value.Int i) (oneofl [ min_int; -1; 0; max_int ])
+  | `Mixed ->
+      oneofl
+        [ Value.Null; Value.Int 3; Value.Float 3.0; Value.Int 2;
+          Value.Float 2.5; Value.String "x"; Value.Date 3;
+          Value.Bool true; Value.Bool false ]
+
+let gen_sort_case =
+  let open QCheck.Gen in
+  let* n = oneof [ int_range 0 300; int_range 4097 4600 ] in
+  let* kinds =
+    array_repeat 3
+      (oneofl
+         [ `Ints; `Dates; `Ints_dates; `Floats; `Strings; `Wide; `Extreme;
+           `Mixed ])
+  in
+  let* cols = flatten_a (Array.map (fun k -> array_repeat n (gen_cell k)) kinds) in
+  let* nkeys = int_range 1 3 in
+  let* keys =
+    list_repeat nkeys
+      (pair (int_range 0 2) (oneofl [ `Asc; `Desc ]))
+  in
+  (* a trailing row number makes every row distinguishable *)
+  let rows =
+    Array.init n (fun j ->
+        [| cols.(0).(j); cols.(1).(j); cols.(2).(j); Value.Int j |])
+  in
+  return (rows, List.map (fun (i, d) -> ([| "a"; "b"; "c" |].(i), d)) keys)
+
+let sort_schema =
+  Schema.of_list
+    [ ("a", Value.TInt); ("b", Value.TInt); ("c", Value.TInt);
+      ("row", Value.TInt) ]
+
+let reference_sort keys rows =
+  let keys =
+    List.map (fun (name, d) -> (Schema.index_exn sort_schema name, d)) keys
+  in
+  let sorted = Array.copy rows in
+  Array.stable_sort
+    (fun ra rb ->
+      let rec go = function
+        | [] -> 0
+        | (i, d) :: rest ->
+            let c = Value.compare ra.(i) rb.(i) in
+            let c = match d with `Asc -> c | `Desc -> -c in
+            if c <> 0 then c else go rest
+      in
+      go keys)
+    sorted;
+  sorted
+
+let sort_matches_reference =
+  QCheck.Test.make ~count:150
+    ~name:"sort == stable Value.compare sort (rows and order)"
+    (QCheck.make gen_sort_case) (fun (rows, keys) ->
+      let got =
+        Relation.to_array
+          (Rel_algebra.sort keys (Relation.unsafe_of_array sort_schema rows))
+      in
+      let want = reference_sort keys rows in
+      rows_identical got want
+      || QCheck.Test.fail_reportf "got %s\nwant %s" (print_rows got)
+           (print_rows want))
+
+(* Group ids over the same cells: equal ids exactly for equal keys,
+   smaller ids for lexicographically smaller keys, at most one group
+   per row. *)
+let group_ids_follow_key_order =
+  QCheck.Test.make ~count:150 ~name:"group_ids: equal keys, equal ids, key order"
+    (QCheck.make gen_sort_case) (fun (rows, keys) ->
+      let positions =
+        List.map (fun (name, _) -> Schema.index_exn sort_schema name) keys
+      in
+      let gid, groups = Rel_algebra.group_ids rows positions in
+      let compare_keys ra rb =
+        List.fold_left
+          (fun c i -> if c <> 0 then c else Value.compare ra.(i) rb.(i))
+          0 positions
+      in
+      let n = Array.length rows in
+      (* neighbours in key order suffice: ids are then monotone *)
+      let sorted = Array.init n Fun.id in
+      Array.stable_sort (fun a b -> compare_keys rows.(a) rows.(b)) sorted;
+      groups <= n
+      && Array.for_all (fun g -> 0 <= g && g < groups) gid
+      && Array.for_all Fun.id
+           (Array.init (max 0 (n - 1)) (fun k ->
+                let a = sorted.(k) and b = sorted.(k + 1) in
+                let c = compare_keys rows.(a) rows.(b) in
+                if c = 0 then gid.(a) = gid.(b) else gid.(a) < gid.(b))))
+
+(* ---------- grouped aggregation ---------- *)
+
+let agg_schema =
+  Schema.of_list
+    [ ("g", Value.TInt); ("h", Value.TString); ("w", Value.TInt);
+      ("x", Value.TFloat) ]
+
+let all_funs =
+  Expr.[ Count_star; Count; Count_distinct; Sum; Avg; Min; Max ]
+
+(* Argument cells: all-int groups that overflow, mixed int/float
+   sums, nulls (whole groups of them at small sizes), 3 beside 3.0.
+   Strings only where the function accepts them. *)
+let gen_arg fn : Value.t QCheck.Gen.t =
+  let open QCheck.Gen in
+  let numeric =
+    [ (3, return Value.Null);
+      (3, map (fun i -> Value.Int i) (int_range (-4) 4));
+      (2, oneofl [ Value.Int max_int; Value.Int (max_int - 1); Value.Int min_int ]);
+      (2, oneofl [ Value.Int 3; Value.Float 3.0 ]);
+      (3, map (fun f -> Value.Float f) (oneofl [ 0.1; 0.2; 1e16; -1e16; 0.3; -0.0 ])) ]
+  in
+  match fn with
+  | Expr.Sum | Expr.Avg -> frequency numeric
+  | _ ->
+      frequency
+        ((2, map (fun s -> Value.String s) (oneofl [ "p"; "q" ])) :: numeric)
+
+let gen_agg_case =
+  let open QCheck.Gen in
+  let* fn = oneofl all_funs in
+  let* basis = oneofl [ []; [ "g" ]; [ "g"; "h" ]; [ "w" ]; [ "h"; "w"; "g" ] ] in
+  let* n = int_range 0 60 in
+  let* rows =
+    array_repeat n
+      (let* g =
+         oneofl [ Value.Int 1; Value.Int 2; Value.Float 2.0; Value.Null ]
+       in
+       let* h = oneofl [ Value.String "u"; Value.String "v"; Value.Null ] in
+       (* sparse ints: an offset rank range far wider than the rows *)
+       let* w = oneofl [ Value.Int 0; Value.Int (1 lsl 40); Value.Int (-7) ] in
+       let* x = gen_arg fn in
+       return [| g; h; w; x |])
+  in
+  return (fn, basis, rows)
+
+let aggregate_matches_apply_agg =
+  QCheck.Test.make ~count:500
+    ~name:"grouped accumulators == apply_agg per group (bit-identical)"
+    (QCheck.make gen_agg_case) (fun (fn, basis, rows) ->
+      let plan =
+        Plan.Extend_aggregate
+          ( { Plan.agg_name = "v"; agg_ty = Value.TFloat; fn;
+              arg = Some (Expr.Col "x"); basis },
+            Plan.Scan (Relation.unsafe_of_array agg_schema rows) )
+      in
+      let out = Relation.to_array (Plan.execute plan) in
+      let positions =
+        Array.of_list (List.map (Schema.index_exn agg_schema) basis)
+      in
+      let key row = Row.project_arr row positions in
+      Array.length out = Array.length rows
+      && Array.for_all
+           (fun i ->
+             let group =
+               List.filter
+                 (fun r -> Row.equal (key r) (key rows.(i)))
+                 (Array.to_list rows)
+             in
+             let want = Expr_eval.apply_agg fn (List.map (fun r -> r.(3)) group) in
+             let got = out.(i).(4) in
+             value_exact got want
+             || QCheck.Test.fail_reportf "%s row %d: got %s, want %s"
+                  (Expr.agg_fun_name fn) i (Value.to_string got)
+                  (Value.to_string want))
+           (Array.init (Array.length rows) Fun.id))
+
+let raises_eval f =
+  match f () with
+  | _ -> Alcotest.fail "expected Eval_error"
+  | exception Expr_eval.Eval_error msg -> msg
+
+(* An ill-typed argument raises at the first failing row in input
+   order, not at the first failing group. *)
+let test_aggregate_error_order () =
+  let rows =
+    [| [| Value.Int 1; Value.String "u"; Value.Int 0; Value.Int 1 |];
+       [| Value.Int 2; Value.String "u"; Value.Int 0; Value.String "b1" |];
+       [| Value.Int 1; Value.String "u"; Value.Int 0; Value.String "a1" |] |]
+  in
+  let run fn arg =
+    Plan.execute
+      (Plan.Extend_aggregate
+         ( { Plan.agg_name = "v"; agg_ty = Value.TFloat; fn; arg = Some arg;
+             basis = [ "g" ] },
+           Plan.Scan (Relation.unsafe_of_array agg_schema rows) ))
+  in
+  Alcotest.(check string)
+    "sum: second row's group fails first" "sum over non-numeric value b1"
+    (raises_eval (fun () -> run Expr.Sum (Expr.Col "x")));
+  Alcotest.(check string)
+    "avg: same order" "avg over non-numeric value b1"
+    (raises_eval (fun () -> run Expr.Avg (Expr.Col "x")));
+  Alcotest.(check string)
+    "argument evaluation: same order"
+    "arithmetic on non-numeric values b1 and 1"
+    (raises_eval (fun () ->
+         run Expr.Max (Expr.Arith (Expr.Add, Expr.Col "x", Expr.Const (Value.Int 1)))))
+
+(* ---------- compiled expressions ---------- *)
+
+let expr_schema =
+  Schema.of_list
+    [ ("i", Value.TInt); ("f", Value.TFloat); ("s", Value.TString);
+      ("d", Value.TDate) ]
+
+let gen_any_value =
+  QCheck.Gen.oneofl
+    [ Value.Null; Value.Int 0; Value.Int 3; Value.Int (-2); Value.Float 3.0;
+      Value.Float 0.5; Value.String "ab"; Value.String "b%"; Value.Date 400;
+      Value.Bool true; Value.Bool false ]
+
+let gen_expr : Expr.t QCheck.Gen.t =
+  let open QCheck.Gen in
+  let leaf =
+    frequency
+      [ (4, map (fun c -> Expr.Col c) (oneofl [ "i"; "f"; "s"; "d"; "zz" ]));
+        (3, map (fun v -> Expr.Const v) gen_any_value) ]
+  in
+  sized_size (int_range 0 4)
+  @@ fix (fun self n ->
+         if n = 0 then leaf
+         else
+           let sub = self (n - 1) in
+           frequency
+             [ (2, leaf);
+               (1, map (fun a -> Expr.Neg a) sub);
+               ( 2,
+                 map3
+                   (fun op a b -> Expr.Arith (op, a, b))
+                   (oneofl Expr.[ Add; Sub; Mul; Div; Mod ])
+                   sub sub );
+               (1, map2 (fun a b -> Expr.Concat (a, b)) sub sub);
+               ( 2,
+                 map3
+                   (fun op a b -> Expr.Cmp (op, a, b))
+                   (oneofl Expr.[ Eq; Ne; Lt; Le; Gt; Ge ])
+                   sub sub );
+               (1, map2 (fun a b -> Expr.And (a, b)) sub sub);
+               (1, map2 (fun a b -> Expr.Or (a, b)) sub sub);
+               (1, map (fun a -> Expr.Not a) sub);
+               (1, map (fun a -> Expr.Is_null a) sub);
+               (1, map (fun a -> Expr.Like (a, "%b_")) sub);
+               ( 1,
+                 map (fun a -> Expr.In_list (a, [ Value.Int 3; Value.String "ab" ])) sub );
+               (1, map3 (fun a lo hi -> Expr.Between (a, lo, hi)) sub sub sub);
+               ( 1,
+                 map2
+                   (fun g a -> Expr.Fn (g, a))
+                   (oneofl
+                      Expr.[ Year_of; Month_of; Day_of; Abs; Round; Lower; Upper; Length ])
+                   sub );
+               ( 1,
+                 map3
+                   (fun c x d -> Expr.Case ([ (c, x) ], d))
+                   sub sub (opt sub) );
+               (1, map (fun a -> Expr.Agg (Expr.Sum, Some a)) sub) ])
+
+let outcome f =
+  match f () with
+  | v -> Ok v
+  | exception Expr_eval.Eval_error msg -> Error ("Eval_error: " ^ msg)
+  | exception e -> Error (Printexc.to_string e)
+
+let compile_matches_eval =
+  QCheck.Test.make ~count:2000 ~name:"Expr_eval.compile == eval"
+    (QCheck.make
+       ~print:(fun (e, _) -> Expr.to_string e)
+       QCheck.Gen.(pair gen_expr (array_repeat 4 gen_any_value)))
+    (fun (e, row) ->
+      let lookup name =
+        match Schema.find expr_schema name with
+        | Some (i, _) -> Row.get row i
+        | None -> raise Not_found
+      in
+      let compiled = Expr_eval.compile expr_schema e in
+      match
+        (outcome (fun () -> Expr_eval.eval ~lookup e), outcome (fun () -> compiled row))
+      with
+      | Ok a, Ok b -> value_exact a b
+      | Error a, Error b -> a = b
+      | _ -> false)
+
+(* ---------- the empty plan ---------- *)
+
+let test_empty_plan_returns_scan () =
+  let r = Sample_cars.scaled ~rows:300 ~seed:3 in
+  Alcotest.(check bool) "physically the scanned relation" true
+    (Plan.execute (Plan.Scan r) == r)
+
+(* A sheet opened on a base relation materializes as that relation,
+   so once the base has been scanned a new session's first selection
+   filters through its memoized columnar image. *)
+let test_first_select_compiles () =
+  let base = Sample_cars.scaled ~rows:1_000 ~seed:4 in
+  let select session pred =
+    match Session.apply session (Op.Select (Expr_parse.parse_string_exn pred)) with
+    | Ok s -> s
+    | Error e -> Alcotest.failf "refused: %s" (Errors.to_string e)
+  in
+  Materialize.reset_cache ();
+  ignore (select (Session.create ~name:"first" base) "Price < 15000");
+  let in0 = Obs.Metrics.value_of Obs.k_col_sel_rows_in in
+  let s = select (Session.create ~name:"second" base) "Price < 20000" in
+  Alcotest.(check int) "columnar scan of the whole base" 1_000
+    (Obs.Metrics.value_of Obs.k_col_sel_rows_in - in0);
+  match Obs.Profile.find ~uid:(Session.current s).Spreadsheet.uid with
+  | None -> Alcotest.fail "no profile recorded"
+  | Some p ->
+      Alcotest.(check (list string)) "the selection compiled"
+        [ "Price < 20000" ] p.Obs.Profile.p_compiled;
+      Alcotest.(check int) "no fallback" 0 (List.length p.Obs.Profile.p_fallbacks)
+
+let () =
+  let q = QCheck_alcotest.to_alcotest ~long:false in
+  Alcotest.run "sheet_colexec"
+    [ ("sort", [ q sort_matches_reference; q group_ids_follow_key_order ]);
+      ( "aggregate",
+        [ q aggregate_matches_apply_agg;
+          Alcotest.test_case "error order" `Quick test_aggregate_error_order ] );
+      ("compile", [ q compile_matches_eval ]);
+      ( "empty plan",
+        [ Alcotest.test_case "returns its scan" `Quick test_empty_plan_returns_scan;
+          Alcotest.test_case "first select compiles" `Quick
+            test_first_select_compiles ] ) ]
