@@ -12,8 +12,9 @@ let last_computed (child : Spreadsheet.t) =
   | [] -> invalid_arg "Incremental.last_computed"
 
 (* Each derivation is a short plan over a [Scan] of the parent's
-   cached rows, run by the one executor; its profile notes land in
-   the child's region (same uid). *)
+   cached materialization, run by the one executor, which continues
+   from the parent's batch; its profile notes land in the child's
+   region (same uid). *)
 let derive ~(parent : Spreadsheet.t) ~(op : Op.t) ~(child : Spreadsheet.t) =
   let over_parent plan_of =
     Some

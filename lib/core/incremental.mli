@@ -8,8 +8,13 @@
     produced a child sheet, it derives the child's materialization
     without replaying the whole query state, whenever the operator's
     effect on the materialized relation is local. Each derivation is
-    a short plan over a [Scan] of the parent's cached rows, run by
-    {!Plan.execute} — the same executor a full replay uses:
+    a short plan over a [Scan] of the parent's cached materialization,
+    run by {!Plan.execute} — the same executor a full replay uses.
+    That materialization is batch-backed (a selection vector over the
+    sheet's base plus a column map, {!Sheet_rel.Relation.batch}), and
+    a scan of it continues from its batch: a derivation narrows,
+    permutes or extends the parent's batch and builds no row. The
+    derivations:
 
     - projection / inverse projection: the full materialization is
       unchanged (hidden columns are presentational) — unless duplicate

@@ -135,20 +135,17 @@ let kind_histogram kind =
 (* ---------- execution ----------
 
    A plan is a chain (every node has zero or one child). The executor
-   linearizes it and runs it as a sequence of {e units}:
+   linearizes it and runs it over a {e batch}: the scanned relation's
+   [Relation.batch] — a selection vector over a row-backed base plus
+   a column map — which every node narrows, permutes or extends
+   without building a row ([Rel_algebra]'s unary operators over
+   batch-backed relations). A scan of a batch-backed relation (a
+   cached materialization) continues from its batch, so a derivation
+   over it extends its parent's batch. Rows are built once, on first
+   row access to the result.
 
-   - a columnar filter: the Filter nodes directly above the Scan,
-     when every predicate compiles against the scanned relation's
-     Sheetcol image, run as one selection-vector pass;
-   - a fused run: a maximal run of streaming nodes (Filter / Project /
-     Extend_formula) compiled into per-row closures applied in one
-     morsel-parallel pass — one intermediate array per run instead of
-     one per node;
-   - a blocking node (Distinct_on, Extend_aggregate, Sort), which
-     needs its whole input and runs as one array operation.
-
-   Each unit opens one [plan.node] span, bumps the [plan.*] counters,
-   records its time under every node kind it covers and notes one
+   Each node is one {e unit}: it opens one [plan.node] span, bumps the
+   [plan.*] counters, records its time under its kind and notes one
    node in the open Sheetdoctor profile region — the record EXPLAIN
    ANALYZE renders. *)
 
@@ -162,93 +159,21 @@ let linearize node =
   in
   go [] node
 
-let rec take_while p = function
-  | x :: rest when p x ->
-      let xs, ys = take_while p rest in
-      (x :: xs, ys)
-  | rest -> ([], rest)
-
-let check_selection schema pred =
-  match Expr_check.check_pred schema pred with
-  | Ok () -> ()
-  | Error msg -> raise (Rel_algebra.Algebra_error ("selection: " ^ msg))
-
-type step = Keep of (Row.t -> bool) | Map of (Row.t -> Row.t)
-
-(* Compile one streaming node against its input schema; returns the
-   per-row step and the output schema. *)
-let compile_streaming schema = function
-  | Filter (pred, _) ->
-      check_selection schema pred;
-      (Keep (Expr_eval.compile_pred schema pred), schema)
-  | Project (cols, _) ->
-      let out = Schema.restrict schema cols in
-      let positions =
-        Array.of_list (List.map (Schema.index_exn schema) cols)
-      in
-      (Map (fun row -> Row.project_arr row positions), out)
-  | Extend_formula ({ name; ty; expr }, _) ->
-      let out = Schema.append schema { Schema.name; ty } in
-      let value = Expr_eval.compile schema expr in
-      (Map (fun row -> Row.append1 row (value row)), out)
-  | Scan _ | Distinct_on _ | Extend_aggregate _ | Sort _ ->
-      invalid_arg "Plan.compile_streaming: blocking node"
-
-let is_streaming = function
-  | Filter _ | Project _ | Extend_formula _ -> true
-  | Scan _ | Distinct_on _ | Extend_aggregate _ | Sort _ -> false
-
-let is_filter = function Filter _ -> true | _ -> false
-
-let fused_run nodes schema data =
-  let steps, out_schema =
-    List.fold_left
-      (fun (steps, schema) node ->
-        let step, schema = compile_streaming schema node in
-        (step :: steps, schema))
-      ([], schema) nodes
-  in
-  let steps = Array.of_list (List.rev steps) in
-  let nsteps = Array.length steps in
-  let out =
-    Par.concat
-      (Par.run ~n:(Array.length data) (fun lo hi ->
-           let buf = Array.make (hi - lo) data.(lo) in
-           let k = ref 0 in
-           for i = lo to hi - 1 do
-             let row = ref (Array.unsafe_get data i) in
-             let keep = ref true in
-             let j = ref 0 in
-             while !keep && !j < nsteps do
-               (match steps.(!j) with
-               | Keep f -> keep := f !row
-               | Map f -> row := f !row);
-               incr j
-             done;
-             if !keep then begin
-               Array.unsafe_set buf !k !row;
-               incr k
-             end
-           done;
-           if !k = hi - lo then buf else Array.sub buf 0 !k))
-  in
-  (out_schema, out)
-
 (* Grouped aggregation with per-row broadcast (Table III), with no
    per-group list: [Rel_algebra.group_ids] gives every row its group
    column by column, one pass folds each row's argument, in input
-   order, into its group's accumulator, and every row is extended
-   with its group's value. The folds reproduce [Expr_eval.apply_agg]
-   over the group's values exactly: a sum keeps an int total beside a
+   order, into its group's accumulator, and every row's handle gets
+   its group's value. The folds reproduce [Expr_eval.apply_agg] over
+   the group's values exactly: a sum keeps an int total beside a
    float total accumulated in row order, so either result is
    bit-identical, and the first ill-typed argument in input order
    raises. *)
 
-let aggregate fn arg gid groups data =
-  let n = Array.length data in
+let aggregate fn arg gid groups (sel : int array) =
+  let n = Array.length sel in
   let fold f =
     for j = 0 to n - 1 do
-      match arg (Array.unsafe_get data j) with
+      match arg (Array.unsafe_get sel j) with
       | Value.Null -> ()
       | v -> f gid.(j) v
     done
@@ -308,14 +233,16 @@ let aggregate fn arg gid groups data =
           | b -> if sign * Value.compare v b > 0 then best.(g) <- v);
       best
 
-let extend_aggregate schema { agg_name; agg_ty; fn; arg; basis } data =
+let extend_aggregate { agg_name; agg_ty; fn; arg; basis } r =
+  let schema = Relation.schema r in
+  let out = Schema.append schema { Schema.name = agg_name; ty = agg_ty } in
   let gid, groups =
-    Rel_algebra.group_ids data (List.map (Schema.index_exn schema) basis)
+    Rel_algebra.group_ids r (List.map (Schema.index_exn schema) basis)
   in
   let arg =
     match (fn, arg) with
     | Expr.Count_star, _ -> fun _ -> Value.Null
-    | _, Some e -> Expr_eval.compile schema e
+    | _, Some e -> Rel_algebra.compile r e
     | _, None ->
         if groups > 0 then
           raise
@@ -324,113 +251,66 @@ let extend_aggregate schema { agg_name; agg_ty; fn; arg; basis } data =
                   (Expr.agg_fun_name fn)));
         fun _ -> Value.Null
   in
-  let values = aggregate fn arg gid groups data in
-  ( Schema.append schema { Schema.name = agg_name; ty = agg_ty },
-    Array.mapi (fun i row -> Row.append1 row values.(gid.(i))) data )
+  let b = Relation.batch r in
+  let values = aggregate fn arg gid groups b.sel in
+  let group = Array.make (Relation.cardinality b.base) 0 in
+  Array.iteri (fun j id -> group.(id) <- gid.(j)) b.sel;
+  Relation.of_batch out
+    { b with
+      cols = Array.append b.cols [| Relation.Broadcast { group; values } |] }
 
-let run_blocking node schema data =
+(* Run one node over its input; the path its profile node shows. *)
+let run_node node r =
   match node with
-  | Distinct_on (keys, _) ->
-      (* the first row of each key group survives *)
-      let gid, groups =
-        Rel_algebra.group_ids data (List.map (Schema.index_exn schema) keys)
-      in
-      let seen = Bytes.make groups '\000' in
-      let out = Vec.create () in
-      Array.iteri
-        (fun j g ->
-          if Bytes.get seen g = '\000' then begin
-            Bytes.set seen g '\001';
-            Vec.push out data.(j)
-          end)
-        gid;
-      (schema, Vec.to_array out)
-  | Extend_aggregate (e, _) -> extend_aggregate schema e data
-  | Sort (keys, _) ->
-      ( schema,
-        Relation.to_array
-          (Rel_algebra.sort keys (Relation.unsafe_of_array schema data)) )
-  | Scan _ | Filter _ | Project _ | Extend_formula _ ->
-      invalid_arg "Plan.run_blocking: streaming node"
+  | Filter (pred, _) -> (
+      match Rel_algebra.select_path pred r with
+      | out, `Columnar -> (out, "columnar")
+      | out, `Row -> (out, "row"))
+  | Project (cols, _) -> (Rel_algebra.project cols r, "batch")
+  | Extend_formula ({ name; ty; expr }, _) ->
+      (Rel_algebra.extend { Schema.name; ty } expr r, "row")
+  | Extend_aggregate (e, _) -> (extend_aggregate e r, "batch")
+  | Sort (keys, _) -> (Rel_algebra.sort keys r, "batch")
+  | Distinct_on (keys, _) -> (Rel_algebra.distinct_on keys r, "batch")
+  | Scan _ -> invalid_arg "Plan.run_node: scan"
 
-(* One executed unit over [nodes]: span, counters, per-kind
-   histograms and one profile node around [f]. *)
-let run_unit ~uid ~path ~kind nodes data f =
-  let rows_in = Array.length data in
+(* One executed unit: span, counters, per-kind histogram and one
+   profile node around [run_node]. *)
+let run_unit ~uid node r =
+  let rows_in = Relation.cardinality r in
+  let kind = node_kind node in
   Obs.with_span ~uid ~kind ~rows_in
-    ~rows_out:(fun (_, out) -> Array.length out)
+    ~rows_out:(fun (out, _) -> Relation.cardinality out)
     "plan.node"
   @@ fun () ->
   let a0 = Gc.allocated_bytes () in
   let t0 = Obs.now_ns () in
-  let ((_, out) as result) = f () in
+  let ((out, path) as result) = run_node node r in
   let dt = Obs.now_ns () - t0 in
-  let rows_out = Array.length out in
-  List.iter
-    (fun node -> Obs.Histogram.record (kind_histogram (node_kind node)) dt)
-    nodes;
+  let rows_out = Relation.cardinality out in
+  Obs.Histogram.record (kind_histogram kind) dt;
   Obs.Metrics.incr c_plan_nodes;
   Obs.Metrics.incr ~by:rows_in c_plan_rows_in;
   Obs.Metrics.incr ~by:rows_out c_plan_rows_out;
   (* labels render predicates: only worth it when a region records *)
   if Obs.Profile.in_region () then
     Obs.Profile.note_node ~rows_in ~rows_out ~path ~kind
-      ~label:(String.concat " + " (List.map node_label nodes))
-      ~time_ns:dt
+      ~label:(node_label node) ~time_ns:dt
       ~alloc_bytes:(Gc.allocated_bytes () -. a0)
       ();
   result
 
 let run ~uid node =
   let base, ops = linearize node in
-  let t0 = Obs.now_ns () in
-  let schema = Relation.schema base in
-  let data = Relation.to_array base in
-  Obs.Histogram.record (kind_histogram "scan") (Obs.now_ns () - t0);
-  (* [scan] is [Some base] while [data] is still the scan's own array,
-     so filters right above it can use its columnar image *)
-  let rec go scan schema data = function
-    | [] -> (schema, data)
-    | n :: _ as ops when is_streaming n -> (
-        let streaming, rest = take_while is_streaming ops in
-        let fused () =
-          let schema, data =
-            run_unit ~uid ~path:"fused" ~kind:"run" streaming data (fun () ->
-                fused_run streaming schema data)
-          in
-          go None schema data rest
-        in
-        let filters, after = take_while is_filter streaming in
-        match scan with
-        | Some r when filters <> [] -> (
-            let preds =
-              List.filter_map
-                (function Filter (p, _) -> Some p | _ -> None)
-                filters
-            in
-            List.iter (check_selection schema) preds;
-            match Rel_algebra.compile_filter r preds with
-            | Some filter ->
-                let schema, data =
-                  run_unit ~uid ~path:"columnar" ~kind:"filter" filters data
-                    (fun () -> (schema, filter ()))
-                in
-                go None schema data (after @ rest)
-            | None -> fused ())
-        | _ -> fused ())
-    | n :: rest ->
-        let schema, data =
-          run_unit ~uid ~path:"blocking" ~kind:(node_kind n) [ n ] data
-            (fun () -> run_blocking n schema data)
-        in
-        go None schema data rest
-  in
   (* with no unit to run the answer is the scanned relation itself,
      memoized columnar image and all *)
   if ops = [] then base
-  else
-    let schema, data = go (Some base) schema data ops in
-    Relation.unsafe_of_array schema data
+  else begin
+    let t0 = Obs.now_ns () in
+    let scan = Relation.of_batch (Relation.schema base) (Relation.batch base) in
+    Obs.Histogram.record (kind_histogram "scan") (Obs.now_ns () - t0);
+    List.fold_left (fun r node -> fst (run_unit ~uid node r)) scan ops
+  end
 
 let execute ?(uid = 0) node =
   Obs.Profile.region ~kind:"plan" ~uid ~rows_out:Relation.cardinality

@@ -79,29 +79,44 @@ val extend : Spreadsheet.t -> Computed.t -> node -> node
 val execute : ?uid:int -> node -> Relation.t
 (** Run the plan. Opens a Sheetdoctor profile region (kind ["plan"],
     keyed on [uid], default [0]; it collapses into an enclosing region
-    for the same uid) and notes one profile node per executed unit: a
-    columnar filter over the scan, a fused run of streaming nodes, or
-    one blocking node. Each unit also opens a [plan.node] span and
-    bumps the [plan.*] counters.
+    for the same uid).
 
-    A plan with no unit to run — a bare [Scan] — returns the scanned
-    relation itself, not a copy, so a later filter over it reaches its
-    memoized columnar image.
-
-    Streaming nodes evaluate expressions compiled once against their
-    input schema ({!Sheet_rel.Expr_eval.compile}). The blocking units
-    run column at a time:
-    - [Sort] is {!Sheet_rel.Rel_algebra.sort}: key columns ranked into
-      ints, one stable radix sort of a row permutation;
+    A plan runs over a {e batch}: the scanned relation's
+    {!Sheet_rel.Relation.batch} — a selection vector over a
+    row-backed base (with its Sheetcol image when it has one) plus a
+    column map. A scan of a batch-backed relation, such as a cached
+    materialization, continues from that relation's batch. Each node
+    is one {e unit}, run by the matching
+    {!Sheet_rel.Rel_algebra} operator, and none builds a row:
+    - [Filter] narrows the vector: compiled selection-vector filters
+      over the base image when every column it reads is a base column
+      and it compiles (profile path [columnar]), the compiled
+      expression otherwise (path [row]). An ill-typed predicate
+      raises before the filter reads a row;
+    - [Project] edits the map (path [batch]);
+    - [Extend_formula] appends a column computed per row handle and
+      indexed by base row id (path [row]);
     - [Extend_aggregate] numbers each row's group from its basis
-      columns ({!Sheet_rel.Rel_algebra.group_ids}), then folds the
-      argument of every row, in input order, into per-group
-      accumulators (counts, an int and a float sum, min/max, distinct
-      sets). Results equal {!Sheet_rel.Expr_eval.apply_agg} over each
-      group's values bit for bit. An ill-typed argument — one that
-      fails to evaluate, or a non-numeric [SUM]/[AVG] input — raises
-      at the first such row in input order, whatever its group;
-    - [Distinct_on] keeps the first row of each key group.
+      columns ({!Sheet_rel.Rel_algebra.group_ids}), folds the argument
+      of every row, in input order, into per-group accumulators
+      (counts, an int and a float sum, min/max, distinct sets) and
+      appends the column broadcasting each group's value (path
+      [batch]). Results equal {!Sheet_rel.Expr_eval.apply_agg} over
+      each group's values bit for bit. An ill-typed argument — one
+      that fails to evaluate, or a non-numeric [SUM]/[AVG] input —
+      raises at the first such row in input order, whatever its
+      group;
+    - [Sort] permutes the vector by ranked key columns
+      ({!Sheet_rel.Rel_algebra.sort}) and [Distinct_on] thins it to
+      the first row of each key group (path [batch]).
+    Each unit opens a [plan.node] span, bumps the [plan.*] counters
+    and notes one profile node.
+
+    The result is batch-backed: its rows are built once, on first row
+    access ({!Sheet_rel.Relation.to_array}). A plan with no unit to
+    run — a bare [Scan] — returns the scanned relation itself, not a
+    copy, so a later filter over it reaches its memoized columnar
+    image.
     @raise Sheet_rel.Rel_algebra.Algebra_error on an ill-typed
     selection.
     @raise Sheet_rel.Expr_eval.Eval_error when an expression or an

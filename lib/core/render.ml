@@ -39,8 +39,7 @@ let column sheet (grouping : Grouping.t) (c : Schema.column) =
 let page ?(offset = 0) ?limit sheet =
   let full = Materialize.full_cached sheet in
   let schema = Relation.schema full in
-  let data = Relation.to_array full in
-  let total = Array.length data in
+  let total = Relation.cardinality full in
   let offset = max 0 (min offset total) in
   let stop =
     match limit with
@@ -48,6 +47,8 @@ let page ?(offset = 0) ?limit sheet =
     | None -> total
   in
   let n = stop - offset in
+  (* only the window's rows are built (or read, once built) *)
+  let window = Array.init n (fun i -> Relation.get full (offset + i)) in
   let grouping = Spreadsheet.grouping sheet in
   let positions =
     Array.of_list
@@ -60,7 +61,7 @@ let page ?(offset = 0) ?limit sheet =
         Array.of_list
           (List.map (Schema.index_exn schema) (Grouping.finest_basis grouping))
       in
-      let key i = Row.project_arr data.(offset + i) basis in
+      let key i = Row.project_arr window.(i) basis in
       Array.init n (fun i -> i < n - 1 && not (Row.equal (key i) (key (i + 1))))
   in
   {
@@ -70,7 +71,7 @@ let page ?(offset = 0) ?limit sheet =
            (fun j -> column sheet grouping (Schema.column_at schema j))
            positions);
     offset;
-    rows = Array.init n (fun i -> Row.project_arr data.(offset + i) positions);
+    rows = Array.map (fun row -> Row.project_arr row positions) window;
     breaks;
     total;
   }

@@ -45,7 +45,9 @@ val page : ?offset:int -> ?limit:int -> Spreadsheet.t -> page
 (** The window [\[offset, offset + limit)] of the cached
     materialization ({!Materialize.full_cached}), clamped to the
     sheet; [limit] defaults to the rest of the sheet. Only the
-    window's rows are projected and compared. *)
+    window's rows are read ({!Sheet_rel.Relation.get}), projected and
+    compared: a window over a batch-backed materialization builds its
+    own rows and leaves the sheet's unbuilt. *)
 
 val to_string : ?max_rows:int -> Spreadsheet.t -> string
 (** Render the visible materialization. [max_rows] renders the first

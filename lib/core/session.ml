@@ -46,13 +46,17 @@ let apply t op =
   | Ok sheet ->
       (* Derive the new materialization incrementally where the
          operator permits, seeding the cache so the redisplay after
-         this step is immediate (Sec. V's cost argument). The rows it
-         built leave the major GC work in proportion; pay it here, in
-         the step that made them, rather than in the redisplay's
-         first allocations. Every session user pays it: the REPL, the
-         TUI and the server, inside its engine lock. *)
+         this step is immediate (Sec. V's cost argument). The
+         derivation leaves GC work behind: the young cells its new
+         columns hold, and major work in proportion to its selection
+         vectors and columns. Pay both here, in the step that made
+         them: a derivation allocates little on the minor heap, so a
+         redisplay would otherwise run most minor collections and
+         promote those cells itself. Every session user pays it: the
+         REPL, the TUI and the server, inside its engine lock. *)
       ignore (Incremental.materialize_after ~parent:(current t) ~op
                 ~child:sheet);
+      Gc.minor ();
       ignore (Gc.major_slice 0);
       let dur_ns = Obs.now_ns () - t0 in
       let uid = sheet.Spreadsheet.uid in

@@ -966,7 +966,7 @@ module Profile = struct
     n_rows_out : int;  (* -1 when unknown *)
     n_time_ns : int;
     n_alloc_bytes : float;
-    n_path : string;  (* "" | "columnar" | "row" | "fused" | "blocking" *)
+    n_path : string;  (* "" | "columnar" | "row" | "batch" *)
     n_detail : string;
   }
 

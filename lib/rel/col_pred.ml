@@ -1,8 +1,9 @@
 (* Compile predicates to selection-vector filters over typed columns.
 
    A compiled filter [f sel k] takes the first [k] entries of [sel]
-   (ascending row indices), keeps the surviving indices in place and
-   returns the new count. Compilation is deliberately PARTIAL: only
+   (distinct row indices in any order — a sorted batch's selection
+   vector is not ascending), keeps the surviving indices in place, in
+   their order, and returns the new count. Compilation is deliberately PARTIAL: only
    subtrees whose row evaluation is total (cannot raise) are
    compiled, so the columnar path can never diverge from the row
    path on error identity — anything else returns [None] and the
@@ -189,9 +190,12 @@ let compile_in_list (col : Column.t) (vs : Value.t list) : filter option =
    evaluation. *)
 let and_filter fa fb : filter = fun sel k -> fb sel (fa sel k)
 
-(* OR: run [fa], recover the rejected candidates (both sequences stay
-   ascending subsequences of the input), run [fb] on those, and merge
-   the two ascending disjoint index sets back into [sel]. *)
+(* OR: run [fa], recover the rejected candidates (both sequences are
+   subsequences of the input, in its order), run [fb] on those, and
+   merge the two disjoint survivor sets back in input order: walking
+   the input, each index is the next survivor of one side or of
+   neither. Comparing index values instead would reorder a vector
+   that is not ascending. *)
 let or_filter fa fb : filter =
  fun sel k ->
   let orig = Array.sub sel 0 k in
@@ -208,28 +212,25 @@ let or_filter fa fb : filter =
     end
   done;
   let nb = fb rest !nr in
-  (* merge sel[0..na) and rest[0..nb), both ascending and disjoint *)
-  let merged = Array.make (max 1 (na + nb)) 0 in
+  let survivors_a = Array.sub sel 0 na in
   let ia = ref 0 and ib = ref 0 and m = ref 0 in
-  let a_at i = Array.unsafe_get sel i and b_at i = Array.unsafe_get rest i in
-  while !ia < na || !ib < nb do
-    let take_a =
-      !ib >= nb || (!ia < na && a_at !ia < b_at !ib)
-    in
-    if take_a then begin
-      Array.unsafe_set merged !m (a_at !ia);
-      incr ia
+  for i = 0 to k - 1 do
+    let v = Array.unsafe_get orig i in
+    if !ia < na && Array.unsafe_get survivors_a !ia = v then begin
+      Array.unsafe_set sel !m v;
+      incr ia;
+      incr m
     end
-    else begin
-      Array.unsafe_set merged !m (b_at !ib);
-      incr ib
-    end;
-    incr m
+    else if !ib < nb && Array.unsafe_get rest !ib = v then begin
+      Array.unsafe_set sel !m v;
+      incr ib;
+      incr m
+    end
   done;
-  Array.blit merged 0 sel 0 !m;
   !m
 
-(* NOT: complement of the survivors within the candidate set. *)
+(* NOT: complement of the survivors within the candidate set, in
+   input order. *)
 let not_filter fa : filter =
  fun sel k ->
   let orig = Array.sub sel 0 k in
@@ -247,26 +248,22 @@ let not_filter fa : filter =
   done;
   !out
 
-let rec compile schema (view : Columnar.t) (e : Expr.t) : filter option =
-  let col_of name =
-    match Schema.find schema name with
-    | Some (i, _) when i < Columnar.width view -> Some (Columnar.column view i)
-    | _ -> None
-  in
+let rec compile ~column:col_of (e : Expr.t) : filter option =
+  let compile = compile ~column:col_of in
   match e with
   | Expr.Const (Value.Bool true) -> Some keep_all
   | Expr.Const (Value.Bool false) | Expr.Const Value.Null -> Some keep_none
   | Expr.Const _ -> None (* truthy raises on non-bool *)
   | Expr.And (a, b) -> (
-      match (compile schema view a, compile schema view b) with
+      match (compile a, compile b) with
       | Some fa, Some fb -> Some (and_filter fa fb)
       | _ -> None)
   | Expr.Or (a, b) -> (
-      match (compile schema view a, compile schema view b) with
+      match (compile a, compile b) with
       | Some fa, Some fb -> Some (or_filter fa fb)
       | _ -> None)
   | Expr.Not a ->
-      Option.map not_filter (compile schema view a)
+      Option.map not_filter (compile a)
   | Expr.Cmp (op, Expr.Col a, Expr.Const v) ->
       Option.bind (col_of a) (fun c -> compile_cmp_const op c v)
   | Expr.Cmp (op, Expr.Const v, Expr.Col a) ->
@@ -283,7 +280,7 @@ let rec compile schema (view : Columnar.t) (e : Expr.t) : filter option =
       (* a BETWEEN lo AND hi = a >= lo AND a <= hi: both comparisons
          are total once compiled, so the conjunction is equivalent to
          the simultaneous form. *)
-      compile schema view
+      compile
         (Expr.And (Expr.Cmp (Expr.Ge, a, lo), Expr.Cmp (Expr.Le, a, hi)))
   | Expr.In_list (Expr.Col a, vs) ->
       Option.bind (col_of a) (fun c -> compile_in_list c vs)
@@ -317,17 +314,18 @@ let rec compile schema (view : Columnar.t) (e : Expr.t) : filter option =
    [None] means [compile] succeeds on the whole predicate. Recursion
    mirrors [compile]'s connective structure so the answer is always a
    genuine blocking leaf, not an enclosing conjunction. *)
-let rec diagnose schema (view : Columnar.t) (e : Expr.t) : string option =
-  match compile schema view e with
+let rec diagnose ~column (e : Expr.t) : string option =
+  let diagnose = diagnose ~column in
+  match compile ~column e with
   | Some _ -> None
   | None -> (
       match e with
       | Expr.And (a, b) | Expr.Or (a, b) -> (
-          match diagnose schema view a with
+          match diagnose a with
           | Some r -> Some r
-          | None -> diagnose schema view b)
-      | Expr.Not a -> diagnose schema view a
+          | None -> diagnose b)
+      | Expr.Not a -> diagnose a
       | Expr.Between (a, lo, hi) ->
-          diagnose schema view
+          diagnose
             (Expr.And (Expr.Cmp (Expr.Ge, a, lo), Expr.Cmp (Expr.Le, a, hi)))
       | e -> Some (Expr.to_string e))

@@ -1,7 +1,8 @@
 (** Predicate compilation to selection-vector filters (Sheetcol).
 
-    A [filter] consumes the first [k] entries of an ascending index
-    array in place and returns the surviving count. Compilation is
+    A [filter] consumes the first [k] entries of an index array
+    (distinct indices, in any order) in place, keeps the survivors in
+    their order and returns their count. Compilation is
     partial by design: only predicate subtrees whose row evaluation
     is total (cannot raise [Eval_error]) compile, so a compiled
     filter is always observationally identical to the row path —
@@ -11,15 +12,17 @@
 
 type filter = int array -> int -> int
 
-val compile : Schema.t -> Columnar.t -> Expr.t -> filter option
-(** Compile against a uniform columnar image whose columns line up
-    with the schema positions. Handled forms: boolean constants,
+val compile : column:(string -> Column.t option) -> Expr.t -> filter option
+(** Compile against typed columns: [column name] is the column a
+    reference reads, [None] when it has none (the predicate then does
+    not compile). Indices are row positions of those columns. Handled
+    forms: boolean constants,
     [And]/[Or]/[Not], [Cmp] between columns and/or constants,
     [Between] with any compilable operands, [In_list] and [Is_null]
     on a column, [Like] on a dictionary-coded string column.
     Anything touching a [Boxed] column returns [None]. *)
 
-val diagnose : Schema.t -> Columnar.t -> Expr.t -> string option
+val diagnose : column:(string -> Column.t option) -> Expr.t -> string option
 (** [None] when {!compile} succeeds on the whole predicate; otherwise
     the rendering ({!Expr.to_string}) of the smallest subtree that
     blocks compilation — what the profiler's row-path-fallback

@@ -19,6 +19,10 @@ type t = {
   widths : int array option;
       (* per-row widths when any row's width differs from
          [Array.length cols]; [None] = rectangular *)
+  orders : int array option array;
+      (* per column, the memoized [dict_order] of a dictionary-coded
+         string column (derived from immutable data, so a racing
+         rebuild computes the same array) *)
 }
 
 let nrows t = t.nrows
@@ -50,7 +54,8 @@ let of_rows ?width (rows : Row.t array) : t =
   { nrows = n;
     cols;
     widths =
-      (if !ragged then Some (Array.map Row.width rows) else None) }
+      (if !ragged then Some (Array.map Row.width rows) else None);
+    orders = Array.make w None }
 
 let row_at t i =
   let w = match t.widths with Some ws -> ws.(i) | None -> width t in
@@ -58,12 +63,15 @@ let row_at t i =
 
 let to_rows t = Array.init t.nrows (row_at t)
 
-let select_cols t positions =
-  if not (uniform t) then
-    invalid_arg "Columnar.select_cols: ragged image";
-  { nrows = t.nrows;
-    cols = Array.map (fun j -> t.cols.(j)) positions;
-    widths = None }
+let dict_order t j =
+  match (t.orders.(j), t.cols.(j).Column.repr) with
+  | Some order, _ -> order
+  | None, Column.Strings { dict; _ } ->
+      let order = Array.init (Array.length dict) Fun.id in
+      Array.sort (fun a b -> String.compare dict.(a) dict.(b)) order;
+      t.orders.(j) <- Some order;
+      order
+  | None, _ -> invalid_arg "Columnar.dict_order: not a string column"
 
 type stats = {
   columns : int;

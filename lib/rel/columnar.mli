@@ -26,9 +26,12 @@ val uniform : t -> bool
 
 val column : t -> int -> Column.t
 
-val select_cols : t -> int array -> t
-(** Zero-copy column subset (projection push-through).
-    @raise Invalid_argument on a non-uniform image. *)
+val dict_order : t -> int -> int array
+(** The codes of dictionary-coded string column [j] in ascending
+    string order ([String.compare], as {!Value.compare} orders
+    strings): [dict.(order.(0))] is the smallest entry. Sorted on the
+    first call and memoized with the image.
+    @raise Invalid_argument when column [j] is not [Strings]. *)
 
 type stats = { columns : int; specialized : int; dict_entries : int }
 

@@ -163,14 +163,15 @@ let rec eval ~lookup ?agg (e : Expr.t) : Value.t =
    helpers, the same operand evaluation order — so a row gets the same
    value or the same [Eval_error]; only column resolution moves to
    compile time. An unknown column or an [Agg] node still raises per
-   row, as [eval] does. *)
-let compile schema e : Row.t -> Value.t =
-  let rec go (e : Expr.t) : Row.t -> Value.t =
+   row, as [eval] does. The row handle is abstract: a [Row.t] for
+   [compile], a base row id of a batch for the plan executor. *)
+let compile_with ~column e =
+  let rec go (e : Expr.t) =
     match e with
     | Expr.Const v -> fun _ -> v
     | Expr.Col c -> (
-        match Schema.find schema c with
-        | Some (i, _) -> fun row -> Row.get row i
+        match column c with
+        | Some read -> read
         | None -> fun _ -> unknown_column c)
     | Expr.Neg a ->
         let a = go a in
@@ -225,9 +226,15 @@ let compile schema e : Row.t -> Value.t =
   in
   go e
 
-let compile_pred schema e =
-  let f = compile schema e in
-  fun row -> truthy (f row)
+let compile schema e : Row.t -> Value.t =
+  compile_with
+    ~column:(fun c ->
+      Option.map (fun (i, _) row -> Row.get row i) (Schema.find schema c))
+    e
+
+let compile_pred ~column e =
+  let f = compile_with ~column e in
+  fun handle -> truthy (f handle)
 
 let eval_pred ~lookup ?agg e = truthy (eval ~lookup ?agg e)
 

@@ -30,15 +30,26 @@ val eval_pred :
     [Null] are false.
     @raise Eval_error when the expression yields a non-boolean. *)
 
+val compile_with :
+  column:(string -> ('h -> Value.t) option) -> Expr.t -> 'h -> Value.t
+(** The expression compiler, polymorphic in the row handle:
+    [column c] resolves a column reference once to a reader of the
+    handle ([None]: an unknown column, which raises [Eval_error] when
+    the closure runs, as [eval] does). On every handle the closure
+    yields the value [eval] yields with [lookup c = read handle], or
+    raises the same [Eval_error]. *)
+
 val compile : Schema.t -> Expr.t -> Row.t -> Value.t
 (** [compile schema e] resolves [e]'s column references against
     [schema] once and returns a per-row closure equivalent to [eval]
     with a positional lookup: on every row it yields the same value or
     raises the same [Eval_error] (an unknown column or an aggregate
-    call raises when the closure runs, not at compile time). *)
+    call raises when the closure runs, not at compile time). It is
+    {!compile_with} over positional reads of a row. *)
 
-val compile_pred : Schema.t -> Expr.t -> Row.t -> bool
-(** {!compile}, read as a predicate as {!eval_pred} does. *)
+val compile_pred :
+  column:(string -> ('h -> Value.t) option) -> Expr.t -> 'h -> bool
+(** {!compile_with}, read as a predicate as {!eval_pred} does. *)
 
 val apply_agg : Expr.agg_fun -> Value.t list -> Value.t
 (** Fold an aggregate function over the column values of one group

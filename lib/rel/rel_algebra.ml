@@ -7,60 +7,69 @@ let err fmt = Printf.ksprintf (fun s -> raise (Algebra_error s)) fmt
 let c_sel_in = Obs.Metrics.counter Obs.k_col_sel_rows_in
 let c_sel_out = Obs.Metrics.counter Obs.k_col_sel_rows_out
 
+(* ---------- batches ----------
+
+   The unary operators run over [Relation.batch] of their input — a
+   selection vector over a row-backed base plus a column map — and
+   return a batch-backed relation, so a chain of them never builds a
+   row: selection narrows the vector, projection edits the map, an
+   extension appends a column indexed by base row id, sorting
+   permutes the vector and duplicate elimination thins it. A batch's
+   row handle is its base row id. *)
+
+(* Column [c] of [b], read by base row id. Base cells come from the
+   base's own rows, so nothing is boxed anew. *)
+let reader (b : Relation.batch) c : int -> Value.t =
+  match b.cols.(c) with
+  | Relation.Base j ->
+      let rows = Relation.to_array b.base in
+      fun id -> Row.get (Array.unsafe_get rows id) j
+  | Relation.Computed a -> fun id -> Array.unsafe_get a id
+  | Relation.Broadcast { group; values } ->
+      fun id -> values.(Array.unsafe_get group id)
+
+let resolve schema b name =
+  Option.map (fun (c, _) -> reader b c) (Schema.find schema name)
+
+let compile_batch schema b e =
+  Expr_eval.compile_with ~column:(resolve schema b) e
+
+let compile r e = compile_batch (Relation.schema r) (Relation.batch r) e
+
 (* ---------- selection ----------
 
-   Three execution strategies, strongest first:
+   Two strategies over the selection vector, each morsel-parallel
+   (one sequential morsel below the Par threshold):
 
-   1. Columnar: when the relation has a (lazily built, memoized)
-      Sheetcol image and every predicate compiles (Col_pred), each
-      morsel filters an index selection vector through the compiled
-      chain and gathers the surviving row pointers — no Value boxing,
-      no per-row name resolution.
-   2. Row fallback: predicates are applied predicate-major (the whole
-      array through pred 1, then pred 2, ...) with each pass split
-      into morsels. This is exactly the historical semantics, error
-      order included: a pass raises at its first failing row before
-      any later predicate runs.
-   3. Both cut over to a single sequential morsel below the Par
-      threshold.
+   1. Columnar: when every column the predicate reads is a base
+      column, the base has a (lazily built, memoized) Sheetcol image
+      and the predicate compiles (Col_pred), each morsel filters its
+      slice of the vector through the compiled chain — no Value
+      boxing, no per-row name resolution.
+   2. Row: otherwise each handle goes through the compiled expression
+      ({!Expr_eval.compile_pred}); the first failing row in
+      vector order raises. *)
 
-   [select] drives them; the plan executor calls [compile_filter]
-   directly for the filters that run straight off a scan. *)
+let check_selection schema pred =
+  match Expr_check.check_pred schema pred with
+  | Ok () -> ()
+  | Error msg -> err "selection: %s" msg
 
-(* Run compiled selection-vector filters [fs] over [r]'s rows. *)
-let run_compiled (r : Relation.t) fs =
-  let data = Relation.to_array r in
-  let n = Array.length data in
-  Obs.Metrics.incr ~by:n c_sel_in;
-  let chunks =
-    Par.run ~n (fun lo hi ->
-        let m = hi - lo in
-        let sel = Array.init m (fun i -> lo + i) in
-        let k = List.fold_left (fun k f -> f sel k) m fs in
-        if k = 0 then [||]
-        else begin
-          let out = Array.make k data.(Array.unsafe_get sel 0) in
-          for j = 0 to k - 1 do
-            Array.unsafe_set out j
-              (Array.unsafe_get data (Array.unsafe_get sel j))
-          done;
-          out
-        end)
-  in
-  let out = Par.concat chunks in
-  Obs.Metrics.incr ~by:(Array.length out) c_sel_out;
-  out
-
-(* Columnar filtering of [Relation.to_array r] through [preds],
-   compiled now and run when the thunk is forced; [None] when the
-   relation has no columnar image or a predicate does not compile
-   (caller falls back to the row path). Inside a profile region each
+(* Col_pred filters for [preds] against [b]'s base image, or [None]
+   (the caller takes the row path). Inside a profile region each
    predicate is attributed to the path it will really take, with the
-   reason for a fallback: no image, or the non-total subtree
-   [Col_pred] refuses. *)
-let compile_filter (r : Relation.t) preds =
-  let schema = Relation.schema r in
-  let view = Relation.columnar_hot r in
+   reason for a fallback: no image, a computed column, or the
+   non-total subtree [Col_pred] refuses. *)
+let compile_columnar schema (b : Relation.batch) preds =
+  let view = Relation.columnar_hot b.base in
+  let col_of name =
+    Option.map (fun (c, _) -> b.cols.(c)) (Schema.find schema name)
+  in
+  let typed view name =
+    match col_of name with
+    | Some (Relation.Base j) -> Some (Columnar.column view j)
+    | Some (Relation.Computed _ | Relation.Broadcast _) | None -> None
+  in
   let compiled =
     match view with
     | None -> None
@@ -68,7 +77,7 @@ let compile_filter (r : Relation.t) preds =
         let rec go acc = function
           | [] -> Some (List.rev acc)
           | p :: rest -> (
-              match Col_pred.compile schema view p with
+              match Col_pred.compile ~column:(typed view) p with
               | Some f -> go (f :: acc) rest
               | None -> None)
         in
@@ -78,69 +87,111 @@ let compile_filter (r : Relation.t) preds =
     List.iter
       (fun p ->
         let pred = Expr.to_string p in
-        match (compiled, view) with
-        | Some _, _ -> Obs.Profile.note_compiled pred
-        | None, None ->
+        let computed =
+          List.find_opt
+            (fun name ->
+              match col_of name with
+              | Some (Relation.Computed _ | Relation.Broadcast _) -> true
+              | Some (Relation.Base _) | None -> false)
+            (Expr.columns p)
+        in
+        match (compiled, view, computed) with
+        | Some _, _, _ -> Obs.Profile.note_compiled pred
+        | None, None, _ ->
             Obs.Profile.note_fallback ~pred ~reason:"no columnar image"
-        | None, Some view ->
+        | None, Some _, Some name ->
+            Obs.Profile.note_fallback ~pred ~reason:("computed column " ^ name)
+        | None, Some view, None ->
             Obs.Profile.note_fallback ~pred
               ~reason:
-                (match Col_pred.diagnose schema view p with
+                (match Col_pred.diagnose ~column:(typed view) p with
                 | Some subtree -> "non-total subtree " ^ subtree
                 | None -> "a predicate it runs with does not compile"))
       preds;
-  Option.map (fun fs () -> run_compiled r fs) compiled
+  compiled
+
+(* Run compiled selection-vector filters [fs] over [b]'s vector. *)
+let run_compiled (b : Relation.batch) fs =
+  let sel = b.sel in
+  let n = Array.length sel in
+  Obs.Metrics.incr ~by:n c_sel_in;
+  let out =
+    Par.concat
+      (Par.run ~n (fun lo hi ->
+           let m = hi - lo in
+           let slice = Array.sub sel lo m in
+           let k = List.fold_left (fun k f -> f slice k) m fs in
+           if k = m then slice else Array.sub slice 0 k))
+  in
+  Obs.Metrics.incr ~by:(Array.length out) c_sel_out;
+  { b with sel = out }
+
+let filter_rows schema (b : Relation.batch) pred =
+  let keep = Expr_eval.compile_pred ~column:(resolve schema b) pred in
+  let sel = b.sel in
+  { b with
+    sel =
+      Par.concat
+        (Par.run ~n:(Array.length sel) (fun lo hi ->
+             let buf = Array.make (hi - lo) 0 in
+             let k = ref 0 in
+             for i = lo to hi - 1 do
+               let id = Array.unsafe_get sel i in
+               if keep id then begin
+                 Array.unsafe_set buf !k id;
+                 incr k
+               end
+             done;
+             if !k = hi - lo then buf else Array.sub buf 0 !k)) }
+
+let select_path pred (r : Relation.t) =
+  let schema = Relation.schema r in
+  check_selection schema pred;
+  let b = Relation.batch r in
+  let b, path =
+    match compile_columnar schema b [ pred ] with
+    | Some fs -> (run_compiled b fs, `Columnar)
+    | None -> (filter_rows schema b pred, `Row)
+  in
+  (Relation.of_batch schema b, path)
+
+let select pred r = fst (select_path pred r)
 
 let columnar_filter r preds =
-  Option.map (fun run -> run ()) (compile_filter r preds)
-
-(* One predicate-major row-path pass, morselized. *)
-let filter_pass schema pred (data : Row.t array) =
-  let keep = Expr_eval.compile_pred schema pred in
-  let n = Array.length data in
-  Par.concat
-    (Par.run ~n (fun lo hi ->
-         let buf = Array.make (hi - lo) data.(lo) in
-         let k = ref 0 in
-         for i = lo to hi - 1 do
-           let row = Array.unsafe_get data i in
-           if keep row then begin
-             Array.unsafe_set buf !k row;
-             incr k
-           end
-         done;
-         if !k = hi - lo then buf else Array.sub buf 0 !k))
-
-let select pred (r : Relation.t) =
   let schema = Relation.schema r in
-  (match Expr_check.check_pred schema pred with
-  | Ok () -> ()
-  | Error msg -> err "selection: %s" msg);
-  Relation.unsafe_of_array schema
-    (match columnar_filter r [ pred ] with
-    | Some out -> out
-    | None -> filter_pass schema pred (Relation.to_array r))
+  let b = Relation.batch r in
+  Option.map
+    (fun fs -> Relation.to_array (Relation.of_batch schema (run_compiled b fs)))
+    (compile_columnar schema b preds)
 
 let project names (r : Relation.t) =
   let rschema = Relation.schema r in
   let schema = Schema.restrict rschema names in
-  let positions =
-    Array.of_list (List.map (Schema.index_exn rschema) names)
-  in
-  let data = Relation.to_array r in
-  let out =
-    Par.concat
-      (Par.run ~n:(Array.length data) (fun lo hi ->
-           Array.init (hi - lo) (fun i ->
-               Row.project_arr (Array.unsafe_get data (lo + i)) positions)))
-  in
-  (* a memoized columnar image projects for free: the column subset
-     shares the typed arrays *)
-  match Relation.columnar_if_built r with
-  | Some view ->
-      Relation.unsafe_of_array_with_columnar schema out
-        (Columnar.select_cols view positions)
-  | None -> Relation.unsafe_of_array schema out
+  let b = Relation.batch r in
+  Relation.of_batch schema
+    { b with
+      cols =
+        Array.of_list
+          (List.map (fun name -> b.cols.(Schema.index_exn rschema name)) names)
+    }
+
+(* The new column's cells are written at their base row ids, one
+   morsel of the vector per worker. *)
+let extend (column : Schema.column) e (r : Relation.t) =
+  let rschema = Relation.schema r in
+  let schema = Schema.append rschema column in
+  let b = Relation.batch r in
+  let value = compile_batch rschema b e in
+  let cells = Array.make (Relation.cardinality b.base) Value.Null in
+  let sel = b.sel in
+  ignore
+    (Par.run ~n:(Array.length sel) (fun lo hi ->
+         for i = lo to hi - 1 do
+           let id = Array.unsafe_get sel i in
+           Array.unsafe_set cells id (value id)
+         done));
+  Relation.of_batch schema
+    { b with cols = Array.append b.cols [| Relation.Computed cells |] }
 
 let product (a : Relation.t) (b : Relation.t) =
   let schema = Schema.concat (Relation.schema a) (Relation.schema b) in
@@ -289,27 +340,24 @@ let equijoin ~on:(left_col, right_col) (a : Relation.t) (b : Relation.t) =
     (if !k = Array.length !scratch then !scratch
      else Array.sub !scratch 0 !k)
 
-let distinct (r : Relation.t) =
-  let data = Relation.to_array r in
-  let seen = Row.Tbl.create (max 16 (Array.length data)) in
-  let keep row =
-    if Row.Tbl.mem seen row then false
-    else begin
-      Row.Tbl.add seen row ();
-      true
-    end
-  in
-  Relation.unsafe_of_array (Relation.schema r) (Vec.filter_array keep data)
+(* ---------- ranking, sort, grouping, duplicate elimination ----------
 
-(* ---------- sort ----------
-
-   Column-at-a-time: each key column is ranked once into ints in
-   [0, m) that order exactly as [Value.compare] orders the cells (so
-   [Int 3] and [Float 3.0] share a rank), descending keys flip their
-   ranks, the ranks are combined into one order-preserving int key,
-   and a row-index permutation is stable-sorted on it; the rows are
-   gathered once at the end. No comparison ever looks at a boxed value
-   after ranking. *)
+   Column-at-a-time: each key column of a batch is ranked once into
+   ints in [0, m) that order exactly as [Value.compare] orders its
+   cells (so [Int 3] and [Float 3.0] share a rank). A ranking reads
+   the column itself:
+   - a dictionary-coded string column of the base image ranks by its
+     sorted dictionary (memoized with the image), numbering only the
+     codes the vector selects;
+   - an int or date column — typed in the image, or found so by a
+     scan of its cells — ranks by offset from its minimum;
+   - anything else ranks by hashing its distinct cells and sorting
+     only those.
+   Descending keys flip their ranks, the ranks of several keys are
+   combined into one order-preserving int key, and the vector is
+   permuted by a stable radix sort on it (or thinned by the group ids
+   it yields). No comparison ever looks at a boxed value after
+   ranking. *)
 
 (* Stable LSD radix sort of the indices [0, n) on an int key in
    [0, m), in digit passes of up to 16 bits, least significant first.
@@ -325,7 +373,9 @@ let radix_perm key m =
   let count = Array.make ((1 lsl bits) + 1) 0 in
   let mask = (1 lsl bits) - 1 in
   let shift = ref 0 in
-  while (m - 1) lsr !shift > 0 do
+  (* [lsr] by the word size or more is unspecified (x86 masks the
+     count), so the loop stops at the word size itself *)
+  while !shift < Sys.int_size && (m - 1) lsr !shift > 0 do
     let sh = !shift in
     let buckets = min (1 lsl bits) (((m - 1) lsr sh) + 1) in
     let src = !perm and dst = !next in
@@ -377,31 +427,113 @@ let rank_by_hashing n cell =
   Array.iteri (fun j id -> ranks.(j) <- rank_of_id.(id)) ranks;
   (ranks, m)
 
-let rank_column (data : Row.t array) i =
-  let n = Array.length data in
-  let cell j = Row.get (Array.unsafe_get data j) i in
-  (* an int or date column's range, if every non-null cell is one *)
-  let rec scan j kind lo hi nulls =
-    if j = n then (kind, lo, hi, nulls)
+(* Offset ranks of an int (or date) column: [int_at j] for non-null
+   rows, nulls after the maximum, no sort. [None] when the range
+   overflows an int. *)
+let offset_ranks n ~null_at ~int_at =
+  let lo = ref max_int and hi = ref min_int and nulls = ref false in
+  for j = 0 to n - 1 do
+    if null_at j then nulls := true
+    else begin
+      let x = int_at j in
+      if x < !lo then lo := x;
+      if x > !hi then hi := x
+    end
+  done;
+  if !hi < !lo then Some (Array.make n 0, 1)
+  else if !hi - !lo >= 0 && !hi - !lo < max_int - 1 then
+    let lo = !lo in
+    let range = !hi - lo + 1 in
+    Some
+      ( Array.init n (fun j -> if null_at j then range else int_at j - lo),
+        if !nulls then range + 1 else range )
+  else None
+
+(* Dense ranks of a dictionary-coded column: the selected codes are
+   numbered in the dictionary's sorted [order], nulls last — the
+   ranks [rank_by_hashing] gives the same cells. *)
+let dictionary_ranks n ~order ~null_at ~code_at =
+  let present = Bytes.make (Array.length order) '\000' in
+  let nulls = ref false in
+  for j = 0 to n - 1 do
+    if null_at j then nulls := true
+    else Bytes.unsafe_set present (code_at j) '\001'
+  done;
+  let dense = Array.make (Array.length order) 0 in
+  let m = ref 0 in
+  Array.iter
+    (fun code ->
+      if Bytes.get present code = '\001' then begin
+        dense.(code) <- !m;
+        incr m
+      end)
+    order;
+  let m = !m in
+  ( Array.init n (fun j -> if null_at j then m else dense.(code_at j)),
+    if !nulls then m + 1 else m )
+
+(* A column known only by its cells: offsets if every non-null cell
+   is an int, or every one a date; hashing otherwise. *)
+let rank_cells n cell =
+  let rec kind j k =
+    if j = n then k
     else
-      match (cell j, kind) with
-      | Value.Null, _ -> scan (j + 1) kind lo hi true
-      | Value.Int x, (`Empty | `Int) ->
-          scan (j + 1) `Int (min lo x) (max hi x) nulls
-      | Value.Date x, (`Empty | `Date) ->
-          scan (j + 1) `Date (min lo x) (max hi x) nulls
-      | _ -> (`Mixed, lo, hi, nulls)
+      match (cell j, k) with
+      | Value.Null, _ -> kind (j + 1) k
+      | Value.Int _, (`Empty | `Int) -> kind (j + 1) `Int
+      | Value.Date _, (`Empty | `Date) -> kind (j + 1) `Date
+      | _ -> `Mixed
   in
-  match scan 0 `Empty max_int min_int false with
-  | `Empty, _, _, _ -> (Array.make n 0, 1)
-  | (`Int | `Date), lo, hi, nulls when hi - lo >= 0 && hi - lo < max_int - 1
-    ->
-      (* offset from the minimum, nulls after the maximum: no sort *)
-      let range = hi - lo + 1 in
-      ( Array.init n (fun j ->
-            match cell j with Value.Int x | Value.Date x -> x - lo | _ -> range),
-        if nulls then range + 1 else range )
-  | _ -> rank_by_hashing n cell
+  let offsets =
+    match kind 0 `Empty with
+    | `Mixed -> None
+    | `Empty | `Int | `Date ->
+        offset_ranks n
+          ~null_at:(fun j -> Value.is_null (cell j))
+          ~int_at:(fun j ->
+            match cell j with Value.Int x | Value.Date x -> x | _ -> 0)
+  in
+  match offsets with Some r -> r | None -> rank_by_hashing n cell
+
+(* Ranks of column [c] of [b] over its selection vector. *)
+let rank_column (b : Relation.batch) c =
+  let sel = b.sel in
+  let n = Array.length sel in
+  let read = reader b c in
+  let cell j = read (Array.unsafe_get sel j) in
+  match b.cols.(c) with
+  | Relation.Computed _ -> rank_cells n cell
+  | Relation.Broadcast { group; values } ->
+      (* rank the per-group values, then look each row's up *)
+      let ranks, m =
+        rank_by_hashing (Array.length values) (Array.unsafe_get values)
+      in
+      (Array.init n (fun j -> ranks.(group.(Array.unsafe_get sel j))), m)
+  | Relation.Base j -> (
+      match Relation.columnar_if_built b.base with
+      | None -> rank_cells n cell
+      | Some view -> (
+          let col = Columnar.column view j in
+          let null_at =
+            match col.Column.validity with
+            | None -> fun _ -> false
+            | Some bits ->
+                fun k -> not (Column.valid_bit bits (Array.unsafe_get sel k))
+          in
+          match col.Column.repr with
+          | Column.Strings { codes; _ } ->
+              dictionary_ranks n ~order:(Columnar.dict_order view j) ~null_at
+                ~code_at:(fun k ->
+                  Array.unsafe_get codes (Array.unsafe_get sel k))
+          | Column.Ints a | Column.Dates a -> (
+              match
+                offset_ranks n ~null_at ~int_at:(fun k ->
+                    Array.unsafe_get a (Array.unsafe_get sel k))
+              with
+              | Some r -> r
+              | None -> rank_by_hashing n cell)
+          | Column.Floats _ | Column.Bools _ | Column.Boxed _ ->
+              rank_cells n cell))
 
 (* Dense numbering of an int key in [0, m), in key order: equal keys,
    equal ids; a smaller key, a smaller id. *)
@@ -436,24 +568,26 @@ let combine n = function
           (key, m * mc))
         first rest
 
-let group_ids (data : Row.t array) positions =
-  let n = Array.length data in
+let group_ids_batch (b : Relation.batch) positions =
+  let n = Array.length b.sel in
   if n = 0 then ([||], 0)
-  else dense n (combine n (List.map (rank_column data) positions))
+  else dense n (combine n (List.map (rank_column b) positions))
+
+let group_ids r positions = group_ids_batch (Relation.batch r) positions
 
 let sort keys (r : Relation.t) =
   let schema = Relation.schema r in
   let keys =
     List.map (fun (name, dir) -> (Schema.index_exn schema name, dir)) keys
   in
-  let data = Relation.to_array r in
-  let n = Array.length data in
+  let n = Relation.cardinality r in
   if keys = [] || n < 2 then r
   else
+    let b = Relation.batch r in
     let ranked =
       List.map
-        (fun (i, dir) ->
-          let ranks, m = rank_column data i in
+        (fun (c, dir) ->
+          let ranks, m = rank_column b c in
           (match dir with
           | `Asc -> ()
           | `Desc -> Array.iteri (fun j r -> ranks.(j) <- m - 1 - r) ranks);
@@ -461,8 +595,29 @@ let sort keys (r : Relation.t) =
         keys
     in
     let key, m = combine n ranked in
-    Relation.unsafe_of_array schema
-      (Array.map (Array.unsafe_get data) (radix_perm key m))
+    Relation.of_batch schema
+      { b with sel = Array.map (Array.unsafe_get b.sel) (radix_perm key m) }
+
+let distinct_on keys (r : Relation.t) =
+  let schema = Relation.schema r in
+  let positions = List.map (Schema.index_exn schema) keys in
+  let b = Relation.batch r in
+  let gid, groups = group_ids_batch b positions in
+  let seen = Bytes.make groups '\000' in
+  let kept = Array.make (Array.length gid) 0 in
+  let k = ref 0 in
+  Array.iteri
+    (fun j g ->
+      if Bytes.get seen g = '\000' then begin
+        Bytes.set seen g '\001';
+        kept.(!k) <- b.sel.(j);
+        incr k
+      end)
+    gid;
+  Relation.of_batch schema { b with sel = Array.sub kept 0 !k }
+
+let distinct (r : Relation.t) =
+  distinct_on (Schema.names (Relation.schema r)) r
 
 let group_rows cols (r : Relation.t) =
   let positions =

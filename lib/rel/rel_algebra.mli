@@ -8,27 +8,48 @@
 
 exception Algebra_error of string
 
+(** The unary operators — {!select}, {!project}, {!extend}, {!sort},
+    {!distinct_on} and {!distinct} — run
+    over [Relation.batch] of their input and return a batch-backed
+    relation ({!Relation.of_batch}): selection narrows the selection
+    vector, projection edits the column map, extension appends a
+    column indexed by base row id, sorting permutes the vector and
+    duplicate elimination thins it. None of them builds a row, and
+    over a batch-backed input each continues from its batch. *)
+
 val select : Expr.t -> Relation.t -> Relation.t
 (** [σ_r]: keep rows satisfying the (aggregate-free) predicate.
-    Runs columnar (compiled selection vectors over the relation's
-    Sheetcol image, morsel-parallel) when the predicate compiles,
-    with a row-at-a-time fallback that is observationally identical.
-    @raise Algebra_error on an ill-typed predicate. *)
+    Runs columnar (compiled selection-vector filters over the base's
+    Sheetcol image, morsel-parallel) when every column the predicate
+    reads is a base column and the predicate compiles; otherwise
+    through the compiled expression, which is observationally
+    identical.
+    @raise Algebra_error on an ill-typed predicate, before reading a
+    row. *)
 
-val compile_filter :
-  Relation.t -> Expr.t list -> (unit -> Row.t array) option
-(** The columnar strategy alone: [Some run] when every predicate
-    compiles against the relation's image — forcing [run] yields the
-    surviving rows (originals, in order) — [None] otherwise. The plan
-    executor compiles first so that only a filter that really runs
-    columnar is timed and recorded as one. *)
+val select_path : Expr.t -> Relation.t -> Relation.t * [ `Columnar | `Row ]
+(** {!select}, also telling which of the two paths ran. *)
 
 val columnar_filter : Relation.t -> Expr.t list -> Row.t array option
-(** {!compile_filter}, run at once. *)
+(** The columnar strategy alone: [Some rows] when every predicate
+    compiles against the relation's image — the surviving rows, in
+    order — [None] otherwise. *)
+
+val compile : Relation.t -> Expr.t -> int -> Value.t
+(** {!Expr_eval.compile_with} over the relation's batch: the closure
+    takes a base row id of [Relation.batch r] (an entry of its
+    selection vector) and reads base cells from the base's own rows. *)
 
 val project : string list -> Relation.t -> Relation.t
 (** [π_r]: keep the named columns in the given order; duplicates are
-    NOT eliminated (multiset semantics). *)
+    NOT eliminated (multiset semantics). Edits the column map only. *)
+
+val extend : Schema.column -> Expr.t -> Relation.t -> Relation.t
+(** Append a column computed by the expression on every row
+    (morsel-parallel).
+    @raise Schema.Schema_error on a name clash.
+    @raise Expr_eval.Eval_error at the first row, in order, where the
+    expression fails. *)
 
 val product : Relation.t -> Relation.t -> Relation.t
 (** [×_r]: clashing right-hand column names get a numeric suffix (see
@@ -55,29 +76,38 @@ val equijoin : on:(string * string) -> Relation.t -> Relation.t -> Relation.t
     to build large pre-joined views. Result schema as in {!product}. *)
 
 val distinct : Relation.t -> Relation.t
-(** Remove duplicate rows, keeping the first occurrence of each. *)
+(** Remove duplicate rows (equal under {!Value.compare} column by
+    column), keeping the first occurrence of each: {!distinct_on}
+    every column, which thins the selection vector by {!group_ids}
+    and hashes no row. *)
+
+val distinct_on : string list -> Relation.t -> Relation.t
+(** Keep the first row of each group of rows equal (under
+    {!Value.compare}) on the given columns. *)
 
 val sort : (string * [ `Asc | `Desc ]) list -> Relation.t -> Relation.t
 (** Stable sort by the given key columns under {!Value.compare};
     [Null]s sort last in ascending order. Rows and order equal a
     stable comparison sort's, ties included ([Int 3] and [Float 3.0]
     tie). Column at a time: each key column is ranked once into ints
-    that order as {!Value.compare} orders its cells — int and date
-    columns by offset from their minimum, anything else by hashing its
-    distinct values and sorting only those — and descending keys flip
-    their ranks. The ranks are combined into one order-preserving int
-    key (as in {!group_ids}), a row-index permutation is
-    LSD-radix-sorted on it, and the rows are gathered once. No keys or
+    that order as {!Value.compare} orders its cells — a
+    dictionary-coded string column of the base image by its sorted
+    dictionary, an int or date column by offset from its minimum,
+    anything else by hashing its distinct values and sorting only
+    those — and descending keys flip their ranks. The ranks are
+    combined into one order-preserving int key (as in {!group_ids})
+    and the selection vector is LSD-radix-sorted on it. No keys or
     fewer than two rows return the relation itself. *)
 
-val group_ids : Row.t array -> int list -> int array * int
-(** [group_ids rows positions] is [(gid, groups)]: rows get the same
-    id in [\[0, groups)] exactly when their cells at [positions] are
-    pairwise equal under {!Value.compare}, and ids follow key order —
-    a row whose cells are lexicographically smaller gets a smaller id
-    (computed from the same per-column ranks as {!sort}). [groups] is
-    at most the number of rows (no rows, no groups) but may exceed the
-    number of distinct keys: ids need not be dense. *)
+val group_ids : Relation.t -> int list -> int array * int
+(** [group_ids r positions] is [(gid, groups)]: row [i] of [r] gets
+    id [gid.(i)] in [\[0, groups)], and rows get the same id exactly
+    when their cells at the column [positions] are pairwise equal
+    under {!Value.compare}. Ids follow key order — a row whose cells
+    are lexicographically smaller gets a smaller id (computed from
+    the same per-column ranks as {!sort}). [groups] is at most the
+    number of rows (no rows, no groups) but may exceed the number of
+    distinct keys: ids need not be dense. *)
 
 val group_rows : string list -> Relation.t -> (Row.t * Row.t list) list
 (** Partition rows by equality on the given columns. Each element is

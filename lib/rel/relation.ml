@@ -1,9 +1,12 @@
-(* The two memo fields make a relation lazily dual-format: [rows_memo]
-   caches the list conversion (satellite of ISSUE 7 — renderers call
-   [rows] repeatedly), [col_memo] caches the Sheetcol columnar image.
-   Both are derived purely from the immutable [data], so the mutation
-   is invisible: any interleaving of builders computes the same
-   value. *)
+(* A relation is either row-backed (a flat [Row.t array]) or
+   batch-backed: a selection vector over a row-backed base plus a
+   column map, whose rows are built on first row access. The memo
+   fields make a relation lazily multi-format: [data] holds the rows
+   (always set for a row-backed relation, filled on first access for a
+   batch-backed one), [rows_memo] caches the list conversion and
+   [col_memo] the Sheetcol columnar image. All of them are derived
+   purely from immutable inputs, so the mutation is invisible: any
+   interleaving of builders computes the same value. *)
 type col_memo =
   | Col_unbuilt
   | Col_built of Columnar.t
@@ -11,13 +14,27 @@ type col_memo =
 
 type t = {
   schema : Schema.t;
-  data : Row.t array;
+  src : src;
+  mutable data : Row.t array option;
   mutable rows_memo : Row.t list option;
   mutable col_memo : col_memo;
   mutable col_touch : int;
       (* columnar-scan requests served before building (see
          [columnar_hot]) *)
 }
+
+and src =
+  | Rows
+  | Batch of batch * bool
+      (* the batch, and whether its map is the base's own columns in
+         order (rows are then the base's rows themselves) *)
+
+and batch = { base : t; sel : int array; cols : col array }
+
+and col =
+  | Base of int
+  | Computed of Value.t array
+  | Broadcast of { group : int array; values : Value.t array }
 
 exception Relation_error of string
 
@@ -39,8 +56,15 @@ let validate_row schema row =
             (Value.type_name c.Schema.ty)
   done
 
-let unsafe_of_array schema data =
-  { schema; data; rows_memo = None; col_memo = Col_unbuilt; col_touch = 0 }
+let of_rows ?rows_memo schema data =
+  { schema;
+    src = Rows;
+    data = Some data;
+    rows_memo;
+    col_memo = Col_unbuilt;
+    col_touch = 0 }
+
+let unsafe_of_array schema data = of_rows schema data
 
 let of_array schema data =
   Array.iter (validate_row schema) data;
@@ -48,34 +72,93 @@ let of_array schema data =
 
 let make schema rows =
   List.iter (validate_row schema) rows;
-  { schema;
-    data = Array.of_list rows;
-    rows_memo = Some rows;
-    col_memo = Col_unbuilt;
-    col_touch = 0 }
+  of_rows ~rows_memo:rows schema (Array.of_list rows)
 
 let unsafe_make schema rows =
+  of_rows ~rows_memo:rows schema (Array.of_list rows)
+
+let empty schema = unsafe_of_array schema [||]
+let schema t = t.schema
+
+let cardinality t =
+  match (t.src, t.data) with
+  | Batch (b, _), _ -> Array.length b.sel
+  | Rows, Some d -> Array.length d
+  | Rows, None -> assert false
+
+let rows_built t = Option.is_some t.data
+
+let is_identity (base : t) cols =
+  let n = Array.length cols in
+  let rec go j =
+    j = n || (match cols.(j) with Base k -> k = j | _ -> false) && go (j + 1)
+  in
+  n = Schema.arity base.schema && go 0
+
+let of_batch schema (b : batch) =
+  (match b.base.src with
+  | Rows -> ()
+  | Batch _ -> invalid_arg "Relation.of_batch: the base must be row-backed");
   { schema;
-    data = Array.of_list rows;
-    rows_memo = Some rows;
+    src = Batch (b, is_identity b.base b.cols);
+    data = None;
+    rows_memo = None;
     col_memo = Col_unbuilt;
     col_touch = 0 }
 
-let empty schema = unsafe_of_array schema [||]
-let cardinality t = Array.length t.data
-let schema t = t.schema
+let base_rows (b : batch) =
+  match b.base.data with Some d -> d | None -> assert false
+
+let batch t =
+  match t.src with
+  | Batch (b, _) -> b
+  | Rows ->
+      { base = t;
+        sel = Array.init (cardinality t) Fun.id;
+        cols = Array.init (Schema.arity t.schema) (fun j -> Base j) }
+
+(* Row [i] of a batch: the base's own row under an identity map,
+   otherwise a fresh row whose base cells are the base row's values
+   themselves (nothing is boxed anew). *)
+let build_row (b : batch) identity rows i =
+  let id = Array.unsafe_get b.sel i in
+  let row = Array.unsafe_get rows id in
+  if identity then row
+  else
+    Array.map
+      (function
+        | Base j -> Row.get row j
+        | Computed a -> Array.unsafe_get a id
+        | Broadcast { group; values } -> values.(Array.unsafe_get group id))
+      b.cols
+
+let to_array t =
+  match (t.data, t.src) with
+  | Some d, _ -> d
+  | None, Batch (b, identity) ->
+      let rows = base_rows b in
+      let d = Array.init (Array.length b.sel) (build_row b identity rows) in
+      t.data <- Some d;
+      d
+  | None, Rows -> assert false
+
+let get t i =
+  match (t.data, t.src) with
+  | Some d, _ -> d.(i)
+  | None, Batch (b, identity) ->
+      if i < 0 || i >= Array.length b.sel then invalid_arg "Relation.get";
+      build_row b identity (base_rows b) i
+  | None, Rows -> assert false
 
 let rows t =
   match t.rows_memo with
   | Some l -> l
   | None ->
-      let l = Array.to_list t.data in
+      let l = Array.to_list (to_array t) in
       t.rows_memo <- Some l;
       l
 
-let to_array t = t.data
-let get t i = t.data.(i)
-let iter f t = Array.iter f t.data
+let iter f t = Array.iter f (to_array t)
 
 let with_schema schema t = { t with schema }
 
@@ -89,7 +172,7 @@ let columnar_view t =
   | Col_unavailable -> None
   | Col_unbuilt ->
       let arity = Schema.arity t.schema in
-      let v = Columnar.of_rows ~width:arity t.data in
+      let v = Columnar.of_rows ~width:arity (to_array t) in
       if Columnar.uniform v && Columnar.width v = arity then begin
         t.col_memo <- Col_built v;
         Some v
@@ -120,26 +203,19 @@ let columnar_hot t =
   | Col_built v -> Some v
   | Col_unavailable -> None
   | Col_unbuilt ->
-      if Array.length t.data < columnar_min_rows then None
+      if cardinality t < columnar_min_rows then None
       else if t.col_touch >= 1 then columnar_view t
       else begin
         t.col_touch <- t.col_touch + 1;
         None
       end
 
-let unsafe_of_array_with_columnar schema data view =
-  { schema;
-    data;
-    rows_memo = None;
-    col_memo = Col_built view;
-    col_touch = 0 }
-
 let column_values t name =
   let i = Schema.index_exn t.schema name in
-  Array.to_list (Array.map (fun r -> Row.get r i) t.data)
+  Array.to_list (Array.map (fun r -> Row.get r i) (to_array t))
 
 let sorted_data t =
-  let d = Array.copy t.data in
+  let d = Array.copy (to_array t) in
   Array.sort Row.compare d;
   d
 

@@ -2,10 +2,25 @@
 
     The paper defines every spreadsheet operator against a relational
     counterpart with multiset semantics (Sec. III-B); this module is
-    that substrate. Rows are stored in a flat [Row.t array] built once
-    per operator output; the order is incidental — use {!normalize} or
-    {!equal} for order-insensitive reasoning. The type is abstract so
-    the backing array can never be aliased into a mutated state. *)
+    that substrate. The order of the rows is incidental — use
+    {!normalize} or {!equal} for order-insensitive reasoning. The type
+    is abstract so the rows can never be aliased into a mutated state.
+
+    A relation has one of two representations:
+    - {e row-backed}: a flat [Row.t array] (every constructor below
+      but {!of_batch});
+    - {e batch-backed} ({!of_batch}): a {!batch} — a selection vector
+      over a row-backed base and a column map — whose rows are built
+      on first row access. This is what the plan executor and the
+      unary operators of [Rel_algebra] return, so a chain of them
+      (and every cached materialization) never copies a row.
+
+    On a batch-backed relation {!cardinality}, {!schema}, {!batch},
+    {!with_schema} and {!columnar_if_built} never build rows; {!get}
+    builds only the row asked for; {!to_array} (and everything that
+    reads the whole bag: {!rows}, {!iter}, {!columnar_view},
+    {!normalize}, {!equal}, {!pp}) builds every row once and
+    memoizes them. *)
 
 type t
 
@@ -30,6 +45,49 @@ val unsafe_of_array : Schema.t -> Row.t array -> t
     operator uses for its output. *)
 
 val empty : Schema.t -> t
+
+(** {2 Batches} *)
+
+type col =
+  | Base of int  (** column [j] of the base *)
+  | Computed of Value.t array
+      (** a computed column, indexed by base row id: only the cells
+          at ids in the selection are meaningful *)
+  | Broadcast of { group : int array; values : Value.t array }
+      (** a column broadcast from per-group values (an aggregate):
+          the cell at base row id [i] is [values.(group.(i))], with
+          [group] indexed by base row id like [Computed] *)
+
+type batch = {
+  base : t;  (** always row-backed *)
+  sel : int array;
+      (** selection vector: the base row ids of the relation's rows,
+          in order, each at most once *)
+  cols : col array;  (** column map, one entry per schema column *)
+}
+(** Row [i] of a batch-backed relation is base row [sel.(i)], read
+    through [cols]. Base cells are the base row's own values; when the
+    map is the base's columns in order, the row is the base row
+    itself (physically). *)
+
+val of_batch : Schema.t -> batch -> t
+(** A batch-backed relation; [schema] names [cols], one to one. No
+    row is built.
+    @raise Invalid_argument when [base] is batch-backed. *)
+
+val batch : t -> batch
+(** A batch-backed relation's own batch; a row-backed relation as the
+    identity batch over itself (fresh selection vector [0..n-1], every
+    column in order). The base of the result is always row-backed, so
+    operators over a batch-backed relation extend its batch. *)
+
+val rows_built : t -> bool
+(** Whether the rows exist yet: always for a row-backed relation,
+    after the first {!to_array} (or {!rows}, ...) for a batch-backed
+    one. *)
+
+(** {2 Access} *)
+
 val cardinality : t -> int
 val schema : t -> Schema.t
 
@@ -39,12 +97,18 @@ val rows : t -> Row.t list
     repeated calls return the same (physically equal) list. *)
 
 val to_array : t -> Row.t array
-(** The backing array itself (no copy). Treat it as read-only:
-    mutating it breaks relation immutability and the materialization
-    cache. *)
+(** The rows, in order: a row-backed relation's array itself; a
+    batch-backed relation's rows, built on the first call and
+    memoized, so repeated calls return the same (physically equal)
+    array. Treat it as read-only: mutating it breaks relation
+    immutability and the materialization cache. *)
 
 val get : t -> int -> Row.t
-(** [get t i] is row [i] in storage order. *)
+(** [get t i] is row [i] in storage order, equal to
+    [(to_array t).(i)]. On a batch-backed relation whose rows are not
+    built yet it builds that row alone (a fresh one unless the map is
+    the identity).
+    @raise Invalid_argument when [i] is out of range. *)
 
 val iter : (Row.t -> unit) -> t -> unit
 
@@ -70,13 +134,8 @@ val columnar_hot : t -> Columnar.t option
 
 val columnar_if_built : t -> Columnar.t option
 (** The memoized image if a previous {!columnar_view} built one;
-    never triggers a build. Operators use this to push column subsets
-    and appended columns through projection/extension for free. *)
-
-val unsafe_of_array_with_columnar : Schema.t -> Row.t array -> Columnar.t -> t
-(** {!unsafe_of_array} with a pre-built columnar image (which must
-    describe exactly [data] under [schema] — correct by construction
-    in the operators that derive both together). *)
+    never triggers a build. The ranking kernels read a base's
+    dictionary codes and int arrays through this. *)
 
 val column_values : t -> string -> Value.t list
 (** All values of a column, in row order. *)

@@ -20,11 +20,6 @@ let push t x =
 
 let to_array t = Array.sub t.data 0 t.len
 
-let iter f t =
-  for i = 0 to t.len - 1 do
-    f t.data.(i)
-  done
-
 (* Order-preserving array filter: fill a full-size scratch array and
    trim once — no per-element allocation beyond the final copy. *)
 let filter_array keep data =

@@ -10,8 +10,6 @@ val push : 'a t -> 'a -> unit
 val to_array : 'a t -> 'a array
 (** Fresh array of the first [length] elements. *)
 
-val iter : ('a -> unit) -> 'a t -> unit
-
 val filter_array : ('a -> bool) -> 'a array -> 'a array
 (** Order-preserving filter over a plain array; single pass, one
     final trim copy. *)

@@ -1,8 +1,11 @@
-(* Column-at-a-time execution: the rank-based sort, the one-pass
-   grouped aggregation and compiled row expressions, each pinned to
-   the reference it replaces — a stable [Value.compare] sort,
-   [Expr_eval.apply_agg] over the group's values, and [Expr_eval.eval]
-   — plus the empty plan that hands back its scanned relation. *)
+(* Column-at-a-time execution: the rank-based sort (with and without
+   a Sheetcol image), duplicate elimination over a batch, the
+   one-pass grouped aggregation and compiled row expressions, each
+   pinned to the reference it replaces — a stable [Value.compare]
+   sort, [Row.Tbl] hashing, [Expr_eval.apply_agg] over the group's
+   values, and [Expr_eval.eval] — plus batch-backed relations (rows
+   built once, on first access; a page reads only its window) and the
+   empty plan that hands back its scanned relation. *)
 
 open Sheet_rel
 open Sheet_core
@@ -99,18 +102,26 @@ let reference_sort keys rows =
     sorted;
   sorted
 
+(* The same rows with and without a Sheetcol image: the image ranks
+   typed columns from their arrays (string columns by their sorted
+   dictionary), the other relation from the cells. *)
+let with_and_without_image rows =
+  let imaged = Relation.unsafe_of_array sort_schema rows in
+  ignore (Relation.columnar_view imaged);
+  [ imaged; Relation.unsafe_of_array sort_schema rows ]
+
 let sort_matches_reference =
   QCheck.Test.make ~count:150
     ~name:"sort == stable Value.compare sort (rows and order)"
     (QCheck.make gen_sort_case) (fun (rows, keys) ->
-      let got =
-        Relation.to_array
-          (Rel_algebra.sort keys (Relation.unsafe_of_array sort_schema rows))
-      in
       let want = reference_sort keys rows in
-      rows_identical got want
-      || QCheck.Test.fail_reportf "got %s\nwant %s" (print_rows got)
-           (print_rows want))
+      List.for_all
+        (fun r ->
+          let got = Relation.to_array (Rel_algebra.sort keys r) in
+          rows_identical got want
+          || QCheck.Test.fail_reportf "got %s\nwant %s" (print_rows got)
+               (print_rows want))
+        (with_and_without_image rows))
 
 (* Group ids over the same cells: equal ids exactly for equal keys,
    smaller ids for lexicographically smaller keys, at most one group
@@ -121,7 +132,11 @@ let group_ids_follow_key_order =
       let positions =
         List.map (fun (name, _) -> Schema.index_exn sort_schema name) keys
       in
-      let gid, groups = Rel_algebra.group_ids rows positions in
+      let gid, groups =
+        Rel_algebra.group_ids
+          (List.hd (with_and_without_image rows))
+          positions
+      in
       let compare_keys ra rb =
         List.fold_left
           (fun c i -> if c <> 0 then c else Value.compare ra.(i) rb.(i))
@@ -138,6 +153,107 @@ let group_ids_follow_key_order =
                 let a = sorted.(k) and b = sorted.(k + 1) in
                 let c = compare_keys rows.(a) rows.(b) in
                 if c = 0 then gid.(a) = gid.(b) else gid.(a) < gid.(b))))
+
+(* Ranks read off the image equal the ranks hashing gives the same
+   cells: over one key column, group ids are that column's ranks
+   (dense ones, for a dictionary or hashed column), so the two
+   relations must number every row alike. *)
+let image_ranks_equal_hashing =
+  QCheck.Test.make ~count:150 ~name:"group_ids: image ranks == hashed ranks"
+    (QCheck.make gen_sort_case) (fun (rows, _) ->
+      List.for_all
+        (fun c ->
+          match
+            List.map
+              (fun r -> Rel_algebra.group_ids r [ c ])
+              (with_and_without_image rows)
+          with
+          | [ imaged; plain ] -> imaged = plain
+          | _ -> false)
+        [ 0; 1; 2 ])
+
+(* A sorted vector is not ascending: an [Or] filter compiled against
+   the image must keep the survivors in the sorted order. *)
+let or_filter_after_sort =
+  QCheck.Test.make ~count:150 ~name:"Or filter after a Sort keeps its order"
+    (QCheck.make gen_sort_case) (fun (rows, keys) ->
+      let pred =
+        Expr.Or
+          ( Expr.Cmp (Expr.Lt, Expr.Col "row", Expr.Const (Value.Int 40)),
+            Expr.Cmp (Expr.Gt, Expr.Col "row", Expr.Const (Value.Int 200)) )
+      in
+      let want =
+        Array.of_list
+          (List.filter
+             (fun r ->
+               match r.(3) with Value.Int i -> i < 40 || i > 200 | _ -> false)
+             (Array.to_list (reference_sort keys rows)))
+      in
+      List.for_all
+        (fun r ->
+          let sorted = Rel_algebra.sort keys r in
+          let got, path = Rel_algebra.select_path pred sorted in
+          let got = Relation.to_array got in
+          (* an empty image column is boxed: nothing compiles *)
+          (Array.length rows = 0 || path = `Columnar
+          || Relation.columnar_if_built r = None)
+          && (rows_identical got want
+             || QCheck.Test.fail_reportf "got %s\nwant %s" (print_rows got)
+                  (print_rows want)))
+        (with_and_without_image rows))
+
+(* ---------- duplicate elimination ---------- *)
+
+(* Cells that compare equal without being identical — [Int 3] and
+   [Float 3.0], [0.0] and [-0.0], two NaNs — and nulls, beside a
+   string and an int column the image codes. *)
+let gen_distinct_rows =
+  let open QCheck.Gen in
+  let tricky =
+    oneofl
+      [ Value.Int 3; Value.Float 3.0; Value.Float Float.nan;
+        Value.Float 0.0; Value.Float (-0.0); Value.Null; Value.Int 0 ]
+  in
+  let* n = oneof [ int_range 0 60; int_range 256 400 ] in
+  array_repeat n
+    (let* a = tricky in
+     let* b = oneofl [ Value.String "x"; Value.String "y"; Value.Null ] in
+     let* c = oneofl [ Value.Int 1; Value.Int 2; Value.Null ] in
+     return [| a; b; c |])
+
+let distinct_schema =
+  Schema.of_list
+    [ ("a", Value.TFloat); ("b", Value.TString); ("c", Value.TInt) ]
+
+(* The reference keeps the first row of each class of [Row.Tbl]
+   (real row equality). *)
+let row_tbl_distinct rows =
+  let seen = Row.Tbl.create 16 in
+  Array.of_list
+    (List.filter
+       (fun row ->
+         (not (Row.Tbl.mem seen row))
+         && (Row.Tbl.add seen row ();
+             true))
+       (Array.to_list rows))
+
+let distinct_matches_row_tbl =
+  QCheck.Test.make ~count:300
+    ~name:"distinct == Row.Tbl distinct (rows and order)"
+    (QCheck.make QCheck.Gen.(pair gen_distinct_rows bool))
+    (fun (rows, image) ->
+      let r = Relation.unsafe_of_array distinct_schema rows in
+      if image then ignore (Relation.columnar_view r);
+      let batch = Rel_algebra.project (Schema.names distinct_schema) r in
+      let want = row_tbl_distinct rows in
+      List.for_all
+        (fun input ->
+          let got = Relation.to_array (Rel_algebra.distinct input) in
+          rows_identical got want
+          || QCheck.Test.fail_reportf "got %s\nwant %s" (print_rows got)
+               (print_rows want))
+        [ r; batch ]
+      && not (Relation.rows_built batch))
 
 (* ---------- grouped aggregation ---------- *)
 
@@ -362,10 +478,78 @@ let test_first_select_compiles () =
         [ "Price < 20000" ] p.Obs.Profile.p_compiled;
       Alcotest.(check int) "no fallback" 0 (List.length p.Obs.Profile.p_fallbacks)
 
+(* ---------- batch-backed relations ---------- *)
+
+let apply_all session ops =
+  List.fold_left
+    (fun session op ->
+      match Session.apply session op with
+      | Ok s -> s
+      | Error e -> Alcotest.failf "refused: %s" (Errors.to_string e))
+    session ops
+
+let parse = Expr_parse.parse_string_exn
+
+(* A sorted, filtered, extended sheet of 60k rows: its cached
+   materialization is batch-backed. *)
+let big_session () =
+  Materialize.reset_cache ();
+  apply_all
+    (Session.create ~name:"big" (Sample_cars.scaled ~rows:60_000 ~seed:5))
+    [ Op.Select (parse "Price > 9000");
+      Op.Formula { name = Some "twice"; expr = parse "Price * 2" };
+      Op.Group { basis = [ "Model" ]; dir = Grouping.Asc };
+      Op.Aggregate
+        { fn = Expr.Avg; col = Some "Mileage"; level = 1; as_name = Some "avg_m" };
+      Op.Order { attr = "Year"; dir = Grouping.Desc; level = 1 } ]
+
+let test_relation_access () =
+  let sheet = Session.current (big_session ()) in
+  let r = Materialize.full_cached sheet in
+  let n = Relation.cardinality r in
+  Alcotest.(check bool) "cardinality builds no row" false (Relation.rows_built r);
+  let probes = [ 0; 1; n / 2; n - 1 ] in
+  let got = List.map (Relation.get r) probes in
+  Alcotest.(check bool) "get builds no row" false (Relation.rows_built r);
+  let all = Relation.to_array r in
+  Alcotest.(check int) "to_array has every row" n (Array.length all);
+  Alcotest.(check bool) "get i = (to_array r).(i)" true
+    (List.for_all2 (fun i row -> Row.equal row all.(i)) probes got);
+  Alcotest.(check bool) "to_array is memoized" true (Relation.to_array r == all);
+  Alcotest.(check bool) "rows are the same rows" true
+    (List.for_all2 ( == ) (Relation.rows r) (Array.to_list all))
+
+(* [print 20] over a big sheet reads its window, not the sheet. *)
+let test_page_reads_window () =
+  let sheet = Session.current (big_session ()) in
+  let full = Materialize.full_cached sheet in
+  ignore (Render.page ~limit:20 sheet);
+  let w0 = Gc.minor_words () in
+  let p = Render.page ~offset:1000 ~limit:20 sheet in
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check int) "a 20-row window" 20 (Array.length p.Render.rows);
+  Alcotest.(check bool)
+    (Printf.sprintf "window allocation bounded (%.0f words)" words)
+    true (words < 20_000.);
+  Alcotest.(check bool) "the sheet's rows stay unbuilt" false
+    (Relation.rows_built full);
+  Alcotest.(check bool) "window rows = the sheet's" true
+    (Array.for_all2 Row.equal p.Render.rows
+       (Array.sub
+          (Relation.to_array (Materialize.visible sheet))
+          1000 20))
+
 let () =
   let q = QCheck_alcotest.to_alcotest ~long:false in
   Alcotest.run "sheet_colexec"
-    [ ("sort", [ q sort_matches_reference; q group_ids_follow_key_order ]);
+    [ ( "sort",
+        [ q sort_matches_reference; q group_ids_follow_key_order;
+          q image_ranks_equal_hashing; q or_filter_after_sort ] );
+      ("distinct", [ q distinct_matches_row_tbl ]);
+      ( "batch",
+        [ Alcotest.test_case "relation access" `Quick test_relation_access;
+          Alcotest.test_case "page reads its window" `Quick
+            test_page_reads_window ] );
       ( "aggregate",
         [ q aggregate_matches_apply_agg;
           Alcotest.test_case "error order" `Quick test_aggregate_error_order ] );

@@ -11,7 +11,8 @@
    the SQL engine via the inverse translation. Random query states
    over relations up to 10k rows must agree on all of them, and so
    must the windows Render.page cuts from them (cells and group
-   breaks).
+   breaks) and the sheet's plan run over three scans of its base data
+   (with a Sheetcol image, without one, and batch-backed).
 
    A second battery attacks the hash-table paths (equijoin / distinct
    / diff / grouping all key on Value.hash or Row.hash): a generator
@@ -257,6 +258,76 @@ let pages_agree (sheet : Spreadsheet.t) expected =
     [ (0, None); (0, Some 3); (first_break - 1, Some 3); (first_break, Some 2);
       (n / 2, Some 4); (n - 2, Some 5); (n + 3, Some 2); (1, Some 0) ]
 
+(* The same data scanned three ways: a base with a Sheetcol image, a
+   base without one (first touch, or under 256 rows: the compiled
+   expression path), and a batch-backed relation from an earlier run,
+   whose selection vector runs backwards over its base and whose
+   second column is a computed one. *)
+let three_scans base =
+  let schema = Relation.schema base in
+  let rows = Relation.to_array base in
+  let n = Array.length rows in
+  let with_image = Relation.unsafe_of_array schema (Array.copy rows) in
+  ignore (Relation.columnar_view with_image);
+  let without_image = Relation.unsafe_of_array schema (Array.copy rows) in
+  let names = Schema.names schema in
+  let second = List.nth names 1 in
+  let hidden = "__" ^ second in
+  (* the rows reversed, the second column renamed, each row's
+     original position appended *)
+  let reversed =
+    Relation.unsafe_of_array
+      (Schema.append
+         (Schema.of_list
+            (List.map
+               (fun (c : Schema.column) ->
+                 ((if c.Schema.name = second then hidden else c.Schema.name),
+                  c.Schema.ty))
+               (Schema.columns schema)))
+         { Schema.name = "__pos"; ty = Value.TInt })
+      (Array.init n (fun i ->
+           Row.append rows.(n - 1 - i) [| Value.Int (n - 1 - i) |]))
+  in
+  ignore (Relation.columnar_view reversed);
+  let batch =
+    Plan.execute
+      (Plan.Project
+         ( names,
+           Plan.Sort
+             ( [ ("__pos", `Asc) ],
+               Plan.Extend_formula
+                 ( { Plan.name = second;
+                     ty = (Schema.column_at schema 1).Schema.ty;
+                     expr = Expr.Col hidden },
+                   Plan.Scan reversed ) ) ))
+  in
+  [ ("image", with_image); ("no image", without_image); ("batch", batch) ]
+
+(* [plan] with its scans of [base] reading [scan] instead (an empty
+   scan the optimizer put in place of a provably empty filter stays) *)
+let rec rescan base scan = function
+  | Plan.Scan r -> Plan.Scan (if r == base then scan else r)
+  | Plan.Project (c, n) -> Plan.Project (c, rescan base scan n)
+  | Plan.Filter (p, n) -> Plan.Filter (p, rescan base scan n)
+  | Plan.Distinct_on (k, n) -> Plan.Distinct_on (k, rescan base scan n)
+  | Plan.Extend_formula (e, n) -> Plan.Extend_formula (e, rescan base scan n)
+  | Plan.Extend_aggregate (e, n) ->
+      Plan.Extend_aggregate (e, rescan base scan n)
+  | Plan.Sort (k, n) -> Plan.Sort (k, rescan base scan n)
+
+let scans_agree (sheet : Spreadsheet.t) expected =
+  let base = sheet.Spreadsheet.base in
+  let plan = Plan.of_sheet sheet in
+  List.for_all
+    (fun (_, scan) ->
+      List.for_all
+        (fun plan ->
+          Oracle.same_rows_in_order
+            (Plan.execute (rescan base scan plan))
+            expected)
+        [ plan; Plan.optimize plan ])
+    (three_scans base)
+
 let check_state rel ops =
   let session = Session.create ~name:"cars" rel in
   let session =
@@ -295,6 +366,7 @@ let check_state rel ops =
        (Rel_algebra.project (Spreadsheet.visible_columns sheet) expected)
   && disabled_agrees
   && pages_agree sheet expected
+  && scans_agree sheet expected
   && sql_agrees sheet rel
   && subsumption_agrees rel ops
 

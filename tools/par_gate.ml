@@ -8,6 +8,10 @@
 
    - rows of Materialize.full (the plan executor), in content *or
      order*;
+   - rows of Session.materialized after the task script — the
+     incremental chain, where every step derives from its parent's
+     cached batch — in content or order, and against the visible
+     columns of Materialize.full in the same run;
    - counter totals (Sheetscope v3 shards per domain and merges on
      read — totals must be exactly those of the single-writer run);
    - histogram sample counts (the duration-free slice; durations are
@@ -50,6 +54,7 @@ let with_config ~domains f =
 (* everything a task run leaves behind, minus wall time *)
 type observation = {
   o_rows : Row.t list;
+  o_session : Row.t list;  (* Session.materialized after the script *)
   o_counters : (string * int) list;  (* nonzero counters, sorted *)
   o_hists : (string * int) list;  (* nonzero sample counts, sorted *)
   o_spans : (string * string * int * int * int) list;
@@ -71,7 +76,17 @@ let observe catalog (task : Sheet_tpch.Tpch_tasks.t) =
       | Error msg -> Error msg
       | Ok session ->
           let sheet = Session.current session in
-          let rows = Relation.rows (Materialize.full sheet) in
+          let session_rows = Relation.rows (Session.materialized session) in
+          let full = Materialize.full sheet in
+          let rows = Relation.rows full in
+          check
+            (Printf.sprintf "task %2d session" task.id)
+            (List.equal Row.equal session_rows
+               (Relation.rows
+                  (Sheet_rel.Rel_algebra.project
+                     (Spreadsheet.visible_columns sheet) full)))
+            "Session.materialized differs from Materialize.full's visible \
+             columns";
           check
             (Printf.sprintf "task %2d balance" task.id)
             (Obs.open_spans () = 0 && Obs.nesting_ok ())
@@ -79,6 +94,7 @@ let observe catalog (task : Sheet_tpch.Tpch_tasks.t) =
                (Obs.open_spans ()) (Obs.nesting_ok ()));
           Ok
             { o_rows = rows;
+              o_session = session_rows;
               o_counters = nonzero (Obs.Metrics.counters_snapshot ());
               o_hists = nonzero (Obs.Histogram.counts_snapshot ());
               o_spans =
@@ -114,6 +130,9 @@ let run_task (task : Sheet_tpch.Tpch_tasks.t) seq par =
       check (label "rows")
         (List.equal Row.equal s.o_rows p.o_rows)
         "row list diverges between 1 and 4 domains";
+      check (label "session rows")
+        (List.equal Row.equal s.o_session p.o_session)
+        "Session.materialized diverges between 1 and 4 domains";
       check (label "counters")
         (s.o_counters = p.o_counters)
         (Printf.sprintf "sharded totals diverge: %s"
@@ -158,5 +177,6 @@ let () =
   else
     Printf.printf
       "par gate: %d task(s) bit-identical across 1 and 4 domains — rows, \
-       order, counters, histogram counts, span multisets (%d morsels)\n"
+       order (full replay and incremental chain), counters, histogram \
+       counts, span multisets (%d morsels)\n"
       (List.length tasks) morsels
