@@ -160,22 +160,33 @@ let linearize node =
   go [] node
 
 (* Grouped aggregation with per-row broadcast (Table III), with no
-   per-group list: [Rel_algebra.group_ids] gives every row its group
-   column by column, one pass folds each row's argument, in input
-   order, into its group's accumulator, and every row's handle gets
-   its group's value. The folds reproduce [Expr_eval.apply_agg] over
-   the group's values exactly: a sum keeps an int total beside a
-   float total accumulated in row order, so either result is
-   bit-identical, and the first ill-typed argument in input order
-   raises. *)
+   per-group list: [Rel_algebra.grouping] gives every row its group —
+   shared with an earlier aggregate of the same level over the same
+   vector — one pass folds each row's argument, in input order, into
+   its group's accumulator, and every row's handle gets its group's
+   value. The folds reproduce [Expr_eval.apply_agg] over the group's
+   values exactly: a sum keeps an int total beside a float total
+   accumulated in row order, so either result is bit-identical, a
+   minimum or maximum keeps the first of equal values under
+   [Value.compare], and the first ill-typed argument in input order
+   raises.
 
-let aggregate fn arg gid groups (sel : int array) =
+   An argument that is a typed column (of the base image, or computed
+   by the typed kernel) folds its unboxed array: COUNT reads only the
+   validity bitmap, SUM/AVG an [Ints] or [Floats] array, MIN/MAX an
+   [Ints], [Dates] or [Floats] array — none of them can fail. Every
+   other argument folds boxed cells. *)
+
+(* The boxed fold: [arg] reads a row's cell by base row id. *)
+let aggregate_boxed fn arg (g : Relation.grouping) (sel : int array) =
+  let groups = g.Relation.groups and group = g.Relation.group in
   let n = Array.length sel in
   let fold f =
     for j = 0 to n - 1 do
-      match arg (Array.unsafe_get sel j) with
+      let id = Array.unsafe_get sel j in
+      match arg id with
       | Value.Null -> ()
-      | v -> f gid.(j) v
+      | v -> f group.(id) v
     done
   in
   let non_numeric name v =
@@ -188,7 +199,7 @@ let aggregate fn arg gid groups (sel : int array) =
   let count_value g _ = count.(g) <- count.(g) + 1 in
   match fn with
   | Expr.Count_star ->
-      Array.iter (fun g -> count.(g) <- count.(g) + 1) gid;
+      Array.iter (fun id -> count.(group.(id)) <- count.(group.(id)) + 1) sel;
       Array.map (fun c -> Value.Int c) count
   | Expr.Count ->
       fold count_value;
@@ -233,43 +244,133 @@ let aggregate fn arg gid groups (sel : int array) =
           | b -> if sign * Value.compare v b > 0 then best.(g) <- v);
       best
 
+(* A typed fold, or [None] when [fn] over [col] takes the boxed one.
+   Loops visit the selection in order and skip null cells. *)
+let aggregate_typed fn (col : Column.t) (g : Relation.grouping) sel =
+  let groups = g.Relation.groups and group = g.Relation.group in
+  let validity = col.Column.validity in
+  let[@inline] valid id =
+    match validity with None -> true | Some bits -> Column.valid_bit bits id
+  in
+  let count = Array.make groups 0 in
+  (* visit the valid cells: [f group id] after counting the cell *)
+  let[@inline] fold f =
+    for j = 0 to Array.length sel - 1 do
+      let id = Array.unsafe_get sel j in
+      if valid id then begin
+        let g = Array.unsafe_get group id in
+        f g id;
+        count.(g) <- count.(g) + 1
+      end
+    done
+  in
+  let per_group f =
+    Some (Array.init groups (fun g -> if count.(g) = 0 then Value.Null else f g))
+  in
+  (* the first of equal values is kept: a later one replaces it only
+     when strictly smaller (MIN) or larger (MAX) *)
+  let sign = if fn = Expr.Min then -1 else 1 in
+  let extreme_ints box (a : int array) =
+    let best = Array.make groups 0 in
+    fold (fun g id ->
+        let x = Array.unsafe_get a id in
+        if count.(g) = 0 || sign * Int.compare x best.(g) > 0 then
+          best.(g) <- x);
+    per_group (fun g -> box best.(g))
+  in
+  match (fn, col.Column.repr) with
+  | Expr.Count, (Column.Ints _ | Column.Floats _ | Column.Dates _
+                | Column.Bools _ | Column.Strings _) ->
+      fold (fun _ _ -> ());
+      Some (Array.map (fun c -> Value.Int c) count)
+  | Expr.Sum, Column.Ints a ->
+      let sum = Array.make groups 0 in
+      fold (fun g id -> sum.(g) <- sum.(g) + Array.unsafe_get a id);
+      per_group (fun g -> Value.Int sum.(g))
+  | Expr.Avg, Column.Ints a ->
+      let sum = Array.make groups 0. in
+      fold (fun g id ->
+          sum.(g) <- sum.(g) +. float_of_int (Array.unsafe_get a id));
+      per_group (fun g -> Value.Float (sum.(g) /. float_of_int count.(g)))
+  | (Expr.Sum | Expr.Avg), Column.Floats a ->
+      let sum = Array.make groups 0. in
+      fold (fun g id -> sum.(g) <- sum.(g) +. Array.unsafe_get a id);
+      per_group (fun g ->
+          Value.Float
+            (if fn = Expr.Avg then sum.(g) /. float_of_int count.(g)
+             else sum.(g)))
+  | (Expr.Min | Expr.Max), Column.Ints a ->
+      extreme_ints (fun x -> Value.Int x) a
+  | (Expr.Min | Expr.Max), Column.Dates a ->
+      extreme_ints (fun x -> Value.Date x) a
+  | (Expr.Min | Expr.Max), Column.Floats a ->
+      let best = Array.make groups 0. in
+      fold (fun g id ->
+          let x = Array.unsafe_get a id in
+          if count.(g) = 0 || sign * Float.compare x best.(g) > 0 then
+            best.(g) <- x);
+      per_group (fun g -> Value.Float best.(g))
+  | _ -> None
+
+(* The aggregate's per-group values, and whether a typed fold (or no
+   argument read at all, COUNT( * )) produced them. *)
+let aggregate fn arg r (g : Relation.grouping) =
+  let b = Relation.batch r in
+  let typed =
+    match (fn, arg) with
+    | Expr.Count_star, _ -> None
+    | _, Some (Expr.Col name) -> Rel_algebra.typed_arg r name
+    | _ -> None
+  in
+  match Option.bind typed (fun col -> aggregate_typed fn col g b.sel) with
+  | Some values -> (values, true)
+  | None ->
+      let arg =
+        match (fn, arg, typed) with
+        | Expr.Count_star, _, _ -> fun _ -> Value.Null
+        | _, _, Some { Column.repr = Column.Boxed cells; _ } ->
+            Array.unsafe_get cells
+        | _, _, Some col -> Column.get col
+        | _, Some e, None -> Rel_algebra.compile r e
+        | _, None, None ->
+            if g.Relation.groups > 0 then
+              raise
+                (Rel_algebra.Algebra_error
+                   (Printf.sprintf "aggregate %s needs an argument"
+                      (Expr.agg_fun_name fn)));
+            fun _ -> Value.Null
+      in
+      (aggregate_boxed fn arg g b.sel, fn = Expr.Count_star)
+
 let extend_aggregate { agg_name; agg_ty; fn; arg; basis } r =
   let schema = Relation.schema r in
   let out = Schema.append schema { Schema.name = agg_name; ty = agg_ty } in
-  let gid, groups =
-    Rel_algebra.group_ids r (List.map (Schema.index_exn schema) basis)
+  let grouping =
+    Rel_algebra.grouping r (List.map (Schema.index_exn schema) basis)
   in
-  let arg =
-    match (fn, arg) with
-    | Expr.Count_star, _ -> fun _ -> Value.Null
-    | _, Some e -> Rel_algebra.compile r e
-    | _, None ->
-        if groups > 0 then
-          raise
-            (Rel_algebra.Algebra_error
-               (Printf.sprintf "aggregate %s needs an argument"
-                  (Expr.agg_fun_name fn)));
-        fun _ -> Value.Null
-  in
+  let values, typed = aggregate fn arg r grouping in
   let b = Relation.batch r in
-  let values = aggregate fn arg gid groups b.sel in
-  let group = Array.make (Relation.cardinality b.base) 0 in
-  Array.iteri (fun j id -> group.(id) <- gid.(j)) b.sel;
-  Relation.of_batch out
-    { b with
-      cols = Array.append b.cols [| Relation.Broadcast { group; values } |] }
+  ( Relation.of_batch out
+      { b with
+        cols =
+          Array.append b.cols [| Relation.Broadcast { grouping; values } |] },
+    typed )
+
+let path_name = function `Columnar -> "columnar" | `Row -> "row"
 
 (* Run one node over its input; the path its profile node shows. *)
 let run_node node r =
   match node with
-  | Filter (pred, _) -> (
-      match Rel_algebra.select_path pred r with
-      | out, `Columnar -> (out, "columnar")
-      | out, `Row -> (out, "row"))
+  | Filter (pred, _) ->
+      let out, path = Rel_algebra.select_path pred r in
+      (out, path_name path)
   | Project (cols, _) -> (Rel_algebra.project cols r, "batch")
   | Extend_formula ({ name; ty; expr }, _) ->
-      (Rel_algebra.extend { Schema.name; ty } expr r, "row")
-  | Extend_aggregate (e, _) -> (extend_aggregate e r, "batch")
+      let out, path = Rel_algebra.extend_path { Schema.name; ty } expr r in
+      (out, path_name path)
+  | Extend_aggregate (e, _) ->
+      let out, typed = extend_aggregate e r in
+      (out, if typed then "columnar" else "row")
   | Sort (keys, _) -> (Rel_algebra.sort keys r, "batch")
   | Distinct_on (keys, _) -> (Rel_algebra.distinct_on keys r, "batch")
   | Scan _ -> invalid_arg "Plan.run_node: scan"

@@ -94,14 +94,25 @@ val execute : ?uid:int -> node -> Relation.t
       expression otherwise (path [row]). An ill-typed predicate
       raises before the filter reads a row;
     - [Project] edits the map (path [batch]);
-    - [Extend_formula] appends a column computed per row handle and
-      indexed by base row id (path [row]);
+    - [Extend_formula] appends a column indexed by base row id: the
+      typed kernel ({!Sheet_rel.Col_expr}) writes an unboxed [Ints],
+      [Floats] or [Dates] column when the formula compiles over typed
+      columns (the base image's, or earlier typed formulas'; path
+      [columnar]), else each row handle goes through the compiled
+      expression into a boxed column (path [row], its reason noted
+      in the profile region);
     - [Extend_aggregate] numbers each row's group from its basis
-      columns ({!Sheet_rel.Rel_algebra.group_ids}), folds the argument
-      of every row, in input order, into per-group accumulators
-      (counts, an int and a float sum, min/max, distinct sets) and
-      appends the column broadcasting each group's value (path
-      [batch]). Results equal {!Sheet_rel.Expr_eval.apply_agg} over
+      columns ({!Sheet_rel.Rel_algebra.grouping}) — reusing the
+      grouping of an earlier aggregate over the same selection vector
+      and basis, which travels with the batch on that aggregate's
+      column — folds the argument of every row, in input order, into
+      per-group accumulators and appends the column broadcasting each
+      group's value. An argument that is a typed column folds its
+      unboxed array (COUNT reads only its validity, SUM/AVG an int or
+      float array, MIN/MAX an int, date or float array; path
+      [columnar], as is COUNT( * )); any other folds boxed cells
+      (counts, an int and a float sum, min/max, distinct sets; path
+      [row]). Results equal {!Sheet_rel.Expr_eval.apply_agg} over
       each group's values bit for bit. An ill-typed argument — one
       that fails to evaluate, or a non-numeric [SUM]/[AVG] input —
       raises at the first such row in input order, whatever its

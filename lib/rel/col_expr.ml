@@ -1,0 +1,408 @@
+(* Typed arithmetic kernels over Sheetcol columns (Def. 12's formula
+   computation, column at a time).
+
+   [compile] turns an arithmetic expression over typed columns into a
+   tree of typed nodes; [eval] runs it over a selection vector in
+   chunks of row ids, each node filling an unboxed [int]/[float]
+   buffer and a byte-per-row validity buffer from its children's, and
+   scatters the root's cells into a column indexed by base row id.
+   No cell is boxed.
+
+   Compilation is deliberately PARTIAL, as in Col_pred: only subtrees
+   whose row evaluation is total compile, so a kernel can never
+   diverge from [Expr_eval]'s row path on error identity. Every cell
+   equals [Expr_eval.arith_op]'s, bit for bit:
+   - a null operand gives a null cell;
+   - Int op Int stays Int (wrapping, OCaml's [/] and [mod]), and
+     division or modulo by zero gives null;
+   - any Float operand makes the operation Float, the Int side
+     converted by [float_of_int] ([Value.to_float]); Float division
+     or modulo by zero (either sign) gives null, NaN divides as NaN;
+   - Date ± Int and Int + Date are Dates, Date - Date is an Int;
+   - a searched CASE whose conditions compile as Col_pred filters and
+     whose branches (and default) compile to one type takes, per row,
+     the first branch whose condition holds (two-valued, as the row
+     path's [truthy]); with no default an unmatched row is null.
+   Anything else — strings, booleans, boxed columns, a null
+   constant, date forms that raise — returns [None] and the caller
+   takes the row path. *)
+
+type ty = Int | Float | Date
+
+type t =
+  | Const_int of ty * int  (* an Int or a Date constant *)
+  | Const_float of float
+  | Ints_col of ty * int array * Bytes.t option
+  | Floats_col of float array * Bytes.t option
+  | Promote of t  (* an Int operand of a Float operation *)
+  | Neg of ty * t
+  | Arith_int of ty * Expr.arith * t * t
+  | Arith_float of Expr.arith * t * t
+  | Case of ty * (Col_pred.filter * t) list * t option
+      (* every branch and the default of type [ty] *)
+
+let ty_of = function
+  | Const_int (ty, _) | Ints_col (ty, _, _) | Neg (ty, _) | Arith_int (ty, _, _, _)
+    ->
+      ty
+  | Const_float _ | Floats_col _ | Promote _ | Arith_float _ -> Float
+  | Case (ty, _, _) -> ty
+
+let as_float = function
+  | Const_int (Int, k) -> Const_float (float_of_int k)
+  | e -> Promote e
+
+let rec compile ~column (e : Expr.t) : t option =
+  let compile = compile ~column in
+  match e with
+  | Expr.Const (Value.Int k) -> Some (Const_int (Int, k))
+  | Expr.Const (Value.Date k) -> Some (Const_int (Date, k))
+  | Expr.Const (Value.Float f) -> Some (Const_float f)
+  | Expr.Col name -> (
+      match column name with
+      | Some { Column.repr = Column.Ints a; validity } ->
+          Some (Ints_col (Int, a, validity))
+      | Some { Column.repr = Column.Dates a; validity } ->
+          Some (Ints_col (Date, a, validity))
+      | Some { Column.repr = Column.Floats a; validity } ->
+          Some (Floats_col (a, validity))
+      | _ -> None)
+  | Expr.Neg a -> (
+      match compile a with
+      | Some a when ty_of a <> Date -> Some (Neg (ty_of a, a))
+      | _ -> None)
+  | Expr.Arith (op, a, b) -> (
+      match (compile a, compile b) with
+      | Some a, Some b -> (
+          match (ty_of a, ty_of b, op) with
+          | Int, Int, _ -> Some (Arith_int (Int, op, a, b))
+          | Date, Int, (Expr.Add | Expr.Sub) | Int, Date, Expr.Add ->
+              Some (Arith_int (Date, op, a, b))
+          | Date, Date, Expr.Sub -> Some (Arith_int (Int, op, a, b))
+          | Date, _, _ | _, Date, _ -> None
+          | Float, Float, _ -> Some (Arith_float (op, a, b))
+          | Int, Float, _ -> Some (Arith_float (op, as_float a, b))
+          | Float, Int, _ -> Some (Arith_float (op, a, as_float b)))
+      | _ -> None)
+  | Expr.Case (branches, default) -> (
+      let branch (c, x) =
+        match (Col_pred.compile ~column c, compile x) with
+        | Some f, Some x -> Some (f, x)
+        | _ -> None
+      in
+      let compiled = List.filter_map branch branches in
+      let default = Option.map compile default in
+      (* one constructor for every cell, as a typed column holds *)
+      let tys =
+        List.map (fun (_, x) -> ty_of x) compiled
+        @ match default with Some (Some d) -> [ ty_of d ] | _ -> []
+      in
+      match (tys, default) with
+      | ty :: rest, (None | Some (Some _))
+        when List.length compiled = List.length branches
+             && List.for_all (( = ) ty) rest ->
+          Some (Case (ty, compiled, Option.join default))
+      | _ -> None)
+  | _ -> None
+
+(* The rendering of the smallest subtree that blocks compilation;
+   [None] when [compile] succeeds. Recursion mirrors [compile], so the
+   answer is a leaf the kernel cannot read, a condition Col_pred
+   refuses, or an operation it cannot type. *)
+let rec diagnose ~column (e : Expr.t) : string option =
+  match compile ~column e with
+  | Some _ -> None
+  | None -> (
+      let sub = diagnose ~column in
+      let parts =
+        match e with
+        | Expr.Neg a -> [ sub a ]
+        | Expr.Arith (_, a, b) -> [ sub a; sub b ]
+        | Expr.Case (branches, default) ->
+            List.concat_map
+              (fun (c, x) -> [ Col_pred.diagnose ~column c; sub x ])
+              branches
+            @ [ Option.bind default sub ]
+        | _ -> []
+      in
+      match List.find_map Fun.id parts with
+      | Some s -> Some s
+      | None -> Some (Expr.to_string e))
+
+(* ---------- evaluation ---------- *)
+
+(* One node's output over a chunk of row ids: cell [k] is the value
+   at id [ids.(off + k)]; [valid] holds '\001' for a non-null cell. *)
+type buf = {
+  run : int array -> int -> int -> unit;  (* ids, off, len *)
+  ints : int array;
+  floats : float array;
+  valid : Bytes.t;
+}
+
+let nop _ _ _ = ()
+
+let fill_validity valid validity ids off len =
+  match validity with
+  | None -> ()
+  | Some bits ->
+      for k = 0 to len - 1 do
+        Bytes.unsafe_set valid k
+          (if Column.valid_bit bits (Array.unsafe_get ids (off + k)) then
+             '\001'
+           else '\000')
+      done
+
+let both valid (a : Bytes.t) (b : Bytes.t) len =
+  for k = 0 to len - 1 do
+    Bytes.unsafe_set valid k
+      (Char.unsafe_chr
+         (Char.code (Bytes.unsafe_get a k) land Char.code (Bytes.unsafe_get b k)))
+  done
+
+(* Buffers for chunks of up to [cap] ids. *)
+let rec instantiate cap (e : t) : buf =
+  let all_valid () = Bytes.make cap '\001' in
+  match e with
+  | Const_int (_, k) ->
+      { run = nop; ints = Array.make cap k; floats = [||]; valid = all_valid () }
+  | Const_float x ->
+      { run = nop; ints = [||]; floats = Array.make cap x; valid = all_valid () }
+  | Ints_col (_, a, validity) ->
+      let ints = Array.make cap 0 and valid = all_valid () in
+      let run ids off len =
+        for k = 0 to len - 1 do
+          Array.unsafe_set ints k
+            (Array.unsafe_get a (Array.unsafe_get ids (off + k)))
+        done;
+        fill_validity valid validity ids off len
+      in
+      { run; ints; floats = [||]; valid }
+  | Floats_col (a, validity) ->
+      let floats = Array.make cap 0. and valid = all_valid () in
+      let run ids off len =
+        for k = 0 to len - 1 do
+          Array.unsafe_set floats k
+            (Array.unsafe_get a (Array.unsafe_get ids (off + k)))
+        done;
+        fill_validity valid validity ids off len
+      in
+      { run; ints = [||]; floats; valid }
+  | Promote a ->
+      let a = instantiate cap a in
+      let floats = Array.make cap 0. in
+      let run ids off len =
+        a.run ids off len;
+        for k = 0 to len - 1 do
+          Array.unsafe_set floats k
+            (float_of_int (Array.unsafe_get a.ints k))
+        done
+      in
+      { run; ints = [||]; floats; valid = a.valid }
+  | Neg (Float, a) ->
+      let a = instantiate cap a in
+      let floats = Array.make cap 0. in
+      let run ids off len =
+        a.run ids off len;
+        for k = 0 to len - 1 do
+          Array.unsafe_set floats k (-.Array.unsafe_get a.floats k)
+        done
+      in
+      { run; ints = [||]; floats; valid = a.valid }
+  | Neg (_, a) ->
+      let a = instantiate cap a in
+      let ints = Array.make cap 0 in
+      let run ids off len =
+        a.run ids off len;
+        for k = 0 to len - 1 do
+          Array.unsafe_set ints k (-Array.unsafe_get a.ints k)
+        done
+      in
+      { run; ints; floats = [||]; valid = a.valid }
+  | Arith_int (_, op, a, b) ->
+      let a = instantiate cap a and b = instantiate cap b in
+      let x = a.ints and y = b.ints in
+      let ints = Array.make cap 0 and valid = all_valid () in
+      let run ids off len =
+        a.run ids off len;
+        b.run ids off len;
+        both valid a.valid b.valid len;
+        match op with
+        | Expr.Add ->
+            for k = 0 to len - 1 do
+              Array.unsafe_set ints k (Array.unsafe_get x k + Array.unsafe_get y k)
+            done
+        | Expr.Sub ->
+            for k = 0 to len - 1 do
+              Array.unsafe_set ints k (Array.unsafe_get x k - Array.unsafe_get y k)
+            done
+        | Expr.Mul ->
+            for k = 0 to len - 1 do
+              Array.unsafe_set ints k (Array.unsafe_get x k * Array.unsafe_get y k)
+            done
+        (* division and modulo by zero: a null cell, no division *)
+        | Expr.Div ->
+            for k = 0 to len - 1 do
+              let d = Array.unsafe_get y k in
+              if d = 0 then Bytes.unsafe_set valid k '\000'
+              else Array.unsafe_set ints k (Array.unsafe_get x k / d)
+            done
+        | Expr.Mod ->
+            for k = 0 to len - 1 do
+              let d = Array.unsafe_get y k in
+              if d = 0 then Bytes.unsafe_set valid k '\000'
+              else Array.unsafe_set ints k (Array.unsafe_get x k mod d)
+            done
+      in
+      { run; ints; floats = [||]; valid }
+  | Arith_float (op, a, b) ->
+      let a = instantiate cap a and b = instantiate cap b in
+      let x = a.floats and y = b.floats in
+      let floats = Array.make cap 0. and valid = all_valid () in
+      let run ids off len =
+        a.run ids off len;
+        b.run ids off len;
+        both valid a.valid b.valid len;
+        match op with
+        | Expr.Add ->
+            for k = 0 to len - 1 do
+              Array.unsafe_set floats k
+                (Array.unsafe_get x k +. Array.unsafe_get y k)
+            done
+        | Expr.Sub ->
+            for k = 0 to len - 1 do
+              Array.unsafe_set floats k
+                (Array.unsafe_get x k -. Array.unsafe_get y k)
+            done
+        | Expr.Mul ->
+            for k = 0 to len - 1 do
+              Array.unsafe_set floats k
+                (Array.unsafe_get x k *. Array.unsafe_get y k)
+            done
+        | Expr.Div ->
+            for k = 0 to len - 1 do
+              let d = Array.unsafe_get y k in
+              if d = 0. then Bytes.unsafe_set valid k '\000'
+              else Array.unsafe_set floats k (Array.unsafe_get x k /. d)
+            done
+        | Expr.Mod ->
+            for k = 0 to len - 1 do
+              let d = Array.unsafe_get y k in
+              if d = 0. then Bytes.unsafe_set valid k '\000'
+              else Array.unsafe_set floats k (Float.rem (Array.unsafe_get x k) d)
+            done
+      in
+      { run; ints = [||]; floats; valid }
+  | Case (ty, branches, default) ->
+      let branches = List.map (fun (f, x) -> (f, instantiate cap x)) branches in
+      let default = Option.map (instantiate cap) default in
+      let ints = if ty = Float then [||] else Array.make cap 0 in
+      let floats = if ty = Float then Array.make cap 0. else [||] in
+      let valid = all_valid () in
+      let decided = Bytes.make cap '\000' in
+      let candidates = Array.make cap 0 in
+      let take (x : buf) k =
+        if ty = Float then Array.unsafe_set floats k (Array.unsafe_get x.floats k)
+        else Array.unsafe_set ints k (Array.unsafe_get x.ints k);
+        Bytes.unsafe_set valid k (Bytes.unsafe_get x.valid k);
+        Bytes.unsafe_set decided k '\001'
+      in
+      let run ids off len =
+        Bytes.fill decided 0 len '\000';
+        List.iter
+          (fun (f, x) ->
+            (* the condition filters the undecided ids; its survivors
+               come back in order, a subsequence of the candidates *)
+            let m = ref 0 in
+            for k = 0 to len - 1 do
+              if Bytes.unsafe_get decided k = '\000' then begin
+                Array.unsafe_set candidates !m (Array.unsafe_get ids (off + k));
+                incr m
+              end
+            done;
+            let kept = if !m = 0 then 0 else f candidates !m in
+            if kept > 0 then begin
+              x.run ids off len;
+              let s = ref 0 in
+              for k = 0 to len - 1 do
+                if
+                  !s < kept
+                  && Bytes.unsafe_get decided k = '\000'
+                  && Array.unsafe_get candidates !s
+                     = Array.unsafe_get ids (off + k)
+                then begin
+                  take x k;
+                  incr s
+                end
+              done
+            end)
+          branches;
+        (* no branch matched: the default, else null *)
+        (match default with Some d -> d.run ids off len | None -> ());
+        for k = 0 to len - 1 do
+          if Bytes.unsafe_get decided k = '\000' then
+            match default with
+            | Some d -> take d k
+            | None -> Bytes.unsafe_set valid k '\000'
+        done
+      in
+      { run; ints; floats; valid }
+
+let chunk = 1024
+
+(* Evaluate ids [sel.(lo)], ..., [sel.(hi - 1)] in chunks, writing
+   each cell at its id in [out]; the ids of null cells. *)
+let fill e (out : Column.repr) sel lo hi =
+  let root = instantiate (min chunk (hi - lo)) e in
+  let nulls = Vec.create () in
+  let off = ref lo in
+  while !off < hi do
+    let off0 = !off in
+    let len = min chunk (hi - off0) in
+    root.run sel off0 len;
+    (match out with
+    | Column.Floats dst ->
+        for k = 0 to len - 1 do
+          Array.unsafe_set dst (Array.unsafe_get sel (off0 + k))
+            (Array.unsafe_get root.floats k)
+        done
+    | Column.Ints dst | Column.Dates dst ->
+        for k = 0 to len - 1 do
+          Array.unsafe_set dst (Array.unsafe_get sel (off0 + k))
+            (Array.unsafe_get root.ints k)
+        done
+    | Column.Bools _ | Column.Strings _ | Column.Boxed _ ->
+        invalid_arg "Col_expr.fill");
+    for k = 0 to len - 1 do
+      if Bytes.unsafe_get root.valid k = '\000' then
+        Vec.push nulls (Array.unsafe_get sel (off0 + k))
+    done;
+    off := off0 + len
+  done;
+  Vec.to_array nulls
+
+let eval e ~size sel =
+  let repr =
+    match ty_of e with
+    | Float -> Column.Floats (Array.create_float size)
+    | Int -> Column.Ints (Array.make size 0)
+    | Date -> Column.Dates (Array.make size 0)
+  in
+  (* morsels write disjoint ids of the value array; the bitmap shares
+     bytes between ids, so null bits are cleared after the join *)
+  let nulls = Par.run ~n:(Array.length sel) (fill e repr sel) in
+  let validity =
+    if Array.for_all (fun a -> Array.length a = 0) nulls then None
+    else begin
+      let bits = Bytes.make ((size + 7) / 8) '\xff' in
+      Array.iter
+        (Array.iter (fun id ->
+             Bytes.unsafe_set bits (id lsr 3)
+               (Char.unsafe_chr
+                  (Char.code (Bytes.unsafe_get bits (id lsr 3))
+                  land lnot (1 lsl (id land 7))))))
+        nulls;
+      Some bits
+    end
+  in
+  { Column.repr; validity }

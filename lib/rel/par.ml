@@ -14,12 +14,14 @@
    domains and asserts exactly that). Below [parallel_threshold] rows
    the scan runs as a single morsel on the calling domain, so small
    sheets never pay the machinery; with one domain the calling domain
-   simply drains the morsel queue itself, spawning nothing.
+   simply drains the morsel queue itself, spawning nothing. Worker
+   domains persist across scans (see the pool below).
 
-   Exception policy: every morsel runs to completion or failure, all
-   workers are joined, and the error of the LOWEST-indexed failing
-   morsel is re-raised — each morsel scans ascending row order, so
-   that is the error the sequential pass would have hit first.
+   Exception policy: every morsel runs to completion or failure, the
+   coordinator waits for every morsel a worker claimed, and the error
+   of the LOWEST-indexed failing morsel is re-raised — each morsel
+   scans ascending row order, so that is the error the sequential
+   pass would have hit first.
 
    Observability: since Sheetscope v3 the metric cells are sharded
    per domain and the event ring is mutex-protected, so each worker
@@ -62,6 +64,61 @@ let morsel_rows = ref default_morsel_rows
 let set_parallel_threshold n = parallel_threshold := max 1 n
 let set_morsel_rows n = morsel_rows := max 1 n
 
+(* ---------- the worker pool ----------
+
+   Worker domains are spawned once, on the first parallel scan that
+   wants them, and park on [wake] between scans. A scan publishes one
+   job — a closure that drains the scan's morsel counter — under
+   [lock] and broadcasts; the coordinator drains the same counter
+   itself, so a worker that wakes late finds nothing left and the
+   scan never waits for a worker to wake. The coordinator then waits
+   only for morsels a worker has claimed: it sleeps on [finished]
+   until the count of finished morsels reaches the morsel count,
+   woken by whichever domain finishes the last one.
+
+   One scan owns the pool at a time ([busy]). A caller that finds it
+   taken — another systhread (Sheetserve's handlers), or a [run]
+   nested inside a morsel — drains its own morsels alone, with the
+   same morselization, results and telemetry. *)
+
+let lock = Mutex.create ()
+let wake = Condition.create ()
+let finished = Condition.create ()
+
+(* the published job and its generation, both under [lock]; a parked
+   worker runs each generation's job at most once *)
+let job : (unit -> unit) ref = ref ignore
+let generation = ref 0
+let spawned = ref 0
+let busy = Atomic.make false
+
+let rec park seen =
+  Mutex.lock lock;
+  while !generation = seen do
+    Condition.wait wake lock
+  done;
+  let gen = !generation and work = !job in
+  Mutex.unlock lock;
+  work ();
+  park gen
+
+(* Grow the pool to [k] parked workers; spawning fails only past the
+   runtime's domain limit, and the scan then runs with those it has. *)
+let ensure_workers k =
+  while !spawned < k do
+    let gen = !generation in
+    match Domain.spawn (fun () -> park gen) with
+    | _ -> incr spawned
+    | exception _ -> spawned := k
+  done
+
+let publish work =
+  Mutex.lock lock;
+  job := work;
+  incr generation;
+  Condition.broadcast wake;
+  Mutex.unlock lock
+
 (* [run ~n f] evaluates [f lo hi] over a partition of [0, n) into
    half-open ranges and returns the results in range order. The
    sequential cutover returns [f]'s single result without copying, so
@@ -81,34 +138,53 @@ let run ~n (f : int -> int -> 'a) : 'a array =
       let results : 'a option array = Array.make nm None in
       let errors : exn option array = Array.make nm None in
       let next = Atomic.make 0 in
+      let done_ = Atomic.make 0 in
       let emit = Obs.recording () in
       let depth = Obs.current_depth () in
-      let work () =
+      let morsel i =
+        let lo = i * m in
+        let hi = min n (lo + m) in
+        let t0 = Obs.now_ns () in
+        (match f lo hi with
+        | x -> results.(i) <- Some x
+        | exception e -> errors.(i) <- Some e);
+        let dt = Obs.now_ns () - t0 in
+        Obs.Histogram.record h_morsel dt;
+        Obs.Metrics.incr c_morsels;
+        if emit then
+          Obs.emit ~kind:"morsel" ~rows_in:(hi - lo) ~depth ~start_ns:t0
+            ~dur_ns:dt "par.morsel";
+        if Atomic.fetch_and_add done_ 1 = nm - 1 then begin
+          Mutex.lock lock;
+          Condition.broadcast finished;
+          Mutex.unlock lock
+        end
+      in
+      let drain () =
         let continue = ref true in
         while !continue do
           let i = Atomic.fetch_and_add next 1 in
-          if i >= nm then continue := false
-          else begin
-            let lo = i * m in
-            let hi = min n (lo + m) in
-            let t0 = Obs.now_ns () in
-            (match f lo hi with
-            | x -> results.(i) <- Some x
-            | exception e -> errors.(i) <- Some e);
-            let dt = Obs.now_ns () - t0 in
-            Obs.Histogram.record h_morsel dt;
-            Obs.Metrics.incr c_morsels;
-            if emit then
-              Obs.emit ~kind:"morsel" ~rows_in:(hi - lo) ~depth ~start_ns:t0
-                ~dur_ns:dt "par.morsel"
-          end
+          if i >= nm then continue := false else morsel i
         done
       in
-      let workers =
-        Array.init (min (d - 1) (nm - 1)) (fun _ -> Domain.spawn work)
-      in
-      work ();
-      Array.iter Domain.join workers;
+      let helpers = min (d - 1) (nm - 1) in
+      if helpers > 0 && Atomic.compare_and_set busy false true then
+        Fun.protect
+          ~finally:(fun () -> Atomic.set busy false)
+          (fun () ->
+            ensure_workers helpers;
+            let tickets = Atomic.make 0 in
+            publish (fun () ->
+                if Atomic.fetch_and_add tickets 1 < helpers then drain ());
+            drain ();
+            Mutex.lock lock;
+            while Atomic.get done_ < nm do
+              Condition.wait finished lock
+            done;
+            (* drop the finished job so its results are not kept alive *)
+            job := ignore;
+            Mutex.unlock lock)
+      else drain ();
       Obs.Metrics.incr c_scans;
       let first_error = Array.find_opt Option.is_some errors in
       match first_error with

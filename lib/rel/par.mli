@@ -13,16 +13,29 @@
     an invalid value warns once through the flight recorder
     ({!Sheet_obs.Obs.Env}).
 
-    On a morsel failure every worker is still joined and the
-    lowest-indexed morsel's exception is re-raised — the error the
-    sequential scan would have hit first. *)
+    Worker domains persist: the first parallel scan that wants them
+    spawns them ([domain_count () - 1] at most), and between scans
+    they park on a condition variable. A scan publishes its morsel
+    counter to the parked workers and drains it itself, so it never
+    waits for a worker to wake; it then waits only for morsels a
+    worker has claimed, until the count of finished morsels reaches
+    the morsel count. One scan uses the pool at a time: a caller that
+    finds it busy — another systhread (Sheetserve's handlers), or a
+    [run] nested inside a morsel — runs its morsels alone, with the
+    same morselization, results and telemetry.
+
+    On a morsel failure every morsel still runs to completion or
+    failure and the lowest-indexed morsel's exception is re-raised —
+    the error the sequential scan would have hit first. *)
 
 val run : n:int -> (int -> int -> 'a) -> 'a array
 (** [run ~n f] evaluates [f lo hi] over a partition of [0, n) into
     half-open morsel ranges; results in range order. [f] runs on
     worker domains: it may record Sheetscope metrics, histograms and
     completed spans (all domain-safe since v3) but must not open
-    spans or touch other single-writer state. Each executing domain
+    spans or touch other single-writer state. It may call [run]
+    itself (that scan runs on the calling domain), and [run] may be
+    called from several systhreads at once. Each executing domain
     feeds the [par.*] counters, the [par.morsel] histogram and, under
     an active sink, one live span event per morsel at the
     coordinator's nesting depth. *)

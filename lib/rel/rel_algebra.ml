@@ -24,8 +24,9 @@ let reader (b : Relation.batch) c : int -> Value.t =
   | Relation.Base j ->
       let rows = Relation.to_array b.base in
       fun id -> Row.get (Array.unsafe_get rows id) j
-  | Relation.Computed a -> fun id -> Array.unsafe_get a id
-  | Relation.Broadcast { group; values } ->
+  | Relation.Computed col -> Column.get col
+  | Relation.Broadcast { grouping; values } ->
+      let group = grouping.group in
       fun id -> values.(Array.unsafe_get group id)
 
 let resolve schema b name =
@@ -55,58 +56,72 @@ let check_selection schema pred =
   | Ok () -> ()
   | Error msg -> err "selection: %s" msg
 
-(* Col_pred filters for [preds] against [b]'s base image, or [None]
-   (the caller takes the row path). Inside a profile region each
-   predicate is attributed to the path it will really take, with the
-   reason for a fallback: no image, a computed column, or the
-   non-total subtree [Col_pred] refuses. *)
+(* The typed column a reference reads, indexed by base row id: a base
+   column of [view] (the base's Sheetcol image) or a computed column;
+   [None] for an aggregate column, or a base column without an
+   image. *)
+let typed_column schema (b : Relation.batch) view name =
+  match Schema.find schema name with
+  | None -> None
+  | Some (c, _) -> (
+      match (b.cols.(c), view) with
+      | Relation.Base j, Some view -> Some (Columnar.column view j)
+      | Relation.Computed col, _ -> Some col
+      | (Relation.Base _ | Relation.Broadcast _), _ -> None)
+
+let typed_arg r name =
+  let b = Relation.batch r in
+  typed_column (Relation.schema r) b (Relation.columnar_if_built b.base) name
+
+(* Why an expression over [b] cannot run on typed columns: a column it
+   reads has none, or [subtree] (the compiler's diagnosis) is not
+   total. *)
+let fallback_reason schema (b : Relation.batch) view e ~subtree =
+  let untyped name =
+    match Schema.find schema name with
+    | None -> None
+    | Some (c, _) -> (
+        match (b.cols.(c), view) with
+        | Relation.Base _, None -> Some "no columnar image"
+        | Relation.Computed { Column.repr = Column.Boxed _; _ }, _
+        | Relation.Broadcast _, _ ->
+            Some ("computed column " ^ name)
+        | (Relation.Base _ | Relation.Computed _), _ -> None)
+  in
+  match List.find_map untyped (Expr.columns e) with
+  | Some reason -> reason
+  | None -> (
+      match subtree () with
+      | Some s -> "non-total subtree " ^ s
+      | None -> "a predicate it runs with does not compile")
+
+(* Col_pred filters for [preds] over [b]'s typed columns — base
+   columns of its image, computed columns — or [None] (the caller
+   takes the row path). Inside a profile region each predicate is
+   attributed to the path it will really take, with the reason for a
+   fallback. *)
 let compile_columnar schema (b : Relation.batch) preds =
   let view = Relation.columnar_hot b.base in
-  let col_of name =
-    Option.map (fun (c, _) -> b.cols.(c)) (Schema.find schema name)
+  let column = typed_column schema b view in
+  let rec go acc = function
+    | [] -> Some (List.rev acc)
+    | p :: rest -> (
+        match Col_pred.compile ~column p with
+        | Some f -> go (f :: acc) rest
+        | None -> None)
   in
-  let typed view name =
-    match col_of name with
-    | Some (Relation.Base j) -> Some (Columnar.column view j)
-    | Some (Relation.Computed _ | Relation.Broadcast _) | None -> None
-  in
-  let compiled =
-    match view with
-    | None -> None
-    | Some view ->
-        let rec go acc = function
-          | [] -> Some (List.rev acc)
-          | p :: rest -> (
-              match Col_pred.compile ~column:(typed view) p with
-              | Some f -> go (f :: acc) rest
-              | None -> None)
-        in
-        go [] preds
-  in
+  let compiled = go [] preds in
   if Obs.Profile.in_region () then
     List.iter
       (fun p ->
         let pred = Expr.to_string p in
-        let computed =
-          List.find_opt
-            (fun name ->
-              match col_of name with
-              | Some (Relation.Computed _ | Relation.Broadcast _) -> true
-              | Some (Relation.Base _) | None -> false)
-            (Expr.columns p)
-        in
-        match (compiled, view, computed) with
-        | Some _, _, _ -> Obs.Profile.note_compiled pred
-        | None, None, _ ->
-            Obs.Profile.note_fallback ~pred ~reason:"no columnar image"
-        | None, Some _, Some name ->
-            Obs.Profile.note_fallback ~pred ~reason:("computed column " ^ name)
-        | None, Some view, None ->
+        match compiled with
+        | Some _ -> Obs.Profile.note_compiled pred
+        | None ->
             Obs.Profile.note_fallback ~pred
               ~reason:
-                (match Col_pred.diagnose ~column:(typed view) p with
-                | Some subtree -> "non-total subtree " ^ subtree
-                | None -> "a predicate it runs with does not compile"))
+                (fallback_reason schema b view p ~subtree:(fun () ->
+                     Col_pred.diagnose ~column p)))
       preds;
   compiled
 
@@ -176,22 +191,41 @@ let project names (r : Relation.t) =
     }
 
 (* The new column's cells are written at their base row ids, one
-   morsel of the vector per worker. *)
-let extend (column : Schema.column) e (r : Relation.t) =
+   morsel of the vector per worker: by the typed kernel when the
+   expression compiles over typed columns, else per row handle into a
+   boxed column. *)
+let extend_path (column : Schema.column) e (r : Relation.t) =
   let rschema = Relation.schema r in
   let schema = Schema.append rschema column in
   let b = Relation.batch r in
-  let value = compile_batch rschema b e in
-  let cells = Array.make (Relation.cardinality b.base) Value.Null in
+  let size = Relation.cardinality b.base in
   let sel = b.sel in
-  ignore
-    (Par.run ~n:(Array.length sel) (fun lo hi ->
-         for i = lo to hi - 1 do
-           let id = Array.unsafe_get sel i in
-           Array.unsafe_set cells id (value id)
-         done));
-  Relation.of_batch schema
-    { b with cols = Array.append b.cols [| Relation.Computed cells |] }
+  let view = Relation.columnar_if_built b.base in
+  let typed = typed_column rschema b view in
+  let col, path =
+    match Col_expr.compile ~column:typed e with
+    | Some kernel -> (Col_expr.eval kernel ~size sel, `Columnar)
+    | None ->
+        if Obs.Profile.in_region () then
+          Obs.Profile.note_fallback ~pred:(Expr.to_string e)
+            ~reason:
+              (fallback_reason rschema b view e ~subtree:(fun () ->
+                   Col_expr.diagnose ~column:typed e));
+        let value = compile_batch rschema b e in
+        let cells = Array.make size Value.Null in
+        ignore
+          (Par.run ~n:(Array.length sel) (fun lo hi ->
+               for i = lo to hi - 1 do
+                 let id = Array.unsafe_get sel i in
+                 Array.unsafe_set cells id (value id)
+               done));
+        ({ Column.repr = Column.Boxed cells; validity = None }, `Row)
+  in
+  ( Relation.of_batch schema
+      { b with cols = Array.append b.cols [| Relation.Computed col |] },
+    path )
+
+let extend column e r = fst (extend_path column e r)
 
 let product (a : Relation.t) (b : Relation.t) =
   let schema = Schema.concat (Relation.schema a) (Relation.schema b) in
@@ -359,6 +393,23 @@ let equijoin ~on:(left_col, right_col) (a : Relation.t) (b : Relation.t) =
    it yields). No comparison ever looks at a boxed value after
    ranking. *)
 
+(* [Array.init] for ints: typed stores, no write barrier on a large
+   (major-heap) result. *)
+let init_ints n (f : int -> int) =
+  let a = Array.make n 0 in
+  for j = 0 to n - 1 do
+    Array.unsafe_set a j (f j)
+  done;
+  a
+
+(* [a.(idx.(j))] for every [j] *)
+let gather (a : int array) (idx : int array) =
+  let out = Array.make (Array.length idx) 0 in
+  for j = 0 to Array.length idx - 1 do
+    Array.unsafe_set out j (Array.unsafe_get a (Array.unsafe_get idx j))
+  done;
+  out
+
 (* Stable LSD radix sort of the indices [0, n) on an int key in
    [0, m), in digit passes of up to 16 bits, least significant first.
    Every pass is a stable counting sort, so ties keep input order. *)
@@ -368,9 +419,10 @@ let radix_perm key m =
     let rec width b = if b < 16 && 1 lsl b < n then width (b + 1) else b in
     width 8
   in
-  let perm = ref (Array.init n Fun.id) in
+  let perm = ref (init_ints n Fun.id) in
   let next = ref (Array.make n 0) in
-  let count = Array.make ((1 lsl bits) + 1) 0 in
+  (* a pass never has more buckets than there are key values *)
+  let count = Array.make (min (1 lsl bits) m + 1) 0 in
   let mask = (1 lsl bits) - 1 in
   let shift = ref 0 in
   (* [lsr] by the word size or more is unspecified (x86 masks the
@@ -399,6 +451,32 @@ let radix_perm key m =
   done;
   !perm
 
+(* [sel] stably sorted on [key] (position-indexed, in [0, m)): one
+   counting pass straight into the new vector when the key range is
+   no wider than a pass's buckets or the row count, else the radix
+   permutation of the positions, gathered. *)
+let radix_sel key m (sel : int array) =
+  let n = Array.length sel in
+  if m > 1 lsl 16 && m > n then gather sel (radix_perm key m)
+  else begin
+    let count = Array.make (m + 1) 0 in
+    for j = 0 to n - 1 do
+      let d = Array.unsafe_get key j + 1 in
+      Array.unsafe_set count d (Array.unsafe_get count d + 1)
+    done;
+    for d = 1 to m do
+      count.(d) <- count.(d) + count.(d - 1)
+    done;
+    let out = Array.make n 0 in
+    for j = 0 to n - 1 do
+      let d = Array.unsafe_get key j in
+      let k = Array.unsafe_get count d in
+      Array.unsafe_set out k (Array.unsafe_get sel j);
+      Array.unsafe_set count d (k + 1)
+    done;
+    out
+  end
+
 (* Ranks by hashing: number the distinct cells ([Value.Tbl] keys
    compare-equal cells, [Int 3] and [Float 3.0] included, together),
    then sort only those. *)
@@ -406,7 +484,7 @@ let rank_by_hashing n cell =
   let ids = Value.Tbl.create 64 in
   let distinct = Vec.create () in
   let ranks =
-    Array.init n (fun j ->
+    init_ints n (fun j ->
         let v = cell j in
         match Value.Tbl.find_opt ids v with
         | Some id -> id
@@ -445,19 +523,24 @@ let offset_ranks n ~null_at ~int_at =
     let lo = !lo in
     let range = !hi - lo + 1 in
     Some
-      ( Array.init n (fun j -> if null_at j then range else int_at j - lo),
+      ( init_ints n (fun j -> if null_at j then range else int_at j - lo),
         if !nulls then range + 1 else range )
   else None
 
 (* Dense ranks of a dictionary-coded column: the selected codes are
    numbered in the dictionary's sorted [order], nulls last — the
    ranks [rank_by_hashing] gives the same cells. *)
-let dictionary_ranks n ~order ~null_at ~code_at =
+let dictionary_ranks sel ~order ~validity (codes : int array) =
+  let n = Array.length sel in
+  let[@inline] valid id =
+    match validity with None -> true | Some bits -> Column.valid_bit bits id
+  in
   let present = Bytes.make (Array.length order) '\000' in
   let nulls = ref false in
   for j = 0 to n - 1 do
-    if null_at j then nulls := true
-    else Bytes.unsafe_set present (code_at j) '\001'
+    let id = Array.unsafe_get sel j in
+    if valid id then Bytes.unsafe_set present (Array.unsafe_get codes id) '\001'
+    else nulls := true
   done;
   let dense = Array.make (Array.length order) 0 in
   let m = ref 0 in
@@ -469,8 +552,13 @@ let dictionary_ranks n ~order ~null_at ~code_at =
       end)
     order;
   let m = !m in
-  ( Array.init n (fun j -> if null_at j then m else dense.(code_at j)),
-    if !nulls then m + 1 else m )
+  let ranks = Array.make n m in
+  for j = 0 to n - 1 do
+    let id = Array.unsafe_get sel j in
+    if valid id then
+      Array.unsafe_set ranks j (Array.unsafe_get dense (Array.unsafe_get codes id))
+  done;
+  (ranks, if !nulls then m + 1 else m)
 
 (* A column known only by its cells: offsets if every non-null cell
    is an int, or every one a date; hashing otherwise. *)
@@ -495,45 +583,51 @@ let rank_cells n cell =
   in
   match offsets with Some r -> r | None -> rank_by_hashing n cell
 
-(* Ranks of column [c] of [b] over its selection vector. *)
+(* Ranks of column [c] of [b] over its selection vector. A typed
+   column — of the base image, or computed — ranks from its arrays. *)
 let rank_column (b : Relation.batch) c =
   let sel = b.sel in
   let n = Array.length sel in
   let read = reader b c in
   let cell j = read (Array.unsafe_get sel j) in
+  let typed col ~dict_order =
+    let null_at =
+      match col.Column.validity with
+      | None -> fun _ -> false
+      | Some bits ->
+          fun k -> not (Column.valid_bit bits (Array.unsafe_get sel k))
+    in
+    match (col.Column.repr, dict_order) with
+    | Column.Strings { codes; _ }, Some order ->
+        dictionary_ranks sel ~order:(order ()) ~validity:col.Column.validity
+          codes
+    | (Column.Ints a | Column.Dates a), _ -> (
+        match
+          offset_ranks n ~null_at ~int_at:(fun k ->
+              Array.unsafe_get a (Array.unsafe_get sel k))
+        with
+        | Some r -> r
+        | None -> rank_by_hashing n cell)
+    | ( ( Column.Strings _ | Column.Floats _ | Column.Bools _
+        | Column.Boxed _ ),
+        _ ) ->
+        rank_cells n cell
+  in
   match b.cols.(c) with
-  | Relation.Computed _ -> rank_cells n cell
-  | Relation.Broadcast { group; values } ->
+  | Relation.Computed col -> typed col ~dict_order:None
+  | Relation.Broadcast { grouping; values } ->
       (* rank the per-group values, then look each row's up *)
       let ranks, m =
         rank_by_hashing (Array.length values) (Array.unsafe_get values)
       in
-      (Array.init n (fun j -> ranks.(group.(Array.unsafe_get sel j))), m)
+      let group = grouping.group in
+      (init_ints n (fun j -> ranks.(group.(Array.unsafe_get sel j))), m)
   | Relation.Base j -> (
       match Relation.columnar_if_built b.base with
       | None -> rank_cells n cell
-      | Some view -> (
-          let col = Columnar.column view j in
-          let null_at =
-            match col.Column.validity with
-            | None -> fun _ -> false
-            | Some bits ->
-                fun k -> not (Column.valid_bit bits (Array.unsafe_get sel k))
-          in
-          match col.Column.repr with
-          | Column.Strings { codes; _ } ->
-              dictionary_ranks n ~order:(Columnar.dict_order view j) ~null_at
-                ~code_at:(fun k ->
-                  Array.unsafe_get codes (Array.unsafe_get sel k))
-          | Column.Ints a | Column.Dates a -> (
-              match
-                offset_ranks n ~null_at ~int_at:(fun k ->
-                    Array.unsafe_get a (Array.unsafe_get sel k))
-              with
-              | Some r -> r
-              | None -> rank_by_hashing n cell)
-          | Column.Floats _ | Column.Bools _ | Column.Boxed _ ->
-              rank_cells n cell))
+      | Some view ->
+          typed (Columnar.column view j)
+            ~dict_order:(Some (fun () -> Columnar.dict_order view j)))
 
 (* Dense numbering of an int key in [0, m), in key order: equal keys,
    equal ids; a smaller key, a smaller id. *)
@@ -564,7 +658,10 @@ let combine n = function
             if m <= max_int / mc then ((key, m), (ranks, mc))
             else (dense n (key, m), dense n (ranks, mc))
           in
-          Array.iteri (fun j r -> key.(j) <- (key.(j) * mc) + r) ranks;
+          for j = 0 to n - 1 do
+            Array.unsafe_set key j
+              ((Array.unsafe_get key j * mc) + Array.unsafe_get ranks j)
+          done;
           (key, m * mc))
         first rest
 
@@ -575,6 +672,53 @@ let group_ids_batch (b : Relation.batch) positions =
 
 let group_ids r positions = group_ids_batch (Relation.batch r) positions
 
+(* Columns that are the same column of the same batch: one base
+   column, or physically one computed or aggregate column. *)
+let same_col (a : Relation.col) (b : Relation.col) =
+  match (a, b) with
+  | Relation.Base i, Relation.Base j -> i = j
+  | Relation.Computed x, Relation.Computed y -> x == y
+  | ( Relation.Broadcast { grouping = g; values = v },
+      Relation.Broadcast { grouping = h; values = w } ) ->
+      g == h && v == w
+  | _ -> false
+
+(* The groupings the batch's aggregate columns carry, longest basis
+   first. Every column of a batch is meaningful at every id its vector
+   selects — operators only narrow or permute a vector — so a
+   grouping's ids number the batch's rows even after a later sort or
+   filter. *)
+let groupings (b : Relation.batch) =
+  Array.fold_left
+    (fun acc -> function
+      | Relation.Broadcast { grouping = g; _ } when not (List.memq g acc) ->
+          g :: acc
+      | _ -> acc)
+    [] b.cols
+  |> List.stable_sort (fun (g : Relation.grouping) h ->
+         Int.compare (Array.length h.keys) (Array.length g.keys))
+
+let grouping r positions =
+  let b = Relation.batch r in
+  let keys = Array.of_list (List.map (fun p -> b.cols.(p)) positions) in
+  let shared =
+    List.find_opt
+      (fun (g : Relation.grouping) ->
+        g.over == b.sel
+        && Array.length g.keys = Array.length keys
+        && Array.for_all2 same_col g.keys keys)
+      (groupings b)
+  in
+  match shared with
+  | Some g -> g
+  | None ->
+      let gid, groups = group_ids_batch b positions in
+      let group = Array.make (Relation.cardinality b.base) 0 in
+      for j = 0 to Array.length gid - 1 do
+        Array.unsafe_set group (Array.unsafe_get b.sel j) (Array.unsafe_get gid j)
+      done;
+      { Relation.over = b.sel; keys; group; groups }
+
 let sort keys (r : Relation.t) =
   let schema = Relation.schema r in
   let keys =
@@ -584,25 +728,72 @@ let sort keys (r : Relation.t) =
   if keys = [] || n < 2 then r
   else
     let b = Relation.batch r in
-    let ranked =
-      List.map
-        (fun (c, dir) ->
-          let ranks, m = rank_column b c in
-          (match dir with
-          | `Asc -> ()
-          | `Desc -> Array.iteri (fun j r -> ranks.(j) <- m - 1 - r) ranks);
-          (ranks, m))
-        keys
+    let groupings = groupings b in
+    let directed dir (ranks, m) =
+      (match dir with
+      | `Asc -> ()
+      | `Desc -> Array.iteri (fun j r -> ranks.(j) <- m - 1 - r) ranks);
+      (ranks, m)
     in
-    let key, m = combine n ranked in
+    (* A run of keys in one direction that is the basis of a grouping
+       over this vector ranks by its group ids, which order as the
+       run's cells do, tuple by tuple; other keys rank column by
+       column. *)
+    let rec rank = function
+      | [] -> []
+      | ((c, dir) :: _) as keys -> (
+          let covers (g : Relation.grouping) =
+            let k = Array.length g.keys in
+            k > 0
+            && List.length keys >= k
+            && List.for_all2
+                 (fun (c', dir') key -> dir' = dir && same_col b.cols.(c') key)
+                 (List.filteri (fun i _ -> i < k) keys)
+                 (Array.to_list g.keys)
+          in
+          match List.find_opt covers groupings with
+          | Some g ->
+              directed dir
+                (gather g.group b.sel, g.groups)
+              :: rank (List.filteri (fun i _ -> i >= Array.length g.keys) keys)
+          | None -> directed dir (rank_column b c) :: rank (List.tl keys))
+    in
+    let key, m = combine n (rank keys) in
     Relation.of_batch schema
-      { b with sel = Array.map (Array.unsafe_get b.sel) (radix_perm key m) }
+      { b with sel = radix_sel key m b.sel }
+
+(* Ids equal exactly for rows equal on the columns at [positions], in
+   no particular order. An aggregate column whose basis is among those
+   columns adds nothing — its cells follow its group — and a grouping
+   of the batch over exactly the remaining columns numbers the rows
+   without ranking any. *)
+let class_ids (b : Relation.batch) positions =
+  let cols = List.map (fun p -> b.cols.(p)) positions in
+  let within cols (g : Relation.grouping) =
+    Array.for_all (fun k -> List.exists (same_col k) cols) g.keys
+  in
+  let positions =
+    List.filter
+      (fun p ->
+        match b.cols.(p) with
+        | Relation.Broadcast { grouping = g; _ } -> not (within cols g)
+        | Relation.Base _ | Relation.Computed _ -> true)
+      positions
+  in
+  let rest = List.map (fun p -> b.cols.(p)) positions in
+  let spans (g : Relation.grouping) =
+    within rest g
+    && List.for_all (fun c -> Array.exists (same_col c) g.keys) rest
+  in
+  match (rest, List.find_opt spans (groupings b)) with
+  | _ :: _, Some g -> (gather g.group b.sel, g.groups)
+  | _ -> group_ids_batch b positions
 
 let distinct_on keys (r : Relation.t) =
   let schema = Relation.schema r in
   let positions = List.map (Schema.index_exn schema) keys in
   let b = Relation.batch r in
-  let gid, groups = group_ids_batch b positions in
+  let gid, groups = class_ids b positions in
   let seen = Bytes.make groups '\000' in
   let kept = Array.make (Array.length gid) 0 in
   let k = ref 0 in

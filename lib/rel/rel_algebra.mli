@@ -19,11 +19,11 @@ exception Algebra_error of string
 
 val select : Expr.t -> Relation.t -> Relation.t
 (** [σ_r]: keep rows satisfying the (aggregate-free) predicate.
-    Runs columnar (compiled selection-vector filters over the base's
-    Sheetcol image, morsel-parallel) when every column the predicate
-    reads is a base column and the predicate compiles; otherwise
-    through the compiled expression, which is observationally
-    identical.
+    Runs columnar (compiled selection-vector filters, morsel-parallel)
+    when every column the predicate reads is typed — a base column of
+    the base's Sheetcol image, or a typed computed column — and the
+    predicate compiles; otherwise through the compiled expression,
+    which is observationally identical.
     @raise Algebra_error on an ill-typed predicate, before reading a
     row. *)
 
@@ -40,16 +40,34 @@ val compile : Relation.t -> Expr.t -> int -> Value.t
     takes a base row id of [Relation.batch r] (an entry of its
     selection vector) and reads base cells from the base's own rows. *)
 
+val typed_arg : Relation.t -> string -> Column.t option
+(** The typed column a reference to the named column reads, indexed
+    by base row id of [Relation.batch r]: a base column of the base's
+    Sheetcol image when one is built (never building it), or a
+    computed column. [None] for an aggregate column, a base column
+    without an image, or an unknown name. *)
+
 val project : string list -> Relation.t -> Relation.t
 (** [π_r]: keep the named columns in the given order; duplicates are
     NOT eliminated (multiset semantics). Edits the column map only. *)
 
 val extend : Schema.column -> Expr.t -> Relation.t -> Relation.t
 (** Append a column computed by the expression on every row
-    (morsel-parallel).
+    (morsel-parallel), a [Relation.Computed] column indexed by base
+    row id. When the expression compiles over typed columns
+    ({!Col_expr}) the typed kernel writes an [Ints], [Floats] or
+    [Dates] column; otherwise each row handle goes through the
+    compiled expression into a [Boxed] column. The cells are the same
+    either way. The typed column of a base column is read from the
+    base's Sheetcol image when one is built (never building it).
     @raise Schema.Schema_error on a name clash.
     @raise Expr_eval.Eval_error at the first row, in order, where the
     expression fails. *)
+
+val extend_path :
+  Schema.column -> Expr.t -> Relation.t -> Relation.t * [ `Columnar | `Row ]
+(** {!extend}, also telling which of the two paths ran. Inside a
+    profile region a fallback notes its reason. *)
 
 val product : Relation.t -> Relation.t -> Relation.t
 (** [×_r]: clashing right-hand column names get a numeric suffix (see
@@ -83,7 +101,10 @@ val distinct : Relation.t -> Relation.t
 
 val distinct_on : string list -> Relation.t -> Relation.t
 (** Keep the first row of each group of rows equal (under
-    {!Value.compare}) on the given columns. *)
+    {!Value.compare}) on the given columns. An aggregate column whose
+    basis is among the columns is left out of the comparison (its
+    cells follow its group), and a grouping of the batch over exactly
+    the remaining columns numbers the rows without ranking them. *)
 
 val sort : (string * [ `Asc | `Desc ]) list -> Relation.t -> Relation.t
 (** Stable sort by the given key columns under {!Value.compare};
@@ -96,7 +117,10 @@ val sort : (string * [ `Asc | `Desc ]) list -> Relation.t -> Relation.t
     anything else by hashing its distinct values and sorting only
     those — and descending keys flip their ranks. The ranks are
     combined into one order-preserving int key (as in {!group_ids})
-    and the selection vector is LSD-radix-sorted on it. No keys or
+    and the selection vector is LSD-radix-sorted on it. A run of keys
+    in one direction that is the basis of a grouping an aggregate
+    column of the batch carries ({!Relation.grouping}) ranks by that
+    grouping's ids, which order as the run's cells do. No keys or
     fewer than two rows return the relation itself. *)
 
 val group_ids : Relation.t -> int list -> int array * int
@@ -108,6 +132,15 @@ val group_ids : Relation.t -> int list -> int array * int
     the same per-column ranks as {!sort}). [groups] is at most the
     number of rows (no rows, no groups) but may exceed the number of
     distinct keys: ids need not be dense. *)
+
+val grouping : Relation.t -> int list -> Relation.grouping
+(** The grouping of [Relation.batch r] by the columns at [positions]:
+    {!group_ids} over its selection vector, scattered to a group id
+    per base row id. When a [Broadcast] column of the batch carries a
+    grouping over this very selection vector (physically) and the
+    same basis columns (the same base column, or physically the same
+    computed or aggregate column), that grouping is returned instead
+    and nothing is ranked. *)
 
 val group_rows : string list -> Relation.t -> (Row.t * Row.t list) list
 (** Partition rows by equality on the given columns. Each element is

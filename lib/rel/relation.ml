@@ -33,8 +33,15 @@ and batch = { base : t; sel : int array; cols : col array }
 
 and col =
   | Base of int
-  | Computed of Value.t array
-  | Broadcast of { group : int array; values : Value.t array }
+  | Computed of Column.t
+  | Broadcast of { grouping : grouping; values : Value.t array }
+
+and grouping = {
+  over : int array;
+  keys : col array;
+  group : int array;
+  groups : int;
+}
 
 exception Relation_error of string
 
@@ -128,8 +135,9 @@ let build_row (b : batch) identity rows i =
     Array.map
       (function
         | Base j -> Row.get row j
-        | Computed a -> Array.unsafe_get a id
-        | Broadcast { group; values } -> values.(Array.unsafe_get group id))
+        | Computed c -> Column.get c id
+        | Broadcast { grouping; values } ->
+            values.(Array.unsafe_get grouping.group id))
       b.cols
 
 let to_array t =

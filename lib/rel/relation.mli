@@ -50,13 +50,32 @@ val empty : Schema.t -> t
 
 type col =
   | Base of int  (** column [j] of the base *)
-  | Computed of Value.t array
+  | Computed of Column.t
       (** a computed column, indexed by base row id: only the cells
-          at ids in the selection are meaningful *)
-  | Broadcast of { group : int array; values : Value.t array }
+          at ids in the selection are meaningful. A formula the typed
+          kernel ({!Col_expr}) computes is an [Ints], [Floats] or
+          [Dates] column with a validity bitmap; any other is
+          [Boxed]. *)
+  | Broadcast of { grouping : grouping; values : Value.t array }
       (** a column broadcast from per-group values (an aggregate):
-          the cell at base row id [i] is [values.(group.(i))], with
-          [group] indexed by base row id like [Computed] *)
+          the cell at base row id [i] is
+          [values.(grouping.group.(i))] *)
+
+and grouping = {
+  over : int array;
+      (** the selection vector it numbers — physically the batch's
+          [sel] when the grouping was computed *)
+  keys : col array;  (** the basis columns it was computed from *)
+  group : int array;
+      (** group id by base row id, in [\[0, groups)], like [Computed]
+          meaningful only at ids in [over] *)
+  groups : int;
+}
+(** The grouping of one aggregate level. It travels with the batch on
+    its [Broadcast] column, so a later aggregate over the same vector
+    and basis reuses it ({!Rel_algebra.grouping}), and a sort or
+    duplicate elimination over its basis reads its ids instead of
+    ranking the basis. *)
 
 type batch = {
   base : t;  (** always row-backed *)
@@ -68,7 +87,10 @@ type batch = {
 (** Row [i] of a batch-backed relation is base row [sel.(i)], read
     through [cols]. Base cells are the base row's own values; when the
     map is the base's columns in order, the row is the base row
-    itself (physically). *)
+    itself (physically); a typed computed cell is boxed when its row
+    is built. Every column of a batch is meaningful at every id its
+    vector selects: operators only narrow or permute a vector after
+    appending a column over it. *)
 
 val of_batch : Schema.t -> batch -> t
 (** A batch-backed relation; [schema] names [cols], one to one. No

@@ -448,6 +448,317 @@ let compile_matches_eval =
       | Error a, Error b -> a = b
       | _ -> false)
 
+(* ---------- typed kernels ---------- *)
+
+(* Typed columns of every kind the kernel reads, with nulls: ints
+   with zeros (division and modulo by zero) and extremes (wrapping),
+   floats with NaN, ±0.0, infinity and magnitudes that round, dates;
+   a dictionary-coded string column for CASE conditions and a row
+   number. Each column has one constructor, so an image types it
+   (an all-null column stays boxed, and nothing over it compiles). *)
+let kernel_schema =
+  Schema.of_list
+    [ ("i", Value.TInt); ("j", Value.TInt); ("f", Value.TFloat);
+      ("d", Value.TDate); ("s", Value.TString); ("row", Value.TInt) ]
+
+let gen_kernel_rows =
+  let open QCheck.Gen in
+  let null_or g = frequency [ (1, return Value.Null); (6, g) ] in
+  let ints =
+    oneofl [ 0; 1; -1; 2; 3; -7; 1 lsl 40; max_int; min_int ]
+  in
+  let* n = oneof [ int_range 0 120; int_range 1_030 2_300 ] in
+  let* cells =
+    array_repeat n
+      (let* i = null_or (map (fun x -> Value.Int x) ints) in
+       let* j = null_or (map (fun x -> Value.Int x) ints) in
+       let* f =
+         null_or
+           (map
+              (fun x -> Value.Float x)
+              (oneofl
+                 [ 0.0; -0.0; Float.nan; Float.infinity; 1.5; -2.5; 0.1;
+                   1e16; 3.0 ]))
+       in
+       let* d = null_or (map (fun x -> Value.Date x) (oneofl [ 0; 10; 400 ])) in
+       let* s = null_or (map (fun x -> Value.String x) (oneofl [ "a"; "b" ])) in
+       return (i, j, f, d, s))
+  in
+  return
+    (Array.mapi
+       (fun k (i, j, f, d, s) -> [| i; j; f; d; s; Value.Int k |])
+       cells)
+
+let gen_kernel_expr : Expr.t QCheck.Gen.t =
+  let open QCheck.Gen in
+  let leaf =
+    frequency
+      [ (5, map (fun c -> Expr.Col c) (oneofl [ "i"; "j"; "f"; "d" ]));
+        ( 3,
+          map
+            (fun v -> Expr.Const v)
+            (oneofl
+               [ Value.Int 0; Value.Int 2; Value.Int (-3); Value.Int max_int;
+                 Value.Float 0.5; Value.Float (-0.0); Value.Float Float.nan;
+                 Value.Date 7; Value.Null; Value.String "a" ]) ) ]
+  in
+  let cond =
+    oneofl
+      [ Expr.Cmp (Expr.Eq, Expr.Col "s", Expr.Const (Value.String "a"));
+        Expr.Cmp (Expr.Gt, Expr.Col "i", Expr.Const (Value.Int 0));
+        Expr.Is_null (Expr.Col "f");
+        Expr.Or
+          ( Expr.Cmp (Expr.Eq, Expr.Col "s", Expr.Const (Value.String "b")),
+            Expr.Cmp (Expr.Le, Expr.Col "f", Expr.Col "j") );
+        Expr.Like (Expr.Col "i", "1%") ]
+  in
+  sized_size (int_range 0 4)
+  @@ fix (fun self n ->
+         if n = 0 then leaf
+         else
+           let sub = self (n - 1) in
+           frequency
+             [ (2, leaf);
+               (1, map (fun a -> Expr.Neg a) sub);
+               ( 4,
+                 map3
+                   (fun op a b -> Expr.Arith (op, a, b))
+                   (oneofl Expr.[ Add; Sub; Mul; Div; Mod ])
+                   sub sub );
+               ( 1,
+                 map3
+                   (fun c x d -> Expr.Case ([ (c, x) ], d))
+                   cond sub (opt sub) );
+               ( 1,
+                 map3
+                   (fun (c1, c2) (x, y) d -> Expr.Case ([ (c1, x); (c2, y) ], d))
+                   (pair cond cond) (pair sub sub) (opt sub) ) ])
+
+let extend_outcome e r =
+  outcome (fun () ->
+      let out, path =
+        Rel_algebra.extend_path { Schema.name = "v"; ty = Value.TFloat } e r
+      in
+      ( Array.map (fun row -> row.(Array.length row - 1)) (Relation.to_array out),
+        path ))
+
+(* The kernel's cells equal [Expr_eval.eval]'s, bit for bit, over the
+   identity vector and over a reversed one, and an expression that
+   fails on a row fails the same way (on the row path); whenever the
+   kernel compiles over the image columns it is the path that runs. *)
+let typed_formula_matches_row_path =
+  QCheck.Test.make ~count:600 ~name:"typed formula cells == compile_with cells"
+    (QCheck.make
+       ~print:(fun (e, rows) ->
+         Printf.sprintf "%s over %d rows" (Expr.to_string e) (Array.length rows))
+       QCheck.Gen.(pair gen_kernel_expr gen_kernel_rows))
+    (fun (e, rows) ->
+      let r = Relation.unsafe_of_array kernel_schema rows in
+      let column =
+        match Relation.columnar_view r with
+        | None -> fun _ -> None
+        | Some v ->
+            fun name ->
+              Option.map
+                (fun (j, _) -> Columnar.column v j)
+                (Schema.find kernel_schema name)
+      in
+      let compiles = Option.is_some (Col_expr.compile ~column e) in
+      let eval row =
+        Expr_eval.eval
+          ~lookup:(fun name -> Row.get row (Schema.index_exn kernel_schema name))
+          e
+      in
+      List.for_all
+        (fun (order, scan_rows) ->
+          match
+            ( extend_outcome e (Rel_algebra.sort order r),
+              outcome (fun () -> Array.map eval scan_rows) )
+          with
+          | Ok (got, path), Ok want ->
+              (path = `Columnar) = compiles
+              && Array.length got = Array.length want
+              && (Array.for_all2 value_exact got want
+                 || QCheck.Test.fail_reportf "got %s\nwant %s"
+                      (String.concat ", "
+                         (Array.to_list (Array.map Value.to_string got)))
+                      (String.concat ", "
+                         (Array.to_list (Array.map Value.to_string want))))
+          | Error a, Error b -> (not compiles) && a = b
+          | _ -> false)
+        [ ([], rows);
+          ( [ ("row", `Desc) ],
+            Array.init (Array.length rows) (fun k ->
+                rows.(Array.length rows - 1 - k)) ) ])
+
+(* Cells for a typed fold: one constructor per column, so the image
+   types it — or an int/float mix, which stays [Boxed]. *)
+let gen_typed_agg_case =
+  let open QCheck.Gen in
+  let* fn = oneofl all_funs in
+  let* kind =
+    match fn with
+    | Expr.Sum | Expr.Avg -> oneofl [ `Ints; `Floats; `Mixed ]
+    | _ -> oneofl [ `Ints; `Floats; `Dates; `Strings; `Mixed ]
+  in
+  let cell =
+    let null_or g = frequency [ (1, return Value.Null); (4, g) ] in
+    match kind with
+    | `Ints ->
+        null_or
+          (map (fun i -> Value.Int i)
+             (oneofl [ -4; 0; 3; 3; max_int; max_int - 1; min_int ]))
+    | `Floats ->
+        (* sums that round differently in another order; NaN rarely,
+           since it swallows a whole group's sum *)
+        null_or
+          (map (fun f -> Value.Float f)
+             (frequency
+                [ ( 12,
+                    oneofl
+                      [ 0.1; 0.2; 0.3; 0.7; 1.0; 3.0; 1e16; -1e16; 0.0; -0.0 ] );
+                  (1, return Float.nan) ]))
+    | `Dates -> null_or (map (fun d -> Value.Date d) (oneofl [ 3; -2; 3; 900 ]))
+    | `Strings -> null_or (map (fun s -> Value.String s) (oneofl [ "p"; "q" ]))
+    | `Mixed ->
+        null_or (oneofl [ Value.Int 3; Value.Float 3.0; Value.Float 0.1; Value.Int 1 ])
+  in
+  let* basis = oneofl [ []; [ "g" ]; [ "g"; "h" ]; [ "h" ] ] in
+  let* n = oneof [ int_range 0 60; int_range 1_500 2_500 ] in
+  let* rows =
+    array_repeat n
+      (let* g = oneofl [ Value.Int 1; Value.Int 2; Value.Null ] in
+       let* h = oneofl [ Value.String "u"; Value.String "v"; Value.Null ] in
+       let* x = cell in
+       return [| g; h; Value.Int 0; x |])
+  in
+  return (fn, kind, basis, rows)
+
+let next_uid = ref 1_000_000
+
+(* Folds over a typed image column — and over a boxed mixed one — equal
+   [apply_agg] per group bit for bit; a typed column folds on the
+   columnar path. *)
+let typed_folds_match_apply_agg =
+  QCheck.Test.make ~count:400
+    ~name:"typed folds == apply_agg per group (bit-identical)"
+    (QCheck.make
+       ~print:(fun (fn, _, basis, rows) ->
+         Printf.sprintf "%s over [%s]: %s" (Expr.agg_fun_name fn)
+           (String.concat ", " basis)
+           (if Array.length rows > 40 then
+              Printf.sprintf "%d rows" (Array.length rows)
+            else print_rows rows))
+       gen_typed_agg_case) (fun (fn, _, basis, rows) ->
+      let base = Relation.unsafe_of_array agg_schema rows in
+      ignore (Relation.columnar_view base);
+      incr next_uid;
+      let uid = !next_uid in
+      let plan =
+        Plan.Extend_aggregate
+          ( { Plan.agg_name = "v"; agg_ty = Value.TFloat; fn;
+              arg = Some (Expr.Col "x"); basis },
+            Plan.Scan base )
+      in
+      let out = Relation.to_array (Plan.execute ~uid plan) in
+      let positions =
+        Array.of_list (List.map (Schema.index_exn agg_schema) basis)
+      in
+      (* each row's group, keyed on the rendering of its basis cells *)
+      let members = Hashtbl.create 16 in
+      let key row =
+        Array.to_list (Array.map Value.to_string (Row.project_arr row positions))
+      in
+      Array.iter
+        (fun row ->
+          Hashtbl.replace members (key row)
+            (row.(3) :: Option.value ~default:[] (Hashtbl.find_opt members (key row))))
+        rows;
+      let wants = Hashtbl.create 16 in
+      Hashtbl.iter
+        (fun k cells -> Hashtbl.replace wants k (Expr_eval.apply_agg fn (List.rev cells)))
+        members;
+      (* what the image made of the argument column decides the fold *)
+      let kind =
+        match Relation.columnar_view base with
+        | Some v -> Column.kind_name (Columnar.column v 3)
+        | None -> "boxed"
+      in
+      let typed =
+        match (fn, kind) with
+        | Expr.Count_star, _ -> true
+        | _, "boxed" -> false
+        | Expr.Count, _ -> true
+        | (Expr.Sum | Expr.Avg), ("int" | "float") -> true
+        | (Expr.Min | Expr.Max), ("int" | "float" | "date") -> true
+        | _ -> false
+      in
+      let path =
+        match Obs.Profile.find ~uid with
+        | Some p -> (
+            match List.rev p.Obs.Profile.p_nodes with
+            | n :: _ -> n.Obs.Profile.n_path
+            | [] -> "")
+        | None -> ""
+      in
+      (rows = [||] || path = if typed then "columnar" else "row")
+      && Array.for_all
+           (fun i ->
+             let want = Hashtbl.find wants (key rows.(i)) in
+             let got = out.(i).(4) in
+             value_exact got want
+             || QCheck.Test.fail_reportf "%s row %d: got %s, want %s (path %s)"
+                  (Expr.agg_fun_name fn) i (Value.to_string got)
+                  (Value.to_string want) path)
+           (Array.init (Array.length rows) Fun.id)
+      || QCheck.Test.fail_reportf "path %s, typed %b" path typed)
+
+(* The grouping an aggregate column carries. *)
+let grouping_of r name =
+  let b = Relation.batch r in
+  match b.Relation.cols.(Schema.index_exn (Relation.schema r) name) with
+  | Relation.Broadcast { grouping; _ } -> grouping
+  | _ -> Alcotest.failf "%s is not an aggregate column" name
+
+(* Two aggregates of one level over one vector share one grouping;
+   over another vector, or another basis, each ranks its own. *)
+let test_aggregates_share_grouping () =
+  let base = Sample_cars.scaled ~rows:2_000 ~seed:6 in
+  ignore (Relation.columnar_view base);
+  let agg name fn col basis child =
+    Plan.Extend_aggregate
+      ( { Plan.agg_name = name; agg_ty = Value.TFloat; fn;
+          arg = Some (Expr.Col col); basis },
+        child )
+  in
+  let same =
+    Plan.execute
+      (agg "b" Expr.Max "Mileage" [ "Model"; "Year" ]
+         (agg "a" Expr.Sum "Price" [ "Model"; "Year" ] (Plan.Scan base)))
+  in
+  let a = grouping_of same "a" and b = grouping_of same "b" in
+  Alcotest.(check bool) "one level, one vector: one group array" true
+    (a.Relation.group == b.Relation.group && a.Relation.groups = b.Relation.groups);
+  let basis =
+    Plan.execute
+      (agg "b" Expr.Max "Mileage" [ "Model" ]
+         (agg "a" Expr.Sum "Price" [ "Model"; "Year" ] (Plan.Scan base)))
+  in
+  Alcotest.(check bool) "another basis: its own group array" false
+    ((grouping_of basis "a").Relation.group == (grouping_of basis "b").Relation.group);
+  let vector =
+    Plan.execute
+      (agg "b" Expr.Max "Mileage" [ "Model"; "Year" ]
+         (Plan.Filter
+            ( Expr_parse.parse_string_exn "Price > 12000",
+              agg "a" Expr.Sum "Price" [ "Model"; "Year" ] (Plan.Scan base) )))
+  in
+  let a = grouping_of vector "a" and b = grouping_of vector "b" in
+  Alcotest.(check bool) "another vector: its own group array" false
+    (a.Relation.group == b.Relation.group);
+  Alcotest.(check bool) "each over its own vector" true
+    (a.Relation.over != b.Relation.over)
+
 (* ---------- the empty plan ---------- *)
 
 let test_empty_plan_returns_scan () =
@@ -552,8 +863,11 @@ let () =
             test_page_reads_window ] );
       ( "aggregate",
         [ q aggregate_matches_apply_agg;
-          Alcotest.test_case "error order" `Quick test_aggregate_error_order ] );
-      ("compile", [ q compile_matches_eval ]);
+          Alcotest.test_case "error order" `Quick test_aggregate_error_order;
+          q typed_folds_match_apply_agg;
+          Alcotest.test_case "one grouping per level" `Quick
+            test_aggregates_share_grouping ] );
+      ("compile", [ q compile_matches_eval; q typed_formula_matches_row_path ]);
       ( "empty plan",
         [ Alcotest.test_case "returns its scan" `Quick test_empty_plan_returns_scan;
           Alcotest.test_case "first select compiles" `Quick

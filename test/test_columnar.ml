@@ -331,6 +331,45 @@ let test_parallel_error_is_sequential_first () =
       | exception Boom i ->
           Alcotest.(check int) "lowest failing morsel wins" 5_000 i)
 
+(* Scans from two systhreads at once, each of whose morsels runs a
+   scan of its own: whoever finds the worker pool taken drains its
+   morsels alone, so every caller gets the sequential result and none
+   waits on another. *)
+let test_par_concurrent_and_nested () =
+  let n = 6_000 in
+  let scan () =
+    Par.concat
+      (Par.run ~n (fun lo hi ->
+           (* a nested scan over four cells per row, summed back *)
+           let inner =
+             Par.concat
+               (Par.run ~n:(4 * (hi - lo)) (fun a b ->
+                    Array.init (b - a) (fun k -> lo + ((a + k) / 4))))
+           in
+           Array.init (hi - lo) (fun k ->
+               inner.(4 * k) + inner.((4 * k) + 1) + inner.((4 * k) + 2)
+               + inner.((4 * k) + 3))))
+  in
+  let want = Array.init n (fun i -> 4 * i) in
+  with_par_config ~domains:4 ~threshold:64 ~morsel:256 (fun () ->
+      let results = Array.make 2 [] in
+      let threads =
+        List.init 2 (fun t ->
+            Thread.create
+              (fun () -> results.(t) <- List.init 30 (fun _ -> scan ()))
+              ())
+      in
+      List.iter Thread.join threads;
+      Array.iteri
+        (fun t runs ->
+          Alcotest.(check bool)
+            (Printf.sprintf "thread %d: every scan bit-identical" t)
+            true
+            (List.length runs = 30 && List.for_all (( = ) want) runs))
+        results;
+      Alcotest.(check bool) "the pool serves the next caller" true
+        (scan () = want))
+
 let test_par_concat () =
   Alcotest.(check (array int)) "empty" [||] (Par.concat [||]);
   let one = [| 1; 2 |] in
@@ -494,7 +533,9 @@ let () =
         [ Alcotest.test_case "determinism" `Quick test_parallel_determinism;
           Alcotest.test_case "first error wins" `Quick
             test_parallel_error_is_sequential_first;
-          Alcotest.test_case "concat" `Quick test_par_concat ] );
+          Alcotest.test_case "concat" `Quick test_par_concat;
+          Alcotest.test_case "concurrent and nested callers" `Quick
+            test_par_concurrent_and_nested ] );
       ( "observability",
         [ Alcotest.test_case "columnar metrics" `Quick test_columnar_metrics;
           Alcotest.test_case "par metrics" `Quick test_par_metrics;

@@ -12,7 +12,9 @@
    over relations up to 10k rows must agree on all of them, and so
    must the windows Render.page cuts from them (cells and group
    breaks) and the sheet's plan run over three scans of its base data
-   (with a Sheetcol image, without one, and batch-backed).
+   (with a Sheetcol image, without one, and batch-backed). Formulas
+   the typed kernel computes, and aggregates folding them, are among
+   the generated states.
 
    A second battery attacks the hash-table paths (equijoin / distinct
    / diff / grouping all key on Value.hash or Row.hash): a generator
@@ -108,6 +110,31 @@ let gen_formula_expr : Expr.t QCheck.Gen.t =
     [ Expr.Arith (op, Expr.Col a, Expr.Col b);
       Expr.Arith (op, Expr.Col a, Expr.Const (Value.Int k)) ]
 
+(* Formulas the typed kernel computes: integer division and modulo
+   (by zero on some rows), an int beside a float constant, negation. *)
+let gen_kernel_formula : Expr.t QCheck.Gen.t =
+  let open QCheck.Gen in
+  let* a = oneofl numeric_cols in
+  let* b = oneofl numeric_cols in
+  let* op = oneofl [ Expr.Add; Expr.Sub; Expr.Mul; Expr.Div; Expr.Mod ] in
+  let* k = oneofl [ Value.Int 0; Value.Int 3; Value.Float 0.5; Value.Float (-0.0) ] in
+  oneofl
+    [ Expr.Arith (op, Expr.Col a, Expr.Arith (Expr.Mod, Expr.Col b, Expr.Const (Value.Int 7)));
+      Expr.Arith (op, Expr.Col a, Expr.Const k);
+      Expr.Neg (Expr.Arith (op, Expr.Const k, Expr.Col b)) ]
+
+(* A formula, then an aggregate over it at the first level. *)
+let gen_formula_then_aggregate ~tag : Op.t list QCheck.Gen.t =
+  let open QCheck.Gen in
+  let* expr = gen_kernel_formula in
+  let* fn = oneofl [ Expr.Sum; Expr.Avg; Expr.Min; Expr.Max; Expr.Count ] in
+  let name = Printf.sprintf "fk_%s" tag in
+  return
+    [ Op.Formula { name = Some name; expr };
+      Op.Aggregate
+        { fn; col = Some name; level = 1;
+          as_name = Some (Printf.sprintf "ak_%s" tag) } ]
+
 let gen_unary_op ~tag : Op.t QCheck.Gen.t =
   let open QCheck.Gen in
   oneof
@@ -133,9 +160,13 @@ let gen_unary_op ~tag : Op.t QCheck.Gen.t =
 
 let gen_ops lo hi =
   let open QCheck.Gen in
-  list_size (int_range lo hi)
-    (let* i = int_range 0 999 in
-     gen_unary_op ~tag:(string_of_int i))
+  map List.concat
+    (list_size (int_range lo hi)
+       (let* i = int_range 0 999 in
+        let tag = string_of_int i in
+        frequency
+          [ (6, map (fun op -> [ op ]) (gen_unary_op ~tag));
+            (1, gen_formula_then_aggregate ~tag) ]))
 
 let print_case (_, ops) =
   String.concat "; " (List.map Op.describe ops)

@@ -21,6 +21,12 @@
      spans live. Only the ring order may differ (workers interleave);
      sorted, the two runs must be identical.
 
+   The worker domains persist across scans, so the 4-domain replay
+   runs twice in the process — the second on workers the first
+   spawned — and once more at 2 domains, on a pool larger than the
+   count asks for; each replay must match the 1-domain one the same
+   way.
+
    Also fails when a parallel run left spans unbalanced or when no
    scan ever split into morsels (a silently sequential "parallel" run
    would make the comparison vacuous). Run via [dune build @par],
@@ -122,17 +128,17 @@ let diff_assoc a b =
   List.filter (fun kv -> not (List.mem kv b)) a
   @ List.filter (fun kv -> not (List.mem kv a)) b
 
-let run_task (task : Sheet_tpch.Tpch_tasks.t) seq par =
-  let label what = Printf.sprintf "task %2d %s" task.id what in
+let run_task ~run (task : Sheet_tpch.Tpch_tasks.t) seq par =
+  let label what = Printf.sprintf "%s: task %2d %s" run task.id what in
   match (seq, par) with
   | Error msg, _ | _, Error msg -> check (label "script") false msg
   | Ok s, Ok p ->
       check (label "rows")
         (List.equal Row.equal s.o_rows p.o_rows)
-        "row list diverges between 1 and 4 domains";
+        "row list diverges from the 1-domain replay";
       check (label "session rows")
         (List.equal Row.equal s.o_session p.o_session)
-        "Session.materialized diverges between 1 and 4 domains";
+        "Session.materialized diverges from the 1-domain replay";
       check (label "counters")
         (s.o_counters = p.o_counters)
         (Printf.sprintf "sharded totals diverge: %s"
@@ -151,8 +157,16 @@ let () =
   let tasks = Sheet_tpch.Tpch_tasks.all @ Sheet_tpch.Tpch_tasks.extensions in
   let seq = collect ~domains:1 tasks in
   let par = collect ~domains:4 tasks in
-  List.iter2 (fun (t, s) p -> run_task t s p)
-    (List.combine tasks seq) par;
+  let replays =
+    [ ("4 domains", par);
+      ("4 domains again", collect ~domains:4 tasks);
+      ("2 domains", collect ~domains:2 tasks) ]
+  in
+  List.iter
+    (fun (run, replay) ->
+      List.iter2 (fun (t, s) p -> run_task ~run t s p)
+        (List.combine tasks seq) replay)
+    replays;
   (* the runs must have actually split scans into morsels — and since
      morselization is domain-count independent, both configs report
      the same counts *)
@@ -176,7 +190,8 @@ let () =
   end
   else
     Printf.printf
-      "par gate: %d task(s) bit-identical across 1 and 4 domains — rows, \
-       order (full replay and incremental chain), counters, histogram \
-       counts, span multisets (%d morsels)\n"
+      "par gate: %d task(s) bit-identical across 1 and 4 domains, 4 \
+       again on reused workers, and 2 — rows, order (full replay and \
+       incremental chain), counters, histogram counts, span multisets \
+       (%d morsels)\n"
       (List.length tasks) morsels
