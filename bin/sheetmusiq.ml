@@ -56,7 +56,8 @@ Observability (Sheetscope):
   metrics                         counters, gauges, latency percentiles
   slo [json]                      evaluate latency/error-rate SLOs
                                   (per-session series included)
-  flightrec [json|clear]          session flight recorder (last 512 events)
+  flightrec [json|clear]          flight recorder: the last 512 profile-ring
+                                  records, one line each
   trace [status|mem|logs|off|clear]   span tracing sink control
   trace export <path>             write Chrome trace_event JSON|}
 

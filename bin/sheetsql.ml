@@ -15,8 +15,8 @@
      \doctor       Sheetdoctor anomaly detection over the profiles
                    recorded so far this session
      \timing       toggle per-statement wall-time reporting
-     \flightrec [json|clear]   dump / export / reset the session
-                   flight recorder (Sheetscope)
+     \flightrec [json|clear]   dump / export / reset the flight
+                   recorder (a view over the profile ring)
      \slo [json]   evaluate the declared latency/error-rate SLOs
                    (per-session labeled series included)
      \d            list tables
@@ -173,12 +173,12 @@ let () =
          Printf.printf "Timing is %s.\n" (if !timing then "on" else "off")
        end
        else if trimmed = "\\flightrec" then
-         print_endline (Sheet_obs.Obs.Flightrec.render ())
+         print_endline (Sheet_obs.Obs.Profile.render ())
        else if trimmed = "\\flightrec json" then
          print_endline
-           (Sheet_obs.Obs_json.to_string (Sheet_obs.Obs.Flightrec.to_json ()))
+           (Sheet_obs.Obs_json.to_string (Sheet_obs.Obs.Profile.to_json ()))
        else if trimmed = "\\flightrec clear" then begin
-         Sheet_obs.Obs.Flightrec.clear ();
+         Sheet_obs.Obs.Profile.clear ();
          print_endline "flight recorder cleared"
        end
        else if trimmed = "\\doctor" then

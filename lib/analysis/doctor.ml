@@ -99,13 +99,17 @@ let slo_diagnostics () =
                 v.Obs.Slo.v_slo v.Obs.Slo.v_series v.Obs.Slo.v_observed
                 v.Obs.Slo.v_limit))
       else None)
-    (Obs.Slo.evaluate ())
+    (Obs.Slo.evaluate Obs.Slo.defaults)
 
 let run () =
   (* the doctor observes, it must never bring the patient down *)
   let guard f = try f () with _ -> [] in
   Diagnostic.sort
-    (guard (fun () -> List.concat_map examine (Obs.Profile.records ()))
+    (guard (fun () ->
+         List.concat_map examine
+           (List.filter
+              (fun r -> not (Obs.Profile.is_event r))
+              (Obs.Profile.records ())))
     @ guard cache_diagnostics
     @ guard overflow_diagnostics
     @ guard slo_diagnostics)

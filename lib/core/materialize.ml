@@ -36,9 +36,9 @@ let full (sheet : Spreadsheet.t) =
    fills, see Incremental). Sheets are immutable and every engine op
    bumps the uid, so entries can never go stale; the only lifecycle
    events are oldest-half eviction past [cache_limit] and explicit
-   [reset_cache]. The stats below are local to this table (reset
-   together with it), independent of the Sheet_obs registry, so tests
-   can observe the cache deterministically.
+   [reset_cache]. Each outcome is counted once, in the Sheet_obs
+   counters, and noted once on the request's profile record;
+   [cache_stats] reads the counters' movement since [reset_cache].
 
    Each entry keeps the sheet alongside its materialization, which
    makes the cache {e semantic}: a miss first scans the cached states
@@ -47,8 +47,7 @@ let full (sheet : Spreadsheet.t) =
    sheets share it — same computed columns, a provably weaker
    selection) and answers by re-filtering/re-sorting the cached rows
    instead of replaying the base data. Exact hits, subsumed hits and
-   misses are recorded distinctly, both in {!cache_stats} and through
-   the Sheet_obs counters and flight recorder. *)
+   misses are counted distinctly. *)
 
 type entry = { e_sheet : Spreadsheet.t; e_rel : Relation.t }
 
@@ -89,33 +88,38 @@ type cache_stats = {
   entries : int;
 }
 
-let requests = ref 0
-let hits = ref 0
-let subsumed_hits = ref 0
-let misses = ref 0
-let seeds = ref 0
-let evictions = ref 0
+let counters =
+  [| c_requests; c_hits; c_hits_subsumed; c_misses; c_seeds; c_evictions |]
+
+let read_counters () = Array.map Obs.Metrics.get counters
+
+(* The counter readings at the last [reset_cache]. The counters only
+   move under the cache lock, so a read under it is consistent. A
+   reading below its baseline means [Obs.Metrics.reset] ran since;
+   the movement is then counted from zero. *)
+let baseline = ref (read_counters ())
 
 let cache_stats () =
   with_cache_lock (fun () ->
-      { requests = !requests;
-        hits = !hits;
-        subsumed_hits = !subsumed_hits;
-        misses = !misses;
-        seeds = !seeds;
-        evictions = !evictions;
+      let now = read_counters () in
+      let base =
+        if Array.exists2 ( < ) now !baseline then Array.map (fun _ -> 0) now
+        else !baseline
+      in
+      let d i = now.(i) - base.(i) in
+      { requests = d 0;
+        hits = d 1;
+        subsumed_hits = d 2;
+        misses = d 3;
+        seeds = d 4;
+        evictions = d 5;
         entries = Hashtbl.length cache })
 
 let reset_cache () =
   with_cache_lock (fun () ->
       Hashtbl.reset cache;
       Queue.clear cache_order;
-      requests := 0;
-      hits := 0;
-      subsumed_hits := 0;
-      misses := 0;
-      seeds := 0;
-      evictions := 0)
+      baseline := read_counters ())
 
 let cache_insert (sheet : Spreadsheet.t) rel =
   let uid = sheet.Spreadsheet.uid in
@@ -136,9 +140,8 @@ let evict_if_over_limit () =
         incr removed
       end
     done;
-    incr evictions;
     Obs.Metrics.incr c_evictions;
-    Obs.Flightrec.record ~kind:"cache-eviction"
+    Obs.Profile.event ~kind:"cache-eviction"
       (Printf.sprintf "oldest half, %d of %d entries" !removed n)
   end
 
@@ -214,48 +217,37 @@ let serve_subsumed (sheet : Spreadsheet.t) (cached_rel : Relation.t) =
 
 let full_cached (sheet : Spreadsheet.t) =
   with_cache_lock @@ fun () ->
-  incr requests;
   Obs.Metrics.incr c_requests;
   profiled ~uid:sheet.Spreadsheet.uid @@ fun () ->
   match Hashtbl.find_opt cache sheet.Spreadsheet.uid with
   | Some entry ->
-      incr hits;
       Obs.Metrics.incr c_hits;
       Obs.Profile.note_cache "exact";
-      Obs.Flightrec.record ~uid:sheet.Spreadsheet.uid ~kind:"cache-hit-exact"
-        "materialize";
       entry.e_rel
   | None -> (
       match find_subsumer sheet with
       | Some (entry, outcome) ->
-          incr subsumed_hits;
           Obs.Metrics.incr c_hits_subsumed;
-          Obs.Profile.note_cache "subsumed";
-          let t0 = Obs.now_ns () in
+          Obs.Profile.note_cache
+            ~label:
+              (Printf.sprintf "from sheet #%d: %s"
+                 entry.e_sheet.Spreadsheet.uid
+                 (State_subsume.describe outcome))
+            "subsumed";
           let rel = serve_subsumed sheet entry.e_rel in
-          Obs.Flightrec.record ~uid:sheet.Spreadsheet.uid
-            ~dur_ns:(Obs.now_ns () - t0) ~kind:"cache-hit-subsumed"
-            (Printf.sprintf "from sheet #%d: %s"
-               entry.e_sheet.Spreadsheet.uid
-               (State_subsume.describe outcome));
           evict_if_over_limit ();
           cache_insert sheet rel;
           rel
       | None ->
-          incr misses;
           Obs.Metrics.incr c_misses;
           Obs.Profile.note_cache "miss";
           evict_if_over_limit ();
-          let t0 = Obs.now_ns () in
           let rel = full sheet in
-          Obs.Flightrec.record ~uid:sheet.Spreadsheet.uid
-            ~dur_ns:(Obs.now_ns () - t0) ~kind:"cache-miss" "full replay";
           cache_insert sheet rel;
           rel)
 
 let seed_cache (sheet : Spreadsheet.t) rel =
   with_cache_lock (fun () ->
-      incr seeds;
       Obs.Metrics.incr c_seeds;
       Obs.Profile.note_cache "seed";
       evict_if_over_limit ();

@@ -81,7 +81,7 @@ val seed_cache : Spreadsheet.t -> Relation.t -> unit
     serialize.
     Eviction drops the {e oldest half} (by insertion order) once more
     than 512 entries are resident, so a hot subsumer is not thrown
-    away with the cold tail; the flight recorder's [cache-eviction]
+    away with the cold tail; the profile ring's [cache-eviction]
     event carries the actual evicted count. *)
 
 type cache_stats = {
@@ -96,14 +96,16 @@ type cache_stats = {
 }
 
 val cache_stats : unit -> cache_stats
-(** Counters since the last {!reset_cache} (or process start). Local
-    to this module — independent of the [Sheet_obs] metrics registry,
-    which mirrors the same events under [cache.*] names. *)
+(** The movement of the [Sheet_obs] [materialize.cache_*] counters
+    since the last {!reset_cache} (or process start). Never negative:
+    a counter found below its reading at {!reset_cache} means
+    [Obs.Metrics.reset] ran since, and the counters are then read
+    from zero. *)
 
 val reset_cache : unit -> unit
-(** Drop every cached materialization and zero {!cache_stats}
-    (deterministic baseline for tests; does not touch the [Sheet_obs]
-    registry). *)
+(** Drop every cached materialization and restart {!cache_stats} from
+    zero (deterministic baseline for tests; does not touch the
+    [Sheet_obs] registry). *)
 
 val current_base_rows : Spreadsheet.t -> Relation.t
 (** The paper's [R^j] ({!Plan.base_rows}, executed): the base

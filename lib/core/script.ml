@@ -186,6 +186,11 @@ let run_line session line =
     let sheet = Session.current session in
     snd (Plan.explain_analyze ~uid:sheet.Spreadsheet.uid (Plan.of_sheet sheet))
   in
+  (* a shell shared by many users shows each only its own records *)
+  let mine () = Obs.Labels.to_string (Obs.ambient_labels ()) in
+  let ring_json () =
+    Obs_json.to_string (Obs.Profile.to_json ~session:(mine ()) ())
+  in
   if line = "" then Ok { session; output = None }
   else
     let cmd, rest = head_rest line in
@@ -358,23 +363,20 @@ let run_line session line =
             (* bare [profile] is EXPLAIN ANALYZE *)
             Ok { session; output = Some (analyze ()) }
         | [ "last" ] -> (
-            match Obs.Profile.last () with
+            match Obs.Profile.last ~session:(mine ()) () with
             | Some r ->
                 Ok { session; output = Some (Obs.Profile.render_record r) }
             | None -> Error "profile: no profiles recorded")
-        | [ "json" ] ->
-            Ok
-              { session;
-                output = Some (Obs_json.to_string (Obs.Profile.to_json ())) }
+        | [ "json" ] -> Ok { session; output = Some (ring_json ()) }
         | [ w ] -> (
             match int_of_string_opt w with
             | Some uid -> (
                 match Obs.Profile.find ~uid with
-                | Some r ->
+                | Some r when r.Obs.Profile.p_session = mine () ->
                     Ok
                       { session;
                         output = Some (Obs.Profile.render_record r) }
-                | None ->
+                | _ ->
                     Error (Printf.sprintf "profile: no profile for #%d" uid))
             | None -> Error "profile: expected [last|<uid>|json]")
         | _ -> Error "profile: expected [last|<uid>|json]")
@@ -390,14 +392,13 @@ let run_line session line =
         | _ -> Error "slo: expected [json]")
     | "flightrec" -> (
         match split_words (String.lowercase_ascii rest) with
-        | [] -> Ok { session; output = Some (Obs.Flightrec.render ()) }
-        | [ "json" ] ->
+        | [] ->
             Ok
               { session;
-                output =
-                  Some (Obs_json.to_string (Obs.Flightrec.to_json ())) }
+                output = Some (Obs.Profile.render ~session:(mine ()) ()) }
+        | [ "json" ] -> Ok { session; output = Some (ring_json ()) }
         | [ "clear" ] ->
-            Obs.Flightrec.clear ();
+            Obs.Profile.clear ();
             Ok { session; output = Some "flight recorder cleared" }
         | _ -> Error "flightrec: expected [json|clear]")
     | "trace" -> (

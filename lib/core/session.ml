@@ -56,16 +56,14 @@ let apply t op =
          REPL, the TUI and the server, inside its engine lock. *)
       ignore (Incremental.materialize_after ~parent:(current t) ~op
                 ~child:sheet);
-      Gc.minor ();
-      ignore (Gc.major_slice 0);
-      let dur_ns = Obs.now_ns () - t0 in
-      let uid = sheet.Spreadsheet.uid in
-      Obs.Flightrec.record ~uid ~dur_ns ~kind:"op" (Op.describe op);
-      if dur_ns >= Obs.Flightrec.slow_threshold_ns () then
-        Obs.Flightrec.record ~uid ~dur_ns ~kind:"slow-op" (Op.describe op);
+      Obs.with_span "session.gc" (fun () ->
+          Gc.minor ();
+          ignore (Gc.major_slice 0));
+      Obs.Profile.event ~uid:sheet.Spreadsheet.uid
+        ~dur_ns:(Obs.now_ns () - t0) ~kind:"op" (Op.describe op);
       Ok (push t (Op.describe op) sheet)
   | Error e ->
-      Obs.Flightrec.record
+      Obs.Profile.event
         ~uid:(current t).Spreadsheet.uid
         ~dur_ns:(Obs.now_ns () - t0) ~kind:"op-rejected"
         (Printf.sprintf "%s: %s" (Op.describe op) (Errors.to_string e));
@@ -81,14 +79,14 @@ let can_redo t = t.future <> []
 let undo t =
   match t.past with
   | s :: (_ :: _ as rest) ->
-      Obs.Flightrec.record ~uid:s.sheet.Spreadsheet.uid ~kind:"undo" s.label;
+      Obs.Profile.event ~uid:s.sheet.Spreadsheet.uid ~kind:"undo" s.label;
       Some (observe { t with past = rest; future = s :: t.future })
   | _ -> None
 
 let redo t =
   match t.future with
   | s :: rest ->
-      Obs.Flightrec.record ~uid:s.sheet.Spreadsheet.uid ~kind:"redo" s.label;
+      Obs.Profile.event ~uid:s.sheet.Spreadsheet.uid ~kind:"redo" s.label;
       Some (observe { t with past = s :: t.past; future = rest })
   | [] -> None
 
@@ -132,10 +130,10 @@ let selections_on t col = Engine.selections_on (current t) col
 let modification t label result =
   match result with
   | Ok sheet ->
-      Obs.Flightrec.record ~uid:sheet.Spreadsheet.uid ~kind:"op" label;
+      Obs.Profile.event ~uid:sheet.Spreadsheet.uid ~kind:"op" label;
       Ok (push t label sheet)
   | Error e ->
-      Obs.Flightrec.record
+      Obs.Profile.event
         ~uid:(current t).Spreadsheet.uid ~kind:"op-rejected"
         (Printf.sprintf "%s: %s" label (Errors.to_string e));
       Error e

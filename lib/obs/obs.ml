@@ -283,8 +283,6 @@ module Labels = struct
       [] pairs
     |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-  let pairs t = t
-
   let to_string = function
     | [] -> ""
     | ls ->
@@ -312,10 +310,7 @@ let series_order a b =
   | 0 -> String.compare a b
   | c -> c
 
-let default_label_cap = 64
-let label_cap_ref = ref default_label_cap
-let set_label_cap n = label_cap_ref := max 1 n
-let label_cap () = !label_cap_ref
+let label_cap = 64
 
 (* one mutex guards both registries and the per-family label counts *)
 let reg_mutex = Mutex.create ()
@@ -336,7 +331,7 @@ let labeled_key ~mem name labels =
       let admitted =
         Option.value (Hashtbl.find_opt label_sets name) ~default:0
       in
-      if admitted < !label_cap_ref then begin
+      if admitted < label_cap then begin
         Hashtbl.replace label_sets name (admitted + 1);
         key
       end
@@ -383,8 +378,6 @@ module Metrics = struct
     Atomic.set m.cells.(0) v
 
   let get m = Array.fold_left (fun acc c -> acc + Atomic.get c) 0 m.cells
-  let name m = m.m_name
-  let is_counter m = m.m_kind = Counter
 
   let value_of name =
     match with_lock reg_mutex (fun () -> Hashtbl.find_opt registry name) with
@@ -550,9 +543,6 @@ module Histogram = struct
       t h.shards
 
   let count h = (totals h).t_count
-  let sum_ns h = (totals h).t_sum
-  let max_ns h = (totals h).t_max
-  let name h = h.h_name
 
   (* Estimate the [phi]-quantile (0 < phi <= 1): locate the bucket
      holding the ceil(phi*count)-th smallest sample, interpolate
@@ -772,191 +762,28 @@ let () =
       Metrics.set g_gc_promoted (int_of_float s.Gc.promoted_words);
       Metrics.set g_gc_heap s.Gc.heap_words
 
-(* ---------- session flight recorder ----------
+(* ---------- the profile ring (Sheetdoctor, flight recorder) ----------
 
-   A bounded ring of structured events describing what a session did
-   — operators applied and rejected, undo/redo, materialization-cache
-   traffic, SQL translations, "slow op" markers for anything over
-   the threshold, and one-time configuration warnings — so a slow or
-   wedged session can be diagnosed after the fact. Always on (the
-   ring is small and a record is one allocation), independent of the
-   span sink; the SHEETSCOPE_SLOW_MS environment knob (default 100)
-   sets the slow-op threshold. *)
+   The one bounded tape of what ran. A materialization region commits
+   one record — the execution black box for one query: which cache
+   outcome answered it (exact / subsumed / miss / seed), full replay
+   vs incremental derivation, a node-by-node breakdown with wall time,
+   row counts and allocation deltas, and *path attribution*: which
+   filter predicates ran as compiled selection vectors and which fell
+   back to the row path (naming the non-total subtree), plus the
+   morsel/domain shape of the parallel scans underneath. Session and
+   engine events (ops applied and rejected, undo/redo, evictions, SQL
+   translations, configuration warnings) commit node-less records
+   into the same ring, so the flight recorder is a view over it.
 
-module Flightrec = struct
-  type event = {
-    at_ns : int;  (* relative to process start *)
-    f_kind : string;
-    f_label : string;
-    f_uid : int;  (* 0 when no sheet is involved *)
-    f_dur_ns : int;  (* -1 when unknown *)
-  }
-
-  let capacity = ref 512
-  let ring : event Queue.t = Queue.create ()
-  let dropped_events = ref 0
-  let fr_mutex = Mutex.create ()
-
-  let default_slow_ms = 100.
-
-  let slow_threshold = ref (int_of_float (default_slow_ms *. 1e6))
-
-  let slow_threshold_ns () = !slow_threshold
-  let set_slow_threshold_ms ms =
-    slow_threshold := int_of_float (Float.max 0. ms *. 1e6)
-
-  let set_capacity n = capacity := max 1 n
-
-  let record ?(uid = 0) ?(dur_ns = -1) ~kind label =
-    with_lock fr_mutex (fun () ->
-        if Queue.length ring >= !capacity then begin
-          ignore (Queue.pop ring);
-          incr dropped_events
-        end;
-        Queue.push
-          { at_ns = now_ns () - epoch_ns;
-            f_kind = kind;
-            f_label = label;
-            f_uid = uid;
-            f_dur_ns = dur_ns }
-          ring)
-
-  let events () =
-    with_lock fr_mutex (fun () -> List.of_seq (Queue.to_seq ring))
-
-  (* Read-and-clear under ONE lock acquisition. A handler thread that
-     snapshots the recorder with [events] and then calls [clear] races
-     other connections: events recorded between the two calls are
-     silently destroyed. [drain] closes that window — every recorded
-     event is returned by exactly one drain (or left in the ring),
-     which the isolation test in test_obs asserts under concurrent
-     writers. The dropped-event count is deliberately left alone: it
-     tracks capacity evictions, not drains. *)
-  let drain () =
-    with_lock fr_mutex (fun () ->
-        let evs = List.of_seq (Queue.to_seq ring) in
-        Queue.clear ring;
-        evs)
-
-  let length () = with_lock fr_mutex (fun () -> Queue.length ring)
-  let dropped () = with_lock fr_mutex (fun () -> !dropped_events)
-
-  let clear () =
-    with_lock fr_mutex (fun () ->
-        Queue.clear ring;
-        dropped_events := 0)
-
-  let event_to_json ev =
-    Obs_json.Obj
-      (List.concat
-         [ [ ("at_ns", Obs_json.Int ev.at_ns);
-             ("kind", Obs_json.String ev.f_kind);
-             ("label", Obs_json.String ev.f_label) ];
-           (if ev.f_uid = 0 then [] else [ ("uid", Obs_json.Int ev.f_uid) ]);
-           (if ev.f_dur_ns < 0 then []
-            else [ ("dur_ns", Obs_json.Int ev.f_dur_ns) ]) ])
-
-  let to_json () =
-    Obs_json.Obj
-      [ ("schema", Obs_json.String "sheetscope-flightrec/v1");
-        ("slow_threshold_ms",
-         Obs_json.Float (float_of_int !slow_threshold /. 1e6));
-        ("dropped", Obs_json.Int (dropped ()));
-        ("events", Obs_json.List (List.map event_to_json (events ()))) ]
-
-  let render ?limit () =
-    let evs = events () in
-    let evs =
-      match limit with
-      | Some n when List.length evs > n ->
-          let skip = List.length evs - n in
-          List.filteri (fun i _ -> i >= skip) evs
-      | _ -> evs
-    in
-    if evs = [] then "(flight recorder empty)"
-    else
-      String.concat "\n"
-        (List.map
-           (fun ev ->
-             Printf.sprintf "%10.3f s  %-14s %s%s%s"
-               (float_of_int ev.at_ns /. 1e9)
-               ev.f_kind ev.f_label
-               (if ev.f_dur_ns < 0 then ""
-                else
-                  Printf.sprintf "  (%.3f ms)"
-                    (float_of_int ev.f_dur_ns /. 1e6))
-               (if ev.f_uid = 0 then ""
-                else Printf.sprintf "  [sheet #%d]" ev.f_uid))
-           evs)
-end
-
-(* ---------- environment knobs ----------
-
-   Centralized env parsing with warn-once diagnostics: an invalid
-   value used to be silently swallowed; now the first rejection per
-   variable drops a "env-warning" event into the flight recorder
-   naming the variable, the rejected value and the fallback used. *)
-
-module Env = struct
-  let warned : (string, unit) Hashtbl.t = Hashtbl.create 4
-  let env_mutex = Mutex.create ()
-
-  let reset_warnings_for_tests () =
-    with_lock env_mutex (fun () -> Hashtbl.reset warned)
-
-  let warn_invalid ~var ~value ~fallback =
-    let first =
-      with_lock env_mutex (fun () ->
-          if Hashtbl.mem warned var then false
-          else begin
-            Hashtbl.replace warned var ();
-            true
-          end)
-    in
-    if first then
-      Flightrec.record ~kind:"env-warning"
-        (Printf.sprintf "%s=%S is invalid; using %s" var value fallback)
-
-  let int_at_least ~min ~fallback var =
-    match Sys.getenv_opt var with
-    | None -> None
-    | Some s -> (
-        match int_of_string_opt (String.trim s) with
-        | Some n when n >= min -> Some n
-        | _ ->
-            warn_invalid ~var ~value:s ~fallback;
-            None)
-
-  let float_at_least ~min ~fallback var =
-    match Sys.getenv_opt var with
-    | None -> None
-    | Some s -> (
-        match float_of_string_opt (String.trim s) with
-        | Some f when f >= min -> Some f
-        | _ ->
-            warn_invalid ~var ~value:s ~fallback;
-            None)
-end
-
-(* ---------- per-query execution profiles (Sheetdoctor) ----------
-
-   A bounded ring of per-materialization records — the execution black
-   box for one query: which cache outcome answered it (exact /
-   subsumed / miss / seed), full replay vs incremental derivation, a
-   node-by-node breakdown with wall time, row counts and allocation
-   deltas, and *path attribution*: which filter predicates ran as
-   compiled selection vectors and which fell back to the row path
-   (naming the non-total subtree), plus the morsel/domain shape of the
-   parallel scans underneath.
-
-   Collection mirrors the flight recorder: always on (a record is a
-   few small allocations), independent of the span sink, bounded with
-   a drop counter (capacity from SHEETSCOPE_PROFILE_CAP, default 64).
-   Like span nesting, the region stack is single-writer — only the
-   session's driving thread enters/commits regions and notes
-   attribution; worker domains contribute only through the sharded
-   counters whose deltas a region snapshots at its boundaries, so the
-   merged-on-read totals keep the record exact under parallelism. *)
+   Always on (a record is a few small allocations), independent of
+   the span sink, bounded with a drop counter. Like span nesting, the
+   region stack is single-writer — only the session's driving thread
+   enters/commits regions and notes attribution; worker domains
+   contribute only through the sharded counters whose deltas a region
+   snapshots at its boundaries, so the merged-on-read totals keep the
+   record exact under parallelism. Event commits take only the ring
+   lock and are safe from any thread. *)
 
 module Profile = struct
   type node = {
@@ -972,10 +799,12 @@ module Profile = struct
 
   type t = {
     p_session : string;  (* ambient labels at commit, "" when none *)
+    p_at_ns : int;  (* commit time, relative to process start *)
     p_uid : int;  (* 0 when no sheet is involved *)
-    p_kind : string;  (* "materialize" | "incremental" | "plan" *)
-    p_rows_out : int;  (* -1 when the region failed *)
-    p_total_ns : int;
+    p_kind : string;  (* "materialize" | "incremental" | "plan" | an event *)
+    p_label : string;
+    p_rows_out : int;  (* -1 when the region failed, or for an event *)
+    p_total_ns : int;  (* -1 for an event of unknown duration *)
     p_alloc_bytes : float;
     p_cache : string;  (* "exact" | "subsumed" | "miss" | "seed" | "" *)
     p_strategy : string;  (* "full-replay" | "incremental" | "" *)
@@ -989,8 +818,7 @@ module Profile = struct
     p_nodes : node list;
   }
 
-  let default_cap = 64
-  let capacity = ref default_cap
+  let capacity = ref 512
   let set_capacity n = capacity := max 1 n
   let ring : t Queue.t = Queue.create ()
   let dropped_records = ref 0
@@ -1012,6 +840,7 @@ module Profile = struct
     pd_scans0 : int;
     pd_sel_in0 : int;
     pd_sel_out0 : int;
+    mutable pd_label : string;
     mutable pd_cache : string;
     mutable pd_strategy : string;
     mutable pd_compiled : string list;  (* reversed *)
@@ -1051,6 +880,28 @@ module Profile = struct
         end;
         Queue.push r ring)
 
+  let event ~kind ?(uid = 0) ?(dur_ns = -1) label =
+    if !enabled_flag then
+      push_record
+        { p_session = Labels.to_string (ambient_labels ());
+          p_at_ns = now_ns () - epoch_ns;
+          p_uid = uid;
+          p_kind = kind;
+          p_label = label;
+          p_rows_out = -1;
+          p_total_ns = dur_ns;
+          p_alloc_bytes = 0.;
+          p_cache = "";
+          p_strategy = "";
+          p_domains = 0;
+          p_morsels = 0;
+          p_par_scans = 0;
+          p_sel_rows_in = 0;
+          p_sel_rows_out = 0;
+          p_compiled = [];
+          p_fallbacks = [];
+          p_nodes = [] }
+
   let enter ~kind ~uid =
     let slot =
       if not !enabled_flag then Disabled
@@ -1070,6 +921,7 @@ module Profile = struct
             pd_scans0 = Metrics.get c_scans;
             pd_sel_in0 = Metrics.get c_sel_in;
             pd_sel_out0 = Metrics.get c_sel_out;
+            pd_label = "";
             pd_cache = "";
             pd_strategy = "";
             pd_compiled = [];
@@ -1088,8 +940,10 @@ module Profile = struct
         | Region p ->
             push_record
               { p_session = Labels.to_string (ambient_labels ());
+                p_at_ns = now_ns () - epoch_ns;
                 p_uid = p.pd_uid;
                 p_kind = p.pd_kind;
+                p_label = p.pd_label;
                 p_rows_out = rows_out;
                 p_total_ns = max 0 (now_ns () - p.pd_t0);
                 p_alloc_bytes =
@@ -1116,7 +970,12 @@ module Profile = struct
         raise e
 
   let note f = match find_region !stack with None -> () | Some p -> f p
-  let note_cache outcome = note (fun p -> p.pd_cache <- outcome)
+
+  let note_cache ?label outcome =
+    note (fun p ->
+        p.pd_cache <- outcome;
+        Option.iter (fun l -> p.pd_label <- l) label)
+
   let note_strategy s = note (fun p -> p.pd_strategy <- s)
 
   let note_compiled pred =
@@ -1139,8 +998,16 @@ module Profile = struct
             n_detail = detail }
           :: p.pd_nodes)
 
-  let records () =
-    with_lock pr_mutex (fun () -> List.of_seq (Queue.to_seq ring))
+  let is_event r =
+    match r.p_kind with
+    | "materialize" | "incremental" | "plan" -> false
+    | _ -> true
+
+  let records ?session () =
+    let all = with_lock pr_mutex (fun () -> List.of_seq (Queue.to_seq ring)) in
+    match session with
+    | None -> all
+    | Some s -> List.filter (fun r -> r.p_session = s) all
 
   let length () = with_lock pr_mutex (fun () -> Queue.length ring)
   let dropped () = with_lock pr_mutex (fun () -> !dropped_records)
@@ -1150,19 +1017,16 @@ module Profile = struct
         Queue.clear ring;
         dropped_records := 0)
 
-  let last () =
-    with_lock pr_mutex (fun () -> Queue.fold (fun _ r -> Some r) None ring)
-
-  let find ~uid =
+  (* the most recent materialization record passing [keep] *)
+  let latest ?session keep =
     List.fold_left
-      (fun acc r -> if r.p_uid = uid then Some r else acc)
-      None (records ())
+      (fun acc r -> if keep r && not (is_event r) then Some r else acc)
+      None (records ?session ())
 
-  (* ----- JSON (schema "sheetscope-profile/v1") -----
+  let last ?session () = latest ?session (fun _ -> true)
+  let find ~uid = latest (fun r -> r.p_uid = uid)
 
-     The printer/parser pair is total and round-trips records exactly
-     (fuzz-tested): printing never raises, and [of_json] answers
-     [Error], never an exception, on arbitrary JSON. *)
+  (* ----- JSON (schema "sheetscope-profile/v2") ----- *)
 
   let node_to_json n =
     Obs_json.Obj
@@ -1178,8 +1042,10 @@ module Profile = struct
   let record_to_json r =
     Obs_json.Obj
       [ ("session", Obs_json.String r.p_session);
+        ("at_ns", Obs_json.Int r.p_at_ns);
         ("uid", Obs_json.Int r.p_uid);
         ("kind", Obs_json.String r.p_kind);
+        ("label", Obs_json.String r.p_label);
         ("rows_out", Obs_json.Int r.p_rows_out);
         ("total_ns", Obs_json.Int r.p_total_ns);
         ("alloc_bytes", Obs_json.Float r.p_alloc_bytes);
@@ -1202,98 +1068,13 @@ module Profile = struct
               r.p_fallbacks));
         ("nodes", Obs_json.List (List.map node_to_json r.p_nodes)) ]
 
-  let to_json () =
+  let to_json ?session () =
     Obs_json.Obj
-      [ ("schema", Obs_json.String "sheetscope-profile/v1");
+      [ ("schema", Obs_json.String "sheetscope-profile/v2");
         ("capacity", Obs_json.Int !capacity);
         ("dropped", Obs_json.Int (dropped ()));
-        ("profiles", Obs_json.List (List.map record_to_json (records ()))) ]
-
-  let ( let* ) = Result.bind
-
-  let str_field j k =
-    match Obs_json.member k j with
-    | Some (Obs_json.String s) -> Ok s
-    | _ -> Error (Printf.sprintf "profile: expected string field %S" k)
-
-  let int_field j k =
-    match Obs_json.member k j with
-    | Some (Obs_json.Int i) -> Ok i
-    | _ -> Error (Printf.sprintf "profile: expected int field %S" k)
-
-  let float_field j k =
-    match Obs_json.member k j with
-    | Some (Obs_json.Float f) -> Ok f
-    | Some (Obs_json.Int i) -> Ok (float_of_int i)
-    | _ -> Error (Printf.sprintf "profile: expected number field %S" k)
-
-  let list_field j k =
-    match Obs_json.member k j with
-    | Some (Obs_json.List l) -> Ok l
-    | _ -> Error (Printf.sprintf "profile: expected list field %S" k)
-
-  let rec map_result f = function
-    | [] -> Ok []
-    | x :: rest ->
-        let* y = f x in
-        let* ys = map_result f rest in
-        Ok (y :: ys)
-
-  let node_of_json j =
-    let* n_kind = str_field j "kind" in
-    let* n_label = str_field j "label" in
-    let* n_rows_in = int_field j "rows_in" in
-    let* n_rows_out = int_field j "rows_out" in
-    let* n_time_ns = int_field j "time_ns" in
-    let* n_alloc_bytes = float_field j "alloc_bytes" in
-    let* n_path = str_field j "path" in
-    let* n_detail = str_field j "detail" in
-    Ok
-      { n_kind; n_label; n_rows_in; n_rows_out; n_time_ns; n_alloc_bytes;
-        n_path; n_detail }
-
-  let fallback_of_json j =
-    let* pred = str_field j "pred" in
-    let* reason = str_field j "reason" in
-    Ok (pred, reason)
-
-  let record_of_json j =
-    let* p_session = str_field j "session" in
-    let* p_uid = int_field j "uid" in
-    let* p_kind = str_field j "kind" in
-    let* p_rows_out = int_field j "rows_out" in
-    let* p_total_ns = int_field j "total_ns" in
-    let* p_alloc_bytes = float_field j "alloc_bytes" in
-    let* p_cache = str_field j "cache" in
-    let* p_strategy = str_field j "strategy" in
-    let* p_domains = int_field j "domains" in
-    let* p_morsels = int_field j "morsels" in
-    let* p_par_scans = int_field j "par_scans" in
-    let* p_sel_rows_in = int_field j "sel_rows_in" in
-    let* p_sel_rows_out = int_field j "sel_rows_out" in
-    let* compiled = list_field j "compiled" in
-    let* p_compiled =
-      map_result
-        (function
-          | Obs_json.String s -> Ok s
-          | _ -> Error "profile: \"compiled\" entries must be strings")
-        compiled
-    in
-    let* fallbacks = list_field j "fallbacks" in
-    let* p_fallbacks = map_result fallback_of_json fallbacks in
-    let* nodes = list_field j "nodes" in
-    let* p_nodes = map_result node_of_json nodes in
-    Ok
-      { p_session; p_uid; p_kind; p_rows_out; p_total_ns; p_alloc_bytes;
-        p_cache; p_strategy; p_domains; p_morsels; p_par_scans;
-        p_sel_rows_in; p_sel_rows_out; p_compiled; p_fallbacks; p_nodes }
-
-  let of_json j =
-    match Obs_json.member "schema" j with
-    | Some (Obs_json.String "sheetscope-profile/v1") ->
-        let* l = list_field j "profiles" in
-        map_result record_of_json l
-    | _ -> Error "profile: missing or unsupported \"schema\""
+        ("profiles",
+         Obs_json.List (List.map record_to_json (records ?session ()))) ]
 
   (* ----- rendering ----- *)
 
@@ -1341,8 +1122,11 @@ module Profile = struct
       r.p_nodes;
     Buffer.contents buf
 
-  let render ?limit () =
-    let rs = records () in
+  let slow_ns = 100_000_000
+
+  (* the flight-recorder view: one line per record *)
+  let render ?session ?limit () =
+    let rs = records ?session () in
     let rs =
       match limit with
       | Some n when List.length rs > n ->
@@ -1350,40 +1134,36 @@ module Profile = struct
           List.filteri (fun i _ -> i >= skip) rs
       | _ -> rs
     in
-    if rs = [] then "(no profiles recorded)"
-    else String.concat "\n" (List.map render_record rs)
+    let part cond s = if cond then s else "" in
+    if rs = [] then "(flight recorder empty)"
+    else
+      String.concat "\n"
+        (List.map
+           (fun r ->
+             String.concat "  "
+               (List.filter
+                  (fun s -> s <> "")
+                  [ Printf.sprintf "%10.3f s" (float_of_int r.p_at_ns /. 1e9);
+                    Printf.sprintf "%-13s" r.p_kind;
+                    r.p_label;
+                    part (r.p_cache <> "") ("cache=" ^ r.p_cache);
+                    part (r.p_uid <> 0) (Printf.sprintf "[sheet #%d]" r.p_uid);
+                    part (r.p_total_ns >= 0)
+                      (Printf.sprintf "(%.3f ms)"
+                         (float_of_int r.p_total_ns /. 1e6));
+                    part (r.p_total_ns >= slow_ns) "slow" ]))
+           rs)
 end
-
-(* the flight recorder's slow-op threshold and the profile-ring
-   capacity come from the environment; re-runnable so tests can drive
-   the knobs *)
-let reload_env_config () =
-  Flightrec.set_slow_threshold_ms
-    (Option.value
-       (Env.float_at_least ~min:0.
-          ~fallback:
-            (Printf.sprintf "the %.0f ms default" Flightrec.default_slow_ms)
-          "SHEETSCOPE_SLOW_MS")
-       ~default:Flightrec.default_slow_ms);
-  Profile.set_capacity
-    (Option.value
-       (Env.int_at_least ~min:1
-          ~fallback:
-            (Printf.sprintf "the %d-record default" Profile.default_cap)
-          "SHEETSCOPE_PROFILE_CAP")
-       ~default:Profile.default_cap)
-
-let () = reload_env_config ()
 
 (* ---------- SLO definitions and evaluation ----------
 
-   Service-level objectives declared in one place and evaluated
-   against the live registry: latency targets check a percentile of a
-   histogram family — the base series and every labeled
-   (per-session / per-task) series it has grown — and rate targets
-   check a counter ratio. A series with no data passes vacuously but
-   is reported as such. Surfaced as `slo` in the REPL, `\slo` in
-   sheetsql, the TUI status segment, and JSON via {!Slo.to_json}. *)
+   Service-level objectives evaluated against the live registry:
+   latency targets check a percentile of a histogram family — the base
+   series and every labeled (per-session / per-task) series it has
+   grown — and rate targets check a counter ratio. A series with no
+   data passes vacuously but is reported as such. Surfaced as `slo` in
+   the REPL, `\slo` in sheetsql, the TUI status segment, and JSON via
+   {!Slo.to_json}. *)
 
 module Slo = struct
   type def =
@@ -1400,11 +1180,6 @@ module Slo = struct
         under : float;  (* fraction, e.g. 0.01 = 1 % *)
       }
 
-  let def_name = function
-    | Latency l -> l.slo_name
-    | Error_rate e -> e.slo_name
-
-  (* the one place targets are declared *)
   let defaults =
     [ Latency
         { slo_name = "engine-apply-p99";
@@ -1427,21 +1202,17 @@ module Slo = struct
           total = k_engine_ops;
           under = 0.01 } ]
 
-  let declared = ref defaults
-  let declare d = declared := !declared @ [ d ]
-  let definitions () = !declared
-  let reset_declarations () = declared := defaults
-
   type verdict = {
     v_slo : string;
     v_series : string;
-    v_observed : float;  (* ms for latency, fraction for error rate *)
+    v_unit : string;  (* "ms" for latency, "fraction" for error rate *)
+    v_observed : float;
     v_limit : float;
     v_count : int;  (* samples (latency) / denominator (rate); 0 = no data *)
     v_ok : bool;
   }
 
-  let evaluate () =
+  let evaluate defs =
     List.concat_map
       (fun def ->
         match def with
@@ -1452,11 +1223,12 @@ module Slo = struct
               | hs -> hs
             in
             List.map
-              (fun h ->
+              (fun (h : Histogram.h) ->
                 let n = Histogram.count h in
                 let observed_ms = Histogram.percentile h phi /. 1e6 in
                 { v_slo = slo_name;
-                  v_series = Histogram.name h;
+                  v_series = h.h_name;
+                  v_unit = "ms";
                   v_observed = observed_ms;
                   v_limit = under_ms;
                   v_count = n;
@@ -1470,24 +1242,21 @@ module Slo = struct
             in
             [ { v_slo = slo_name;
                 v_series = errors ^ "/" ^ total;
+                v_unit = "fraction";
                 v_observed = frac;
                 v_limit = under;
                 v_count = den;
                 v_ok = den = 0 || frac <= under } ])
-      !declared
-
-  let ok () = List.for_all (fun v -> v.v_ok) (evaluate ())
+      defs
 
   let summary () =
-    let vs = evaluate () in
+    let vs = evaluate defaults in
     let failing = List.length (List.filter (fun v -> not v.v_ok) vs) in
     if failing = 0 then Printf.sprintf "slo %d/%d ok" (List.length vs) (List.length vs)
     else Printf.sprintf "slo %d/%d FAILING" failing (List.length vs)
 
-  let is_latency v = String.contains v.v_series '/' = false
-
   let render () =
-    let vs = evaluate () in
+    let vs = evaluate defaults in
     if vs = [] then "(no SLOs declared)"
     else
       String.concat "\n"
@@ -1496,7 +1265,7 @@ module Slo = struct
         :: List.map
              (fun v ->
                let fmt x =
-                 if is_latency v then Printf.sprintf "%.3f ms" x
+                 if v.v_unit = "ms" then Printf.sprintf "%.3f ms" x
                  else Printf.sprintf "%.2f %%" (x *. 100.)
                in
                Printf.sprintf "%-24s %-42s %12s %12s  %s" v.v_slo v.v_series
@@ -1508,9 +1277,10 @@ module Slo = struct
              vs)
 
   let to_json () =
+    let vs = evaluate defaults in
     Obs_json.Obj
       [ ("schema", Obs_json.String "sheetscope-slo/v1");
-        ("ok", Obs_json.Bool (ok ()));
+        ("ok", Obs_json.Bool (List.for_all (fun v -> v.v_ok) vs));
         ("slos",
          Obs_json.List
            (List.map
@@ -1518,14 +1288,12 @@ module Slo = struct
                 Obs_json.Obj
                   [ ("slo", Obs_json.String v.v_slo);
                     ("series", Obs_json.String v.v_series);
-                    ("unit",
-                     Obs_json.String
-                       (if is_latency v then "ms" else "fraction"));
+                    ("unit", Obs_json.String v.v_unit);
                     ("observed", Obs_json.Float v.v_observed);
                     ("limit", Obs_json.Float v.v_limit);
                     ("count", Obs_json.Int v.v_count);
                     ("ok", Obs_json.Bool v.v_ok) ])
-              (evaluate ()))) ]
+              vs)) ]
 end
 
 (* ---------- Chrome trace_event export ---------- *)
@@ -1587,9 +1355,6 @@ let metrics_report () =
         (List.length !open_stack);
       Printf.sprintf "%-32s %10s" "trace.nesting_ok"
         (if nesting_ok () then "true" else "false");
-      Printf.sprintf "%-32s %10d" "flightrec.events" (Flightrec.length ());
-      Printf.sprintf "%-32s %10d" "flightrec.dropped"
-        (Flightrec.dropped ());
       Printf.sprintf "%-32s %10d" "profile.records" (Profile.length ());
       Printf.sprintf "%-32s %10d" "profile.dropped" (Profile.dropped ()) ]
 

@@ -149,7 +149,7 @@ val events_well_formed : event list -> bool
     sorted, characters ['{' '}' ',' '='] sanitized to ['_']), so
     snapshots, JSON export and SLO evaluation see per-session and
     per-task series with no extra machinery. Cardinality is hard-capped
-    per base name ({!label_cap}, default 64): past the cap, every new
+    per base name (64 label sets): past the cap, every new
     label set collapses into one shared ["{__overflow__}"] series, so
     a buggy or hostile labeler creates at most cap + 1 entries per
     family. *)
@@ -164,26 +164,10 @@ module Labels : sig
   (** Build a label set: keys deduped (last binding wins), sorted,
       and sanitized. *)
 
-  val pairs : t -> (string * string) list
-  (** Sorted key/value pairs. *)
-
   val to_string : t -> string
   (** ["{k=v,k2=v2}"], or [""] for {!empty} — exactly the suffix
       appended to the base series name. *)
 end
-
-val series_base : string -> string
-(** The part of a series name before the first ['{'] — maps a labeled
-    series back to its family. *)
-
-val overflow_suffix : string
-(** ["{__overflow__}"] — the suffix of the shared past-the-cap
-    series. *)
-
-val label_cap : unit -> int
-val set_label_cap : int -> unit
-(** Per-family cardinality cap (clamped to >= 1); applies to label
-    sets admitted after the call. *)
 
 val set_ambient_labels : Labels.t -> unit
 (** Install the ambient label set the hot paths (engine apply, SQL
@@ -212,8 +196,6 @@ module Metrics : sig
   val incr : ?by:int -> m -> unit
   val set : m -> int -> unit
   val get : m -> int
-  val name : m -> string
-  val is_counter : m -> bool
 
   val value_of : string -> int
   (** 0 when the name was never registered. *)
@@ -263,21 +245,15 @@ module Histogram : sig
       subject to the family cardinality cap (the overflow series past
       it). With {!Labels.empty} this is [histogram]. *)
 
-  val make : string -> h
-  (** A detached, unregistered histogram (tests). *)
-
   val record : h -> int -> unit
   (** Record one duration in nanoseconds (negative samples clamp
       to 0). O(1); safe from any domain. *)
 
   val count : h -> int
-  val sum_ns : h -> int
-  val max_ns : h -> int
-  val name : h -> string
 
   val percentile : h -> float -> float
   (** [percentile h phi] estimates the [phi]-quantile in ns; 0 when
-      empty. Monotone in [phi] and never above [max_ns h]. *)
+      empty. Monotone in [phi] and never above the observed max. *)
 
   type snapshot = {
     s_name : string;
@@ -411,119 +387,32 @@ val sample_gc_gauges : unit -> unit
     automatically by [span]/[finish] (when recording),
     {!metrics_report} and {!to_chrome_trace}. *)
 
-(** {1 Session flight recorder}
+(** {1 The profile ring (Sheetdoctor and the flight recorder)}
 
-    A bounded ring of structured events — operators applied/rejected,
-    undo/redo, materialization-cache hit/miss/eviction, SQL
-    translations, slow-op markers over the configurable threshold,
-    and one-time configuration warnings — recorded {e always}
-    (independently of the span sink) so a slow or wedged session can
-    be diagnosed post hoc: `flightrec` in the REPL, `\flightrec` in
-    sheetsql, the [F] pane in the TUI. The threshold comes from
-    [SHEETSCOPE_SLOW_MS] (default 100; an invalid value falls back
-    with an ["env-warning"] event — see {!Env}). *)
+    The one bounded tape of what ran. A materialization region commits
+    a per-query record — the execution black box for one query: cache
+    outcome, full-replay vs incremental strategy, a node-by-node
+    breakdown (wall time, rows in/out, allocation deltas from
+    [Gc.allocated_bytes]), and {e path attribution} — which filter
+    predicates ran as compiled selection vectors and which fell back
+    to the row path (naming the non-total subtree), plus the
+    morsel/domain shape of the parallel scans underneath ([par.*] /
+    [columnar.sel_rows_*] counter deltas over the region). Session and
+    engine events — ["op"], ["op-rejected"], ["undo"], ["redo"],
+    ["cache-eviction"], ["sql-translation"], ["env-warning"] — commit
+    node-less records into the same ring ({!Profile.event}), so the
+    flight recorder (`flightrec` in the REPL, `\flightrec` in
+    sheetsql, the [F] pane in the TUI) is {!Profile.render}, a view
+    over it.
 
-module Flightrec : sig
-  type event = {
-    at_ns : int;  (** relative to process start *)
-    f_kind : string;
-        (** "op", "op-rejected", "undo", "redo", "cache-hit-exact",
-            "cache-hit-subsumed", "cache-miss", "cache-eviction",
-            "sql-translation", "slow-op", "env-warning" *)
-    f_label : string;
-    f_uid : int;  (** 0 when no sheet is involved *)
-    f_dur_ns : int;  (** -1 when unknown *)
-  }
-
-  val record : ?uid:int -> ?dur_ns:int -> kind:string -> string -> unit
-  (** Append one event (evicting the oldest past capacity). Safe from
-      any domain (mutex-protected ring). *)
-
-  val events : unit -> event list
-  (** Ring contents, oldest first. *)
-
-  val drain : unit -> event list
-  (** Atomically return the ring contents (oldest first) and empty the
-      ring — one lock acquisition, so events recorded concurrently are
-      either in the returned batch or still in the ring, never lost.
-      This is what a Sheetserve connection handler must use to take
-      its per-connection black box: an [events]-then-[clear] sequence
-      destroys whatever other connections recorded in between. Leaves
-      the capacity-eviction {!dropped} count untouched. *)
-
-  val length : unit -> int
-  (** Current ring depth. *)
-
-  val dropped : unit -> int
-  (** Events evicted since {!clear}. *)
-
-  val clear : unit -> unit
-
-  val set_capacity : int -> unit
-  (** Ring capacity (default 512, clamped to >= 1). *)
-
-  val default_slow_ms : float
-  (** 100. — the fallback when [SHEETSCOPE_SLOW_MS] is unset or
-      invalid. *)
-
-  val slow_threshold_ns : unit -> int
-  (** Current slow-op threshold; initialized from [SHEETSCOPE_SLOW_MS]
-      (milliseconds, default 100). *)
-
-  val set_slow_threshold_ms : float -> unit
-
-  val to_json : unit -> Obs_json.t
-  (** ["sheetscope-flightrec/v1"]: threshold, dropped count, and the
-      event list — round-trips through {!Obs_json.parse}. *)
-
-  val render : ?limit:int -> unit -> string
-  (** Human-readable dump (most recent [limit] events when given). *)
-end
-
-(** {1 Environment knobs}
-
-    Centralized parsing of Sheetscope/SheetMusiq environment
-    variables. An invalid value is rejected exactly as before, but no
-    longer silently: the first rejection per variable records an
-    ["env-warning"] flight-recorder event naming the variable, the
-    rejected value and the fallback used. *)
-
-module Env : sig
-  val int_at_least : min:int -> fallback:string -> string -> int option
-  (** [int_at_least ~min ~fallback var] parses [var] as an integer
-      [>= min]. [None] when unset or invalid; an invalid (present but
-      unparsable or below [min]) value warns once per variable,
-      describing [fallback]. *)
-
-  val float_at_least : min:float -> fallback:string -> string -> float option
-
-  val reset_warnings_for_tests : unit -> unit
-  (** Forget which variables already warned, so tests can observe the
-      warn-once behavior repeatedly. *)
-end
-
-(** {1 Per-query execution profiles (Sheetdoctor)}
-
-    A bounded ring of per-materialization records — the execution
-    black box for one query: cache outcome, full-replay vs incremental
-    strategy, a node-by-node breakdown (wall time, rows in/out,
-    allocation deltas from [Gc.allocated_bytes]), and {e path
-    attribution} — which filter predicates ran as compiled selection
-    vectors and which fell back to the row path (naming the non-total
-    subtree), plus the morsel/domain shape of the parallel scans
-    underneath ([par.*] / [columnar.sel_rows_*] counter deltas over
-    the region).
-
-    Collection mirrors the flight recorder: always on, independent of
-    the span sink, bounded with a drop counter. Capacity comes from
-    [SHEETSCOPE_PROFILE_CAP] (default 64; invalid values warn once —
-    see {!Env}). The region stack is {e single-writer} like span
-    nesting: only the session's driving thread calls
-    {!Profile.enter}/{!Profile.commit}/[note_*]; worker domains
-    contribute only through the sharded counters whose deltas the
-    region snapshots, so records are exact under parallelism and
-    identical (modulo timings/allocations/domain count) across domain
-    counts — asserted by the doctor gate. *)
+    Collection is always on, independent of the span sink, bounded at
+    512 records with a drop counter. The region stack is
+    {e single-writer} like span nesting: only the session's driving
+    thread calls {!Profile.enter}/{!Profile.commit}/[note_*]; worker
+    domains contribute only through the sharded counters whose deltas
+    the region snapshots, so records are exact under parallelism and
+    identical (modulo timings/allocations/commit times/domain count)
+    across domain counts — asserted by the doctor gate. *)
 
 module Profile : sig
   type node = {
@@ -541,10 +430,16 @@ module Profile : sig
   type t = {
     p_session : string;
         (** the ambient labels at commit ([""] when none) *)
+    p_at_ns : int;  (** commit time, relative to process start *)
     p_uid : int;  (** 0 when no sheet is involved *)
-    p_kind : string;  (** ["materialize"] | ["incremental"] | ["plan"] *)
-    p_rows_out : int;  (** -1 when the region failed *)
-    p_total_ns : int;
+    p_kind : string;
+        (** ["materialize"] | ["incremental"] | ["plan"] for a
+            materialization record; otherwise the event kind *)
+    p_label : string;
+        (** what the event describes; for a subsumed cache hit, the
+            subsuming sheet and the proof *)
+    p_rows_out : int;  (** -1 when the region failed, and for events *)
+    p_total_ns : int;  (** -1 for an event of unknown duration *)
     p_alloc_bytes : float;
     p_cache : string;
         (** ["exact"] | ["subsumed"] | ["miss"] | ["seed"] | [""] *)
@@ -579,9 +474,15 @@ module Profile : sig
   (** [enter], run the thunk, [commit] with [rows_out] of its result —
       or [-1] when it raises, the region still closed. *)
 
-  val note_cache : string -> unit
-  (** Record the cache outcome on the nearest open region (no-op
-      without one — every [note_*] is). *)
+  val event : kind:string -> ?uid:int -> ?dur_ns:int -> string -> unit
+  (** Commit a node-less event record labelled with the string. Safe
+      from any thread (it takes only the ring lock); a no-op while
+      collection is off. *)
+
+  val note_cache : ?label:string -> string -> unit
+  (** Record the cache outcome (and optionally the record's label) on
+      the nearest open region (no-op without one — every [note_*]
+      is). *)
 
   val note_strategy : string -> unit
   val note_compiled : string -> unit
@@ -608,22 +509,25 @@ module Profile : sig
 
   val enabled : unit -> bool
   val set_enabled : bool -> unit
-  (** Switch collection off entirely ([enter] pushes an inert slot).
-      Default on; the overhead bench measures the difference. *)
-
-  val default_cap : int
-  (** 64 — the fallback when [SHEETSCOPE_PROFILE_CAP] is unset or
-      invalid. *)
+  (** Switch collection off entirely ([enter] pushes an inert slot,
+      [event] records nothing). Default on; the overhead bench
+      measures the difference. *)
 
   val set_capacity : int -> unit
-  (** Ring capacity (clamped to >= 1). *)
+  (** Ring capacity (default 512, clamped to >= 1). *)
 
-  val records : unit -> t list
-  (** Ring contents, oldest first. *)
+  val is_event : t -> bool
+  (** Not a materialization record. *)
 
-  val last : unit -> t option
+  val records : ?session:string -> unit -> t list
+  (** Ring contents, oldest first; with [session], only the records
+      committed under that ambient label set ({!Labels.to_string}). *)
+
+  val last : ?session:string -> unit -> t option
+  (** The most recent materialization record. *)
+
   val find : uid:int -> t option
-  (** The most recent record for a sheet uid. *)
+  (** The most recent materialization record for a sheet uid. *)
 
   val length : unit -> int
   val dropped : unit -> int
@@ -632,35 +536,32 @@ module Profile : sig
   val clear : unit -> unit
 
   val record_to_json : t -> Obs_json.t
-  val record_of_json : Obs_json.t -> (t, string) result
-  (** Total: malformed input answers [Error], never an exception;
-      round-trips {!record_to_json} exactly (fuzz-tested). *)
 
-  val to_json : unit -> Obs_json.t
-  (** ["sheetscope-profile/v1"]: capacity, dropped count and the
-      record list — also embedded in the Chrome-trace [otherData]. *)
-
-  val of_json : Obs_json.t -> (t list, string) result
+  val to_json : ?session:string -> unit -> Obs_json.t
+  (** ["sheetscope-profile/v2"]: capacity, dropped count and the
+      record list ([session] filters as in {!records}) — also
+      embedded in the Chrome-trace [otherData]. *)
 
   val render_record : t -> string
-  val render : ?limit:int -> unit -> string
-  (** Human-readable dump (most recent [limit] records when given). *)
-end
+  (** The multi-line EXPLAIN ANALYZE text of one record. *)
 
-val reload_env_config : unit -> unit
-(** Re-read [SHEETSCOPE_SLOW_MS] and [SHEETSCOPE_PROFILE_CAP] (run
-    once at module init). Test hook. *)
+  val render : ?session:string -> ?limit:int -> unit -> string
+  (** The flight-recorder view: one line per record (most recent
+      [limit] when given) — commit time, kind, label, cache outcome,
+      uid and duration; a record of 100 ms or more is marked
+      [slow]. *)
+end
 
 (** {1 SLOs}
 
-    Latency and error-rate targets declared in one place, evaluated
-    against the live registry. A latency target checks a percentile
-    of a histogram family — the base series {e and} every labeled
-    (per-session / per-task) series it has grown; a rate target checks
-    a counter ratio. Series with no data pass vacuously but are
-    reported as "no data". Surfaced as `slo` in the REPL, `\slo` in
-    sheetsql, the TUI status segment, {!metrics_report}, and trace
-    export. *)
+    Latency and error-rate targets, evaluated against the live
+    registry. A latency target checks a percentile of a histogram
+    family — the base series {e and} every labeled (per-session /
+    per-task) series it has grown; a rate target checks a counter
+    ratio. Series with no data pass vacuously but are reported as "no
+    data". The shipped targets are surfaced as `slo` in the REPL,
+    `\slo` in sheetsql, the TUI status segment, {!metrics_report}, and
+    trace export. *)
 
 module Slo : sig
   type def =
@@ -677,45 +578,36 @@ module Slo : sig
         under : float;  (** fraction, e.g. 0.01 = 1 % *)
       }
 
-  val def_name : def -> string
-
   val defaults : def list
   (** The shipped targets: [engine.apply] p99 < 50 ms,
       [materialize.full] p99 < 200 ms, [sql.run] p99 < 100 ms, and
       engine error-rate < 1 %. *)
 
-  val declare : def -> unit
-  (** Append a target to the declared set. *)
-
-  val definitions : unit -> def list
-
-  val reset_declarations : unit -> unit
-  (** Back to {!defaults}. *)
-
   type verdict = {
     v_slo : string;
     v_series : string;
-    v_observed : float;  (** ms for latency, fraction for error rate *)
+    v_unit : string;
+        (** ["ms"] for a latency target, ["fraction"] for a rate *)
+    v_observed : float;
     v_limit : float;
     v_count : int;
         (** samples (latency) / denominator (rate); 0 = no data *)
     v_ok : bool;
   }
 
-  val evaluate : unit -> verdict list
-  (** One verdict per (target, series) pair, in declaration order,
-      labeled series sorted by name within a target. *)
+  val evaluate : def list -> verdict list
+  (** One verdict per (target, series) pair, in list order, labeled
+      series sorted by name within a target. *)
 
-  val ok : unit -> bool
   val summary : unit -> string
-  (** e.g. ["slo 4/4 ok"] or ["slo 1/6 FAILING"] — the TUI status
-      segment. *)
+  (** e.g. ["slo 4/4 ok"] or ["slo 1/6 FAILING"] for the shipped
+      targets — the TUI status segment. *)
 
   val render : unit -> string
-  (** The human-readable report table. *)
+  (** The human-readable report table of the shipped targets. *)
 
   val to_json : unit -> Obs_json.t
-  (** ["sheetscope-slo/v1"]. *)
+  (** ["sheetscope-slo/v1"] of the shipped targets. *)
 end
 
 (** {1 Chrome trace export} *)
@@ -723,7 +615,7 @@ end
 val to_chrome_trace : event list -> Obs_json.t
 (** [trace_event]-format JSON ("ph": "X" complete events, microsecond
     timestamps) with the current metrics, histogram, SLO and
-    ["sheetscope-profile/v1"] snapshots under [otherData]. *)
+    ["sheetscope-profile/v2"] snapshots under [otherData]. *)
 
 val chrome_trace_string : unit -> string
 (** {!to_chrome_trace} of the current [Memory] ring, pretty-printed. *)
@@ -736,5 +628,5 @@ val metrics_report : unit -> string
 (** The full observability snapshot as one human-readable block:
     counters/gauges (GC included), histogram percentiles, the SLO
     summary, trace-ring health (dropped events, open spans, nesting)
-    and flight-recorder depth — what the REPL [metrics] command
+    and profile-ring depth — what the REPL [metrics] command
     prints. *)

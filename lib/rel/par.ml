@@ -37,9 +37,25 @@ let c_morsels = Obs.Metrics.counter Obs.k_par_morsels
 let c_scans = Obs.Metrics.counter Obs.k_par_scans
 let h_morsel = Obs.Histogram.histogram Obs.h_par_morsel
 
+(* SHEETMUSIQ_DOMAINS is a positive integer. Anything else falls back
+   to the recommended count and commits one env-warning record to the
+   profile ring, once per process. *)
+let warned = Atomic.make false
+
 let env_domains () =
-  Obs.Env.int_at_least ~min:1
-    ~fallback:"Domain.recommended_domain_count" "SHEETMUSIQ_DOMAINS"
+  match Sys.getenv_opt "SHEETMUSIQ_DOMAINS" with
+  | None -> None
+  | Some s -> (
+      match int_of_string_opt (String.trim s) with
+      | Some n when n >= 1 -> Some n
+      | _ ->
+          if not (Atomic.exchange warned true) then
+            Obs.Profile.event ~kind:"env-warning"
+              (Printf.sprintf
+                 "SHEETMUSIQ_DOMAINS=%S is invalid; using \
+                  Domain.recommended_domain_count"
+                 s);
+          None)
 
 (* 0 = not yet resolved; resolution is deferred so tests can set the
    count before the first scan regardless of module init order. *)

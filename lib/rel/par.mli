@@ -10,8 +10,8 @@
     {!set_parallel_threshold}'s value, default 32768 rows) run as one
     morsel on the calling domain. The domain count resolves from
     [SHEETMUSIQ_DOMAINS], else [Domain.recommended_domain_count ()];
-    an invalid value warns once through the flight recorder
-    ({!Sheet_obs.Obs.Env}).
+    an invalid value falls back to the latter and commits one
+    [env-warning] record to the profile ring per process.
 
     Worker domains persist: the first parallel scan that wants them
     spawns them ([domain_count () - 1] at most), and between scans

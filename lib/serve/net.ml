@@ -33,15 +33,39 @@ let untrack l fd =
   l.conns <- List.filter (fun d -> d != fd) l.conns;
   Mutex.unlock l.conns_mutex
 
+let max_line_bytes = 1 lsl 20
+
+(* The next request line without its newline ([`Eof] at end of input),
+   or [`Too_long] once it passes [max_line_bytes] — a client must not
+   make the server buffer without bound. *)
+let read_request inch =
+  let buf = Buffer.create 256 in
+  let rec go () =
+    match In_channel.input_char inch with
+    | None -> if Buffer.length buf = 0 then `Eof else `Line (Buffer.contents buf)
+    | Some '\n' -> `Line (Buffer.contents buf)
+    | Some _ when Buffer.length buf >= max_line_bytes -> `Too_long
+    | Some c ->
+        Buffer.add_char buf c;
+        go ()
+  in
+  go ()
+
 (* One thread per connection: read lines, answer lines. [Server.handle]
-   is total, so the only exits are EOF, [quit], or a socket error. *)
+   is total, so the only exits are EOF, [quit], an oversized line, or
+   a socket error. *)
 let serve_conn l fd =
   let conn = Server.connect l.server in
   let inch = Unix.in_channel_of_descr fd in
   let rec loop () =
-    match In_channel.input_line inch with
-    | None -> ()
-    | Some line ->
+    match read_request inch with
+    | `Eof -> ()
+    | `Too_long ->
+        write_line fd
+          (Protocol.encode_response
+             (Protocol.Refused
+                { busy = false; reason = "request line exceeds 1 MiB" }))
+    | `Line line ->
         let resp, quit = Server.handle l.server conn line in
         write_line fd resp;
         (* [quit] answers Bye and ends the connection *)

@@ -4,9 +4,10 @@
 
     Each connection reads newline-terminated request lines and writes
     back one response line per request. Because {!Server.handle} is
-    total, a connection only ends on client EOF, [quit], or a socket
-    error — malformed bytes produce a [Refused] line and the
-    connection keeps serving. [SIGPIPE] is ignored process-wide on
+    total, a connection only ends on client EOF, [quit], a socket
+    error, or a request line longer than 1 MiB, which is answered
+    [Refused] before the connection closes — malformed bytes produce a
+    [Refused] line and the connection keeps serving. [SIGPIPE] is ignored process-wide on
     {!listen} so an abruptly-closed peer surfaces as [EPIPE] (which
     ends just that connection's thread) rather than killing the
     process. *)

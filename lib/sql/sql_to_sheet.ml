@@ -217,7 +217,7 @@ let c_translations =
 let translate catalog q =
   Sheet_obs.Obs.Metrics.incr c_translations;
   let* fp = translate_full catalog q in
-  Sheet_obs.Obs.Flightrec.record ~kind:"sql-translation"
+  Sheet_obs.Obs.Profile.event ~kind:"sql-translation"
     (Printf.sprintf "%s, %d ops" fp.plan.first_relation
        (List.length fp.plan.ops));
   Ok fp.plan

@@ -5,7 +5,7 @@ type mode =
   | Grid
   | Menu of { items : Context_menu.item list; selected : int }
   | Command of string
-  | Flightrec
+  | Recorder
 
 type t = {
   session : Session.t;
@@ -149,7 +149,7 @@ let apply_key t ~page key =
       { t with mode = Menu { items; selected = 0 } }
   | ':', _, _ -> { t with mode = Command "" }
   | 'F', _, _ ->
-      { t with mode = Flightrec; message = "flight recorder (Esc to close)" }
+      { t with mode = Recorder; message = "flight recorder (Esc to close)" }
   | _ -> { t with message = Printf.sprintf "unbound key %C" key }
   [@@warning "-27"]
 
@@ -205,7 +205,7 @@ let handle ?(page = 20) t event =
     | Grid -> handle_grid t ~page event
     | Menu { items; selected } -> handle_menu t ~page items selected event
     | Command text -> handle_command t ~page text event
-    | Flightrec -> (
+    | Recorder -> (
         match event with
         | Escape | Key 'q' | Key 'F' -> { t with mode = Grid; message = "" }
         | _ -> t)
@@ -217,14 +217,14 @@ let pad width s =
   if n >= width then String.sub s 0 width else s ^ String.make (width - n) ' '
 
 (* Full-screen flight-recorder pane ([F] in grid mode): the most recent
-   ring events, newest last, clipped to the window. *)
+   profile-ring records, newest last, clipped to the window. *)
 let render_flightrec ~width ~height t =
   let buf = Buffer.create 2048 in
   let status = Render.status_line (sheet t) in
   Buffer.add_string buf (pad width status);
   Buffer.add_char buf '\n';
   let body =
-    Sheet_obs.Obs.Flightrec.render ~limit:(max 1 (height - 3)) ()
+    Sheet_obs.Obs.Profile.render ~limit:(max 1 (height - 3)) ()
   in
   String.split_on_char '\n' body
   |> List.iter (fun line ->
@@ -234,7 +234,7 @@ let render_flightrec ~width ~height t =
   Buffer.contents buf
 
 let render_text ?(width = 100) ?(height = 24) t =
-  if t.mode = Flightrec then render_flightrec ~width ~height t
+  if t.mode = Recorder then render_flightrec ~width ~height t
   else
   let page = max 1 (height - 4) in
   let p = Render.page ~offset:t.top ~limit:page (sheet t) in
@@ -299,7 +299,7 @@ let render_text ?(width = 100) ?(height = 24) t =
     p.Render.rows;
   (* mode line *)
   (match t.mode with
-  | Grid | Flightrec -> Buffer.add_string buf (pad width t.message)
+  | Grid | Recorder -> Buffer.add_string buf (pad width t.message)
   | Command text -> Buffer.add_string buf (pad width (":" ^ text))
   | Menu { items; selected } ->
       List.iteri

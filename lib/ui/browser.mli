@@ -33,7 +33,7 @@ type mode =
   | Grid
   | Menu of { items : Context_menu.item list; selected : int }
   | Command of string  (** text typed so far *)
-  | Flightrec  (** full-screen flight-recorder pane *)
+  | Recorder  (** full-screen flight-recorder pane *)
 
 type t = {
   session : Session.t;

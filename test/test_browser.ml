@@ -175,23 +175,23 @@ let test_render_text () =
     (zz_at (feed ~page:2 s [ Browser.Down; Browser.Down; Browser.Down ]))
 
 let test_flightrec_pane () =
-  Sheet_obs.Obs.Flightrec.clear ();
+  Sheet_obs.Obs.Profile.clear ();
   (* a keystroke op so the pane has something to show *)
   let s = feed (start ()) [ Browser.Key 's' ] in
   let s = feed s [ Browser.Key 'F' ] in
   Alcotest.(check bool) "F opens the pane" true
-    (s.Browser.mode = Browser.Flightrec);
+    (s.Browser.mode = Browser.Recorder);
   let text = Browser.render_text ~width:120 ~height:20 s in
   Alcotest.(check bool) "pane shows the recorded op" true
     (contains text "op");
   (* movement keys do not disturb the pane *)
   let s = feed s [ Browser.Down; Browser.Up ] in
   Alcotest.(check bool) "pane stays open" true
-    (s.Browser.mode = Browser.Flightrec);
+    (s.Browser.mode = Browser.Recorder);
   let s = feed s [ Browser.Escape ] in
   Alcotest.(check bool) "escape closes" true
     (s.Browser.mode = Browser.Grid);
-  Sheet_obs.Obs.Flightrec.clear ()
+  Sheet_obs.Obs.Profile.clear ()
 
 let () =
   Alcotest.run "sheet_browser"

@@ -330,28 +330,6 @@ let json_round_trip =
       | Ok v' -> J.equal v v'
       | Error _ -> false)
 
-(* Profile.of_json must be a total parser: arbitrary JSON — including
-   values that merely look like a sheetscope-profile/v1 document —
-   yields Ok or Error, never an exception. *)
-let profile_of_json_total =
-  QCheck.Test.make ~count:1000 ~name:"Obs.Profile.of_json never raises"
-    (QCheck.make ~print:J.to_string gen_json)
-    (fun v -> no_exception (fun () -> Sheet_obs.Obs.Profile.of_json v))
-
-(* The same, but biased towards near-miss documents: a valid envelope
-   whose "profiles" payload is fuzzed. *)
-let profile_of_json_envelope_total =
-  QCheck.Test.make ~count:500
-    ~name:"Obs.Profile.of_json never raises on fuzzed envelopes"
-    (QCheck.make ~print:J.to_string gen_json)
-    (fun payload ->
-      let doc =
-        J.Obj
-          [ ("schema", J.String "sheetscope-profile/v1");
-            ("profiles", payload) ]
-      in
-      no_exception (fun () -> Sheet_obs.Obs.Profile.of_json doc))
-
 let sheetlint_sql_total =
   QCheck.Test.make ~count:500
     ~name:"Sheetlint.sql_string never raises nor reports an analyzer failure"
@@ -381,6 +359,5 @@ let () =
       suite "analysis"
         [ sheetsolve_total; sheetlint_expr_total; sheetlint_sql_total ];
       suite "json"
-        [ json_parser_total; json_round_trip; profile_of_json_total;
-          profile_of_json_envelope_total ];
+        [ json_parser_total; json_round_trip ];
       suite "tui" [ browser_total ] ]

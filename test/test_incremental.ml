@@ -123,6 +123,50 @@ let test_computed_derivation () =
           { fn = Expr.Count_star; col = None; level = 1;
             as_name = Some "n" }))
 
+(* A float sum depends on the order it adds in: 1e16 - 1e16 + 1 is 1,
+   1 + 1e16 - 1e16 and 1 - 1e16 + 1e16 are 0. An aggregate appended to
+   a sorted sheet must still fold in the order a full replay scans the
+   base in (it aggregates before it sorts): in id order for a
+   row-backed base (sum 1, where the K-descending order gives 0), in
+   its own vector's order for a batch-backed one (sorted by B: sum 0,
+   where id order and the K-ascending order give 1). *)
+let test_aggregate_base_order () =
+  let rows =
+    Relation.make
+      (Schema.of_list
+         [ ("K", Value.TInt); ("B", Value.TInt); ("X", Value.TFloat) ])
+      [ Row.of_list [ Value.Int 0; Value.Int 1; Value.Float 1e16 ];
+        Row.of_list [ Value.Int 1; Value.Int 2; Value.Float (-1e16) ];
+        Row.of_list [ Value.Int 2; Value.Int 0; Value.Float 1.0 ] ]
+  in
+  let batch =
+    Plan.execute (Plan.Sort ([ ("B", `Asc) ], Plan.Scan rows))
+  in
+  List.iter
+    (fun (name, base, dir, sum) ->
+      let sorted =
+        apply_exn
+          (Spreadsheet.of_relation ~name base)
+          (Op.Order { attr = "K"; dir; level = 1 })
+      in
+      List.iter
+        (fun (fn, expected) ->
+          let child =
+            check_derivation sorted
+              (Op.Aggregate
+                 { fn; col = Some "X"; level = 1; as_name = Some "agg" })
+          in
+          match Relation.rows (Materialize.full child) with
+          | row :: _ ->
+              Alcotest.(check bool)
+                (Printf.sprintf "%s over the %s base folds in base order"
+                   (Expr.agg_fun_name fn) name)
+                true
+                (Value.equal (Row.get row 3) (Value.Float expected))
+          | [] -> Alcotest.fail "no rows")
+        [ (Expr.Sum, sum); (Expr.Avg, sum /. 3.) ])
+    [ ("rows", rows, Grouping.Desc, 1.); ("batch", batch, Grouping.Asc, 0.) ]
+
 let test_dedup_derivation () =
   let dup =
     Relation.make Sample_cars.schema
@@ -187,6 +231,8 @@ let () =
             test_order_groups_derivation;
           Alcotest.test_case "computed columns" `Quick
             test_computed_derivation;
+          Alcotest.test_case "aggregate folds in base order" `Quick
+            test_aggregate_base_order;
           Alcotest.test_case "dedup" `Quick test_dedup_derivation;
           Alcotest.test_case "rename declines" `Quick
             test_rename_not_derived ] );

@@ -304,6 +304,25 @@ let seed_counts_in_stats () =
   Alcotest.(check int) "hit on seeded" 1 s.Materialize.hits;
   Alcotest.(check int) "no miss" 0 s.Materialize.misses
 
+(* [Obs.Metrics.reset] after [reset_cache] zeroes the counters the
+   stats are read from; the stats then count from that reset and
+   never go negative *)
+let cache_stats_after_registry_reset () =
+  let cars () = Spreadsheet.of_relation ~name:"cars" Sample_cars.relation in
+  for _ = 1 to 3 do
+    ignore (Materialize.full_cached (cars ()))
+  done;
+  Materialize.reset_cache ();
+  Obs.Metrics.reset ();
+  let sheet = cars () in
+  ignore (Materialize.full_cached sheet);
+  ignore (Materialize.full_cached sheet);
+  let s = Materialize.cache_stats () in
+  Alcotest.(check (list int)) "requests, hits, subsumed, misses, evictions"
+    [ 2; 1; 0; 1; 0 ]
+    [ s.Materialize.requests; s.hits; s.subsumed_hits; s.misses; s.evictions ];
+  Materialize.reset_cache ()
+
 (* ---------- chrome trace export ---------- *)
 
 let trace_round_trip () =
@@ -359,8 +378,18 @@ let samples_arbitrary =
              int_range 1_000_000 1_000_000_000;
              int_range 1_000_000_000 30_000_000_000 ]))
 
+(* a registered histogram no other test has touched *)
+let fresh =
+  let n = ref 0 in
+  fun () ->
+    incr n;
+    H.histogram (Printf.sprintf "test.fresh.%d" !n)
+
+let sum_ns h = (H.snapshot_of h).H.s_sum_ns
+let max_ns h = (H.snapshot_of h).H.s_max_ns
+
 let fill xs =
-  let h = H.make "t" in
+  let h = fresh () in
   List.iter (H.record h) xs;
   h
 
@@ -388,8 +417,8 @@ let hist_exactness =
     (fun xs ->
       let h = fill xs in
       H.count h = List.length xs
-      && H.sum_ns h = List.fold_left ( + ) 0 xs
-      && H.max_ns h = List.fold_left max 0 xs)
+      && sum_ns h = List.fold_left ( + ) 0 xs
+      && max_ns h = List.fold_left max 0 xs)
 
 let hist_percentile_bounds =
   QCheck.Test.make ~count:500
@@ -409,25 +438,25 @@ let hist_percentile_bounds =
         let hi =
           if b < Array.length H.boundaries then H.boundaries.(b) else max_int
         in
-        p >= float_of_int lo && p <= float_of_int (min hi (H.max_ns h))
+        p >= float_of_int lo && p <= float_of_int (min hi (max_ns h))
       in
       let p50 = H.percentile h 0.50 in
       let p90 = H.percentile h 0.90 in
       let p99 = H.percentile h 0.99 in
       in_bucket 0.50 && in_bucket 0.90 && in_bucket 0.99
       && p50 <= p90 && p90 <= p99
-      && p99 <= float_of_int (H.max_ns h))
+      && p99 <= float_of_int (max_ns h))
 
 let hist_clamps_negative () =
-  let h = H.make "t" in
+  let h = fresh () in
   H.record h (-5);
   Alcotest.(check int) "counted" 1 (H.count h);
-  Alcotest.(check int) "sum clamped" 0 (H.sum_ns h);
-  Alcotest.(check int) "max clamped" 0 (H.max_ns h);
+  Alcotest.(check int) "sum clamped" 0 (sum_ns h);
+  Alcotest.(check int) "max clamped" 0 (max_ns h);
   Alcotest.(check (float 0.)) "percentile zero" 0. (H.percentile h 1.0)
 
 let hist_empty_percentile () =
-  Alcotest.(check (float 0.)) "empty is 0" 0. (H.percentile (H.make "t") 0.5)
+  Alcotest.(check (float 0.)) "empty is 0" 0. (H.percentile (fresh ()) 0.5)
 
 (* Histograms always record (like counters); the whole point is that
    a sample costs about as much as an int increment, so recording can
@@ -435,7 +464,7 @@ let hist_empty_percentile () =
    noisy machine: O(1) per record and within 50x of a bare counter. *)
 let record_cost_comparable () =
   with_sink Obs.Off @@ fun () ->
-  let h = H.make "cost" in
+  let h = fresh () in
   let c = Obs.Metrics.counter "test.cost_counter" in
   let n = 200_000 in
   let t0 = Obs.now_ns () in
@@ -498,151 +527,220 @@ let clock_never_negative () =
       Alcotest.fail
         (Printf.sprintf "expected 1 event, got %d" (List.length evs)));
   (* histogram samples taken across the step are clamped too *)
-  let h = H.make "t" in
+  let h = fresh () in
   let t0 = Obs.now_ns () in
   t := !t - 1_000_000_000;
   H.record h (Obs.now_ns () - t0);
-  Alcotest.(check bool) "sample >= 0" true (H.max_ns h >= 0)
+  Alcotest.(check bool) "sample >= 0" true (max_ns h >= 0)
 
-(* ---------- the flight recorder ---------- *)
+(* ---------- the flight recorder: a view over the profile ring ---------- *)
 
-let flightrec_ring () =
-  Obs.Flightrec.clear ();
-  Obs.Flightrec.set_capacity 4;
-  Fun.protect
-    ~finally:(fun () ->
-      Obs.Flightrec.set_capacity 512;
-      Obs.Flightrec.clear ())
-  @@ fun () ->
-  for i = 1 to 6 do
-    Obs.Flightrec.record ~kind:"op" (Printf.sprintf "e%d" i)
-  done;
-  let evs = Obs.Flightrec.events () in
-  Alcotest.(check int) "bounded at capacity" 4 (List.length evs);
-  Alcotest.(check int) "two dropped" 2 (Obs.Flightrec.dropped ());
-  Alcotest.(check string) "oldest evicted first" "e3"
-    (List.hd evs).Obs.Flightrec.f_label;
-  Alcotest.(check string) "newest kept" "e6"
-    (List.nth evs 3).Obs.Flightrec.f_label;
-  Obs.Flightrec.clear ();
-  Alcotest.(check int) "clear empties" 0
-    (List.length (Obs.Flightrec.events ()));
-  Alcotest.(check int) "clear resets dropped" 0 (Obs.Flightrec.dropped ())
+module P = Obs.Profile
 
-let flightrec_json_round_trip () =
-  Obs.Flightrec.clear ();
-  Obs.Flightrec.record ~uid:7 ~dur_ns:123_456 ~kind:"op" "Select Price < 2";
-  Obs.Flightrec.record ~kind:"undo" "Group Model";
-  Obs.Flightrec.record ~uid:9 ~kind:"cache-hit" "materialize";
-  let j = Obs.Flightrec.to_json () in
-  (match J.member "schema" j with
-  | Some (J.String "sheetscope-flightrec/v1") -> ()
-  | _ -> Alcotest.fail "missing schema tag");
-  (match J.member "events" j with
-  | Some (J.List l) -> Alcotest.(check int) "3 events" 3 (List.length l)
-  | _ -> Alcotest.fail "missing events");
-  (match J.parse (J.to_string j) with
-  | Ok j' -> Alcotest.(check bool) "round-trips" true (J.equal j j')
-  | Error msg -> Alcotest.fail msg);
-  Obs.Flightrec.clear ()
-
-let flightrec_threshold () =
-  let old_ns = Obs.Flightrec.slow_threshold_ns () in
-  Fun.protect
-    ~finally:(fun () ->
-      Obs.Flightrec.set_slow_threshold_ms (float_of_int old_ns /. 1e6))
-  @@ fun () ->
-  Obs.Flightrec.set_slow_threshold_ms 5.;
-  Alcotest.(check int) "5 ms in ns" 5_000_000
-    (Obs.Flightrec.slow_threshold_ns ());
-  Obs.Flightrec.set_slow_threshold_ms (-1.);
-  Alcotest.(check int) "negative clamps to 0" 0
-    (Obs.Flightrec.slow_threshold_ns ())
-
-let flightrec_render_limit () =
-  Obs.Flightrec.clear ();
-  for i = 1 to 5 do
-    Obs.Flightrec.record ~kind:"op" (Printf.sprintf "r%d" i)
-  done;
-  let text = Obs.Flightrec.render ~limit:2 () in
-  Alcotest.(check bool) "newest shown" true
-    (String.length text > 0
-    && List.length (String.split_on_char '\n' text) = 2);
-  Obs.Flightrec.clear ()
-
-(* drain is an atomic read-and-clear: with recorder threads running
-   (Sheetserve handlers taking their per-connection black boxes),
-   every event lands in exactly one drained batch or the final ring —
-   never lost, never duplicated — and each recorder's events stay in
-   order across the concatenated batches *)
-let flightrec_drain_isolation () =
-  Obs.Flightrec.clear ();
-  Obs.Flightrec.set_capacity 100_000;
-  Fun.protect
-    ~finally:(fun () ->
-      Obs.Flightrec.set_capacity 512;
-      Obs.Flightrec.clear ())
-  @@ fun () ->
-  let n_recorders = 4 and per_recorder = 2000 in
-  let drained = ref [] in
-  let stop = ref false in
-  let drainer =
-    Thread.create
-      (fun () ->
-        while not !stop do
-          drained := !drained @ Obs.Flightrec.drain ();
-          Thread.yield ()
-        done)
-      ()
-  in
-  let recorders =
-    List.init n_recorders (fun i ->
-        Thread.create
-          (fun () ->
-            for j = 1 to per_recorder do
-              Obs.Flightrec.record ~kind:"op"
-                (Printf.sprintf "t%d-%d" i j)
-            done)
-          ())
-  in
-  List.iter Thread.join recorders;
-  stop := true;
-  Thread.join drainer;
-  let all = !drained @ Obs.Flightrec.drain () in
-  Alcotest.(check int) "no event lost or duplicated"
-    (n_recorders * per_recorder)
-    (List.length all);
-  Alcotest.(check int) "no capacity drops" 0 (Obs.Flightrec.dropped ());
-  let labels = List.map (fun e -> e.Obs.Flightrec.f_label) all in
-  let uniq = List.sort_uniq String.compare labels in
-  Alcotest.(check int) "every label exactly once"
-    (n_recorders * per_recorder)
-    (List.length uniq);
-  (* per-recorder order survives batching *)
-  for i = 0 to n_recorders - 1 do
-    let prefix = Printf.sprintf "t%d-" i in
-    let mine =
-      List.filter
-        (fun l ->
-          String.length l > String.length prefix
-          && String.sub l 0 (String.length prefix) = prefix)
-        labels
-    in
-    let expected =
-      List.init per_recorder (fun j -> Printf.sprintf "t%d-%d" i (j + 1))
-    in
-    Alcotest.(check (list string))
-      (Printf.sprintf "recorder %d order preserved" i)
-      expected mine
-  done;
-  Alcotest.(check int) "ring left empty" 0 (Obs.Flightrec.length ())
-
-(* ---------- report surfaces ---------- *)
+let ring_capacity = 512
 
 let contains s sub =
   let n = String.length s and m = String.length sub in
   let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
   go 0
+
+let flightrec_ring () =
+  P.clear ();
+  P.set_capacity 4;
+  Fun.protect
+    ~finally:(fun () ->
+      P.set_capacity ring_capacity;
+      P.clear ())
+  @@ fun () ->
+  for i = 1 to 6 do
+    P.event ~kind:"op" (Printf.sprintf "e%d" i)
+  done;
+  let rs = P.records () in
+  Alcotest.(check int) "bounded at capacity" 4 (List.length rs);
+  Alcotest.(check int) "two dropped" 2 (P.dropped ());
+  Alcotest.(check string) "oldest evicted first" "e3" (List.hd rs).P.p_label;
+  Alcotest.(check string) "newest kept" "e6" (List.nth rs 3).P.p_label;
+  P.clear ();
+  Alcotest.(check int) "clear empties" 0 (List.length (P.records ()));
+  Alcotest.(check int) "clear resets dropped" 0 (P.dropped ())
+
+let flightrec_json_round_trip () =
+  P.clear ();
+  P.event ~uid:7 ~dur_ns:123_456 ~kind:"op" "Select Price < 2";
+  P.event ~kind:"undo" "Group Model";
+  P.event ~uid:9 ~kind:"cache-eviction" "oldest half";
+  let j = P.to_json () in
+  (match J.member "schema" j with
+  | Some (J.String "sheetscope-profile/v2") -> ()
+  | _ -> Alcotest.fail "missing schema tag");
+  (match J.member "profiles" j with
+  | Some (J.List l) -> Alcotest.(check int) "3 records" 3 (List.length l)
+  | _ -> Alcotest.fail "missing profiles");
+  (match J.parse (J.to_string j) with
+  | Ok j' -> Alcotest.(check bool) "round-trips" true (J.equal j j')
+  | Error msg -> Alcotest.fail msg);
+  P.clear ()
+
+(* the slow threshold is a constant 100 ms: a record one nanosecond
+   under it is unmarked, one at it is marked *)
+let flightrec_slow_threshold () =
+  P.clear ();
+  P.event ~dur_ns:99_999_999 ~kind:"op" "quick";
+  P.event ~dur_ns:100_000_000 ~kind:"op" "sluggish";
+  (match String.split_on_char '\n' (P.render ()) with
+  | [ quick; sluggish ] ->
+      Alcotest.(check bool) "under 100 ms unmarked" false
+        (contains quick "slow");
+      Alcotest.(check bool) "100 ms marked slow" true
+        (contains sluggish "slow")
+  | lines -> Alcotest.failf "expected 2 lines, got %d" (List.length lines));
+  P.clear ()
+
+let flightrec_render_limit () =
+  P.clear ();
+  for i = 1 to 5 do
+    P.event ~kind:"op" (Printf.sprintf "r%d" i)
+  done;
+  let text = P.render ~limit:2 () in
+  Alcotest.(check bool) "newest shown" true
+    (String.length text > 0
+    && List.length (String.split_on_char '\n' text) = 2
+    && contains text "r5");
+  P.clear ()
+
+(* four domains commit into a ring smaller than their total while a
+   fifth reads it: every commit is either still in the ring or
+   counted as dropped, never lost or counted twice *)
+let flightrec_concurrent_commits () =
+  P.clear ();
+  P.set_capacity 1_000;
+  Fun.protect
+    ~finally:(fun () ->
+      P.set_capacity ring_capacity;
+      P.clear ())
+  @@ fun () ->
+  let writers = 4 and per_writer = 2_000 in
+  let stop = Atomic.make false in
+  let reader =
+    Domain.spawn (fun () ->
+        let ok = ref true in
+        while not (Atomic.get stop) do
+          if List.length (P.records ()) > 1_000 then ok := false
+        done;
+        !ok)
+  in
+  let ws =
+    List.init writers (fun w ->
+        Domain.spawn (fun () ->
+            for i = 1 to per_writer do
+              P.event ~kind:"op" (Printf.sprintf "w%d-%d" w i)
+            done))
+  in
+  List.iter Domain.join ws;
+  Atomic.set stop true;
+  Alcotest.(check bool) "reader never saw more than the capacity" true
+    (Domain.join reader);
+  Alcotest.(check int) "records + dropped = commits" (writers * per_writer)
+    (List.length (P.records ()) + P.dropped ())
+
+(* One session touches every kind of record the ring holds; each kind
+   shows in the flight-recorder text and in the ring's JSON, and the
+   EXPLAIN ANALYZE lookups skip the event records. *)
+let flightrec_covers_every_kind () =
+  Materialize.reset_cache ();
+  P.clear ();
+  P.set_capacity 4_096;
+  Fun.protect
+    ~finally:(fun () ->
+      P.set_capacity ring_capacity;
+      P.clear ();
+      Materialize.reset_cache ())
+  @@ fun () ->
+  let price op v = Expr.Cmp (op, Expr.Col "Price", Expr.Const (Value.Int v)) in
+  let s = Session.create ~name:"cars" Sample_cars.relation in
+  ignore (Session.materialized s);
+  (* miss, then exact hit *)
+  ignore (Session.materialized s);
+  let s =
+    match Session.apply s (Op.Select (price Expr.Gt 10000)) with
+    | Ok s -> s
+    | Error _ -> Alcotest.fail "select refused"
+  in
+  (match Session.apply s (Op.Project "NoSuchColumn") with
+  | Ok _ -> Alcotest.fail "projecting a missing column should fail"
+  | Error _ -> ());
+  let s = Option.get (Session.redo (Option.get (Session.undo s))) in
+  (* the session's cached sheet subsumes a narrower selection *)
+  (match Engine.apply (Session.current s) (Op.Select (price Expr.Gt 20000)) with
+  | Ok narrower -> ignore (Materialize.full_cached narrower)
+  | Error _ -> Alcotest.fail "narrower select refused");
+  (match
+     Sheet_sql.Sql_parser.parse "SELECT Model FROM cars WHERE Price > 9000"
+   with
+  | Ok q ->
+      ignore
+        (Sheet_sql.Sql_to_sheet.translate
+           (Sheet_sql.Catalog.of_list [ ("cars", Sample_cars.relation) ])
+           q)
+  | Error msg -> Alcotest.fail msg);
+  (* past 512 resident entries the cache evicts its oldest half *)
+  let base = Spreadsheet.of_relation ~name:"cars" Sample_cars.relation in
+  for i = 1 to 520 do
+    match Engine.apply base (Op.Select (price Expr.Lt (100_000 + i))) with
+    | Ok sheet -> ignore (Materialize.full_cached sheet)
+    | Error _ -> Alcotest.fail "select refused"
+  done;
+  P.event ~dur_ns:150_000_000 ~kind:"op" "a slow gesture";
+  let text = P.render () in
+  let json =
+    match J.parse (J.to_string (P.to_json ())) with
+    | Ok j -> j
+    | Error msg -> Alcotest.fail msg
+  in
+  let field k =
+    match J.member "profiles" json with
+    | Some (J.List l) ->
+        List.filter_map
+          (fun r ->
+            match J.member k r with Some (J.String v) -> Some v | _ -> None)
+          l
+    | _ -> Alcotest.fail "no profiles list"
+  in
+  List.iter
+    (fun kind ->
+      Alcotest.(check bool) (kind ^ " in the text") true
+        (contains text ("  " ^ kind ^ " "));
+      Alcotest.(check bool) (kind ^ " in the JSON") true
+        (List.mem kind (field "kind")))
+    [ "op"; "op-rejected"; "undo"; "redo"; "sql-translation";
+      "cache-eviction" ];
+  List.iter
+    (fun outcome ->
+      Alcotest.(check bool) (outcome ^ " in the text") true
+        (contains text ("cache=" ^ outcome));
+      Alcotest.(check bool) (outcome ^ " in the JSON") true
+        (List.mem outcome (field "cache")))
+    [ "miss"; "exact"; "subsumed" ];
+  Alcotest.(check bool) "the subsumed hit names its subsumer" true
+    (List.exists (fun l -> contains l "from sheet #") (field "label"));
+  Alcotest.(check bool) "the slow record is marked" true
+    (List.exists
+       (fun line -> contains line "a slow gesture" && contains line "slow")
+       (String.split_on_char '\n' text));
+  (match P.last () with
+  | Some r -> Alcotest.(check bool) "last skips events" false (P.is_event r)
+  | None -> Alcotest.fail "no materialization record");
+  List.iter
+    (fun (r : P.t) ->
+      if P.is_event r && r.p_uid <> 0 then
+        match P.find ~uid:r.p_uid with
+        | Some found ->
+            Alcotest.(check bool) "find skips events" false (P.is_event found)
+        | None -> ())
+    (P.records ())
+
+(* ---------- report surfaces ---------- *)
+
 
 let trace_other_data_health () =
   with_sink Obs.Memory @@ fun () ->
@@ -678,7 +776,7 @@ let metrics_report_surfaces () =
       Alcotest.(check bool) (needle ^ " in report") true
         (contains report needle))
     [ "engine.apply"; "plan.node.scan"; "p50"; "p99";
-      "trace.dropped_events"; "trace.nesting_ok"; "flightrec.events" ]
+      "trace.dropped_events"; "trace.nesting_ok"; "profile.records" ]
 
 (* ---------- Obs_json ---------- *)
 
@@ -766,8 +864,8 @@ let sharded_hammer sink () =
   in
   Alcotest.(check int) "counter total exact" (4 * n) (Obs.Metrics.get c);
   Alcotest.(check int) "histogram count exact" (4 * n) (H.count h);
-  Alcotest.(check int) "histogram sum exact" expected_sum (H.sum_ns h);
-  Alcotest.(check int) "histogram max exact" 1023 (H.max_ns h);
+  Alcotest.(check int) "histogram sum exact" expected_sum (sum_ns h);
+  Alcotest.(check int) "histogram max exact" 1023 (max_ns h);
   (match sink with
   | Obs.Memory ->
       Alcotest.(check int) "all emitted events kept" (4 * emits)
@@ -790,17 +888,16 @@ let labels_normalize () =
     (Obs.Labels.to_string l);
   Alcotest.(check bool) "empty renders empty" true
     (Obs.Labels.to_string Obs.Labels.empty = "");
-  Alcotest.(check string) "base of labeled series" "engine.apply"
-    (Obs.series_base ("engine.apply" ^ Obs.Labels.to_string l));
-  Alcotest.(check string) "base of plain series" "engine.apply"
-    (Obs.series_base "engine.apply")
+  (* the labeled series belongs to its base's family *)
+  ignore (H.histogram_labeled "test.norm" l);
+  Alcotest.(check (list string)) "family of the base"
+    [ "test.norm{session=x_y__z_w,task=b}" ]
+    (List.map (fun h -> (H.snapshot_of h).H.s_name) (H.series_of_base "test.norm"))
 
+(* the cap is 64 label sets per family *)
 let label_cardinality_bounded () =
-  let old_cap = Obs.label_cap () in
-  Fun.protect ~finally:(fun () -> Obs.set_label_cap old_cap) @@ fun () ->
-  Obs.set_label_cap 4;
   let base = "test.labelcap" in
-  for i = 1 to 20 do
+  for i = 1 to 65 do
     let h =
       H.histogram_labeled base
         (Obs.Labels.v [ ("session", Printf.sprintf "s%02d" i) ])
@@ -808,22 +905,19 @@ let label_cardinality_bounded () =
     H.record h 100
   done;
   let series = H.series_of_base base in
-  Alcotest.(check bool)
-    (Printf.sprintf "at most cap+1 series, got %d" (List.length series))
-    true
-    (List.length series <= 5);
+  Alcotest.(check int) "cap + 1 series" 65 (List.length series);
   let overflow =
     List.find_opt
-      (fun h -> H.name h = base ^ Obs.overflow_suffix)
+      (fun h -> (H.snapshot_of h).H.s_name = base ^ "{__overflow__}")
       series
   in
   (match overflow with
   | None -> Alcotest.fail "no overflow series created"
   | Some h ->
-      (* 4 admitted series got 1 sample each; the other 16 share one *)
-      Alcotest.(check int) "overflow absorbed the rest" 16 (H.count h));
+      (* 64 admitted series got 1 sample each; the 65th overflowed *)
+      Alcotest.(check int) "overflow absorbed the rest" 1 (H.count h));
   (* total samples conserved across the family *)
-  Alcotest.(check int) "family total" 20
+  Alcotest.(check int) "family total" 65
     (List.fold_left (fun acc h -> acc + H.count h) 0 series)
 
 let ambient_labels_flow_to_engine () =
@@ -844,24 +938,19 @@ let ambient_labels_flow_to_engine () =
 (* ---------- SLOs ---------- *)
 
 let slo_latency_and_rate () =
-  Obs.Slo.reset_declarations ();
-  Fun.protect ~finally:(fun () -> Obs.Slo.reset_declarations ())
-  @@ fun () ->
   H.reset ();
   Obs.Metrics.reset ();
-  Obs.Slo.declare
-    (Obs.Slo.Latency
-       { slo_name = "test-lat"; hist = "test.slo"; phi = 0.99;
-         under_ms = 1. });
-  Obs.Slo.declare
-    (Obs.Slo.Error_rate
-       { slo_name = "test-rate"; errors = "test.slo.err";
-         total = "test.slo.tot"; under = 0.01 });
+  let defs =
+    [ Obs.Slo.Latency
+        { slo_name = "test-lat"; hist = "test.slo"; phi = 0.99;
+          under_ms = 1. };
+      Obs.Slo.Error_rate
+        { slo_name = "test-rate"; errors = "test.slo.err";
+          total = "test.slo.tot"; under = 0.01 } ]
+  in
   (* empty series: vacuous pass, reported as no data *)
   let vacuous =
-    List.find
-      (fun v -> v.Obs.Slo.v_slo = "test-lat")
-      (Obs.Slo.evaluate ())
+    List.find (fun v -> v.Obs.Slo.v_slo = "test-lat") (Obs.Slo.evaluate defs)
   in
   Alcotest.(check bool) "no data passes" true vacuous.Obs.Slo.v_ok;
   Alcotest.(check int) "no data count" 0 vacuous.Obs.Slo.v_count;
@@ -872,11 +961,12 @@ let slo_latency_and_rate () =
   let tot = Obs.Metrics.counter "test.slo.tot" in
   Obs.Metrics.incr ~by:5 err;
   Obs.Metrics.incr ~by:100 tot;
-  let verdicts = Obs.Slo.evaluate () in
+  let verdicts = Obs.Slo.evaluate defs in
   let find name = List.find (fun v -> v.Obs.Slo.v_slo = name) verdicts in
   Alcotest.(check bool) "latency target fails" false (find "test-lat").Obs.Slo.v_ok;
   Alcotest.(check bool) "rate target fails" false (find "test-rate").Obs.Slo.v_ok;
-  Alcotest.(check bool) "overall not ok" false (Obs.Slo.ok ());
+  (* the shipped report: 300 ms against materialize.full's 200 ms *)
+  H.record (H.histogram Obs.h_materialize_full) 300_000_000;
   Alcotest.(check bool) "summary says FAILING" true
     (contains (Obs.Slo.summary ()) "FAILING");
   Alcotest.(check bool) "render flags FAIL" true
@@ -886,14 +976,50 @@ let slo_latency_and_rate () =
   (match J.member "schema" j with
   | Some (J.String "sheetscope-slo/v1") -> ()
   | _ -> Alcotest.fail "missing slo schema tag");
+  (match J.member "ok" j with
+  | Some (J.Bool false) -> ()
+  | _ -> Alcotest.fail "a failing report should say ok: false");
   (match J.parse (J.to_string j) with
   | Ok j' -> Alcotest.(check bool) "slo json round-trips" true (J.equal j j')
   | Error msg -> Alcotest.fail msg);
   H.reset ();
   Obs.Metrics.reset ()
 
+(* a session name with a '/' (a Sheetserve client's hello name) must
+   not turn a latency verdict into a rate *)
+let slo_unit_from_def () =
+  H.reset ();
+  let series = Obs.h_engine_apply ^ "{session=alice/laptop}" in
+  H.record
+    (H.histogram_labeled Obs.h_engine_apply
+       (Obs.Labels.v [ ("session", "alice/laptop") ]))
+    2_000_000;
+  let line =
+    List.find_opt
+      (fun l -> contains l series)
+      (String.split_on_char '\n' (Obs.Slo.render ()))
+  in
+  (match line with
+  | None -> Alcotest.fail "labeled series not reported"
+  | Some l ->
+      Alcotest.(check bool) "observed in ms" true (contains l "2.000 ms");
+      Alcotest.(check bool) "limit in ms" true (contains l "50.000 ms");
+      Alcotest.(check bool) "no percentage" false (contains l "%"));
+  (match J.member "slos" (Obs.Slo.to_json ()) with
+  | Some (J.List slos) -> (
+      match
+        List.find_opt
+          (fun v -> J.member "series" v = Some (J.String series))
+          slos
+      with
+      | Some v ->
+          Alcotest.(check bool) "unit ms" true
+            (J.member "unit" v = Some (J.String "ms"))
+      | None -> Alcotest.fail "labeled series missing from the JSON")
+  | _ -> Alcotest.fail "no slos list");
+  H.reset ()
+
 let slo_covers_labeled_series () =
-  Obs.Slo.reset_declarations ();
   H.reset ();
   (* a fast base series but a slow labeled one: the labeled series
      must be evaluated on its own and fail the 50 ms default *)
@@ -902,7 +1028,7 @@ let slo_covers_labeled_series () =
     (H.histogram_labeled Obs.h_engine_apply
        (Obs.Labels.v [ ("session", "slow-tenant") ]))
     90_000_000;
-  let verdicts = Obs.Slo.evaluate () in
+  let verdicts = Obs.Slo.evaluate Obs.Slo.defaults in
   let labeled =
     List.find_opt
       (fun v -> contains v.Obs.Slo.v_series "session=slow-tenant")
@@ -921,8 +1047,14 @@ let slo_covers_labeled_series () =
   H.reset ()
 
 let slo_defaults_present () =
-  Obs.Slo.reset_declarations ();
-  let names = List.map Obs.Slo.def_name (Obs.Slo.definitions ()) in
+  let names =
+    List.map
+      (function
+        | Obs.Slo.Latency { slo_name; _ } | Obs.Slo.Error_rate { slo_name; _ }
+          ->
+            slo_name)
+      Obs.Slo.defaults
+  in
   List.iter
     (fun n ->
       Alcotest.(check bool) (n ^ " declared") true (List.mem n names))
@@ -931,91 +1063,44 @@ let slo_defaults_present () =
 
 (* ---------- env warnings ---------- *)
 
-let env_warn_once_slow_ms () =
-  Fun.protect
-    ~finally:(fun () ->
-      Unix.putenv "SHEETSCOPE_SLOW_MS" "100";
-      Obs.Env.reset_warnings_for_tests ();
-      Obs.reload_env_config ();
-      Obs.Flightrec.clear ())
-  @@ fun () ->
-  Unix.putenv "SHEETSCOPE_SLOW_MS" "not-a-number";
-  Obs.Env.reset_warnings_for_tests ();
-  Obs.Flightrec.clear ();
-  Obs.reload_env_config ();
-  Alcotest.(check int) "fell back to the 100 ms default" 100_000_000
-    (Obs.Flightrec.slow_threshold_ns ());
-  let warnings () =
-    List.filter
-      (fun e -> e.Obs.Flightrec.f_kind = "env-warning")
-      (Obs.Flightrec.events ())
-  in
-  (match warnings () with
-  | [ w ] ->
-      Alcotest.(check bool) "names the variable" true
-        (contains w.Obs.Flightrec.f_label "SHEETSCOPE_SLOW_MS");
-      Alcotest.(check bool) "names the rejected value" true
-        (contains w.Obs.Flightrec.f_label "not-a-number");
-      Alcotest.(check bool) "names the fallback" true
-        (contains w.Obs.Flightrec.f_label "default")
-  | ws ->
-      Alcotest.fail
-        (Printf.sprintf "expected exactly 1 warning, got %d"
-           (List.length ws)));
-  (* warn-once: reloading again must not repeat the event *)
-  Obs.reload_env_config ();
-  Alcotest.(check int) "still one warning" 1 (List.length (warnings ()));
-  (* a valid value takes effect without warning *)
-  Unix.putenv "SHEETSCOPE_SLOW_MS" "5";
-  Obs.Env.reset_warnings_for_tests ();
-  Obs.Flightrec.clear ();
-  Obs.reload_env_config ();
-  Alcotest.(check int) "valid value applied" 5_000_000
-    (Obs.Flightrec.slow_threshold_ns ());
-  Alcotest.(check int) "no warning for a valid value" 0
-    (List.length (warnings ()))
-
 let env_warn_once_domains () =
   let module Par = Sheet_rel.Par in
   Fun.protect
     ~finally:(fun () ->
       Unix.putenv "SHEETMUSIQ_DOMAINS" "1";
       Par.set_domain_count 1;
-      Obs.Env.reset_warnings_for_tests ();
-      Obs.Flightrec.clear ())
+      P.clear ())
   @@ fun () ->
+  let warnings () =
+    List.filter (fun r -> r.P.p_kind = "env-warning") (P.records ())
+  in
   Unix.putenv "SHEETMUSIQ_DOMAINS" "0";
-  Obs.Env.reset_warnings_for_tests ();
-  Obs.Flightrec.clear ();
+  P.clear ();
   Par.reset_domain_count_for_tests ();
   let resolved = Par.domain_count () in
   Alcotest.(check int) "fell back to recommended_domain_count"
     (max 1 (Domain.recommended_domain_count ()))
     resolved;
-  let warnings =
-    List.filter
-      (fun e -> e.Obs.Flightrec.f_kind = "env-warning")
-      (Obs.Flightrec.events ())
-  in
-  (match warnings with
+  (match warnings () with
   | [ w ] ->
       Alcotest.(check bool) "names the variable" true
-        (contains w.Obs.Flightrec.f_label "SHEETMUSIQ_DOMAINS")
+        (contains w.P.p_label "SHEETMUSIQ_DOMAINS");
+      Alcotest.(check bool) "names the rejected value" true
+        (contains w.P.p_label "\"0\"")
   | ws ->
       Alcotest.fail
         (Printf.sprintf "expected exactly 1 warning, got %d"
            (List.length ws)));
+  (* warn-once: resolving again must not repeat the record *)
+  Par.reset_domain_count_for_tests ();
+  ignore (Par.domain_count ());
+  Alcotest.(check int) "still one warning" 1 (List.length (warnings ()));
   (* a valid value resolves without warning *)
   Unix.putenv "SHEETMUSIQ_DOMAINS" "3";
-  Obs.Env.reset_warnings_for_tests ();
-  Obs.Flightrec.clear ();
+  P.clear ();
   Par.reset_domain_count_for_tests ();
   Alcotest.(check int) "valid value applied" 3 (Par.domain_count ());
-  Alcotest.(check int) "no warning" 0
-    (List.length
-       (List.filter
-          (fun e -> e.Obs.Flightrec.f_kind = "env-warning")
-          (Obs.Flightrec.events ())))
+  Alcotest.(check int) "no warning" 0 (List.length (warnings ()))
 
 (* ---------- deterministic series ordering ---------- *)
 
@@ -1029,8 +1114,7 @@ let series_ordering_pinned () =
   Obs.Metrics.incr (Obs.Metrics.counter "zz.order.aaa");
   let mine =
     List.filter
-      (fun n -> Obs.series_base n = "zz.order.ops"
-                || Obs.series_base n = "zz.order.aaa")
+      (fun n -> n = "zz.order.ops" || n = "zz.order.aaa")
       (List.map fst (Obs.Metrics.snapshot ()))
   in
   Alcotest.(check (list string))
@@ -1042,7 +1126,7 @@ let series_ordering_pinned () =
     (Obs.Histogram.histogram_labeled "zz.order.lat" (lab "a")) 10;
   let mine =
     List.filter
-      (fun n -> Obs.series_base n = "zz.order.lat")
+      (fun n -> String.starts_with ~prefix:"zz.order.lat" n)
       (List.map fst (Obs.Histogram.counts_snapshot ()))
   in
   Alcotest.(check (list string))
@@ -1053,8 +1137,6 @@ let series_ordering_pinned () =
   Obs.Histogram.reset ()
 
 (* ---------- execution profiles (Sheetdoctor) ---------- *)
-
-module P = Obs.Profile
 
 let profile_region_basic () =
   P.clear ();
@@ -1105,7 +1187,7 @@ let profile_ring_bounded () =
   P.set_capacity 4;
   Fun.protect
     ~finally:(fun () ->
-      P.set_capacity P.default_cap;
+      P.set_capacity ring_capacity;
       P.clear ())
   @@ fun () ->
   for i = 1 to 10 do
@@ -1146,28 +1228,31 @@ let profile_json_round_trip () =
   P.note_node ~rows_in:100 ~rows_out:7 ~path:"columnar" ~kind:"filter"
     ~label:"Price < 9000" ~time_ns:123 ~alloc_bytes:1024.5 ();
   P.commit ~rows_out:7;
+  P.event ~uid:2 ~kind:"op" "Select Price < 9000";
   P.enter ~kind:"plan" ~uid:2;
   P.note_fallback ~pred:"a / b = 1" ~reason:"non-total subtree a / b";
   P.commit ~rows_out:(-1);
-  (* export parses back through the bundled parser, exactly *)
-  (match J.parse (J.to_string (P.to_json ())) with
+  (* the export parses back through the bundled parser to the value
+     it printed, one entry per record, each the record's own JSON *)
+  let text = J.to_string (P.to_json ()) in
+  (match J.parse text with
   | Error msg -> Alcotest.fail ("export does not parse: " ^ msg)
   | Ok parsed -> (
-      match P.of_json parsed with
-      | Error msg -> Alcotest.fail msg
-      | Ok rs ->
-          Alcotest.(check bool) "records round-trip" true
-            (rs = P.records ())));
-  (* malformed input answers Error, never an exception *)
-  List.iter
-    (fun j ->
-      match P.of_json j with
-      | Error _ -> ()
-      | Ok _ -> Alcotest.fail "malformed input accepted")
-    [ J.Null; J.Obj []; J.Obj [ ("schema", J.String "nope") ];
-      J.Obj
-        [ ("schema", J.String "sheetscope-profile/v1");
-          ("profiles", J.String "not-a-list") ] ];
+      Alcotest.(check bool) "round-trips" true (J.equal parsed (P.to_json ()));
+      match J.member "profiles" parsed with
+      | Some (J.List l) ->
+          Alcotest.(check int) "one entry per record" 3 (List.length l);
+          Alcotest.(check bool) "entries are the records" true
+            (List.for_all2 J.equal l (List.map P.record_to_json (P.records ())))
+      | _ -> Alcotest.fail "no profiles list"));
+  (* the parser is total on every truncation of the export *)
+  for len = 0 to String.length text - 1 do
+    match J.parse (String.sub text 0 len) with
+    | Ok _ | Error _ -> ()
+    | exception e ->
+        Alcotest.failf "parse raised %s on a %d-byte prefix"
+          (Printexc.to_string e) len
+  done;
   P.clear ()
 
 let profile_in_chrome_trace () =
@@ -1185,66 +1270,10 @@ let profile_in_chrome_trace () =
           | Some block ->
               Alcotest.(check bool) "schema tagged" true
                 (J.member "schema" block
-                = Some (J.String "sheetscope-profile/v1"))
+                = Some (J.String "sheetscope-profile/v2"))
           | None -> Alcotest.fail "no profile block in otherData")));
   P.clear ();
   Obs.clear_events ()
-
-let env_warn_once_profile_cap () =
-  Fun.protect
-    ~finally:(fun () ->
-      Unix.putenv "SHEETSCOPE_PROFILE_CAP" (string_of_int P.default_cap);
-      Obs.Env.reset_warnings_for_tests ();
-      Obs.reload_env_config ();
-      Obs.Flightrec.clear ();
-      P.clear ())
-  @@ fun () ->
-  Unix.putenv "SHEETSCOPE_PROFILE_CAP" "lots";
-  Obs.Env.reset_warnings_for_tests ();
-  Obs.Flightrec.clear ();
-  Obs.reload_env_config ();
-  (* the invalid value kept the 64-record default *)
-  P.clear ();
-  P.reset_stack_for_tests ();
-  for i = 1 to P.default_cap + 5 do
-    P.enter ~kind:"plan" ~uid:i;
-    P.commit ~rows_out:0
-  done;
-  Alcotest.(check int) "fell back to the default capacity" P.default_cap
-    (P.length ());
-  let warnings () =
-    List.filter
-      (fun e -> e.Obs.Flightrec.f_kind = "env-warning")
-      (Obs.Flightrec.events ())
-  in
-  (match warnings () with
-  | [ w ] ->
-      Alcotest.(check bool) "names the variable" true
-        (contains w.Obs.Flightrec.f_label "SHEETSCOPE_PROFILE_CAP");
-      Alcotest.(check bool) "names the rejected value" true
-        (contains w.Obs.Flightrec.f_label "lots");
-      Alcotest.(check bool) "names the fallback" true
-        (contains w.Obs.Flightrec.f_label "default")
-  | ws ->
-      Alcotest.fail
-        (Printf.sprintf "expected exactly 1 warning, got %d"
-           (List.length ws)));
-  (* warn-once: reloading again must not repeat the event *)
-  Obs.reload_env_config ();
-  Alcotest.(check int) "still one warning" 1 (List.length (warnings ()));
-  (* a valid value takes effect without warning *)
-  Unix.putenv "SHEETSCOPE_PROFILE_CAP" "8";
-  Obs.Env.reset_warnings_for_tests ();
-  Obs.Flightrec.clear ();
-  Obs.reload_env_config ();
-  P.clear ();
-  for i = 1 to 12 do
-    P.enter ~kind:"plan" ~uid:i;
-    P.commit ~rows_out:0
-  done;
-  Alcotest.(check int) "valid value applied" 8 (P.length ());
-  Alcotest.(check int) "no warning for a valid value" 0
-    (List.length (warnings ()))
 
 (* ---------- GC gauges ---------- *)
 
@@ -1310,7 +1339,9 @@ let () =
        [ Alcotest.test_case "stats deterministic around reset" `Quick
            cache_stats_deterministic;
          Alcotest.test_case "seeding counts and serves hits" `Quick
-           seed_counts_in_stats ]);
+           seed_counts_in_stats;
+         Alcotest.test_case "stats never negative after a registry reset"
+           `Quick cache_stats_after_registry_reset ]);
       ("histograms",
        [ Alcotest.test_case "bucket boundaries well formed" `Quick
            boundaries_well_formed;
@@ -1333,11 +1364,13 @@ let () =
          Alcotest.test_case "JSON round-trips" `Quick
            flightrec_json_round_trip;
          Alcotest.test_case "slow threshold knob" `Quick
-           flightrec_threshold;
+           flightrec_slow_threshold;
          Alcotest.test_case "render limit keeps newest" `Quick
            flightrec_render_limit;
-         Alcotest.test_case "drain isolates concurrent readers" `Quick
-           flightrec_drain_isolation ]);
+         Alcotest.test_case "concurrent commits counted exactly" `Quick
+           flightrec_concurrent_commits;
+         Alcotest.test_case "one session's ring covers every kind" `Quick
+           flightrec_covers_every_kind ]);
       ("trace",
        [ Alcotest.test_case "chrome export round-trips" `Quick
            trace_round_trip;
@@ -1366,15 +1399,13 @@ let () =
            slo_latency_and_rate;
          Alcotest.test_case "labeled series evaluated per tenant" `Quick
            slo_covers_labeled_series;
+         Alcotest.test_case "unit comes from the target, not the series"
+           `Quick slo_unit_from_def;
          Alcotest.test_case "shipped defaults declared" `Quick
            slo_defaults_present ]);
       ("env",
-       [ Alcotest.test_case "SHEETSCOPE_SLOW_MS warns once" `Quick
-           env_warn_once_slow_ms;
-         Alcotest.test_case "SHEETMUSIQ_DOMAINS warns once" `Quick
-           env_warn_once_domains;
-         Alcotest.test_case "SHEETSCOPE_PROFILE_CAP warns once" `Quick
-           env_warn_once_profile_cap ]);
+       [ Alcotest.test_case "SHEETMUSIQ_DOMAINS warns once" `Quick
+           env_warn_once_domains ]);
       ("ordering",
        [ Alcotest.test_case "series sorted by (base, labels)" `Quick
            series_ordering_pinned ]);

@@ -228,15 +228,102 @@ let test_refuse_host_files () =
 
 let test_refuse_process_telemetry () =
   let module Obs = Sheet_obs.Obs in
-  Obs.Flightrec.record ~kind:"test" "kept";
-  let recorded = Obs.Flightrec.length () in
+  Obs.Profile.event ~kind:"test" "kept";
+  let recorded = Obs.Profile.length () in
   refused_over_socket ~name:"telemetry"
     [ "trace mem"; "trace memory"; "trace logs"; "trace off"; "trace clear";
       "flightrec clear" ];
   Alcotest.(check bool) "sink untouched" true (Obs.sink () = Obs.Off);
   Alcotest.(check bool) "flight recorder kept" true
-    (Obs.Flightrec.length () >= recorded);
-  Obs.Flightrec.clear ()
+    (Obs.Profile.length () >= recorded);
+  Obs.Profile.clear ()
+
+(* [flightrec] and [profile] show a client only its own session's
+   records: nothing client A did appears in client B's output *)
+let test_telemetry_per_session () =
+  let server = Server.create (Server.config cars_lookup) in
+  let path = temp_path "telemetry-isolation.sock" in
+  let listener = Net.listen server ~path in
+  Fun.protect ~finally:(fun () -> Net.shutdown listener) @@ fun () ->
+  let connect client =
+    let c = Net.Client.connect ~path in
+    expect_welcome (Net.Client.call_exn c (Protocol.Hello client));
+    ignore (Net.Client.call_exn c (Protocol.Open "cars"));
+    c
+  in
+  let a = connect "alice" and b = connect "bob" in
+  Fun.protect
+    ~finally:(fun () ->
+      Net.Client.close a;
+      Net.Client.close b)
+  @@ fun () ->
+  expect_applied (Net.Client.call_exn a (Protocol.Line "select Mileage < 12345"));
+  expect_applied (Net.Client.call_exn a (Protocol.Line "group Model asc"));
+  expect_applied (Net.Client.call_exn b (Protocol.Line "select Year = 2005"));
+  let output c line =
+    match Net.Client.call_exn c (Protocol.Line line) with
+    | Protocol.Applied { output = Some text; _ } -> text
+    | r -> Alcotest.failf "%S answered %s" line (Protocol.encode_response r)
+  in
+  let contains hay needle =
+    let n = String.length hay and m = String.length needle in
+    let rec go i = i + m <= n && (String.sub hay i m = needle || go (i + 1)) in
+    go 0
+  in
+  List.iter
+    (fun line ->
+      let text = output b line in
+      Alcotest.(check bool) (line ^ " shows bob's op") true
+        (contains text "Year = 2005");
+      List.iter
+        (fun alices ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s hides %S" line alices)
+            false (contains text alices))
+        [ "12345"; "Group"; "alice" ])
+    [ "flightrec"; "flightrec json"; "profile json" ];
+  Alcotest.(check bool) "alice still sees her own" true
+    (contains (output a "flightrec") "12345")
+
+(* ---------- request size ---------- *)
+
+(* a request line past 1 MiB is refused (or the connection dropped),
+   and the server keeps serving other clients *)
+let test_oversized_line () =
+  let server = Server.create (Server.config cars_lookup) in
+  let path = temp_path "oversized.sock" in
+  let listener = Net.listen server ~path in
+  Fun.protect ~finally:(fun () -> Net.shutdown listener) @@ fun () ->
+  let fd = Unix.socket PF_UNIX SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> try Unix.close fd with _ -> ())
+  @@ fun () ->
+  Unix.connect fd (ADDR_UNIX path);
+  let huge = Bytes.make (2 * 1024 * 1024) 'x' in
+  (try
+     let rec go off =
+       if off < Bytes.length huge then
+         go (off + Unix.write fd huge off (Bytes.length huge - off))
+     in
+     go 0
+   with Unix.Unix_error ((EPIPE | ECONNRESET), _, _) -> ());
+  (* the answer is a refusal, or the connection is gone; silence
+     past the receive timeout means the server is still buffering *)
+  Unix.setsockopt_float fd SO_RCVTIMEO 10.;
+  let buf = Bytes.create 4096 in
+  (match Unix.read fd buf 0 (Bytes.length buf) with
+  | 0 -> ()
+  | n -> (
+      let line = List.hd (String.split_on_char '\n' (Bytes.sub_string buf 0 n)) in
+      match Protocol.decode_response line with
+      | Ok (Protocol.Refused { busy = false; _ }) -> ()
+      | _ -> Alcotest.failf "oversized line answered %S" line)
+  | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) ->
+      Alcotest.fail "no answer to an oversized line"
+  | exception Unix.Unix_error _ -> ());
+  let c = Net.Client.connect ~path in
+  Fun.protect ~finally:(fun () -> Net.Client.close c) @@ fun () ->
+  Alcotest.(check bool) "another client still gets pong" true
+    (Net.Client.call c Protocol.Ping = Ok Protocol.Pong)
 
 (* ---------- admission control ---------- *)
 
@@ -549,6 +636,10 @@ let () =
             test_refuse_host_files;
           Alcotest.test_case "process telemetry commands (socket)" `Quick
             test_refuse_process_telemetry;
+          Alcotest.test_case "telemetry shows only the caller's session"
+            `Quick test_telemetry_per_session;
+          Alcotest.test_case "oversized request line (socket)" `Quick
+            test_oversized_line;
         ] );
       ( "admission",
         [

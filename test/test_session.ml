@@ -152,12 +152,12 @@ let test_modification_is_a_history_entry () =
 (* ---------- the flight recorder sees what the session did ---------- *)
 
 module Obs = Sheet_obs.Obs
+module P = Obs.Profile
 
-let flight_kinds () =
-  List.map (fun e -> e.Obs.Flightrec.f_kind) (Obs.Flightrec.events ())
+let flight_kinds () = List.map (fun r -> r.P.p_kind) (P.records ())
 
 let test_flightrec_records_ops () =
-  Obs.Flightrec.clear ();
+  P.clear ();
   let s = run (session ()) "select Year = 2005\ngroup Model asc" in
   Alcotest.(check bool) "op events recorded" true
     (List.length
@@ -171,38 +171,41 @@ let test_flightrec_records_ops () =
   Alcotest.(check bool) "redo recorded" true
     (List.mem "redo" (flight_kinds ()));
   (* op events carry the sheet uid and a duration *)
-  let op =
-    List.find (fun e -> e.Obs.Flightrec.f_kind = "op")
-      (Obs.Flightrec.events ())
-  in
-  Alcotest.(check bool) "uid attached" true (op.Obs.Flightrec.f_uid > 0);
-  Alcotest.(check bool) "duration attached" true
-    (op.Obs.Flightrec.f_dur_ns >= 0);
-  Obs.Flightrec.clear ()
+  let op = List.find (fun r -> r.P.p_kind = "op") (P.records ()) in
+  Alcotest.(check bool) "uid attached" true (op.P.p_uid > 0);
+  Alcotest.(check bool) "duration attached" true (op.P.p_total_ns >= 0);
+  P.clear ()
 
 let test_flightrec_records_rejections () =
-  Obs.Flightrec.clear ();
+  P.clear ();
   let s = session () in
   (match Session.apply s (Op.Project "NoSuchColumn") with
   | Ok _ -> Alcotest.fail "projecting a missing column should fail"
   | Error _ -> ());
   Alcotest.(check bool) "rejection recorded" true
     (List.mem "op-rejected" (flight_kinds ()));
-  Obs.Flightrec.clear ()
+  P.clear ()
 
+(* an op that takes 100 ms or more is marked slow in the view: a test
+   clock that jumps 50 ms per reading makes this one slow *)
 let test_flightrec_slow_op_marker () =
-  Obs.Flightrec.clear ();
-  let old_ns = Obs.Flightrec.slow_threshold_ns () in
+  P.clear ();
+  let t = ref (Obs.now_ns ()) in
+  Obs.set_raw_clock_for_tests
+    (Some
+       (fun () ->
+         t := !t + 50_000_000;
+         !t));
   Fun.protect
     ~finally:(fun () ->
-      Obs.Flightrec.set_slow_threshold_ms (float_of_int old_ns /. 1e6);
-      Obs.Flightrec.clear ())
+      Obs.set_raw_clock_for_tests None;
+      P.clear ())
   @@ fun () ->
-  (* threshold 0: every applied op is "slow" *)
-  Obs.Flightrec.set_slow_threshold_ms 0.;
   ignore (run (session ()) "select Year = 2005");
-  Alcotest.(check bool) "slow-op marker emitted" true
-    (List.mem "slow-op" (flight_kinds ()))
+  Alcotest.(check bool) "slow op marked" true
+    (List.exists
+       (fun line -> contains line " op " && contains line "  slow")
+       (String.split_on_char '\n' (P.render ())))
 
 let () =
   Alcotest.run "sheet_session"

@@ -4,17 +4,20 @@
    EXPLAIN ANALYZE that is not the rendered profile record of its
    run, path attributions inconsistent with the columnar
    selection counters, unbalanced profile regions, a profile JSON
-   export that does not round-trip, or a doctor pass that raises.
+   export that does not parse to one entry per record, or a doctor
+   pass that raises.
    A second phase replays every task under 1 domain and under 4 and
    asserts the recorded profiles are identical once timings,
    allocation deltas and the domain gauge are masked — the profile
    counterpart of the @par determinism gate. A final micro-benchmark
    asserts that collection itself (sink off, profiles on vs off)
-   costs at most 5 % of a full materialization. Run via
+   costs at most 5 % of a full materialization, and bounds the bytes
+   it allocates per materialization. Run via
    [dune build @doctor], folded into [dune build @gates]. *)
 
 open Sheet_core
 module Obs = Sheet_obs.Obs
+module Obs_json = Sheet_obs.Obs_json
 module Par = Sheet_rel.Par
 module Profile = Sheet_obs.Obs.Profile
 
@@ -48,7 +51,6 @@ let reset_all task =
   Obs.clear_events ();
   Obs.Metrics.reset ();
   Obs.Histogram.reset ();
-  Obs.Flightrec.clear ();
   Materialize.reset_cache ();
   Profile.clear ();
   Obs.set_ambient_labels (task_labels task)
@@ -99,8 +101,11 @@ let run_task catalog (task : Sheet_tpch.Tpch_tasks.t) =
               check (label "explain analyze")
                 (text = Profile.render_record r)
                 "EXPLAIN ANALYZE text is not the rendered profile record");
-          (* region discipline and attribution consistency over the
-             whole ring *)
+          (* region discipline and attribution consistency over every
+             materialization record in the ring *)
+          let materializations =
+            List.filter (fun r -> not (Profile.is_event r)) (Profile.records ())
+          in
           check (label "regions") (Profile.open_regions () = 0)
             (Printf.sprintf "%d profile region(s) left open"
                (Profile.open_regions ()));
@@ -125,7 +130,7 @@ let run_task catalog (task : Sheet_tpch.Tpch_tasks.t) =
               check (label ("totals " ^ where))
                 (r.p_total_ns >= 0 && r.p_alloc_bytes >= 0.)
                 "negative time or allocation delta")
-            (Profile.records ());
+            materializations;
           (* the global columnar counters agree in spirit: if any
              region saw selection-vector rows, the registry did too *)
           let v = Obs.Metrics.value_of in
@@ -133,22 +138,29 @@ let run_task catalog (task : Sheet_tpch.Tpch_tasks.t) =
             (List.for_all
                (fun (r : Profile.t) ->
                  r.Profile.p_sel_rows_in <= v Obs.k_col_sel_rows_in)
-               (Profile.records ()))
+               materializations)
             "a region's selection delta exceeds the global counter";
-          (* JSON export round-trips exactly *)
-          (match Profile.of_json (Profile.to_json ()) with
+          (* the ring's JSON parses, one entry per record *)
+          (match
+             Obs_json.parse (Obs_json.to_string (Profile.to_json ()))
+           with
           | Error msg -> check (label "json") false msg
           | Ok parsed ->
-              check (label "json") (parsed = Profile.records ())
-                "profile JSON does not round-trip");
+              check (label "json")
+                (Obs_json.member "profiles" parsed
+                = Some
+                    (Obs_json.List
+                       (List.map Profile.record_to_json (Profile.records ()))))
+                "profile JSON is not one entry per record");
           (* the doctor reads all of it without raising *)
           (match Sheet_analysis.Doctor.run () with
           | _diags -> ignore (Sheet_analysis.Doctor.render ())
           | exception e ->
               check (label "doctor") false (Printexc.to_string e)))
 
-(* ---- determinism: profiles identical under 1 and 4 domains once
-   timings, allocations and the domain gauge are masked ---- *)
+(* ---- determinism: profiles, event records included, identical under
+   1 and 4 domains once timings, commit times, allocations and the
+   domain gauge are masked ---- *)
 
 let mask_node (n : Profile.node) =
   { n with Profile.n_time_ns = 0; n_alloc_bytes = 0. }
@@ -179,6 +191,7 @@ let mask records =
        (fun (r : Profile.t) ->
          { r with
            Profile.p_total_ns = 0;
+           p_at_ns = 0;
            p_alloc_bytes = 0.;
            p_domains = 0;
            p_nodes = List.map mask_node r.p_nodes })
@@ -232,6 +245,11 @@ let identity_check tasks =
 
 (* ---- overhead: collection on vs off, sink off, <= 5 % ---- *)
 
+(* 20,896 B per materialization of the workload below, measured the
+   same way on the code this bound was introduced against (identical
+   over five runs), plus 5 %. *)
+let alloc_limit_bytes = 21_940.
+
 let overhead_check () =
   Obs.set_sink Obs.Off;
   let catalog = fresh_catalog () in
@@ -272,6 +290,22 @@ let overhead_check () =
         best := Float.min !best dt)
       (if i mod 2 = 1 then [ false; true ] else [ true; false ])
   done;
+  (* The deterministic companion of the timing bound: bytes that
+     collection allocates per materialization, on minus off. A minor
+     collection before each reading settles the heap counters, so the
+     figure repeats exactly from run to run. *)
+  let alloc_per_full enabled =
+    Profile.set_enabled enabled;
+    Gc.minor ();
+    let a0 = Gc.allocated_bytes () in
+    for _ = 1 to reps do
+      ignore (Materialize.full sheet)
+    done;
+    Gc.minor ();
+    (Gc.allocated_bytes () -. a0) /. float_of_int reps
+  in
+  let alloc_off = alloc_per_full false in
+  let alloc = alloc_per_full true -. alloc_off in
   Profile.set_enabled true;
   Profile.clear ();
   let pct = 100. *. ((!on /. !off) -. 1.) in
@@ -281,7 +315,13 @@ let overhead_check () =
        "profile collection costs %.1f%% over %d materializations \
         (limit 5%%)"
        pct reps);
-  pct
+  check "overhead alloc"
+    (alloc <= alloc_limit_bytes)
+    (Printf.sprintf
+       "profile collection allocates %.0f B per materialization (limit \
+        %.0f B)"
+       alloc alloc_limit_bytes);
+  (pct, alloc)
 
 let () =
   Obs.set_sink Obs.Memory;
@@ -292,7 +332,7 @@ let () =
   (* phase 2: masked profiles identical across domain counts *)
   identity_check tasks;
   (* phase 3: collection is cheap enough to stay always-on *)
-  let overhead = overhead_check () in
+  let overhead, alloc = overhead_check () in
   Obs.set_ambient_labels Obs.Labels.empty;
   Obs.set_sink Obs.Off;
   if !failures > 0 then begin
@@ -303,5 +343,5 @@ let () =
     Printf.printf
       "doctor gate: %d task(s) profiled clean under 4 domains; masked \
        profiles identical to the 1-domain replay; collection overhead \
-       %+.1f%% (limit 5%%)\n"
-      (List.length tasks) overhead
+       %+.1f%% (limit 5%%), %.0f B per materialization (limit %.0f B)\n"
+      (List.length tasks) overhead alloc alloc_limit_bytes

@@ -5,8 +5,9 @@
    or mis-nested spans, negative counters, a sheet result that
    disagrees with the task's SQL result (an oracle independent of the
    plan executor), an EXPLAIN ANALYZE that is not the profile record
-   of its own run, per-task labeled series that do not add up, or a
-   Chrome trace export that does not parse back.
+   of its own run, per-task labeled series that do not add up, cache
+   outcomes the profile ring does not account for, or a JSON export
+   that does not parse back.
    A second phase replays every task under 1 domain and under 4
    against fresh catalogs and asserts the merged sharded totals
    (counters and histogram sample counts) are exactly equal — the
@@ -46,7 +47,7 @@ let run_task catalog (task : Sheet_tpch.Tpch_tasks.t) =
   Obs.clear_events ();
   Obs.Metrics.reset ();
   Obs.Histogram.reset ();
-  Obs.Flightrec.clear ();
+  Obs.Profile.clear ();
   Materialize.reset_cache ();
   Obs.set_ambient_labels (task_labels task);
   match Sheet_sql.Catalog.find catalog task.base with
@@ -118,16 +119,31 @@ let run_task catalog (task : Sheet_tpch.Tpch_tasks.t) =
                Obs.k_engine_ops
                (Obs.Metrics.value_of Obs.k_engine_ops));
           (* hit-kind accounting: every materialization request is
-             exactly one of exact hit, subsumed hit, or miss *)
+             exactly one of exact hit, subsumed hit, or miss, and each
+             left one record in the profile ring saying which *)
           let v = Obs.Metrics.value_of in
+          let ring = Obs.Profile.records () in
+          let noted outcome =
+            List.length
+              (List.filter (fun r -> r.Obs.Profile.p_cache = outcome) ring)
+          in
+          check (label "ring drops") (Obs.Profile.dropped () = 0)
+            (Printf.sprintf "%d record(s) dropped from the profile ring"
+               (Obs.Profile.dropped ()));
           check (label "cache accounting")
             (v Obs.k_cache_requests
-            = v Obs.k_cache_hits
-              + v Obs.k_cache_hits_subsumed
-              + v Obs.k_cache_misses)
-            (Printf.sprintf "requests %d <> exact %d + subsumed %d + miss %d"
-               (v Obs.k_cache_requests) (v Obs.k_cache_hits)
-               (v Obs.k_cache_hits_subsumed) (v Obs.k_cache_misses));
+             = v Obs.k_cache_hits
+               + v Obs.k_cache_hits_subsumed
+               + v Obs.k_cache_misses
+            && v Obs.k_cache_hits = noted "exact"
+            && v Obs.k_cache_hits_subsumed = noted "subsumed"
+            && v Obs.k_cache_misses = noted "miss")
+            (Printf.sprintf
+               "requests %d, exact %d (ring %d), subsumed %d (ring %d), \
+                miss %d (ring %d)"
+               (v Obs.k_cache_requests) (v Obs.k_cache_hits) (noted "exact")
+               (v Obs.k_cache_hits_subsumed) (noted "subsumed")
+               (v Obs.k_cache_misses) (noted "miss"));
           (* columnar selection accounting: a selection vector can
              only shrink, so survivors never exceed candidates *)
           check (label "columnar sel")
@@ -135,7 +151,7 @@ let run_task catalog (task : Sheet_tpch.Tpch_tasks.t) =
             (Printf.sprintf "%s = %d > %s = %d" Obs.k_col_sel_rows_out
                (v Obs.k_col_sel_rows_out) Obs.k_col_sel_rows_in
                (v Obs.k_col_sel_rows_in));
-          (* and the module-local stats agree with the registry *)
+          (* and the cache's own view agrees with the registry *)
           let cs = Materialize.cache_stats () in
           check (label "cache stats")
             (cs.Materialize.requests
@@ -146,15 +162,20 @@ let run_task catalog (task : Sheet_tpch.Tpch_tasks.t) =
                "cache_stats requests %d, hits %d, subsumed %d, misses %d"
                cs.Materialize.requests cs.Materialize.hits
                cs.Materialize.subsumed_hits cs.Materialize.misses);
-          (* the flight recorder export round-trips through Obs_json *)
-          let fr = Sheet_obs.Obs_json.to_string (Obs.Flightrec.to_json ()) in
-          (match Sheet_obs.Obs_json.parse fr with
-          | Error msg ->
-              check (label "flightrec") false ("invalid JSON: " ^ msg)
-          | Ok parsed ->
-              check (label "flightrec")
-                (Sheet_obs.Obs_json.equal parsed (Obs.Flightrec.to_json ()))
-                "flight-recorder JSON does not round-trip");
+          (* the ring's JSON parses, one entry per record *)
+          (match
+             Sheet_obs.Obs_json.parse
+               (Sheet_obs.Obs_json.to_string (Obs.Profile.to_json ()))
+           with
+          | Error msg -> check (label "ring json") false ("invalid JSON: " ^ msg)
+          | Ok parsed -> (
+              match Sheet_obs.Obs_json.member "profiles" parsed with
+              | Some (Sheet_obs.Obs_json.List l) ->
+                  check (label "ring json")
+                    (List.length l = List.length ring)
+                    (Printf.sprintf "%d JSON entries for %d records"
+                       (List.length l) (List.length ring))
+              | _ -> check (label "ring json") false "no profiles list"));
           (* the SLO report (which now includes the labeled series)
              round-trips through the bundled JSON parser *)
           let slo = Sheet_obs.Obs_json.to_string (Obs.Slo.to_json ()) in

@@ -8,13 +8,14 @@
    - balanced spans: span open/finish stays single-writer under the
      engine lock, so the process-wide stack must end empty and
      correctly nested;
-   - zero flight-recorder drops (capacity raised first, so a drop
-     means lost events, not a small ring);
+   - zero profile-ring drops (capacity raised first, so a drop means
+     lost records, not a small ring);
    - labeled per-session accounting: every client's
      engine.apply{session=uN} series has the same sample count, and
      their sum is exactly the unlabeled engine.ops total;
    - shared-cache accounting stays exact: requests = exact hits +
-     subsumed hits + misses, and agrees with the Obs counters.
+     subsumed hits + misses, agreeing with the Obs counters, and the
+     profile ring holds one record noting each outcome.
 
    Run via [dune build @serve], wired into [@gates]. *)
 
@@ -118,7 +119,7 @@ let client_replay ~path ~client tasks =
 
 let () =
   Obs.set_sink Obs.Memory;
-  Obs.Flightrec.set_capacity 1_000_000;
+  Obs.Profile.set_capacity 1_000_000;
   let tasks = Sheet_tpch.Tpch_tasks.all @ Sheet_tpch.Tpch_tasks.extensions in
   let catalog =
     Sheet_tpch.Tpch_views.install
@@ -140,7 +141,7 @@ let () =
   Obs.clear_events ();
   Obs.Metrics.reset ();
   Obs.Histogram.reset ();
-  Obs.Flightrec.clear ();
+  Obs.Profile.clear ();
   Materialize.reset_cache ();
   with_config ~domains:4 @@ fun () ->
   let server =
@@ -208,10 +209,10 @@ let () =
   check "spans" (Obs.open_spans () = 0)
     (Printf.sprintf "%d unclosed span(s)" (Obs.open_spans ()));
   check "nesting" (Obs.nesting_ok ()) "span closed out of order";
-  (* flight recorder never dropped an event *)
-  check "flightrec drops"
-    (Obs.Flightrec.dropped () = 0)
-    (Printf.sprintf "%d event(s) dropped" (Obs.Flightrec.dropped ()));
+  (* the profile ring never dropped a record *)
+  check "ring drops"
+    (Obs.Profile.dropped () = 0)
+    (Printf.sprintf "%d record(s) dropped" (Obs.Profile.dropped ()));
   (* per-session labeled accounting: identical per client, summing to
      the unlabeled total *)
   let labeled_count i =
@@ -232,20 +233,31 @@ let () =
     | c0 :: rest -> c0 > 0 && List.for_all (fun c -> c = c0) rest)
     (Printf.sprintf "per-session sample counts diverge: [%s]"
        (String.concat "; " (List.map string_of_int counts)));
-  (* shared semantic cache stayed exact under concurrent sessions *)
+  (* shared semantic cache stayed exact under concurrent sessions:
+     every request is one outcome, and the ring holds one record
+     noting each *)
   let v = Obs.Metrics.value_of in
   let cs = Materialize.cache_stats () in
+  let noted outcome =
+    List.length
+      (List.filter
+         (fun r -> r.Obs.Profile.p_cache = outcome)
+         (Obs.Profile.records ()))
+  in
   check "cache accounting"
     (cs.Materialize.requests
      = cs.Materialize.hits + cs.Materialize.subsumed_hits
        + cs.Materialize.misses
     && cs.Materialize.requests = v Obs.k_cache_requests
-    && v Obs.k_cache_requests
-       = v Obs.k_cache_hits + v Obs.k_cache_hits_subsumed
-         + v Obs.k_cache_misses)
-    (Printf.sprintf "requests %d, hits %d, subsumed %d, misses %d"
-       cs.Materialize.requests cs.Materialize.hits
-       cs.Materialize.subsumed_hits cs.Materialize.misses);
+    && cs.Materialize.hits = noted "exact"
+    && cs.Materialize.subsumed_hits = noted "subsumed"
+    && cs.Materialize.misses = noted "miss")
+    (Printf.sprintf
+       "requests %d, hits %d (ring %d), subsumed %d (ring %d), misses %d \
+        (ring %d)"
+       cs.Materialize.requests cs.Materialize.hits (noted "exact")
+       cs.Materialize.subsumed_hits (noted "subsumed")
+       cs.Materialize.misses (noted "miss"));
   (* every session said quit *)
   check "sessions drained"
     (Server.session_count server = 0)
@@ -262,6 +274,6 @@ let () =
   else
     Printf.printf
       "serve gate: %d client(s) x %d task(s) served over %s with row \
-       parity, balanced spans, zero flightrec drops, exact per-session \
+       parity, balanced spans, zero ring drops, exact per-session \
        accounting\n"
       n_clients (List.length tasks) path
