@@ -35,18 +35,6 @@ let examine (p : Obs.Profile.t) =
           Diagnostic.hint ~code:"row-path-fallback" ~loc:Diagnostic.Query msg)
       p.p_fallbacks
   in
-  let parallel =
-    if
-      p.p_domains > 1 && p.p_par_scans > 0
-      && p.p_morsels < p.p_domains * p.p_par_scans
-    then
-      [ Diagnostic.hint ~code:"par-underfilled" ~loc:Diagnostic.Query
-          (Printf.sprintf
-             "%s: %d morsels over %d parallel scans cannot fill %d domains \
-              — most workers idle"
-             where p.p_morsels p.p_par_scans p.p_domains) ]
-    else []
-  in
   let sort =
     if p.p_total_ns >= sort_min_ns then
       List.filter_map
@@ -61,7 +49,7 @@ let examine (p : Obs.Profile.t) =
         p.p_nodes
     else []
   in
-  fallbacks @ parallel @ sort
+  fallbacks @ sort
 
 let cache_diagnostics () =
   let s = Materialize.cache_stats () in

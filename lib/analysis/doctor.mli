@@ -11,8 +11,6 @@
     - [row-path-fallback] (warning when the region touched >= 512
       rows, hint below): a selection predicate could not compile to a
       selection vector; the message names the blocking subtree.
-    - [par-underfilled] (hint): parallel scans produced fewer morsels
-      than [domains * scans] — most workers idled.
     - [cache-thrash] (warning): the materialization cache evicted
       entries but never answered a subsumed hit.
     - [label-overflow] (warning): a metric family's label cap is

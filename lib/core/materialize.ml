@@ -228,11 +228,16 @@ let full_cached (sheet : Spreadsheet.t) =
       match find_subsumer sheet with
       | Some (entry, outcome) ->
           Obs.Metrics.incr c_hits_subsumed;
+          (* the label lands in the requesting session's telemetry: a
+             sheet of another arena is named by neither its uid nor
+             the proof, which can name its columns *)
+          let from = entry.e_sheet.Spreadsheet.uid in
           Obs.Profile.note_cache
             ~label:
-              (Printf.sprintf "from sheet #%d: %s"
-                 entry.e_sheet.Spreadsheet.uid
-                 (State_subsume.describe outcome))
+              (if Spreadsheet.same_uid_arena from sheet.Spreadsheet.uid then
+                 Printf.sprintf "from sheet #%d: %s" from
+                   (State_subsume.describe outcome)
+               else "from another session's sheet")
             "subsumed";
           let rel = serve_subsumed sheet entry.e_rel in
           evict_if_over_limit ();

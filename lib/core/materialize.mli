@@ -53,7 +53,11 @@ val full_cached : Spreadsheet.t -> Relation.t
     other sessions happen to have materialized. Every answer equals
     {!full}, rows {e and} order (property-tested on the differential
     battery and hammered concurrently by [test/test_serve.ml]).
-    Bounded: past 512 entries the oldest half is evicted. *)
+    A subsumed hit's profile label names the subsuming sheet and the
+    proof only when that sheet's uid shares the request's arena
+    ({!Spreadsheet.same_uid_arena}); a sheet of another session is
+    just "another session's sheet". Bounded: past 512 entries the
+    oldest half is evicted. *)
 
 val visible : Spreadsheet.t -> Relation.t
 (** {!full_cached} restricted to visible columns: the query's answer

@@ -63,7 +63,7 @@ let in_uid_arena arena f =
     ~finally:(fun () -> with_uid_lock (fun () -> current_arena := prev))
     f
 
-let uid_arena_of uid = if uid lsr arena_shift = 0 then None else Some (uid lsr arena_shift)
+let same_uid_arena a b = a lsr arena_shift = b lsr arena_shift
 
 let reset_uid_arena arena =
   with_uid_lock (fun () -> Hashtbl.remove arena_counters arena)

@@ -50,9 +50,9 @@ val in_uid_arena : int -> (unit -> 'a) -> 'a
     serialize sheet-constructing work themselves — the Sheetserve
     coordinator lock does exactly this. *)
 
-val uid_arena_of : int -> int option
-(** The arena a uid was allocated from ([None] for the default
-    namespace). *)
+val same_uid_arena : int -> int -> bool
+(** Whether two uids were allocated from the same namespace — one
+    arena, or both from the default one. *)
 
 val reset_uid_arena : int -> unit
 (** Forget an arena's local counter so a replay reissues the same

@@ -1,15 +1,13 @@
 (* Sheetscope v3: span tracing, a domain-safe sharded metrics registry,
    labeled per-session series, SLO evaluation, and pluggable sinks.
 
-   Since v3 the metric families survive concurrent writers: counters,
-   gauges and histograms are sharded over per-domain atomic cells
-   (exact merge-on-read), the span ring is mutex-protected, and
-   [emit] may be called from any domain — the old rule that morsel
-   workers must never touch Sheetscope is gone. Span *opening*
-   ([span]/[finish]) keeps single-writer nesting state and stays a
-   coordinator-only affair; workers record completed spans through
-   [emit]. The off-sink fast path is still a single mutable-bool test
-   so instrumented code costs nothing when nobody is watching
+   The metric families survive concurrent writers (Sheetserve's
+   handler threads): counters, gauges and histograms are sharded over
+   per-domain atomic cells (exact merge-on-read), and the span ring is
+   mutex-protected. Span nesting ([span]/[finish]) keeps single-writer
+   state: only the thread driving a session opens and closes spans.
+   The off-sink fast path is a single mutable-bool test so
+   instrumented code costs nothing when nobody is watching
    (property-tested byte-identical). *)
 
 let src = Logs.Src.create "sheetscope" ~doc:"SheetMusiq instrumentation"
@@ -106,8 +104,7 @@ let dummy_span =
 let span_counter = Atomic.make 0
 
 (* Nesting state is deliberately single-writer (the session's driving
-   thread): worker domains record completed spans via [emit] and never
-   push or pop here. *)
+   thread). *)
 let open_stack : int list ref = ref []
 let violations = Atomic.make 0
 
@@ -136,8 +133,6 @@ let record ev =
                  else Printf.sprintf " -> %d rows" ev.rows_out)
                 (if ev.uid = 0 then ""
                  else Printf.sprintf " (sheet #%d)" ev.uid)))
-
-let current_depth () = List.length !open_stack
 
 (* GC gauges are sampled at span boundaries; forward-declared so
    [span]/[finish] can call the sampler defined after [Metrics]. *)
@@ -182,29 +177,6 @@ let finish ?(rows_in = -1) ?(rows_out = -1) sp =
         rows_out;
         start_ns = sp.s_start }
   end
-
-(* Completed spans recorded after the fact, from any domain: the
-   morsel workers time their own morsels and push the event straight
-   into the (mutex-protected) ring. [depth] defaults to the
-   coordinator's current nesting depth; parallel callers pass the
-   depth captured before the fan-out so worker events nest under the
-   span that spawned them. [start_ns] is an absolute [now_ns]
-   reading. *)
-let emit ?(uid = 0) ?(kind = "") ?(rows_in = -1) ?(rows_out = -1) ?depth
-    ~start_ns ~dur_ns name =
-  if recording () then
-    let depth =
-      match depth with Some d -> d | None -> List.length !open_stack
-    in
-    record
-      { name;
-        kind;
-        uid;
-        depth;
-        start_ns = start_ns - epoch_ns;
-        dur_ns = max 0 dur_ns;
-        rows_in;
-        rows_out }
 
 let with_span ?uid ?kind ?rows_in ?rows_out name f =
   let sp = span ?uid ?kind name in
@@ -338,8 +310,8 @@ let labeled_key ~mem name labels =
       else name ^ overflow_suffix
 
 (* Ambient labels: the session identity the shells stamp on hot-path
-   series (engine.apply, sql.run). Single-writer like the span stack —
-   worker domains never set or read it. *)
+   series (engine.apply, sql.run). Single-writer like the span stack:
+   Sheetserve sets it only under its engine lock. *)
 let ambient = ref Labels.empty
 let set_ambient_labels ls = ambient := ls
 let ambient_labels () = !ambient
@@ -390,11 +362,6 @@ module Metrics = struct
     |> List.sort (fun a b -> series_order a.m_name b.m_name)
 
   let snapshot () = List.map (fun m -> (m.m_name, get m)) (entries ())
-
-  let counters_snapshot () =
-    List.filter_map
-      (fun m -> if m.m_kind = Counter then Some (m.m_name, get m) else None)
-      (entries ())
 
   let reset () =
     List.iter
@@ -691,11 +658,10 @@ let k_sql_translations = "sql.translations"
 let k_sql_inverse_translations = "sql.inverse_translations"
 let k_sql_executions = "sql.executions"
 
-(* Sheetcol / morsel-parallelism names. [k_par_domains] is a gauge
-   (the resolved domain count of the most recent parallel region);
-   the rest are counters fed by the columnar scan driver — since v3
-   the executing domain ticks them itself. *)
-let k_par_domains = "par.domains"
+(* Sheetcol names, counters fed by the columnar scan driver. The two
+   [par.*] names are not registered and nothing feeds them: scans run
+   in one pass on the calling domain, and the names stay only for
+   readers that still ask for them (they read 0). *)
 let k_par_morsels = "par.morsels"
 let k_par_scans = "par.scans"
 let k_col_columns = "columnar.columns_materialized"
@@ -721,7 +687,6 @@ let h_materialize_full = "materialize.full"
 let h_incremental_derive = "incremental.derive"
 let h_plan_node_prefix = "plan.node."
 let h_sql_run = "sql.run"
-let h_par_morsel = "par.morsel"
 
 let () =
   List.iter
@@ -731,17 +696,15 @@ let () =
       k_cache_evictions; k_cache_seeds; k_full_replays;
       k_incremental_derivations; k_incremental_fallbacks; k_plan_nodes;
       k_plan_rows_in; k_plan_rows_out; k_sql_translations;
-      k_sql_inverse_translations; k_sql_executions; k_par_morsels;
-      k_par_scans; k_col_columns; k_col_dict_entries; k_col_sel_rows_in;
-      k_col_sel_rows_out ];
+      k_sql_inverse_translations; k_sql_executions; k_col_columns;
+      k_col_dict_entries; k_col_sel_rows_in; k_col_sel_rows_out ];
   List.iter
     (fun k -> ignore (Metrics.gauge k))
-    [ k_undo_depth; k_redo_depth; k_par_domains; k_gc_minor; k_gc_major;
-      k_gc_promoted; k_gc_heap ];
+    [ k_undo_depth; k_redo_depth; k_gc_minor; k_gc_major; k_gc_promoted;
+      k_gc_heap ];
   List.iter
     (fun k -> ignore (Histogram.histogram k))
-    [ h_engine_apply; h_materialize_full; h_incremental_derive; h_sql_run;
-      h_par_morsel ];
+    [ h_engine_apply; h_materialize_full; h_incremental_derive; h_sql_run ];
   List.iter
     (fun kind -> ignore (Histogram.histogram (h_plan_node_prefix ^ kind)))
     [ "scan"; "project"; "filter"; "distinct"; "extend"; "extend-agg";
@@ -770,20 +733,19 @@ let () =
    vs incremental derivation, a node-by-node breakdown with wall time,
    row counts and allocation deltas, and *path attribution*: which
    filter predicates ran as compiled selection vectors and which fell
-   back to the row path (naming the non-total subtree), plus the
-   morsel/domain shape of the parallel scans underneath. Session and
-   engine events (ops applied and rejected, undo/redo, evictions, SQL
-   translations, configuration warnings) commit node-less records
-   into the same ring, so the flight recorder is a view over it.
+   back to the row path (naming the non-total subtree), and how many
+   rows entered and left the selection vectors. Session and engine
+   events (ops applied and rejected, undo/redo, evictions, SQL
+   translations) commit node-less records into the same ring, so the
+   flight recorder is a view over it.
 
    Always on (a record is a few small allocations), independent of
    the span sink, bounded with a drop counter. Like span nesting, the
    region stack is single-writer — only the session's driving thread
-   enters/commits regions and notes attribution; worker domains
-   contribute only through the sharded counters whose deltas a region
-   snapshots at its boundaries, so the merged-on-read totals keep the
-   record exact under parallelism. Event commits take only the ring
-   lock and are safe from any thread. *)
+   enters/commits regions and notes attribution; the counters a
+   region reads are the sharded ones, deltas snapshotted at its
+   boundaries. Event commits take only the ring lock and are safe
+   from any thread. *)
 
 module Profile = struct
   type node = {
@@ -808,9 +770,6 @@ module Profile = struct
     p_alloc_bytes : float;
     p_cache : string;  (* "exact" | "subsumed" | "miss" | "seed" | "" *)
     p_strategy : string;  (* "full-replay" | "incremental" | "" *)
-    p_domains : int;
-    p_morsels : int;
-    p_par_scans : int;
     p_sel_rows_in : int;
     p_sel_rows_out : int;
     p_compiled : string list;
@@ -836,8 +795,6 @@ module Profile = struct
     pd_kind : string;
     pd_t0 : int;
     pd_alloc0 : float;
-    pd_morsels0 : int;
-    pd_scans0 : int;
     pd_sel_in0 : int;
     pd_sel_out0 : int;
     mutable pd_label : string;
@@ -855,11 +812,8 @@ module Profile = struct
 
   let stack : slot list ref = ref []
 
-  let c_morsels = Metrics.counter k_par_morsels
-  let c_scans = Metrics.counter k_par_scans
   let c_sel_in = Metrics.counter k_col_sel_rows_in
   let c_sel_out = Metrics.counter k_col_sel_rows_out
-  let g_domains = Metrics.gauge k_par_domains
 
   let rec find_region = function
     | [] -> None
@@ -893,9 +847,6 @@ module Profile = struct
           p_alloc_bytes = 0.;
           p_cache = "";
           p_strategy = "";
-          p_domains = 0;
-          p_morsels = 0;
-          p_par_scans = 0;
           p_sel_rows_in = 0;
           p_sel_rows_out = 0;
           p_compiled = [];
@@ -917,8 +868,6 @@ module Profile = struct
             pd_kind = kind;
             pd_t0 = now_ns ();
             pd_alloc0 = Gc.allocated_bytes ();
-            pd_morsels0 = Metrics.get c_morsels;
-            pd_scans0 = Metrics.get c_scans;
             pd_sel_in0 = Metrics.get c_sel_in;
             pd_sel_out0 = Metrics.get c_sel_out;
             pd_label = "";
@@ -950,9 +899,6 @@ module Profile = struct
                   Float.max 0. (Gc.allocated_bytes () -. p.pd_alloc0);
                 p_cache = p.pd_cache;
                 p_strategy = p.pd_strategy;
-                p_domains = Metrics.get g_domains;
-                p_morsels = Metrics.get c_morsels - p.pd_morsels0;
-                p_par_scans = Metrics.get c_scans - p.pd_scans0;
                 p_sel_rows_in = Metrics.get c_sel_in - p.pd_sel_in0;
                 p_sel_rows_out = Metrics.get c_sel_out - p.pd_sel_out0;
                 p_compiled = List.rev p.pd_compiled;
@@ -1026,7 +972,7 @@ module Profile = struct
   let last ?session () = latest ?session (fun _ -> true)
   let find ~uid = latest (fun r -> r.p_uid = uid)
 
-  (* ----- JSON (schema "sheetscope-profile/v2") ----- *)
+  (* ----- JSON (schema "sheetscope-profile/v3") ----- *)
 
   let node_to_json n =
     Obs_json.Obj
@@ -1051,9 +997,6 @@ module Profile = struct
         ("alloc_bytes", Obs_json.Float r.p_alloc_bytes);
         ("cache", Obs_json.String r.p_cache);
         ("strategy", Obs_json.String r.p_strategy);
-        ("domains", Obs_json.Int r.p_domains);
-        ("morsels", Obs_json.Int r.p_morsels);
-        ("par_scans", Obs_json.Int r.p_par_scans);
         ("sel_rows_in", Obs_json.Int r.p_sel_rows_in);
         ("sel_rows_out", Obs_json.Int r.p_sel_rows_out);
         ("compiled",
@@ -1070,7 +1013,7 @@ module Profile = struct
 
   let to_json ?session () =
     Obs_json.Obj
-      [ ("schema", Obs_json.String "sheetscope-profile/v2");
+      [ ("schema", Obs_json.String "sheetscope-profile/v3");
         ("capacity", Obs_json.Int !capacity);
         ("dropped", Obs_json.Int (dropped ()));
         ("profiles",
@@ -1098,9 +1041,7 @@ module Profile = struct
            (if r.p_cache = "" then "-" else r.p_cache)
            (if r.p_strategy = "" then "-" else r.p_strategy));
     Buffer.add_string buf
-      (Printf.sprintf "\n  domains=%d morsels=%d scans=%d  sel %d -> %d"
-         r.p_domains r.p_morsels r.p_par_scans r.p_sel_rows_in
-         r.p_sel_rows_out);
+      (Printf.sprintf "\n  sel %d -> %d" r.p_sel_rows_in r.p_sel_rows_out);
     List.iter
       (fun pred -> Buffer.add_string buf ("\n  compiled: " ^ pred))
       r.p_compiled;

@@ -24,11 +24,11 @@
 
     Counters and histograms always count (sink or no sink) and are
     {e domain-safe} since v3: values live in per-domain sharded atomic
-    cells with exact merge-on-read, so concurrent totals equal a
-    single-writer run exactly, and the event ring behind [emit] is
-    mutex-protected. Span {e nesting} state ([span]/[finish]) remains
-    single-writer — the session's driving thread opens and closes
-    spans; worker domains record completed work via {!emit}. *)
+    cells with exact merge-on-read, so the totals of concurrent
+    writers (Sheetserve's handler threads) equal a single-writer run
+    exactly, and the event ring is mutex-protected. Span {e nesting}
+    state ([span]/[finish]) is single-writer — only the thread driving
+    a session opens and closes spans. *)
 
 (** {1 Clock} *)
 
@@ -97,29 +97,6 @@ val with_span :
 (** Bracket a thunk; the span is closed on exceptions too. [rows_out]
     reads the output cardinality off the thunk's result (a raising
     thunk's span carries none). *)
-
-val current_depth : unit -> int
-(** The driving thread's current span-nesting depth — captured before
-    a parallel fan-out and passed to {!emit} so worker events nest
-    under the span that spawned them. *)
-
-val emit :
-  ?uid:int ->
-  ?kind:string ->
-  ?rows_in:int ->
-  ?rows_out:int ->
-  ?depth:int ->
-  start_ns:int ->
-  dur_ns:int ->
-  string ->
-  unit
-(** Record an already-completed span from a timing taken elsewhere
-    ([start_ns] is an absolute {!now_ns} reading). Safe from any
-    domain — the ring is mutex-protected — so morsel workers
-    ({!Sheet_rel.Par}) record their own morsels live. [depth]
-    defaults to the calling thread's current nesting depth; parallel
-    callers pass the coordinator's depth captured before the
-    fan-out. No-op when the sink is [Off]. *)
 
 val open_spans : unit -> int
 (** Number of spans opened but not yet finished. 0 after any balanced
@@ -205,10 +182,6 @@ module Metrics : sig
       directly by its labeled variants — deterministic and stable
       under label admission order. *)
 
-  val counters_snapshot : unit -> (string * int) list
-  (** Counters only (no gauges), in {!snapshot} order — the
-      domain-count identity gates compare these across runs. *)
-
   val reset : unit -> unit
   (** Zero every registered metric (registrations survive). *)
 
@@ -276,8 +249,7 @@ module Histogram : sig
 
   val counts_snapshot : unit -> (string * int) list
   (** (name, exact sample count) for every registered histogram, in
-      {!snapshots} order — the duration-free slice the domain-count
-      identity gates compare across runs. *)
+      {!snapshots} order — the duration-free slice. *)
 
   val series_of_base : string -> h list
   (** Every registered series of one family — the base histogram plus
@@ -301,10 +273,6 @@ val h_plan_node_prefix : string
 (** ["plan.node."] — the plan executor appends the node kind. *)
 
 val h_sql_run : string
-
-val h_par_morsel : string
-(** One sample per morsel executed by a parallel scan region —
-    recorded live by the executing domain. *)
 
 (** {2 Well-known metric names}
 
@@ -341,15 +309,13 @@ val k_sql_translations : string
 val k_sql_inverse_translations : string
 val k_sql_executions : string
 
-val k_par_domains : string
-(** Gauge: resolved domain count of the most recent parallel region. *)
-
 val k_par_morsels : string
-(** Counter: morsels executed (1 per sequential region) — since v3
-    ticked live by the executing domain. *)
 
 val k_par_scans : string
-(** Counter: scan regions that split into more than one morsel. *)
+(** ["par.morsels"] and ["par.scans"]: names of counters that are
+    neither registered nor fed, since scans run in one pass on the
+    calling domain; {!Metrics.value_of} reads them as 0. Kept for the
+    readers that still ask for them. *)
 
 val k_col_columns : string
 (** Counter: columns materialized by [Columnar.of_rows]. *)
@@ -395,24 +361,21 @@ val sample_gc_gauges : unit -> unit
     breakdown (wall time, rows in/out, allocation deltas from
     [Gc.allocated_bytes]), and {e path attribution} — which filter
     predicates ran as compiled selection vectors and which fell back
-    to the row path (naming the non-total subtree), plus the
-    morsel/domain shape of the parallel scans underneath ([par.*] /
-    [columnar.sel_rows_*] counter deltas over the region). Session and
-    engine events — ["op"], ["op-rejected"], ["undo"], ["redo"],
-    ["cache-eviction"], ["sql-translation"], ["env-warning"] — commit
-    node-less records into the same ring ({!Profile.event}), so the
-    flight recorder (`flightrec` in the REPL, `\flightrec` in
-    sheetsql, the [F] pane in the TUI) is {!Profile.render}, a view
-    over it.
+    to the row path (naming the non-total subtree), plus the rows in
+    and out of the selection vectors ([columnar.sel_rows_*] counter
+    deltas over the region). Session and engine events — ["op"],
+    ["op-rejected"], ["undo"], ["redo"], ["cache-eviction"],
+    ["sql-translation"] — commit node-less records into the same ring
+    ({!Profile.event}), so the flight recorder (`flightrec` in the
+    REPL, `\flightrec` in sheetsql, the [F] pane in the TUI) is
+    {!Profile.render}, a view over it.
 
     Collection is always on, independent of the span sink, bounded at
     512 records with a drop counter. The region stack is
     {e single-writer} like span nesting: only the session's driving
-    thread calls {!Profile.enter}/{!Profile.commit}/[note_*]; worker
-    domains contribute only through the sharded counters whose deltas
-    the region snapshots, so records are exact under parallelism and
-    identical (modulo timings/allocations/commit times/domain count)
-    across domain counts — asserted by the doctor gate. *)
+    thread calls {!Profile.enter}/{!Profile.commit}/[note_*]; the
+    counter deltas a region records are read from the sharded
+    counters at its boundaries. *)
 
 module Profile : sig
   type node = {
@@ -437,7 +400,8 @@ module Profile : sig
             materialization record; otherwise the event kind *)
     p_label : string;
         (** what the event describes; for a subsumed cache hit, the
-            subsuming sheet and the proof *)
+            subsuming sheet and the proof when that sheet is of the
+            same uid arena *)
     p_rows_out : int;  (** -1 when the region failed, and for events *)
     p_total_ns : int;  (** -1 for an event of unknown duration *)
     p_alloc_bytes : float;
@@ -445,9 +409,6 @@ module Profile : sig
         (** ["exact"] | ["subsumed"] | ["miss"] | ["seed"] | [""] *)
     p_strategy : string;
         (** ["full-replay"] | ["incremental"] | [""] *)
-    p_domains : int;
-    p_morsels : int;  (** [par.morsels] delta over the region *)
-    p_par_scans : int;  (** [par.scans] delta over the region *)
     p_sel_rows_in : int;
         (** [columnar.sel_rows_in] delta over the region *)
     p_sel_rows_out : int;
@@ -538,7 +499,7 @@ module Profile : sig
   val record_to_json : t -> Obs_json.t
 
   val to_json : ?session:string -> unit -> Obs_json.t
-  (** ["sheetscope-profile/v2"]: capacity, dropped count and the
+  (** ["sheetscope-profile/v3"]: capacity, dropped count and the
       record list ([session] filters as in {!records}) — also
       embedded in the Chrome-trace [otherData]. *)
 
@@ -615,7 +576,7 @@ end
 val to_chrome_trace : event list -> Obs_json.t
 (** [trace_event]-format JSON ("ph": "X" complete events, microsecond
     timestamps) with the current metrics, histogram, SLO and
-    ["sheetscope-profile/v2"] snapshots under [otherData]. *)
+    ["sheetscope-profile/v3"] snapshots under [otherData]. *)
 
 val chrome_trace_string : unit -> string
 (** {!to_chrome_trace} of the current [Memory] ring, pretty-printed. *)

@@ -350,15 +350,24 @@ let rec instantiate cap (e : t) : buf =
 
 let chunk = 1024
 
-(* Evaluate ids [sel.(lo)], ..., [sel.(hi - 1)] in chunks, writing
-   each cell at its id in [out]; the ids of null cells. *)
-let fill e (out : Column.repr) sel lo hi =
-  let root = instantiate (min chunk (hi - lo)) e in
-  let nulls = Vec.create () in
-  let off = ref lo in
-  while !off < hi do
+(* Evaluate ids [sel.(0)], ..., [sel.(n - 1)] in chunks, writing each
+   cell at its id in [out] and clearing the validity bit of each null
+   cell as it is found; [None] when no cell is null. *)
+let fill e (out : Column.repr) ~size sel =
+  let n = Array.length sel in
+  let root = instantiate (min chunk n) e in
+  let bits = lazy (Bytes.make ((size + 7) / 8) '\xff') in
+  let clear id =
+    let b = Lazy.force bits in
+    Bytes.unsafe_set b (id lsr 3)
+      (Char.unsafe_chr
+         (Char.code (Bytes.unsafe_get b (id lsr 3))
+         land lnot (1 lsl (id land 7))))
+  in
+  let off = ref 0 in
+  while !off < n do
     let off0 = !off in
-    let len = min chunk (hi - off0) in
+    let len = min chunk (n - off0) in
     root.run sel off0 len;
     (match out with
     | Column.Floats dst ->
@@ -375,11 +384,11 @@ let fill e (out : Column.repr) sel lo hi =
         invalid_arg "Col_expr.fill");
     for k = 0 to len - 1 do
       if Bytes.unsafe_get root.valid k = '\000' then
-        Vec.push nulls (Array.unsafe_get sel (off0 + k))
+        clear (Array.unsafe_get sel (off0 + k))
     done;
     off := off0 + len
   done;
-  Vec.to_array nulls
+  if Lazy.is_val bits then Some (Lazy.force bits) else None
 
 let eval e ~size sel =
   let repr =
@@ -388,21 +397,5 @@ let eval e ~size sel =
     | Int -> Column.Ints (Array.make size 0)
     | Date -> Column.Dates (Array.make size 0)
   in
-  (* morsels write disjoint ids of the value array; the bitmap shares
-     bytes between ids, so null bits are cleared after the join *)
-  let nulls = Par.run ~n:(Array.length sel) (fill e repr sel) in
-  let validity =
-    if Array.for_all (fun a -> Array.length a = 0) nulls then None
-    else begin
-      let bits = Bytes.make ((size + 7) / 8) '\xff' in
-      Array.iter
-        (Array.iter (fun id ->
-             Bytes.unsafe_set bits (id lsr 3)
-               (Char.unsafe_chr
-                  (Char.code (Bytes.unsafe_get bits (id lsr 3))
-                  land lnot (1 lsl (id land 7))))))
-        nulls;
-      Some bits
-    end
-  in
+  let validity = fill e repr ~size sel in
   { Column.repr; validity }

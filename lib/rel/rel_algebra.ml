@@ -39,14 +39,13 @@ let compile r e = compile_batch (Relation.schema r) (Relation.batch r) e
 
 (* ---------- selection ----------
 
-   Two strategies over the selection vector, each morsel-parallel
-   (one sequential morsel below the Par threshold):
+   Two strategies, each one pass over the selection vector:
 
    1. Columnar: when every column the predicate reads is a base
       column, the base has a (lazily built, memoized) Sheetcol image
-      and the predicate compiles (Col_pred), each morsel filters its
-      slice of the vector through the compiled chain — no Value
-      boxing, no per-row name resolution.
+      and the predicate compiles (Col_pred), a copy of the vector
+      goes through the compiled chain — no Value boxing, no per-row
+      name resolution.
    2. Row: otherwise each handle goes through the compiled expression
       ({!Expr_eval.compile_pred}); the first failing row in
       vector order raises. *)
@@ -125,39 +124,31 @@ let compile_columnar schema (b : Relation.batch) preds =
       preds;
   compiled
 
-(* Run compiled selection-vector filters [fs] over [b]'s vector. *)
+(* Run compiled selection-vector filters [fs] over [b]'s vector in one
+   pass. The filters work in place, and [b]'s vector may be shared
+   (a cached parent's batch), so they run over a copy. *)
 let run_compiled (b : Relation.batch) fs =
-  let sel = b.sel in
+  let sel = Array.copy b.sel in
   let n = Array.length sel in
   Obs.Metrics.incr ~by:n c_sel_in;
-  let out =
-    Par.concat
-      (Par.run ~n (fun lo hi ->
-           let m = hi - lo in
-           let slice = Array.sub sel lo m in
-           let k = List.fold_left (fun k f -> f slice k) m fs in
-           if k = m then slice else Array.sub slice 0 k))
-  in
-  Obs.Metrics.incr ~by:(Array.length out) c_sel_out;
-  { b with sel = out }
+  let k = List.fold_left (fun k f -> f sel k) n fs in
+  Obs.Metrics.incr ~by:k c_sel_out;
+  { b with sel = (if k = n then sel else Array.sub sel 0 k) }
 
 let filter_rows schema (b : Relation.batch) pred =
   let keep = Expr_eval.compile_pred ~column:(resolve schema b) pred in
   let sel = b.sel in
-  { b with
-    sel =
-      Par.concat
-        (Par.run ~n:(Array.length sel) (fun lo hi ->
-             let buf = Array.make (hi - lo) 0 in
-             let k = ref 0 in
-             for i = lo to hi - 1 do
-               let id = Array.unsafe_get sel i in
-               if keep id then begin
-                 Array.unsafe_set buf !k id;
-                 incr k
-               end
-             done;
-             if !k = hi - lo then buf else Array.sub buf 0 !k)) }
+  let n = Array.length sel in
+  let buf = Array.make n 0 in
+  let k = ref 0 in
+  for i = 0 to n - 1 do
+    let id = Array.unsafe_get sel i in
+    if keep id then begin
+      Array.unsafe_set buf !k id;
+      incr k
+    end
+  done;
+  { b with sel = (if !k = n then buf else Array.sub buf 0 !k) }
 
 let select_path pred (r : Relation.t) =
   let schema = Relation.schema r in
@@ -190,10 +181,10 @@ let project names (r : Relation.t) =
           (List.map (fun name -> b.cols.(Schema.index_exn rschema name)) names)
     }
 
-(* The new column's cells are written at their base row ids, one
-   morsel of the vector per worker: by the typed kernel when the
-   expression compiles over typed columns, else per row handle into a
-   boxed column. *)
+(* The new column's cells are written at their base row ids, in one
+   pass over the vector: by the typed kernel when the expression
+   compiles over typed columns, else per row handle into a boxed
+   column. *)
 let extend_path (column : Schema.column) e (r : Relation.t) =
   let rschema = Relation.schema r in
   let schema = Schema.append rschema column in
@@ -213,12 +204,7 @@ let extend_path (column : Schema.column) e (r : Relation.t) =
                    Col_expr.diagnose ~column:typed e));
         let value = compile_batch rschema b e in
         let cells = Array.make size Value.Null in
-        ignore
-          (Par.run ~n:(Array.length sel) (fun lo hi ->
-               for i = lo to hi - 1 do
-                 let id = Array.unsafe_get sel i in
-                 Array.unsafe_set cells id (value id)
-               done));
+        Array.iter (fun id -> Array.unsafe_set cells id (value id)) sel;
         ({ Column.repr = Column.Boxed cells; validity = None }, `Row)
   in
   ( Relation.of_batch schema

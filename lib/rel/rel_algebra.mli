@@ -19,11 +19,13 @@ exception Algebra_error of string
 
 val select : Expr.t -> Relation.t -> Relation.t
 (** [σ_r]: keep rows satisfying the (aggregate-free) predicate.
-    Runs columnar (compiled selection-vector filters, morsel-parallel)
-    when every column the predicate reads is typed — a base column of
-    the base's Sheetcol image, or a typed computed column — and the
-    predicate compiles; otherwise through the compiled expression,
-    which is observationally identical.
+    Runs columnar (compiled selection-vector filters over a copy of
+    the input's vector) when every column the predicate reads is
+    typed — a base column of the base's Sheetcol image, or a typed
+    computed column — and the predicate compiles; otherwise through
+    the compiled expression, which is observationally identical.
+    Either way one pass on the calling domain; the input's vector is
+    never written.
     @raise Algebra_error on an ill-typed predicate, before reading a
     row. *)
 
@@ -52,9 +54,8 @@ val project : string list -> Relation.t -> Relation.t
     NOT eliminated (multiset semantics). Edits the column map only. *)
 
 val extend : Schema.column -> Expr.t -> Relation.t -> Relation.t
-(** Append a column computed by the expression on every row
-    (morsel-parallel), a [Relation.Computed] column indexed by base
-    row id. When the expression compiles over typed columns
+(** Append a column computed by the expression on every row, a
+    [Relation.Computed] column indexed by base row id. When the expression compiles over typed columns
     ({!Col_expr}) the typed kernel writes an [Ints], [Floats] or
     [Dates] column; otherwise each row handle goes through the
     compiled expression into a [Boxed] column. The cells are the same

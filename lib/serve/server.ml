@@ -17,7 +17,8 @@ type session_state = {
   client : string;
   arena : int;
   labels : Obs.Labels.t;
-  mutable sess : Session.t option;  (* None until [open] *)
+  mutable sess : Session.t option;
+      (* None until [open]; written only under the engine lock *)
   mutable window_start : float;
   mutable window_ops : int;
 }
@@ -78,8 +79,10 @@ let busy t reason =
   Protocol.Refused { busy = true; reason }
 
 (* All engine-visible effects of a request — ambient labels, uid
-   arena, apply, materialize — are one critical section, keeping the
-   process's single-writer telemetry invariants intact. *)
+   arena, apply, materialize, and the read and write of the session's
+   current state — are one critical section, keeping the process's
+   single-writer telemetry invariants intact and losing no step when
+   two connections drive one session. *)
 let with_engine t (st : session_state) f =
   with_lock t.engine_mutex (fun () ->
       Obs.set_ambient_labels st.labels;
@@ -143,11 +146,12 @@ let open_base t (st : session_state) base =
   match t.cfg.lookup base with
   | None -> refused (Printf.sprintf "unknown base %S" base)
   | Some rel ->
-      let sess =
-        with_engine t st (fun () -> Session.create ~name:base rel)
+      let sheet =
+        with_engine t st (fun () ->
+            let sess = Session.create ~name:base rel in
+            st.sess <- Some sess;
+            Session.current sess)
       in
-      st.sess <- Some sess;
-      let sheet = Session.current sess in
       Protocol.Opened
         {
           base;
@@ -155,7 +159,7 @@ let open_base t (st : session_state) base =
           rows = Relation.cardinality rel;
         }
 
-let run_line t (st : session_state) sess text =
+let run_line t (st : session_state) text =
   match Script.reach text with
   | Script.Host_files ->
       refused "commands that read or write files do not run on a server"
@@ -164,25 +168,42 @@ let run_line t (st : session_state) sess text =
         "commands that change telemetry for every session do not run on a \
          server"
   | Script.Sheet_only -> (
-      match with_engine t st (fun () -> Script.run_line sess text) with
+      let applied =
+        with_engine t st (fun () ->
+            match st.sess with
+            | None -> Error "open required before line"
+            | Some sess ->
+                let r = Script.run_line sess text in
+                Result.iter (fun o -> st.sess <- Some o.Script.session) r;
+                r)
+      in
+      match applied with
       | Error msg -> refused msg
       | Ok { Script.session; output } ->
-          st.sess <- Some session;
           with_lock t.table_mutex (fun () -> t.ops <- t.ops + 1);
           Obs.Metrics.incr (Lazy.force m_ops);
           let sheet = Session.current session in
           Protocol.Applied { uid = sheet.Spreadsheet.uid; output })
 
-let rows_of t (st : session_state) sess =
-  let sheet = Session.current sess in
-  let p = with_engine t st (fun () -> Render.page sheet) in
-  Protocol.Table
-    {
-      uid = sheet.Spreadsheet.uid;
-      columns =
-        List.map (fun c -> (c.Render.name, c.Render.ty)) p.Render.columns;
-      rows = Array.to_list (Array.map Row.to_list p.Render.rows);
-    }
+let rows_of t (st : session_state) =
+  let page =
+    with_engine t st (fun () ->
+        Option.map
+          (fun sess ->
+            let sheet = Session.current sess in
+            (sheet, Render.page sheet))
+          st.sess)
+  in
+  match page with
+  | None -> refused "open required before rows"
+  | Some (sheet, p) ->
+      Protocol.Table
+        {
+          uid = sheet.Spreadsheet.uid;
+          columns =
+            List.map (fun c -> (c.Render.name, c.Render.ty)) p.Render.columns;
+          rows = Array.to_list (Array.map Row.to_list p.Render.rows);
+        }
 
 let stats t =
   with_lock t.table_mutex (fun () ->
@@ -219,18 +240,17 @@ let handle_request t conn req =
       match bound_session t conn with
       | None -> refused "hello required before line"
       | Some st -> (
+          (* a session, once opened, stays open: this check needs no
+             engine lock *)
           match st.sess with
           | None -> refused "open required before line"
-          | Some sess ->
-              if rate_admit t st then run_line t st sess text
+          | Some _ ->
+              if rate_admit t st then run_line t st text
               else busy t "rate limit exceeded"))
   | Protocol.Rows -> (
       match bound_session t conn with
       | None -> refused "hello required before rows"
-      | Some st -> (
-          match st.sess with
-          | None -> refused "open required before rows"
-          | Some sess -> rows_of t st sess))
+      | Some st -> rows_of t st)
 
 let handle t conn line =
   let req = Protocol.decode_request line in

@@ -14,16 +14,19 @@
       admission counters, and per-session rate windows;
     - the {e engine lock} serializes everything that touches the
       single-writer parts of the process — ambient telemetry labels,
-      span/profile nesting, uid-arena selection, operator application
-      and materialization. Handler threads overlap freely on socket
-      I/O and protocol work; engine work is one-at-a-time, and each
-      query still fans out over domains internally ([Par.run]), which
-      is where the parallelism the paper cares about lives.
+      span/profile nesting, uid-arena selection, operator application,
+      materialization, and each session's current state. Handler
+      threads overlap freely on socket I/O and protocol work; engine
+      work is one-at-a-time, and a query runs its scans in one pass
+      on the thread that holds the lock.
 
     Holding the engine lock across [set_ambient_labels]+apply+
     materialize is what makes per-session labeled series, profiles and
     the shared semantic cache exact under load: every observable
-    engine effect of a request is one critical section.
+    engine effect of a request is one critical section. The session's
+    state is read and written inside that same section, so two
+    connections bound to one client (a second [hello] re-attaches)
+    never lose each other's steps.
 
     {2 Sessions and determinism}
 

@@ -279,107 +279,6 @@ let compiled_vs_row =
       | None -> QCheck.assume_fail () (* did not compile: nothing to pin *)
       | Some got -> List.equal Row.equal expected (Array.to_list got))
 
-(* ---------- parallel determinism ---------- *)
-
-let with_par_config ~domains ~threshold ~morsel f =
-  Par.set_domain_count domains;
-  Par.set_parallel_threshold threshold;
-  Par.set_morsel_rows morsel;
-  Fun.protect
-    ~finally:(fun () ->
-      Par.set_domain_count 1;
-      Par.set_parallel_threshold Par.default_parallel_threshold;
-      Par.set_morsel_rows Par.default_morsel_rows)
-    f
-
-let test_parallel_determinism () =
-  let r = Sample_cars.scaled ~rows:20_000 ~seed:3 in
-  ignore (Relation.columnar_view r);
-  let pred =
-    Expr.(
-      And
-        ( Cmp (Lt, Col "Price", Const (Value.Int 25000)),
-          Cmp (Ge, Col "Year", Const (Value.Int 2002)) ))
-  in
-  let seq =
-    with_par_config ~domains:1 ~threshold:1_000_000 ~morsel:8192 (fun () ->
-        Rel_algebra.select pred r)
-  in
-  let par =
-    with_par_config ~domains:4 ~threshold:64 ~morsel:512 (fun () ->
-        Rel_algebra.select pred r)
-  in
-  Alcotest.(check bool)
-    "identical row order under 4 domains" true
-    (List.equal Row.equal (Relation.rows seq) (Relation.rows par))
-
-let test_parallel_error_is_sequential_first () =
-  (* the first failing row in sequential order must be the one
-     reported even when later morsels also fail *)
-  let n = 10_000 in
-  let exception Boom of int in
-  let run () =
-    Par.run ~n (fun lo hi ->
-        for i = lo to hi - 1 do
-          if i >= 5_000 then raise (Boom i)
-        done;
-        hi - lo)
-  in
-  with_par_config ~domains:4 ~threshold:64 ~morsel:256 (fun () ->
-      match run () with
-      | _ -> Alcotest.fail "expected Boom"
-      | exception Boom i ->
-          Alcotest.(check int) "lowest failing morsel wins" 5_000 i)
-
-(* Scans from two systhreads at once, each of whose morsels runs a
-   scan of its own: whoever finds the worker pool taken drains its
-   morsels alone, so every caller gets the sequential result and none
-   waits on another. *)
-let test_par_concurrent_and_nested () =
-  let n = 6_000 in
-  let scan () =
-    Par.concat
-      (Par.run ~n (fun lo hi ->
-           (* a nested scan over four cells per row, summed back *)
-           let inner =
-             Par.concat
-               (Par.run ~n:(4 * (hi - lo)) (fun a b ->
-                    Array.init (b - a) (fun k -> lo + ((a + k) / 4))))
-           in
-           Array.init (hi - lo) (fun k ->
-               inner.(4 * k) + inner.((4 * k) + 1) + inner.((4 * k) + 2)
-               + inner.((4 * k) + 3))))
-  in
-  let want = Array.init n (fun i -> 4 * i) in
-  with_par_config ~domains:4 ~threshold:64 ~morsel:256 (fun () ->
-      let results = Array.make 2 [] in
-      let threads =
-        List.init 2 (fun t ->
-            Thread.create
-              (fun () -> results.(t) <- List.init 30 (fun _ -> scan ()))
-              ())
-      in
-      List.iter Thread.join threads;
-      Array.iteri
-        (fun t runs ->
-          Alcotest.(check bool)
-            (Printf.sprintf "thread %d: every scan bit-identical" t)
-            true
-            (List.length runs = 30 && List.for_all (( = ) want) runs))
-        results;
-      Alcotest.(check bool) "the pool serves the next caller" true
-        (scan () = want))
-
-let test_par_concat () =
-  Alcotest.(check (array int)) "empty" [||] (Par.concat [||]);
-  let one = [| 1; 2 |] in
-  Alcotest.(check bool)
-    "single chunk zero-copy" true
-    (Par.concat [| one |] == one);
-  Alcotest.(check (array int))
-    "merge order" [| 1; 2; 3; 4 |]
-    (Par.concat [| [| 1 |]; [||]; [| 2; 3 |]; [| 4 |] |])
-
 (* ---------- observability ---------- *)
 
 module Obs = Sheet_obs.Obs
@@ -403,68 +302,20 @@ let test_columnar_metrics () =
   Alcotest.(check int)
     "sel rows out" (Relation.cardinality sel) (out1 - out0)
 
+(* Scans run in one pass and feed no [par.*] series: the two names
+   stay for readers that still ask for them, unregistered, reading
+   0 after a scan *)
 let test_par_metrics () =
-  let m0 = Obs.Metrics.value_of Obs.k_par_morsels in
-  let s0 = Obs.Metrics.value_of Obs.k_par_scans in
-  with_par_config ~domains:4 ~threshold:64 ~morsel:512 (fun () ->
-      ignore (Par.run ~n:4_096 (fun lo hi -> hi - lo)));
-  let m1 = Obs.Metrics.value_of Obs.k_par_morsels in
-  let s1 = Obs.Metrics.value_of Obs.k_par_scans in
-  Alcotest.(check int) "8 morsels" 8 (m1 - m0);
-  Alcotest.(check int) "1 parallel scan" 1 (s1 - s0);
-  Alcotest.(check int)
-    "domain gauge" 4
-    (Obs.Metrics.value_of Obs.k_par_domains)
-
-(* morselization depends only on (n, threshold, morsel_rows), never on
-   the domain count — the invariant the @par identity gate rests on *)
-let test_morselization_domain_independent () =
-  let count ~domains =
-    let m0 = Obs.Metrics.value_of Obs.k_par_morsels in
-    with_par_config ~domains ~threshold:64 ~morsel:512 (fun () ->
-        ignore (Par.run ~n:4_096 (fun lo hi -> hi - lo)));
-    Obs.Metrics.value_of Obs.k_par_morsels - m0
-  in
-  Alcotest.(check int) "8 morsels on 1 domain" 8 (count ~domains:1);
-  Alcotest.(check int) "8 morsels on 4 domains" 8 (count ~domains:4)
-
-(* since v3 workers record their own morsel spans live through the
-   mutex-protected ring — one completed event per morsel, and the
-   coordinator's span bookkeeping stays balanced *)
-let test_workers_record_spans_live () =
-  let old_sink = Obs.sink () in
-  Obs.set_sink Obs.Memory;
-  Fun.protect
-    ~finally:(fun () ->
-      Obs.clear_events ();
-      Obs.set_sink old_sink)
-  @@ fun () ->
-  Obs.clear_events ();
-  let m0 = Obs.Metrics.value_of Obs.k_par_morsels in
-  with_par_config ~domains:4 ~threshold:64 ~morsel:512 (fun () ->
-      Obs.with_span "scan-host" (fun () ->
-          ignore (Par.run ~n:4_096 (fun lo hi -> hi - lo))));
-  let morsels = Obs.Metrics.value_of Obs.k_par_morsels - m0 in
-  let events = Obs.events () in
-  let morsel_events =
-    List.filter (fun (e : Obs.event) -> e.Obs.kind = "morsel") events
-  in
-  Alcotest.(check int)
-    "one live event per morsel" morsels
-    (List.length morsel_events);
+  let r = Sample_cars.scaled ~rows:40_000 ~seed:5 in
+  ignore (Relation.columnar_view r);
+  ignore
+    (Rel_algebra.select Expr.(Cmp (Lt, Col "Price", Const (Value.Int 15000))) r);
+  let names = List.map fst (Obs.Metrics.snapshot ()) in
   List.iter
-    (fun (e : Obs.event) ->
-      Alcotest.(check string) "morsel span name" "par.morsel" e.Obs.name;
-      Alcotest.(check int) "nests under the host span" 1 e.Obs.depth;
-      Alcotest.(check bool) "covers real rows" true (e.Obs.rows_in > 0))
-    morsel_events;
-  Alcotest.(check int)
-    "rows covered exactly once" 4_096
-    (List.fold_left
-       (fun acc (e : Obs.event) -> acc + e.Obs.rows_in)
-       0 morsel_events);
-  Alcotest.(check int) "spans balanced" 0 (Obs.open_spans ());
-  Alcotest.(check bool) "nesting clean" true (Obs.nesting_ok ())
+    (fun k ->
+      Alcotest.(check bool) (k ^ " unregistered") false (List.mem k names);
+      Alcotest.(check int) (k ^ " reads 0") 0 (Obs.Metrics.value_of k))
+    [ Obs.k_par_scans; Obs.k_par_morsels ]
 
 (* ---------- memoization ---------- *)
 
@@ -529,20 +380,9 @@ let () =
           Alcotest.test_case "ragged relation" `Quick
             test_ragged_relation_has_no_view ] );
       ("predicates", [ q compiled_vs_row ]);
-      ( "parallel",
-        [ Alcotest.test_case "determinism" `Quick test_parallel_determinism;
-          Alcotest.test_case "first error wins" `Quick
-            test_parallel_error_is_sequential_first;
-          Alcotest.test_case "concat" `Quick test_par_concat;
-          Alcotest.test_case "concurrent and nested callers" `Quick
-            test_par_concurrent_and_nested ] );
       ( "observability",
         [ Alcotest.test_case "columnar metrics" `Quick test_columnar_metrics;
-          Alcotest.test_case "par metrics" `Quick test_par_metrics;
-          Alcotest.test_case "morselization ignores domain count" `Quick
-            test_morselization_domain_independent;
-          Alcotest.test_case "workers record morsel spans live" `Quick
-            test_workers_record_spans_live ] );
+          Alcotest.test_case "par metrics" `Quick test_par_metrics ] );
       ( "memoization",
         [ Alcotest.test_case "hot heuristic" `Quick test_hot_heuristic;
           Alcotest.test_case "hot min rows" `Quick test_hot_min_rows;

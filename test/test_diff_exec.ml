@@ -635,12 +635,6 @@ let test_diff_10k () =
     (List.equal Row.equal expected (Relation.rows d))
 
 let () =
-  (* Force the battery through the morsel-parallel columnar paths:
-     several domains and small-enough cutoffs that even the 40-row
-     random relations split into multiple morsels. *)
-  Par.set_domain_count 4;
-  Par.set_parallel_threshold 16;
-  Par.set_morsel_rows 32;
   let suite name tests =
     (name, List.map (QCheck_alcotest.to_alcotest ~long:false) tests)
   in

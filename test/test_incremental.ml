@@ -101,6 +101,37 @@ let test_selection_derivation () =
   (* whereas a HAVING-style selection on the aggregate is derivable *)
   ignore (check_derivation s (Op.Select (parse "Avg_Price > 14000")))
 
+(* Two selections derived from one cached, batch-backed parent — one
+   on the compiled path, which filters a vector in place, and one on
+   the row path — leave the parent's selection vector as it was, and
+   each child is the oracle's answer, rows and order. *)
+let test_selections_share_parent_vector () =
+  let base = Sample_cars.scaled ~rows:2_000 ~seed:11 in
+  ignore (Relation.columnar_view base);
+  let parent =
+    apply_exn
+      (Spreadsheet.of_relation ~name:"cars" base)
+      (Op.Select (parse "Year >= 2002"))
+  in
+  let parent_rel = Materialize.full_cached parent in
+  let sel0 = Array.copy (Relation.batch parent_rel).Relation.sel in
+  List.iter
+    (fun (text, path) ->
+      let pred = parse text in
+      Alcotest.(check bool) (text ^ " takes the expected path") true
+        (snd (Rel_algebra.select_path pred parent_rel) = path);
+      let op = Op.Select pred in
+      let child = apply_exn parent op in
+      match Incremental.derive ~parent ~op ~child with
+      | None -> Alcotest.failf "%s was not derived" text
+      | Some derived ->
+          Alcotest.(check bool) (text ^ ": parent vector unchanged") true
+            ((Relation.batch (Materialize.full_cached parent)).Relation.sel
+             = sel0);
+          Alcotest.(check bool) (text ^ ": derived == oracle") true
+            (Oracle.same_rows_in_order derived (Oracle.materialize child)))
+    [ ("Price < 20000", `Columnar); ("Price * 2 < 40000", `Row) ]
+
 let test_computed_derivation () =
   let s =
     apply_seq (cars ())
@@ -227,6 +258,8 @@ let () =
             test_organization_derivation;
           Alcotest.test_case "selection strata" `Quick
             test_selection_derivation;
+          Alcotest.test_case "selections share the parent's vector" `Quick
+            test_selections_share_parent_vector;
           Alcotest.test_case "order-groups resort" `Quick
             test_order_groups_derivation;
           Alcotest.test_case "computed columns" `Quick

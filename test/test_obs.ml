@@ -571,7 +571,7 @@ let flightrec_json_round_trip () =
   P.event ~uid:9 ~kind:"cache-eviction" "oldest half";
   let j = P.to_json () in
   (match J.member "schema" j with
-  | Some (J.String "sheetscope-profile/v2") -> ()
+  | Some (J.String "sheetscope-profile/v3") -> ()
   | _ -> Alcotest.fail "missing schema tag");
   (match J.member "profiles" j with
   | Some (J.List l) -> Alcotest.(check int) "3 records" 3 (List.length l)
@@ -831,8 +831,8 @@ let json_parse_errors () =
    histogram concurrently; the merged totals must equal the
    single-writer arithmetic exactly — no lost increments, whatever
    the interleaving. Run under both sinks: Off (the common case) and
-   Memory (workers additionally emit span events through the
-   mutex-protected ring). *)
+   Memory, where the workers also commit event records to the
+   mutex-protected profile ring and none may be lost. *)
 let sharded_hammer sink () =
   with_sink sink @@ fun () ->
   Obs.clear_events ();
@@ -840,16 +840,16 @@ let sharded_hammer sink () =
   let h = H.histogram "test.hammer" in
   Obs.Metrics.reset ();
   H.reset ();
+  P.clear ();
   let n = 50_000 in
-  let emits = 1_000 in
+  let emits = if sink = Obs.Memory then 100 else 0 in
   let work () =
     for i = 1 to n do
       Obs.Metrics.incr c;
       H.record h (i land 1023)
     done;
     for _ = 1 to emits do
-      let t = Obs.now_ns () in
-      Obs.emit ~kind:"hammer" ~depth:1 ~start_ns:t ~dur_ns:10 "test.emit"
+      P.event ~kind:"hammer" "test.event"
     done
   in
   let workers = Array.init 3 (fun _ -> Domain.spawn work) in
@@ -866,13 +866,11 @@ let sharded_hammer sink () =
   Alcotest.(check int) "histogram count exact" (4 * n) (H.count h);
   Alcotest.(check int) "histogram sum exact" expected_sum (sum_ns h);
   Alcotest.(check int) "histogram max exact" 1023 (max_ns h);
-  (match sink with
-  | Obs.Memory ->
-      Alcotest.(check int) "all emitted events kept" (4 * emits)
-        (List.length (Obs.events ()));
-      Alcotest.(check int) "nothing dropped" 0 (Obs.dropped ())
-  | _ -> Alcotest.(check int) "off sink keeps no events" 0
-           (List.length (Obs.events ())));
+  Alcotest.(check int) "all event records kept" (4 * emits) (P.length ());
+  Alcotest.(check int) "nothing dropped" 0 (P.dropped ());
+  Alcotest.(check int) "metrics record no span events" 0
+    (List.length (Obs.events ()));
+  P.clear ();
   Obs.clear_events ();
   Obs.Metrics.reset ();
   H.reset ()
@@ -1061,47 +1059,6 @@ let slo_defaults_present () =
     [ "engine-apply-p99"; "materialize-full-p99"; "sql-run-p99";
       "engine-error-rate" ]
 
-(* ---------- env warnings ---------- *)
-
-let env_warn_once_domains () =
-  let module Par = Sheet_rel.Par in
-  Fun.protect
-    ~finally:(fun () ->
-      Unix.putenv "SHEETMUSIQ_DOMAINS" "1";
-      Par.set_domain_count 1;
-      P.clear ())
-  @@ fun () ->
-  let warnings () =
-    List.filter (fun r -> r.P.p_kind = "env-warning") (P.records ())
-  in
-  Unix.putenv "SHEETMUSIQ_DOMAINS" "0";
-  P.clear ();
-  Par.reset_domain_count_for_tests ();
-  let resolved = Par.domain_count () in
-  Alcotest.(check int) "fell back to recommended_domain_count"
-    (max 1 (Domain.recommended_domain_count ()))
-    resolved;
-  (match warnings () with
-  | [ w ] ->
-      Alcotest.(check bool) "names the variable" true
-        (contains w.P.p_label "SHEETMUSIQ_DOMAINS");
-      Alcotest.(check bool) "names the rejected value" true
-        (contains w.P.p_label "\"0\"")
-  | ws ->
-      Alcotest.fail
-        (Printf.sprintf "expected exactly 1 warning, got %d"
-           (List.length ws)));
-  (* warn-once: resolving again must not repeat the record *)
-  Par.reset_domain_count_for_tests ();
-  ignore (Par.domain_count ());
-  Alcotest.(check int) "still one warning" 1 (List.length (warnings ()));
-  (* a valid value resolves without warning *)
-  Unix.putenv "SHEETMUSIQ_DOMAINS" "3";
-  P.clear ();
-  Par.reset_domain_count_for_tests ();
-  Alcotest.(check int) "valid value applied" 3 (Par.domain_count ());
-  Alcotest.(check int) "no warning" 0 (List.length (warnings ()))
-
 (* ---------- deterministic series ordering ---------- *)
 
 let series_ordering_pinned () =
@@ -1270,7 +1227,7 @@ let profile_in_chrome_trace () =
           | Some block ->
               Alcotest.(check bool) "schema tagged" true
                 (J.member "schema" block
-                = Some (J.String "sheetscope-profile/v2"))
+                = Some (J.String "sheetscope-profile/v3"))
           | None -> Alcotest.fail "no profile block in otherData")));
   P.clear ();
   Obs.clear_events ()
@@ -1300,24 +1257,6 @@ let gc_gauges_sampled () =
           | None -> Alcotest.fail "no metrics in otherData")
       | None -> Alcotest.fail "no otherData")
   | Error msg -> Alcotest.fail msg);
-  Obs.clear_events ()
-
-(* ---------- emit depth ---------- *)
-
-let emit_depth_explicit () =
-  with_sink Obs.Memory @@ fun () ->
-  Obs.clear_events ();
-  let t = Obs.now_ns () in
-  Obs.emit ~depth:3 ~start_ns:t ~dur_ns:5 "explicit";
-  Obs.emit ~start_ns:t ~dur_ns:5 "implicit";
-  (match Obs.events () with
-  | [ a; b ] ->
-      Alcotest.(check int) "explicit depth honored" 3 a.Obs.depth;
-      Alcotest.(check int) "implicit depth is current nesting" 0 b.Obs.depth
-  | evs ->
-      Alcotest.fail
-        (Printf.sprintf "expected 2 events, got %d" (List.length evs)));
-  Alcotest.(check int) "current_depth at top level" 0 (Obs.current_depth ());
   Obs.clear_events ()
 
 let () =
@@ -1384,9 +1323,7 @@ let () =
        [ Alcotest.test_case "4-domain hammer exact, sink off" `Quick
            (sharded_hammer Obs.Off);
          Alcotest.test_case "4-domain hammer exact, sink memory" `Quick
-           (sharded_hammer Obs.Memory);
-         Alcotest.test_case "emit depth explicit vs ambient" `Quick
-           emit_depth_explicit ]);
+           (sharded_hammer Obs.Memory) ]);
       ("labels",
        [ Alcotest.test_case "normalization and series names" `Quick
            labels_normalize;
@@ -1403,9 +1340,6 @@ let () =
            `Quick slo_unit_from_def;
          Alcotest.test_case "shipped defaults declared" `Quick
            slo_defaults_present ]);
-      ("env",
-       [ Alcotest.test_case "SHEETMUSIQ_DOMAINS warns once" `Quick
-           env_warn_once_domains ]);
       ("ordering",
        [ Alcotest.test_case "series sorted by (base, labels)" `Quick
            series_ordering_pinned ]);

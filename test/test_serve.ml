@@ -285,6 +285,126 @@ let test_telemetry_per_session () =
   Alcotest.(check bool) "alice still sees her own" true
     (contains (output a "flightrec") "12345")
 
+(* ---------- one session, two connections ---------- *)
+
+(* A second connection may [hello] as a live client and then drives
+   the same session. Two threads, one per connection, each apply [n]
+   selections: every step must land in the session's history, none
+   overwritten by the other thread's stale state. Spans go to a Logs
+   reporter that yields, so each request hands the runtime to the
+   other thread in the middle of its engine work — where a request
+   that read the session before taking the engine lock would apply
+   its step to a stale state. *)
+let test_shared_session_no_lost_update () =
+  let module Obs = Sheet_obs.Obs in
+  let old_sink = Obs.sink () and old_reporter = Logs.reporter () in
+  Obs.set_sink Obs.Logs;
+  Logs.set_reporter
+    { Logs.report = (fun _ _ ~over k _ -> Thread.yield (); over (); k ()) };
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.set_sink old_sink;
+      Logs.set_reporter old_reporter)
+  @@ fun () ->
+  let server = Server.create (Server.config cars_lookup) in
+  let conn () =
+    let c = Server.connect server in
+    expect_welcome (Server.handle_request server c (Protocol.Hello "shared"));
+    c
+  in
+  let a = conn () and b = conn () in
+  (match Server.handle_request server a (Protocol.Open "cars") with
+  | Protocol.Opened _ -> ()
+  | r -> Alcotest.failf "open answered %s" (Protocol.encode_response r));
+  let n = 200 in
+  let line t k = Printf.sprintf "select Mileage <> %d" ((1000 * t) + k) in
+  let failures = Array.make 2 None in
+  let threads =
+    List.mapi
+      (fun t c ->
+        Thread.create
+          (fun () ->
+            try
+              for k = 1 to n do
+                expect_applied
+                  (Server.handle_request server c (Protocol.Line (line t k)))
+              done
+            with e -> failures.(t) <- Some (Printexc.to_string e))
+          ())
+      [ a; b ]
+  in
+  List.iter Thread.join threads;
+  Array.iter (Option.iter (Alcotest.failf "thread failed: %s")) failures;
+  let history =
+    match Server.handle_request server a (Protocol.Line "history") with
+    | Protocol.Applied { output = Some text; _ } ->
+        String.split_on_char '\n' text
+    | r -> Alcotest.failf "history answered %s" (Protocol.encode_response r)
+  in
+  Alcotest.(check int) "load + every step of both threads" ((2 * n) + 1)
+    (List.length history);
+  List.iter
+    (fun t ->
+      for k = 1 to n do
+        let want = "Select Mileage <> " ^ string_of_int ((1000 * t) + k) in
+        Alcotest.(check bool) (want ^ " kept") true
+          (List.exists
+             (fun entry ->
+               let m = String.length want and e = String.length entry in
+               e >= m && String.sub entry (e - m) m = want)
+             history)
+      done)
+    [ 0; 1 ]
+
+(* Bob's first step reaches his base sheet through the shared cache,
+   which answers it from Alice's cached base: a subsumed hit. The
+   record lands in Bob's telemetry, so its label must name neither
+   Alice's sheet nor her predicates. *)
+let test_subsumed_from_another_session () =
+  let module Obs = Sheet_obs.Obs in
+  Materialize.reset_cache ();
+  let server = Server.create (Server.config cars_lookup) in
+  let connect client =
+    let c = Server.connect server in
+    expect_welcome (Server.handle_request server c (Protocol.Hello client));
+    c
+  in
+  let call c line = Server.handle_request server c (Protocol.Line line) in
+  let uid_of = function
+    | Protocol.Opened { uid; _ } | Protocol.Applied { uid; _ } -> uid
+    | r -> Alcotest.failf "answered %s" (Protocol.encode_response r)
+  in
+  let a = connect "alice" and b = connect "bob" in
+  let alice_base = uid_of (Server.handle_request server a (Protocol.Open "cars")) in
+  let alice_uids = [ alice_base; uid_of (call a "select Mileage < 12345") ] in
+  ignore (uid_of (Server.handle_request server b (Protocol.Open "cars")));
+  let subsumed0 = Obs.Metrics.value_of Obs.k_cache_hits_subsumed in
+  ignore (uid_of (call b "select Year = 2005"));
+  Alcotest.(check int) "bob's step was a subsumed hit" 1
+    (Obs.Metrics.value_of Obs.k_cache_hits_subsumed - subsumed0);
+  let contains hay needle =
+    let n = String.length hay and m = String.length needle in
+    let rec go i = i + m <= n && (String.sub hay i m = needle || go (i + 1)) in
+    go 0
+  in
+  let output line =
+    match call b line with
+    | Protocol.Applied { output = Some text; _ } -> text
+    | r -> Alcotest.failf "%S answered %s" line (Protocol.encode_response r)
+  in
+  List.iter
+    (fun line ->
+      let text = output line in
+      Alcotest.(check bool) (line ^ " says where the rows came from") true
+        (contains text "another session's sheet");
+      List.iter
+        (fun hidden ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s hides %S" line hidden)
+            false (contains text hidden))
+        ("12345" :: "from sheet #" :: List.map string_of_int alice_uids))
+    [ "flightrec"; "profile json" ]
+
 (* ---------- request size ---------- *)
 
 (* a request line past 1 MiB is refused (or the connection dropped),
@@ -638,6 +758,8 @@ let () =
             test_refuse_process_telemetry;
           Alcotest.test_case "telemetry shows only the caller's session"
             `Quick test_telemetry_per_session;
+          Alcotest.test_case "a subsumed hit names no other session's sheet"
+            `Quick test_subsumed_from_another_session;
           Alcotest.test_case "oversized request line (socket)" `Quick
             test_oversized_line;
         ] );
@@ -645,6 +767,11 @@ let () =
         [
           Alcotest.test_case "session cap" `Quick test_admission;
           Alcotest.test_case "rate cap" `Quick test_rate_cap;
+        ] );
+      ( "sharing",
+        [
+          Alcotest.test_case "two connections, one session: no lost step"
+            `Quick test_shared_session_no_lost_update;
         ] );
       ( "determinism",
         [

@@ -6,19 +6,14 @@
    selection counters, unbalanced profile regions, a profile JSON
    export that does not parse to one entry per record, or a doctor
    pass that raises.
-   A second phase replays every task under 1 domain and under 4 and
-   asserts the recorded profiles are identical once timings,
-   allocation deltas and the domain gauge are masked — the profile
-   counterpart of the @par determinism gate. A final micro-benchmark
-   asserts that collection itself (sink off, profiles on vs off)
-   costs at most 5 % of a full materialization, and bounds the bytes
-   it allocates per materialization. Run via
+   A final micro-benchmark asserts that collection itself (sink off,
+   profiles on vs off) costs at most 5 % of a full materialization,
+   and bounds the bytes it allocates per materialization. Run via
    [dune build @doctor], folded into [dune build @gates]. *)
 
 open Sheet_core
 module Obs = Sheet_obs.Obs
 module Obs_json = Sheet_obs.Obs_json
-module Par = Sheet_rel.Par
 module Profile = Sheet_obs.Obs.Profile
 
 let failures = ref 0
@@ -28,17 +23,6 @@ let check label ok detail =
     Printf.printf "FAIL %s: %s\n" label detail;
     incr failures
   end
-
-let with_config ~domains f =
-  Par.set_domain_count domains;
-  Par.set_parallel_threshold 64;
-  Par.set_morsel_rows 128;
-  Fun.protect
-    ~finally:(fun () ->
-      Par.set_domain_count 1;
-      Par.set_parallel_threshold Par.default_parallel_threshold;
-      Par.set_morsel_rows Par.default_morsel_rows)
-    f
 
 let task_labels (task : Sheet_tpch.Tpch_tasks.t) =
   Obs.Labels.v [ ("task", string_of_int task.id) ]
@@ -122,11 +106,6 @@ let run_task catalog (task : Sheet_tpch.Tpch_tasks.t) =
                    "%d rows went through selection vectors but no \
                     predicate was noted compiled"
                    r.p_sel_rows_in);
-              check (label ("par " ^ where))
-                (r.p_morsels >= 0 && r.p_par_scans >= 0
-                && (r.p_par_scans = 0 || r.p_morsels >= r.p_par_scans))
-                (Printf.sprintf "%d morsels over %d scans" r.p_morsels
-                   r.p_par_scans);
               check (label ("totals " ^ where))
                 (r.p_total_ns >= 0 && r.p_alloc_bytes >= 0.)
                 "negative time or allocation delta")
@@ -157,91 +136,6 @@ let run_task catalog (task : Sheet_tpch.Tpch_tasks.t) =
           | _diags -> ignore (Sheet_analysis.Doctor.render ())
           | exception e ->
               check (label "doctor") false (Printexc.to_string e)))
-
-(* ---- determinism: profiles, event records included, identical under
-   1 and 4 domains once timings, commit times, allocations and the
-   domain gauge are masked ---- *)
-
-let mask_node (n : Profile.node) =
-  { n with Profile.n_time_ns = 0; n_alloc_bytes = 0. }
-
-(* Sheet uids come from a process-global counter, so the same task
-   replayed twice records different absolute uids; renumber them by
-   first appearance so only the shape is compared. *)
-let canonical_uids records =
-  let seen = Hashtbl.create 16 in
-  List.map
-    (fun (r : Profile.t) ->
-      let uid =
-        if r.p_uid = 0 then 0
-        else
-          match Hashtbl.find_opt seen r.p_uid with
-          | Some u -> u
-          | None ->
-              let u = Hashtbl.length seen + 1 in
-              Hashtbl.add seen r.p_uid u;
-              u
-      in
-      { r with Profile.p_uid = uid })
-    records
-
-let mask records =
-  canonical_uids
-    (List.map
-       (fun (r : Profile.t) ->
-         { r with
-           Profile.p_total_ns = 0;
-           p_at_ns = 0;
-           p_alloc_bytes = 0.;
-           p_domains = 0;
-           p_nodes = List.map mask_node r.p_nodes })
-       records)
-
-let observe_profiles catalog (task : Sheet_tpch.Tpch_tasks.t) =
-  reset_all task;
-  match Sheet_sql.Catalog.find catalog task.base with
-  | None -> Error ("no base relation " ^ task.base)
-  | Some base -> (
-      let session = Session.create ~name:task.base base in
-      match Script.run_silent session task.script with
-      | Error msg -> Error msg
-      | Ok session ->
-          let sheet = Session.current session in
-          ignore (Materialize.full sheet);
-          ignore
-            (Plan.explain_analyze ~uid:sheet.Spreadsheet.uid
-               (Plan.of_sheet sheet));
-          Ok (mask (Profile.records ())))
-
-let identity_pass ~domains tasks =
-  let catalog = fresh_catalog () in
-  with_config ~domains (fun () -> List.map (observe_profiles catalog) tasks)
-
-let identity_check tasks =
-  let seq = identity_pass ~domains:1 tasks in
-  let par = identity_pass ~domains:4 tasks in
-  List.iter2
-    (fun ((task : Sheet_tpch.Tpch_tasks.t), s) p ->
-      let label what = Printf.sprintf "identity task %2d %s" task.id what in
-      match (s, p) with
-      | Error msg, _ | _, Error msg -> check (label "script") false msg
-      | Ok sp, Ok pp ->
-          if sp <> pp && Sys.getenv_opt "DOCTOR_GATE_DEBUG" <> None then begin
-            Printf.printf "task %d: %d vs %d records\n" task.id
-              (List.length sp) (List.length pp);
-            List.iteri
-              (fun i (a, b) ->
-                if a <> b then begin
-                  Printf.printf "--- record %d (1 domain):\n%s\n" i
-                    (Profile.render_record a);
-                  Printf.printf "--- record %d (4 domains):\n%s\n" i
-                    (Profile.render_record b)
-                end)
-              (try List.combine sp pp with Invalid_argument _ -> [])
-          end;
-          check (label "profiles") (sp = pp)
-            "masked profiles diverge between 1 and 4 domains")
-    (List.combine tasks seq) par
 
 (* ---- overhead: collection on vs off, sink off, <= 5 % ---- *)
 
@@ -326,12 +220,9 @@ let overhead_check () =
 let () =
   Obs.set_sink Obs.Memory;
   let tasks = Sheet_tpch.Tpch_tasks.all @ Sheet_tpch.Tpch_tasks.extensions in
-  (* phase 1: every task profiled under live 4-domain morsel runs *)
   let catalog = fresh_catalog () in
-  with_config ~domains:4 (fun () -> List.iter (run_task catalog) tasks);
-  (* phase 2: masked profiles identical across domain counts *)
-  identity_check tasks;
-  (* phase 3: collection is cheap enough to stay always-on *)
+  List.iter (run_task catalog) tasks;
+  (* collection is cheap enough to stay always-on *)
   let overhead, alloc = overhead_check () in
   Obs.set_ambient_labels Obs.Labels.empty;
   Obs.set_sink Obs.Off;
@@ -341,7 +232,6 @@ let () =
   end
   else
     Printf.printf
-      "doctor gate: %d task(s) profiled clean under 4 domains; masked \
-       profiles identical to the 1-domain replay; collection overhead \
+      "doctor gate: %d task(s) profiled clean; collection overhead \
        %+.1f%% (limit 5%%), %.0f B per materialization (limit %.0f B)\n"
       (List.length tasks) overhead alloc alloc_limit_bytes

@@ -1,22 +1,16 @@
 (* Observability gate: run every bundled TPC-H task script under full
-   tracing — morsel-parallel on 4 domains with the cutover forced low,
-   so the sharded v3 registry genuinely sees concurrent writers — and
-   fail the build when the instrumentation itself is broken: unclosed
-   or mis-nested spans, negative counters, a sheet result that
-   disagrees with the task's SQL result (an oracle independent of the
-   plan executor), an EXPLAIN ANALYZE that is not the profile record
-   of its own run, per-task labeled series that do not add up, cache
-   outcomes the profile ring does not account for, or a JSON export
-   that does not parse back.
-   A second phase replays every task under 1 domain and under 4
-   against fresh catalogs and asserts the merged sharded totals
-   (counters and histogram sample counts) are exactly equal — the
-   concurrent-writer identity check. Run via [dune build @obs], next
-   to [@lint]. *)
+   tracing and fail the build when the instrumentation itself is
+   broken: unclosed or mis-nested spans, negative counters, a sheet
+   result that disagrees with the task's SQL result (an oracle
+   independent of the plan executor), an EXPLAIN ANALYZE that is not
+   the profile record of its own run, per-task labeled series that do
+   not add up, cache outcomes the profile ring does not account for,
+   a JSON export that does not parse back, or an incremental session
+   whose rows or order differ from a full replay. Run via
+   [dune build @obs], next to [@lint]. *)
 
 open Sheet_core
 module Obs = Sheet_obs.Obs
-module Par = Sheet_rel.Par
 
 let failures = ref 0
 
@@ -25,17 +19,6 @@ let check label ok detail =
     Printf.printf "FAIL %s: %s\n" label detail;
     incr failures
   end
-
-let with_config ~domains f =
-  Par.set_domain_count domains;
-  Par.set_parallel_threshold 64;
-  Par.set_morsel_rows 128;
-  Fun.protect
-    ~finally:(fun () ->
-      Par.set_domain_count 1;
-      Par.set_parallel_threshold Par.default_parallel_threshold;
-      Par.set_morsel_rows Par.default_morsel_rows)
-    f
 
 let task_labels (task : Sheet_tpch.Tpch_tasks.t) =
   Obs.Labels.v [ ("task", string_of_int task.id) ]
@@ -196,75 +179,32 @@ let run_task catalog (task : Sheet_tpch.Tpch_tasks.t) =
                    (Sheet_obs.Obs_json.parse
                       (Sheet_obs.Obs_json.to_string ~pretty:true parsed)
                    |> Result.get_ok))
-                "trace JSON does not round-trip"))
-
-(* ---- concurrent-writer identity: 4-domain totals == 1-domain ---- *)
-
-let nonzero = List.filter (fun (_, v) -> v <> 0)
-
-let identity_observe catalog (task : Sheet_tpch.Tpch_tasks.t) =
-  Obs.clear_events ();
-  Obs.Metrics.reset ();
-  Obs.Histogram.reset ();
-  Materialize.reset_cache ();
-  Obs.set_ambient_labels (task_labels task);
-  match Sheet_sql.Catalog.find catalog task.base with
-  | None -> Error ("no base relation " ^ task.base)
-  | Some base -> (
-      let session = Session.create ~name:task.base base in
-      match Script.run_silent session task.script with
-      | Error msg -> Error msg
-      | Ok session ->
-          let sheet = Session.current session in
-          ignore (Materialize.full sheet);
-          ignore (Plan.execute (Plan.of_sheet sheet));
-          Ok
-            ( nonzero (Obs.Metrics.counters_snapshot ()),
-              nonzero (Obs.Histogram.counts_snapshot ()) ))
-
-let identity_pass ~domains tasks =
-  let catalog =
-    Sheet_tpch.Tpch_views.install
-      (Sheet_tpch.Tpch_gen.generate
-         { Sheet_tpch.Tpch_gen.sf = 0.001; seed = 42 })
-  in
-  with_config ~domains (fun () ->
-      List.map (identity_observe catalog) tasks)
-
-let identity_check tasks =
-  let seq = identity_pass ~domains:1 tasks in
-  let par = identity_pass ~domains:4 tasks in
-  List.iter2
-    (fun ((task : Sheet_tpch.Tpch_tasks.t), s) p ->
-      let label what = Printf.sprintf "identity task %2d %s" task.id what in
-      match (s, p) with
-      | Error msg, _ | _, Error msg -> check (label "script") false msg
-      | Ok (sc, sh), Ok (pc, ph) ->
-          check (label "counters") (sc = pc)
-            "sharded counter totals diverge between 1 and 4 domains";
-          check (label "histograms") (sh = ph)
-            "histogram sample counts diverge between 1 and 4 domains")
-    (List.combine tasks seq) par
+                "trace JSON does not round-trip");
+          (* the incremental chain (each step derived from its parent's
+             cached batch) agrees with a full replay, rows and order *)
+          check (label "session")
+            (List.equal Sheet_rel.Row.equal
+               (Sheet_rel.Relation.rows (Session.materialized session))
+               (Sheet_rel.Relation.rows
+                  (Sheet_rel.Rel_algebra.project
+                     (Spreadsheet.visible_columns sheet)
+                     (Materialize.full sheet))))
+            "Session.materialized differs from Materialize.full's visible \
+             columns")
 
 let () =
   Obs.set_sink Obs.Memory;
   let tasks = Sheet_tpch.Tpch_tasks.all @ Sheet_tpch.Tpch_tasks.extensions in
-  (* phase 1: every task traced under live 4-domain morsel recording *)
   let catalog =
     Sheet_tpch.Tpch_views.install
       (Sheet_tpch.Tpch_gen.generate
          { Sheet_tpch.Tpch_gen.sf = 0.001; seed = 42 })
   in
-  with_config ~domains:4 (fun () -> List.iter (run_task catalog) tasks);
-  (* phase 2: sharded merged totals identical across domain counts *)
-  identity_check tasks;
+  List.iter (run_task catalog) tasks;
   Obs.set_ambient_labels Obs.Labels.empty;
   if !failures > 0 then begin
     Printf.eprintf "obs gate: %d failure(s)\n" !failures;
     exit 1
   end
   else
-    Printf.printf
-      "obs gate: %d task(s) traced clean under 4 domains; sharded totals \
-       identical to the 1-domain replay\n"
-      (List.length tasks)
+    Printf.printf "obs gate: %d task(s) traced clean\n" (List.length tasks)

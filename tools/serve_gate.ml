@@ -20,7 +20,6 @@
    Run via [dune build @serve], wired into [@gates]. *)
 
 module Obs = Sheet_obs.Obs
-module Par = Sheet_rel.Par
 open Sheet_core
 open Sheet_serve
 
@@ -31,17 +30,6 @@ let check label ok detail =
     Printf.printf "FAIL %s: %s\n" label detail;
     incr failures
   end
-
-let with_config ~domains f =
-  Par.set_domain_count domains;
-  Par.set_parallel_threshold 64;
-  Par.set_morsel_rows 128;
-  Fun.protect
-    ~finally:(fun () ->
-      Par.set_domain_count 1;
-      Par.set_parallel_threshold Par.default_parallel_threshold;
-      Par.set_morsel_rows Par.default_morsel_rows)
-    f
 
 let n_clients = 8
 
@@ -143,7 +131,6 @@ let () =
   Obs.Histogram.reset ();
   Obs.Profile.clear ();
   Materialize.reset_cache ();
-  with_config ~domains:4 @@ fun () ->
   let server =
     Server.create
       (Server.config ~max_sessions:(n_clients * 2)
