@@ -226,8 +226,7 @@ let full_replay_pipeline rel () =
        (Spreadsheet.of_relation ~name:"cars_n" rel)
        pipeline_ops)
 
-(* Ablation 5: raw compiled plan vs optimized plan (filter fusion +
-   pushdown + projection pruning) on a selective pipeline. *)
+(* Ablation 5: the compiled plan of a selective pipeline, executed. *)
 let plan_sheet =
   lazy
     (let rel = Sample_cars.scaled ~rows:4000 ~seed:7 in
@@ -244,19 +243,8 @@ let plan_sheet =
          Op.Group { basis = [ "Model" ]; dir = Grouping.Asc };
          Op.Project "Condition" ])
 
-let plan_workload ~mode () =
-  let sheet = Lazy.force plan_sheet in
-  let plan = Plan.of_sheet sheet in
-  let plan =
-    match mode with
-    | `Raw -> plan
-    | `Rewrites ->
-        (* fusion + pushdown only: keep every produced column *)
-        Plan.optimize plan
-    | `Pruned ->
-        Plan.optimize ~keep:(Spreadsheet.visible_columns sheet) plan
-  in
-  ignore (Plan.execute plan)
+let plan_workload () =
+  ignore (Plan.execute (Plan.of_sheet (Lazy.force plan_sheet)))
 
 (* ------------------------------------------------------------------ *)
 (* Relation-core scaling benchmarks (table/<op>-<n>)                  *)
@@ -492,10 +480,7 @@ let workloads =
      incremental_pipeline (Sample_cars.scaled ~rows:1000 ~seed:7));
     ("ablation/full-replay-pipeline", Some 1000,
      full_replay_pipeline (Sample_cars.scaled ~rows:1000 ~seed:7));
-    ("ablation/plan-raw", Some 4000, plan_workload ~mode:`Raw);
-    ("ablation/plan-fusion-pushdown", Some 4000,
-     plan_workload ~mode:`Rewrites);
-    ("ablation/plan-pruned", Some 4000, plan_workload ~mode:`Pruned);
+    ("ablation/plan-raw", Some 4000, plan_workload);
     ("ablation/group-tree", Some 1000, grouping_vs_sort sheet_1k ~tree:true);
     ("ablation/flat-sort-emulation", Some 2000,
      grouping_vs_sort sheet_1k ~tree:false)

@@ -48,7 +48,7 @@ Display:
   sql                             show the single-block SQL equivalent
   lint                            static analysis of the current query state
 Observability (Sheetscope):
-  explain                         show the compiled + optimized plan
+  explain                         show the plan that runs
   explain analyze | profile       run the plan, per-node rows and timings
   profile last|<uid>|json         Sheetdoctor execution profiles (path
                                   attribution, cache/strategy, allocations)

@@ -159,7 +159,8 @@ let order_groups sheet ~attr ~dir =
   | Some { Computed.spec = Computed.Aggregate { level; _ }; _ } ->
       if level < 2 then
         Errors.fail_grouping
-          "%S aggregates the whole sheet; there are no sibling groups            to order"
+          "%S aggregates the whole sheet; there are no sibling groups \
+           to order"
           attr
       else (
         match
@@ -173,12 +174,14 @@ let order_groups sheet ~attr ~dir =
         | Error msg -> Errors.fail_grouping "%s" msg)
   | Some _ ->
       Errors.fail_invalid
-        "%S is not an aggregation column; ordering groups by value          requires one"
+        "%S is not an aggregation column; ordering groups by value \
+         requires one"
         attr
   | None ->
       if Spreadsheet.column_exists sheet attr then
         Errors.fail_invalid
-          "%S is not an aggregation column; ordering groups by value            requires one"
+          "%S is not an aggregation column; ordering groups by value \
+           requires one"
           attr
       else Error (Errors.Unknown_column attr)
 

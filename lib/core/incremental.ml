@@ -182,13 +182,14 @@ let derive ~(parent : Spreadsheet.t) ~(op : Op.t) ~(child : Spreadsheet.t) =
             Some (permute (extend (permute parent_rel sel)) b.Relation.sel))
   | Op.Dedup ->
       (* equal visible rows are equal full rows only when nothing is
-         hidden and no computed column could differ *)
+         hidden and no computed column could differ; the parent's rows
+         then carry exactly the base's columns *)
       if
         state.Query_state.hidden = []
         && state.Query_state.computed = []
       then
-        over_parent (fun scan ->
-            Plan.Distinct_on (Plan.output_columns scan, scan))
+        let key = Schema.names (Relation.schema child.Spreadsheet.base) in
+        over_parent (fun scan -> Plan.Distinct_on (key, scan))
       else None
   | Op.Rename _ | Op.Product _ | Op.Union _ | Op.Diff _ | Op.Join _ ->
       None

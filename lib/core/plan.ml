@@ -426,169 +426,6 @@ let explain_analyze ?(uid = 0) node =
   in
   (rel, text)
 
-(* ---------- schema of a plan ---------- *)
-
-let rec output_columns = function
-  | Scan rel -> Schema.names (Relation.schema rel)
-  | Project (cols, _) -> cols
-  | Filter (_, child) | Distinct_on (_, child) | Sort (_, child) ->
-      output_columns child
-  | Extend_formula ({ name; _ }, child) -> output_columns child @ [ name ]
-  | Extend_aggregate ({ agg_name; _ }, child) ->
-      output_columns child @ [ agg_name ]
-
-let rec output_schema = function
-  | Scan rel -> Relation.schema rel
-  | Project (cols, child) -> Schema.restrict (output_schema child) cols
-  | Filter (_, child) | Distinct_on (_, child) | Sort (_, child) ->
-      output_schema child
-  | Extend_formula ({ name; ty; _ }, child) ->
-      Schema.append (output_schema child) { Schema.name; ty }
-  | Extend_aggregate ({ agg_name; agg_ty; _ }, child) ->
-      Schema.append (output_schema child)
-        { Schema.name = agg_name; ty = agg_ty }
-
-(* ---------- optimization ---------- *)
-
-let union_cols a b =
-  a @ List.filter (fun c -> not (List.mem c a)) b
-
-(* Filter fusion: Filter p1 (Filter p2 x) -> Filter (p2 AND p1) x.
-   Order inside the conjunction keeps the earlier (inner) predicate
-   first, matching replay order. *)
-let rec fuse = function
-  | Filter (p1, child) -> (
-      match fuse child with
-      | Filter (p2, grandchild) -> Filter (Expr.And (p2, p1), grandchild)
-      | fused -> Filter (p1, fused))
-  | Scan rel -> Scan rel
-  | Project (cols, c) -> Project (cols, fuse c)
-  | Distinct_on (k, c) -> Distinct_on (k, fuse c)
-  | Extend_formula (e, c) -> Extend_formula (e, fuse c)
-  | Extend_aggregate (e, c) -> Extend_aggregate (e, fuse c)
-  | Sort (k, c) -> Sort (k, fuse c)
-
-(* Filter pushdown: a filter may slide below a formula extension whose
-   output it does not read. It must NOT cross an aggregate extension
-   (HAVING/WHERE distinction) or duplicate elimination (representative
-   choice). *)
-let rec pushdown = function
-  | Filter (pred, child) -> (
-      let cols = Expr.columns pred in
-      match pushdown child with
-      | Extend_formula (e, grandchild) when not (List.mem e.name cols) ->
-          Extend_formula (e, pushdown (Filter (pred, grandchild)))
-      | Sort (k, grandchild) ->
-          (* filtering before sorting is cheaper and order-stable *)
-          Sort (k, pushdown (Filter (pred, grandchild)))
-      | pushed -> Filter (pred, pushed))
-  | Scan rel -> Scan rel
-  | Project (cols, c) -> Project (cols, pushdown c)
-  | Distinct_on (k, c) -> Distinct_on (k, pushdown c)
-  | Extend_formula (e, c) -> Extend_formula (e, pushdown c)
-  | Extend_aggregate (e, c) -> Extend_aggregate (e, pushdown c)
-  | Sort (k, c) -> Sort (k, pushdown c)
-
-(* Projection pruning: walk down with the set of needed columns; drop
-   extensions nobody consumes; project the scan down to what is
-   used. Distinct_on blocks pruning below it (all its key columns are
-   needed and row identity upstream matters only through them — keys
-   are already in [needed] via node_inputs). *)
-let rec prune needed = function
-  | Scan rel ->
-      let present = Schema.names (Relation.schema rel) in
-      let keep = List.filter (fun c -> List.mem c needed) present in
-      if List.length keep = List.length present then Scan rel
-      else Project (keep, Scan rel)
-  | Project (cols, c) ->
-      let keep = List.filter (fun x -> List.mem x needed) cols in
-      Project (keep, prune (union_cols keep []) c)
-  | Filter (pred, c) ->
-      Filter (pred, prune (union_cols needed (Expr.columns pred)) c)
-  | Distinct_on (k, c) -> Distinct_on (k, prune (union_cols needed k) c)
-  | Extend_formula (e, c) ->
-      if List.mem e.name needed then
-        Extend_formula
-          ( e,
-            prune
-              (union_cols
-                 (List.filter (fun x -> x <> e.name) needed)
-                 (Expr.columns e.expr))
-              c )
-      else prune needed c
-  | Extend_aggregate (e, c) ->
-      if List.mem e.agg_name needed then
-        let inputs =
-          e.basis
-          @ (match e.arg with Some x -> Expr.columns x | None -> [])
-        in
-        Extend_aggregate
-          ( e,
-            prune
-              (union_cols
-                 (List.filter (fun x -> x <> e.agg_name) needed)
-                 inputs)
-              c )
-      else prune needed c
-  | Sort (k, c) ->
-      Sort (k, prune (union_cols needed (List.map fst k)) c)
-
-let and_all = function
-  | [] -> Expr.Const (Value.Bool true)
-  | p :: ps -> List.fold_left (fun a b -> Expr.And (a, b)) p ps
-
-(* Drop conjuncts that are provably tautological or implied by the
-   remaining ones (right-to-left, so of two equivalent conjuncts the
-   earlier survives). Sound: implication is proved over every row,
-   nulls included, so the filtered multiset is unchanged. *)
-let prune_conjuncts ~type_of conjs =
-  let arr = Array.of_list conjs in
-  let keep = Array.make (Array.length arr) true in
-  let kept_except i =
-    Array.to_list arr |> List.filteri (fun j _ -> keep.(j) && j <> i)
-  in
-  for i = Array.length arr - 1 downto 0 do
-    let rest = kept_except i in
-    if
-      Sheetsolve.tautology ~type_of arr.(i)
-      || (rest <> [] && Sheetsolve.implies ~type_of (and_all rest) arr.(i))
-    then keep.(i) <- false
-  done;
-  Array.to_list arr |> List.filteri (fun j _ -> keep.(j))
-
-let rec simplify_filters = function
-  | Filter (pred, c) -> (
-      let c = simplify_filters c in
-      let type_of = Schema.type_of (output_schema c) in
-      match Expr_simplify.simplify pred with
-      | Expr.Const (Value.Bool true) -> c
-      | pred ->
-          if not (Sheetsolve.satisfiable ~type_of pred) then
-            (* a provably-false filter: the whole subtree compiles to
-               an empty scan of the same schema *)
-            Scan (Relation.empty (output_schema c))
-          else begin
-            match prune_conjuncts ~type_of (Expr.conjuncts pred) with
-            | [] -> c
-            | conjs -> Filter (and_all conjs, c)
-          end)
-  | Scan rel -> Scan rel
-  | Project (cols, c) -> Project (cols, simplify_filters c)
-  | Distinct_on (k, c) -> Distinct_on (k, simplify_filters c)
-  | Extend_formula (e, c) ->
-      Extend_formula
-        ({ e with expr = Expr_simplify.simplify e.expr }, simplify_filters c)
-  | Extend_aggregate (e, c) -> Extend_aggregate (e, simplify_filters c)
-  | Sort (k, c) -> Sort (k, simplify_filters c)
-
-let optimize ?keep plan =
-  let keep = Option.value keep ~default:(output_columns plan) in
-  let plan = fuse plan in
-  let plan = pushdown plan in
-  let plan = fuse plan in
-  let plan = simplify_filters plan in
-  prune keep plan
-
 (* ---------- explain ---------- *)
 
 let explain plan =

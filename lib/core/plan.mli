@@ -14,26 +14,9 @@
     The compiled plan is the stratified replay of DESIGN.md §4:
     selections sit at their precedence stratum (Theorem 2), aggregate
     extensions carry their grouping basis, and a final sort realizes
-    the recursive grouping. {!optimize} then applies classical,
-    semantics-preserving rewrites:
-
-    - {e filter fusion}: adjacent filters merge into one conjunction
-      (one pass over the data instead of several);
-    - {e filter pushdown}: a filter slides below formula extensions it
-      does not read (never below an aggregate extension — that would
-      change the aggregate, i.e. turn HAVING into WHERE — and never
-      below duplicate elimination, which could change the surviving
-      representative);
-    - {e projection pruning}: when the consumer only needs some
-      columns ([~keep]), a projection is pushed onto the scan and
-      extensions whose outputs are never consumed are dropped;
-    - {e predicate pruning} (via {!Sheet_rel.Sheetsolve}): a fused
-      filter proved unsatisfiable compiles its subtree to an empty
-      scan of the right schema without reading a row, and conjuncts
-      proved tautological or implied by the remaining conjuncts are
-      dropped. Both proofs hold over every row (nulls included), so
-      {!execute} on the optimized plan still equals the unoptimized
-      result — property-tested against the oracle. *)
+    the recursive grouping. The plan {!explain} prints is the plan
+    that runs. Selections that are unsatisfiable, tautological or
+    implied by others stay in it; Sheetlint ([lint]) reports them. *)
 
 open Sheet_rel
 
@@ -139,16 +122,5 @@ val explain_analyze : ?uid:int -> node -> Relation.t * string
     unit, the plan nodes it covers, rows in and out, wall time and
     execution path. *)
 
-val optimize : ?keep:string list -> node -> node
-(** Rewrite the plan; [keep] lists the columns the consumer needs
-    (defaults to all columns the plan produces). Semantics are
-    preserved with respect to the kept columns. *)
-
 val explain : node -> string
 (** Indented operator tree, one line per node, leaves last. *)
-
-val output_columns : node -> string list
-(** Schema (names) the plan produces, in order. *)
-
-val output_schema : node -> Sheet_rel.Schema.t
-(** The typed schema the plan produces — usable before execution. *)

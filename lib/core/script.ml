@@ -179,9 +179,9 @@ let reach line =
 
 let run_line session line =
   let line = trim (strip_comment line) in
-  (* EXPLAIN ANALYZE of the raw (unoptimized) plan, whose root row
-     count equals the full materialization's; the run lands in the
-     Sheetdoctor ring under the sheet's uid *)
+  (* EXPLAIN ANALYZE of the sheet's plan, whose root row count equals
+     the full materialization's; the run lands in the Sheetdoctor ring
+     under the sheet's uid *)
   let analyze () =
     let sheet = Session.current session in
     snd (Plan.explain_analyze ~uid:sheet.Spreadsheet.uid (Plan.of_sheet sheet))
@@ -344,18 +344,11 @@ let run_line session line =
         | Ok session -> Ok { session; output = None }
         | Error e -> Error (Errors.to_string e))
     | "explain" when String.lowercase_ascii (trim rest) <> "analyze" ->
-        let plan = Plan.of_sheet (Session.current session) in
-        let optimized =
-          Plan.optimize
-            ~keep:(Spreadsheet.visible_columns (Session.current session))
-            plan
-        in
+        (* the plan every materialization of the sheet runs *)
         Ok
           { session;
             output =
-              Some
-                ("plan:\n" ^ Plan.explain plan ^ "optimized (for visible \
-                  columns):\n" ^ Plan.explain optimized) }
+              Some (Plan.explain (Plan.of_sheet (Session.current session))) }
     | "explain" (* analyze *) -> Ok { session; output = Some (analyze ()) }
     | "profile" -> (
         match split_words (String.lowercase_ascii rest) with

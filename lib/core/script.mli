@@ -31,7 +31,7 @@
     tree [n]                               -- nested group-tree view
     describe                               -- per-column data profile
     html <path>                            -- export a standalone HTML view
-    explain                                -- physical plan, raw and optimized
+    explain                                -- the physical plan that runs
     status
     v}
 

@@ -319,26 +319,25 @@ let ambient_labels () = !ambient
 (* ---------- metrics ---------- *)
 
 module Metrics = struct
-  type mkind = Counter | Gauge
-
-  type m = { m_name : string; m_kind : mkind; cells : int Atomic.t array }
+  type m = { m_name : string; cells : int Atomic.t array }
 
   let registry : (string, m) Hashtbl.t = Hashtbl.create 64
 
-  let find_locked name m_kind =
+  let find_locked name =
     match Hashtbl.find_opt registry name with
     | Some m -> m
     | None ->
         let m =
           { m_name = name;
-            m_kind;
             cells = Array.init num_shards (fun _ -> Atomic.make 0) }
         in
         Hashtbl.replace registry name m;
         m
 
-  let counter name = with_lock reg_mutex (fun () -> find_locked name Counter)
-  let gauge name = with_lock reg_mutex (fun () -> find_locked name Gauge)
+  (* a counter and a gauge differ only in how they are written
+     ([incr] vs [set]) *)
+  let counter name = with_lock reg_mutex (fun () -> find_locked name)
+  let gauge = counter
 
   let incr ?(by = 1) m =
     ignore (Atomic.fetch_and_add m.cells.(shard_index ()) by)

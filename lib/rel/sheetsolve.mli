@@ -2,9 +2,10 @@
     spreadsheet expression language.
 
     It is the interval abstraction behind static predicate analysis
-    (Sheetlint, the plan optimizer's pruning): each conjunct of a
-    bounded DNF is abstracted into one normalized {!constr} per
-    column — an over-approximating
+    (Sheetlint, which reports unsatisfiable, tautological and implied
+    selections; the plan keeps them): each conjunct of a bounded DNF
+    is abstracted into one normalized {!constr} per column — an
+    over-approximating
     {!Interval.t} over the non-null values, a finite set of
     {e excluded} values (so equality/disequality atoms like
     [x = 3 AND x <> 3] refute each other), and a flag telling whether

@@ -1,7 +1,6 @@
 (* Tests of the Sheetlint static analyzer: the interval/domain
-   reasoning of Sheetsolve, the per-layer lint passes, the
-   analysis-driven plan pruning, and lint-cleanliness of every bundled
-   TPC-H task. *)
+   reasoning of Sheetsolve, the per-layer lint passes, and
+   lint-cleanliness of every bundled TPC-H task. *)
 
 open Sheet_rel
 open Sheet_core
@@ -163,56 +162,6 @@ let test_state_clean () =
           "select Price < 17000\ngroup Model\nagg avg Mileage as AvgM\n\
            order Year desc"))
 
-(* ---------- plan pruning ---------- *)
-
-let optimized_of script =
-  let sheet = Session.current (session_of script) in
-  (sheet, Plan.optimize (Plan.of_sheet sheet))
-
-let test_plan_unsat_pruned () =
-  let sheet, plan =
-    optimized_of "select Price < 10000\nselect Price > 20000"
-  in
-  (* the whole pipeline collapses onto an empty scan: no Filter left *)
-  let explained = Plan.explain plan in
-  Alcotest.(check bool) "no filter survives" false
-    (contains explained "Filter");
-  Alcotest.(check bool) "empty scan" true
-    (contains explained "Scan (0 rows");
-  Alcotest.(check int) "executes to empty" 0
-    (Relation.cardinality (Plan.execute plan));
-  Alcotest.(check bool) "still equals the interpreter" true
-    (Relation.equal (Plan.execute plan) (Materialize.full sheet))
-
-let test_plan_conjunct_pruned () =
-  let sheet, plan =
-    optimized_of "select Price < 17000\nselect Price < 20000"
-  in
-  let explained = Plan.explain plan in
-  Alcotest.(check bool) "implied conjunct dropped" false
-    (contains explained "20000");
-  Alcotest.(check bool) "tight conjunct kept" true
-    (contains explained "Price < 17000");
-  Alcotest.(check bool) "results preserved" true
-    (Relation.equal (Plan.execute plan) (Materialize.full sheet));
-  (* a tautological conjunct vanishes too *)
-  let sheet, plan =
-    optimized_of
-      "select Price < 17000\nselect Price < 1 OR Price >= 1 OR Price IS NULL"
-  in
-  let explained = Plan.explain plan in
-  Alcotest.(check bool) "tautological conjunct dropped" false
-    (contains explained "IS NULL");
-  Alcotest.(check bool) "results preserved after drop" true
-    (Relation.equal (Plan.execute plan) (Materialize.full sheet))
-
-let test_plan_schema () =
-  let sheet, plan = optimized_of "select Price > 50000" in
-  (* empty scan keeps the schema the consumer expects *)
-  Alcotest.(check (list string)) "schema names preserved"
-    (Schema.names (Relation.schema (Materialize.full sheet)))
-    (Schema.names (Plan.output_schema plan))
-
 (* ---------- SQL lints ---------- *)
 
 let sql_catalog =
@@ -314,11 +263,6 @@ let () =
           Alcotest.test_case "columns" `Quick test_state_columns;
           Alcotest.test_case "grouping" `Quick test_state_grouping;
           Alcotest.test_case "clean states" `Quick test_state_clean ] );
-      ( "plan-pruning",
-        [ Alcotest.test_case "unsat filter" `Quick test_plan_unsat_pruned;
-          Alcotest.test_case "redundant conjuncts" `Quick
-            test_plan_conjunct_pruned;
-          Alcotest.test_case "schema preserved" `Quick test_plan_schema ] );
       ( "sql-lint",
         [ Alcotest.test_case "clause lints" `Quick test_sql_lint ] );
       ( "tpch",

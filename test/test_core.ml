@@ -263,15 +263,26 @@ order Price asc|} in
     (contains msg "ordered")
 
 let test_order_groups_guards () =
-  let s = run_script (session ()) "agg avg Price as whole_sheet" in
-  let msg = expect_error s "order-groups whole_sheet desc" in
-  Alcotest.(check bool) "whole-sheet aggregate refused" true
-    (contains msg "sibling");
-  let msg = expect_error s "order-groups Price desc" in
-  Alcotest.(check bool) "base column refused" true
-    (contains msg "aggregation column");
-  let msg = expect_error s "order-groups Nope desc" in
-  Alcotest.(check bool) "unknown column" true (contains msg "Nope")
+  let s =
+    run_script (session ())
+      "agg avg Price as whole_sheet\nformula twice = Price * 2"
+  in
+  let refused name line expected =
+    Alcotest.(check string) name
+      (Printf.sprintf "line 1 (%s): %s" line expected)
+      (expect_error s line)
+  in
+  refused "whole-sheet aggregate refused" "order-groups whole_sheet desc"
+    "grouping error: \"whole_sheet\" aggregates the whole sheet; there \
+     are no sibling groups to order";
+  refused "formula column refused" "order-groups twice desc"
+    "invalid operation: \"twice\" is not an aggregation column; ordering \
+     groups by value requires one";
+  refused "base column refused" "order-groups Price desc"
+    "invalid operation: \"Price\" is not an aggregation column; ordering \
+     groups by value requires one";
+  refused "unknown column" "order-groups Nope desc"
+    "unknown column \"Nope\""
 
 (* ---- undo/redo ---- *)
 

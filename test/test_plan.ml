@@ -1,7 +1,8 @@
-(* Tests of the plan compiler and optimizer. *)
+(* Tests of the plan compiler and executor. *)
 
 open Sheet_rel
 open Sheet_core
+module Obs = Sheet_obs.Obs
 
 let parse = Expr_parse.parse_string_exn
 
@@ -26,138 +27,11 @@ let rich_sheet () =
       Op.Project "Mileage";
       Op.Order { attr = "Price"; dir = Grouping.Asc; level = 2 } ]
 
-let rec count pred plan =
-  let self = if pred plan then 1 else 0 in
-  match plan with
-  | Plan.Scan _ -> self
-  | Plan.Project (_, c)
-  | Plan.Filter (_, c)
-  | Plan.Distinct_on (_, c)
-  | Plan.Extend_formula (_, c)
-  | Plan.Extend_aggregate (_, c)
-  | Plan.Sort (_, c) ->
-      self + count pred c
-
-let is_filter = function Plan.Filter _ -> true | _ -> false
-let is_project = function Plan.Project _ -> true | _ -> false
-
 let test_compile_equals_materialize () =
   let sheet = rich_sheet () in
   let plan = Plan.of_sheet sheet in
   Alcotest.(check bool) "plan == interpreter" true
     (Relation.equal (Plan.execute plan) (Materialize.full sheet))
-
-let test_optimize_preserves () =
-  let sheet = rich_sheet () in
-  let plan = Plan.of_sheet sheet in
-  let optimized = Plan.optimize plan in
-  Alcotest.(check bool) "optimized == raw" true
-    (Relation.equal
-       (Relation.normalize
-          (Rel_algebra.project (Plan.output_columns plan)
-             (Plan.execute optimized)))
-       (Relation.normalize (Plan.execute plan)))
-
-let test_optimize_for_visible () =
-  let sheet = rich_sheet () in
-  let visible = Spreadsheet.visible_columns sheet in
-  let plan = Plan.of_sheet sheet in
-  let optimized = Plan.optimize ~keep:visible plan in
-  Alcotest.(check bool) "visible projection preserved" true
-    (Relation.equal
-       (Rel_algebra.project visible (Plan.execute optimized))
-       (Materialize.visible sheet));
-  (* the hidden, unused Mileage column is pruned at the scan *)
-  Alcotest.(check bool) "scan projected" true
-    (count is_project optimized >= 1)
-
-let test_filter_fusion () =
-  let sheet =
-    apply_seq (cars ())
-      [ Op.Select (parse "Year >= 2005");
-        Op.Select (parse "Price < 17000");
-        Op.Select (parse "Model = 'Jetta'") ]
-  in
-  let plan = Plan.of_sheet sheet in
-  Alcotest.(check int) "three filters raw" 3 (count is_filter plan);
-  let optimized = Plan.optimize plan in
-  Alcotest.(check int) "one fused filter" 1 (count is_filter optimized);
-  Alcotest.(check bool) "same result" true
-    (Relation.equal
-       (Relation.normalize (Plan.execute optimized))
-       (Relation.normalize (Plan.execute plan)))
-
-let test_pushdown_blocked_by_aggregate () =
-  (* HAVING-style filter must stay above the aggregate extension *)
-  let sheet =
-    apply_seq (cars ())
-      [ Op.Group { basis = [ "Model" ]; dir = Grouping.Asc };
-        Op.Aggregate
-          { fn = Expr.Count_star; col = None; level = 2;
-            as_name = Some "n" };
-        Op.Select (parse "n >= 4") ]
-  in
-  let optimized = Plan.optimize (Plan.of_sheet sheet) in
-  let rec having_above_agg = function
-    | Plan.Filter (pred, child) ->
-        if List.mem "n" (Expr.columns pred) then
-          (* the aggregate extension must appear below us *)
-          count (function Plan.Extend_aggregate _ -> true | _ -> false)
-            child
-          = 1
-        else having_above_agg child
-    | Plan.Scan _ -> false
-    | Plan.Project (_, c)
-    | Plan.Distinct_on (_, c)
-    | Plan.Extend_formula (_, c)
-    | Plan.Extend_aggregate (_, c)
-    | Plan.Sort (_, c) ->
-        having_above_agg c
-  in
-  Alcotest.(check bool) "having stays above" true
-    (having_above_agg optimized);
-  Alcotest.(check bool) "result preserved" true
-    (Relation.equal
-       (Relation.normalize (Plan.execute optimized))
-       (Relation.normalize (Materialize.full sheet)))
-
-let test_pushdown_through_formula () =
-  let sheet =
-    apply_seq (cars ())
-      [ Op.Formula { name = Some "f"; expr = parse "Price * 2" };
-        Op.Select (parse "Year >= 2005") ]
-  in
-  let optimized = Plan.optimize (Plan.of_sheet sheet) in
-  (* the Year filter reads no formula output, so it slides below *)
-  let rec filter_below_formula = function
-    | Plan.Extend_formula (_, Plan.Filter _) -> true
-    | Plan.Scan _ -> false
-    | Plan.Project (_, c)
-    | Plan.Filter (_, c)
-    | Plan.Distinct_on (_, c)
-    | Plan.Extend_formula (_, c)
-    | Plan.Extend_aggregate (_, c)
-    | Plan.Sort (_, c) ->
-        filter_below_formula c
-  in
-  Alcotest.(check bool) "filter pushed below formula" true
-    (filter_below_formula optimized)
-
-let test_prune_drops_unused_extension () =
-  let sheet =
-    apply_seq (cars ())
-      [ Op.Formula { name = Some "unused"; expr = parse "Price * 3" };
-        Op.Select (parse "Year >= 2005") ]
-  in
-  let plan = Plan.of_sheet sheet in
-  let keep = [ "ID"; "Model" ] in
-  let optimized = Plan.optimize ~keep plan in
-  Alcotest.(check int) "unused formula dropped" 0
-    (count (function Plan.Extend_formula _ -> true | _ -> false) optimized);
-  Alcotest.(check bool) "kept columns agree" true
-    (Relation.equal
-       (Relation.normalize (Rel_algebra.project keep (Plan.execute optimized)))
-       (Relation.normalize (Rel_algebra.project keep (Plan.execute plan))))
 
 let test_explain_output () =
   let text = Plan.explain (Plan.of_sheet (rich_sheet ())) in
@@ -188,22 +62,54 @@ let test_dedup_distinct_on () =
   Alcotest.(check bool) "plan == interpreter under partial dedup keys" true
     (Relation.equal (Plan.execute plan) (Materialize.full sheet))
 
+(* [explain] prints the plan that runs: the plan of the current
+   sheet, whose node lines bottom-up are the units EXPLAIN ANALYZE
+   records, in execution order. The sheet has selections at two
+   strata, a formula, a hidden computed column and a grouping. *)
+let test_explain_is_the_plan_that_runs () =
+  let run s line =
+    match Script.run_line s line with
+    | Ok o -> o
+    | Error msg -> Alcotest.failf "%s: %s" line msg
+  in
+  let s =
+    List.fold_left
+      (fun s line -> (run s line).Script.session)
+      (Session.create ~name:"cars" Sample_cars.relation)
+      [ "select Year >= 2005";
+        "group Model asc";
+        "agg avg Price level 2 as ap";
+        "select Price <= ap";
+        "formula d = ap - Price";
+        "hide d" ]
+  in
+  let sheet = Session.current s in
+  let text = Plan.explain (Plan.of_sheet sheet) in
+  Alcotest.(check (option string)) "explain = Plan.explain (Plan.of_sheet s)"
+    (Some text) (run s "explain").Script.output;
+  ignore (run s "explain analyze");
+  let record =
+    match Obs.Profile.find ~uid:sheet.Spreadsheet.uid with
+    | Some r -> r
+    | None -> Alcotest.fail "explain analyze committed no record"
+  in
+  let lines =
+    String.split_on_char '\n' text
+    |> List.filter (fun l -> l <> "")
+    |> List.rev |> List.map String.trim
+  in
+  Alcotest.(check bool) "leaf is the scan" true
+    (String.starts_with ~prefix:"Scan " (List.hd lines));
+  Alcotest.(check (list string)) "nodes bottom-up = units run"
+    (List.tl lines)
+    (List.map (fun n -> n.Obs.Profile.n_label) record.Obs.Profile.p_nodes)
+
 let () =
   Alcotest.run "sheet_plan"
     [ ( "compile",
         [ Alcotest.test_case "equals interpreter" `Quick
             test_compile_equals_materialize;
           Alcotest.test_case "dedup keys" `Quick test_dedup_distinct_on;
-          Alcotest.test_case "explain" `Quick test_explain_output ] );
-      ( "optimize",
-        [ Alcotest.test_case "preserves semantics" `Quick
-            test_optimize_preserves;
-          Alcotest.test_case "for visible columns" `Quick
-            test_optimize_for_visible;
-          Alcotest.test_case "filter fusion" `Quick test_filter_fusion;
-          Alcotest.test_case "pushdown blocked by aggregate" `Quick
-            test_pushdown_blocked_by_aggregate;
-          Alcotest.test_case "pushdown through formula" `Quick
-            test_pushdown_through_formula;
-          Alcotest.test_case "prunes unused extensions" `Quick
-            test_prune_drops_unused_extension ] ) ]
+          Alcotest.test_case "explain" `Quick test_explain_output;
+          Alcotest.test_case "explain is the plan that runs" `Quick
+            test_explain_is_the_plan_that_runs ] ) ]

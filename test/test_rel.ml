@@ -175,22 +175,6 @@ let test_aggregates () =
        (Expr_eval.apply_agg Expr.Avg (Value.Null :: vs))
        (Value.Float 2.5))
 
-let test_simplify () =
-  let simp text = Expr.to_string (Expr_simplify.simplify (parse text)) in
-  Alcotest.(check string) "constant folding" "14" (simp "2 + 3 * 4");
-  Alcotest.(check string) "true and" "a > 1" (simp "TRUE AND a > 1");
-  Alcotest.(check string) "or true" "true" (simp "a > 1 OR TRUE");
-  Alcotest.(check string) "false and" "false" (simp "a > 1 AND FALSE");
-  Alcotest.(check string) "double negation" "a > 1" (simp "NOT (NOT (a > 1))");
-  Alcotest.(check string) "constant comparison" "true" (simp "2 < 3");
-  Alcotest.(check string) "case static true" "1"
-    (simp "CASE WHEN 1 = 1 THEN 1 ELSE 2 END");
-  Alcotest.(check string) "case drops false branch" "CASE WHEN a > 1 THEN 2 END"
-    (simp "CASE WHEN FALSE THEN 1 WHEN a > 1 THEN 2 END");
-  Alcotest.(check string) "columns block folding" "a + 1" (simp "a + 1");
-  (* folding goes through the evaluator, so null semantics hold *)
-  Alcotest.(check string) "null arith folds to null" "NULL" (simp "NULL + 1")
-
 (* ---- relational algebra ---- *)
 
 let test_select_project () =
@@ -334,8 +318,7 @@ let () =
           Alcotest.test_case "null semantics" `Quick test_expr_null_semantics;
           Alcotest.test_case "like" `Quick test_like;
           Alcotest.test_case "typecheck" `Quick test_expr_typecheck;
-          Alcotest.test_case "aggregates" `Quick test_aggregates;
-          Alcotest.test_case "simplifier" `Quick test_simplify ] );
+          Alcotest.test_case "aggregates" `Quick test_aggregates ] );
       ( "algebra",
         [ Alcotest.test_case "select/project" `Quick test_select_project;
           Alcotest.test_case "product/join" `Quick test_product_join;
