@@ -343,13 +343,18 @@ let run_line session line =
         match Session.remove_computed session (trim rest) with
         | Ok session -> Ok { session; output = None }
         | Error e -> Error (Errors.to_string e))
-    | "explain" when String.lowercase_ascii (trim rest) <> "analyze" ->
-        (* the plan every materialization of the sheet runs *)
-        Ok
-          { session;
-            output =
-              Some (Plan.explain (Plan.of_sheet (Session.current session))) }
-    | "explain" (* analyze *) -> Ok { session; output = Some (analyze ()) }
+    | "explain" -> (
+        match split_words (String.lowercase_ascii rest) with
+        | [] ->
+            (* the plan every materialization of the sheet runs *)
+            Ok
+              { session;
+                output =
+                  Some
+                    (Plan.explain (Plan.of_sheet (Session.current session)))
+              }
+        | [ "analyze" ] -> Ok { session; output = Some (analyze ()) }
+        | _ -> Error "explain: expected [analyze]")
     | "profile" -> (
         match split_words (String.lowercase_ascii rest) with
         | [] ->

@@ -795,23 +795,3 @@ let distinct_on keys (r : Relation.t) =
 
 let distinct (r : Relation.t) =
   distinct_on (Schema.names (Relation.schema r)) r
-
-let group_rows cols (r : Relation.t) =
-  let positions =
-    Array.of_list (List.map (Schema.index_exn (Relation.schema r)) cols)
-  in
-  let data = Relation.to_array r in
-  let tbl = Row.Tbl.create (max 16 (Array.length data)) in
-  let order = Vec.create () in
-  Array.iter
-    (fun row ->
-      let key = Row.project_arr row positions in
-      match Row.Tbl.find_opt tbl key with
-      | Some cell -> cell := row :: !cell
-      | None ->
-          let cell = ref [ row ] in
-          Row.Tbl.add tbl key cell;
-          Vec.push order (key, cell))
-    data;
-  Array.to_list
-    (Array.map (fun (key, cell) -> (key, List.rev !cell)) (Vec.to_array order))

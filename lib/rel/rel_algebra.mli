@@ -143,7 +143,3 @@ val grouping : Relation.t -> int list -> Relation.grouping
     computed or aggregate column), that grouping is returned instead
     and nothing is ranked. *)
 
-val group_rows : string list -> Relation.t -> (Row.t * Row.t list) list
-(** Partition rows by equality on the given columns. Each element is
-    (representative key row restricted to the grouping columns, rows
-    of the group); groups appear in first-occurrence order. *)

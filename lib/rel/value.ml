@@ -61,16 +61,17 @@ let compare a b =
 
 let equal a b = compare a b = 0
 
-let sql_compare a b =
+let sql_comparable a b =
   match (a, b) with
-  | Null, _ | _, Null -> None
   | Bool _, Bool _
   | Int _, (Int _ | Float _)
   | Float _, (Int _ | Float _)
   | String _, String _
   | Date _, Date _ ->
-      Some (compare a b)
-  | _ -> None
+      true
+  | _ -> false
+
+let sql_compare a b = if sql_comparable a b then Some (compare a b) else None
 
 let hash = function
   | Null -> 0

@@ -49,6 +49,9 @@ val sql_compare : t -> t -> int option
     either side is [Null] or the types are incomparable, otherwise
     [Some c] with [c] as {!compare}. *)
 
+val sql_comparable : t -> t -> bool
+(** [sql_compare a b <> None], without building the option. *)
+
 val hash : t -> int
 
 module Tbl : Hashtbl.S with type key = t

@@ -104,6 +104,26 @@ let test_explain_is_the_plan_that_runs () =
     (List.tl lines)
     (List.map (fun n -> n.Obs.Profile.n_label) record.Obs.Profile.p_nodes)
 
+(* [explain] takes nothing or [analyze] (any case) and refuses other
+   words, as the other commands refuse arguments they do not take. *)
+let test_explain_arguments () =
+  let s = Session.create ~name:"cars" Sample_cars.relation in
+  let accepts line =
+    match Script.run_line s line with
+    | Ok { Script.output = Some _; _ } -> true
+    | Ok { Script.output = None; _ } | Error _ -> false
+  in
+  List.iter
+    (fun line -> Alcotest.(check bool) line true (accepts line))
+    [ "explain"; "explain analyze"; "EXPLAIN Analyze"; "explain   analyze  " ];
+  List.iter
+    (fun line ->
+      match Script.run_line s line with
+      | Error msg ->
+          Alcotest.(check string) line "explain: expected [analyze]" msg
+      | Ok _ -> Alcotest.failf "%S was accepted" line)
+    [ "explain foo"; "explain analyze now"; "explain analyze analyze" ]
+
 let () =
   Alcotest.run "sheet_plan"
     [ ( "compile",
@@ -112,4 +132,6 @@ let () =
           Alcotest.test_case "dedup keys" `Quick test_dedup_distinct_on;
           Alcotest.test_case "explain" `Quick test_explain_output;
           Alcotest.test_case "explain is the plan that runs" `Quick
-            test_explain_is_the_plan_that_runs ] ) ]
+            test_explain_is_the_plan_that_runs;
+          Alcotest.test_case "explain refuses other arguments" `Quick
+            test_explain_arguments ] ) ]

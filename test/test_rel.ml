@@ -229,13 +229,6 @@ let test_distinct_sort () =
        false
      with Rel_algebra.Algebra_error _ -> true)
 
-let test_group_rows () =
-  let r = rel_of [ (1, "x"); (2, "x"); (3, "y") ] in
-  let groups = Rel_algebra.group_rows [ "b" ] r in
-  Alcotest.(check int) "2 groups" 2 (List.length groups);
-  let sizes = List.map (fun (_, rows) -> List.length rows) groups in
-  Alcotest.(check (list int)) "sizes in first-occurrence order" [ 2; 1 ] sizes
-
 (* ---- csv ---- *)
 
 let test_csv_roundtrip () =
@@ -323,8 +316,7 @@ let () =
         [ Alcotest.test_case "select/project" `Quick test_select_project;
           Alcotest.test_case "product/join" `Quick test_product_join;
           Alcotest.test_case "bag union/diff" `Quick test_union_diff_bags;
-          Alcotest.test_case "distinct/sort" `Quick test_distinct_sort;
-          Alcotest.test_case "group rows" `Quick test_group_rows ] );
+          Alcotest.test_case "distinct/sort" `Quick test_distinct_sort ] );
       ( "io",
         [ Alcotest.test_case "csv roundtrip" `Quick test_csv_roundtrip;
           Alcotest.test_case "csv inference/quoting" `Quick
