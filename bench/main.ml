@@ -302,9 +302,9 @@ let scaling_workloads =
    scans (table/*-1m). The 1M relation is lazy so the paper-artifact
    runs never pay for it; "quick" mode skips these with the other
    microbenchmarks. col/build times the row→column codec from
-   scratch; col/select times the compiled selection-vector path on a
-   warm (memoized) columnar view, which is what the engine's steady
-   state looks like. *)
+   scratch; table/select-* time the compiled selection-vector path
+   over the memoized columnar image the first scan builds, which is
+   what the engine's steady state looks like. *)
 
 let rel_1m = lazy (Sample_cars.scaled ~rows:1_000_000 ~seed:11)
 
@@ -319,16 +319,7 @@ let columnar_workloads =
             (Lazy.force rel_1m)));
     ("col/build-100k", Some 100_000,
      fun () ->
-       ignore (Columnar.of_rows (Relation.to_array (scaling_rel 100_000))));
-    ("col/select-100k", Some 100_000,
-     fun () ->
-       ignore
-         (Rel_algebra.columnar_filter (scaling_rel 100_000)
-            [ scaling_pred ]));
-    ("col/select-1m", Some 1_000_000,
-     fun () ->
-       ignore
-         (Rel_algebra.columnar_filter (Lazy.force rel_1m) [ scaling_pred ]))
+       ignore (Columnar.of_rows (Relation.to_array (scaling_rel 100_000))))
   ]
 
 (* Sharded Sheetscope record path under contention: four domains

@@ -175,74 +175,17 @@ let linearize node =
    by the typed kernel) folds its unboxed array: COUNT reads only the
    validity bitmap, SUM/AVG an [Ints] or [Floats] array, MIN/MAX an
    [Ints], [Dates] or [Floats] array — none of them can fail. Every
-   other argument folds boxed cells. *)
+   other argument folds boxed cells into one [Expr_eval.acc] per
+   group, the accumulator [apply_agg] itself folds. *)
 
 (* The boxed fold: [arg] reads a row's cell by base row id. *)
 let aggregate_boxed fn arg (g : Relation.grouping) (sel : int array) =
-  let groups = g.Relation.groups and group = g.Relation.group in
-  let n = Array.length sel in
-  let fold f =
-    for j = 0 to n - 1 do
-      let id = Array.unsafe_get sel j in
-      match arg id with
-      | Value.Null -> ()
-      | v -> f group.(id) v
-    done
-  in
-  let non_numeric name v =
-    raise
-      (Expr_eval.Eval_error
-         (Printf.sprintf "%s over non-numeric value %s" name
-            (Value.to_string v)))
-  in
-  let count = Array.make groups 0 in
-  let count_value g _ = count.(g) <- count.(g) + 1 in
-  match fn with
-  | Expr.Count_star ->
-      Array.iter (fun id -> count.(group.(id)) <- count.(group.(id)) + 1) sel;
-      Array.map (fun c -> Value.Int c) count
-  | Expr.Count ->
-      fold count_value;
-      Array.map (fun c -> Value.Int c) count
-  | Expr.Count_distinct ->
-      (* (group, value) pairs, values keyed on [Value.equal] *)
-      let seen = Row.Tbl.create 64 in
-      fold (fun g v ->
-          let key = [| Value.Int g; v |] in
-          if not (Row.Tbl.mem seen key) then begin
-            Row.Tbl.add seen key ();
-            count_value g v
-          end);
-      Array.map (fun c -> Value.Int c) count
-  | Expr.Sum | Expr.Avg ->
-      let name = if fn = Expr.Sum then "sum" else "avg" in
-      let isum = Array.make groups 0 in
-      let fsum = Array.make groups 0. in
-      let floats = Bytes.make groups '\000' in
-      fold (fun g v ->
-          count_value g v;
-          match v with
-          | Value.Int i ->
-              isum.(g) <- isum.(g) + i;
-              fsum.(g) <- fsum.(g) +. float_of_int i
-          | Value.Float f ->
-              Bytes.set floats g '\001';
-              fsum.(g) <- fsum.(g) +. f
-          | v -> non_numeric name v);
-      Array.init groups (fun g ->
-          if count.(g) = 0 then Value.Null
-          else if fn = Expr.Avg then
-            Value.Float (fsum.(g) /. float_of_int count.(g))
-          else if Bytes.get floats g = '\000' then Value.Int isum.(g)
-          else Value.Float fsum.(g))
-  | Expr.Min | Expr.Max ->
-      let sign = if fn = Expr.Min then -1 else 1 in
-      let best = Array.make groups Value.Null in
-      fold (fun g v ->
-          match best.(g) with
-          | Value.Null -> best.(g) <- v
-          | b -> if sign * Value.compare v b > 0 then best.(g) <- v);
-      best
+  let accs = Array.init g.Relation.groups (fun _ -> Expr_eval.acc_create fn) in
+  let group = g.Relation.group in
+  Array.iter
+    (fun id -> Expr_eval.acc_add accs.(Array.unsafe_get group id) (arg id))
+    sel;
+  Array.map Expr_eval.acc_result accs
 
 (* A typed fold, or [None] when [fn] over [col] takes the boxed one.
    Loops visit the selection in order and skip null cells. *)

@@ -41,11 +41,11 @@ let compile r e = compile_batch (Relation.schema r) (Relation.batch r) e
 
    Two strategies, each one pass over the selection vector:
 
-   1. Columnar: when every column the predicate reads is a base
-      column, the base has a (lazily built, memoized) Sheetcol image
-      and the predicate compiles (Col_pred), a copy of the vector
-      goes through the compiled chain — no Value boxing, no per-row
-      name resolution.
+   1. Columnar: when every column the predicate reads is typed — a
+      base column of the base's Sheetcol image (built on the first
+      scan, memoized), or a typed computed column — and the predicate
+      compiles (Col_pred), a copy of the vector goes through the
+      compiled chain — no Value boxing, no per-row name resolution.
    2. Row: otherwise each handle goes through the compiled expression
       ({!Expr_eval.compile_pred}); the first failing row in
       vector order raises. *)
@@ -56,36 +56,37 @@ let check_selection schema pred =
   | Error msg -> err "selection: %s" msg
 
 (* The typed column a reference reads, indexed by base row id: a base
-   column of [view] (the base's Sheetcol image) or a computed column;
-   [None] for an aggregate column, or a base column without an
-   image. *)
-let typed_column schema (b : Relation.batch) view name =
+   column of the base's Sheetcol image or a computed column; [None]
+   for an aggregate column, or a base column of ragged rows. *)
+let typed_column schema (b : Relation.batch) name =
   match Schema.find schema name with
   | None -> None
   | Some (c, _) -> (
-      match (b.cols.(c), view) with
-      | Relation.Base j, Some view -> Some (Columnar.column view j)
-      | Relation.Computed col, _ -> Some col
-      | (Relation.Base _ | Relation.Broadcast _), _ -> None)
+      match b.cols.(c) with
+      | Relation.Base j ->
+          Option.map
+            (fun view -> Columnar.column view j)
+            (Relation.columnar_view b.base)
+      | Relation.Computed col -> Some col
+      | Relation.Broadcast _ -> None)
 
-let typed_arg r name =
-  let b = Relation.batch r in
-  typed_column (Relation.schema r) b (Relation.columnar_if_built b.base) name
+let typed_arg r name = typed_column (Relation.schema r) (Relation.batch r) name
 
 (* Why an expression over [b] cannot run on typed columns: a column it
    reads has none, or [subtree] (the compiler's diagnosis) is not
    total. *)
-let fallback_reason schema (b : Relation.batch) view e ~subtree =
+let fallback_reason schema (b : Relation.batch) e ~subtree =
   let untyped name =
     match Schema.find schema name with
     | None -> None
     | Some (c, _) -> (
-        match (b.cols.(c), view) with
-        | Relation.Base _, None -> Some "no columnar image"
-        | Relation.Computed { Column.repr = Column.Boxed _; _ }, _
-        | Relation.Broadcast _, _ ->
+        match b.cols.(c) with
+        | Relation.Base _ when Relation.columnar_view b.base = None ->
+            Some "ragged rows"
+        | Relation.Computed { Column.repr = Column.Boxed _; _ }
+        | Relation.Broadcast _ ->
             Some ("computed column " ^ name)
-        | (Relation.Base _ | Relation.Computed _), _ -> None)
+        | Relation.Base _ | Relation.Computed _ -> None)
   in
   match List.find_map untyped (Expr.columns e) with
   | Some reason -> reason
@@ -94,44 +95,34 @@ let fallback_reason schema (b : Relation.batch) view e ~subtree =
       | Some s -> "non-total subtree " ^ s
       | None -> "a predicate it runs with does not compile")
 
-(* Col_pred filters for [preds] over [b]'s typed columns — base
+(* The Col_pred filter for [p] over [b]'s typed columns — base
    columns of its image, computed columns — or [None] (the caller
-   takes the row path). Inside a profile region each predicate is
+   takes the row path). Inside a profile region the predicate is
    attributed to the path it will really take, with the reason for a
    fallback. *)
-let compile_columnar schema (b : Relation.batch) preds =
-  let view = Relation.columnar_hot b.base in
-  let column = typed_column schema b view in
-  let rec go acc = function
-    | [] -> Some (List.rev acc)
-    | p :: rest -> (
-        match Col_pred.compile ~column p with
-        | Some f -> go (f :: acc) rest
-        | None -> None)
-  in
-  let compiled = go [] preds in
-  if Obs.Profile.in_region () then
-    List.iter
-      (fun p ->
-        let pred = Expr.to_string p in
-        match compiled with
-        | Some _ -> Obs.Profile.note_compiled pred
-        | None ->
-            Obs.Profile.note_fallback ~pred
-              ~reason:
-                (fallback_reason schema b view p ~subtree:(fun () ->
-                     Col_pred.diagnose ~column p)))
-      preds;
+let compile_columnar schema (b : Relation.batch) p =
+  let column = typed_column schema b in
+  let compiled = Col_pred.compile ~column p in
+  if Obs.Profile.in_region () then begin
+    let pred = Expr.to_string p in
+    match compiled with
+    | Some _ -> Obs.Profile.note_compiled pred
+    | None ->
+        Obs.Profile.note_fallback ~pred
+          ~reason:
+            (fallback_reason schema b p ~subtree:(fun () ->
+                 Col_pred.diagnose ~column p))
+  end;
   compiled
 
-(* Run compiled selection-vector filters [fs] over [b]'s vector in one
-   pass. The filters work in place, and [b]'s vector may be shared
-   (a cached parent's batch), so they run over a copy. *)
-let run_compiled (b : Relation.batch) fs =
+(* Run a compiled selection-vector filter [f] over [b]'s vector in one
+   pass. The filter works in place, and [b]'s vector may be shared (a
+   cached parent's batch), so it runs over a copy. *)
+let run_compiled (b : Relation.batch) f =
   let sel = Array.copy b.sel in
   let n = Array.length sel in
   Obs.Metrics.incr ~by:n c_sel_in;
-  let k = List.fold_left (fun k f -> f sel k) n fs in
+  let k = f sel n in
   Obs.Metrics.incr ~by:k c_sel_out;
   { b with sel = (if k = n then sel else Array.sub sel 0 k) }
 
@@ -155,20 +146,13 @@ let select_path pred (r : Relation.t) =
   check_selection schema pred;
   let b = Relation.batch r in
   let b, path =
-    match compile_columnar schema b [ pred ] with
-    | Some fs -> (run_compiled b fs, `Columnar)
+    match compile_columnar schema b pred with
+    | Some f -> (run_compiled b f, `Columnar)
     | None -> (filter_rows schema b pred, `Row)
   in
   (Relation.of_batch schema b, path)
 
 let select pred r = fst (select_path pred r)
-
-let columnar_filter r preds =
-  let schema = Relation.schema r in
-  let b = Relation.batch r in
-  Option.map
-    (fun fs -> Relation.to_array (Relation.of_batch schema (run_compiled b fs)))
-    (compile_columnar schema b preds)
 
 let project names (r : Relation.t) =
   let rschema = Relation.schema r in
@@ -191,8 +175,7 @@ let extend_path (column : Schema.column) e (r : Relation.t) =
   let b = Relation.batch r in
   let size = Relation.cardinality b.base in
   let sel = b.sel in
-  let view = Relation.columnar_if_built b.base in
-  let typed = typed_column rschema b view in
+  let typed = typed_column rschema b in
   let col, path =
     match Col_expr.compile ~column:typed e with
     | Some kernel -> (Col_expr.eval kernel ~size sel, `Columnar)
@@ -200,7 +183,7 @@ let extend_path (column : Schema.column) e (r : Relation.t) =
         if Obs.Profile.in_region () then
           Obs.Profile.note_fallback ~pred:(Expr.to_string e)
             ~reason:
-              (fallback_reason rschema b view e ~subtree:(fun () ->
+              (fallback_reason rschema b e ~subtree:(fun () ->
                    Col_expr.diagnose ~column:typed e));
         let value = compile_batch rschema b e in
         let cells = Array.make size Value.Null in
@@ -609,7 +592,7 @@ let rank_column (b : Relation.batch) c =
       let group = grouping.group in
       (init_ints n (fun j -> ranks.(group.(Array.unsafe_get sel j))), m)
   | Relation.Base j -> (
-      match Relation.columnar_if_built b.base with
+      match Relation.columnar_view b.base with
       | None -> rank_cells n cell
       | Some view ->
           typed (Columnar.column view j)

@@ -32,11 +32,6 @@ val select : Expr.t -> Relation.t -> Relation.t
 val select_path : Expr.t -> Relation.t -> Relation.t * [ `Columnar | `Row ]
 (** {!select}, also telling which of the two paths ran. *)
 
-val columnar_filter : Relation.t -> Expr.t list -> Row.t array option
-(** The columnar strategy alone: [Some rows] when every predicate
-    compiles against the relation's image — the surviving rows, in
-    order — [None] otherwise. *)
-
 val compile : Relation.t -> Expr.t -> int -> Value.t
 (** {!Expr_eval.compile_with} over the relation's batch: the closure
     takes a base row id of [Relation.batch r] (an entry of its
@@ -45,9 +40,9 @@ val compile : Relation.t -> Expr.t -> int -> Value.t
 val typed_arg : Relation.t -> string -> Column.t option
 (** The typed column a reference to the named column reads, indexed
     by base row id of [Relation.batch r]: a base column of the base's
-    Sheetcol image when one is built (never building it), or a
-    computed column. [None] for an aggregate column, a base column
-    without an image, or an unknown name. *)
+    Sheetcol image ({!Relation.columnar_view}), or a computed column.
+    [None] for an aggregate column, a base column of ragged rows, or
+    an unknown name. *)
 
 val project : string list -> Relation.t -> Relation.t
 (** [π_r]: keep the named columns in the given order; duplicates are
@@ -60,7 +55,7 @@ val extend : Schema.column -> Expr.t -> Relation.t -> Relation.t
     [Dates] column; otherwise each row handle goes through the
     compiled expression into a [Boxed] column. The cells are the same
     either way. The typed column of a base column is read from the
-    base's Sheetcol image when one is built (never building it).
+    base's Sheetcol image ({!Relation.columnar_view}).
     @raise Schema.Schema_error on a name clash.
     @raise Expr_eval.Eval_error at the first row, in order, where the
     expression fails. *)

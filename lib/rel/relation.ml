@@ -18,9 +18,6 @@ type t = {
   mutable data : Row.t array option;
   mutable rows_memo : Row.t list option;
   mutable col_memo : col_memo;
-  mutable col_touch : int;
-      (* columnar-scan requests served before building (see
-         [columnar_hot]) *)
 }
 
 and src =
@@ -68,8 +65,7 @@ let of_rows ?rows_memo schema data =
     src = Rows;
     data = Some data;
     rows_memo;
-    col_memo = Col_unbuilt;
-    col_touch = 0 }
+    col_memo = Col_unbuilt }
 
 let unsafe_of_array schema data = of_rows schema data
 
@@ -110,8 +106,7 @@ let of_batch schema (b : batch) =
     src = Batch (b, is_identity b.base b.cols);
     data = None;
     rows_memo = None;
-    col_memo = Col_unbuilt;
-    col_touch = 0 }
+    col_memo = Col_unbuilt }
 
 let base_rows (b : batch) =
   match b.base.data with Some d -> d | None -> assert false
@@ -187,34 +182,6 @@ let columnar_view t =
       end
       else begin
         t.col_memo <- Col_unavailable;
-        None
-      end
-
-let columnar_if_built t =
-  match t.col_memo with Col_built v -> Some v | _ -> None
-
-(* Materializing every column costs more than one row-path scan, so it
-   only pays off for relations scanned repeatedly — sheet bases under
-   replay, cached subsumers, benchmark fixtures — and is a net loss
-   for one-shot intermediates (e.g. inside the SQL executor's
-   pipeline, measured at +66% on the TPC-H task bench when built
-   eagerly). First scan request: stay on the row path and remember
-   the touch; second: build. Below [columnar_min_rows] the fixed
-   per-scan costs of the compiled path (predicate compilation, the
-   selection vector) exceed a whole row-path pass, so tiny relations
-   never opt in — the paper's 6-row demo sheets replay thousands of
-   times and would otherwise pay compilation on every materialize. *)
-let columnar_min_rows = 256
-
-let columnar_hot t =
-  match t.col_memo with
-  | Col_built v -> Some v
-  | Col_unavailable -> None
-  | Col_unbuilt ->
-      if cardinality t < columnar_min_rows then None
-      else if t.col_touch >= 1 then columnar_view t
-      else begin
-        t.col_touch <- t.col_touch + 1;
         None
       end
 

@@ -15,12 +15,16 @@
       unary operators of [Rel_algebra] return, so a chain of them
       (and every cached materialization) never copies a row.
 
-    On a batch-backed relation {!cardinality}, {!schema}, {!batch},
-    {!with_schema} and {!columnar_if_built} never build rows; {!get}
-    builds only the row asked for; {!to_array} (and everything that
-    reads the whole bag: {!rows}, {!iter}, {!columnar_view},
-    {!normalize}, {!equal}, {!pp}) builds every row once and
-    memoizes them. *)
+    On a batch-backed relation {!cardinality}, {!schema}, {!batch}
+    and {!with_schema} never build rows; {!get} builds only the row
+    asked for; {!to_array} (and everything that reads the whole bag:
+    {!rows}, {!iter}, {!columnar_view}, {!normalize}, {!equal},
+    {!pp}) builds every row once and memoizes them.
+
+    A relation's Sheetcol image ({!columnar_view}) has one way in: it
+    is built on the first call, whatever the relation's size or
+    history, and memoized. The operators of [Rel_algebra] only ask
+    for the image of a batch's base, which is row-backed. *)
 
 type t
 
@@ -138,26 +142,11 @@ val with_schema : Schema.t -> t -> t
 (** Same rows under a different (same-arity) schema — zero-copy rename. *)
 
 val columnar_view : t -> Columnar.t option
-(** The relation's Sheetcol image, built lazily on first use and
+(** The relation's Sheetcol image, built on the first call and
     memoized (relations are immutable, so the image can never go
-    stale). [None] when the data is ragged (possible only through
-    {!unsafe_make}) — the engine then stays on the row path. *)
-
-val columnar_hot : t -> Columnar.t option
-(** {!columnar_view} behind a repeated-use heuristic: the first scan
-    request on an unbuilt view returns [None] (row path — building
-    every column costs more than one scan) and only the second
-    builds; relations under 256 rows never opt in (fixed per-scan
-    compilation costs exceed a whole row-path pass there). The
-    engine's selection paths use this so one-shot intermediate
-    relations and tiny demo sheets never pay for machinery they
-    cannot amortize. A view built explicitly via {!columnar_view} is
-    always served. *)
-
-val columnar_if_built : t -> Columnar.t option
-(** The memoized image if a previous {!columnar_view} built one;
-    never triggers a build. The ranking kernels read a base's
-    dictionary codes and int arrays through this. *)
+    stale). [None] only when the rows are ragged (possible only
+    through the unsafe constructors) — the engine then stays on the
+    row path. *)
 
 val column_values : t -> string -> Value.t list
 (** All values of a column, in row order. *)

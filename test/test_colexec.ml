@@ -1,11 +1,12 @@
-(* Column-at-a-time execution: the rank-based sort (with and without
-   a Sheetcol image), duplicate elimination over a batch, the
-   one-pass grouped aggregation and compiled row expressions, each
-   pinned to the reference it replaces — a stable [Value.compare]
-   sort, [Row.Tbl] hashing, [Expr_eval.apply_agg] over the group's
-   values, and [Expr_eval.eval] — plus batch-backed relations (rows
-   built once, on first access; a page reads only its window) and the
-   empty plan that hands back its scanned relation. *)
+(* Column-at-a-time execution: the rank-based sort (over a Sheetcol
+   image, and over cells alone), duplicate elimination over a batch,
+   the one-pass grouped aggregation and compiled row expressions,
+   each pinned to the reference it replaces — a stable
+   [Value.compare] sort, [Row.Tbl] hashing, the oracle's list fold
+   ([Oracle.apply_agg]) over the group's values, and [Expr_eval.eval]
+   — plus batch-backed relations (rows built once, on first access; a
+   page reads only its window) and the empty plan that hands back its
+   scanned relation. *)
 
 open Sheet_rel
 open Sheet_core
@@ -102,26 +103,27 @@ let reference_sort keys rows =
     sorted;
   sorted
 
-(* The same rows with and without a Sheetcol image: the image ranks
-   typed columns from their arrays (string columns by their sorted
-   dictionary), the other relation from the cells. *)
-let with_and_without_image rows =
-  let imaged = Relation.unsafe_of_array sort_schema rows in
-  ignore (Relation.columnar_view imaged);
-  [ imaged; Relation.unsafe_of_array sort_schema rows ]
+(* The rows as a base: the first scan builds its Sheetcol image, which
+   ranks typed columns from their arrays (string columns by their
+   sorted dictionary). *)
+let base rows = Relation.unsafe_of_array sort_schema rows
+
+(* The same cells in rows one cell wider than the schema: ragged for
+   the image, which is refused, so every column ranks from its
+   cells. *)
+let cells_only rows =
+  Relation.unsafe_of_array sort_schema
+    (Array.map (fun r -> Array.append r [| Value.Null |]) rows)
 
 let sort_matches_reference =
   QCheck.Test.make ~count:150
     ~name:"sort == stable Value.compare sort (rows and order)"
     (QCheck.make gen_sort_case) (fun (rows, keys) ->
       let want = reference_sort keys rows in
-      List.for_all
-        (fun r ->
-          let got = Relation.to_array (Rel_algebra.sort keys r) in
-          rows_identical got want
-          || QCheck.Test.fail_reportf "got %s\nwant %s" (print_rows got)
-               (print_rows want))
-        (with_and_without_image rows))
+      let got = Relation.to_array (Rel_algebra.sort keys (base rows)) in
+      rows_identical got want
+      || QCheck.Test.fail_reportf "got %s\nwant %s" (print_rows got)
+           (print_rows want))
 
 (* Group ids over the same cells: equal ids exactly for equal keys,
    smaller ids for lexicographically smaller keys, at most one group
@@ -133,9 +135,7 @@ let group_ids_follow_key_order =
         List.map (fun (name, _) -> Schema.index_exn sort_schema name) keys
       in
       let gid, groups =
-        Rel_algebra.group_ids
-          (List.hd (with_and_without_image rows))
-          positions
+        Rel_algebra.group_ids (base rows) positions
       in
       let compare_keys ra rb =
         List.fold_left
@@ -161,16 +161,15 @@ let group_ids_follow_key_order =
 let image_ranks_equal_hashing =
   QCheck.Test.make ~count:150 ~name:"group_ids: image ranks == hashed ranks"
     (QCheck.make gen_sort_case) (fun (rows, _) ->
+      let imaged = base rows and plain = cells_only rows in
       List.for_all
         (fun c ->
-          match
-            List.map
-              (fun r -> Rel_algebra.group_ids r [ c ])
-              (with_and_without_image rows)
-          with
-          | [ imaged; plain ] -> imaged = plain
-          | _ -> false)
-        [ 0; 1; 2 ])
+          Rel_algebra.group_ids imaged [ c ] = Rel_algebra.group_ids plain [ c ])
+        [ 0; 1; 2 ]
+      (* with no rows nothing is ragged: both have an (empty) image *)
+      && (rows = [||]
+         || Relation.columnar_view imaged <> None
+            && Relation.columnar_view plain = None))
 
 (* A sorted vector is not ascending: an [Or] filter compiled against
    the image must keep the survivors in the sorted order. *)
@@ -189,18 +188,14 @@ let or_filter_after_sort =
                match r.(3) with Value.Int i -> i < 40 || i > 200 | _ -> false)
              (Array.to_list (reference_sort keys rows)))
       in
-      List.for_all
-        (fun r ->
-          let sorted = Rel_algebra.sort keys r in
-          let got, path = Rel_algebra.select_path pred sorted in
-          let got = Relation.to_array got in
-          (* an empty image column is boxed: nothing compiles *)
-          (Array.length rows = 0 || path = `Columnar
-          || Relation.columnar_if_built r = None)
-          && (rows_identical got want
-             || QCheck.Test.fail_reportf "got %s\nwant %s" (print_rows got)
-                  (print_rows want)))
-        (with_and_without_image rows))
+      let sorted = Rel_algebra.sort keys (base rows) in
+      let got, path = Rel_algebra.select_path pred sorted in
+      let got = Relation.to_array got in
+      (* an empty image column is boxed: nothing compiles *)
+      (Array.length rows = 0 || path = `Columnar)
+      && (rows_identical got want
+         || QCheck.Test.fail_reportf "got %s\nwant %s" (print_rows got)
+              (print_rows want)))
 
 (* ---------- duplicate elimination ---------- *)
 
@@ -240,10 +235,9 @@ let row_tbl_distinct rows =
 let distinct_matches_row_tbl =
   QCheck.Test.make ~count:300
     ~name:"distinct == Row.Tbl distinct (rows and order)"
-    (QCheck.make QCheck.Gen.(pair gen_distinct_rows bool))
-    (fun (rows, image) ->
+    (QCheck.make gen_distinct_rows)
+    (fun rows ->
       let r = Relation.unsafe_of_array distinct_schema rows in
-      if image then ignore (Relation.columnar_view r);
       let batch = Rel_algebra.project (Schema.names distinct_schema) r in
       let want = row_tbl_distinct rows in
       List.for_all
@@ -266,26 +260,31 @@ let all_funs =
   Expr.[ Count_star; Count; Count_distinct; Sum; Avg; Min; Max ]
 
 (* Argument cells: all-int groups that overflow, mixed int/float
-   sums, nulls (whole groups of them at small sizes), 3 beside 3.0.
-   Strings only where the function accepts them. *)
-let gen_arg fn : Value.t QCheck.Gen.t =
+   sums, nulls (whole groups of them at small sizes), 3 beside 3.0
+   (ties under MIN/MAX, one value under COUNT DISTINCT), NaN rarely.
+   Strings where the function accepts them, and in an [ill_typed] case
+   where it does not: SUM/AVG must then fail with the reference's
+   message. *)
+let gen_arg ~ill_typed fn : Value.t QCheck.Gen.t =
   let open QCheck.Gen in
   let numeric =
     [ (3, return Value.Null);
       (3, map (fun i -> Value.Int i) (int_range (-4) 4));
       (2, oneofl [ Value.Int max_int; Value.Int (max_int - 1); Value.Int min_int ]);
       (2, oneofl [ Value.Int 3; Value.Float 3.0 ]);
-      (3, map (fun f -> Value.Float f) (oneofl [ 0.1; 0.2; 1e16; -1e16; 0.3; -0.0 ])) ]
+      (3, map (fun f -> Value.Float f) (oneofl [ 0.1; 0.2; 1e16; -1e16; 0.3; -0.0 ]));
+      (1, return (Value.Float Float.nan)) ]
   in
+  let strings weight = (weight, map (fun s -> Value.String s) (oneofl [ "p"; "q" ])) in
   match fn with
-  | Expr.Sum | Expr.Avg -> frequency numeric
-  | _ ->
-      frequency
-        ((2, map (fun s -> Value.String s) (oneofl [ "p"; "q" ])) :: numeric)
+  | (Expr.Sum | Expr.Avg) when not ill_typed -> frequency numeric
+  | Expr.Sum | Expr.Avg -> frequency (strings 1 :: numeric)
+  | _ -> frequency (strings 2 :: numeric)
 
 let gen_agg_case =
   let open QCheck.Gen in
   let* fn = oneofl all_funs in
+  let* ill_typed = frequency [ (5, return false); (1, return true) ] in
   let* basis = oneofl [ []; [ "g" ]; [ "g"; "h" ]; [ "w" ]; [ "h"; "w"; "g" ] ] in
   let* n = int_range 0 60 in
   let* rows =
@@ -296,7 +295,7 @@ let gen_agg_case =
        let* h = oneofl [ Value.String "u"; Value.String "v"; Value.Null ] in
        (* sparse ints: an offset rank range far wider than the rows *)
        let* w = oneofl [ Value.Int 0; Value.Int (1 lsl 40); Value.Int (-7) ] in
-       let* x = gen_arg fn in
+       let* x = gen_arg ~ill_typed fn in
        return [| g; h; w; x |])
   in
   return (fn, basis, rows)
@@ -311,26 +310,36 @@ let aggregate_matches_apply_agg =
               arg = Some (Expr.Col "x"); basis },
             Plan.Scan (Relation.unsafe_of_array agg_schema rows) )
       in
-      let out = Relation.to_array (Plan.execute plan) in
-      let positions =
-        Array.of_list (List.map (Schema.index_exn agg_schema) basis)
-      in
-      let key row = Row.project_arr row positions in
-      Array.length out = Array.length rows
-      && Array.for_all
-           (fun i ->
-             let group =
-               List.filter
-                 (fun r -> Row.equal (key r) (key rows.(i)))
-                 (Array.to_list rows)
-             in
-             let want = Expr_eval.apply_agg fn (List.map (fun r -> r.(3)) group) in
-             let got = out.(i).(4) in
-             value_exact got want
-             || QCheck.Test.fail_reportf "%s row %d: got %s, want %s"
-                  (Expr.agg_fun_name fn) i (Value.to_string got)
-                  (Value.to_string want))
-           (Array.init (Array.length rows) Fun.id))
+      let cells group = List.map (fun r -> r.(3)) group in
+      (* one fold over every row, in input order, fails exactly when
+         the grouped one must, at the same value *)
+      match Oracle.apply_agg fn (cells (Array.to_list rows)) with
+      | exception Expr_eval.Eval_error want -> (
+          match Plan.execute plan with
+          | _ -> QCheck.Test.fail_reportf "no error, want %s" want
+          | exception Expr_eval.Eval_error got ->
+              got = want || QCheck.Test.fail_reportf "got %s, want %s" got want)
+      | _ ->
+          let out = Relation.to_array (Plan.execute plan) in
+          let positions =
+            Array.of_list (List.map (Schema.index_exn agg_schema) basis)
+          in
+          let key row = Row.project_arr row positions in
+          Array.length out = Array.length rows
+          && Array.for_all
+               (fun i ->
+                 let group =
+                   List.filter
+                     (fun r -> Row.equal (key r) (key rows.(i)))
+                     (Array.to_list rows)
+                 in
+                 let want = Oracle.apply_agg fn (cells group) in
+                 let got = out.(i).(4) in
+                 value_exact got want
+                 || QCheck.Test.fail_reportf "%s row %d: got %s, want %s"
+                      (Expr.agg_fun_name fn) i (Value.to_string got)
+                      (Value.to_string want))
+               (Array.init (Array.length rows) Fun.id))
 
 let raises_eval f =
   match f () with
@@ -651,7 +660,6 @@ let typed_folds_match_apply_agg =
             else print_rows rows))
        gen_typed_agg_case) (fun (fn, _, basis, rows) ->
       let base = Relation.unsafe_of_array agg_schema rows in
-      ignore (Relation.columnar_view base);
       incr next_uid;
       let uid = !next_uid in
       let plan =
@@ -676,7 +684,7 @@ let typed_folds_match_apply_agg =
         rows;
       let wants = Hashtbl.create 16 in
       Hashtbl.iter
-        (fun k cells -> Hashtbl.replace wants k (Expr_eval.apply_agg fn (List.rev cells)))
+        (fun k cells -> Hashtbl.replace wants k (Oracle.apply_agg fn (List.rev cells)))
         members;
       (* what the image made of the argument column decides the fold *)
       let kind =
@@ -724,7 +732,6 @@ let grouping_of r name =
    over another vector, or another basis, each ranks its own. *)
 let test_aggregates_share_grouping () =
   let base = Sample_cars.scaled ~rows:2_000 ~seed:6 in
-  ignore (Relation.columnar_view base);
   let agg name fn col basis child =
     Plan.Extend_aggregate
       ( { Plan.agg_name = name; agg_ty = Value.TFloat; fn;
@@ -766,9 +773,8 @@ let test_empty_plan_returns_scan () =
   Alcotest.(check bool) "physically the scanned relation" true
     (Plan.execute (Plan.Scan r) == r)
 
-(* A sheet opened on a base relation materializes as that relation,
-   so once the base has been scanned a new session's first selection
-   filters through its memoized columnar image. *)
+(* A new session's first selection over a fresh base filters through
+   the columnar image that very scan builds. *)
 let test_first_select_compiles () =
   let base = Sample_cars.scaled ~rows:1_000 ~seed:4 in
   let select session pred =
@@ -777,9 +783,8 @@ let test_first_select_compiles () =
     | Error e -> Alcotest.failf "refused: %s" (Errors.to_string e)
   in
   Materialize.reset_cache ();
-  ignore (select (Session.create ~name:"first" base) "Price < 15000");
   let in0 = Obs.Metrics.value_of Obs.k_col_sel_rows_in in
-  let s = select (Session.create ~name:"second" base) "Price < 20000" in
+  let s = select (Session.create ~name:"first" base) "Price < 20000" in
   Alcotest.(check int) "columnar scan of the whole base" 1_000
     (Obs.Metrics.value_of Obs.k_col_sel_rows_in - in0);
   match Obs.Profile.find ~uid:(Session.current s).Spreadsheet.uid with

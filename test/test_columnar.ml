@@ -10,6 +10,7 @@
    pin multi-domain morsel scans to single-domain runs row-for-row. *)
 
 open Sheet_rel
+open Sheet_core
 
 
 (* bit-exact value equality: same constructor, NaN = NaN by bits *)
@@ -150,10 +151,9 @@ let test_mixed_column_fallback () =
         (Column.kind_name (Columnar.column img 1))
   | None -> Alcotest.fail "uniform relation must have a columnar view");
   let pred = Expr.(Cmp (Lt, Col "V", Const (Value.Int 100))) in
+  let out, path = Rel_algebra.select_path pred r in
   Alcotest.(check bool)
-    "columnar_filter declines boxed comparisons" true
-    (Rel_algebra.columnar_filter r [ pred ] = None);
-  let out = Rel_algebra.select pred r in
+    "a boxed comparison takes the row path" true (path = `Row);
   let index = Schema.compile_index schema in
   let expected =
     Array.to_list rows
@@ -266,7 +266,6 @@ let compiled_vs_row =
          return (rows, pred)))
     (fun (rows, pred) ->
       let r = Relation.of_array cars_schema rows in
-      ignore (Relation.columnar_view r);
       let index = Schema.compile_index cars_schema in
       let expected =
         Array.to_list rows
@@ -275,9 +274,23 @@ let compiled_vs_row =
                  ~lookup:(fun name -> Row.get row (index name))
                  pred)
       in
-      match Rel_algebra.columnar_filter r [ pred ] with
-      | None -> QCheck.assume_fail () (* did not compile: nothing to pin *)
-      | Some got -> List.equal Row.equal expected (Array.to_list got))
+      let got, path = Rel_algebra.select_path pred r in
+      (* the image is built by the scan itself; whenever the predicate
+         compiles against it, the compiled path is the one that ran *)
+      let compiles =
+        match Relation.columnar_view r with
+        | None -> false
+        | Some v ->
+            Option.is_some
+              (Col_pred.compile
+                 ~column:(fun name ->
+                   Option.map
+                     (fun (j, _) -> Columnar.column v j)
+                     (Schema.find cars_schema name))
+                 pred)
+      in
+      path = (if compiles then `Columnar else `Row)
+      && List.equal Row.equal expected (Relation.rows got))
 
 (* ---------- observability ---------- *)
 
@@ -307,7 +320,6 @@ let test_columnar_metrics () =
    0 after a scan *)
 let test_par_metrics () =
   let r = Sample_cars.scaled ~rows:40_000 ~seed:5 in
-  ignore (Relation.columnar_view r);
   ignore
     (Rel_algebra.select Expr.(Cmp (Lt, Col "Price", Const (Value.Int 15000))) r);
   let names = List.map fst (Obs.Metrics.snapshot ()) in
@@ -319,42 +331,58 @@ let test_par_metrics () =
 
 (* ---------- memoization ---------- *)
 
-(* one-shot relations must not pay for view construction: the first
-   scan request declines, the second builds *)
-let test_hot_heuristic () =
-  let r = Sample_cars.scaled ~rows:500 ~seed:9 in
-  let pred = Expr.(Cmp (Lt, Col "Price", Const (Value.Int 15000))) in
-  Alcotest.(check bool)
-    "first scan stays on the row path" true
-    (Rel_algebra.columnar_filter r [ pred ] = None);
-  Alcotest.(check bool)
-    "no view built yet" true
-    (Relation.columnar_if_built r = None);
-  Alcotest.(check bool)
-    "second scan builds and compiles" true
-    (Rel_algebra.columnar_filter r [ pred ] <> None);
-  Alcotest.(check bool)
-    "view memoized" true
-    (Relation.columnar_if_built r <> None)
-
-let test_hot_min_rows () =
-  (* below the 256-row floor the hot path never opts in, no matter
-     how often it is scanned — but an explicitly built view is
-     honoured *)
-  let r = Sample_cars.scaled ~rows:50 ~seed:9 in
-  let pred = Expr.(Cmp (Lt, Col "Price", Const (Value.Int 15000))) in
-  for _ = 1 to 3 do
-    Alcotest.(check bool)
-      "tiny relation stays on the row path" true
-      (Rel_algebra.columnar_filter r [ pred ] = None)
-  done;
-  Alcotest.(check bool)
-    "no view built" true
-    (Relation.columnar_if_built r = None);
-  ignore (Relation.columnar_view r);
-  Alcotest.(check bool)
-    "explicitly built view is served" true
-    (Rel_algebra.columnar_filter r [ pred ] <> None)
+(* Which path a query's nodes take is a function of the query and the
+   data, not of what ran before: the same plan over a fresh base
+   leaves the same profile on its first and second run, at 500 rows
+   and at 6, and its selection and formula compile on the first. *)
+let test_same_profile_every_run () =
+  let parse = Expr_parse.parse_string_exn in
+  let plan base =
+    Plan.Sort
+      ( [ ("Model", `Asc); ("Price", `Desc) ],
+        Plan.Extend_aggregate
+          ( { Plan.agg_name = "avg_m"; agg_ty = Value.TFloat; fn = Expr.Avg;
+              arg = Some (Expr.Col "Mileage"); basis = [ "Model" ] },
+            Plan.Extend_formula
+              ( { Plan.name = "twice"; ty = Value.TInt; expr = parse "Price * 2" },
+                Plan.Filter (parse "Price < 15000", Plan.Scan base) ) ) )
+  in
+  let uid = ref 2_000_000 in
+  let profile base =
+    incr uid;
+    ignore (Plan.execute ~uid:!uid (plan base));
+    match Obs.Profile.find ~uid:!uid with
+    | None -> Alcotest.fail "no profile recorded"
+    | Some p ->
+        ( List.map
+            (fun n -> (n.Obs.Profile.n_kind, n.Obs.Profile.n_path))
+            p.Obs.Profile.p_nodes,
+          p.Obs.Profile.p_compiled,
+          p.Obs.Profile.p_fallbacks )
+  in
+  let shape =
+    Alcotest.(
+      triple (list (pair string string)) (list string)
+        (list (pair string string)))
+  in
+  List.iter
+    (fun rows ->
+      let base = Sample_cars.scaled ~rows ~seed:9 in
+      let ((nodes, compiled, fallbacks) as first) = profile base in
+      Alcotest.check shape
+        (Printf.sprintf "%d rows: second run, same profile" rows)
+        first (profile base);
+      Alcotest.(check (list string))
+        (Printf.sprintf "%d rows: the selection compiled" rows)
+        [ "Price < 15000" ] compiled;
+      Alcotest.(check int) (Printf.sprintf "%d rows: no fallback" rows) 0
+        (List.length fallbacks);
+      Alcotest.(check (list (pair string string)))
+        (Printf.sprintf "%d rows: node paths" rows)
+        [ ("filter", "columnar"); ("extend", "columnar");
+          ("extend-agg", "columnar"); ("sort", "batch") ]
+        nodes)
+    [ 500; 6 ]
 
 let test_rows_memoized () =
   let r = Sample_cars.scaled ~rows:100 ~seed:1 in
@@ -384,6 +412,6 @@ let () =
         [ Alcotest.test_case "columnar metrics" `Quick test_columnar_metrics;
           Alcotest.test_case "par metrics" `Quick test_par_metrics ] );
       ( "memoization",
-        [ Alcotest.test_case "hot heuristic" `Quick test_hot_heuristic;
-          Alcotest.test_case "hot min rows" `Quick test_hot_min_rows;
+        [ Alcotest.test_case "same profile every run" `Quick
+            test_same_profile_every_run;
           Alcotest.test_case "rows memoized" `Quick test_rows_memoized ] ) ]

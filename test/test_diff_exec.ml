@@ -12,10 +12,14 @@
    the SQL engine via the inverse translation. Random query states
    over relations up to 10k rows must agree on all of them, and so
    must the windows Render.page cuts from them (cells and group
-   breaks) and the sheet's plan run over three scans of its base data
-   (with a Sheetcol image, without one, and batch-backed). Formulas
-   the typed kernel computes, and aggregates folding them, are among
-   the generated states.
+   breaks) and the sheet's plan run over two scans of its base data
+   (a fresh base, and a batch-backed relation). Formulas the typed
+   kernel computes, and aggregates folding them, are among the
+   generated states, and so are the cases that stay on the row path
+   whatever the data: predicates the compiler does not take, and a
+   formula of mixed Int/Float cells — a Boxed column that sorts,
+   groups, filters and aggregates from its cells. Both row paths are
+   asserted to run at least once.
 
    A second battery attacks the hash-table paths (equijoin / distinct
    / diff / grouping all key on Value.hash or Row.hash): a generator
@@ -91,7 +95,16 @@ let gen_pred : Expr.t QCheck.Gen.t =
            (Expr.Between
               ( Expr.Col col,
                 Expr.Const (Value.Int lo),
-                Expr.Const (Value.Int (lo + width)) ))) ]
+                Expr.Const (Value.Int (lo + width)) )));
+        (* arithmetic under a comparison: never compiled, the row path *)
+        (let* col = oneofl numeric_cols in
+         let* op = oneofl [ Expr.Lt; Expr.Ge; Expr.Eq ] in
+         let* v = int_range 0 6 in
+         return
+           (Expr.Cmp
+              ( op,
+                Expr.Arith (Expr.Mod, Expr.Col col, Expr.Const (Value.Int 7)),
+                Expr.Const (Value.Int v) ))) ]
   in
   oneof
     [ atom;
@@ -136,6 +149,41 @@ let gen_formula_then_aggregate ~tag : Op.t list QCheck.Gen.t =
         { fn; col = Some name; level = 1;
           as_name = Some (Printf.sprintf "ak_%s" tag) } ]
 
+(* A formula whose cells are Int on some rows and the equal Float on
+   others — a Boxed column, so ties between 1 and 1.0 abound — then an
+   operator over it that reads its cells: a sort, a grouping, a
+   selection or an aggregate (COUNT DISTINCT among them). *)
+let gen_mixed_formula_then_use ~tag : Op.t list QCheck.Gen.t =
+  let open QCheck.Gen in
+  let* a = oneofl numeric_cols in
+  let* cond = oneofl numeric_cols in
+  let* k = int_range 2000 80000 in
+  let name = Printf.sprintf "mx_%s" tag in
+  let cell = Expr.Arith (Expr.Mod, Expr.Col a, Expr.Const (Value.Int 3)) in
+  let expr =
+    Expr.Case
+      ( [ (Expr.Cmp (Expr.Gt, Expr.Col cond, Expr.Const (Value.Int k)), cell) ],
+        Some (Expr.Arith (Expr.Mul, cell, Expr.Const (Value.Float 1.0))) )
+  in
+  let* dir = oneofl [ Grouping.Asc; Grouping.Desc ] in
+  let* use =
+    oneof
+      [ return (Op.Order { attr = name; dir; level = 1 });
+        return (Op.Group { basis = [ name ]; dir });
+        (let* op = oneofl [ Expr.Lt; Expr.Ge; Expr.Eq ] in
+         let* v = oneofl [ Value.Int 1; Value.Float 1.0; Value.Float 1.5 ] in
+         return (Op.Select (Expr.Cmp (op, Expr.Col name, Expr.Const v))));
+        (let* fn =
+           oneofl
+             Expr.[ Sum; Avg; Min; Max; Count; Count_distinct ]
+         in
+         return
+           (Op.Aggregate
+              { fn; col = Some name; level = 1;
+                as_name = Some (Printf.sprintf "am_%s" tag) })) ]
+  in
+  return [ Op.Formula { name = Some name; expr }; use ]
+
 let gen_unary_op ~tag : Op.t QCheck.Gen.t =
   let open QCheck.Gen in
   oneof
@@ -167,7 +215,8 @@ let gen_ops lo hi =
         let tag = string_of_int i in
         frequency
           [ (6, map (fun op -> [ op ]) (gen_unary_op ~tag));
-            (1, gen_formula_then_aggregate ~tag) ]))
+            (1, gen_formula_then_aggregate ~tag);
+            (1, gen_mixed_formula_then_use ~tag) ]))
 
 let print_case (_, ops) =
   String.concat "; " (List.map Op.describe ops)
@@ -290,18 +339,15 @@ let pages_agree (sheet : Spreadsheet.t) expected =
     [ (0, None); (0, Some 3); (first_break - 1, Some 3); (first_break, Some 2);
       (n / 2, Some 4); (n - 2, Some 5); (n + 3, Some 2); (1, Some 0) ]
 
-(* The same data scanned three ways: a base with a Sheetcol image, a
-   base without one (first touch, or under 256 rows: the compiled
-   expression path), and a batch-backed relation from an earlier run,
-   whose selection vector runs backwards over its base and whose
-   second column is a computed one. *)
-let three_scans base =
+(* The same data scanned two ways: a fresh base, whose first scan
+   builds its Sheetcol image whatever its size, and a batch-backed
+   relation from an earlier run, whose selection vector runs backwards
+   over its base and whose second column is a computed one. *)
+let two_scans base =
   let schema = Relation.schema base in
   let rows = Relation.to_array base in
   let n = Array.length rows in
-  let with_image = Relation.unsafe_of_array schema (Array.copy rows) in
-  ignore (Relation.columnar_view with_image);
-  let without_image = Relation.unsafe_of_array schema (Array.copy rows) in
+  let fresh = Relation.unsafe_of_array schema (Array.copy rows) in
   let names = Schema.names schema in
   let second = List.nth names 1 in
   let hidden = "__" ^ second in
@@ -320,7 +366,6 @@ let three_scans base =
       (Array.init n (fun i ->
            Row.append rows.(n - 1 - i) [| Value.Int (n - 1 - i) |]))
   in
-  ignore (Relation.columnar_view reversed);
   let batch =
     Plan.execute
       (Plan.Project
@@ -333,7 +378,7 @@ let three_scans base =
                      expr = Expr.Col hidden },
                    Plan.Scan reversed ) ) ))
   in
-  [ ("image", with_image); ("no image", without_image); ("batch", batch) ]
+  [ ("fresh", fresh); ("batch", batch) ]
 
 (* [plan] reading [scan] in place of its scan of the base *)
 let rec rescan scan = function
@@ -350,7 +395,34 @@ let scans_agree (sheet : Spreadsheet.t) expected =
   List.for_all
     (fun (_, scan) ->
       Oracle.same_rows_in_order (Plan.execute (rescan scan plan)) expected)
-    (three_scans sheet.Spreadsheet.base)
+    (two_scans sheet.Spreadsheet.base)
+
+(* How many of the battery's materializations ran each row path: a
+   selection on the row path, and a ranking of the mixed formula's
+   cells — a sort, duplicate elimination or grouping keyed on it. *)
+let row_filters = ref 0
+let cell_ranks = ref 0
+
+let mentions_mixed s =
+  let n = String.length s in
+  let rec go i = i + 3 <= n && (String.sub s i 3 = "mx_" || go (i + 1)) in
+  go 0
+
+let note_row_paths (r : Obs.Profile.t) =
+  List.iter
+    (fun { Obs.Profile.n_kind; n_label; n_path; n_rows_in; _ } ->
+      let keys =
+        match n_kind with
+        | "sort" | "distinct" -> n_label
+        | "extend-agg" ->
+            (* the basis follows the argument *)
+            let i = Option.value ~default:0 (String.rindex_opt n_label '[') in
+            String.sub n_label i (String.length n_label - i)
+        | _ -> ""
+      in
+      if n_kind = "filter" && n_path = "row" then incr row_filters;
+      if mentions_mixed keys && n_rows_in >= 2 then incr cell_ranks)
+    r.Obs.Profile.p_nodes
 
 let check_state rel ops =
   let session = Session.create ~name:"cars" rel in
@@ -374,6 +446,7 @@ let check_state rel ops =
     &&
     match Obs.Profile.find ~uid:sheet.Spreadsheet.uid with
     | Some r ->
+        note_row_paths r;
         r.Obs.Profile.p_kind = "materialize"
         && r.Obs.Profile.p_rows_out = Relation.cardinality full
     | None -> false
@@ -403,6 +476,16 @@ let differential_small =
           let* ops = gen_ops 0 8 in
           return (rel, ops)))
     (fun (rel, ops) -> check_state rel ops)
+
+(* After the two batteries: each row path ran, so the oracle has
+   checked it. *)
+let test_row_paths_taken () =
+  Alcotest.(check bool)
+    (Printf.sprintf "row-path selections (%d)" !row_filters)
+    true (!row_filters > 0);
+  Alcotest.(check bool)
+    (Printf.sprintf "rankings of Boxed cells (%d)" !cell_ranks)
+    true (!cell_ranks > 0)
 
 let differential_large =
   QCheck.Test.make ~count:30
@@ -631,7 +714,11 @@ let () =
     (name, List.map (QCheck_alcotest.to_alcotest ~long:false) tests)
   in
   Alcotest.run "sheet_diff_exec"
-    [ suite "differential" [ differential_small; differential_large ];
+    [ ( "differential",
+        List.map
+          (QCheck_alcotest.to_alcotest ~long:false)
+          [ differential_small; differential_large ]
+        @ [ Alcotest.test_case "row paths taken" `Quick test_row_paths_taken ] );
       suite "collisions"
         [ equijoin_under_collisions; distinct_under_collisions;
           diff_under_collisions ];

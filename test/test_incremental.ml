@@ -107,7 +107,6 @@ let test_selection_derivation () =
    each child is the oracle's answer, rows and order. *)
 let test_selections_share_parent_vector () =
   let base = Sample_cars.scaled ~rows:2_000 ~seed:11 in
-  ignore (Relation.columnar_view base);
   let parent =
     apply_exn
       (Spreadsheet.of_relation ~name:"cars" base)
