@@ -52,82 +52,65 @@ let as_float = function
   | Const_int (Int, k) -> Const_float (float_of_int k)
   | e -> Promote e
 
-let rec compile ~column (e : Expr.t) : t option =
+(* The kernel for [e], or the smallest subtree that blocks it: a leaf
+   the kernel cannot read, a condition Col_pred refuses, or an
+   operation it cannot type. Operands are compiled first, in order,
+   so an operand's blocker wins over its parent's. *)
+let rec compile ~column (e : Expr.t) : (t, Expr.t) result =
   let compile = compile ~column in
   match e with
-  | Expr.Const (Value.Int k) -> Some (Const_int (Int, k))
-  | Expr.Const (Value.Date k) -> Some (Const_int (Date, k))
-  | Expr.Const (Value.Float f) -> Some (Const_float f)
+  | Expr.Const (Value.Int k) -> Ok (Const_int (Int, k))
+  | Expr.Const (Value.Date k) -> Ok (Const_int (Date, k))
+  | Expr.Const (Value.Float f) -> Ok (Const_float f)
   | Expr.Col name -> (
       match column name with
       | Some { Column.repr = Column.Ints a; validity } ->
-          Some (Ints_col (Int, a, validity))
+          Ok (Ints_col (Int, a, validity))
       | Some { Column.repr = Column.Dates a; validity } ->
-          Some (Ints_col (Date, a, validity))
+          Ok (Ints_col (Date, a, validity))
       | Some { Column.repr = Column.Floats a; validity } ->
-          Some (Floats_col (a, validity))
-      | _ -> None)
-  | Expr.Neg a -> (
-      match compile a with
-      | Some a when ty_of a <> Date -> Some (Neg (ty_of a, a))
-      | _ -> None)
-  | Expr.Arith (op, a, b) -> (
-      match (compile a, compile b) with
-      | Some a, Some b -> (
-          match (ty_of a, ty_of b, op) with
-          | Int, Int, _ -> Some (Arith_int (Int, op, a, b))
-          | Date, Int, (Expr.Add | Expr.Sub) | Int, Date, Expr.Add ->
-              Some (Arith_int (Date, op, a, b))
-          | Date, Date, Expr.Sub -> Some (Arith_int (Int, op, a, b))
-          | Date, _, _ | _, Date, _ -> None
-          | Float, Float, _ -> Some (Arith_float (op, a, b))
-          | Int, Float, _ -> Some (Arith_float (op, as_float a, b))
-          | Float, Int, _ -> Some (Arith_float (op, a, as_float b)))
-      | _ -> None)
+          Ok (Floats_col (a, validity))
+      | _ -> Error e)
+  | Expr.Neg a ->
+      Result.bind (compile a) (fun a ->
+          if ty_of a <> Date then Ok (Neg (ty_of a, a)) else Error e)
+  | Expr.Arith (op, a, b) ->
+      Result.bind (compile a) (fun a ->
+          Result.bind (compile b) (fun b ->
+              match (ty_of a, ty_of b, op) with
+              | Int, Int, _ -> Ok (Arith_int (Int, op, a, b))
+              | Date, Int, (Expr.Add | Expr.Sub) | Int, Date, Expr.Add ->
+                  Ok (Arith_int (Date, op, a, b))
+              | Date, Date, Expr.Sub -> Ok (Arith_int (Int, op, a, b))
+              | Date, _, _ | _, Date, _ -> Error e
+              | Float, Float, _ -> Ok (Arith_float (op, a, b))
+              | Int, Float, _ -> Ok (Arith_float (op, as_float a, b))
+              | Float, Int, _ -> Ok (Arith_float (op, a, as_float b))))
   | Expr.Case (branches, default) -> (
-      let branch (c, x) =
-        match (Col_pred.compile ~column c, compile x) with
-        | Some f, Some x -> Some (f, x)
-        | _ -> None
+      let rec branch = function
+        | [] -> Ok []
+        | (c, x) :: rest ->
+            Result.bind (Col_pred.compile ~column c) (fun f ->
+                Result.bind (compile x) (fun x ->
+                    Result.map (fun rest -> (f, x) :: rest) (branch rest)))
       in
-      let compiled = List.filter_map branch branches in
-      let default = Option.map compile default in
-      (* one constructor for every cell, as a typed column holds *)
-      let tys =
-        List.map (fun (_, x) -> ty_of x) compiled
-        @ match default with Some (Some d) -> [ ty_of d ] | _ -> []
+      let default =
+        match default with
+        | None -> Ok None
+        | Some d -> Result.map Option.some (compile d)
       in
-      match (tys, default) with
-      | ty :: rest, (None | Some (Some _))
-        when List.length compiled = List.length branches
-             && List.for_all (( = ) ty) rest ->
-          Some (Case (ty, compiled, Option.join default))
-      | _ -> None)
-  | _ -> None
-
-(* The rendering of the smallest subtree that blocks compilation;
-   [None] when [compile] succeeds. Recursion mirrors [compile], so the
-   answer is a leaf the kernel cannot read, a condition Col_pred
-   refuses, or an operation it cannot type. *)
-let rec diagnose ~column (e : Expr.t) : string option =
-  match compile ~column e with
-  | Some _ -> None
-  | None -> (
-      let sub = diagnose ~column in
-      let parts =
-        match e with
-        | Expr.Neg a -> [ sub a ]
-        | Expr.Arith (_, a, b) -> [ sub a; sub b ]
-        | Expr.Case (branches, default) ->
-            List.concat_map
-              (fun (c, x) -> [ Col_pred.diagnose ~column c; sub x ])
-              branches
-            @ [ Option.bind default sub ]
-        | _ -> []
-      in
-      match List.find_map Fun.id parts with
-      | Some s -> Some s
-      | None -> Some (Expr.to_string e))
+      match (branch branches, default) with
+      | Error b, _ | Ok _, Error b -> Error b
+      | Ok compiled, Ok default -> (
+          (* one constructor for every cell, as a typed column holds *)
+          match
+            List.map (fun (_, x) -> ty_of x) compiled
+            @ Option.to_list (Option.map ty_of default)
+          with
+          | ty :: rest when List.for_all (( = ) ty) rest ->
+              Ok (Case (ty, compiled, default))
+          | _ -> Error e))
+  | _ -> Error e
 
 (* ---------- evaluation ---------- *)
 

@@ -10,11 +10,12 @@
     {!Expr_eval.compile_with}'s bit for bit — null propagation,
     Int/Int staying Int, division or modulo by zero giving null, an
     Int beside a Float converted by [float_of_int], NaN and ±0.0 as
-    IEEE arithmetic gives them. [None] means "use the row path". *)
+    IEEE arithmetic gives them. [Error] means "use the row path". *)
 
 type t
 
-val compile : column:(string -> Column.t option) -> Expr.t -> t option
+val compile :
+  column:(string -> Column.t option) -> Expr.t -> (t, Expr.t) result
 (** Compile against typed columns: [column name] is the column a
     reference reads ([None]: it has none). Handled forms: [Int],
     [Float] and [Date] constants, references to [Ints], [Floats] and
@@ -23,13 +24,10 @@ val compile : column:(string -> Column.t option) -> Expr.t -> t option
     searched [Case] whose conditions {!Col_pred} compiles and whose
     branches and default compile to one type (rows no condition
     holds for take the default, else null). Anything else —
-    including a [Boxed] column — returns [None]. *)
-
-val diagnose : column:(string -> Column.t option) -> Expr.t -> string option
-(** [None] when {!compile} succeeds; otherwise the rendering
-    ({!Expr.to_string}) of the smallest subtree that blocks it — a
-    leaf the kernel cannot read, a condition {!Col_pred} refuses, or
-    an operation it cannot type. *)
+    including a [Boxed] column — does not compile: [Error] holds the
+    smallest subtree that blocks it — a leaf the kernel cannot read,
+    a condition {!Col_pred} refuses, or an operation it cannot
+    type. *)
 
 val eval : t -> size:int -> int array -> Column.t
 (** [eval k ~size ids] is a column of [size] cells whose cell at each

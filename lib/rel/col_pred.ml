@@ -248,34 +248,39 @@ let not_filter fa : filter =
   done;
   !out
 
-let rec compile ~column:col_of (e : Expr.t) : filter option =
+(* The filter for [e], or the smallest subtree that blocks compiling
+   it — the non-total (or boxed-column) part the profiler's path
+   attribution reports. A connective blocks on its first blocked
+   operand, so the blocker is always a genuine leaf, not an enclosing
+   conjunction. *)
+let rec compile ~column:col_of (e : Expr.t) : (filter, Expr.t) result =
   let compile = compile ~column:col_of in
+  let leaf = function Some f -> Ok f | None -> Error e in
   match e with
-  | Expr.Const (Value.Bool true) -> Some keep_all
-  | Expr.Const (Value.Bool false) | Expr.Const Value.Null -> Some keep_none
-  | Expr.Const _ -> None (* truthy raises on non-bool *)
-  | Expr.And (a, b) -> (
-      match (compile a, compile b) with
-      | Some fa, Some fb -> Some (and_filter fa fb)
-      | _ -> None)
-  | Expr.Or (a, b) -> (
-      match (compile a, compile b) with
-      | Some fa, Some fb -> Some (or_filter fa fb)
-      | _ -> None)
-  | Expr.Not a ->
-      Option.map not_filter (compile a)
+  | Expr.Const (Value.Bool true) -> Ok keep_all
+  | Expr.Const (Value.Bool false) | Expr.Const Value.Null -> Ok keep_none
+  | Expr.Const _ -> Error e (* truthy raises on non-bool *)
+  | Expr.And (a, b) ->
+      Result.bind (compile a) (fun fa ->
+          Result.map (fun fb -> and_filter fa fb) (compile b))
+  | Expr.Or (a, b) ->
+      Result.bind (compile a) (fun fa ->
+          Result.map (fun fb -> or_filter fa fb) (compile b))
+  | Expr.Not a -> Result.map not_filter (compile a)
   | Expr.Cmp (op, Expr.Col a, Expr.Const v) ->
-      Option.bind (col_of a) (fun c -> compile_cmp_const op c v)
+      leaf (Option.bind (col_of a) (fun c -> compile_cmp_const op c v))
   | Expr.Cmp (op, Expr.Const v, Expr.Col a) ->
-      Option.bind (col_of a) (fun c -> compile_cmp_const (flip_cmp op) c v)
+      leaf
+        (Option.bind (col_of a) (fun c -> compile_cmp_const (flip_cmp op) c v))
   | Expr.Cmp (op, Expr.Col a, Expr.Col b) ->
-      Option.bind (col_of a) (fun ca ->
-          Option.bind (col_of b) (fun cb -> compile_cmp_cols op ca cb))
+      leaf
+        (Option.bind (col_of a) (fun ca ->
+             Option.bind (col_of b) (fun cb -> compile_cmp_cols op ca cb)))
   | Expr.Cmp (op, Expr.Const u, Expr.Const v) -> (
       (* constant comparison: total, fold it now *)
       match Value.sql_compare u v with
-      | None -> Some keep_none
-      | Some c -> Some (if cmp_test op c then keep_all else keep_none))
+      | None -> Ok keep_none
+      | Some c -> Ok (if cmp_test op c then keep_all else keep_none))
   | Expr.Between (a, lo, hi) ->
       (* a BETWEEN lo AND hi = a >= lo AND a <= hi: both comparisons
          are total once compiled, so the conjunction is equivalent to
@@ -283,49 +288,30 @@ let rec compile ~column:col_of (e : Expr.t) : filter option =
       compile
         (Expr.And (Expr.Cmp (Expr.Ge, a, lo), Expr.Cmp (Expr.Le, a, hi)))
   | Expr.In_list (Expr.Col a, vs) ->
-      Option.bind (col_of a) (fun c -> compile_in_list c vs)
+      leaf (Option.bind (col_of a) (fun c -> compile_in_list c vs))
   | Expr.Is_null (Expr.Col a) ->
-      Option.bind (col_of a) (fun c ->
-          match c.Column.repr with
-          | Column.Boxed _ -> None
-          | _ -> (
-              match c.Column.validity with
-              | None -> Some keep_none
-              | Some b ->
-                  Some (keep_if (fun i -> not (Column.valid_bit b i)))))
+      leaf
+        (Option.bind (col_of a) (fun c ->
+             match c.Column.repr with
+             | Column.Boxed _ -> None
+             | _ -> (
+                 match c.Column.validity with
+                 | None -> Some keep_none
+                 | Some b ->
+                     Some (keep_if (fun i -> not (Column.valid_bit b i))))))
   | Expr.Like (Expr.Col a, pattern) ->
-      Option.bind (col_of a) (fun c ->
-          match c.Column.repr with
-          | Column.Strings { codes; dict } ->
-              let keep =
-                Array.map (fun e -> Expr_eval.like_match ~pattern e) dict
-              in
-              Some
-                (keep_if
-                   (masked c.Column.validity (fun i ->
-                        Array.unsafe_get keep (Array.unsafe_get codes i))))
-          | _ ->
-              (* the row path raises on non-string values: not total *)
-              None)
-  | _ -> None
-
-(* Name the smallest subtree that blocks compilation — the non-total
-   (or boxed-column) part the profiler's path attribution reports.
-   [None] means [compile] succeeds on the whole predicate. Recursion
-   mirrors [compile]'s connective structure so the answer is always a
-   genuine blocking leaf, not an enclosing conjunction. *)
-let rec diagnose ~column (e : Expr.t) : string option =
-  let diagnose = diagnose ~column in
-  match compile ~column e with
-  | Some _ -> None
-  | None -> (
-      match e with
-      | Expr.And (a, b) | Expr.Or (a, b) -> (
-          match diagnose a with
-          | Some r -> Some r
-          | None -> diagnose b)
-      | Expr.Not a -> diagnose a
-      | Expr.Between (a, lo, hi) ->
-          diagnose
-            (Expr.And (Expr.Cmp (Expr.Ge, a, lo), Expr.Cmp (Expr.Le, a, hi)))
-      | e -> Some (Expr.to_string e))
+      leaf
+        (Option.bind (col_of a) (fun c ->
+             match c.Column.repr with
+             | Column.Strings { codes; dict } ->
+                 let keep =
+                   Array.map (fun e -> Expr_eval.like_match ~pattern e) dict
+                 in
+                 Some
+                   (keep_if
+                      (masked c.Column.validity (fun i ->
+                           Array.unsafe_get keep (Array.unsafe_get codes i))))
+             | _ ->
+                 (* the row path raises on non-string values: not total *)
+                 None))
+  | _ -> Error e

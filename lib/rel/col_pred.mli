@@ -8,11 +8,12 @@
     filter is always observationally identical to the row path —
     including two-valued NULL semantics, [Value.sql_compare]'s
     incomparable-types-are-false rule, and NaN-exact float
-    comparisons. [None] means "use the row path". *)
+    comparisons. [Error] means "use the row path". *)
 
 type filter = int array -> int -> int
 
-val compile : column:(string -> Column.t option) -> Expr.t -> filter option
+val compile :
+  column:(string -> Column.t option) -> Expr.t -> (filter, Expr.t) result
 (** Compile against typed columns: [column name] is the column a
     reference reads, [None] when it has none (the predicate then does
     not compile). Indices are row positions of those columns. Handled
@@ -20,10 +21,6 @@ val compile : column:(string -> Column.t option) -> Expr.t -> filter option
     [And]/[Or]/[Not], [Cmp] between columns and/or constants,
     [Between] with any compilable operands, [In_list] and [Is_null]
     on a column, [Like] on a dictionary-coded string column.
-    Anything touching a [Boxed] column returns [None]. *)
-
-val diagnose : column:(string -> Column.t option) -> Expr.t -> string option
-(** [None] when {!compile} succeeds on the whole predicate; otherwise
-    the rendering ({!Expr.to_string}) of the smallest subtree that
-    blocks compilation — what the profiler's row-path-fallback
-    attribution names. *)
+    Anything touching a [Boxed] column does not compile. [Error] holds
+    the smallest subtree that blocks compilation — what the
+    profiler's row-path-fallback attribution names. *)

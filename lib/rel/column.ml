@@ -62,6 +62,11 @@ let kind_name t =
 let dict_size t =
   match t.repr with Strings { dict; _ } -> Array.length dict | _ -> 0
 
+let dict_order dict =
+  let order = Array.init (Array.length dict) Fun.id in
+  Array.sort (fun a b -> String.compare dict.(a) dict.(b)) order;
+  order
+
 (* Constructor classification for [of_values]: which single
    constructor, if any, covers every non-null cell. *)
 type kind = KInt | KFloat | KDate | KBool | KString

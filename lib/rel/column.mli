@@ -40,3 +40,6 @@ val kind_name : t -> string
 
 val dict_size : t -> int
 (** Number of distinct dictionary entries; 0 for non-string columns. *)
+
+val dict_order : string array -> int array
+(** The codes of a dictionary in ascending string order. *)

@@ -67,8 +67,7 @@ let dict_order t j =
   match (t.orders.(j), t.cols.(j).Column.repr) with
   | Some order, _ -> order
   | None, Column.Strings { dict; _ } ->
-      let order = Array.init (Array.length dict) Fun.id in
-      Array.sort (fun a b -> String.compare dict.(a) dict.(b)) order;
+      let order = Column.dict_order dict in
       t.orders.(j) <- Some order;
       order
   | None, _ -> invalid_arg "Columnar.dict_order: not a string column"

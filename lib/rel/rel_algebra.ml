@@ -73,9 +73,9 @@ let typed_column schema (b : Relation.batch) name =
 let typed_arg r name = typed_column (Relation.schema r) (Relation.batch r) name
 
 (* Why an expression over [b] cannot run on typed columns: a column it
-   reads has none, or [subtree] (the compiler's diagnosis) is not
-   total. *)
-let fallback_reason schema (b : Relation.batch) e ~subtree =
+   reads has none, or [blocker] (the subtree the compiler refused) is
+   not total. *)
+let fallback_reason schema (b : Relation.batch) e ~blocker =
   let untyped name =
     match Schema.find schema name with
     | None -> None
@@ -90,10 +90,7 @@ let fallback_reason schema (b : Relation.batch) e ~subtree =
   in
   match List.find_map untyped (Expr.columns e) with
   | Some reason -> reason
-  | None -> (
-      match subtree () with
-      | Some s -> "non-total subtree " ^ s
-      | None -> "a predicate it runs with does not compile")
+  | None -> "non-total subtree " ^ Expr.to_string blocker
 
 (* The Col_pred filter for [p] over [b]'s typed columns — base
    columns of its image, computed columns — or [None] (the caller
@@ -101,30 +98,28 @@ let fallback_reason schema (b : Relation.batch) e ~subtree =
    attributed to the path it will really take, with the reason for a
    fallback. *)
 let compile_columnar schema (b : Relation.batch) p =
-  let column = typed_column schema b in
-  let compiled = Col_pred.compile ~column p in
-  if Obs.Profile.in_region () then begin
-    let pred = Expr.to_string p in
-    match compiled with
-    | Some _ -> Obs.Profile.note_compiled pred
-    | None ->
-        Obs.Profile.note_fallback ~pred
-          ~reason:
-            (fallback_reason schema b p ~subtree:(fun () ->
-                 Col_pred.diagnose ~column p))
-  end;
-  compiled
+  match Col_pred.compile ~column:(typed_column schema b) p with
+  | Ok f ->
+      if Obs.Profile.in_region () then
+        Obs.Profile.note_compiled (Expr.to_string p);
+      Some f
+  | Error blocker ->
+      if Obs.Profile.in_region () then
+        Obs.Profile.note_fallback ~pred:(Expr.to_string p)
+          ~reason:(fallback_reason schema b p ~blocker);
+      None
 
 (* Run a compiled selection-vector filter [f] over [b]'s vector in one
    pass. The filter works in place, and [b]'s vector may be shared (a
-   cached parent's batch), so it runs over a copy. *)
+   cached parent's batch, a base's identity batch), so it runs over a
+   copy; when no row is dropped the batch itself is the answer. *)
 let run_compiled (b : Relation.batch) f =
   let sel = Array.copy b.sel in
   let n = Array.length sel in
   Obs.Metrics.incr ~by:n c_sel_in;
   let k = f sel n in
   Obs.Metrics.incr ~by:k c_sel_out;
-  { b with sel = (if k = n then sel else Array.sub sel 0 k) }
+  if k = n then b else { b with sel = Array.sub sel 0 k }
 
 let filter_rows schema (b : Relation.batch) pred =
   let keep = Expr_eval.compile_pred ~column:(resolve schema b) pred in
@@ -139,7 +134,7 @@ let filter_rows schema (b : Relation.batch) pred =
       incr k
     end
   done;
-  { b with sel = (if !k = n then buf else Array.sub buf 0 !k) }
+  if !k = n then b else { b with sel = Array.sub buf 0 !k }
 
 let select_path pred (r : Relation.t) =
   let schema = Relation.schema r in
@@ -178,13 +173,11 @@ let extend_path (column : Schema.column) e (r : Relation.t) =
   let typed = typed_column rschema b in
   let col, path =
     match Col_expr.compile ~column:typed e with
-    | Some kernel -> (Col_expr.eval kernel ~size sel, `Columnar)
-    | None ->
+    | Ok kernel -> (Col_expr.eval kernel ~size sel, `Columnar)
+    | Error blocker ->
         if Obs.Profile.in_region () then
           Obs.Profile.note_fallback ~pred:(Expr.to_string e)
-            ~reason:
-              (fallback_reason rschema b e ~subtree:(fun () ->
-                   Col_expr.diagnose ~column:typed e));
+            ~reason:(fallback_reason rschema b e ~blocker);
         let value = compile_batch rschema b e in
         let cells = Array.make size Value.Null in
         Array.iter (fun id -> Array.unsafe_set cells id (value id)) sel;
@@ -349,13 +342,20 @@ let equijoin ~on:(left_col, right_col) (a : Relation.t) (b : Relation.t) =
    ints in [0, m) that order exactly as [Value.compare] orders its
    cells (so [Int 3] and [Float 3.0] share a rank). A ranking reads
    the column itself:
-   - a dictionary-coded string column of the base image ranks by its
-     sorted dictionary (memoized with the image), numbering only the
-     codes the vector selects;
-   - an int or date column — typed in the image, or found so by a
-     scan of its cells — ranks by offset from its minimum;
-   - anything else ranks by hashing its distinct cells and sorting
-     only those.
+   - a dictionary-coded string column ranks by its sorted dictionary
+     (memoized with the image), numbering only the codes the vector
+     selects;
+   - an int or date column ranks by offset from its minimum, or, when
+     that range overflows, as a float column does;
+   - a float column ranks by the bits of its cells: each maps to a
+     64-bit key whose unsigned order is [Float.compare]'s, radix-sorted
+     in two 32-bit halves and numbered densely;
+   - a bool column ranks false before true;
+   - cells alone (a [Boxed] column, an aggregate column's per-group
+     values) rank as the typed column of their one constructor would.
+   Only cells that mix constructors, or strings without a dictionary,
+   rank by hashing their distinct cells and sorting only those: a
+   typed column never hashes. Every ranking puts nulls last.
    Descending keys flip their ranks, the ranks of several keys are
    combined into one order-preserving int key, and the vector is
    permuted by a stable radix sort on it (or thinned by the group ids
@@ -379,17 +379,19 @@ let gather (a : int array) (idx : int array) =
   done;
   out
 
-(* Stable LSD radix sort of the indices [0, n) on an int key in
-   [0, m), in digit passes of up to 16 bits, least significant first.
-   Every pass is a stable counting sort, so ties keep input order. *)
-let radix_perm key m =
+(* Stable LSD radix sort of [perm], a permutation of the positions
+   [0, n), on an int key in [0, m) read by position, in digit passes of
+   up to 16 bits, least significant first; [spare] (length [n]) is
+   scratch. Every pass is a stable counting sort, so ties keep their
+   order in [perm]. Returns the sorted permutation and the other
+   array, both of them [perm] and [spare]. *)
+let radix_sort ~perm ~spare key m =
   let n = Array.length key in
   let bits =
     let rec width b = if b < 16 && 1 lsl b < n then width (b + 1) else b in
     width 8
   in
-  let perm = ref (init_ints n Fun.id) in
-  let next = ref (Array.make n 0) in
+  let perm = ref perm and next = ref spare in
   (* a pass never has more buckets than there are key values *)
   let count = Array.make (min (1 lsl bits) m + 1) 0 in
   let mask = (1 lsl bits) - 1 in
@@ -418,7 +420,12 @@ let radix_perm key m =
     next := src;
     shift := sh + bits
   done;
-  !perm
+  (!perm, !next)
+
+(* The stable radix permutation of the positions [0, n) on [key]. *)
+let radix_perm key m =
+  let n = Array.length key in
+  fst (radix_sort ~perm:(init_ints n Fun.id) ~spare:(Array.make n 0) key m)
 
 (* [sel] stably sorted on [key] (position-indexed, in [0, m)): one
    counting pass straight into the new vector when the key range is
@@ -496,6 +503,100 @@ let offset_ranks n ~null_at ~int_at =
         if !nulls then range + 1 else range )
   else None
 
+(* Keys of up to 64 bits held as two 32-bit halves, position-indexed:
+   [hi.(j)] and [lo.(j)] in [0, 2^32). [half_mask] in both halves is
+   the null key, above every key a float or an int maps to. *)
+let half_mask = 0xFFFF_FFFF
+
+(* Dense ranks of the keys [(hi, lo)] in unsigned key order: equal
+   keys, equal ranks, nulls (the top key) last — the ranks
+   [rank_by_hashing] gives the cells they were made from. A stable
+   radix sort by [lo], then by [hi] from that order, and one walk
+   numbering the classes; the ranks are written over [lo]. *)
+let half_key_ranks hi lo =
+  let n = Array.length hi in
+  if n = 0 then ([||], 0)
+  else begin
+    let m = half_mask + 1 in
+    let perm, spare =
+      radix_sort ~perm:(init_ints n Fun.id) ~spare:(Array.make n 0) lo m
+    in
+    let perm, _ = radix_sort ~perm ~spare hi m in
+    let first = perm.(0) in
+    let ph = ref hi.(first) and pl = ref lo.(first) and g = ref 0 in
+    for k = 0 to n - 1 do
+      let j = Array.unsafe_get perm k in
+      let h = Array.unsafe_get hi j and l = Array.unsafe_get lo j in
+      if h <> !ph || l <> !pl then begin
+        incr g;
+        ph := h;
+        pl := l
+      end;
+      Array.unsafe_set lo j !g
+    done;
+    (lo, !g + 1)
+  end
+
+(* Dense ranks of a float column under [Float.compare], nulls last.
+   A float's key: [-0.] is [0.]; every NaN is 0, below [-infinity];
+   a negative's bits are flipped, any other's sign bit only. *)
+let float_ranks n ~null_at ~float_at =
+  let hi = Array.make n half_mask and lo = Array.make n half_mask in
+  for j = 0 to n - 1 do
+    if not (null_at j) then begin
+      let x = float_at j in
+      if Float.is_nan x then begin
+        Array.unsafe_set hi j 0;
+        Array.unsafe_set lo j 0
+      end
+      else begin
+        let b = Int64.bits_of_float (if x = 0. then 0. else x) in
+        let h = Int64.to_int (Int64.shift_right_logical b 32)
+        and l = Int64.to_int b land half_mask in
+        if h land 0x8000_0000 <> 0 then begin
+          Array.unsafe_set hi j (lnot h land half_mask);
+          Array.unsafe_set lo j (lnot l land half_mask)
+        end
+        else begin
+          Array.unsafe_set hi j (h lor 0x8000_0000);
+          Array.unsafe_set lo j l
+        end
+      end
+    end
+  done;
+  half_key_ranks hi lo
+
+(* Ranks of an int (or date) column: by offset, or, when the range
+   overflows an int, densely by key (the int with its sign bit
+   flipped, below the null key). *)
+let int_ranks n ~null_at ~int_at =
+  match offset_ranks n ~null_at ~int_at with
+  | Some r -> r
+  | None ->
+      let hi = Array.make n half_mask and lo = Array.make n half_mask in
+      for j = 0 to n - 1 do
+        if not (null_at j) then begin
+          let x = int_at j lxor min_int in
+          Array.unsafe_set hi j (x lsr 32);
+          Array.unsafe_set lo j (x land half_mask)
+        end
+      done;
+      half_key_ranks hi lo
+
+(* Dense ranks of a bool column: false before true, nulls last. *)
+let bool_ranks n ~null_at ~bool_at =
+  let f = ref false and t = ref false and nulls = ref false in
+  for j = 0 to n - 1 do
+    if null_at j then nulls := true
+    else if bool_at j then t := true
+    else f := true
+  done;
+  let rank_true = Bool.to_int !f in
+  let m = rank_true + Bool.to_int !t in
+  ( init_ints n (fun j ->
+        if null_at j then m else if bool_at j then rank_true else 0),
+    if !nulls then m + 1 else m )
+
 (* Dense ranks of a dictionary-coded column: the selected codes are
    numbered in the dictionary's sorted [order], nulls last — the
    ranks [rank_by_hashing] gives the same cells. *)
@@ -529,8 +630,9 @@ let dictionary_ranks sel ~order ~validity (codes : int array) =
   done;
   (ranks, if !nulls then m + 1 else m)
 
-(* A column known only by its cells: offsets if every non-null cell
-   is an int, or every one a date; hashing otherwise. *)
+(* A column known only by its cells: as the typed column of their one
+   constructor ranks, if every non-null cell has the same one (ints,
+   dates, floats or bools); by hashing otherwise. *)
 let rank_cells n cell =
   let rec kind j k =
     if j = n then k
@@ -539,26 +641,28 @@ let rank_cells n cell =
       | Value.Null, _ -> kind (j + 1) k
       | Value.Int _, (`Empty | `Int) -> kind (j + 1) `Int
       | Value.Date _, (`Empty | `Date) -> kind (j + 1) `Date
+      | Value.Float _, (`Empty | `Float) -> kind (j + 1) `Float
+      | Value.Bool _, (`Empty | `Bool) -> kind (j + 1) `Bool
       | _ -> `Mixed
   in
-  let offsets =
-    match kind 0 `Empty with
-    | `Mixed -> None
-    | `Empty | `Int | `Date ->
-        offset_ranks n
-          ~null_at:(fun j -> Value.is_null (cell j))
-          ~int_at:(fun j ->
-            match cell j with Value.Int x | Value.Date x -> x | _ -> 0)
-  in
-  match offsets with Some r -> r | None -> rank_by_hashing n cell
+  let null_at j = Value.is_null (cell j) in
+  match kind 0 `Empty with
+  | `Mixed -> rank_by_hashing n cell
+  | `Float ->
+      float_ranks n ~null_at ~float_at:(fun j ->
+          match cell j with Value.Float x -> x | _ -> 0.)
+  | `Bool ->
+      bool_ranks n ~null_at ~bool_at:(fun j ->
+          match cell j with Value.Bool x -> x | _ -> false)
+  | `Empty | `Int | `Date ->
+      int_ranks n ~null_at ~int_at:(fun j ->
+          match cell j with Value.Int x | Value.Date x -> x | _ -> 0)
 
 (* Ranks of column [c] of [b] over its selection vector. A typed
    column — of the base image, or computed — ranks from its arrays. *)
 let rank_column (b : Relation.batch) c =
   let sel = b.sel in
   let n = Array.length sel in
-  let read = reader b c in
-  let cell j = read (Array.unsafe_get sel j) in
   let typed col ~dict_order =
     let null_at =
       match col.Column.validity with
@@ -566,37 +670,37 @@ let rank_column (b : Relation.batch) c =
       | Some bits ->
           fun k -> not (Column.valid_bit bits (Array.unsafe_get sel k))
     in
-    match (col.Column.repr, dict_order) with
-    | Column.Strings { codes; _ }, Some order ->
-        dictionary_ranks sel ~order:(order ()) ~validity:col.Column.validity
-          codes
-    | (Column.Ints a | Column.Dates a), _ -> (
-        match
-          offset_ranks n ~null_at ~int_at:(fun k ->
-              Array.unsafe_get a (Array.unsafe_get sel k))
-        with
-        | Some r -> r
-        | None -> rank_by_hashing n cell)
-    | ( ( Column.Strings _ | Column.Floats _ | Column.Bools _
-        | Column.Boxed _ ),
-        _ ) ->
-        rank_cells n cell
+    match col.Column.repr with
+    | Column.Strings { codes; dict } ->
+        dictionary_ranks sel ~order:(dict_order dict)
+          ~validity:col.Column.validity codes
+    | Column.Ints a | Column.Dates a ->
+        int_ranks n ~null_at ~int_at:(fun k ->
+            Array.unsafe_get a (Array.unsafe_get sel k))
+    | Column.Floats a ->
+        float_ranks n ~null_at ~float_at:(fun k ->
+            Array.unsafe_get a (Array.unsafe_get sel k))
+    | Column.Bools a ->
+        bool_ranks n ~null_at ~bool_at:(fun k ->
+            Array.unsafe_get a (Array.unsafe_get sel k))
+    | Column.Boxed cells ->
+        rank_cells n (fun k -> Array.unsafe_get cells (Array.unsafe_get sel k))
   in
   match b.cols.(c) with
-  | Relation.Computed col -> typed col ~dict_order:None
+  | Relation.Computed col -> typed col ~dict_order:Column.dict_order
   | Relation.Broadcast { grouping; values } ->
       (* rank the per-group values, then look each row's up *)
-      let ranks, m =
-        rank_by_hashing (Array.length values) (Array.unsafe_get values)
-      in
+      let ranks, m = rank_cells (Array.length values) (Array.unsafe_get values) in
       let group = grouping.group in
       (init_ints n (fun j -> ranks.(group.(Array.unsafe_get sel j))), m)
   | Relation.Base j -> (
       match Relation.columnar_view b.base with
-      | None -> rank_cells n cell
+      | None ->
+          let read = reader b c in
+          rank_cells n (fun k -> read (Array.unsafe_get sel k))
       | Some view ->
           typed (Columnar.column view j)
-            ~dict_order:(Some (fun () -> Columnar.dict_order view j)))
+            ~dict_order:(fun _ -> Columnar.dict_order view j))
 
 (* Dense numbering of an int key in [0, m), in key order: equal keys,
    equal ids; a smaller key, a smaller id. *)

@@ -109,8 +109,11 @@ val sort : (string * [ `Asc | `Desc ]) list -> Relation.t -> Relation.t
     tie). Column at a time: each key column is ranked once into ints
     that order as {!Value.compare} orders its cells — a
     dictionary-coded string column of the base image by its sorted
-    dictionary, an int or date column by offset from its minimum,
-    anything else by hashing its distinct values and sorting only
+    dictionary, an int or date column by offset from its minimum, a
+    float column by radix-sorting the bits of its cells, a bool
+    column false first; cells of one constructor as their typed
+    column would, and only mixed cells or strings without a
+    dictionary by hashing their distinct values and sorting only
     those — and descending keys flip their ranks. The ranks are
     combined into one order-preserving int key (as in {!group_ids})
     and the selection vector is LSD-radix-sorted on it. A run of keys

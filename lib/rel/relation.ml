@@ -3,8 +3,9 @@
    column map, whose rows are built on first row access. The memo
    fields make a relation lazily multi-format: [data] holds the rows
    (always set for a row-backed relation, filled on first access for a
-   batch-backed one), [rows_memo] caches the list conversion and
-   [col_memo] the Sheetcol columnar image. All of them are derived
+   batch-backed one), [rows_memo] caches the list conversion,
+   [col_memo] the Sheetcol columnar image and [batch_memo] a row-backed
+   relation's identity batch. All of them are derived
    purely from immutable inputs, so the mutation is invisible: any
    interleaving of builders computes the same value. *)
 type col_memo =
@@ -18,6 +19,7 @@ type t = {
   mutable data : Row.t array option;
   mutable rows_memo : Row.t list option;
   mutable col_memo : col_memo;
+  mutable batch_memo : batch option;
 }
 
 and src =
@@ -65,7 +67,8 @@ let of_rows ?rows_memo schema data =
     src = Rows;
     data = Some data;
     rows_memo;
-    col_memo = Col_unbuilt }
+    col_memo = Col_unbuilt;
+    batch_memo = None }
 
 let unsafe_of_array schema data = of_rows schema data
 
@@ -106,7 +109,8 @@ let of_batch schema (b : batch) =
     src = Batch (b, is_identity b.base b.cols);
     data = None;
     rows_memo = None;
-    col_memo = Col_unbuilt }
+    col_memo = Col_unbuilt;
+    batch_memo = None }
 
 let base_rows (b : batch) =
   match b.base.data with Some d -> d | None -> assert false
@@ -114,10 +118,17 @@ let base_rows (b : batch) =
 let batch t =
   match t.src with
   | Batch (b, _) -> b
-  | Rows ->
-      { base = t;
-        sel = Array.init (cardinality t) Fun.id;
-        cols = Array.init (Schema.arity t.schema) (fun j -> Base j) }
+  | Rows -> (
+      match t.batch_memo with
+      | Some b -> b
+      | None ->
+          let b =
+            { base = t;
+              sel = Array.init (cardinality t) Fun.id;
+              cols = Array.init (Schema.arity t.schema) (fun j -> Base j) }
+          in
+          t.batch_memo <- Some b;
+          b)
 
 (* Row [i] of a batch: the base's own row under an identity map,
    otherwise a fresh row whose base cells are the base row's values
@@ -163,7 +174,8 @@ let rows t =
 
 let iter f t = Array.iter f (to_array t)
 
-let with_schema schema t = { t with schema }
+(* the identity batch's base is [t] itself, not the renamed copy *)
+let with_schema schema t = { t with schema; batch_memo = None }
 
 (* Build (and memoize) the columnar image. Usable only when the data
    is rectangular at the schema's arity — [unsafe_make] can smuggle in

@@ -103,9 +103,11 @@ val of_batch : Schema.t -> batch -> t
 
 val batch : t -> batch
 (** A batch-backed relation's own batch; a row-backed relation as the
-    identity batch over itself (fresh selection vector [0..n-1], every
-    column in order). The base of the result is always row-backed, so
-    operators over a batch-backed relation extend its batch. *)
+    identity batch over itself (selection vector [0..n-1], every column
+    in order), built on the first call and memoized. The base of the
+    result is always row-backed, so operators over a batch-backed
+    relation extend its batch. A batch's vector may be shared: no
+    operator writes one in place. *)
 
 val rows_built : t -> bool
 (** Whether the rows exist yet: always for a row-backed relation,

@@ -33,7 +33,10 @@ let print_rows rows =
 
 (* Cell pools per column kind. Small pools make ties common; equal
    [Int]/[Float] pairs must tie; the wide ints overflow a combined
-   rank range and the extreme ints an offset range. *)
+   rank range and the extreme ints an offset range. The floats cover
+   every class of float key: both zeros, NaN of either sign, both
+   infinities, [±max_float], subnormals, and neighbours one unit in
+   the last place apart, which differ only in a key's low half. *)
 let gen_cell kind : Value.t QCheck.Gen.t =
   let open QCheck.Gen in
   let null_or g = frequency [ (1, return Value.Null); (5, g) ] in
@@ -48,8 +51,14 @@ let gen_cell kind : Value.t QCheck.Gen.t =
   | `Floats ->
       null_or
         (map (fun f -> Value.Float f)
-           (oneofl [ -1.5; -0.0; 0.0; 2.5; 3.0; Float.nan; Float.infinity ]))
+           (oneofl
+              [ -1.5; -0.0; 0.0; 2.5; 3.0; Float.nan; Float.infinity;
+                Float.neg_infinity; Float.neg Float.nan; Float.max_float;
+                -.Float.max_float; 5e-324; -5e-324; Float.min_float /. 4.;
+                Float.succ 1.0; Float.pred 1.0; 1.0; Float.succ (-1.5);
+                Float.pred (-1.5) ]))
   | `Strings -> null_or (map (fun s -> Value.String s) (oneofl [ "a"; "b"; "ab"; "" ]))
+  | `Bools -> null_or (map (fun b -> Value.Bool b) bool)
   | `Wide -> map (fun i -> Value.Int i) (int_range (-(1 lsl 40)) (1 lsl 40))
   | `Extreme -> map (fun i -> Value.Int i) (oneofl [ min_int; -1; 0; max_int ])
   | `Mixed ->
@@ -64,8 +73,8 @@ let gen_sort_case =
   let* kinds =
     array_repeat 3
       (oneofl
-         [ `Ints; `Dates; `Ints_dates; `Floats; `Strings; `Wide; `Extreme;
-           `Mixed ])
+         [ `Ints; `Dates; `Ints_dates; `Floats; `Strings; `Bools; `Wide;
+           `Extreme; `Mixed ])
   in
   let* cols = flatten_a (Array.map (fun k -> array_repeat n (gen_cell k)) kinds) in
   let* nkeys = int_range 1 3 in
@@ -111,9 +120,11 @@ let base rows = Relation.unsafe_of_array sort_schema rows
 (* The same cells in rows one cell wider than the schema: ragged for
    the image, which is refused, so every column ranks from its
    cells. *)
-let cells_only rows =
-  Relation.unsafe_of_array sort_schema
+let cells_only_of schema rows =
+  Relation.unsafe_of_array schema
     (Array.map (fun r -> Array.append r [| Value.Null |]) rows)
+
+let cells_only = cells_only_of sort_schema
 
 let sort_matches_reference =
   QCheck.Test.make ~count:150
@@ -154,10 +165,11 @@ let group_ids_follow_key_order =
                 let c = compare_keys rows.(a) rows.(b) in
                 if c = 0 then gid.(a) = gid.(b) else gid.(a) < gid.(b))))
 
-(* Ranks read off the image equal the ranks hashing gives the same
-   cells: over one key column, group ids are that column's ranks
-   (dense ones, for a dictionary or hashed column), so the two
-   relations must number every row alike. *)
+(* Ranks read off the image equal the ranks the same cells give
+   alone ([rank_cells], which hashes mixed cells): over one key
+   column, group ids are that column's ranks (dense ones, for a
+   dictionary, float or hashed column), so the two relations must
+   number every row alike. *)
 let image_ranks_equal_hashing =
   QCheck.Test.make ~count:150 ~name:"group_ids: image ranks == hashed ranks"
     (QCheck.make gen_sort_case) (fun (rows, _) ->
@@ -170,6 +182,96 @@ let image_ranks_equal_hashing =
       && (rows = [||]
          || Relation.columnar_view imaged <> None
             && Relation.columnar_view plain = None))
+
+(* The ranks [Value.Tbl] hashing gives cells: the distinct cells
+   numbered in [Value.compare] order, nulls last. *)
+let hashed_ranks cells =
+  let rank = Value.Tbl.create 16 in
+  Array.iter (fun v -> Value.Tbl.replace rank v 0) cells;
+  let distinct = Array.of_list (Value.Tbl.fold (fun v _ acc -> v :: acc) rank []) in
+  Array.sort Value.compare distinct;
+  Array.iteri (fun r v -> Value.Tbl.replace rank v r) distinct;
+  (Array.map (Value.Tbl.find rank) cells, Array.length distinct)
+
+let float_schema =
+  Schema.of_list [ ("g", Value.TInt); ("f", Value.TFloat); ("row", Value.TInt) ]
+
+let gen_float_rows =
+  let open QCheck.Gen in
+  let* n = oneof [ int_range 0 300; int_range 4097 4600 ] in
+  let* fs = array_repeat n (gen_cell `Floats) in
+  let* gs = array_repeat n (int_range 0 7) in
+  return (Array.init n (fun j -> [| Value.Int gs.(j); fs.(j); Value.Int j |]))
+
+(* Typed float ranks equal hashed ranks over the same boxed cells, from
+   each place a float column comes from: the base image, a typed
+   formula (Col_expr), an aggregate's per-group values (AVG, float
+   SUM), and an all-Float [Boxed] column of ragged rows. Over one key
+   column, group ids are that column's ranks. *)
+let float_ranks_equal_hashing =
+  QCheck.Test.make ~count:150 ~name:"group_ids: float ranks == hashed ranks"
+    (QCheck.make
+       ~print:(fun rows -> Printf.sprintf "%d rows" (Array.length rows))
+       gen_float_rows) (fun rows ->
+      let base = Relation.unsafe_of_array float_schema rows in
+      let floats =
+        match Relation.columnar_view base with
+        | Some v -> Column.kind_name (Columnar.column v 1) = "float"
+        | None -> false
+      in
+      let formula, path =
+        Rel_algebra.extend_path
+          { Schema.name = "v"; ty = Value.TFloat }
+          (Expr.Case
+             ( [ ( Expr.Cmp (Expr.Lt, Expr.Col "row", Expr.Const (Value.Int 150)),
+                   Expr.Neg (Expr.Col "f") ) ],
+               Some (Expr.Arith (Expr.Mul, Expr.Col "f", Expr.Const (Value.Float 0.5)))
+             ))
+          base
+      in
+      let aggregate fn =
+        Plan.execute
+          (Plan.Extend_aggregate
+             ( { Plan.agg_name = "v"; agg_ty = Value.TFloat; fn;
+                 arg = Some (Expr.Col "f"); basis = [ "g" ] },
+               Plan.Scan base ))
+      in
+      let sources =
+        [ ("image", base, 1); ("formula", formula, 3);
+          ("avg", aggregate Expr.Avg, 3); ("sum", aggregate Expr.Sum, 3);
+          ("boxed", cells_only_of float_schema rows, 1) ]
+      in
+      (* an aggregate column ranks its per-group values, which may
+         include groups no row has (group ids need not be dense) *)
+      let want r c =
+        let b = Relation.batch r in
+        match b.Relation.cols.(c) with
+        | Relation.Broadcast { grouping; values } ->
+            let ranks, m = hashed_ranks values in
+            ( Array.map (fun id -> ranks.(grouping.Relation.group.(id))) b.Relation.sel,
+              m )
+        | _ -> hashed_ranks (Array.map (fun row -> row.(c)) (Relation.to_array r))
+      in
+      ((not floats) || path = `Columnar)
+      && List.for_all
+           (fun (source, r, c) ->
+             let cells = Array.map (fun row -> row.(c)) (Relation.to_array r) in
+             let got = Rel_algebra.group_ids r [ c ] in
+             got = want r c
+             ||
+             let show (ranks, m) =
+               Printf.sprintf "%s (m = %d)"
+                 (String.concat " " (Array.to_list (Array.map string_of_int ranks)))
+                 m
+             in
+             let cell = function
+               | Value.Float x -> Printf.sprintf "%h" x
+               | v -> Value.to_string v
+             in
+             QCheck.Test.fail_reportf "%s: ranks %s, hashed %s over %s" source
+               (show got) (show (want r c))
+               (String.concat ", " (Array.to_list (Array.map cell cells))))
+           sources)
 
 (* A sorted vector is not ascending: an [Or] filter compiled against
    the image must keep the survivors in the sorted order. *)
@@ -572,7 +674,7 @@ let typed_formula_matches_row_path =
                 (fun (j, _) -> Columnar.column v j)
                 (Schema.find kernel_schema name)
       in
-      let compiles = Option.is_some (Col_expr.compile ~column e) in
+      let compiles = Result.is_ok (Col_expr.compile ~column e) in
       let eval row =
         Expr_eval.eval
           ~lookup:(fun name -> Row.get row (Schema.index_exn kernel_schema name))
@@ -860,7 +962,8 @@ let () =
   Alcotest.run "sheet_colexec"
     [ ( "sort",
         [ q sort_matches_reference; q group_ids_follow_key_order;
-          q image_ranks_equal_hashing; q or_filter_after_sort ] );
+          q image_ranks_equal_hashing; q float_ranks_equal_hashing;
+          q or_filter_after_sort ] );
       ("distinct", [ q distinct_matches_row_tbl ]);
       ( "batch",
         [ Alcotest.test_case "relation access" `Quick test_relation_access;

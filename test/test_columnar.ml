@@ -281,7 +281,7 @@ let compiled_vs_row =
         match Relation.columnar_view r with
         | None -> false
         | Some v ->
-            Option.is_some
+            Result.is_ok
               (Col_pred.compile
                  ~column:(fun name ->
                    Option.map

@@ -184,6 +184,41 @@ let gen_mixed_formula_then_use ~tag : Op.t list QCheck.Gen.t =
   in
   return [ Op.Formula { name = Some name; expr }; use ]
 
+(* A typed float formula with NaN on some rows ([inf - inf] where
+   the column is positive), [-0.] and [0.] on others, then a sort,
+   a grouping or duplicate elimination keyed on it: the float-key
+   ranking of a [Floats] computed column. Duplicate elimination keys
+   on the visible columns, so every base column but [Model] is hidden
+   first. *)
+let gen_float_key_then_use ~tag : Op.t list QCheck.Gen.t =
+  let open QCheck.Gen in
+  let* a = oneofl numeric_cols in
+  let* cond = oneofl numeric_cols in
+  let* k = int_range 2000 80000 in
+  let name = Printf.sprintf "fl_%s" tag in
+  let col = Expr.Col a in
+  let mul x f = Expr.Arith (Expr.Mul, x, Expr.Const (Value.Float f)) in
+  let inf = mul (mul col 1e308) 10.0 in
+  let mod3 = Expr.Arith (Expr.Mod, col, Expr.Const (Value.Int 3)) in
+  let expr =
+    Expr.Case
+      ( [ (Expr.Cmp (Expr.Gt, Expr.Col cond, Expr.Const (Value.Int k)), mul mod3 (-1.0));
+          ( Expr.Cmp (Expr.Lt, Expr.Col cond, Expr.Const (Value.Int (k / 2))),
+            Expr.Arith (Expr.Sub, inf, inf) ) ],
+        Some (mul mod3 1.0) )
+  in
+  let* dir = oneofl [ Grouping.Asc; Grouping.Desc ] in
+  let* use =
+    oneofl
+      [ [ Op.Order { attr = name; dir; level = 1 } ];
+        [ Op.Group { basis = [ name ]; dir } ];
+        List.map
+          (fun c -> Op.Project c)
+          [ "ID"; "Price"; "Year"; "Mileage"; "Condition" ]
+        @ [ Op.Dedup ] ]
+  in
+  return (Op.Formula { name = Some name; expr } :: use)
+
 let gen_unary_op ~tag : Op.t QCheck.Gen.t =
   let open QCheck.Gen in
   oneof
@@ -216,7 +251,8 @@ let gen_ops lo hi =
         frequency
           [ (6, map (fun op -> [ op ]) (gen_unary_op ~tag));
             (1, gen_formula_then_aggregate ~tag);
-            (1, gen_mixed_formula_then_use ~tag) ]))
+            (1, gen_mixed_formula_then_use ~tag);
+            (1, gen_float_key_then_use ~tag) ]))
 
 let print_case (_, ops) =
   String.concat "; " (List.map Op.describe ops)
@@ -402,10 +438,11 @@ let scans_agree (sheet : Spreadsheet.t) expected =
    cells — a sort, duplicate elimination or grouping keyed on it. *)
 let row_filters = ref 0
 let cell_ranks = ref 0
+let float_key_ranks = ref 0
 
-let mentions_mixed s =
-  let n = String.length s in
-  let rec go i = i + 3 <= n && (String.sub s i 3 = "mx_" || go (i + 1)) in
+let mentions prefix s =
+  let n = String.length s and k = String.length prefix in
+  let rec go i = i + k <= n && (String.sub s i k = prefix || go (i + 1)) in
   go 0
 
 let note_row_paths (r : Obs.Profile.t) =
@@ -421,7 +458,10 @@ let note_row_paths (r : Obs.Profile.t) =
         | _ -> ""
       in
       if n_kind = "filter" && n_path = "row" then incr row_filters;
-      if mentions_mixed keys && n_rows_in >= 2 then incr cell_ranks)
+      if n_rows_in >= 2 then begin
+        if mentions "mx_" keys then incr cell_ranks;
+        if mentions "fl_" keys then incr float_key_ranks
+      end)
     r.Obs.Profile.p_nodes
 
 let check_state rel ops =
@@ -477,15 +517,18 @@ let differential_small =
           return (rel, ops)))
     (fun (rel, ops) -> check_state rel ops)
 
-(* After the two batteries: each row path ran, so the oracle has
-   checked it. *)
+(* After the two batteries: each row path ran, and so did the
+   float-key ranking, so the oracle has checked them. *)
 let test_row_paths_taken () =
   Alcotest.(check bool)
     (Printf.sprintf "row-path selections (%d)" !row_filters)
     true (!row_filters > 0);
   Alcotest.(check bool)
     (Printf.sprintf "rankings of Boxed cells (%d)" !cell_ranks)
-    true (!cell_ranks > 0)
+    true (!cell_ranks > 0);
+  Alcotest.(check bool)
+    (Printf.sprintf "rankings of float formula keys (%d)" !float_key_ranks)
+    true (!float_key_ranks > 0)
 
 let differential_large =
   QCheck.Test.make ~count:30
