@@ -337,31 +337,25 @@ let columnar_workloads =
             (Lazy.force rel_1m)));
     ("col/build-100k", Some 100_000,
      fun () ->
-       ignore (Columnar.of_rows (Relation.to_array (scaling_rel 100_000))))
+       ignore
+         (Columnar.of_rows ~width:(Schema.arity Sample_cars.schema)
+            (Relation.to_array (scaling_rel 100_000))))
   ]
 
-(* Sharded Sheetscope record path under contention: four domains
-   (three spawned plus the coordinator) hammer one histogram and one
-   counter concurrently, sinks off — the hot-path cost the v3
-   sharding must keep invisible. Guarded under the "obs/" prefix so
+(* Sheetscope record path, sinks off: 100k counter increments and
+   100k histogram records on the calling domain, the way the engine
+   and the plan nodes write them. Guarded under the "obs/" prefix so
    tools/bench_diff.exe fails the build if a record ever grows a lock
-   or a false-sharing stall. 100k records + 100k increments per
-   run. *)
+   or an allocation. *)
 
-let obs_contended_workload =
-  let h = Sheet_obs.Obs.Histogram.histogram "bench.obs_contended" in
-  let c = Sheet_obs.Obs.Metrics.counter "bench.obs_contended" in
+let obs_record_workload =
+  let h = Sheet_obs.Obs.Histogram.histogram "bench.obs_record" in
+  let c = Sheet_obs.Obs.Metrics.counter "bench.obs_record" in
   fun () ->
-    let per_domain = 25_000 in
-    let work () =
-      for i = 1 to per_domain do
-        Sheet_obs.Obs.Metrics.incr c;
-        Sheet_obs.Obs.Histogram.record h (i land 1023)
-      done
-    in
-    let workers = Array.init 3 (fun _ -> Domain.spawn work) in
-    work ();
-    Array.iter Domain.join workers
+    for i = 1 to 100_000 do
+      Sheet_obs.Obs.Metrics.incr c;
+      Sheet_obs.Obs.Histogram.record h (i land 1023)
+    done
 
 (* Sheetdoctor profile collection on the materialization hot path:
    one full replay of a 4-selection + computed-column sheet with the
@@ -474,7 +468,7 @@ let workloads =
   @ [ (* semantic cache (guarded under the "cache/" prefix) *)
     ("cache/cold-100k", Some 100_000, cache_cold_workload);
     ("cache/subsumed-hit-100k", Some 100_000, cache_subsumed_workload);
-    ("obs/record-contended", Some 100_000, obs_contended_workload);
+    ("obs/record", Some 100_000, obs_record_workload);
     ("obs/profile-overhead", Some 4000, profile_overhead_workload)
   ]
   @ [ (* ablations *)

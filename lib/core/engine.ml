@@ -460,9 +460,8 @@ let h_apply = Obs.Histogram.histogram Obs.h_engine_apply
 
 let apply ?store sheet (op : Op.t) =
   Obs.Metrics.incr c_ops;
-  let sp =
-    Obs.span ~uid:sheet.Spreadsheet.uid ~kind:(Op.kind op) "engine.apply"
-  in
+  Obs.with_span ~uid:sheet.Spreadsheet.uid ~kind:(Op.kind op) "engine.apply"
+  @@ fun () ->
   let t0 = Obs.now_ns () in
   let result = dispatch ?store sheet op in
   let dt = Obs.now_ns () - t0 in
@@ -476,7 +475,6 @@ let apply ?store sheet (op : Op.t) =
        (Obs.Histogram.histogram_labeled Obs.h_engine_apply labels)
        dt);
   (match result with Error _ -> Obs.Metrics.incr c_errors | Ok _ -> ());
-  Obs.finish sp;
   result
 
 (* ---- query modification ---- *)

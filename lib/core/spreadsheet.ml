@@ -102,11 +102,6 @@ let column_exists t name = Schema.mem (full_schema t) name
 let is_computed t name =
   Option.is_some (Query_state.find_computed t.state name)
 
-let is_aggregate_column t name =
-  match Query_state.find_computed t.state name with
-  | Some c -> Computed.is_aggregate c
-  | None -> false
-
 let pp ppf t =
   Format.fprintf ppf
     "@[<v>spreadsheet %S (version %d, base %s, %d rows)@ columns: %s%s@ %a@ \

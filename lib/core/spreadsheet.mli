@@ -85,7 +85,6 @@ val column_exists : t -> string -> bool
 (** In the full schema. *)
 
 val is_computed : t -> string -> bool
-val is_aggregate_column : t -> string -> bool
 
 val pp : Format.formatter -> t -> unit
 (** Compact structural summary (not the data — see

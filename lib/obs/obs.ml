@@ -1,29 +1,18 @@
-(* Sheetscope v3: span tracing, a domain-safe sharded metrics registry,
-   labeled per-session series, SLO evaluation, and pluggable sinks.
+(* Sheetscope: span tracing, a metrics registry, labeled per-session
+   series, SLO evaluation, and pluggable sinks.
 
    The metric families survive concurrent writers (Sheetserve's
-   handler threads): counters, gauges and histograms are sharded over
-   per-domain atomic cells (exact merge-on-read), and the span ring is
-   mutex-protected. Span nesting ([span]/[finish]) keeps single-writer
-   state: only the thread driving a session opens and closes spans.
-   The off-sink fast path is a single mutable-bool test so
-   instrumented code costs nothing when nobody is watching
-   (property-tested byte-identical). *)
+   handler threads increment counters outside the engine lock): a
+   counter or gauge is one atomic cell, a histogram one record of
+   atomic cells, and the span ring is mutex-protected. Span nesting
+   ([with_span]) keeps single-writer state: only the thread driving a
+   session opens and closes spans. The off-sink fast path is a single
+   mutable-bool test so instrumented code costs nothing when nobody
+   is watching (property-tested byte-identical). *)
 
 let src = Logs.Src.create "sheetscope" ~doc:"SheetMusiq instrumentation"
 
 let with_lock m f = Mutex.protect m f
-
-(* ---------- sharding ----------
-
-   Fixed power-of-two shard count; a domain owns the slot of its id
-   modulo [num_shards]. Collisions (two live domains whose ids are
-   congruent) are allowed: every cell update is atomic, so collisions
-   cost contention, never lost increments — merge-on-read totals are
-   exact whatever the schedule. *)
-
-let num_shards = 64
-let shard_index () = (Domain.self () :> int) land (num_shards - 1)
 
 (* atomic max via CAS loop *)
 let rec atomic_max cell v =
@@ -89,23 +78,9 @@ type event = {
   rows_out : int;  (** -1 when unknown *)
 }
 
-type span = {
-  sid : int;  (* 0 is the dummy span handed out when the sink is off *)
-  s_name : string;
-  s_kind : string;
-  s_uid : int;
-  s_depth : int;
-  s_start : int;
-}
-
-let dummy_span =
-  { sid = 0; s_name = ""; s_kind = ""; s_uid = 0; s_depth = 0; s_start = 0 }
-
-let span_counter = Atomic.make 0
-
 (* Nesting state is deliberately single-writer (the session's driving
-   thread). *)
-let open_stack : int list ref = ref []
+   thread): the number of open spans. *)
+let open_depth = ref 0
 let violations = Atomic.make 0
 
 let ring_capacity = ref 65536
@@ -134,61 +109,42 @@ let record ev =
                 (if ev.uid = 0 then ""
                  else Printf.sprintf " (sheet #%d)" ev.uid)))
 
-(* GC gauges are sampled at span boundaries; forward-declared so
-   [span]/[finish] can call the sampler defined after [Metrics]. *)
-let gc_sampler : (unit -> unit) ref = ref (fun () -> ())
-let sample_gc_gauges () = !gc_sampler ()
-
-let span ?(uid = 0) ?(kind = "") name =
-  if not (recording ()) then dummy_span
+let with_span ?(uid = 0) ?(kind = "") ?(rows_in = -1) ?rows_out name f =
+  if not (recording ()) then f ()
   else begin
-    sample_gc_gauges ();
-    let s =
-      { sid = Atomic.fetch_and_add span_counter 1 + 1;
-        s_name = name;
-        s_kind = kind;
-        s_uid = uid;
-        s_depth = List.length !open_stack;
-        s_start = now_ns () - epoch_ns }
+    let depth = !open_depth in
+    let start_ns = now_ns () - epoch_ns in
+    open_depth := depth + 1;
+    let close rows_out =
+      (* a span closes one above the depth it opened at; anything else
+         ([clear_events] under the span, or another thread's span
+         interleaved) is counted, and the depth still drops by one so
+         one mistake does not cascade *)
+      if !open_depth <> depth + 1 then Atomic.incr violations;
+      open_depth := max 0 (!open_depth - 1);
+      record
+        { name;
+          kind;
+          uid;
+          depth;
+          start_ns;
+          (* the clamped clock makes this non-negative already; the
+             [max] guards the invariant even against a hostile test
+             clock *)
+          dur_ns = max 0 (now_ns () - epoch_ns - start_ns);
+          rows_in;
+          rows_out }
     in
-    open_stack := s.sid :: !open_stack;
-    s
+    match f () with
+    | x ->
+        close (match rows_out with Some g -> g x | None -> -1);
+        x
+    | exception e ->
+        close (-1);
+        raise e
   end
 
-let finish ?(rows_in = -1) ?(rows_out = -1) sp =
-  if sp.sid <> 0 then begin
-    (match !open_stack with
-    | top :: rest when top = sp.sid -> open_stack := rest
-    | _ ->
-        (* closing out of order: count the violation but still remove
-           the span so one mistake does not cascade *)
-        Atomic.incr violations;
-        open_stack := List.filter (fun id -> id <> sp.sid) !open_stack);
-    sample_gc_gauges ();
-    record
-      { name = sp.s_name;
-        kind = sp.s_kind;
-        uid = sp.s_uid;
-        depth = sp.s_depth;
-        (* the clamped clock makes this non-negative already; the [max]
-           guards the invariant even against a hostile test clock *)
-        dur_ns = max 0 (now_ns () - epoch_ns - sp.s_start);
-        rows_in;
-        rows_out;
-        start_ns = sp.s_start }
-  end
-
-let with_span ?uid ?kind ?rows_in ?rows_out name f =
-  let sp = span ?uid ?kind name in
-  match f () with
-  | x ->
-      finish ?rows_in ?rows_out:(Option.map (fun g -> g x) rows_out) sp;
-      x
-  | exception e ->
-      finish ?rows_in sp;
-      raise e
-
-let open_spans () = List.length !open_stack
+let open_spans () = !open_depth
 let nesting_ok () = Atomic.get violations = 0
 
 let events () =
@@ -200,7 +156,7 @@ let clear_events () =
   with_lock ring_mutex (fun () ->
       Queue.clear ring;
       dropped_events := 0);
-  open_stack := [];
+  open_depth := 0;
   Atomic.set violations 0
 
 (* Completed events are well-formed when every pair of overlapping
@@ -319,7 +275,7 @@ let ambient_labels () = !ambient
 (* ---------- metrics ---------- *)
 
 module Metrics = struct
-  type m = { m_name : string; cells : int Atomic.t array }
+  type m = { m_name : string; cell : int Atomic.t }
 
   let registry : (string, m) Hashtbl.t = Hashtbl.create 64
 
@@ -327,10 +283,7 @@ module Metrics = struct
     match Hashtbl.find_opt registry name with
     | Some m -> m
     | None ->
-        let m =
-          { m_name = name;
-            cells = Array.init num_shards (fun _ -> Atomic.make 0) }
-        in
+        let m = { m_name = name; cell = Atomic.make 0 } in
         Hashtbl.replace registry name m;
         m
 
@@ -339,16 +292,9 @@ module Metrics = struct
   let counter name = with_lock reg_mutex (fun () -> find_locked name)
   let gauge = counter
 
-  let incr ?(by = 1) m =
-    ignore (Atomic.fetch_and_add m.cells.(shard_index ()) by)
-
-  (* gauges are last-write-wins: the value lives in cell 0 and a [set]
-     clears whatever other shards accumulated *)
-  let set m v =
-    Array.iteri (fun i c -> if i > 0 then Atomic.set c 0) m.cells;
-    Atomic.set m.cells.(0) v
-
-  let get m = Array.fold_left (fun acc c -> acc + Atomic.get c) 0 m.cells
+  let incr ?(by = 1) m = ignore (Atomic.fetch_and_add m.cell by)
+  let set m v = Atomic.set m.cell v
+  let get m = Atomic.get m.cell
 
   let value_of name =
     match with_lock reg_mutex (fun () -> Hashtbl.find_opt registry name) with
@@ -362,10 +308,7 @@ module Metrics = struct
 
   let snapshot () = List.map (fun m -> (m.m_name, get m)) (entries ())
 
-  let reset () =
-    List.iter
-      (fun m -> Array.iter (fun c -> Atomic.set c 0) m.cells)
-      (entries ())
+  let reset () = List.iter (fun m -> Atomic.set m.cell 0) (entries ())
 
   let to_json () =
     Obs_json.Obj
@@ -389,9 +332,9 @@ end
    exact; p50/p90/p99 are bucket estimates (linear interpolation
    inside the bucket holding the rank, never above the observed max);
    max is exact. Like counters — and unlike spans — histograms always
-   record, sink or no sink, and since v3 from any domain: cells are
-   sharded per domain and every update is atomic, so concurrent
-   totals equal a single-writer run exactly. *)
+   record, sink or no sink, and from any thread or domain: every cell
+   update is atomic, so concurrent totals equal a single-writer run
+   exactly. *)
 
 module Histogram = struct
   (* 100 ns * 10^(i/4) for i = 0..32: 100 ns, 178 ns, 316 ns, 562 ns,
@@ -403,35 +346,20 @@ module Histogram = struct
 
   let num_buckets = Array.length boundaries + 1
 
-  type shard = {
-    sh_counts : int Atomic.t array;
-    sh_count : int Atomic.t;
-    sh_sum : int Atomic.t;
-    sh_max : int Atomic.t;
+  type h = {
+    h_name : string;
+    h_counts : int Atomic.t array;
+    h_count : int Atomic.t;
+    h_sum : int Atomic.t;
+    h_max : int Atomic.t;
   }
 
-  (* shard slots fill lazily: most histograms are only ever touched by
-     the driving domain, so eager allocation of every slot would waste
-     num_shards * num_buckets atomics per series *)
-  type h = { h_name : string; shards : shard option Atomic.t array }
-
-  let fresh_shard () =
-    { sh_counts = Array.init num_buckets (fun _ -> Atomic.make 0);
-      sh_count = Atomic.make 0;
-      sh_sum = Atomic.make 0;
-      sh_max = Atomic.make 0 }
-
   let make name =
-    { h_name = name; shards = Array.init num_shards (fun _ -> Atomic.make None) }
-
-  let shard h =
-    let cell = h.shards.(shard_index ()) in
-    match Atomic.get cell with
-    | Some s -> s
-    | None ->
-        let s = fresh_shard () in
-        if Atomic.compare_and_set cell None (Some s) then s
-        else (match Atomic.get cell with Some s -> s | None -> assert false)
+    { h_name = name;
+      h_counts = Array.init num_buckets (fun _ -> Atomic.make 0);
+      h_count = Atomic.make 0;
+      h_sum = Atomic.make 0;
+      h_max = Atomic.make 0 }
 
   let registry : (string, h) Hashtbl.t = Hashtbl.create 32
 
@@ -472,17 +400,18 @@ module Histogram = struct
   (* exclusive lower edge (0 for the first bucket) *)
   let bucket_lo i = if i = 0 then 0 else boundaries.(i - 1)
 
+  (* a bucket is bumped before the count, and [totals] reads the
+     count before the buckets, so a snapshot's buckets always hold at
+     least its count — the percentile walk stays in range even under
+     concurrent writers *)
   let record h ns =
     let ns = if ns < 0 then 0 else ns in
-    let s = shard h in
-    let i = bucket_index ns in
-    ignore (Atomic.fetch_and_add s.sh_counts.(i) 1);
-    ignore (Atomic.fetch_and_add s.sh_count 1);
-    ignore (Atomic.fetch_and_add s.sh_sum ns);
-    atomic_max s.sh_max ns
+    ignore (Atomic.fetch_and_add h.h_counts.(bucket_index ns) 1);
+    ignore (Atomic.fetch_and_add h.h_count 1);
+    ignore (Atomic.fetch_and_add h.h_sum ns);
+    atomic_max h.h_max ns
 
-  (* exact merged totals across shards — every reader goes through
-     this, so a snapshot is a single-writer-equivalent view *)
+  (* a plain copy of the cells that every reader goes through *)
   type totals = {
     t_counts : int array;
     t_count : int;
@@ -491,24 +420,14 @@ module Histogram = struct
   }
 
   let totals h =
-    let t =
-      { t_counts = Array.make num_buckets 0; t_count = 0; t_sum = 0; t_max = 0 }
-    in
-    Array.fold_left
-      (fun acc cell ->
-        match Atomic.get cell with
-        | None -> acc
-        | Some s ->
-            Array.iteri
-              (fun i c -> acc.t_counts.(i) <- acc.t_counts.(i) + Atomic.get c)
-              s.sh_counts;
-            { acc with
-              t_count = acc.t_count + Atomic.get s.sh_count;
-              t_sum = acc.t_sum + Atomic.get s.sh_sum;
-              t_max = max acc.t_max (Atomic.get s.sh_max) })
-      t h.shards
+    let t_count = Atomic.get h.h_count in
+    let t_counts = Array.map Atomic.get h.h_counts in
+    { t_counts;
+      t_count;
+      t_sum = Atomic.get h.h_sum;
+      t_max = Atomic.get h.h_max }
 
-  let count h = (totals h).t_count
+  let count h = Atomic.get h.h_count
 
   (* Estimate the [phi]-quantile (0 < phi <= 1): locate the bucket
      holding the ceil(phi*count)-th smallest sample, interpolate
@@ -582,16 +501,10 @@ module Histogram = struct
   let reset () =
     List.iter
       (fun h ->
-        Array.iter
-          (fun cell ->
-            match Atomic.get cell with
-            | None -> ()
-            | Some s ->
-                Array.iter (fun c -> Atomic.set c 0) s.sh_counts;
-                Atomic.set s.sh_count 0;
-                Atomic.set s.sh_sum 0;
-                Atomic.set s.sh_max 0)
-          h.shards)
+        Array.iter (fun c -> Atomic.set c 0) h.h_counts;
+        Atomic.set h.h_count 0;
+        Atomic.set h.h_sum 0;
+        Atomic.set h.h_max 0)
       (entries ())
 
   let json_of_snapshot s =
@@ -668,9 +581,9 @@ let k_col_dict_entries = "columnar.dict_entries"
 let k_col_sel_rows_in = "columnar.sel_rows_in"
 let k_col_sel_rows_out = "columnar.sel_rows_out"
 
-(* Runtime telemetry: GC gauges sampled at span boundaries (and on
-   every metrics/trace export), so traces carry the collector's view
-   of the workload that produced them. *)
+(* Runtime telemetry: GC gauges sampled on every metrics/trace export,
+   so an export carries the collector's view of the workload that
+   produced it. *)
 let k_gc_minor = "gc.minor_collections"
 let k_gc_major = "gc.major_collections"
 let k_gc_promoted = "gc.promoted_words"
@@ -709,20 +622,17 @@ let () =
     [ "scan"; "project"; "filter"; "distinct"; "extend"; "extend-agg";
       "sort" ]
 
-(* wire the span-boundary GC sampler now that the gauges exist *)
 let g_gc_minor = Metrics.gauge k_gc_minor
 let g_gc_major = Metrics.gauge k_gc_major
 let g_gc_promoted = Metrics.gauge k_gc_promoted
 let g_gc_heap = Metrics.gauge k_gc_heap
 
-let () =
-  gc_sampler :=
-    fun () ->
-      let s = Gc.quick_stat () in
-      Metrics.set g_gc_minor s.Gc.minor_collections;
-      Metrics.set g_gc_major s.Gc.major_collections;
-      Metrics.set g_gc_promoted (int_of_float s.Gc.promoted_words);
-      Metrics.set g_gc_heap s.Gc.heap_words
+let sample_gc_gauges () =
+  let s = Gc.quick_stat () in
+  Metrics.set g_gc_minor s.Gc.minor_collections;
+  Metrics.set g_gc_major s.Gc.major_collections;
+  Metrics.set g_gc_promoted (int_of_float s.Gc.promoted_words);
+  Metrics.set g_gc_heap s.Gc.heap_words
 
 (* ---------- the profile ring (Sheetdoctor, flight recorder) ----------
 
@@ -741,10 +651,9 @@ let () =
    Always on (a record is a few small allocations), independent of
    the span sink, bounded with a drop counter. Like span nesting, the
    region stack is single-writer — only the session's driving thread
-   enters/commits regions and notes attribution; the counters a
-   region reads are the sharded ones, deltas snapshotted at its
-   boundaries. Event commits take only the ring lock and are safe
-   from any thread. *)
+   enters/commits regions and notes attribution; the counter deltas a
+   region records are snapshotted at its boundaries. Event commits
+   take only the ring lock and are safe from any thread. *)
 
 module Profile = struct
   type node = {
@@ -1269,7 +1178,7 @@ let to_chrome_trace evs =
            (* ring truncation and nesting violations surfaced here so a
               truncated trace is visibly truncated, not silently thin *)
            ("dropped_events", Obs_json.Int (dropped ()));
-           ("open_spans", Obs_json.Int (List.length !open_stack));
+           ("open_spans", Obs_json.Int (open_spans ()));
            ("nesting_ok", Obs_json.Bool (nesting_ok ()));
            ("metrics", Metrics.to_json ());
            ("histograms", Histogram.to_json ());
@@ -1291,8 +1200,7 @@ let metrics_report () =
       "";
       Printf.sprintf "%-32s %10s" "slo.status" (Slo.summary ());
       Printf.sprintf "%-32s %10d" "trace.dropped_events" (dropped ());
-      Printf.sprintf "%-32s %10d" "trace.open_spans"
-        (List.length !open_stack);
+      Printf.sprintf "%-32s %10d" "trace.open_spans" (open_spans ());
       Printf.sprintf "%-32s %10s" "trace.nesting_ok"
         (if nesting_ok () then "true" else "false");
       Printf.sprintf "%-32s %10d" "profile.records" (Profile.length ());

@@ -2,7 +2,7 @@
 
     Four pieces (DESIGN.md §8):
 
-    - {e span tracing}: [span]/[finish] bracket a unit of work with
+    - {e span tracing}: {!with_span} brackets a unit of work with
       monotone-enough wall timings, nestable, tagged with the sheet
       [uid] and an operator [kind]. The engine, the materializer's
       replay strata, the incremental deriver, and every plan node are
@@ -12,7 +12,7 @@
       derivations, rows per plan node, undo/redo depth, GC activity,
       per-op latency), snapshotable as an association list or JSON.
     - {e sinks}: where completed spans go. [Off] (the default) makes
-      [span] a single mutable-bool test returning a shared dummy —
+      {!with_span} a single mutable-bool test before the thunk runs —
       instrumented code paths are property-tested byte-identical to
       uninstrumented ones. [Logs] prints each completed span through
       the [sheetscope] {!Logs.Src.t}; [Memory] appends to a bounded
@@ -23,11 +23,10 @@
       labeled per-session series.
 
     Counters and histograms always count (sink or no sink) and are
-    {e domain-safe} since v3: values live in per-domain sharded atomic
-    cells with exact merge-on-read, so the totals of concurrent
-    writers (Sheetserve's handler threads) equal a single-writer run
-    exactly, and the event ring is mutex-protected. Span {e nesting}
-    state ([span]/[finish]) is single-writer — only the thread driving
+    {e thread- and domain-safe}: every cell is atomic, so the totals
+    of concurrent writers (Sheetserve's handler threads) equal a
+    single-writer run exactly, and the event ring is mutex-protected.
+    Span {e nesting} state is single-writer — only the thread driving
     a session opens and closes spans. *)
 
 (** {1 Clock} *)
@@ -74,18 +73,6 @@ type event = {
   rows_out : int;  (** -1 when unknown *)
 }
 
-type span
-
-val span : ?uid:int -> ?kind:string -> string -> span
-(** Open a span. Constant-time no-op when the sink is [Off]. When
-    recording, GC gauges are refreshed ({!sample_gc_gauges}).
-    Single-writer: only the session's driving thread may open spans. *)
-
-val finish : ?rows_in:int -> ?rows_out:int -> span -> unit
-(** Close a span, emitting the completed {!event} to the sink.
-    Closing out of order is tolerated (the span is removed wherever
-    it sits) but counted — see {!nesting_ok}. *)
-
 val with_span :
   ?uid:int ->
   ?kind:string ->
@@ -94,9 +81,13 @@ val with_span :
   string ->
   (unit -> 'a) ->
   'a
-(** Bracket a thunk; the span is closed on exceptions too. [rows_out]
-    reads the output cardinality off the thunk's result (a raising
-    thunk's span carries none). *)
+(** Bracket a thunk in a span, emitting the completed {!event} to the
+    sink; the span is closed on exceptions too. [rows_out] reads the
+    output cardinality off the thunk's result (a raising thunk's span
+    carries none). When the sink is [Off] this only runs the thunk.
+    Single-writer: only the session's driving thread may open spans.
+    A span that closes at another depth than it opened at
+    ({!clear_events} inside it) is counted — see {!nesting_ok}. *)
 
 val open_spans : unit -> int
 (** Number of spans opened but not yet finished. 0 after any balanced
@@ -112,7 +103,7 @@ val dropped : unit -> int
 (** Events evicted from the ring since {!clear_events}. *)
 
 val clear_events : unit -> unit
-(** Empty the ring and reset the open-span stack, the nesting-violation
+(** Empty the ring and reset the open-span depth, the nesting-violation
     flag, and the dropped count. Does not touch metrics. *)
 
 val events_well_formed : event list -> bool
@@ -156,10 +147,9 @@ val ambient_labels : unit -> Labels.t
 
 (** {1 Metrics}
 
-    Counters and gauges are sharded over per-domain atomic cells:
-    {!Metrics.incr} is safe from any domain and {!Metrics.get} sums
-    the shards, so totals are exact whatever the interleaving. Gauges
-    are last-write-wins. *)
+    A counter or gauge is one atomic cell: {!Metrics.incr} is a
+    fetch-and-add, safe from any thread or domain, so totals are exact
+    whatever the interleaving. Gauges are last-write-wins. *)
 
 module Metrics : sig
   type m
@@ -199,8 +189,8 @@ end
     p50/p90/p99 are bucket estimates (linear interpolation inside the
     bucket holding the rank, never above the observed max). Like
     counters, histograms always record — sink or no sink — and from
-    any domain: samples land in lazily-allocated per-domain shards
-    and every reader merges them, so concurrent totals are exact. *)
+    any thread or domain: a histogram is one record of atomic cells,
+    so concurrent totals are exact. *)
 
 module Histogram : sig
   type h
@@ -332,9 +322,9 @@ val k_col_sel_rows_out : string
 
 (** {2 Runtime telemetry}
 
-    GC gauges sampled at span boundaries and on every metrics/trace
-    export, so a trace carries the collector's view of the workload
-    that produced it. *)
+    GC gauges sampled from [Gc.quick_stat] by {!metrics_report} and
+    {!to_chrome_trace}, so an export carries the collector's view of
+    the workload that produced it. *)
 
 val k_gc_minor : string
 (** Gauge: minor collections since process start. *)
@@ -347,11 +337,6 @@ val k_gc_promoted : string
 
 val k_gc_heap : string
 (** Gauge: current major-heap size in words. *)
-
-val sample_gc_gauges : unit -> unit
-(** Refresh the GC gauges from [Gc.quick_stat] now. Called
-    automatically by [span]/[finish] (when recording),
-    {!metrics_report} and {!to_chrome_trace}. *)
 
 (** {1 The profile ring (Sheetdoctor and the flight recorder)}
 
@@ -374,8 +359,7 @@ val sample_gc_gauges : unit -> unit
     512 records with a drop counter. The region stack is
     {e single-writer} like span nesting: only the session's driving
     thread calls {!Profile.enter}/{!Profile.commit}/[note_*]; the
-    counter deltas a region records are read from the sharded
-    counters at its boundaries. *)
+    counter deltas a region records are read at its boundaries. *)
 
 module Profile : sig
   type node = {

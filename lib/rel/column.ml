@@ -35,9 +35,6 @@ let length t =
 let valid_bit b i =
   Char.code (Bytes.unsafe_get b (i lsr 3)) land (1 lsl (i land 7)) <> 0
 
-let is_valid t i =
-  match t.validity with None -> true | Some b -> valid_bit b i
-
 let get t i =
   match t.validity with
   | Some b when not (valid_bit b i) -> Value.Null

@@ -30,7 +30,6 @@ val get : t -> int -> Value.t
 (** Row [i]'s value, [Value.Null] under a cleared validity bit. *)
 
 val length : t -> int
-val is_valid : t -> int -> bool
 
 val valid_bit : Bytes.t -> int -> bool
 (** Raw bitmap test (for compiled predicate loops). *)

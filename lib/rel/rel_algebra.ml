@@ -583,20 +583,6 @@ let int_ranks n ~null_at ~int_at =
       done;
       half_key_ranks hi lo
 
-(* Dense ranks of a bool column: false before true, nulls last. *)
-let bool_ranks n ~null_at ~bool_at =
-  let f = ref false and t = ref false and nulls = ref false in
-  for j = 0 to n - 1 do
-    if null_at j then nulls := true
-    else if bool_at j then t := true
-    else f := true
-  done;
-  let rank_true = Bool.to_int !f in
-  let m = rank_true + Bool.to_int !t in
-  ( init_ints n (fun j ->
-        if null_at j then m else if bool_at j then rank_true else 0),
-    if !nulls then m + 1 else m )
-
 (* Dense ranks of a dictionary-coded column: the selected codes are
    numbered in the dictionary's sorted [order], nulls last — the
    ranks [rank_by_hashing] gives the same cells. *)
@@ -651,12 +637,12 @@ let rank_cells n cell =
   | `Float ->
       float_ranks n ~null_at ~float_at:(fun j ->
           match cell j with Value.Float x -> x | _ -> 0.)
-  | `Bool ->
-      bool_ranks n ~null_at ~bool_at:(fun j ->
-          match cell j with Value.Bool x -> x | _ -> false)
-  | `Empty | `Int | `Date ->
+  | `Empty | `Int | `Date | `Bool ->
       int_ranks n ~null_at ~int_at:(fun j ->
-          match cell j with Value.Int x | Value.Date x -> x | _ -> 0)
+          match cell j with
+          | Value.Int x | Value.Date x -> x
+          | Value.Bool x -> Bool.to_int x
+          | _ -> 0)
 
 (* Ranks of column [c] of [b] over its selection vector. A typed
    column — of the base image, or computed — ranks from its arrays. *)
@@ -681,8 +667,8 @@ let rank_column (b : Relation.batch) c =
         float_ranks n ~null_at ~float_at:(fun k ->
             Array.unsafe_get a (Array.unsafe_get sel k))
     | Column.Bools a ->
-        bool_ranks n ~null_at ~bool_at:(fun k ->
-            Array.unsafe_get a (Array.unsafe_get sel k))
+        int_ranks n ~null_at ~int_at:(fun k ->
+            Bool.to_int (Array.unsafe_get a (Array.unsafe_get sel k)))
     | Column.Boxed cells ->
         rank_cells n (fun k -> Array.unsafe_get cells (Array.unsafe_get sel k))
   in

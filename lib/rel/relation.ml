@@ -186,16 +186,10 @@ let columnar_view t =
   | Col_built v -> Some v
   | Col_unavailable -> None
   | Col_unbuilt ->
-      let arity = Schema.arity t.schema in
-      let v = Columnar.of_rows ~width:arity (to_array t) in
-      if Columnar.uniform v && Columnar.width v = arity then begin
-        t.col_memo <- Col_built v;
-        Some v
-      end
-      else begin
-        t.col_memo <- Col_unavailable;
-        None
-      end
+      let v = Columnar.of_rows ~width:(Schema.arity t.schema) (to_array t) in
+      t.col_memo <-
+        (match v with Some v -> Col_built v | None -> Col_unavailable);
+      v
 
 let column_values t name =
   let i = Schema.index_exn t.schema name in

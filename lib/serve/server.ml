@@ -269,8 +269,3 @@ let live_clients t =
       Hashtbl.fold (fun c _ acc -> c :: acc) t.sessions []
       |> List.sort String.compare)
 
-let arena_of t client =
-  with_lock t.table_mutex (fun () ->
-      Option.map
-        (fun st -> st.arena)
-        (Hashtbl.find_opt t.sessions client))

@@ -105,9 +105,6 @@ val session_count : t -> int
 val live_clients : t -> string list
 (** Sorted client ids of live sessions. *)
 
-val arena_of : t -> string -> int option
-(** The uid arena of a live client's session. *)
-
 val stats : t -> Protocol.response
 (** The [Stats] response: live sessions, successfully applied ops,
     busy rejections. *)

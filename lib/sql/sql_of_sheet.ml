@@ -226,6 +226,8 @@ let compile ~table (sheet : Spreadsheet.t) =
                     (project it out first)"
                    c)
           | None, Some why -> err why
+          | None, None when visible = [] ->
+              err "every column is hidden; SQL has no empty select list"
           | None, None -> (
               let select_items = ref [] in
               let select_error = ref None in

@@ -514,9 +514,7 @@ let clock_never_negative () =
   t := !t - 5_000_000_000;
   let b = Obs.now_ns () in
   Alcotest.(check bool) "now_ns never decreases" true (b >= a);
-  let sp = Obs.span "backwards" in
-  t := !t - 3_000_000_000;
-  Obs.finish sp;
+  Obs.with_span "backwards" (fun () -> t := !t - 3_000_000_000);
   (match Obs.events () with
   | [ ev ] ->
       Alcotest.(check bool) "dur_ns >= 0" true (ev.Obs.dur_ns >= 0);
@@ -825,15 +823,15 @@ let json_parse_errors () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "unbounded depth accepted"
 
-(* ---------- sharded cells ---------- *)
+(* ---------- concurrent writers ---------- *)
 
 (* Four domains hammer one registered counter and one registered
-   histogram concurrently; the merged totals must equal the
+   histogram concurrently; the totals must equal the
    single-writer arithmetic exactly — no lost increments, whatever
    the interleaving. Run under both sinks: Off (the common case) and
    Memory, where the workers also commit event records to the
    mutex-protected profile ring and none may be lost. *)
-let sharded_hammer sink () =
+let concurrent_hammer sink () =
   with_sink sink @@ fun () ->
   Obs.clear_events ();
   let c = Obs.Metrics.counter "test.hammer" in
@@ -1234,18 +1232,33 @@ let profile_in_chrome_trace () =
 
 (* ---------- GC gauges ---------- *)
 
+(* the gauges are sampled by the exports, not by spans *)
 let gc_gauges_sampled () =
+  let gauges = [ Obs.k_gc_minor; Obs.k_gc_heap ] in
+  let zero () =
+    List.iter (fun k -> Obs.Metrics.set (Obs.Metrics.gauge k) 0) gauges
+  in
+  let sampled what =
+    List.iter
+      (fun k ->
+        Alcotest.(check bool) (k ^ " sampled by " ^ what) true
+          (Obs.Metrics.value_of k > 0))
+      gauges
+  in
   with_sink Obs.Memory @@ fun () ->
   Obs.clear_events ();
+  zero ();
   Obs.with_span "gc-probe" (fun () ->
       ignore (Sys.opaque_identity (List.init 10_000 string_of_int)));
   List.iter
     (fun k ->
-      Alcotest.(check bool) (k ^ " sampled") true (Obs.Metrics.value_of k > 0))
-    [ Obs.k_gc_minor; Obs.k_gc_heap ];
-  (* the report and the trace carry them *)
+      Alcotest.(check int) (k ^ " untouched by a span") 0
+        (Obs.Metrics.value_of k))
+    gauges;
   Alcotest.(check bool) "gauge in metrics_report" true
     (contains (Obs.metrics_report ()) Obs.k_gc_heap);
+  sampled "metrics_report";
+  zero ();
   (match J.parse (Obs.chrome_trace_string ()) with
   | Ok j -> (
       match J.member "otherData" j with
@@ -1253,10 +1266,13 @@ let gc_gauges_sampled () =
           match J.member "metrics" od with
           | Some m ->
               Alcotest.(check bool) "gauge in trace export" true
-                (J.member Obs.k_gc_heap m <> None)
+                (match J.member Obs.k_gc_heap m with
+                | Some (J.Int v) -> v > 0
+                | _ -> false)
           | None -> Alcotest.fail "no metrics in otherData")
       | None -> Alcotest.fail "no otherData")
   | Error msg -> Alcotest.fail msg);
+  sampled "the trace export";
   Obs.clear_events ()
 
 let () =
@@ -1321,9 +1337,9 @@ let () =
            metrics_report_surfaces ]);
       ("sharding",
        [ Alcotest.test_case "4-domain hammer exact, sink off" `Quick
-           (sharded_hammer Obs.Off);
+           (concurrent_hammer Obs.Off);
          Alcotest.test_case "4-domain hammer exact, sink memory" `Quick
-           (sharded_hammer Obs.Memory) ]);
+           (concurrent_hammer Obs.Memory) ]);
       ("labels",
        [ Alcotest.test_case "normalization and series names" `Quick
            labels_normalize;
@@ -1355,7 +1371,7 @@ let () =
          Alcotest.test_case "chrome trace carries the block" `Quick
            profile_in_chrome_trace ]);
       ("gc",
-       [ Alcotest.test_case "gauges sampled at span boundaries" `Quick
+       [ Alcotest.test_case "gauges sampled on export" `Quick
            gc_gauges_sampled ]);
       ("json",
        [ Alcotest.test_case "value round-trips" `Quick

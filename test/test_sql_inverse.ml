@@ -176,6 +176,23 @@ hide Condition|}
     "hide ID\nhide Price\nhide Year\nhide Mileage\nhide Condition\ndedup\n\
      group Model asc\nagg count as n"
 
+(* with every column hidden the sheet shows no column, while an empty
+   select list would print as SELECT * and return all six *)
+let test_all_hidden_refused () =
+  let hide_but keep =
+    List.filter (fun c -> c <> keep)
+      [ "ID"; "Model"; "Price"; "Year"; "Mileage"; "Condition" ]
+    |> List.map (( ^ ) "hide ")
+    |> String.concat "\n"
+  in
+  (match compile_current (session_with (hide_but "Model" ^ "\nhide Model")) with
+  | Error reason ->
+      Alcotest.(check bool) "mentions hidden" true (contains reason "hidden")
+  | Ok sql -> Alcotest.failf "unexpectedly compiled: %s" sql);
+  match compile_current (session_with (hide_but "Model")) with
+  | Error m -> Alcotest.fail m
+  | Ok sql -> Alcotest.(check string) "one column" "SELECT Model\nFROM cars" sql
+
 let round_trip sql_text =
   let cat = catalog () in
   let q = Sql_parser.parse_exn sql_text in
@@ -232,6 +249,8 @@ let () =
           Alcotest.test_case "distinct" `Quick test_distinct_state;
           Alcotest.test_case "refusal reasons" `Quick
             test_not_single_block_reasons;
+          Alcotest.test_case "every column hidden" `Quick
+            test_all_hidden_refused;
           Alcotest.test_case "order-groups to ORDER BY" `Quick
             test_order_groups_emitted ] );
       ( "round-trip",

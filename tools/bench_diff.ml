@@ -9,8 +9,8 @@
    guarded entry — a name starting with "op/", "table" (the paper's
    operator-scaling and table-regeneration workloads, including the
    1M-row "table/*-1m" scans), "cache/" (the semantic-cache win),
-   "col/" (the Sheetcol columnar substrate) or "obs/" (the sharded
-   Sheetscope record path) — regressed by more than 25 % on
+   "col/" (the Sheetcol columnar substrate) or "obs/" (the Sheetscope
+   record path and profile collection) — regressed by more than 25 % on
    ns_per_run. This is the required check for every perf-claiming PR:
    regenerate a fresh baseline, diff against the committed one, and
    only commit the new file if the gate is green.
