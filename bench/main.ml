@@ -668,13 +668,18 @@ let () =
       let json_path =
         Option.value (arg_value "--json") ~default:"BENCH_sheetmusiq.json"
       in
-      if Option.is_some trace_path then
-        Sheet_obs.Obs.set_sink Sheet_obs.Obs.Memory;
+      (* a trace covers the whole run: room for every record *)
+      if Option.is_some trace_path then begin
+        Sheet_obs.Obs.Profile.set_capacity 1_000_000;
+        Sheet_obs.Obs.set_sink Sheet_obs.Obs.Memory
+      end;
       print_artifacts ();
       (match trace_path with
       | Some path ->
           Sheet_obs.Obs.save_chrome_trace ~path;
-          Printf.printf "\ntrace written to %s (%d events)\n" path
-            (List.length (Sheet_obs.Obs.events ()))
+          Printf.printf "\ntrace written to %s (%d records, %d dropped)\n"
+            path
+            (Sheet_obs.Obs.Profile.length ())
+            (Sheet_obs.Obs.Profile.dropped ())
       | None -> ());
       if not quick then run_benchmarks ~workloads ~json_path:(Some json_path)

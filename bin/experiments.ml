@@ -281,16 +281,21 @@ let () =
     | [] -> (None, List.rev acc)
   in
   let trace_path, args = split_trace [] args in
+  (* a trace covers the whole run: room for every record *)
   Option.iter
-    (fun _ -> Sheet_obs.Obs.set_sink Sheet_obs.Obs.Memory)
+    (fun _ ->
+      Sheet_obs.Obs.Profile.set_capacity 1_000_000;
+      Sheet_obs.Obs.set_sink Sheet_obs.Obs.Memory)
     trace_path;
   let cmd = match args with c :: _ -> c | [] -> "all" in
   let finish () =
     Option.iter
       (fun path ->
         Sheet_obs.Obs.save_chrome_trace ~path;
-        Printf.printf "\ntrace written to %s (%d events)\n" path
-          (List.length (Sheet_obs.Obs.events ())))
+        Printf.printf "\ntrace written to %s (%d records, %d dropped)\n"
+          path
+          (Sheet_obs.Obs.Profile.length ())
+          (Sheet_obs.Obs.Profile.dropped ()))
       trace_path
   in
   (fun run -> run (); finish ())

@@ -361,27 +361,8 @@ let product ?store sheet stored_name =
   let* stored = resolve_stored store stored_name in
   let* left = binary_operand sheet in
   let* right = binary_operand stored in
-  let schema, _mapping =
-    Schema.concat_with_mapping (Relation.schema left) (Relation.schema right)
-  in
-  let da = Relation.to_array left and db = Relation.to_array right in
-  let na = Array.length da and nb = Array.length db in
-  let base =
-    if na = 0 || nb = 0 then Relation.empty schema
-    else begin
-      let out = Array.make (na * nb) da.(0) in
-      for i = 0 to na - 1 do
-        let ra = da.(i) in
-        let off = i * nb in
-        for j = 0 to nb - 1 do
-          out.(off + j) <- Row.append ra db.(j)
-        done
-      done;
-      Relation.unsafe_of_array schema out
-    end
-  in
   Ok
-    (rebase sheet ~base
+    (rebase sheet ~base:(Rel_algebra.product left right)
        ~base_name:
          (Printf.sprintf "%s x %s" sheet.Spreadsheet.base_name stored_name))
 

@@ -204,9 +204,6 @@ let materialize_after ~parent ~op ~child =
   let uid = child.Spreadsheet.uid in
   Obs.Profile.region ~kind:"incremental" ~uid ~rows_out:Relation.cardinality
   @@ fun () ->
-  Obs.with_span ~uid ~kind:(Op.kind op) ~rows_out:Relation.cardinality
-    "incremental.materialize_after"
-  @@ fun () ->
   let t0 = Obs.now_ns () in
   let rel =
     match derive ~parent ~op ~child with

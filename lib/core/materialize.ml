@@ -23,7 +23,6 @@ let full (sheet : Spreadsheet.t) =
   Obs.Metrics.incr c_full_replays;
   profiled ~uid @@ fun () ->
   Obs.Profile.note_strategy "full-replay";
-  Obs.with_span ~uid ~kind:"full" "materialize.full" @@ fun () ->
   let t0 = Obs.now_ns () in
   Fun.protect
     ~finally:(fun () -> Obs.Histogram.record h_full (Obs.now_ns () - t0))
@@ -56,8 +55,8 @@ type entry = { e_sheet : Spreadsheet.t; e_rel : Relation.t }
    threads at once, and the lock is what keeps the hit-kind accounting
    exact (requests = exact + subsumed + miss) and the table free of
    torn states. It is held across the full replay on a miss, which
-   also keeps the single-writer telemetry underneath (profile regions,
-   span nesting) sequential. Never call back into this module while
+   also keeps the single-writer telemetry underneath (the profile
+   region stack) sequential. Never call back into this module while
    holding it — the lock is not reentrant. *)
 let cache_mutex = Mutex.create ()
 

@@ -30,8 +30,8 @@ val full : Spreadsheet.t -> Relation.t
 (** All columns (hidden ones included), rows in presentation order:
     [Plan.execute (Plan.of_sheet sheet)] inside a ["materialize"]
     profile region keyed on the sheet's uid (the plan's own region
-    collapses into it), a [materialize.full] span and histogram
-    sample, and a [materialize.full_replays] count. *)
+    collapses into it), a [materialize.full] histogram sample, and a
+    [materialize.full_replays] count. *)
 
 val full_cached : Spreadsheet.t -> Relation.t
 (** Like {!full}, memoized on the sheet's {!Spreadsheet.t.uid}

@@ -41,6 +41,6 @@ val describe : t -> string
 
 val kind : t -> string
 (** Short constructor tag ("select", "group", ...) used as the span
-    category by the {!Sheet_obs} instrumentation. *)
+    kind by the {!Sheet_obs} instrumentation. *)
 
 val pp : Format.formatter -> t -> unit

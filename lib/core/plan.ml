@@ -144,10 +144,10 @@ let kind_histogram kind =
    over it extends its parent's batch. Rows are built once, on first
    row access to the result.
 
-   Each node is one {e unit}: it opens one [plan.node] span, bumps the
-   [plan.*] counters, records its time under its kind and notes one
-   node in the open Sheetdoctor profile region — the record EXPLAIN
-   ANALYZE renders. *)
+   Each node is one {e unit}: it bumps the [plan.*] counters, records
+   its time under its kind and notes one node (start, time, rows) in
+   the open Sheetdoctor profile region — the record EXPLAIN ANALYZE
+   renders, and the trace draws. *)
 
 let linearize node =
   let rec go acc = function
@@ -318,18 +318,14 @@ let run_node node r =
   | Distinct_on (keys, _) -> (Rel_algebra.distinct_on keys r, "batch")
   | Scan _ -> invalid_arg "Plan.run_node: scan"
 
-(* One executed unit: span, counters, per-kind histogram and one
-   profile node around [run_node]. *)
-let run_unit ~uid node r =
+(* One executed unit: counters, per-kind histogram and one profile
+   node around [run_node]. *)
+let run_unit node r =
   let rows_in = Relation.cardinality r in
   let kind = node_kind node in
-  Obs.with_span ~uid ~kind ~rows_in
-    ~rows_out:(fun (out, _) -> Relation.cardinality out)
-    "plan.node"
-  @@ fun () ->
   let a0 = Gc.allocated_bytes () in
   let t0 = Obs.now_ns () in
-  let ((out, path) as result) = run_node node r in
+  let out, path = run_node node r in
   let dt = Obs.now_ns () - t0 in
   let rows_out = Relation.cardinality out in
   Obs.Histogram.record (kind_histogram kind) dt;
@@ -339,12 +335,12 @@ let run_unit ~uid node r =
   (* labels render predicates: only worth it when a region records *)
   if Obs.Profile.in_region () then
     Obs.Profile.note_node ~rows_in ~rows_out ~path ~kind
-      ~label:(node_label node) ~time_ns:dt
+      ~label:(node_label node) ~start_ns:t0 ~time_ns:dt
       ~alloc_bytes:(Gc.allocated_bytes () -. a0)
       ();
-  result
+  out
 
-let run ~uid node =
+let run node =
   let base, ops = linearize node in
   (* with no unit to run the answer is the scanned relation itself,
      memoized columnar image and all *)
@@ -353,12 +349,12 @@ let run ~uid node =
     let t0 = Obs.now_ns () in
     let scan = Relation.of_batch (Relation.schema base) (Relation.batch base) in
     Obs.Histogram.record (kind_histogram "scan") (Obs.now_ns () - t0);
-    List.fold_left (fun r node -> fst (run_unit ~uid node r)) scan ops
+    List.fold_left (fun r node -> run_unit node r) scan ops
   end
 
 let execute ?(uid = 0) node =
   Obs.Profile.region ~kind:"plan" ~uid ~rows_out:Relation.cardinality
-    (fun () -> run ~uid node)
+    (fun () -> run node)
 
 let explain_analyze ?(uid = 0) node =
   let rel = execute ~uid node in

@@ -103,8 +103,8 @@ val execute : ?uid:int -> node -> Relation.t
     - [Sort] permutes the vector by ranked key columns
       ({!Sheet_rel.Rel_algebra.sort}) and [Distinct_on] thins it to
       the first row of each key group (path [batch]).
-    Each unit opens a [plan.node] span, bumps the [plan.*] counters
-    and notes one profile node.
+    Each unit bumps the [plan.*] counters and notes one profile
+    node.
 
     The result is batch-backed: its rows are built once, on first row
     access ({!Sheet_rel.Relation.to_array}). A plan with no unit to

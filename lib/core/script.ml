@@ -194,6 +194,18 @@ let run_line session line =
   if line = "" then Ok { session; output = None }
   else
     let cmd, rest = head_rest line in
+    (* stray words are refused, never silently dropped *)
+    let no_args name k =
+      if split_words rest = [] then k ()
+      else Error (name ^ ": expected no arguments")
+    in
+    let optional_int usage k =
+      match split_words rest with
+      | [] -> k None
+      | [ w ] when Option.is_some (int_of_string_opt w) ->
+          k (int_of_string_opt w)
+      | _ -> Error usage
+    in
     match String.lowercase_ascii cmd with
     | "group" | "regroup" -> (
         match parse_cols_dir rest with
@@ -205,7 +217,7 @@ let run_line session line =
               else Op.Regroup { basis; dir }
             in
             apply_op session op)
-    | "ungroup" -> apply_op session Op.Ungroup
+    | "ungroup" -> no_args "ungroup" (fun () -> apply_op session Op.Ungroup)
     | "order-groups" -> (
         match split_words rest with
         | [ attr ] ->
@@ -223,7 +235,7 @@ let run_line session line =
     | "show" -> apply_op session (Op.Unproject (trim rest))
     | "agg" -> run_agg session rest
     | "formula" -> run_formula session rest
-    | "dedup" -> apply_op session Op.Dedup
+    | "dedup" -> no_args "dedup" (fun () -> apply_op session Op.Dedup)
     | "rename" -> (
         match split_words rest with
         | [ old_name; new_name ] ->
@@ -282,14 +294,11 @@ let run_line session line =
           | Error msg -> Error msg
           | Ok cond -> apply_op session (Op.Join { stored = name; cond })
         else Error "join: expected <name> on <condition>")
-    | "undo" -> (
-        let n =
-          match split_words rest with
-          | [ n ] -> int_of_string_opt n |> Option.value ~default:1
-          | _ -> 1
-        in
-        let session = Session.undo_many session n in
-        Ok { session; output = None })
+    | "undo" ->
+        optional_int "undo: expected [<steps>]" @@ fun n ->
+        Ok
+          { session = Session.undo_many session (Option.value n ~default:1);
+            output = None }
     | "goto" -> (
         match int_of_string_opt (trim rest) with
         | None -> Error "goto: expected <history-index>"
@@ -297,11 +306,13 @@ let run_line session line =
             match Session.goto session index with
             | Some session -> Ok { session; output = None }
             | None -> Error (Printf.sprintf "no history entry %d" index)))
-    | "redo" -> (
-        match Session.redo session with
-        | Some session -> Ok { session; output = None }
-        | None -> Error "nothing to redo")
+    | "redo" ->
+        no_args "redo" (fun () ->
+            match Session.redo session with
+            | Some session -> Ok { session; output = None }
+            | None -> Error "nothing to redo")
     | "history" ->
+        no_args "history" @@ fun () ->
         let text =
           Session.history session
           |> List.map (fun e ->
@@ -379,14 +390,21 @@ let run_line session line =
             | None -> Error "profile: expected [last|<uid>|json]")
         | _ -> Error "profile: expected [last|<uid>|json]")
     | "metrics" ->
-        Ok { session; output = Some (Obs.metrics_report ()) }
+        no_args "metrics" (fun () ->
+            Ok
+              { session;
+                output = Some (Obs.metrics_report ~session:(mine ()) ()) })
     | "slo" -> (
         match split_words (String.lowercase_ascii rest) with
-        | [] -> Ok { session; output = Some (Obs.Slo.render ()) }
+        | [] ->
+            Ok { session; output = Some (Obs.Slo.render ~session:(mine ()) ()) }
         | [ "json" ] ->
             Ok
               { session;
-                output = Some (Obs_json.to_string (Obs.Slo.to_json ())) }
+                output =
+                  Some
+                    (Obs_json.to_string (Obs.Slo.to_json ~session:(mine ()) ()))
+              }
         | _ -> Error "slo: expected [json]")
     | "flightrec" -> (
         match split_words (String.lowercase_ascii rest) with
@@ -407,9 +425,8 @@ let run_line session line =
               | Obs.Off -> "off"
               | Obs.Logs -> "logs"
               | Obs.Memory ->
-                  Printf.sprintf "memory (%d events, %d dropped)"
-                    (List.length (Obs.events ()))
-                    (Obs.dropped ())
+                  Printf.sprintf "memory (%d records, %d dropped)"
+                    (Obs.Profile.length ()) (Obs.Profile.dropped ())
             in
             Ok { session; output = Some ("tracing: " ^ s) }
         | ([ "mem" ] | [ "memory" ]), _ ->
@@ -436,6 +453,7 @@ let run_line session line =
         | () -> Ok { session; output = Some ("written to " ^ trim rest) }
         | exception Sys_error msg -> Error msg)
     | "describe" ->
+        no_args "describe" @@ fun () ->
         Ok
           { session;
             output =
@@ -443,7 +461,7 @@ let run_line session line =
                 (Profile.render
                    (Materialize.visible (Session.current session))) }
     | "tree" ->
-        let max_rows = int_of_string_opt (trim rest) in
+        optional_int "tree: expected [<rows>]" @@ fun max_rows ->
         Ok
           { session;
             output =
@@ -451,11 +469,12 @@ let run_line session line =
                 (Group_tree.to_string ?max_rows
                    (Group_tree.build (Session.current session))) }
     | "print" ->
-        let max_rows = int_of_string_opt (trim rest) in
+        optional_int "print: expected [<rows>]" @@ fun max_rows ->
         Ok
           { session;
             output = Some (Render.to_string ?max_rows (Session.current session)) }
     | "status" ->
+        no_args "status" @@ fun () ->
         Ok
           { session;
             output = Some (Render.status_line (Session.current session)) }

@@ -59,13 +59,12 @@ let apply t op =
       Obs.with_span "session.gc" (fun () ->
           Gc.minor ();
           ignore (Gc.major_slice 0));
-      Obs.Profile.event ~uid:sheet.Spreadsheet.uid
-        ~dur_ns:(Obs.now_ns () - t0) ~kind:"op" (Op.describe op);
+      Obs.Profile.event ~uid:sheet.Spreadsheet.uid ~since:t0 ~kind:"op"
+        (Op.describe op);
       Ok (push t (Op.describe op) sheet)
   | Error e ->
       Obs.Profile.event
-        ~uid:(current t).Spreadsheet.uid
-        ~dur_ns:(Obs.now_ns () - t0) ~kind:"op-rejected"
+        ~uid:(current t).Spreadsheet.uid ~since:t0 ~kind:"op-rejected"
         (Printf.sprintf "%s: %s" (Op.describe op) (Errors.to_string e));
       Error e
 

@@ -1,14 +1,15 @@
-(* Sheetscope: span tracing, a metrics registry, labeled per-session
-   series, SLO evaluation, and pluggable sinks.
+(* Sheetscope: a metrics registry, labeled per-session series, SLO
+   evaluation, and one tape — the profile ring — that spans, events
+   and per-query records all commit into, and that the Chrome trace
+   is drawn from.
 
    The metric families survive concurrent writers (Sheetserve's
    handler threads increment counters outside the engine lock): a
    counter or gauge is one atomic cell, a histogram one record of
-   atomic cells, and the span ring is mutex-protected. Span nesting
-   ([with_span]) keeps single-writer state: only the thread driving a
-   session opens and closes spans. The off-sink fast path is a single
-   mutable-bool test so instrumented code costs nothing when nobody
-   is watching (property-tested byte-identical). *)
+   atomic cells, and the ring is mutex-protected. The off-sink fast
+   path of [with_span] is a single mutable-bool test so instrumented
+   code costs nothing when nobody is watching (property-tested
+   byte-identical). *)
 
 let src = Logs.Src.create "sheetscope" ~doc:"SheetMusiq instrumentation"
 
@@ -63,124 +64,6 @@ let current_sink = ref Off
 
 let sink () = !current_sink
 let set_sink s = current_sink := s
-let recording () = !current_sink <> Off
-
-(* ---------- events and spans ---------- *)
-
-type event = {
-  name : string;
-  kind : string;
-  uid : int;  (** 0 when no sheet is involved *)
-  depth : int;
-  start_ns : int;  (** relative to process start *)
-  dur_ns : int;
-  rows_in : int;  (** -1 when unknown *)
-  rows_out : int;  (** -1 when unknown *)
-}
-
-(* Nesting state is deliberately single-writer (the session's driving
-   thread): the number of open spans. *)
-let open_depth = ref 0
-let violations = Atomic.make 0
-
-let ring_capacity = ref 65536
-let ring : event Queue.t = Queue.create ()
-let dropped_events = ref 0
-let ring_mutex = Mutex.create ()
-
-let record ev =
-  match !current_sink with
-  | Off -> ()
-  | Memory ->
-      with_lock ring_mutex (fun () ->
-          if Queue.length ring >= !ring_capacity then begin
-            ignore (Queue.pop ring);
-            incr dropped_events
-          end;
-          Queue.push ev ring)
-  | Logs ->
-      with_lock ring_mutex (fun () ->
-          Logs.app ~src (fun m ->
-              m "%*s%s%s %.3f ms%s%s" (2 * ev.depth) "" ev.name
-                (if ev.kind = "" then "" else "[" ^ ev.kind ^ "]")
-                (float_of_int ev.dur_ns /. 1e6)
-                (if ev.rows_out < 0 then ""
-                 else Printf.sprintf " -> %d rows" ev.rows_out)
-                (if ev.uid = 0 then ""
-                 else Printf.sprintf " (sheet #%d)" ev.uid)))
-
-let with_span ?(uid = 0) ?(kind = "") ?(rows_in = -1) ?rows_out name f =
-  if not (recording ()) then f ()
-  else begin
-    let depth = !open_depth in
-    let start_ns = now_ns () - epoch_ns in
-    open_depth := depth + 1;
-    let close rows_out =
-      (* a span closes one above the depth it opened at; anything else
-         ([clear_events] under the span, or another thread's span
-         interleaved) is counted, and the depth still drops by one so
-         one mistake does not cascade *)
-      if !open_depth <> depth + 1 then Atomic.incr violations;
-      open_depth := max 0 (!open_depth - 1);
-      record
-        { name;
-          kind;
-          uid;
-          depth;
-          start_ns;
-          (* the clamped clock makes this non-negative already; the
-             [max] guards the invariant even against a hostile test
-             clock *)
-          dur_ns = max 0 (now_ns () - epoch_ns - start_ns);
-          rows_in;
-          rows_out }
-    in
-    match f () with
-    | x ->
-        close (match rows_out with Some g -> g x | None -> -1);
-        x
-    | exception e ->
-        close (-1);
-        raise e
-  end
-
-let open_spans () = !open_depth
-let nesting_ok () = Atomic.get violations = 0
-
-let events () =
-  with_lock ring_mutex (fun () -> List.of_seq (Queue.to_seq ring))
-
-let dropped () = with_lock ring_mutex (fun () -> !dropped_events)
-
-let clear_events () =
-  with_lock ring_mutex (fun () ->
-      Queue.clear ring;
-      dropped_events := 0);
-  open_depth := 0;
-  Atomic.set violations 0
-
-(* Completed events are well-formed when every pair of overlapping
-   intervals nests: the deeper one lies inside the shallower one. *)
-let events_well_formed evs =
-  let overlap a b =
-    a.start_ns < b.start_ns + b.dur_ns && b.start_ns < a.start_ns + a.dur_ns
-  in
-  let contains outer inner =
-    outer.start_ns <= inner.start_ns
-    && inner.start_ns + inner.dur_ns <= outer.start_ns + outer.dur_ns
-  in
-  let arr = Array.of_list evs in
-  let ok = ref true in
-  Array.iteri
-    (fun i a ->
-      Array.iteri
-        (fun j b ->
-          if i < j && a.depth <> b.depth && overlap a b then
-            let outer, inner = if a.depth < b.depth then (a, b) else (b, a) in
-            if not (contains outer inner) then ok := false)
-        arr)
-    arr;
-  !ok
 
 (* ---------- labels ----------
 
@@ -266,11 +149,37 @@ let labeled_key ~mem name labels =
       else name ^ overflow_suffix
 
 (* Ambient labels: the session identity the shells stamp on hot-path
-   series (engine.apply, sql.run). Single-writer like the span stack:
-   Sheetserve sets it only under its engine lock. *)
+   series (engine.apply, sql.run). Single-writer: Sheetserve sets it
+   only under its engine lock. *)
 let ambient = ref Labels.empty
 let set_ambient_labels ls = ambient := ls
 let ambient_labels () = !ambient
+
+(* A reader shown one session's view ([?session], an ambient label
+   string) sees the unlabeled series and that session's own, and no
+   other session's. *)
+let visible_to ?session name =
+  match session with
+  | None -> true
+  | Some s -> (
+      match String.index_opt name '{' with
+      | None -> true
+      | Some i -> String.sub name i (String.length name - i) = s)
+
+(* The two registries intern by name; [find_locked] runs under
+   [reg_mutex], and [sorted] lists entries in [series_order]. *)
+let find_locked registry make name =
+  match Hashtbl.find_opt registry name with
+  | Some x -> x
+  | None ->
+      let x = make name in
+      Hashtbl.replace registry name x;
+      x
+
+let sorted registry name_of =
+  with_lock reg_mutex (fun () ->
+      Hashtbl.fold (fun _ x acc -> x :: acc) registry [])
+  |> List.sort (fun a b -> series_order (name_of a) (name_of b))
 
 (* ---------- metrics ---------- *)
 
@@ -278,18 +187,13 @@ module Metrics = struct
   type m = { m_name : string; cell : int Atomic.t }
 
   let registry : (string, m) Hashtbl.t = Hashtbl.create 64
-
-  let find_locked name =
-    match Hashtbl.find_opt registry name with
-    | Some m -> m
-    | None ->
-        let m = { m_name = name; cell = Atomic.make 0 } in
-        Hashtbl.replace registry name m;
-        m
+  let make name = { m_name = name; cell = Atomic.make 0 }
 
   (* a counter and a gauge differ only in how they are written
      ([incr] vs [set]) *)
-  let counter name = with_lock reg_mutex (fun () -> find_locked name)
+  let counter name =
+    with_lock reg_mutex (fun () -> find_locked registry make name)
+
   let gauge = counter
 
   let incr ?(by = 1) m = ignore (Atomic.fetch_and_add m.cell by)
@@ -301,10 +205,7 @@ module Metrics = struct
     | Some m -> get m
     | None -> 0
 
-  let entries () =
-    with_lock reg_mutex (fun () ->
-        Hashtbl.fold (fun _ m acc -> m :: acc) registry [])
-    |> List.sort (fun a b -> series_order a.m_name b.m_name)
+  let entries () = sorted registry (fun m -> m.m_name)
 
   let snapshot () = List.map (fun m -> (m.m_name, get m)) (entries ())
 
@@ -314,8 +215,10 @@ module Metrics = struct
     Obs_json.Obj
       (List.map (fun (name, v) -> (name, Obs_json.Int v)) (snapshot ()))
 
-  let render () =
-    let snap = snapshot () in
+  let render ?session () =
+    let snap =
+      List.filter (fun (name, _) -> visible_to ?session name) (snapshot ())
+    in
     if snap = [] then "(no metrics recorded)"
     else
       String.concat "\n"
@@ -363,19 +266,12 @@ module Histogram = struct
 
   let registry : (string, h) Hashtbl.t = Hashtbl.create 32
 
-  let find_locked name =
-    match Hashtbl.find_opt registry name with
-    | Some h -> h
-    | None ->
-        let h = make name in
-        Hashtbl.replace registry name h;
-        h
-
-  let histogram name = with_lock reg_mutex (fun () -> find_locked name)
+  let histogram name =
+    with_lock reg_mutex (fun () -> find_locked registry make name)
 
   let histogram_labeled name labels =
     with_lock reg_mutex (fun () ->
-        find_locked
+        find_locked registry make
           (labeled_key ~mem:(Hashtbl.mem registry) name labels))
 
   (* smallest i with v <= boundaries.(i); the overflow bucket past the
@@ -400,7 +296,7 @@ module Histogram = struct
   (* exclusive lower edge (0 for the first bucket) *)
   let bucket_lo i = if i = 0 then 0 else boundaries.(i - 1)
 
-  (* a bucket is bumped before the count, and [totals] reads the
+  (* a bucket is bumped before the count, and [counts] reads the
      count before the buckets, so a snapshot's buckets always hold at
      least its count — the percentile walk stays in range even under
      concurrent writers *)
@@ -411,51 +307,35 @@ module Histogram = struct
     ignore (Atomic.fetch_and_add h.h_sum ns);
     atomic_max h.h_max ns
 
-  (* a plain copy of the cells that every reader goes through *)
-  type totals = {
-    t_counts : int array;
-    t_count : int;
-    t_sum : int;
-    t_max : int;
-  }
-
-  let totals h =
-    let t_count = Atomic.get h.h_count in
-    let t_counts = Array.map Atomic.get h.h_counts in
-    { t_counts;
-      t_count;
-      t_sum = Atomic.get h.h_sum;
-      t_max = Atomic.get h.h_max }
+  (* the count and a plain copy of the buckets, read in that order *)
+  let counts h =
+    let n = Atomic.get h.h_count in
+    (n, Array.map Atomic.get h.h_counts)
 
   let count h = Atomic.get h.h_count
 
   (* Estimate the [phi]-quantile (0 < phi <= 1): locate the bucket
      holding the ceil(phi*count)-th smallest sample, interpolate
      linearly inside it, and never exceed the exact max. *)
-  let percentile_of_totals t phi =
-    if t.t_count = 0 then 0.
+  let percentile_of (n, counts) ~max_ns phi =
+    if n = 0 then 0.
     else begin
       let rank =
-        max 1
-          (min t.t_count (int_of_float (ceil (phi *. float_of_int t.t_count))))
+        max 1 (min n (int_of_float (ceil (phi *. float_of_int n))))
       in
       let i = ref 0 and before = ref 0 in
-      while !before + t.t_counts.(!i) < rank do
-        before := !before + t.t_counts.(!i);
+      while !before + counts.(!i) < rank do
+        before := !before + counts.(!i);
         incr i
       done;
       let lo = float_of_int (bucket_lo !i) in
-      let hi =
-        Float.min
-          (float_of_int (min (bucket_hi !i) t.t_max))
-          (float_of_int t.t_max)
-      in
-      let hi = Float.max hi lo in
-      let in_bucket = float_of_int t.t_counts.(!i) in
+      let hi = Float.max (float_of_int (min (bucket_hi !i) max_ns)) lo in
+      let in_bucket = float_of_int counts.(!i) in
       lo +. ((hi -. lo) *. float_of_int (rank - !before) /. in_bucket)
     end
 
-  let percentile h phi = percentile_of_totals (totals h) phi
+  let percentile h phi =
+    percentile_of (counts h) ~max_ns:(Atomic.get h.h_max) phi
 
   type snapshot = {
     s_name : string;
@@ -469,25 +349,22 @@ module Histogram = struct
   }
 
   let snapshot_of h =
-    let t = totals h in
+    let ((n, counts) as t) = counts h in
+    let max_ns = Atomic.get h.h_max in
     { s_name = h.h_name;
-      s_count = t.t_count;
-      s_sum_ns = t.t_sum;
-      s_max_ns = t.t_max;
-      s_p50_ns = percentile_of_totals t 0.50;
-      s_p90_ns = percentile_of_totals t 0.90;
-      s_p99_ns = percentile_of_totals t 0.99;
+      s_count = n;
+      s_sum_ns = Atomic.get h.h_sum;
+      s_max_ns = max_ns;
+      s_p50_ns = percentile_of t ~max_ns 0.50;
+      s_p90_ns = percentile_of t ~max_ns 0.90;
+      s_p99_ns = percentile_of t ~max_ns 0.99;
       s_buckets =
         List.filter_map
           (fun i ->
-            if t.t_counts.(i) = 0 then None
-            else Some (bucket_hi i, t.t_counts.(i)))
+            if counts.(i) = 0 then None else Some (bucket_hi i, counts.(i)))
           (List.init num_buckets Fun.id) }
 
-  let entries () =
-    with_lock reg_mutex (fun () ->
-        Hashtbl.fold (fun _ h acc -> h :: acc) registry [])
-    |> List.sort (fun a b -> series_order a.h_name b.h_name)
+  let entries () = sorted registry (fun h -> h.h_name)
 
   let snapshots () = List.map snapshot_of (entries ())
 
@@ -532,8 +409,10 @@ module Histogram = struct
     else if f >= 1e3 then Printf.sprintf "%7.2f us" (f /. 1e3)
     else Printf.sprintf "%7.0f ns" f
 
-  let render () =
-    let snaps = snapshots () in
+  let render ?session () =
+    let snaps =
+      List.filter (fun s -> visible_to ?session s.s_name) (snapshots ())
+    in
     if snaps = [] then "(no histograms recorded)"
     else
       String.concat "\n"
@@ -634,26 +513,31 @@ let sample_gc_gauges () =
   Metrics.set g_gc_promoted (int_of_float s.Gc.promoted_words);
   Metrics.set g_gc_heap s.Gc.heap_words
 
-(* ---------- the profile ring (Sheetdoctor, flight recorder) ----------
+(* ---------- the profile ring (Sheetdoctor, flight recorder, traces) ----------
 
    The one bounded tape of what ran. A materialization region commits
    one record — the execution black box for one query: which cache
    outcome answered it (exact / subsumed / miss / seed), full replay
-   vs incremental derivation, a node-by-node breakdown with wall time,
-   row counts and allocation deltas, and *path attribution*: which
-   filter predicates ran as compiled selection vectors and which fell
-   back to the row path (naming the non-total subtree), and how many
-   rows entered and left the selection vectors. Session and engine
-   events (ops applied and rejected, undo/redo, evictions, SQL
-   translations) commit node-less records into the same ring, so the
-   flight recorder is a view over it.
+   vs incremental derivation, a node-by-node breakdown with start,
+   wall time, row counts and allocation deltas, and *path
+   attribution*: which filter predicates ran as compiled selection
+   vectors and which fell back to the row path (naming the non-total
+   subtree), and how many rows entered and left the selection
+   vectors. Session and engine events (ops applied and rejected,
+   undo/redo, evictions, SQL translations) commit node-less records
+   into the same ring, and so does every span while the sink is on,
+   so the flight recorder and the Chrome trace are views over it.
 
-   Always on (a record is a few small allocations), independent of
-   the span sink, bounded with a drop counter. Like span nesting, the
-   region stack is single-writer — only the session's driving thread
-   enters/commits regions and notes attribution; the counter deltas a
-   region records are snapshotted at its boundaries. Event commits
-   take only the ring lock and are safe from any thread. *)
+   A record with a duration covers [p_at_ns - p_total_ns, p_at_ns];
+   both come from the same two clock readings, so containment between
+   records is exact and {!well_nested} can demand it.
+
+   Always on (a record is a few small allocations), bounded with a
+   drop counter. The region stack is single-writer — only the
+   session's driving thread enters/commits regions and notes
+   attribution; the counter deltas a region records are snapshotted
+   at its boundaries. Event and span commits take only the ring lock
+   and are safe from any thread. *)
 
 module Profile = struct
   type node = {
@@ -661,6 +545,7 @@ module Profile = struct
     n_label : string;
     n_rows_in : int;  (* -1 when unknown *)
     n_rows_out : int;  (* -1 when unknown *)
+    n_start_ns : int;  (* relative to process start *)
     n_time_ns : int;
     n_alloc_bytes : float;
     n_path : string;  (* "" | "columnar" | "row" | "batch" *)
@@ -671,9 +556,11 @@ module Profile = struct
     p_session : string;  (* ambient labels at commit, "" when none *)
     p_at_ns : int;  (* commit time, relative to process start *)
     p_uid : int;  (* 0 when no sheet is involved *)
-    p_kind : string;  (* "materialize" | "incremental" | "plan" | an event *)
-    p_label : string;
-    p_rows_out : int;  (* -1 when the region failed, or for an event *)
+    p_kind : string;
+        (* "materialize" | "incremental" | "plan" | an event kind | a
+           span name *)
+    p_label : string;  (* for a span, its kind *)
+    p_rows_out : int;  (* -1 when the region failed, or unknown *)
     p_total_ns : int;  (* -1 for an event of unknown duration *)
     p_alloc_bytes : float;
     p_cache : string;  (* "exact" | "subsumed" | "miss" | "seed" | "" *)
@@ -734,24 +621,48 @@ module Profile = struct
   let open_regions () = List.length !stack
   let reset_stack_for_tests () = stack := []
 
+  let slow_ns = 100_000_000
+
+  (* one flight-recorder line: what the [Logs] sink prints per record
+     and {!render} lists *)
+  let render_line r =
+    let part cond s = if cond then s else "" in
+    String.concat "  "
+      (List.filter
+         (fun s -> s <> "")
+         [ Printf.sprintf "%10.3f s" (float_of_int r.p_at_ns /. 1e9);
+           Printf.sprintf "%-13s" r.p_kind;
+           r.p_label;
+           part (r.p_cache <> "") ("cache=" ^ r.p_cache);
+           part (r.p_uid <> 0) (Printf.sprintf "[sheet #%d]" r.p_uid);
+           part (r.p_total_ns >= 0)
+             (Printf.sprintf "(%.3f ms)" (float_of_int r.p_total_ns /. 1e6));
+           part (r.p_total_ns >= slow_ns) "slow" ])
+
+  (* The [Logs] sink prints outside the ring lock: a reporter may
+     yield to another thread, which may commit a record of its own. *)
   let push_record r =
     with_lock pr_mutex (fun () ->
         if Queue.length ring >= !capacity then begin
           ignore (Queue.pop ring);
           incr dropped_records
         end;
-        Queue.push r ring)
+        Queue.push r ring);
+    if !current_sink = Logs then
+      Logs.app ~src (fun m -> m "%s" (render_line r))
 
-  let event ~kind ?(uid = 0) ?(dur_ns = -1) label =
-    if !enabled_flag then
+  (* a record's end and duration come from the same clock readings *)
+  let event ~kind ?(uid = 0) ?since ?(rows_out = -1) label =
+    if !enabled_flag then begin
+      let t1 = now_ns () in
       push_record
         { p_session = Labels.to_string (ambient_labels ());
-          p_at_ns = now_ns () - epoch_ns;
+          p_at_ns = t1 - epoch_ns;
           p_uid = uid;
           p_kind = kind;
           p_label = label;
-          p_rows_out = -1;
-          p_total_ns = dur_ns;
+          p_rows_out = rows_out;
+          p_total_ns = (match since with Some t0 -> t1 - t0 | None -> -1);
           p_alloc_bytes = 0.;
           p_cache = "";
           p_strategy = "";
@@ -760,6 +671,7 @@ module Profile = struct
           p_compiled = [];
           p_fallbacks = [];
           p_nodes = [] }
+    end
 
   let enter ~kind ~uid =
     let slot =
@@ -789,20 +701,21 @@ module Profile = struct
 
   let commit ~rows_out =
     match !stack with
-    | [] -> ()  (* unbalanced commit: tolerated, like span mis-nesting *)
+    | [] -> ()  (* unbalanced commit: tolerated *)
     | slot :: rest -> (
         stack := rest;
         match slot with
         | Disabled | Nested -> ()
         | Region p ->
+            let t1 = now_ns () in
             push_record
               { p_session = Labels.to_string (ambient_labels ());
-                p_at_ns = now_ns () - epoch_ns;
+                p_at_ns = t1 - epoch_ns;
                 p_uid = p.pd_uid;
                 p_kind = p.pd_kind;
                 p_label = p.pd_label;
                 p_rows_out = rows_out;
-                p_total_ns = max 0 (now_ns () - p.pd_t0);
+                p_total_ns = t1 - p.pd_t0;
                 p_alloc_bytes =
                   Float.max 0. (Gc.allocated_bytes () -. p.pd_alloc0);
                 p_cache = p.pd_cache;
@@ -839,13 +752,14 @@ module Profile = struct
     note (fun p -> p.pd_fallbacks <- (pred, reason) :: p.pd_fallbacks)
 
   let note_node ?(rows_in = -1) ?(rows_out = -1) ?(path = "") ?(detail = "")
-      ~kind ~label ~time_ns ~alloc_bytes () =
+      ~kind ~label ~start_ns ~time_ns ~alloc_bytes () =
     note (fun p ->
         p.pd_nodes <-
           { n_kind = kind;
             n_label = label;
             n_rows_in = rows_in;
             n_rows_out = rows_out;
+            n_start_ns = start_ns - epoch_ns;
             n_time_ns = time_ns;
             n_alloc_bytes = alloc_bytes;
             n_path = path;
@@ -871,6 +785,32 @@ module Profile = struct
         Queue.clear ring;
         dropped_records := 0)
 
+  (* Records whose intervals overlap must nest. Sorted by start (the
+     longer first on a tie), the records still open form a chain of
+     nested intervals; each record must end inside the innermost one
+     it overlaps. A span that closes while another thread's span is
+     open, or a region that outlives its caller's, breaks the chain. *)
+  let well_nested records =
+    let intervals =
+      List.filter_map
+        (fun r ->
+          if r.p_total_ns < 0 then None
+          else Some (r.p_at_ns - r.p_total_ns, r.p_at_ns))
+        records
+      |> List.sort (fun (s1, e1) (s2, e2) ->
+             if s1 <> s2 then compare s1 s2 else compare e2 e1)
+    in
+    (* [open_] holds the ends of the open chain, innermost first *)
+    let rec go open_ = function
+      | [] -> true
+      | (s, e) :: rest -> (
+          match open_ with
+          | oe :: outer when oe <= s -> go outer ((s, e) :: rest)
+          | oe :: _ when e > oe -> false
+          | _ -> go (e :: open_) rest)
+    in
+    go [] intervals
+
   (* the most recent materialization record passing [keep] *)
   let latest ?session keep =
     List.fold_left
@@ -888,36 +828,41 @@ module Profile = struct
         ("label", Obs_json.String n.n_label);
         ("rows_in", Obs_json.Int n.n_rows_in);
         ("rows_out", Obs_json.Int n.n_rows_out);
+        ("start_ns", Obs_json.Int n.n_start_ns);
         ("time_ns", Obs_json.Int n.n_time_ns);
         ("alloc_bytes", Obs_json.Float n.n_alloc_bytes);
         ("path", Obs_json.String n.n_path);
         ("detail", Obs_json.String n.n_detail) ]
 
+  (* every field but the nodes: the args of the record's trace event *)
+  let record_fields r =
+    [ ("session", Obs_json.String r.p_session);
+      ("at_ns", Obs_json.Int r.p_at_ns);
+      ("uid", Obs_json.Int r.p_uid);
+      ("kind", Obs_json.String r.p_kind);
+      ("label", Obs_json.String r.p_label);
+      ("rows_out", Obs_json.Int r.p_rows_out);
+      ("total_ns", Obs_json.Int r.p_total_ns);
+      ("alloc_bytes", Obs_json.Float r.p_alloc_bytes);
+      ("cache", Obs_json.String r.p_cache);
+      ("strategy", Obs_json.String r.p_strategy);
+      ("sel_rows_in", Obs_json.Int r.p_sel_rows_in);
+      ("sel_rows_out", Obs_json.Int r.p_sel_rows_out);
+      ("compiled",
+       Obs_json.List (List.map (fun s -> Obs_json.String s) r.p_compiled));
+      ("fallbacks",
+       Obs_json.List
+         (List.map
+            (fun (pred, reason) ->
+              Obs_json.Obj
+                [ ("pred", Obs_json.String pred);
+                  ("reason", Obs_json.String reason) ])
+            r.p_fallbacks)) ]
+
   let record_to_json r =
     Obs_json.Obj
-      [ ("session", Obs_json.String r.p_session);
-        ("at_ns", Obs_json.Int r.p_at_ns);
-        ("uid", Obs_json.Int r.p_uid);
-        ("kind", Obs_json.String r.p_kind);
-        ("label", Obs_json.String r.p_label);
-        ("rows_out", Obs_json.Int r.p_rows_out);
-        ("total_ns", Obs_json.Int r.p_total_ns);
-        ("alloc_bytes", Obs_json.Float r.p_alloc_bytes);
-        ("cache", Obs_json.String r.p_cache);
-        ("strategy", Obs_json.String r.p_strategy);
-        ("sel_rows_in", Obs_json.Int r.p_sel_rows_in);
-        ("sel_rows_out", Obs_json.Int r.p_sel_rows_out);
-        ("compiled",
-         Obs_json.List (List.map (fun s -> Obs_json.String s) r.p_compiled));
-        ("fallbacks",
-         Obs_json.List
-           (List.map
-              (fun (pred, reason) ->
-                Obs_json.Obj
-                  [ ("pred", Obs_json.String pred);
-                    ("reason", Obs_json.String reason) ])
-              r.p_fallbacks));
-        ("nodes", Obs_json.List (List.map node_to_json r.p_nodes)) ]
+      (record_fields r
+      @ [ ("nodes", Obs_json.List (List.map node_to_json r.p_nodes)) ])
 
   let to_json ?session () =
     Obs_json.Obj
@@ -971,8 +916,6 @@ module Profile = struct
       r.p_nodes;
     Buffer.contents buf
 
-  let slow_ns = 100_000_000
-
   (* the flight-recorder view: one line per record *)
   let render ?session ?limit () =
     let rs = records ?session () in
@@ -983,26 +926,33 @@ module Profile = struct
           List.filteri (fun i _ -> i >= skip) rs
       | _ -> rs
     in
-    let part cond s = if cond then s else "" in
     if rs = [] then "(flight recorder empty)"
-    else
-      String.concat "\n"
-        (List.map
-           (fun r ->
-             String.concat "  "
-               (List.filter
-                  (fun s -> s <> "")
-                  [ Printf.sprintf "%10.3f s" (float_of_int r.p_at_ns /. 1e9);
-                    Printf.sprintf "%-13s" r.p_kind;
-                    r.p_label;
-                    part (r.p_cache <> "") ("cache=" ^ r.p_cache);
-                    part (r.p_uid <> 0) (Printf.sprintf "[sheet #%d]" r.p_uid);
-                    part (r.p_total_ns >= 0)
-                      (Printf.sprintf "(%.3f ms)"
-                         (float_of_int r.p_total_ns /. 1e6));
-                    part (r.p_total_ns >= slow_ns) "slow" ]))
-           rs)
+    else String.concat "\n" (List.map render_line rs)
 end
+
+(* ---------- spans ----------
+
+   While the sink is on, a span commits one node-less record into the
+   ring: its name as the kind, its kind as the label, and its start
+   and duration from the same two clock readings. With the sink off
+   it only runs the thunk. *)
+
+let with_span ?uid ?(kind = "") ?rows_out name f =
+  if !current_sink = Off then f ()
+  else begin
+    let since = now_ns () in
+    match f () with
+    | x ->
+        Profile.event ~kind:name ?uid ~since
+          ?rows_out:(Option.map (fun g -> g x) rows_out)
+          kind;
+        x
+    | exception e ->
+        Profile.event ~kind:name ?uid ~since kind;
+        raise e
+  end
+
+let clear_events = Profile.clear
 
 (* ---------- SLO definitions and evaluation ----------
 
@@ -1061,7 +1011,7 @@ module Slo = struct
     v_ok : bool;
   }
 
-  let evaluate defs =
+  let evaluate ?session defs =
     List.concat_map
       (fun def ->
         match def with
@@ -1070,6 +1020,11 @@ module Slo = struct
               match Histogram.series_of_base hist with
               | [] -> [ Histogram.histogram hist ]
               | hs -> hs
+            in
+            let series =
+              List.filter
+                (fun (h : Histogram.h) -> visible_to ?session h.h_name)
+                series
             in
             List.map
               (fun (h : Histogram.h) ->
@@ -1098,14 +1053,14 @@ module Slo = struct
                 v_ok = den = 0 || frac <= under } ])
       defs
 
-  let summary () =
-    let vs = evaluate defaults in
+  let summary ?session () =
+    let vs = evaluate ?session defaults in
     let failing = List.length (List.filter (fun v -> not v.v_ok) vs) in
     if failing = 0 then Printf.sprintf "slo %d/%d ok" (List.length vs) (List.length vs)
     else Printf.sprintf "slo %d/%d FAILING" failing (List.length vs)
 
-  let render () =
-    let vs = evaluate defaults in
+  let render ?session () =
+    let vs = evaluate ?session defaults in
     if vs = [] then "(no SLOs declared)"
     else
       String.concat "\n"
@@ -1125,8 +1080,8 @@ module Slo = struct
                   else "FAIL"))
              vs)
 
-  let to_json () =
-    let vs = evaluate defaults in
+  let to_json ?session () =
+    let vs = evaluate ?session defaults in
     Obs_json.Obj
       [ ("schema", Obs_json.String "sheetscope-slo/v1");
         ("ok", Obs_json.Bool (List.for_all (fun v -> v.v_ok) vs));
@@ -1145,66 +1100,74 @@ module Slo = struct
               vs)) ]
 end
 
-(* ---------- Chrome trace_event export ---------- *)
+(* ---------- Chrome trace_event export ----------
 
-let event_to_json ev =
-  let args =
-    List.concat
-      [ (if ev.uid = 0 then [] else [ ("uid", Obs_json.Int ev.uid) ]);
-        (if ev.rows_in < 0 then []
-         else [ ("rows_in", Obs_json.Int ev.rows_in) ]);
-        (if ev.rows_out < 0 then []
-         else [ ("rows_out", Obs_json.Int ev.rows_out) ]);
-        [ ("depth", Obs_json.Int ev.depth) ] ]
-  in
+   Drawn from the ring: a record with a duration is one complete ("X")
+   event, its fields as args, and each of its nodes one X event inside
+   it; a record without a duration is an instant ("i") event. *)
+
+let trace_event ~name ~cat ~ts ?dur args =
+  let us ns = Obs_json.Float (float_of_int ns /. 1e3) in
   Obs_json.Obj
-    [ ("name", Obs_json.String ev.name);
-      ("cat", Obs_json.String (if ev.kind = "" then "sheetmusiq" else ev.kind));
-      ("ph", Obs_json.String "X");
-      ("ts", Obs_json.Float (float_of_int ev.start_ns /. 1e3));
-      ("dur", Obs_json.Float (float_of_int ev.dur_ns /. 1e3));
-      ("pid", Obs_json.Int 1);
-      ("tid", Obs_json.Int 1);
-      ("args", Obs_json.Obj args) ]
+    ([ ("name", Obs_json.String name);
+       ("cat", Obs_json.String cat);
+       ("ts", us ts) ]
+    @ (match dur with
+      | Some d -> [ ("ph", Obs_json.String "X"); ("dur", us d) ]
+      | None -> [ ("ph", Obs_json.String "i"); ("s", Obs_json.String "t") ])
+    @ [ ("pid", Obs_json.Int 1); ("tid", Obs_json.Int 1); ("args", args) ])
 
-let to_chrome_trace evs =
+let record_trace_events (r : Profile.t) =
+  let cat = if Profile.is_event r then "event" else "profile" in
+  let args = Obs_json.Obj (Profile.record_fields r) in
+  if r.p_total_ns < 0 then [ trace_event ~name:r.p_kind ~cat ~ts:r.p_at_ns args ]
+  else
+    trace_event ~name:r.p_kind ~cat ~ts:(r.p_at_ns - r.p_total_ns)
+      ~dur:r.p_total_ns args
+    :: List.map
+         (fun (n : Profile.node) ->
+           trace_event ~name:n.n_kind ~cat:"node" ~ts:n.n_start_ns
+             ~dur:n.n_time_ns (Profile.node_to_json n))
+         r.p_nodes
+
+let to_chrome_trace () =
   sample_gc_gauges ();
+  let records = Profile.records () in
   Obs_json.Obj
-    [ ("traceEvents", Obs_json.List (List.map event_to_json evs));
+    [ ("traceEvents",
+       Obs_json.List (List.concat_map record_trace_events records));
       ("displayTimeUnit", Obs_json.String "ms");
       ("otherData",
        Obs_json.Obj
          [ ("exporter", Obs_json.String "sheetscope");
            (* ring truncation and nesting violations surfaced here so a
               truncated trace is visibly truncated, not silently thin *)
-           ("dropped_events", Obs_json.Int (dropped ()));
-           ("open_spans", Obs_json.Int (open_spans ()));
-           ("nesting_ok", Obs_json.Bool (nesting_ok ()));
+           ("dropped", Obs_json.Int (Profile.dropped ()));
+           ("nesting_ok", Obs_json.Bool (Profile.well_nested records));
            ("metrics", Metrics.to_json ());
            ("histograms", Histogram.to_json ());
-           ("slo", Slo.to_json ());
-           ("profiles", Profile.to_json ()) ]) ]
+           ("slo", Slo.to_json ()) ]) ]
 
-let chrome_trace_string () = Obs_json.to_string ~pretty:true (to_chrome_trace (events ()))
+let chrome_trace_string () =
+  Obs_json.to_string ~pretty:true (to_chrome_trace ())
 
 (* One human-readable page: counters/gauges (GC included), latency
-   histograms, the SLO summary, and the trace/recorder health lines
-   (so a truncated ring or a nesting violation shows up in `metrics`,
-   not only in exported JSON). *)
-let metrics_report () =
+   histograms, the SLO summary, and the ring's health lines (so a
+   truncated ring or a nesting violation shows up in `metrics`, not
+   only in exported JSON). With [session], labeled series of other
+   sessions are left out. *)
+let metrics_report ?session () =
   sample_gc_gauges ();
   String.concat "\n"
-    [ Metrics.render ();
+    [ Metrics.render ?session ();
       "";
-      Histogram.render ();
+      Histogram.render ?session ();
       "";
-      Printf.sprintf "%-32s %10s" "slo.status" (Slo.summary ());
-      Printf.sprintf "%-32s %10d" "trace.dropped_events" (dropped ());
-      Printf.sprintf "%-32s %10d" "trace.open_spans" (open_spans ());
-      Printf.sprintf "%-32s %10s" "trace.nesting_ok"
-        (if nesting_ok () then "true" else "false");
+      Printf.sprintf "%-32s %10s" "slo.status" (Slo.summary ?session ());
       Printf.sprintf "%-32s %10d" "profile.records" (Profile.length ());
-      Printf.sprintf "%-32s %10d" "profile.dropped" (Profile.dropped ()) ]
+      Printf.sprintf "%-32s %10d" "profile.dropped" (Profile.dropped ());
+      Printf.sprintf "%-32s %10b" "profile.nesting_ok"
+        (Profile.well_nested (Profile.records ())) ]
 
 let save_chrome_trace ~path =
   let oc = open_out path in

@@ -2,22 +2,21 @@
 
     Four pieces (DESIGN.md §8):
 
-    - {e span tracing}: {!with_span} brackets a unit of work with
-      monotone-enough wall timings, nestable, tagged with the sheet
-      [uid] and an operator [kind]. The engine, the materializer's
-      replay strata, the incremental deriver, and every plan node are
-      bracketed this way.
+    - {e the profile ring} ({!Profile}): the one bounded tape of what
+      ran. Per-query records (cache outcome, strategy, a node per plan
+      unit), session and engine events, and spans all commit into it;
+      EXPLAIN ANALYZE, the doctor, the flight recorder and the Chrome
+      trace ({!to_chrome_trace}) are views over it.
     - {e metrics}: a process-wide registry of named counters, gauges
       and latency histograms (cache hits/misses, replays vs
       derivations, rows per plan node, undo/redo depth, GC activity,
       per-op latency), snapshotable as an association list or JSON.
-    - {e sinks}: where completed spans go. [Off] (the default) makes
+    - {e sinks}: whether spans are recorded. [Off] (the default) makes
       {!with_span} a single mutable-bool test before the thunk runs —
       instrumented code paths are property-tested byte-identical to
-      uninstrumented ones. [Logs] prints each completed span through
-      the [sheetscope] {!Logs.Src.t}; [Memory] appends to a bounded
-      in-memory ring, from which {!to_chrome_trace} exports a Chrome
-      [about://tracing] / Perfetto-loadable JSON file.
+      uninstrumented ones. [Memory] commits each span into the ring as
+      a record; [Logs] does too, and also prints every record as it
+      commits through the [sheetscope] {!Logs.Src.t}.
     - {e SLOs}: latency and error-rate targets declared in one place
       ({!Slo}), evaluated against the live registry including every
       labeled per-session series.
@@ -25,9 +24,7 @@
     Counters and histograms always count (sink or no sink) and are
     {e thread- and domain-safe}: every cell is atomic, so the totals
     of concurrent writers (Sheetserve's handler threads) equal a
-    single-writer run exactly, and the event ring is mutex-protected.
-    Span {e nesting} state is single-writer — only the thread driving
-    a session opens and closes spans. *)
+    single-writer run exactly, and the ring is mutex-protected. *)
 
 (** {1 Clock} *)
 
@@ -55,60 +52,24 @@ type sink = Off | Logs | Memory
 val sink : unit -> sink
 val set_sink : sink -> unit
 
-val recording : unit -> bool
-(** [sink () <> Off]. Instrumented code uses this to skip computing
-    expensive span annotations (e.g. row counts) when nobody
-    listens. *)
-
 (** {1 Spans} *)
 
-type event = {
-  name : string;
-  kind : string;
-  uid : int;  (** 0 when no sheet is involved *)
-  depth : int;  (** nesting depth at entry *)
-  start_ns : int;  (** relative to process start *)
-  dur_ns : int;
-  rows_in : int;  (** -1 when unknown *)
-  rows_out : int;  (** -1 when unknown *)
-}
-
 val with_span :
-  ?uid:int ->
-  ?kind:string ->
-  ?rows_in:int ->
-  ?rows_out:('a -> int) ->
-  string ->
-  (unit -> 'a) ->
-  'a
-(** Bracket a thunk in a span, emitting the completed {!event} to the
-    sink; the span is closed on exceptions too. [rows_out] reads the
-    output cardinality off the thunk's result (a raising thunk's span
-    carries none). When the sink is [Off] this only runs the thunk.
-    Single-writer: only the session's driving thread may open spans.
-    A span that closes at another depth than it opened at
-    ({!clear_events} inside it) is counted — see {!nesting_ok}. *)
-
-val open_spans : unit -> int
-(** Number of spans opened but not yet finished. 0 after any balanced
-    workload — the [@obs] gate fails otherwise. *)
-
-val nesting_ok : unit -> bool
-(** No span was ever closed out of order (since {!clear_events}). *)
-
-val events : unit -> event list
-(** Contents of the [Memory] ring, oldest first. *)
-
-val dropped : unit -> int
-(** Events evicted from the ring since {!clear_events}. *)
+  ?uid:int -> ?kind:string -> ?rows_out:('a -> int) -> string ->
+  (unit -> 'a) -> 'a
+(** Bracket a thunk in a span. While the sink is on, the span commits
+    one node-less record into the profile ring when the thunk returns
+    or raises: the span's name as [p_kind], its [kind] as [p_label],
+    [uid], [rows_out] read off the thunk's result (-1 for a raising
+    thunk), and its start and duration. Span names are dotted
+    (["engine.apply"]), so none reads as a materialization kind. When
+    the sink is [Off] this only runs the thunk. Safe from any thread:
+    two threads' spans that overlap without nesting show up in
+    {!Profile.well_nested}. *)
 
 val clear_events : unit -> unit
-(** Empty the ring and reset the open-span depth, the nesting-violation
-    flag, and the dropped count. Does not touch metrics. *)
-
-val events_well_formed : event list -> bool
-(** Pairwise interval check: any two overlapping events at different
-    depths must nest (the deeper inside the shallower). *)
+(** {!Profile.clear}: empty the ring and reset its drop count. Does
+    not touch metrics. *)
 
 (** {1 Labels}
 
@@ -141,7 +102,7 @@ val set_ambient_labels : Labels.t -> unit
 (** Install the ambient label set the hot paths (engine apply, SQL
     run) stamp on their histograms — the shells set
     [session=<name>] at startup, the gates set [task=<id>] per
-    replay. Single-writer, like the span stack. *)
+    replay. Single-writer, like the region stack. *)
 
 val ambient_labels : unit -> Labels.t
 
@@ -176,7 +137,11 @@ module Metrics : sig
   (** Zero every registered metric (registrations survive). *)
 
   val to_json : unit -> Obs_json.t
-  val render : unit -> string
+
+  val render : ?session:string -> unit -> string
+  (** With [session] (an ambient label string, as in
+      {!Profile.records}), the unlabeled series and that session's
+      own labeled ones; no other session's. *)
 end
 
 (** {1 Latency histograms}
@@ -250,7 +215,9 @@ module Histogram : sig
   (** Zero every registered histogram (registrations survive). *)
 
   val to_json : unit -> Obs_json.t
-  val render : unit -> string
+
+  val render : ?session:string -> unit -> string
+  (** [session] filters as in {!Metrics.render}. *)
 end
 
 (** {2 Well-known histogram names} *)
@@ -338,7 +305,7 @@ val k_gc_promoted : string
 val k_gc_heap : string
 (** Gauge: current major-heap size in words. *)
 
-(** {1 The profile ring (Sheetdoctor and the flight recorder)}
+(** {1 The profile ring (Sheetdoctor, the flight recorder, traces)}
 
     The one bounded tape of what ran. A materialization region commits
     a per-query record — the execution black box for one query: cache
@@ -351,15 +318,24 @@ val k_gc_heap : string
     deltas over the region). Session and engine events — ["op"],
     ["op-rejected"], ["undo"], ["redo"], ["cache-eviction"],
     ["sql-translation"] — commit node-less records into the same ring
-    ({!Profile.event}), so the flight recorder (`flightrec` in the
-    REPL, `\flightrec` in sheetsql, the [F] pane in the TUI) is
-    {!Profile.render}, a view over it.
+    ({!Profile.event}), and so does every span while the sink is on
+    ({!with_span}). The flight recorder (`flightrec` in the REPL,
+    `\flightrec` in sheetsql, the [F] pane in the TUI) is
+    {!Profile.render}, a view over the ring; {!to_chrome_trace} is
+    another.
 
-    Collection is always on, independent of the span sink, bounded at
-    512 records with a drop counter. The region stack is
-    {e single-writer} like span nesting: only the session's driving
-    thread calls {!Profile.enter}/{!Profile.commit}/[note_*]; the
-    counter deltas a region records are read at its boundaries. *)
+    A record with a duration covers
+    [[p_at_ns - p_total_ns, p_at_ns]], and a node
+    [[n_start_ns, n_start_ns + n_time_ns]]; a record's start and end
+    come from the same clock readings as its duration, so containment
+    is exact: {!Profile.well_nested} demands it of overlapping
+    records, and a record's nodes lie inside it.
+
+    Collection is always on, bounded at 512 records with a drop
+    counter. The region stack is {e single-writer}: only the session's
+    driving thread calls {!Profile.enter}/{!Profile.commit}/[note_*];
+    the counter deltas a region records are read at its
+    boundaries. *)
 
 module Profile : sig
   type node = {
@@ -367,6 +343,7 @@ module Profile : sig
     n_label : string;
     n_rows_in : int;  (** -1 when unknown *)
     n_rows_out : int;  (** -1 when unknown *)
+    n_start_ns : int;  (** relative to process start *)
     n_time_ns : int;
     n_alloc_bytes : float;
     n_path : string;
@@ -381,12 +358,14 @@ module Profile : sig
     p_uid : int;  (** 0 when no sheet is involved *)
     p_kind : string;
         (** ["materialize"] | ["incremental"] | ["plan"] for a
-            materialization record; otherwise the event kind *)
+            materialization record; otherwise the event kind, or the
+            span name *)
     p_label : string;
-        (** what the event describes; for a subsumed cache hit, the
-            subsuming sheet and the proof when that sheet is of the
-            same uid arena *)
-    p_rows_out : int;  (** -1 when the region failed, and for events *)
+        (** what the event describes (a span's kind); for a subsumed
+            cache hit, the subsuming sheet and the proof when that
+            sheet is of the same uid arena *)
+    p_rows_out : int;
+        (** -1 when the region failed or raised, and for events *)
     p_total_ns : int;  (** -1 for an event of unknown duration *)
     p_alloc_bytes : float;
     p_cache : string;
@@ -419,10 +398,13 @@ module Profile : sig
   (** [enter], run the thunk, [commit] with [rows_out] of its result —
       or [-1] when it raises, the region still closed. *)
 
-  val event : kind:string -> ?uid:int -> ?dur_ns:int -> string -> unit
-  (** Commit a node-less event record labelled with the string. Safe
-      from any thread (it takes only the ring lock); a no-op while
-      collection is off. *)
+  val event :
+    kind:string -> ?uid:int -> ?since:int -> ?rows_out:int -> string -> unit
+  (** Commit a node-less event record labelled with the string; with
+      [since] (a {!now_ns} reading), the record lasts from then until
+      its commit, otherwise it has no duration. Safe from any thread
+      (it takes only the ring lock); a no-op while collection is
+      off. *)
 
   val note_cache : ?label:string -> string -> unit
   (** Record the cache outcome (and optionally the record's label) on
@@ -440,10 +422,12 @@ module Profile : sig
     ?detail:string ->
     kind:string ->
     label:string ->
+    start_ns:int ->
     time_ns:int ->
     alloc_bytes:float ->
     unit ->
     unit
+  (** [start_ns] is the {!now_ns} reading the node started at. *)
 
   val in_region : unit -> bool
   val open_regions : unit -> int
@@ -478,14 +462,19 @@ module Profile : sig
   val dropped : unit -> int
   (** Records evicted since {!clear}. *)
 
+  val well_nested : t list -> bool
+  (** Records whose intervals overlap nest: one lies inside the
+      other. Records without a duration are skipped. The [@obs] and
+      [@serve] gates hold the ring to it; spans of two threads that
+      interleave break it. *)
+
   val clear : unit -> unit
 
   val record_to_json : t -> Obs_json.t
 
   val to_json : ?session:string -> unit -> Obs_json.t
   (** ["sheetscope-profile/v3"]: capacity, dropped count and the
-      record list ([session] filters as in {!records}) — also
-      embedded in the Chrome-trace [otherData]. *)
+      record list ([session] filters as in {!records}). *)
 
   val render_record : t -> string
   (** The multi-line EXPLAIN ANALYZE text of one record. *)
@@ -540,38 +529,45 @@ module Slo : sig
     v_ok : bool;
   }
 
-  val evaluate : def list -> verdict list
+  val evaluate : ?session:string -> def list -> verdict list
   (** One verdict per (target, series) pair, in list order, labeled
-      series sorted by name within a target. *)
+      series sorted by name within a target. With [session], only the
+      unlabeled series and that session's own (as in
+      {!Metrics.render}); the same holds for the three below. *)
 
-  val summary : unit -> string
+  val summary : ?session:string -> unit -> string
   (** e.g. ["slo 4/4 ok"] or ["slo 1/6 FAILING"] for the shipped
       targets — the TUI status segment. *)
 
-  val render : unit -> string
+  val render : ?session:string -> unit -> string
   (** The human-readable report table of the shipped targets. *)
 
-  val to_json : unit -> Obs_json.t
+  val to_json : ?session:string -> unit -> Obs_json.t
   (** ["sheetscope-slo/v1"] of the shipped targets. *)
 end
 
 (** {1 Chrome trace export} *)
 
-val to_chrome_trace : event list -> Obs_json.t
-(** [trace_event]-format JSON ("ph": "X" complete events, microsecond
-    timestamps) with the current metrics, histogram, SLO and
-    ["sheetscope-profile/v3"] snapshots under [otherData]. *)
+val to_chrome_trace : unit -> Obs_json.t
+(** The profile ring in [trace_event] format (microsecond
+    timestamps): a record with a duration is one complete (["X"])
+    event named by its kind, with the record's fields as [args], and
+    each of its nodes one ["X"] event (category ["node"], the node's
+    fields as [args]) inside it; a record without a duration is an
+    instant (["i"]) event. [otherData] carries the ring's drop count,
+    {!Profile.well_nested} of the ring, and the current metrics,
+    histogram and SLO snapshots. *)
 
 val chrome_trace_string : unit -> string
-(** {!to_chrome_trace} of the current [Memory] ring, pretty-printed. *)
+(** {!to_chrome_trace}, pretty-printed. *)
 
 val save_chrome_trace : path:string -> unit
 (** Write {!chrome_trace_string} to a file ([--trace out.json] in
     [experiments] and [bench]). *)
 
-val metrics_report : unit -> string
+val metrics_report : ?session:string -> unit -> string
 (** The full observability snapshot as one human-readable block:
     counters/gauges (GC included), histogram percentiles, the SLO
-    summary, trace-ring health (dropped events, open spans, nesting)
-    and profile-ring depth — what the REPL [metrics] command
-    prints. *)
+    summary, and the ring's health (records, drops, nesting) — what
+    the REPL [metrics] command prints. [session] filters the series as
+    in {!Metrics.render}. *)

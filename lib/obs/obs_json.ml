@@ -41,6 +41,28 @@ let float_repr f =
 let add_indent buf n = Buffer.add_string buf (String.make n ' ')
 
 let to_buffer ?(pretty = false) buf v =
+  let newline depth =
+    if pretty then begin
+      Buffer.add_char buf '\n';
+      add_indent buf (depth * 2)
+    end
+  in
+  (* a list or an object: [add] prints one item at [depth + 1] *)
+  let seq depth opening closing add = function
+    | [] ->
+        Buffer.add_char buf opening;
+        Buffer.add_char buf closing
+    | items ->
+        Buffer.add_char buf opening;
+        List.iteri
+          (fun i item ->
+            if i > 0 then Buffer.add_char buf ',';
+            newline (depth + 1);
+            add item)
+          items;
+        newline depth;
+        Buffer.add_char buf closing
+  in
   let rec go depth v =
     match v with
     | Null -> Buffer.add_string buf "null"
@@ -48,42 +70,14 @@ let to_buffer ?(pretty = false) buf v =
     | Int i -> Buffer.add_string buf (string_of_int i)
     | Float f -> Buffer.add_string buf (float_repr f)
     | String s -> escape_string buf s
-    | List [] -> Buffer.add_string buf "[]"
-    | List items ->
-        Buffer.add_char buf '[';
-        List.iteri
-          (fun i item ->
-            if i > 0 then Buffer.add_char buf ',';
-            if pretty then begin
-              Buffer.add_char buf '\n';
-              add_indent buf ((depth + 1) * 2)
-            end;
-            go (depth + 1) item)
-          items;
-        if pretty then begin
-          Buffer.add_char buf '\n';
-          add_indent buf (depth * 2)
-        end;
-        Buffer.add_char buf ']'
-    | Obj [] -> Buffer.add_string buf "{}"
+    | List items -> seq depth '[' ']' (go (depth + 1)) items
     | Obj fields ->
-        Buffer.add_char buf '{';
-        List.iteri
-          (fun i (k, item) ->
-            if i > 0 then Buffer.add_char buf ',';
-            if pretty then begin
-              Buffer.add_char buf '\n';
-              add_indent buf ((depth + 1) * 2)
-            end;
+        seq depth '{' '}'
+          (fun (k, item) ->
             escape_string buf k;
             Buffer.add_string buf (if pretty then ": " else ":");
             go (depth + 1) item)
-          fields;
-        if pretty then begin
-          Buffer.add_char buf '\n';
-          add_indent buf (depth * 2)
-        end;
-        Buffer.add_char buf '}'
+          fields
   in
   go 0 v
 
@@ -135,25 +129,7 @@ let parse (s : string) : (t, string) result =
     | Some code -> code
     | None -> fail "bad \\u escape %S" h
   in
-  let utf8_add buf code =
-    (* encode a Unicode scalar value as UTF-8 *)
-    if code < 0x80 then Buffer.add_char buf (Char.chr code)
-    else if code < 0x800 then begin
-      Buffer.add_char buf (Char.chr (0xC0 lor (code lsr 6)));
-      Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-    end
-    else if code < 0x10000 then begin
-      Buffer.add_char buf (Char.chr (0xE0 lor (code lsr 12)));
-      Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-      Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-    end
-    else begin
-      Buffer.add_char buf (Char.chr (0xF0 lor (code lsr 18)));
-      Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 12) land 0x3F)));
-      Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-      Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-    end
-  in
+  let utf8_add buf code = Buffer.add_utf_8_uchar buf (Uchar.of_int code) in
   let parse_string_body () =
     expect '"';
     let buf = Buffer.create 16 in
@@ -241,6 +217,29 @@ let parse (s : string) : (t, string) result =
       | Some i -> Int i
       | None -> Float (float_of_string text)
   in
+  (* the items of a list or an object, after its opening bracket *)
+  let seq closing item =
+    advance ();
+    skip_ws ();
+    if peek () = Some closing then begin
+      advance ();
+      []
+    end
+    else
+      let rec items acc =
+        let v = item () in
+        skip_ws ();
+        match peek () with
+        | Some ',' ->
+            advance ();
+            items (v :: acc)
+        | Some c when c = closing ->
+            advance ();
+            List.rev (v :: acc)
+        | _ -> fail "expected ',' or %C" closing
+      in
+      items []
+  in
   let rec parse_value depth =
     if depth > max_depth then fail "nesting deeper than %d" max_depth;
     skip_ws ();
@@ -251,56 +250,15 @@ let parse (s : string) : (t, string) result =
     | Some 'f' -> literal "false" (Bool false)
     | Some '"' -> String (parse_string_body ())
     | Some ('-' | '0' .. '9') -> parse_number ()
-    | Some '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some ']' then begin
-          advance ();
-          List []
-        end
-        else
-          let rec items acc =
-            let v = parse_value (depth + 1) in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                items (v :: acc)
-            | Some ']' ->
-                advance ();
-                List.rev (v :: acc)
-            | _ -> fail "expected ',' or ']'"
-          in
-          List (items [])
+    | Some '[' -> List (seq ']' (fun () -> parse_value (depth + 1)))
     | Some '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some '}' then begin
-          advance ();
-          Obj []
-        end
-        else
-          let field () =
-            skip_ws ();
-            let k = parse_string_body () in
-            skip_ws ();
-            expect ':';
-            let v = parse_value (depth + 1) in
-            (k, v)
-          in
-          let rec fields acc =
-            let f = field () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                fields (f :: acc)
-            | Some '}' ->
-                advance ();
-                List.rev (f :: acc)
-            | _ -> fail "expected ',' or '}'"
-          in
-          Obj (fields [])
+        Obj
+          (seq '}' (fun () ->
+               skip_ws ();
+               let k = parse_string_body () in
+               skip_ws ();
+               expect ':';
+               (k, parse_value (depth + 1))))
     | Some c -> fail "unexpected character %C" c
   in
   match

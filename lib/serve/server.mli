@@ -14,7 +14,7 @@
       admission counters, and per-session rate windows;
     - the {e engine lock} serializes everything that touches the
       single-writer parts of the process — ambient telemetry labels,
-      span/profile nesting, uid-arena selection, operator application,
+      profile regions, uid-arena selection, operator application,
       materialization, and each session's current state. Handler
       threads overlap freely on socket I/O and protocol work; engine
       work is one-at-a-time, and a query runs its scans in one pass

@@ -5,13 +5,14 @@
      [Plan.execute] equals [Materialize.full] on random query states
      (the generator style of test_props.ml), and its text is the
      profile record the run wrote;
-   - the same with the Memory sink on, plus: spans balanced, properly
-     nested, and interval-consistent — also when materialization
-     raises;
+   - the same with the Memory sink on, plus: overlapping records in
+     the ring (spans included) nest — also when materialization
+     raises — and two threads' interleaved spans are caught;
    - the production executor writes the plan telemetry: one
      [plan.nodes_executed] per profile node;
    - counters are monotone across work; gauges are not counters;
-   - the Chrome trace export parses back through Obs_json and
+   - the Chrome trace export is drawn from the ring (a node's event
+     inside its record's), parses back through Obs_json and
      round-trips;
    - the materialization cache's stats are deterministic around
      [reset_cache];
@@ -22,6 +23,7 @@ open Sheet_rel
 open Sheet_core
 module Obs = Sheet_obs.Obs
 module J = Sheet_obs.Obs_json
+module P = Obs.Profile
 
 let ( let* ) = QCheck.Gen.( let* ) [@@warning "-32"]
 
@@ -157,9 +159,8 @@ let instrumented_equals_plain_memory =
       let rel, _, rendered = analyze sheet in
       same_rows rel (Materialize.full sheet)
       && rendered
-      && Obs.open_spans () = 0
-      && Obs.nesting_ok ()
-      && Obs.events_well_formed (Obs.events ()))
+      && Obs.Profile.open_regions () = 0
+      && Obs.Profile.well_nested (Obs.Profile.records ()))
 
 let profile_chain_rows =
   QCheck.Test.make ~count:200
@@ -177,7 +178,8 @@ let profile_chain_rows =
       | _, None, _ -> false)
 
 (* A derivation that raises (a hand-built child whose selection names
-   a missing column) must leave no span or profile region open. *)
+   a missing column) must leave no profile region open, and the ring
+   nested. *)
 let failed_derivation_closes_spans () =
   with_sink Obs.Memory @@ fun () ->
   Obs.clear_events ();
@@ -190,8 +192,8 @@ let failed_derivation_closes_spans () =
   (match Incremental.materialize_after ~parent ~op:(Op.Select pred) ~child with
   | _ -> Alcotest.fail "a selection on a missing column materialized"
   | exception _ -> ());
-  Alcotest.(check int) "no open span" 0 (Obs.open_spans ());
-  Alcotest.(check bool) "nesting ok" true (Obs.nesting_ok ());
+  Alcotest.(check bool) "nesting ok" true
+    (Obs.Profile.well_nested (Obs.Profile.records ()));
   Alcotest.(check int) "no open region" 0 (Obs.Profile.open_regions ())
 
 (* The production executor bumps the plan counters once per executed
@@ -358,9 +360,9 @@ let ring_clears () =
   ignore
     (Materialize.full
        (Spreadsheet.of_relation ~name:"cars" Sample_cars.relation));
-  Alcotest.(check bool) "recorded" true (Obs.events () <> []);
+  Alcotest.(check bool) "recorded" true (P.length () > 0);
   Obs.clear_events ();
-  Alcotest.(check int) "empty" 0 (List.length (Obs.events ()))
+  Alcotest.(check int) "empty" 0 (P.length ())
 
 (* ---------- latency histograms ---------- *)
 
@@ -515,15 +517,15 @@ let clock_never_negative () =
   let b = Obs.now_ns () in
   Alcotest.(check bool) "now_ns never decreases" true (b >= a);
   Obs.with_span "backwards" (fun () -> t := !t - 3_000_000_000);
-  (match Obs.events () with
-  | [ ev ] ->
-      Alcotest.(check bool) "dur_ns >= 0" true (ev.Obs.dur_ns >= 0);
+  (match P.records () with
+  | [ r ] ->
+      Alcotest.(check bool) "duration >= 0" true (r.P.p_total_ns >= 0);
       (* the clamp freezes time, so the duration is not absurd either *)
-      Alcotest.(check bool) "dur_ns not absurd" true
-        (ev.Obs.dur_ns <= 1_000_000_000)
-  | evs ->
+      Alcotest.(check bool) "duration not absurd" true
+        (r.P.p_total_ns <= 1_000_000_000)
+  | rs ->
       Alcotest.fail
-        (Printf.sprintf "expected 1 event, got %d" (List.length evs)));
+        (Printf.sprintf "expected 1 record, got %d" (List.length rs)));
   (* histogram samples taken across the step are clamped too *)
   let h = fresh () in
   let t0 = Obs.now_ns () in
@@ -533,7 +535,6 @@ let clock_never_negative () =
 
 (* ---------- the flight recorder: a view over the profile ring ---------- *)
 
-module P = Obs.Profile
 
 let ring_capacity = 512
 
@@ -541,6 +542,14 @@ let contains s sub =
   let n = String.length s and m = String.length sub in
   let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
   go 0
+
+(* an event record lasting exactly [ns]: the clock stands still while
+   it commits *)
+let event_lasting ns ?uid ~kind label =
+  let t = Obs.now_ns () in
+  Obs.set_raw_clock_for_tests (Some (fun () -> t));
+  Fun.protect ~finally:(fun () -> Obs.set_raw_clock_for_tests None)
+  @@ fun () -> P.event ?uid ~since:(t - ns) ~kind label
 
 let flightrec_ring () =
   P.clear ();
@@ -564,7 +573,7 @@ let flightrec_ring () =
 
 let flightrec_json_round_trip () =
   P.clear ();
-  P.event ~uid:7 ~dur_ns:123_456 ~kind:"op" "Select Price < 2";
+  event_lasting 123_456 ~uid:7 ~kind:"op" "Select Price < 2";
   P.event ~kind:"undo" "Group Model";
   P.event ~uid:9 ~kind:"cache-eviction" "oldest half";
   let j = P.to_json () in
@@ -583,8 +592,8 @@ let flightrec_json_round_trip () =
    under it is unmarked, one at it is marked *)
 let flightrec_slow_threshold () =
   P.clear ();
-  P.event ~dur_ns:99_999_999 ~kind:"op" "quick";
-  P.event ~dur_ns:100_000_000 ~kind:"op" "sluggish";
+  event_lasting 99_999_999 ~kind:"op" "quick";
+  event_lasting 100_000_000 ~kind:"op" "sluggish";
   (match String.split_on_char '\n' (P.render ()) with
   | [ quick; sluggish ] ->
       Alcotest.(check bool) "under 100 ms unmarked" false
@@ -688,7 +697,7 @@ let flightrec_covers_every_kind () =
     | Ok sheet -> ignore (Materialize.full_cached sheet)
     | Error _ -> Alcotest.fail "select refused"
   done;
-  P.event ~dur_ns:150_000_000 ~kind:"op" "a slow gesture";
+  event_lasting 150_000_000 ~kind:"op" "a slow gesture";
   let text = P.render () in
   let json =
     match J.parse (J.to_string (P.to_json ())) with
@@ -756,8 +765,9 @@ let trace_other_data_health () =
             (fun k ->
               Alcotest.(check bool) (k ^ " present") true
                 (J.member k od <> None))
-            [ "dropped_events"; "open_spans"; "nesting_ok"; "metrics";
-              "histograms" ];
+            [ "dropped"; "nesting_ok"; "metrics"; "histograms"; "slo" ];
+          Alcotest.(check bool) "no profile block" true
+            (J.member "profiles" od = None);
           (match J.member "nesting_ok" od with
           | Some (J.Bool true) -> ()
           | _ -> Alcotest.fail "nesting_ok should be Bool true"))
@@ -774,7 +784,7 @@ let metrics_report_surfaces () =
       Alcotest.(check bool) (needle ^ " in report") true
         (contains report needle))
     [ "engine.apply"; "plan.node.scan"; "p50"; "p99";
-      "trace.dropped_events"; "trace.nesting_ok"; "profile.records" ]
+      "profile.records"; "profile.dropped"; "profile.nesting_ok" ]
 
 (* ---------- Obs_json ---------- *)
 
@@ -866,8 +876,6 @@ let concurrent_hammer sink () =
   Alcotest.(check int) "histogram max exact" 1023 (max_ns h);
   Alcotest.(check int) "all event records kept" (4 * emits) (P.length ());
   Alcotest.(check int) "nothing dropped" 0 (P.dropped ());
-  Alcotest.(check int) "metrics record no span events" 0
-    (List.length (Obs.events ()));
   P.clear ();
   Obs.clear_events ();
   Obs.Metrics.reset ();
@@ -1108,7 +1116,7 @@ let profile_region_basic () =
   P.note_compiled "Price > 3";
   P.note_fallback ~pred:"f(Price)" ~reason:"non-total subtree f(Price)";
   P.note_node ~rows_in:10 ~rows_out:5 ~kind:"stratum" ~label:"stratum 0"
-    ~time_ns:1_000 ~alloc_bytes:64. ();
+    ~start_ns:(Obs.now_ns ()) ~time_ns:1_000 ~alloc_bytes:64. ();
   P.commit ~rows_out:5;
   Alcotest.(check int) "nested commit records nothing" 0 (P.length ());
   Alcotest.(check int) "outer region still open" 1 (P.open_regions ());
@@ -1170,7 +1178,8 @@ let profile_disabled_inert () =
   Fun.protect ~finally:(fun () -> P.set_enabled true) @@ fun () ->
   P.enter ~kind:"plan" ~uid:7;
   P.note_cache "exact";
-  P.note_node ~kind:"x" ~label:"y" ~time_ns:1 ~alloc_bytes:0. ();
+  P.note_node ~kind:"x" ~label:"y" ~start_ns:(Obs.now_ns ()) ~time_ns:1
+    ~alloc_bytes:0. ();
   P.commit ~rows_out:1;
   Alcotest.(check int) "no record" 0 (P.length ());
   Alcotest.(check int) "balanced" 0 (P.open_regions ())
@@ -1181,7 +1190,8 @@ let profile_json_round_trip () =
   P.enter ~kind:"materialize" ~uid:1;
   P.note_cache "subsumed";
   P.note_node ~rows_in:100 ~rows_out:7 ~path:"columnar" ~kind:"filter"
-    ~label:"Price < 9000" ~time_ns:123 ~alloc_bytes:1024.5 ();
+    ~label:"Price < 9000" ~start_ns:(Obs.now_ns ()) ~time_ns:123
+    ~alloc_bytes:1024.5 ();
   P.commit ~rows_out:7;
   P.event ~uid:2 ~kind:"op" "Select Price < 9000";
   P.enter ~kind:"plan" ~uid:2;
@@ -1210,25 +1220,147 @@ let profile_json_round_trip () =
   done;
   P.clear ()
 
+(* ---------- the Chrome trace is drawn from the ring ---------- *)
+
+let trace_events () =
+  match J.parse (Obs.chrome_trace_string ()) with
+  | Error msg -> Alcotest.fail ("trace does not parse: " ^ msg)
+  | Ok j -> (
+      match J.member "traceEvents" j with
+      | Some (J.List evs) -> evs
+      | _ -> Alcotest.fail "no traceEvents")
+
+let str k ev =
+  match J.member k ev with Some (J.String s) -> s | _ -> ""
+
+let arg_int k ev =
+  match Option.bind (J.member "args" ev) (J.member k) with
+  | Some (J.Int i) -> i
+  | _ -> Alcotest.failf "event %s has no int arg %s" (str "name" ev) k
+
+let num k ev =
+  match J.member k ev with
+  | Some (J.Float f) -> f
+  | Some (J.Int i) -> float_of_int i
+  | _ -> Alcotest.failf "event %s has no %s" (str "name" ev) k
+
 let profile_in_chrome_trace () =
   with_sink Obs.Memory @@ fun () ->
   P.clear ();
   P.enter ~kind:"plan" ~uid:3;
   P.commit ~rows_out:0;
-  (match J.parse (Obs.chrome_trace_string ()) with
-  | Error msg -> Alcotest.fail msg
-  | Ok j -> (
-      match J.member "otherData" j with
-      | None -> Alcotest.fail "no otherData"
-      | Some od -> (
-          match J.member "profiles" od with
-          | Some block ->
-              Alcotest.(check bool) "schema tagged" true
-                (J.member "schema" block
-                = Some (J.String "sheetscope-profile/v3"))
-          | None -> Alcotest.fail "no profile block in otherData")));
+  P.event ~uid:3 ~kind:"op" "no duration";
+  (match trace_events () with
+  | [ record; instant ] ->
+      Alcotest.(check (list string)) "record: complete event"
+        [ "plan"; "X"; "profile" ]
+        [ str "name" record; str "ph" record; str "cat" record ];
+      Alcotest.(check int) "record fields as args" 3 (arg_int "uid" record);
+      Alcotest.(check (list string)) "event: instant" [ "op"; "i"; "event" ]
+        [ str "name" instant; str "ph" instant; str "cat" instant ]
+  | evs -> Alcotest.failf "expected 2 events, got %d" (List.length evs));
+  P.clear ()
+
+(* Under [trace mem], EXPLAIN ANALYZE's run draws one X event per node
+   of its record, each with the node's label and time, inside the
+   record's own event. *)
+let explain_analyze_nodes_in_trace () =
+  let s =
+    Session.create ~name:"cars" Sample_cars.relation
+    |> fun s ->
+    match
+      Script.run_silent s
+        "select Price < 20000\nformula twice = Price * 2\norder Year desc"
+    with
+    | Ok s -> s
+    | Error msg -> Alcotest.fail msg
+  in
+  let run line =
+    match Script.run_line s line with
+    | Ok _ -> ()
+    | Error msg -> Alcotest.fail msg
+  in
+  Fun.protect ~finally:(fun () -> run "trace off") @@ fun () ->
+  List.iter run [ "trace mem"; "trace clear"; "explain analyze" ];
+  let r =
+    match P.last () with Some r -> r | None -> Alcotest.fail "no record"
+  in
+  Alcotest.(check bool) "the run has nodes" true (r.P.p_nodes <> []);
+  let evs = trace_events () in
+  let record =
+    match
+      List.filter
+        (fun ev -> str "cat" ev = "profile" && str "name" ev = "plan")
+        evs
+    with
+    | [ ev ] -> ev
+    | l -> Alcotest.failf "%d plan records in the trace" (List.length l)
+  in
+  let nodes =
+    List.filter (fun ev -> str "cat" ev = "node" && str "ph" ev = "X") evs
+  in
+  Alcotest.(check int) "one X event per node" (List.length r.P.p_nodes)
+    (List.length nodes);
+  let start = r.P.p_at_ns - r.P.p_total_ns in
+  Alcotest.(check (float 1e-6)) "record ts" (float_of_int start /. 1e3)
+    (num "ts" record);
+  List.iter2
+    (fun (n : P.node) ev ->
+      Alcotest.(check string) "node label" n.n_label
+        (match Option.bind (J.member "args" ev) (J.member "label") with
+        | Some (J.String l) -> l
+        | _ -> "");
+      Alcotest.(check (float 1e-6)) "dur = time_ns / 1e3"
+        (float_of_int n.n_time_ns /. 1e3) (num "dur" ev);
+      let n_start = arg_int "start_ns" ev in
+      Alcotest.(check bool) "inside its record" true
+        (start <= n_start && n_start + n.n_time_ns <= r.P.p_at_ns))
+    r.P.p_nodes nodes
+
+(* two threads whose spans interleave (a opens, b opens, a closes, b
+   closes) leave records that overlap without nesting *)
+let interleaved_threads_flagged () =
+  with_sink Obs.Memory @@ fun () ->
   P.clear ();
-  Obs.clear_events ()
+  let b_open = Atomic.make false and a_closed = Atomic.make false in
+  let wait flag = while not (Atomic.get flag) do Thread.yield () done in
+  let b =
+    Thread.create
+      (fun () ->
+        Unix.sleepf 0.002;
+        Obs.with_span "test.b" (fun () ->
+            Atomic.set b_open true;
+            wait a_closed;
+            Unix.sleepf 0.002))
+      ()
+  in
+  Obs.with_span "test.a" (fun () ->
+      wait b_open;
+      Unix.sleepf 0.002);
+  Atomic.set a_closed true;
+  Thread.join b;
+  Alcotest.(check int) "two records" 2 (P.length ());
+  Alcotest.(check bool) "interleaving flagged" false
+    (P.well_nested (P.records ()));
+  (* the same two spans run one inside the other pass *)
+  P.clear ();
+  Obs.with_span "test.a" (fun () -> Obs.with_span "test.b" ignore);
+  Alcotest.(check bool) "nesting passes" true (P.well_nested (P.records ()));
+  P.clear ()
+
+(* [flightrec clear] empties the one tape, so the trace too *)
+let flightrec_clear_empties_trace () =
+  let s = Session.create ~name:"cars" Sample_cars.relation in
+  let run line =
+    match Script.run_line s line with
+    | Ok _ -> ()
+    | Error msg -> Alcotest.fail msg
+  in
+  Fun.protect ~finally:(fun () -> run "trace off") @@ fun () ->
+  List.iter run [ "trace mem"; "select Price < 20000"; "explain analyze" ];
+  Alcotest.(check bool) "traced" true (trace_events () <> []);
+  run "flightrec clear";
+  Alcotest.(check int) "no events" 0 (List.length (trace_events ()))
 
 (* ---------- GC gauges ---------- *)
 
@@ -1334,7 +1466,13 @@ let () =
          Alcotest.test_case "otherData carries ring health" `Quick
            trace_other_data_health;
          Alcotest.test_case "metrics_report surfaces everything" `Quick
-           metrics_report_surfaces ]);
+           metrics_report_surfaces;
+         Alcotest.test_case "explain analyze: one event per node" `Quick
+           explain_analyze_nodes_in_trace;
+         Alcotest.test_case "interleaved threads break nesting" `Quick
+           interleaved_threads_flagged;
+         Alcotest.test_case "flightrec clear empties the trace" `Quick
+           flightrec_clear_empties_trace ]);
       ("sharding",
        [ Alcotest.test_case "4-domain hammer exact, sink off" `Quick
            (concurrent_hammer Obs.Off);
@@ -1368,7 +1506,7 @@ let () =
            profile_disabled_inert;
          Alcotest.test_case "JSON round-trips, parser total" `Quick
            profile_json_round_trip;
-         Alcotest.test_case "chrome trace carries the block" `Quick
+         Alcotest.test_case "chrome trace draws each record" `Quick
            profile_in_chrome_trace ]);
       ("gc",
        [ Alcotest.test_case "gauges sampled on export" `Quick

@@ -118,6 +118,32 @@ let test_error_reporting () =
   let msg = expect_line_error (session ()) "replace zero Year = 1" in
   Alcotest.(check bool) "replace id" true (contains msg "selection-id")
 
+(* words a command does not take are refused, not dropped *)
+let test_stray_words_refused () =
+  let s = run (session ()) "select Year = 2005\ngroup Model asc" in
+  List.iter
+    (fun (text, usage) ->
+      let msg = expect_line_error s text in
+      Alcotest.(check string) text usage msg)
+    [ ("dedup Model", "dedup: expected no arguments");
+      ("ungroup Model", "ungroup: expected no arguments");
+      ("undo x", "undo: expected [<steps>]");
+      ("undo 2 3", "undo: expected [<steps>]");
+      ("redo now", "redo: expected no arguments");
+      ("history all", "history: expected no arguments");
+      ("metrics all", "metrics: expected no arguments");
+      ("describe Price", "describe: expected no arguments");
+      ("status now", "status: expected no arguments");
+      ("print abc", "print: expected [<rows>]");
+      ("tree abc", "tree: expected [<rows>]") ];
+  (* the bare and numeric forms still run *)
+  List.iter
+    (fun text -> ignore (line s text))
+    [ "print"; "print 20"; "tree"; "tree 3"; "history"; "status";
+      "describe"; "metrics" ];
+  Alcotest.(check int) "undo 1 undoes one step" 4
+    (Relation.cardinality (Session.materialized (run s "undo 1")))
+
 let test_comments_and_blanks () =
   let s =
     run (session ())
@@ -179,5 +205,7 @@ let () =
           Alcotest.test_case "load csv" `Quick test_load_command ] );
       ( "robustness",
         [ Alcotest.test_case "error reporting" `Quick test_error_reporting;
+          Alcotest.test_case "stray words refused" `Quick
+            test_stray_words_refused;
           Alcotest.test_case "comments and blanks" `Quick
             test_comments_and_blanks ] ) ]

@@ -239,7 +239,8 @@ let test_refuse_process_telemetry () =
   Obs.Profile.clear ()
 
 (* [flightrec] and [profile] show a client only its own session's
-   records: nothing client A did appears in client B's output *)
+   records, and [metrics] and [slo] only its own labeled series:
+   nothing client A did appears in client B's output *)
 let test_telemetry_per_session () =
   let server = Server.create (Server.config cars_lookup) in
   let path = temp_path "telemetry-isolation.sock" in
@@ -282,6 +283,15 @@ let test_telemetry_per_session () =
             false (contains text alices))
         [ "12345"; "Group"; "alice" ])
     [ "flightrec"; "flightrec json"; "profile json" ];
+  (* the latency series: unlabeled ones and bob's own, not alice's *)
+  List.iter
+    (fun line ->
+      let text = output b line in
+      Alcotest.(check bool) (line ^ " shows bob's series") true
+        (contains text "engine.apply{session=bob}");
+      Alcotest.(check bool) (line ^ " hides alice's series") false
+        (contains text "alice"))
+    [ "metrics"; "slo"; "slo json" ];
   Alcotest.(check bool) "alice still sees her own" true
     (contains (output a "flightrec") "12345")
 

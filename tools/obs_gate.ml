@@ -1,6 +1,7 @@
 (* Observability gate: run every bundled TPC-H task script under full
    tracing and fail the build when the instrumentation itself is
-   broken: unclosed or mis-nested spans, negative counters, a sheet
+   broken: records in the ring that overlap without nesting, a
+   dropped record, negative counters, a sheet
    result that disagrees with the task's SQL result (an oracle
    independent of the plan executor), an EXPLAIN ANALYZE that is not
    the profile record of its own run, per-task labeled series that do
@@ -58,25 +59,17 @@ let run_task catalog (task : Sheet_tpch.Tpch_tasks.t) =
           | None ->
               check (label "explain analyze") false
                 (Printf.sprintf "no profile record for sheet #%d" uid));
-          (* spans balanced and properly nested *)
-          check (label "spans") (Obs.open_spans () = 0)
-            (Printf.sprintf "%d unclosed span(s)" (Obs.open_spans ()));
-          check (label "nesting") (Obs.nesting_ok ())
-            "span closed out of order";
-          check (label "intervals")
-            (Obs.events_well_formed (Obs.events ()))
-            "overlapping spans do not nest";
+          (* spans and records nest: overlapping intervals in the
+             ring lie one inside the other *)
+          check (label "nesting")
+            (Obs.Profile.well_nested (Obs.Profile.records ()))
+            "overlapping records do not nest";
           (* counters never go negative *)
           List.iter
             (fun (name, v) ->
               check (label ("metric " ^ name)) (v >= 0)
                 (Printf.sprintf "negative value %d" v))
             (Obs.Metrics.snapshot ());
-          (* the ring was never truncated mid-task — a dropped event
-             means the trace silently under-reports *)
-          check (label "dropped") (Obs.dropped () = 0)
-            (Printf.sprintf "%d event(s) dropped from the ring"
-               (Obs.dropped ()));
           (* every engine op recorded exactly one latency sample *)
           check (label "histogram")
             (Obs.Histogram.count (Obs.Histogram.histogram Obs.h_engine_apply)
@@ -110,6 +103,8 @@ let run_task catalog (task : Sheet_tpch.Tpch_tasks.t) =
             List.length
               (List.filter (fun r -> r.Obs.Profile.p_cache = outcome) ring)
           in
+          (* the ring was never truncated mid-task — a dropped record
+             means the trace silently under-reports *)
           check (label "ring drops") (Obs.Profile.dropped () = 0)
             (Printf.sprintf "%d record(s) dropped from the profile ring"
                (Obs.Profile.dropped ()));

@@ -5,9 +5,9 @@
    - row parity: every client's [rows] response matches a direct
      single-threaded [Script.run_silent] + [Session.materialized]
      replay of the same task, cell for cell, in order;
-   - balanced spans: span open/finish stays single-writer under the
-     engine lock, so the process-wide stack must end empty and
-     correctly nested;
+   - nested records: engine work stays serial under the engine lock,
+     so records in the ring whose intervals overlap (spans, events,
+     per-query records) must nest;
    - zero profile-ring drops (capacity raised first, so a drop means
      lost records, not a small ring);
    - labeled per-session accounting: every client's
@@ -191,11 +191,12 @@ let () =
                    (List.length want.t_rows)))
         per_task)
     results;
-  (* balanced spans despite 8 handler threads: open/finish stayed
-     single-writer under the engine lock *)
-  check "spans" (Obs.open_spans () = 0)
-    (Printf.sprintf "%d unclosed span(s)" (Obs.open_spans ()));
-  check "nesting" (Obs.nesting_ok ()) "span closed out of order";
+  (* nested records despite 8 handler threads: engine work, and the
+     spans and records it commits, stayed serial under the engine
+     lock *)
+  check "nesting"
+    (Obs.Profile.well_nested (Obs.Profile.records ()))
+    "overlapping records do not nest";
   (* the profile ring never dropped a record *)
   check "ring drops"
     (Obs.Profile.dropped () = 0)
@@ -261,6 +262,6 @@ let () =
   else
     Printf.printf
       "serve gate: %d client(s) x %d task(s) served over %s with row \
-       parity, balanced spans, zero ring drops, exact per-session \
+       parity, nested records, zero ring drops, exact per-session \
        accounting\n"
       n_clients (List.length tasks) path
