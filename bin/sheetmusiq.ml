@@ -57,8 +57,8 @@ Observability (Sheetscope):
   slo [json]                      evaluate latency/error-rate SLOs
                                   (per-session series included)
   flightrec [json|clear]          flight recorder: the last 512 profile-ring
-                                  records, one line each
-  trace [status|mem|logs|off|clear]   span tracing sink control
+                                  records, one line each; clear empties it
+  trace [status|mem|logs|off]     span tracing sink control
   trace export <path>             write Chrome trace_event JSON|}
 
 let load_initial () =

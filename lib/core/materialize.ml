@@ -50,20 +50,6 @@ let full (sheet : Spreadsheet.t) =
 
 type entry = { e_sheet : Spreadsheet.t; e_rel : Relation.t }
 
-(* One mutex linearizes every cache operation: Sheetserve handler
-   threads (and the concurrency tests) call [full_cached] from many
-   threads at once, and the lock is what keeps the hit-kind accounting
-   exact (requests = exact + subsumed + miss) and the table free of
-   torn states. It is held across the full replay on a miss, which
-   also keeps the single-writer telemetry underneath (the profile
-   region stack) sequential. Never call back into this module while
-   holding it — the lock is not reentrant. *)
-let cache_mutex = Mutex.create ()
-
-let with_cache_lock f =
-  Mutex.lock cache_mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock cache_mutex) f
-
 let cache : (int, entry) Hashtbl.t = Hashtbl.create 64
 
 (* Insertion order of uids; uids are never reused, so a uid appears at
@@ -72,9 +58,9 @@ let cache_order : int Queue.t = Queue.create ()
 
 let cache_limit = 512
 
-(* A miss scans cached entries oldest-first for a subsumer, but gives
-   up after this many full solver checks (cheap structural prechecks
-   are unbounded) so a pathological cache cannot stall lookups. *)
+(* A miss scans cached entries oldest-first for a subsumer, but runs
+   the solver at most this many times (the structural checks are
+   unbounded) so a pathological cache cannot stall lookups. *)
 let scan_budget = 32
 
 type cache_stats = {
@@ -92,33 +78,30 @@ let counters =
 
 let read_counters () = Array.map Obs.Metrics.get counters
 
-(* The counter readings at the last [reset_cache]. The counters only
-   move under the cache lock, so a read under it is consistent. A
-   reading below its baseline means [Obs.Metrics.reset] ran since;
-   the movement is then counted from zero. *)
+(* The counter readings at the last [reset_cache]. A reading below
+   its baseline means [Obs.Metrics.reset] ran since; the movement is
+   then counted from zero. *)
 let baseline = ref (read_counters ())
 
 let cache_stats () =
-  with_cache_lock (fun () ->
-      let now = read_counters () in
-      let base =
-        if Array.exists2 ( < ) now !baseline then Array.map (fun _ -> 0) now
-        else !baseline
-      in
-      let d i = now.(i) - base.(i) in
-      { requests = d 0;
-        hits = d 1;
-        subsumed_hits = d 2;
-        misses = d 3;
-        seeds = d 4;
-        evictions = d 5;
-        entries = Hashtbl.length cache })
+  let now = read_counters () in
+  let base =
+    if Array.exists2 ( < ) now !baseline then Array.map (fun _ -> 0) now
+    else !baseline
+  in
+  let d i = now.(i) - base.(i) in
+  { requests = d 0;
+    hits = d 1;
+    subsumed_hits = d 2;
+    misses = d 3;
+    seeds = d 4;
+    evictions = d 5;
+    entries = Hashtbl.length cache }
 
 let reset_cache () =
-  with_cache_lock (fun () ->
-      Hashtbl.reset cache;
-      Queue.clear cache_order;
-      baseline := read_counters ())
+  Hashtbl.reset cache;
+  Queue.clear cache_order;
+  baseline := read_counters ()
 
 let cache_insert (sheet : Spreadsheet.t) rel =
   let uid = sheet.Spreadsheet.uid in
@@ -162,10 +145,10 @@ let keys_prefix shorter longer =
   go (shorter, longer)
 
 (* Scan for a cached state proven to subsume [sheet]'s. Oldest-first
-   keeps the answer deterministic; the structural prechecks (same base
-   relation, physically; order-safe sort keys; a selection the entry
-   does not trivially fail) are cheap, and only candidates that pass
-   them spend solver budget. *)
+   keeps the answer deterministic; the structural checks (same base
+   relation, physically; order-safe sort keys; then
+   [State_subsume.check]'s own) are cheap, and only a call of the
+   solver spends budget. *)
 let find_subsumer (sheet : Spreadsheet.t) =
   let candidate_keys = Grouping.sort_keys (Spreadsheet.grouping sheet) in
   let type_of = Schema.type_of (Spreadsheet.full_schema sheet) in
@@ -184,19 +167,16 @@ let find_subsumer (sheet : Spreadsheet.t) =
                     (Grouping.sort_keys
                        (Spreadsheet.grouping entry.e_sheet))
                     candidate_keys
-             then begin
-               if !budget <= 0 then raise Exit;
-               decr budget;
+             then
                match
-                 State_subsume.check ~type_of
+                 State_subsume.check ~type_of ~budget
                    ~candidate:sheet.Spreadsheet.state
                    ~cached:entry.e_sheet.Spreadsheet.state
                with
                | State_subsume.Incomparable _ -> ()
                | outcome ->
                    found := Some (entry, outcome);
-                   raise Exit
-             end)
+                   raise Exit)
        cache_order
    with Exit -> ());
   !found
@@ -215,7 +195,6 @@ let serve_subsumed (sheet : Spreadsheet.t) (cached_rel : Relation.t) =
   Plan.execute ~uid:sheet.Spreadsheet.uid (Plan.sorted sheet filtered)
 
 let full_cached (sheet : Spreadsheet.t) =
-  with_cache_lock @@ fun () ->
   Obs.Metrics.incr c_requests;
   profiled ~uid:sheet.Spreadsheet.uid @@ fun () ->
   match Hashtbl.find_opt cache sheet.Spreadsheet.uid with
@@ -251,11 +230,10 @@ let full_cached (sheet : Spreadsheet.t) =
           rel)
 
 let seed_cache (sheet : Spreadsheet.t) rel =
-  with_cache_lock (fun () ->
-      Obs.Metrics.incr c_seeds;
-      Obs.Profile.note_cache "seed";
-      evict_if_over_limit ();
-      cache_insert sheet rel)
+  Obs.Metrics.incr c_seeds;
+  Obs.Profile.note_cache "seed";
+  evict_if_over_limit ();
+  cache_insert sheet rel
 
 let visible (sheet : Spreadsheet.t) =
   Rel_algebra.project (Spreadsheet.visible_columns sheet)

@@ -52,7 +52,7 @@ val full_cached : Spreadsheet.t -> Relation.t
     Sheetserve's shared cache, served rows must not depend on what
     other sessions happen to have materialized. Every answer equals
     {!full}, rows {e and} order (property-tested on the differential
-    battery and hammered concurrently by [test/test_serve.ml]).
+    battery and hammered by [test/test_serve.ml]).
     A subsumed hit's profile label names the subsuming sheet and the
     proof only when that sheet's uid shares the request's arena
     ({!Spreadsheet.same_uid_arena}); a sheet of another session is
@@ -76,13 +76,8 @@ val seed_cache : Spreadsheet.t -> Relation.t -> unit
     fresh uid, entries never go stale; but the table is shared across
     every session/spreadsheet alive in the process, so tests that
     assert on hit/miss behaviour must call {!reset_cache} first.
-    Every cache operation ([full_cached], [seed_cache],
-    {!cache_stats}, {!reset_cache}) is linearized under one internal
-    mutex, so Sheetserve handler threads may call them concurrently:
-    the hit-kind identity requests = exact + subsumed + miss stays
-    exact and no thread can observe (or cache) a torn entry. The lock
-    is held across the replay a miss triggers; concurrent misses
-    serialize.
+    The cache takes no lock: it is driven from one thread (in
+    Sheetserve, the listener's loop).
     Eviction drops the {e oldest half} (by insertion order) once more
     than 512 entries are resident, so a hot subsumer is not thrown
     away with the cold tail; the profile ring's [cache-eviction]

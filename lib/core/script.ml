@@ -438,16 +438,13 @@ let run_line session line =
         | [ "off" ], _ ->
             Obs.set_sink Obs.Off;
             Ok { session; output = Some "tracing off" }
-        | [ "clear" ], _ ->
-            Obs.clear_events ();
-            Ok { session; output = Some "trace ring cleared" }
         | [ "export"; _ ], [ _; path ] -> (
             match Obs.save_chrome_trace ~path with
             | () ->
                 Ok { session; output = Some ("trace written to " ^ path) }
             | exception Sys_error msg -> Error msg)
         | _ ->
-            Error "trace: expected status|mem|logs|off|clear|export <path>")
+            Error "trace: expected status|mem|logs|off|export <path>")
     | "html" -> (
         match Render_html.save (Session.current session) ~path:(trim rest) with
         | () -> Ok { session; output = Some ("written to " ^ trim rest) }

@@ -56,7 +56,8 @@ type reach =
           [html], [trace export] *)
   | Process_telemetry
       (** changes telemetry for every session in the process:
-          [trace mem|logs|off|clear], [flightrec clear] *)
+          [trace mem|logs|off] (and any other [trace] word but
+          [status] and [export]), [flightrec clear] *)
 
 val reach : string -> reach
 

@@ -53,7 +53,7 @@ let apply t op =
          them: a derivation allocates little on the minor heap, so a
          redisplay would otherwise run most minor collections and
          promote those cells itself. Every session user pays it: the
-         REPL, the TUI and the server, inside its engine lock. *)
+         REPL, the TUI and the server, on its loop thread. *)
       ignore (Incremental.materialize_after ~parent:(current t) ~op
                 ~child:sheet);
       Obs.with_span "session.gc" (fun () ->

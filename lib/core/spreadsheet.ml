@@ -16,57 +16,40 @@ type t = {
    sequences deterministic — a server session replayed alone issues
    exactly the uids it issued under concurrent load — while staying
    collision-free across arenas (and with the default namespace, whose
-   counter never plausibly reaches [1 lsl arena_shift]).
-
-   All allocation state is guarded by one mutex. [current_arena] is a
-   plain global, not thread-local: callers that use arenas must
-   serialize sheet construction themselves (the Sheetserve coordinator
-   lock does), which the .mli documents. *)
+   counter never plausibly reaches [1 lsl arena_shift]). *)
 
 let arena_shift = 32
-let uid_mutex = Mutex.create ()
 let uid_counter = ref 0
 let arena_counters : (int, int ref) Hashtbl.t = Hashtbl.create 8
 let current_arena : int option ref = ref None
 
-let with_uid_lock f =
-  Mutex.lock uid_mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock uid_mutex) f
-
 let fresh_uid () =
-  with_uid_lock (fun () ->
-      match !current_arena with
-      | None ->
-          incr uid_counter;
-          !uid_counter
-      | Some arena ->
-          let local =
-            match Hashtbl.find_opt arena_counters arena with
-            | Some r -> r
-            | None ->
-                let r = ref 0 in
-                Hashtbl.add arena_counters arena r;
-                r
-          in
-          incr local;
-          (arena lsl arena_shift) lor !local)
+  match !current_arena with
+  | None ->
+      incr uid_counter;
+      !uid_counter
+  | Some arena ->
+      let local =
+        match Hashtbl.find_opt arena_counters arena with
+        | Some r -> r
+        | None ->
+            let r = ref 0 in
+            Hashtbl.add arena_counters arena r;
+            r
+      in
+      incr local;
+      (arena lsl arena_shift) lor !local
 
 let in_uid_arena arena f =
   if arena < 1 || arena > 1 lsl 29 then
     invalid_arg "Spreadsheet.in_uid_arena: arena out of range";
-  let prev = with_uid_lock (fun () ->
-      let prev = !current_arena in
-      current_arena := Some arena;
-      prev)
-  in
-  Fun.protect
-    ~finally:(fun () -> with_uid_lock (fun () -> current_arena := prev))
-    f
+  let prev = !current_arena in
+  current_arena := Some arena;
+  Fun.protect ~finally:(fun () -> current_arena := prev) f
 
 let same_uid_arena a b = a lsr arena_shift = b lsr arena_shift
 
-let reset_uid_arena arena =
-  with_uid_lock (fun () -> Hashtbl.remove arena_counters arena)
+let reset_uid_arena arena = Hashtbl.remove arena_counters arena
 
 let of_relation ~name base =
   { uid = fresh_uid ();

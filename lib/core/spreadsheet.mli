@@ -29,7 +29,7 @@ type t = {
 val fresh_uid : unit -> int
 (** For constructors outside this module (e.g. deserialization).
     Allocates from the process-global namespace, or from the current
-    arena inside {!in_uid_arena}. Thread-safe. *)
+    arena inside {!in_uid_arena}. *)
 
 (** {1 Uid arenas (Sheetserve)}
 
@@ -45,10 +45,9 @@ val fresh_uid : unit -> int
 val in_uid_arena : int -> (unit -> 'a) -> 'a
 (** Run a thunk with uid allocation redirected to the given arena
     (1 <= arena <= 2^29; [Invalid_argument] otherwise). The previous
-    namespace is restored afterwards, exceptions included. The arena
-    selection is process-global, not thread-local: callers must
-    serialize sheet-constructing work themselves — the Sheetserve
-    coordinator lock does exactly this. *)
+    namespace is restored afterwards, exceptions included. Uid
+    allocation is driven from one thread (in Sheetserve, the
+    listener's loop). *)
 
 val same_uid_arena : int -> int -> bool
 (** Whether two uids were allocated from the same namespace — one

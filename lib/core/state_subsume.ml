@@ -87,8 +87,8 @@ let hidden_base (s : Query_state.t) =
 
 (* ---------- the check ---------- *)
 
-let check ~type_of ~(candidate : Query_state.t) ~(cached : Query_state.t) :
-    outcome =
+let check ~type_of ~budget ~(candidate : Query_state.t)
+    ~(cached : Query_state.t) : outcome =
   if
     not
       (List.length candidate.computed = List.length cached.computed
@@ -117,13 +117,16 @@ let check ~type_of ~(candidate : Query_state.t) ~(cached : Query_state.t) :
       multiset_equal Expr.equal (selection_preds candidate)
         (selection_preds cached)
     then Equal
-    else
+    else if !budget <= 0 then Incomparable "solver budget spent"
+    else begin
+      decr budget;
       match
         Sheetsolve.subsumes ~type_of (selection_conj candidate)
           (selection_conj cached)
       with
       | Some proof -> Subsumed proof
       | None -> Incomparable "selection not provably implied"
+    end
 
 let describe = function
   | Equal -> "equal selections"

@@ -36,11 +36,15 @@ type outcome =
 
 val check :
   type_of:(string -> Value.vtype option) ->
+  budget:int ref ->
   candidate:Query_state.t ->
   cached:Query_state.t ->
   outcome
 (** [type_of] should come from the (shared) full schema,
-    e.g. [Schema.type_of (Spreadsheet.full_schema sheet)]. *)
+    e.g. [Schema.type_of (Spreadsheet.full_schema sheet)]. A call of
+    {!Sheetsolve.subsumes} spends one unit of [budget]; once it is
+    spent, a state the structural checks do not settle is
+    [Incomparable "solver budget spent"]. *)
 
 val selection_conj : Query_state.t -> Expr.t
 (** The state's selections as one conjunction ([TRUE] when none) —

@@ -3,10 +3,9 @@
    and per-query records all commit into, and that the Chrome trace
    is drawn from.
 
-   The metric families survive concurrent writers (Sheetserve's
-   handler threads increment counters outside the engine lock): a
-   counter or gauge is one atomic cell, a histogram one record of
-   atomic cells, and the ring is mutex-protected. The off-sink fast
+   The metric families survive concurrent writers from any thread or
+   domain: a counter or gauge is one atomic cell, a histogram one
+   record of atomic cells, and the ring is mutex-protected. The off-sink fast
    path of [with_span] is a single mutable-bool test so instrumented
    code costs nothing when nobody is watching (property-tested
    byte-identical). *)
@@ -150,7 +149,7 @@ let labeled_key ~mem name labels =
 
 (* Ambient labels: the session identity the shells stamp on hot-path
    series (engine.apply, sql.run). Single-writer: Sheetserve sets it
-   only under its engine lock. *)
+   only on its loop thread. *)
 let ambient = ref Labels.empty
 let set_ambient_labels ls = ambient := ls
 let ambient_labels () = !ambient

@@ -23,8 +23,7 @@
 
     Counters and histograms always count (sink or no sink) and are
     {e thread- and domain-safe}: every cell is atomic, so the totals
-    of concurrent writers (Sheetserve's handler threads) equal a
-    single-writer run exactly, and the ring is mutex-protected. *)
+    of concurrent writers equal a single-writer run exactly, and the ring is mutex-protected. *)
 
 (** {1 Clock} *)
 
@@ -68,8 +67,8 @@ val with_span :
     {!Profile.well_nested}. *)
 
 val clear_events : unit -> unit
-(** {!Profile.clear}: empty the ring and reset its drop count. Does
-    not touch metrics. *)
+(** {!Profile.clear} under its old name, kept only because
+    [perfbench/sheetbench.ml] calls it; call {!Profile.clear}. *)
 
 (** {1 Labels}
 

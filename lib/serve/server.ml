@@ -18,15 +18,13 @@ type session_state = {
   arena : int;
   labels : Obs.Labels.t;
   mutable sess : Session.t option;
-      (* None until [open]; written only under the engine lock *)
+      (* None until [open] *)
   mutable window_start : float;
   mutable window_ops : int;
 }
 
 type t = {
   cfg : config;
-  table_mutex : Mutex.t;  (* session table, counters, rate windows *)
-  engine_mutex : Mutex.t;  (* ambient labels + arenas + engine work *)
   sessions : (string, session_state) Hashtbl.t;
   mutable ops : int;
   mutable busy_rejections : int;
@@ -34,25 +32,12 @@ type t = {
 
 (* Arenas are process-global (they key the shared uid namespace), so
    two servers in one test process never reuse each other's. *)
-let arena_mutex = Mutex.create ()
-let next_arena = ref 0
-
-let fresh_arena () =
-  Mutex.lock arena_mutex;
-  incr next_arena;
-  let a = !next_arena in
-  Mutex.unlock arena_mutex;
-  a
-
-let with_lock m f =
-  Mutex.lock m;
-  Fun.protect ~finally:(fun () -> Mutex.unlock m) f
+let next_arena = Atomic.make 1
+let fresh_arena () = Atomic.fetch_and_add next_arena 1
 
 let create cfg =
   {
     cfg;
-    table_mutex = Mutex.create ();
-    engine_mutex = Mutex.create ();
     sessions = Hashtbl.create 64;
     ops = 0;
     busy_rejections = 0;
@@ -73,81 +58,66 @@ let m_sessions = lazy (Obs.Metrics.gauge "serve.sessions")
 let refused reason = Protocol.Refused { busy = false; reason }
 
 let busy t reason =
-  with_lock t.table_mutex (fun () ->
-      t.busy_rejections <- t.busy_rejections + 1);
+  t.busy_rejections <- t.busy_rejections + 1;
   Obs.Metrics.incr (Lazy.force m_busy);
   Protocol.Refused { busy = true; reason }
 
-(* All engine-visible effects of a request — ambient labels, uid
-   arena, apply, materialize, and the read and write of the session's
-   current state — are one critical section, keeping the process's
-   single-writer telemetry invariants intact and losing no step when
-   two connections drive one session. *)
-let with_engine t (st : session_state) f =
-  with_lock t.engine_mutex (fun () ->
-      Obs.set_ambient_labels st.labels;
-      Fun.protect
-        ~finally:(fun () -> Obs.set_ambient_labels Obs.Labels.empty)
-        (fun () -> Spreadsheet.in_uid_arena st.arena f))
+(* The engine-visible context of a request: the session's telemetry
+   labels and uid arena. *)
+let with_engine (st : session_state) f =
+  Obs.set_ambient_labels st.labels;
+  Fun.protect
+    ~finally:(fun () -> Obs.set_ambient_labels Obs.Labels.empty)
+    (fun () -> Spreadsheet.in_uid_arena st.arena f)
 
 let hello t conn client =
-  with_lock t.table_mutex (fun () ->
-      match Hashtbl.find_opt t.sessions client with
-      | Some st ->
-          conn.bound <- Some client;
-          Protocol.Welcome { session = client; arena = st.arena }
-      | None ->
-          if Hashtbl.length t.sessions >= t.cfg.max_sessions then (
-            t.busy_rejections <- t.busy_rejections + 1;
-            Obs.Metrics.incr (Lazy.force m_busy);
-            Protocol.Refused { busy = true; reason = "server full" })
-          else begin
-            let st =
-              {
-                client;
-                arena = fresh_arena ();
-                labels = Obs.Labels.v [ ("session", client) ];
-                sess = None;
-                window_start = t.cfg.now ();
-                window_ops = 0;
-              }
-            in
-            Hashtbl.replace t.sessions client st;
-            Obs.Metrics.set (Lazy.force m_sessions)
-              (Hashtbl.length t.sessions);
-            conn.bound <- Some client;
-            Protocol.Welcome { session = client; arena = st.arena }
-          end)
+  match Hashtbl.find_opt t.sessions client with
+  | Some st ->
+      conn.bound <- Some client;
+      Protocol.Welcome { session = client; arena = st.arena }
+  | None when Hashtbl.length t.sessions >= t.cfg.max_sessions ->
+      busy t "server full"
+  | None ->
+      let st =
+        {
+          client;
+          arena = fresh_arena ();
+          labels = Obs.Labels.v [ ("session", client) ];
+          sess = None;
+          window_start = t.cfg.now ();
+          window_ops = 0;
+        }
+      in
+      Hashtbl.replace t.sessions client st;
+      Obs.Metrics.set (Lazy.force m_sessions) (Hashtbl.length t.sessions);
+      conn.bound <- Some client;
+      Protocol.Welcome { session = client; arena = st.arena }
 
-let bound_session t conn =
-  match conn.bound with
-  | None -> None
-  | Some client ->
-      with_lock t.table_mutex (fun () -> Hashtbl.find_opt t.sessions client)
+let bound_session t conn = Option.bind conn.bound (Hashtbl.find_opt t.sessions)
 
 (* Fixed one-second windows: cheap, and "graceful" in the protocol
    sense — a capped client gets [busy] and retries, never a hang. *)
 let rate_admit t (st : session_state) =
   if t.cfg.max_ops_per_s <= 0 then true
-  else
-    with_lock t.table_mutex (fun () ->
-        let now = t.cfg.now () in
-        if now -. st.window_start >= 1.0 then begin
-          st.window_start <- now;
-          st.window_ops <- 0
-        end;
-        if st.window_ops >= t.cfg.max_ops_per_s then false
-        else begin
-          st.window_ops <- st.window_ops + 1;
-          true
-        end)
+  else begin
+    let now = t.cfg.now () in
+    if now -. st.window_start >= 1.0 then begin
+      st.window_start <- now;
+      st.window_ops <- 0
+    end;
+    if st.window_ops >= t.cfg.max_ops_per_s then false
+    else begin
+      st.window_ops <- st.window_ops + 1;
+      true
+    end
+  end
 
 let open_base t (st : session_state) base =
   match t.cfg.lookup base with
   | None -> refused (Printf.sprintf "unknown base %S" base)
   | Some rel ->
       let sheet =
-        with_engine t st (fun () ->
+        with_engine st (fun () ->
             let sess = Session.create ~name:base rel in
             st.sess <- Some sess;
             Session.current sess)
@@ -169,7 +139,7 @@ let run_line t (st : session_state) text =
          server"
   | Script.Sheet_only -> (
       let applied =
-        with_engine t st (fun () ->
+        with_engine st (fun () ->
             match st.sess with
             | None -> Error "open required before line"
             | Some sess ->
@@ -180,14 +150,14 @@ let run_line t (st : session_state) text =
       match applied with
       | Error msg -> refused msg
       | Ok { Script.session; output } ->
-          with_lock t.table_mutex (fun () -> t.ops <- t.ops + 1);
+          t.ops <- t.ops + 1;
           Obs.Metrics.incr (Lazy.force m_ops);
           let sheet = Session.current session in
           Protocol.Applied { uid = sheet.Spreadsheet.uid; output })
 
-let rows_of t (st : session_state) =
+let rows_of (st : session_state) =
   let page =
-    with_engine t st (fun () ->
+    with_engine st (fun () ->
         Option.map
           (fun sess ->
             let sheet = Session.current sess in
@@ -206,22 +176,19 @@ let rows_of t (st : session_state) =
         }
 
 let stats t =
-  with_lock t.table_mutex (fun () ->
-      Protocol.Stats
-        {
-          sessions = Hashtbl.length t.sessions;
-          ops = t.ops;
-          busy_rejections = t.busy_rejections;
-        })
+  Protocol.Stats
+    {
+      sessions = Hashtbl.length t.sessions;
+      ops = t.ops;
+      busy_rejections = t.busy_rejections;
+    }
 
 let quit t conn =
   (match conn.bound with
   | None -> ()
   | Some client ->
-      with_lock t.table_mutex (fun () ->
-          Hashtbl.remove t.sessions client;
-          Obs.Metrics.set (Lazy.force m_sessions)
-            (Hashtbl.length t.sessions)));
+      Hashtbl.remove t.sessions client;
+      Obs.Metrics.set (Lazy.force m_sessions) (Hashtbl.length t.sessions));
   conn.bound <- None;
   Protocol.Bye
 
@@ -240,8 +207,6 @@ let handle_request t conn req =
       match bound_session t conn with
       | None -> refused "hello required before line"
       | Some st -> (
-          (* a session, once opened, stays open: this check needs no
-             engine lock *)
           match st.sess with
           | None -> refused "open required before line"
           | Some _ ->
@@ -250,7 +215,7 @@ let handle_request t conn req =
   | Protocol.Rows -> (
       match bound_session t conn with
       | None -> refused "hello required before rows"
-      | Some st -> rows_of t st)
+      | Some st -> rows_of st)
 
 let handle t conn line =
   let req = Protocol.decode_request line in
@@ -261,11 +226,9 @@ let handle t conn line =
   in
   (Protocol.encode_response resp, req = Ok Protocol.Quit)
 
-let session_count t =
-  with_lock t.table_mutex (fun () -> Hashtbl.length t.sessions)
+let session_count t = Hashtbl.length t.sessions
 
 let live_clients t =
-  with_lock t.table_mutex (fun () ->
-      Hashtbl.fold (fun c _ acc -> c :: acc) t.sessions []
-      |> List.sort String.compare)
+  Hashtbl.fold (fun c _ acc -> c :: acc) t.sessions []
+  |> List.sort String.compare
 

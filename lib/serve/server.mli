@@ -6,27 +6,10 @@
     sequence, in any state, produces exactly one response line and
     never an exception or a wedged connection.
 
-    {2 Concurrency model}
-
-    Two locks, strictly ordered (session table, then engine):
-
-    - the {e session-table lock} protects the client-id → session map,
-      admission counters, and per-session rate windows;
-    - the {e engine lock} serializes everything that touches the
-      single-writer parts of the process — ambient telemetry labels,
-      profile regions, uid-arena selection, operator application,
-      materialization, and each session's current state. Handler
-      threads overlap freely on socket I/O and protocol work; engine
-      work is one-at-a-time, and a query runs its scans in one pass
-      on the thread that holds the lock.
-
-    Holding the engine lock across [set_ambient_labels]+apply+
-    materialize is what makes per-session labeled series, profiles and
-    the shared semantic cache exact under load: every observable
-    engine effect of a request is one critical section. The session's
-    state is read and written inside that same section, so two
-    connections bound to one client (a second [hello] re-attaches)
-    never lose each other's steps.
+    A server is driven from one thread — {!Net}'s loop calls {!handle}
+    for every connection — and takes no lock: each request's engine
+    work, from reading its session's state to writing the new one,
+    runs with no other request in between.
 
     {2 Sessions and determinism}
 
@@ -45,7 +28,7 @@
     [hello] beyond [max_sessions] live sessions, and any [line] past
     the per-session [max_ops_per_s] budget of the current one-second
     window, are refused with [busy = true] — a well-formed "try again
-    later", not an error.
+    later", not an error. {!Net} caps live connections the same way.
 
     {2 What a line may do}
 
@@ -53,8 +36,8 @@
     commands whose {!Sheet_core.Script.reach} is [Sheet_only]: those
     that read or write the daemon's file system ([load], [import],
     [export], [html], [trace export]) or change telemetry for every
-    session in the process ([trace mem|logs|off|clear],
-    [flightrec clear]) are refused with [busy = false]. *)
+    session in the process ([trace mem|logs|off], [flightrec clear])
+    are refused with [busy = false]. *)
 
 open Sheet_rel
 

@@ -155,7 +155,7 @@ let instrumented_equals_plain_memory =
     sheet_arbitrary
     (fun sheet ->
       with_sink Obs.Memory @@ fun () ->
-      Obs.clear_events ();
+      P.clear ();
       let rel, _, rendered = analyze sheet in
       same_rows rel (Materialize.full sheet)
       && rendered
@@ -182,7 +182,7 @@ let profile_chain_rows =
    nested. *)
 let failed_derivation_closes_spans () =
   with_sink Obs.Memory @@ fun () ->
-  Obs.clear_events ();
+  P.clear ();
   let parent = Spreadsheet.of_relation ~name:"cars" Sample_cars.relation in
   let pred =
     Expr.Cmp (Expr.Lt, Expr.Col "Nope", Expr.Const (Value.Int 1))
@@ -329,7 +329,7 @@ let cache_stats_after_registry_reset () =
 
 let trace_round_trip () =
   with_sink Obs.Memory @@ fun () ->
-  Obs.clear_events ();
+  P.clear ();
   let sheet = Spreadsheet.of_relation ~name:"cars" Sample_cars.relation in
   let sheet =
     match
@@ -354,6 +354,8 @@ let trace_round_trip () =
           Alcotest.(check bool) "round-trips" true (J.equal v v')
       | Error msg -> Alcotest.fail ("re-parse failed: " ^ msg))
 
+(* [Obs.clear_events] is the old name of [Profile.clear], kept while
+   perfbench calls it; it must still empty the ring *)
 let ring_clears () =
   with_sink Obs.Memory @@ fun () ->
   Obs.clear_events ();
@@ -511,7 +513,7 @@ let clock_never_negative () =
   Fun.protect ~finally:(fun () -> Obs.set_raw_clock_for_tests None)
   @@ fun () ->
   with_sink Obs.Memory @@ fun () ->
-  Obs.clear_events ();
+  P.clear ();
   let a = Obs.now_ns () in
   t := !t - 5_000_000_000;
   let b = Obs.now_ns () in
@@ -751,7 +753,7 @@ let flightrec_covers_every_kind () =
 
 let trace_other_data_health () =
   with_sink Obs.Memory @@ fun () ->
-  Obs.clear_events ();
+  P.clear ();
   ignore
     (Materialize.full
        (Spreadsheet.of_relation ~name:"cars" Sample_cars.relation));
@@ -843,7 +845,7 @@ let json_parse_errors () =
    mutex-protected profile ring and none may be lost. *)
 let concurrent_hammer sink () =
   with_sink sink @@ fun () ->
-  Obs.clear_events ();
+  P.clear ();
   let c = Obs.Metrics.counter "test.hammer" in
   let h = H.histogram "test.hammer" in
   Obs.Metrics.reset ();
@@ -877,7 +879,7 @@ let concurrent_hammer sink () =
   Alcotest.(check int) "all event records kept" (4 * emits) (P.length ());
   Alcotest.(check int) "nothing dropped" 0 (P.dropped ());
   P.clear ();
-  Obs.clear_events ();
+  P.clear ();
   Obs.Metrics.reset ();
   H.reset ()
 
@@ -1281,7 +1283,7 @@ let explain_analyze_nodes_in_trace () =
     | Error msg -> Alcotest.fail msg
   in
   Fun.protect ~finally:(fun () -> run "trace off") @@ fun () ->
-  List.iter run [ "trace mem"; "trace clear"; "explain analyze" ];
+  List.iter run [ "trace mem"; "flightrec clear"; "explain analyze" ];
   let r =
     match P.last () with Some r -> r | None -> Alcotest.fail "no record"
   in
@@ -1348,7 +1350,8 @@ let interleaved_threads_flagged () =
   Alcotest.(check bool) "nesting passes" true (P.well_nested (P.records ()));
   P.clear ()
 
-(* [flightrec clear] empties the one tape, so the trace too *)
+(* [flightrec clear] empties the one tape, so the trace too, and
+   resets its drop count; [trace] has no clearing word of its own *)
 let flightrec_clear_empties_trace () =
   let s = Session.create ~name:"cars" Sample_cars.relation in
   let run line =
@@ -1359,8 +1362,13 @@ let flightrec_clear_empties_trace () =
   Fun.protect ~finally:(fun () -> run "trace off") @@ fun () ->
   List.iter run [ "trace mem"; "select Price < 20000"; "explain analyze" ];
   Alcotest.(check bool) "traced" true (trace_events () <> []);
+  Alcotest.(check bool) "recorded" true (P.length () > 0);
   run "flightrec clear";
-  Alcotest.(check int) "no events" 0 (List.length (trace_events ()))
+  Alcotest.(check int) "empty ring" 0 (P.length ());
+  Alcotest.(check int) "no drops" 0 (P.dropped ());
+  Alcotest.(check int) "no events" 0 (List.length (trace_events ()));
+  Alcotest.(check bool) "no trace clear" true
+    (Result.is_error (Script.run_line s "trace clear"))
 
 (* ---------- GC gauges ---------- *)
 
@@ -1378,7 +1386,7 @@ let gc_gauges_sampled () =
       gauges
   in
   with_sink Obs.Memory @@ fun () ->
-  Obs.clear_events ();
+  P.clear ();
   zero ();
   Obs.with_span "gc-probe" (fun () ->
       ignore (Sys.opaque_identity (List.init 10_000 string_of_int)));
@@ -1405,7 +1413,7 @@ let gc_gauges_sampled () =
       | None -> Alcotest.fail "no otherData")
   | Error msg -> Alcotest.fail msg);
   sampled "the trace export";
-  Obs.clear_events ()
+  P.clear ()
 
 let () =
   let prop t = QCheck_alcotest.to_alcotest t in

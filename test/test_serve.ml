@@ -1,8 +1,9 @@
 (* Sheetserve tests: wire-protocol totality and round-trips, server
-   liveness on garbage input, refusal of commands that reach past the
-   session, admission control, per-session rate caps,
-   concurrent-vs-serial determinism (rows, order, final uids), and the
-   shared semantic cache hammered from many threads. *)
+   liveness on garbage input, raising requests and clients that never
+   read, refusal of commands that reach past the session, admission
+   control (sessions, connections, per-session rate caps),
+   concurrent-vs-serial determinism (rows, order, final uids) over the
+   socket, and the shared semantic cache's equality and accounting. *)
 
 open Sheet_rel
 open Sheet_core
@@ -179,6 +180,35 @@ let temp_path name =
   Filename.concat (Filename.get_temp_dir_name ())
     (Printf.sprintf "sheetserve-test-%d-%s" (Unix.getpid ()) name)
 
+(* Serve [lookup] on a fresh socket for the length of [f path]. *)
+let with_listener ?max_sessions lookup name f =
+  let server = Server.create (Server.config ?max_sessions lookup) in
+  let path = temp_path (name ^ ".sock") in
+  let listener = Net.listen server ~path in
+  Fun.protect ~finally:(fun () -> Net.shutdown listener) (fun () -> f path)
+
+(* A raw connection whose reads give up after [timeout] seconds, so
+   that [read_response] fails on a silent server instead of hanging. *)
+let raw_connect ?(timeout = 5.) path =
+  let fd = Unix.socket PF_UNIX SOCK_STREAM 0 in
+  Unix.connect fd (ADDR_UNIX path);
+  Unix.setsockopt_float fd SO_RCVTIMEO timeout;
+  (fd, Unix.in_channel_of_descr fd)
+
+let send fd req =
+  let b = Bytes.of_string (Protocol.encode_request req ^ "\n") in
+  ignore (Unix.write fd b 0 (Bytes.length b))
+
+let read_response what inch =
+  match In_channel.input_line inch with
+  | Some line -> (
+      match Protocol.decode_response line with
+      | Ok r -> r
+      | Error e -> Alcotest.failf "%s: undecodable %S: %s" what line e)
+  | None -> Alcotest.failf "%s: connection closed" what
+  | exception (Sys_error _ | Sys_blocked_io) ->
+      Alcotest.failf "%s: no answer" what
+
 (* One client on a real socket with the cars sheet open; every line in
    [lines] must come back Refused (busy = false), and afterwards the
    session still applies a selection and serves its rows. *)
@@ -298,13 +328,11 @@ let test_telemetry_per_session () =
 (* ---------- one session, two connections ---------- *)
 
 (* A second connection may [hello] as a live client and then drives
-   the same session. Two threads, one per connection, each apply [n]
-   selections: every step must land in the session's history, none
-   overwritten by the other thread's stale state. Spans go to a Logs
-   reporter that yields, so each request hands the runtime to the
-   other thread in the middle of its engine work — where a request
-   that read the session before taking the engine lock would apply
-   its step to a stale state. *)
+   the same session. Two client threads, one per connection, each
+   apply [n] selections: every step must land in the session's
+   history, none overwritten by the other connection's stale state.
+   Spans go to a Logs reporter that yields, so the server hands the
+   runtime to the clients in the middle of its engine work. *)
 let test_shared_session_no_lost_update () =
   let module Obs = Sheet_obs.Obs in
   let old_sink = Obs.sink () and old_reporter = Logs.reporter () in
@@ -316,14 +344,19 @@ let test_shared_session_no_lost_update () =
       Obs.set_sink old_sink;
       Logs.set_reporter old_reporter)
   @@ fun () ->
-  let server = Server.create (Server.config cars_lookup) in
+  with_listener cars_lookup "shared" @@ fun path ->
   let conn () =
-    let c = Server.connect server in
-    expect_welcome (Server.handle_request server c (Protocol.Hello "shared"));
+    let c = Net.Client.connect ~path in
+    expect_welcome (Net.Client.call_exn c (Protocol.Hello "shared"));
     c
   in
   let a = conn () and b = conn () in
-  (match Server.handle_request server a (Protocol.Open "cars") with
+  Fun.protect
+    ~finally:(fun () ->
+      Net.Client.close a;
+      Net.Client.close b)
+  @@ fun () ->
+  (match Net.Client.call_exn a (Protocol.Open "cars") with
   | Protocol.Opened _ -> ()
   | r -> Alcotest.failf "open answered %s" (Protocol.encode_response r));
   let n = 200 in
@@ -336,8 +369,7 @@ let test_shared_session_no_lost_update () =
           (fun () ->
             try
               for k = 1 to n do
-                expect_applied
-                  (Server.handle_request server c (Protocol.Line (line t k)))
+                expect_applied (Net.Client.call_exn c (Protocol.Line (line t k)))
               done
             with e -> failures.(t) <- Some (Printexc.to_string e))
           ())
@@ -346,7 +378,7 @@ let test_shared_session_no_lost_update () =
   List.iter Thread.join threads;
   Array.iter (Option.iter (Alcotest.failf "thread failed: %s")) failures;
   let history =
-    match Server.handle_request server a (Protocol.Line "history") with
+    match Net.Client.call_exn a (Protocol.Line "history") with
     | Protocol.Applied { output = Some text; _ } ->
         String.split_on_char '\n' text
     | r -> Alcotest.failf "history answered %s" (Protocol.encode_response r)
@@ -455,6 +487,83 @@ let test_oversized_line () =
   Alcotest.(check bool) "another client still gets pong" true
     (Net.Client.call c Protocol.Ping = Ok Protocol.Pong)
 
+(* a request that raises inside the server is answered with a
+   refusal, and the connection keeps serving *)
+let test_raising_request () =
+  with_listener (fun _ -> failwith "boom") "raising" @@ fun path ->
+  let fd, inch = raw_connect ~timeout:3. path in
+  Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+  send fd (Protocol.Hello "raiser");
+  expect_welcome (read_response "hello" inch);
+  send fd (Protocol.Open "cars");
+  (match read_response "open" inch with
+  | Protocol.Refused { busy = false; _ } -> ()
+  | r -> Alcotest.failf "open answered %s" (Protocol.encode_response r));
+  send fd Protocol.Ping;
+  Alcotest.(check bool) "pong after the raise" true
+    (read_response "ping" inch = Protocol.Pong)
+
+(* a client that asks for a large table and never reads it stalls
+   only its own connection; it gets the whole table once it reads *)
+let test_non_reading_client () =
+  let copies = 2_000 in
+  let big =
+    Relation.of_array Sample_cars.schema
+      (Array.concat
+         (List.init copies (fun _ -> Relation.to_array Sample_cars.relation)))
+  in
+  with_listener (fun _ -> Some big) "non-reading" @@ fun path ->
+  let fd, inch = raw_connect path in
+  Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+  send fd (Protocol.Hello "sleeper");
+  expect_welcome (read_response "hello" inch);
+  send fd (Protocol.Open "big");
+  ignore (read_response "open" inch);
+  send fd Protocol.Rows;
+  let other, other_in = raw_connect path in
+  Fun.protect ~finally:(fun () -> Unix.close other) @@ fun () ->
+  for _ = 1 to 3 do
+    send other Protocol.Ping;
+    Alcotest.(check bool) "another client still gets pong" true
+      (read_response "ping" other_in = Protocol.Pong)
+  done;
+  match read_response "rows" inch with
+  | Protocol.Table { rows; _ } ->
+      Alcotest.(check int) "the whole table, late" (copies * 9)
+        (List.length rows)
+  | r -> Alcotest.failf "rows answered %s" (Protocol.encode_response r)
+
+(* connections past [Net.max_conns] are answered busy and closed,
+   while an established client keeps its answers *)
+let test_connection_cap () =
+  with_listener cars_lookup "flood" @@ fun path ->
+  let c, c_in = raw_connect path in
+  Fun.protect ~finally:(fun () -> Unix.close c) @@ fun () ->
+  let ping what =
+    send c Protocol.Ping;
+    Alcotest.(check bool) what true (read_response what c_in = Protocol.Pong)
+  in
+  ping "pong before the flood";
+  let flood = List.init (Net.max_conns + 8) (fun _ -> raw_connect path) in
+  Fun.protect
+    ~finally:(fun () -> List.iter (fun (fd, _) -> Unix.close fd) flood)
+  @@ fun () ->
+  (* the listener accepts in order, and [c] holds one of the slots *)
+  List.iteri
+    (fun i (_, inch) ->
+      if i >= Net.max_conns - 1 then
+        match read_response "flood" inch with
+        | Protocol.Refused { busy = true; reason = "server full" } -> ()
+        | r ->
+            Alcotest.failf "connection %d answered %s" i
+              (Protocol.encode_response r))
+    flood;
+  ping "pong during the flood";
+  let fd, inch = List.hd flood in
+  send fd Protocol.Ping;
+  Alcotest.(check bool) "an admitted flood connection is served" true
+    (read_response "admitted" inch = Protocol.Pong)
+
 (* ---------- admission control ---------- *)
 
 let test_admission () =
@@ -528,9 +637,6 @@ type replay = {
 
 let test_concurrent_determinism () =
   let catalog = Lazy.force tpch_catalog in
-  let server =
-    Server.create (Server.config ~max_sessions:16 (Sheet_sql.Catalog.find catalog))
-  in
   let tasks = Array.of_list Sheet_tpch.Tpch_tasks.all in
   let n = 8 in
   let task i = tasks.(i mod Array.length tasks) in
@@ -538,53 +644,41 @@ let test_concurrent_determinism () =
   Materialize.reset_cache ();
   let results : replay option array = Array.make n None in
   let failures = Array.make n None in
-  let threads =
-    List.init n (fun i ->
-        Thread.create
-          (fun () ->
-            try
-              let conn = Server.connect server in
-              let arena =
-                match
-                  Server.handle_request server conn
-                    (Protocol.Hello (Printf.sprintf "u%d" i))
-                with
-                | Protocol.Welcome { arena; _ } -> arena
-                | r ->
-                    failwith
-                      ("hello: " ^ Protocol.encode_response r)
-              in
-              (match
-                 Server.handle_request server conn
-                   (Protocol.Open (task i).Sheet_tpch.Tpch_tasks.base)
-               with
-              | Protocol.Opened _ -> ()
-              | r -> failwith ("open: " ^ Protocol.encode_response r));
-              List.iter
-                (fun (s : Model.step) ->
-                  match
-                    Server.handle_request server conn (Protocol.Line s.line)
-                  with
-                  | Protocol.Applied _ -> ()
-                  | r ->
-                      failwith
-                        (s.line ^ ": " ^ Protocol.encode_response r))
-                (steps i);
-              match Server.handle_request server conn Protocol.Rows with
-              | Protocol.Table { uid; columns; rows } ->
-                  results.(i) <-
-                    Some
-                      {
-                        r_arena = arena;
-                        r_uid = uid;
-                        r_columns = columns;
-                        r_rows = rows;
-                      }
-              | r -> failwith ("rows: " ^ Protocol.encode_response r)
-            with e -> failures.(i) <- Some (Printexc.to_string e))
-          ())
-  in
-  List.iter Thread.join threads;
+  with_listener ~max_sessions:16 (Sheet_sql.Catalog.find catalog)
+    "determinism" (fun path ->
+      let client i =
+        let c = Net.Client.connect ~path in
+        Fun.protect ~finally:(fun () -> Net.Client.close c) @@ fun () ->
+        let call req = Net.Client.call_exn c req in
+        let arena =
+          match call (Protocol.Hello (Printf.sprintf "u%d" i)) with
+          | Protocol.Welcome { arena; _ } -> arena
+          | r -> failwith ("hello: " ^ Protocol.encode_response r)
+        in
+        (match call (Protocol.Open (task i).Sheet_tpch.Tpch_tasks.base) with
+        | Protocol.Opened _ -> ()
+        | r -> failwith ("open: " ^ Protocol.encode_response r));
+        List.iter
+          (fun (s : Model.step) ->
+            match call (Protocol.Line s.line) with
+            | Protocol.Applied _ -> ()
+            | r -> failwith (s.line ^ ": " ^ Protocol.encode_response r))
+          (steps i);
+        match call Protocol.Rows with
+        | Protocol.Table { uid; columns; rows } ->
+            results.(i) <-
+              Some
+                { r_arena = arena; r_uid = uid; r_columns = columns;
+                  r_rows = rows }
+        | r -> failwith ("rows: " ^ Protocol.encode_response r)
+      in
+      List.init n (fun i ->
+          Thread.create
+            (fun () ->
+              try client i
+              with e -> failures.(i) <- Some (Printexc.to_string e))
+            ())
+      |> List.iter Thread.join);
   Array.iteri
     (fun i f ->
       match f with
@@ -627,7 +721,7 @@ let test_concurrent_determinism () =
         (r.r_rows = List.map Row.to_list (Relation.rows rel)))
     results
 
-(* ---------- the shared semantic cache under concurrency ---------- *)
+(* ---------- the shared semantic cache ---------- *)
 
 let apply_exn sheet op =
   match Engine.apply sheet op with
@@ -674,27 +768,18 @@ let test_cache_hammer () =
   Materialize.reset_cache ();
   (* ground truth via the cache-free path *)
   let expected = Array.map Materialize.full pool in
-  let n_threads = 8 and per_thread = 60 in
-  let wrong = Array.make n_threads 0 in
-  let threads =
-    List.init n_threads (fun t ->
-        Thread.create
-          (fun () ->
-            let rng = Sheet_stats.Rng.create (0x5EED + t) in
-            for _ = 1 to per_thread do
-              let i = Sheet_stats.Rng.int rng (Array.length pool) in
-              let served = Materialize.full_cached pool.(i) in
-              if not (Relation.equal served expected.(i)) then
-                wrong.(t) <- wrong.(t) + 1
-            done)
-          ())
-  in
-  List.iter Thread.join threads;
+  let lookups = 480 in
+  let rng = Sheet_stats.Rng.create 0x5EED in
+  let wrong = ref 0 in
+  for _ = 1 to lookups do
+    let i = Sheet_stats.Rng.int rng (Array.length pool) in
+    if not (Relation.equal (Materialize.full_cached pool.(i)) expected.(i))
+    then incr wrong
+  done;
   Alcotest.(check int)
-    "every concurrent lookup equals the cache-free materialization" 0
-    (Array.fold_left ( + ) 0 wrong);
+    "every lookup equals the cache-free materialization" 0 !wrong;
   let s = Materialize.cache_stats () in
-  Alcotest.(check int) "requests = one per lookup" (n_threads * per_thread)
+  Alcotest.(check int) "requests = one per lookup" lookups
     s.Materialize.requests;
   Alcotest.(check int) "requests = exact + subsumed + miss"
     s.Materialize.requests
@@ -772,11 +857,17 @@ let () =
             `Quick test_subsumed_from_another_session;
           Alcotest.test_case "oversized request line (socket)" `Quick
             test_oversized_line;
+          Alcotest.test_case "a raising request is refused (socket)" `Quick
+            test_raising_request;
+          Alcotest.test_case "a client that never reads stalls only itself"
+            `Quick test_non_reading_client;
         ] );
       ( "admission",
         [
           Alcotest.test_case "session cap" `Quick test_admission;
           Alcotest.test_case "rate cap" `Quick test_rate_cap;
+          Alcotest.test_case "connection cap (socket)" `Quick
+            test_connection_cap;
         ] );
       ( "sharing",
         [
@@ -790,7 +881,7 @@ let () =
         ] );
       ( "cache",
         [
-          Alcotest.test_case "concurrent hammer" `Quick test_cache_hammer;
+          Alcotest.test_case "sequential hammer" `Quick test_cache_hammer;
           q cache_overlap_prop;
         ] );
     ]

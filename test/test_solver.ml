@@ -293,7 +293,8 @@ let cars () = Spreadsheet.of_relation ~name:"cars" Sample_cars.relation
 
 let state_check candidate cached =
   let type_of = Schema.type_of (Spreadsheet.full_schema candidate) in
-  State_subsume.check ~type_of ~candidate:candidate.Spreadsheet.state
+  State_subsume.check ~type_of ~budget:(ref max_int)
+    ~candidate:candidate.Spreadsheet.state
     ~cached:cached.Spreadsheet.state
 
 let check_state_subsume () =
@@ -367,6 +368,36 @@ let check_cache_eviction () =
   Alcotest.(check int) "served as a subsumed hit" 1 s.Materialize.subsumed_hits;
   Materialize.reset_cache ()
 
+(* The subsumer scan's budget counts solver calls only. Forty other
+   sessions' states with their own computed column are rejected by
+   structural checks, which cost nothing, so a session's own sheet is
+   still answered from its Equal state cached after them. *)
+let check_cache_budget () =
+  Materialize.reset_cache ();
+  let base = cars () in
+  for k = 1 to 40 do
+    Spreadsheet.in_uid_arena (1000 + k) @@ fun () ->
+    let name = Printf.sprintf "f%d" k in
+    ignore
+      (Materialize.full_cached
+         (apply_exn base
+            (Op.Formula
+               { name = Some name; expr = p (Printf.sprintf "Price + %d" k) })))
+  done;
+  let select () = apply_exn base (Op.Select (p "Price < 20000")) in
+  let cached = select () and again = select () in
+  ignore (Materialize.full_cached cached);
+  let before = Materialize.cache_stats () in
+  let served = Materialize.full_cached again in
+  let after = Materialize.cache_stats () in
+  Alcotest.(check bool) "served equals full replay" true
+    (Relation.equal served (Materialize.full again));
+  Alcotest.(check int) "a subsumed hit" 1
+    (after.Materialize.subsumed_hits - before.Materialize.subsumed_hits);
+  Alcotest.(check int) "no miss" 0
+    (after.Materialize.misses - before.Materialize.misses);
+  Materialize.reset_cache ()
+
 let () =
   let qsuite name tests =
     (name, List.map (QCheck_alcotest.to_alcotest ~long:true) tests)
@@ -391,5 +422,7 @@ let () =
         [
           Alcotest.test_case "hit kinds" `Quick check_cache_hit_kinds;
           Alcotest.test_case "oldest-half eviction" `Quick check_cache_eviction;
+          Alcotest.test_case "the budget counts solver calls only" `Quick
+            check_cache_budget;
         ] );
     ]

@@ -33,7 +33,7 @@ let fresh_catalog () =
     (Sheet_tpch.Tpch_gen.generate { Sheet_tpch.Tpch_gen.sf = 0.001; seed = 42 })
 
 let reset_all task =
-  Obs.clear_events ();
+  Obs.Profile.clear ();
   Obs.Metrics.reset ();
   Obs.Histogram.reset ();
   Materialize.reset_cache ();

@@ -28,7 +28,7 @@ let run_task catalog (task : Sheet_tpch.Tpch_tasks.t) =
   let label what = Printf.sprintf "task %2d %s" task.id what in
   (* deterministic per-task baseline: empty ring, zero metrics, cold
      materialization cache, this task's ambient label *)
-  Obs.clear_events ();
+  Obs.Profile.clear ();
   Obs.Metrics.reset ();
   Obs.Histogram.reset ();
   Obs.Profile.clear ();

@@ -5,9 +5,9 @@
    - row parity: every client's [rows] response matches a direct
      single-threaded [Script.run_silent] + [Session.materialized]
      replay of the same task, cell for cell, in order;
-   - nested records: engine work stays serial under the engine lock,
-     so records in the ring whose intervals overlap (spans, events,
-     per-query records) must nest;
+   - nested records: engine work stays serial on the listener's loop
+     thread, so records in the ring whose intervals overlap (spans,
+     events, per-query records) must nest;
    - zero profile-ring drops (capacity raised first, so a drop means
      lost records, not a small ring);
    - labeled per-session accounting: every client's
@@ -126,7 +126,6 @@ let () =
           check (Printf.sprintf "task %2d direct replay" task.id) false msg
       | Ok _ -> ())
     expected;
-  Obs.clear_events ();
   Obs.Metrics.reset ();
   Obs.Histogram.reset ();
   Obs.Profile.clear ();
@@ -191,9 +190,9 @@ let () =
                    (List.length want.t_rows)))
         per_task)
     results;
-  (* nested records despite 8 handler threads: engine work, and the
-     spans and records it commits, stayed serial under the engine
-     lock *)
+  (* nested records despite 8 concurrent clients: engine work, and
+     the spans and records it commits, stayed serial on the loop
+     thread *)
   check "nesting"
     (Obs.Profile.well_nested (Obs.Profile.records ()))
     "overlapping records do not nest";
