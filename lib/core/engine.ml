@@ -438,6 +438,7 @@ let dispatch ?store sheet (op : Op.t) =
   | Op.Rename { old_name; new_name } -> rename sheet ~old_name ~new_name
 
 let h_apply = Obs.Histogram.histogram Obs.h_engine_apply
+let h_apply_kind = Obs.Histogram.family (Obs.h_engine_apply ^ ".")
 
 let apply ?store sheet (op : Op.t) =
   Obs.Metrics.incr c_ops;
@@ -447,9 +448,7 @@ let apply ?store sheet (op : Op.t) =
   let result = dispatch ?store sheet op in
   let dt = Obs.now_ns () - t0 in
   Obs.Histogram.record h_apply dt;
-  Obs.Histogram.record
-    (Obs.Histogram.histogram (Obs.h_engine_apply ^ "." ^ Op.kind op))
-    dt;
+  Obs.Histogram.record (h_apply_kind (Op.kind op)) dt;
   (let labels = Obs.ambient_labels () in
    if not (Obs.Labels.is_empty labels) then
      Obs.Histogram.record

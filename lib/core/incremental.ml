@@ -1,9 +1,6 @@
 open Sheet_rel
 module Obs = Sheet_obs.Obs
 
-let c_derivations = Obs.Metrics.counter Obs.k_incremental_derivations
-let c_fallbacks = Obs.Metrics.counter Obs.k_incremental_fallbacks
-
 (* The newest computed column of the child, when the operator just
    appended one. *)
 let last_computed (child : Spreadsheet.t) =
@@ -199,8 +196,9 @@ let h_derive = Obs.Histogram.histogram Obs.h_incremental_derive
 let materialize_after ~parent ~op ~child =
   (* One profile region per derived child; [derive] reaching the
      parent through [Materialize.full_cached] opens (and commits) its
-     own region for the parent's uid, while the derivation plan and
-     the fallback [Materialize.full child] collapse into this one. *)
+     own region for the parent's uid, while the derivation plan, the
+     fallback [Materialize.full child] (its strategy, "full-replay")
+     and the seed collapse into this one. *)
   let uid = child.Spreadsheet.uid in
   Obs.Profile.region ~kind:"incremental" ~uid ~rows_out:Relation.cardinality
   @@ fun () ->
@@ -208,13 +206,10 @@ let materialize_after ~parent ~op ~child =
   let rel =
     match derive ~parent ~op ~child with
     | Some rel ->
-        Obs.Metrics.incr c_derivations;
         Obs.Histogram.record h_derive (Obs.now_ns () - t0);
         Obs.Profile.note_strategy "incremental";
         rel
-    | None ->
-        Obs.Metrics.incr c_fallbacks;
-        Materialize.full child
+    | None -> Materialize.full child
   in
   Materialize.seed_cache child rel;
   rel

@@ -1,13 +1,7 @@
 open Sheet_rel
 module Obs = Sheet_obs.Obs
 
-let c_requests = Obs.Metrics.counter Obs.k_cache_requests
-let c_hits = Obs.Metrics.counter Obs.k_cache_hits
-let c_hits_subsumed = Obs.Metrics.counter Obs.k_cache_hits_subsumed
-let c_misses = Obs.Metrics.counter Obs.k_cache_misses
 let c_evictions = Obs.Metrics.counter Obs.k_cache_evictions
-let c_seeds = Obs.Metrics.counter Obs.k_cache_seeds
-let c_full_replays = Obs.Metrics.counter Obs.k_full_replays
 let h_full = Obs.Histogram.histogram Obs.h_materialize_full
 
 (* Run [f ()] inside a Sheetdoctor profile region keyed on the sheet's
@@ -20,7 +14,6 @@ let profiled ~uid f =
 
 let full (sheet : Spreadsheet.t) =
   let uid = sheet.Spreadsheet.uid in
-  Obs.Metrics.incr c_full_replays;
   profiled ~uid @@ fun () ->
   Obs.Profile.note_strategy "full-replay";
   let t0 = Obs.now_ns () in
@@ -30,23 +23,12 @@ let full (sheet : Spreadsheet.t) =
 
 (* ---------- the materialization cache ----------
 
-   One process-global table keyed by sheet uid, shared by
-   [full_cached] (fill on miss) and [seed_cache] (externally derived
-   fills, see Incremental). Sheets are immutable and every engine op
-   bumps the uid, so entries can never go stale; the only lifecycle
-   events are oldest-half eviction past [cache_limit] and explicit
-   [reset_cache]. Each outcome is counted once, in the Sheet_obs
-   counters, and noted once on the request's profile record;
-   [cache_stats] reads the counters' movement since [reset_cache].
-
-   Each entry keeps the sheet alongside its materialization, which
-   makes the cache {e semantic}: a miss first scans the cached states
-   for one that {!State_subsume.check} proves subsumes the request
-   (same base relation — compared physically, since engine-derived
-   sheets share it — same computed columns, a provably weaker
-   selection) and answers by re-filtering/re-sorting the cached rows
-   instead of replaying the base data. Exact hits, subsumed hits and
-   misses are counted distinctly. *)
+   One process-global table keyed by sheet uid; its lifecycle and its
+   semantic hits are documented in materialize.mli. Each entry keeps
+   the sheet beside its materialization, so a miss can look for a
+   subsuming state. Each outcome is noted once, on the request's
+   profile record, whose commit counts it in the Sheet_obs counters;
+   [cache_stats] reads their movement since [reset_cache]. *)
 
 type entry = { e_sheet : Spreadsheet.t; e_rel : Relation.t }
 
@@ -73,10 +55,10 @@ type cache_stats = {
   entries : int;
 }
 
-let counters =
-  [| c_requests; c_hits; c_hits_subsumed; c_misses; c_seeds; c_evictions |]
-
-let read_counters () = Array.map Obs.Metrics.get counters
+let read_counters () =
+  Array.map Obs.Metrics.value_of
+    [| Obs.k_cache_requests; Obs.k_cache_hits; Obs.k_cache_hits_subsumed;
+       Obs.k_cache_misses; Obs.k_cache_seeds; Obs.k_cache_evictions |]
 
 (* The counter readings at the last [reset_cache]. A reading below
    its baseline means [Obs.Metrics.reset] ran since; the movement is
@@ -195,17 +177,14 @@ let serve_subsumed (sheet : Spreadsheet.t) (cached_rel : Relation.t) =
   Plan.execute ~uid:sheet.Spreadsheet.uid (Plan.sorted sheet filtered)
 
 let full_cached (sheet : Spreadsheet.t) =
-  Obs.Metrics.incr c_requests;
   profiled ~uid:sheet.Spreadsheet.uid @@ fun () ->
   match Hashtbl.find_opt cache sheet.Spreadsheet.uid with
   | Some entry ->
-      Obs.Metrics.incr c_hits;
       Obs.Profile.note_cache "exact";
       entry.e_rel
   | None -> (
       match find_subsumer sheet with
       | Some (entry, outcome) ->
-          Obs.Metrics.incr c_hits_subsumed;
           (* the label lands in the requesting session's telemetry: a
              sheet of another arena is named by neither its uid nor
              the proof, which can name its columns *)
@@ -222,18 +201,20 @@ let full_cached (sheet : Spreadsheet.t) =
           cache_insert sheet rel;
           rel
       | None ->
-          Obs.Metrics.incr c_misses;
           Obs.Profile.note_cache "miss";
           evict_if_over_limit ();
           let rel = full sheet in
           cache_insert sheet rel;
           rel)
 
+(* noted on the deriving region of the same uid, or on its own record *)
 let seed_cache (sheet : Spreadsheet.t) rel =
-  Obs.Metrics.incr c_seeds;
-  Obs.Profile.note_cache "seed";
-  evict_if_over_limit ();
-  cache_insert sheet rel
+  ignore
+    ( profiled ~uid:sheet.Spreadsheet.uid @@ fun () ->
+      Obs.Profile.note_cache "seed";
+      evict_if_over_limit ();
+      cache_insert sheet rel;
+      rel )
 
 let visible (sheet : Spreadsheet.t) =
   Rel_algebra.project (Spreadsheet.visible_columns sheet)

@@ -30,8 +30,8 @@ val full : Spreadsheet.t -> Relation.t
 (** All columns (hidden ones included), rows in presentation order:
     [Plan.execute (Plan.of_sheet sheet)] inside a ["materialize"]
     profile region keyed on the sheet's uid (the plan's own region
-    collapses into it), a [materialize.full] histogram sample, and a
-    [materialize.full_replays] count. *)
+    collapses into it) that notes a ["full-replay"] strategy, and a
+    [materialize.full] histogram sample. *)
 
 val full_cached : Spreadsheet.t -> Relation.t
 (** Like {!full}, memoized on the sheet's {!Spreadsheet.t.uid}
@@ -67,7 +67,7 @@ val visible : Spreadsheet.t -> Relation.t
 val seed_cache : Spreadsheet.t -> Relation.t -> unit
 (** Install a known-correct full materialization for a sheet (used by
     {!Incremental}). The caller guarantees the relation equals what
-    {!full} would compute. *)
+    {!full} would compute; noted on the deriving region, or alone. *)
 
 (** {2 Cache lifecycle}
 
@@ -96,7 +96,8 @@ type cache_stats = {
 
 val cache_stats : unit -> cache_stats
 (** The movement of the [Sheet_obs] [materialize.cache_*] counters
-    since the last {!reset_cache} (or process start). Never negative:
+    since the last {!reset_cache} (or process start), all but
+    evictions read off profile records as they commit. Never negative:
     a counter found below its reading at {!reset_cache} means
     [Obs.Metrics.reset] ran since, and the counters are then read
     from zero. *)

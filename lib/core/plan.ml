@@ -1,10 +1,6 @@
 open Sheet_rel
 module Obs = Sheet_obs.Obs
 
-let c_plan_nodes = Obs.Metrics.counter Obs.k_plan_nodes
-let c_plan_rows_in = Obs.Metrics.counter Obs.k_plan_rows_in
-let c_plan_rows_out = Obs.Metrics.counter Obs.k_plan_rows_out
-
 type node =
   | Scan of Relation.t
   | Project of string list * node
@@ -129,9 +125,6 @@ let node_kind = function
   | Extend_aggregate _ -> "extend-agg"
   | Sort _ -> "sort"
 
-let kind_histogram kind =
-  Obs.Histogram.histogram (Obs.h_plan_node_prefix ^ kind)
-
 (* ---------- execution ----------
 
    A plan is a chain (every node has zero or one child). The executor
@@ -144,10 +137,12 @@ let kind_histogram kind =
    over it extends its parent's batch. Rows are built once, on first
    row access to the result.
 
-   Each node is one {e unit}: it bumps the [plan.*] counters, records
-   its time under its kind and notes one node (start, time, rows) in
-   the open Sheetdoctor profile region — the record EXPLAIN ANALYZE
-   renders, and the trace draws. *)
+   Each node is one {e unit}, and notes one node (start, time, rows,
+   path, and which path its predicate or formula took and why) in the
+   open Sheetdoctor profile region — the record EXPLAIN ANALYZE
+   renders and the trace draws. Nothing else is written beside it:
+   the record's commit reads the [plan.*] counters, the per-kind node
+   histograms and the selection totals off its nodes. *)
 
 let linearize node =
   let rec go acc = function
@@ -299,46 +294,56 @@ let extend_aggregate { agg_name; agg_ty; fn; arg; basis } r =
           Array.append b.cols [| Relation.Broadcast { grouping; values } |] },
     typed )
 
-let path_name = function `Columnar -> "columnar" | `Row -> "row"
-
-(* Run one node over its input; the path its profile node shows. *)
+(* Run one node over its input: the result, the path its profile node
+   shows, and on the row path of a filter or formula the subtree the
+   compiler refused. *)
 let run_node node r =
+  let refused = function
+    | out, `Columnar -> (out, "columnar", None)
+    | out, `Row blocker -> (out, "row", Some blocker)
+  in
   match node with
-  | Filter (pred, _) ->
-      let out, path = Rel_algebra.select_path pred r in
-      (out, path_name path)
-  | Project (cols, _) -> (Rel_algebra.project cols r, "batch")
+  | Filter (pred, _) -> refused (Rel_algebra.select_path pred r)
+  | Project (cols, _) -> (Rel_algebra.project cols r, "batch", None)
   | Extend_formula ({ name; ty; expr }, _) ->
-      let out, path = Rel_algebra.extend_path { Schema.name; ty } expr r in
-      (out, path_name path)
+      refused (Rel_algebra.extend_path { Schema.name; ty } expr r)
   | Extend_aggregate (e, _) ->
       let out, typed = extend_aggregate e r in
-      (out, if typed then "columnar" else "row")
-  | Sort (keys, _) -> (Rel_algebra.sort keys r, "batch")
-  | Distinct_on (keys, _) -> (Rel_algebra.distinct_on keys r, "batch")
+      (out, (if typed then "columnar" else "row"), None)
+  | Sort (keys, _) -> (Rel_algebra.sort keys r, "batch", None)
+  | Distinct_on (keys, _) -> (Rel_algebra.distinct_on keys r, "batch", None)
   | Scan _ -> invalid_arg "Plan.run_node: scan"
 
-(* One executed unit: counters, per-kind histogram and one profile
-   node around [run_node]. *)
+(* One executed unit: [run_node] and the one profile node it notes. A
+   compiled filter names its predicate; a filter or formula on the row
+   path names its expression and why. *)
 let run_unit node r =
   let rows_in = Relation.cardinality r in
-  let kind = node_kind node in
   let a0 = Gc.allocated_bytes () in
   let t0 = Obs.now_ns () in
-  let out, path = run_node node r in
+  let out, path, blocker = run_node node r in
   let dt = Obs.now_ns () - t0 in
-  let rows_out = Relation.cardinality out in
-  Obs.Histogram.record (kind_histogram kind) dt;
-  Obs.Metrics.incr c_plan_nodes;
-  Obs.Metrics.incr ~by:rows_in c_plan_rows_in;
-  Obs.Metrics.incr ~by:rows_out c_plan_rows_out;
-  (* labels render predicates: only worth it when a region records *)
-  if Obs.Profile.in_region () then
-    Obs.Profile.note_node ~rows_in ~rows_out ~path ~kind
-      ~label:(node_label node) ~start_ns:t0 ~time_ns:dt
+  (* labels render predicates: only worth it when collection is on
+     ([execute] has opened the region) *)
+  if Obs.Profile.enabled () then begin
+    let compiled, fallback =
+      match (node, blocker) with
+      | (Filter (e, _) | Extend_formula ({ expr = e; _ }, _)), Some blocker ->
+          let reason = Rel_algebra.fallback_reason r e ~blocker in
+          (None, Some (Expr.to_string e, reason))
+      | Filter (pred, _), None -> (Some (Expr.to_string pred), None)
+      | _ -> (None, None)
+    in
+    Obs.Profile.note_node ~rows_in ~rows_out:(Relation.cardinality out) ~path
+      ?compiled ?fallback ~kind:(node_kind node) ~label:(node_label node)
+      ~start_ns:t0 ~time_ns:dt
       ~alloc_bytes:(Gc.allocated_bytes () -. a0)
-      ();
+      ()
+  end;
   out
+
+(* the one per-kind series written here: a scan notes no node *)
+let h_scan = Obs.Histogram.histogram (Obs.h_plan_node_prefix ^ "scan")
 
 let run node =
   let base, ops = linearize node in
@@ -348,7 +353,7 @@ let run node =
   else begin
     let t0 = Obs.now_ns () in
     let scan = Relation.of_batch (Relation.schema base) (Relation.batch base) in
-    Obs.Histogram.record (kind_histogram "scan") (Obs.now_ns () - t0);
+    Obs.Histogram.record h_scan (Obs.now_ns () - t0);
     List.fold_left (fun r node -> run_unit node r) scan ops
   end
 

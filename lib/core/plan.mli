@@ -82,8 +82,8 @@ val execute : ?uid:int -> node -> Relation.t
       [Floats] or [Dates] column when the formula compiles over typed
       columns (the base image's, or earlier typed formulas'; path
       [columnar]), else each row handle goes through the compiled
-      expression into a boxed column (path [row], its reason noted
-      in the profile region);
+      expression into a boxed column (path [row], its reason on the
+      profile node);
     - [Extend_aggregate] numbers each row's group from its basis
       columns ({!Sheet_rel.Rel_algebra.grouping}) — reusing the
       grouping of an earlier aggregate over the same selection vector
@@ -103,8 +103,9 @@ val execute : ?uid:int -> node -> Relation.t
     - [Sort] permutes the vector by ranked key columns
       ({!Sheet_rel.Rel_algebra.sort}) and [Distinct_on] thins it to
       the first row of each key group (path [batch]).
-    Each unit bumps the [plan.*] counters and notes one profile
-    node.
+    Each unit notes one profile node, with the path its predicate or
+    formula took and why; the record's commit derives the [plan.*]
+    counters and the per-kind histograms from it.
 
     The result is batch-backed: its rows are built once, on first row
     access ({!Sheet_rel.Relation.to_array}). A plan with no unit to

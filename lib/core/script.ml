@@ -191,6 +191,7 @@ let run_line session line =
   let ring_json () =
     Obs_json.to_string (Obs.Profile.to_json ~session:(mine ()) ())
   in
+  let say text = Ok { session; output = Some text } in
   if line = "" then Ok { session; output = None }
   else
     let cmd, rest = head_rest line in
@@ -266,7 +267,7 @@ let run_line session line =
             Error msg)
     | "export" -> (
         match Persist.save (Session.current session) ~path:(trim rest) with
-        | () -> Ok { session; output = Some ("saved to " ^ trim rest) }
+        | () -> say ("saved to " ^ trim rest)
         | exception Persist.Persist_error msg -> Error msg)
     | "import" -> (
         match Persist.load ~path:(trim rest) with
@@ -319,7 +320,7 @@ let run_line session line =
                  Printf.sprintf "%2d. %s" e.Session.index e.Session.label)
           |> String.concat "\n"
         in
-        Ok { session; output = Some text }
+        say text
     | "selections" ->
         let col = trim rest in
         let text =
@@ -330,7 +331,7 @@ let run_line session line =
           |> String.concat "\n"
         in
         let text = if text = "" then "(no selections on " ^ col ^ ")" else text in
-        Ok { session; output = Some text }
+        say text
     | "replace" -> (
         match head_rest rest with
         | id_text, pred_text -> (
@@ -358,64 +359,45 @@ let run_line session line =
         match split_words (String.lowercase_ascii rest) with
         | [] ->
             (* the plan every materialization of the sheet runs *)
-            Ok
-              { session;
-                output =
-                  Some
-                    (Plan.explain (Plan.of_sheet (Session.current session)))
-              }
-        | [ "analyze" ] -> Ok { session; output = Some (analyze ()) }
+            say (Plan.explain (Plan.of_sheet (Session.current session)))
+        | [ "analyze" ] -> say (analyze ())
         | _ -> Error "explain: expected [analyze]")
     | "profile" -> (
         match split_words (String.lowercase_ascii rest) with
         | [] ->
             (* bare [profile] is EXPLAIN ANALYZE *)
-            Ok { session; output = Some (analyze ()) }
+            say (analyze ())
         | [ "last" ] -> (
             match Obs.Profile.last ~session:(mine ()) () with
-            | Some r ->
-                Ok { session; output = Some (Obs.Profile.render_record r) }
+            | Some r -> say (Obs.Profile.render_record r)
             | None -> Error "profile: no profiles recorded")
-        | [ "json" ] -> Ok { session; output = Some (ring_json ()) }
+        | [ "json" ] -> say (ring_json ())
         | [ w ] -> (
             match int_of_string_opt w with
             | Some uid -> (
                 match Obs.Profile.find ~uid with
                 | Some r when r.Obs.Profile.p_session = mine () ->
-                    Ok
-                      { session;
-                        output = Some (Obs.Profile.render_record r) }
+                    say (Obs.Profile.render_record r)
                 | _ ->
                     Error (Printf.sprintf "profile: no profile for #%d" uid))
             | None -> Error "profile: expected [last|<uid>|json]")
         | _ -> Error "profile: expected [last|<uid>|json]")
     | "metrics" ->
-        no_args "metrics" (fun () ->
-            Ok
-              { session;
-                output = Some (Obs.metrics_report ~session:(mine ()) ()) })
+        no_args "metrics" @@ fun () ->
+        say (Obs.metrics_report ~session:(mine ()) ())
     | "slo" -> (
         match split_words (String.lowercase_ascii rest) with
-        | [] ->
-            Ok { session; output = Some (Obs.Slo.render ~session:(mine ()) ()) }
+        | [] -> say (Obs.Slo.render ~session:(mine ()) ())
         | [ "json" ] ->
-            Ok
-              { session;
-                output =
-                  Some
-                    (Obs_json.to_string (Obs.Slo.to_json ~session:(mine ()) ()))
-              }
+            say (Obs_json.to_string (Obs.Slo.to_json ~session:(mine ()) ()))
         | _ -> Error "slo: expected [json]")
     | "flightrec" -> (
         match split_words (String.lowercase_ascii rest) with
-        | [] ->
-            Ok
-              { session;
-                output = Some (Obs.Profile.render ~session:(mine ()) ()) }
-        | [ "json" ] -> Ok { session; output = Some (ring_json ()) }
+        | [] -> say (Obs.Profile.render ~session:(mine ()) ())
+        | [ "json" ] -> say (ring_json ())
         | [ "clear" ] ->
             Obs.Profile.clear ();
-            Ok { session; output = Some "flight recorder cleared" }
+            say "flight recorder cleared"
         | _ -> Error "flightrec: expected [json|clear]")
     | "trace" -> (
         match split_words (String.lowercase_ascii rest), split_words rest with
@@ -428,53 +410,40 @@ let run_line session line =
                   Printf.sprintf "memory (%d records, %d dropped)"
                     (Obs.Profile.length ()) (Obs.Profile.dropped ())
             in
-            Ok { session; output = Some ("tracing: " ^ s) }
+            say ("tracing: " ^ s)
         | ([ "mem" ] | [ "memory" ]), _ ->
             Obs.set_sink Obs.Memory;
-            Ok { session; output = Some "tracing to in-memory ring" }
+            say "tracing to in-memory ring"
         | [ "logs" ], _ ->
             Obs.set_sink Obs.Logs;
-            Ok { session; output = Some "tracing to logs" }
+            say "tracing to logs"
         | [ "off" ], _ ->
             Obs.set_sink Obs.Off;
-            Ok { session; output = Some "tracing off" }
+            say "tracing off"
         | [ "export"; _ ], [ _; path ] -> (
             match Obs.save_chrome_trace ~path with
-            | () ->
-                Ok { session; output = Some ("trace written to " ^ path) }
+            | () -> say ("trace written to " ^ path)
             | exception Sys_error msg -> Error msg)
         | _ ->
             Error "trace: expected status|mem|logs|off|export <path>")
     | "html" -> (
         match Render_html.save (Session.current session) ~path:(trim rest) with
-        | () -> Ok { session; output = Some ("written to " ^ trim rest) }
+        | () -> say ("written to " ^ trim rest)
         | exception Sys_error msg -> Error msg)
     | "describe" ->
         no_args "describe" @@ fun () ->
-        Ok
-          { session;
-            output =
-              Some
-                (Profile.render
-                   (Materialize.visible (Session.current session))) }
+        say (Profile.render (Materialize.visible (Session.current session)))
     | "tree" ->
         optional_int "tree: expected [<rows>]" @@ fun max_rows ->
-        Ok
-          { session;
-            output =
-              Some
-                (Group_tree.to_string ?max_rows
-                   (Group_tree.build (Session.current session))) }
+        say
+          (Group_tree.to_string ?max_rows
+             (Group_tree.build (Session.current session)))
     | "print" ->
         optional_int "print: expected [<rows>]" @@ fun max_rows ->
-        Ok
-          { session;
-            output = Some (Render.to_string ?max_rows (Session.current session)) }
+        say (Render.to_string ?max_rows (Session.current session))
     | "status" ->
         no_args "status" @@ fun () ->
-        Ok
-          { session;
-            output = Some (Render.status_line (Session.current session)) }
+        say (Render.status_line (Session.current session))
     | other -> Error (Printf.sprintf "unknown command %S" other)
 
 let run_general ~emit session text =

@@ -224,19 +224,7 @@ module Metrics = struct
         (List.map (fun (name, v) -> Printf.sprintf "%-32s %10d" name v) snap)
 end
 
-(* ---------- latency histograms ----------
-
-   Third metric family (DESIGN.md §8): log-bucketed latency
-   histograms. Bucket boundaries are fixed — four per decade from
-   100 ns to 10 s — so recording is O(1) (a binary search over 33
-   ints), histograms of the same shape merge by adding bucket counts,
-   and two processes' histograms are comparable. Count and sum are
-   exact; p50/p90/p99 are bucket estimates (linear interpolation
-   inside the bucket holding the rank, never above the observed max);
-   max is exact. Like counters — and unlike spans — histograms always
-   record, sink or no sink, and from any thread or domain: every cell
-   update is atomic, so concurrent totals equal a single-writer run
-   exactly. *)
+(* ---------- latency histograms (fixed log buckets: see obs.mli) ---------- *)
 
 module Histogram = struct
   (* 100 ns * 10^(i/4) for i = 0..32: 100 ns, 178 ns, 316 ns, 562 ns,
@@ -272,6 +260,22 @@ module Histogram = struct
     with_lock reg_mutex (fun () ->
         find_locked registry make
           (labeled_key ~mem:(Hashtbl.mem registry) name labels))
+
+  (* The series [prefix ^ kind], interned once per kind: a lookup in
+     a short list that grows by compare-and-set, so a hot path names
+     no series and takes no lock. *)
+  let family prefix =
+    let known = Atomic.make [] in
+    let rec get kind =
+      let seen = Atomic.get known in
+      match List.assoc_opt kind seen with
+      | Some h -> h
+      | None ->
+          let h = histogram (prefix ^ kind) in
+          if Atomic.compare_and_set known seen ((kind, h) :: seen) then h
+          else get kind
+    in
+    get
 
   (* smallest i with v <= boundaries.(i); the overflow bucket past the
      last boundary *)
@@ -470,8 +474,8 @@ let k_gc_heap = "gc.heap_words"
 (* Well-known histogram names. [h_engine_apply] counts every
    [Engine.apply] (per-kind series ride alongside under
    "engine.apply.<kind>", per-session ones under
-   "engine.apply{session=...}"); the plan executor records one
-   sample per plan node under "plan.node.<kind>". *)
+   "engine.apply{session=...}"); a committed profile record adds one
+   sample per node under "plan.node.<kind>". *)
 let h_engine_apply = "engine.apply"
 let h_materialize_full = "materialize.full"
 let h_incremental_derive = "incremental.derive"
@@ -514,18 +518,9 @@ let sample_gc_gauges () =
 
 (* ---------- the profile ring (Sheetdoctor, flight recorder, traces) ----------
 
-   The one bounded tape of what ran. A materialization region commits
-   one record — the execution black box for one query: which cache
-   outcome answered it (exact / subsumed / miss / seed), full replay
-   vs incremental derivation, a node-by-node breakdown with start,
-   wall time, row counts and allocation deltas, and *path
-   attribution*: which filter predicates ran as compiled selection
-   vectors and which fell back to the row path (naming the non-total
-   subtree), and how many rows entered and left the selection
-   vectors. Session and engine events (ops applied and rejected,
-   undo/redo, evictions, SQL translations) commit node-less records
-   into the same ring, and so does every span while the sink is on,
-   so the flight recorder and the Chrome trace are views over it.
+   The one bounded tape of what ran (what a record holds: obs.mli). A
+   materialization region commits one record; events and, while the
+   sink is on, spans commit node-less ones into the same ring.
 
    A record with a duration covers [p_at_ns - p_total_ns, p_at_ns];
    both come from the same two clock readings, so containment between
@@ -533,10 +528,10 @@ let sample_gc_gauges () =
 
    Always on (a record is a few small allocations), bounded with a
    drop counter. The region stack is single-writer — only the
-   session's driving thread enters/commits regions and notes
-   attribution; the counter deltas a region records are snapshotted
-   at its boundaries. Event and span commits take only the ring lock
-   and are safe from any thread. *)
+   session's driving thread enters/commits regions and notes nodes;
+   a region reads no counter, and its commit writes the ones its
+   record accounts for. Event and span commits take only the ring
+   lock and are safe from any thread. *)
 
 module Profile = struct
   type node = {
@@ -548,7 +543,7 @@ module Profile = struct
     n_time_ns : int;
     n_alloc_bytes : float;
     n_path : string;  (* "" | "columnar" | "row" | "batch" *)
-    n_detail : string;
+    n_detail : string;  (* "": a v3 JSON field no writer fills *)
   }
 
   type t = {
@@ -589,8 +584,6 @@ module Profile = struct
     pd_kind : string;
     pd_t0 : int;
     pd_alloc0 : float;
-    pd_sel_in0 : int;
-    pd_sel_out0 : int;
     mutable pd_label : string;
     mutable pd_cache : string;
     mutable pd_strategy : string;
@@ -606,16 +599,10 @@ module Profile = struct
 
   let stack : slot list ref = ref []
 
-  let c_sel_in = Metrics.counter k_col_sel_rows_in
-  let c_sel_out = Metrics.counter k_col_sel_rows_out
-
   let rec find_region = function
     | [] -> None
     | Region p :: _ -> Some p
     | (Disabled | Nested) :: rest -> find_region rest
-
-  let in_region () =
-    match find_region !stack with Some _ -> true | None -> false
 
   let open_regions () = List.length !stack
   let reset_stack_for_tests () = stack := []
@@ -687,8 +674,6 @@ module Profile = struct
             pd_kind = kind;
             pd_t0 = now_ns ();
             pd_alloc0 = Gc.allocated_bytes ();
-            pd_sel_in0 = Metrics.get c_sel_in;
-            pd_sel_out0 = Metrics.get c_sel_out;
             pd_label = "";
             pd_cache = "";
             pd_strategy = "";
@@ -697,6 +682,54 @@ module Profile = struct
             pd_nodes = [] }
     in
     stack := slot :: !stack
+
+  (* What a committed record moves in the registry, read off it: per
+     node, the plan counters and a sample under its kind; then its
+     cache outcome, and its strategy (a full replay in an incremental
+     region is a derivation that fell back). *)
+  let c_nodes = Metrics.counter k_plan_nodes
+  let c_rows_in = Metrics.counter k_plan_rows_in
+  let c_rows_out = Metrics.counter k_plan_rows_out
+  let c_requests = Metrics.counter k_cache_requests
+  let c_hits = Metrics.counter k_cache_hits
+  let c_hits_subsumed = Metrics.counter k_cache_hits_subsumed
+  let c_misses = Metrics.counter k_cache_misses
+  let c_seeds = Metrics.counter k_cache_seeds
+  let c_full_replays = Metrics.counter k_full_replays
+  let c_derivations = Metrics.counter k_incremental_derivations
+  let c_fallbacks = Metrics.counter k_incremental_fallbacks
+  let node_histogram = Histogram.family h_plan_node_prefix
+
+  let count_node n =
+    Metrics.incr c_nodes;
+    Metrics.incr ~by:(max 0 n.n_rows_in) c_rows_in;
+    Metrics.incr ~by:(max 0 n.n_rows_out) c_rows_out;
+    Histogram.record (node_histogram n.n_kind) n.n_time_ns
+
+  let count r =
+    List.iter count_node r.p_nodes;
+    if List.mem r.p_cache [ "exact"; "subsumed"; "miss" ] then
+      Metrics.incr c_requests;
+    (match r.p_cache with
+    | "exact" -> Metrics.incr c_hits
+    | "subsumed" -> Metrics.incr c_hits_subsumed
+    | "miss" -> Metrics.incr c_misses
+    | "seed" -> Metrics.incr c_seeds
+    | _ -> ());
+    match r.p_strategy with
+    | "full-replay" ->
+        Metrics.incr c_full_replays;
+        if r.p_kind = "incremental" then Metrics.incr c_fallbacks
+    | "incremental" -> Metrics.incr c_derivations
+    | _ -> ()
+
+  (* the rows into and out of the region's own selection vectors: its
+     columnar filter nodes *)
+  let rec sel_rows rows_in rows_out = function
+    | [] -> (rows_in, rows_out)
+    | n :: rest when n.n_kind = "filter" && n.n_path = "columnar" ->
+        sel_rows (rows_in + n.n_rows_in) (rows_out + n.n_rows_out) rest
+    | _ :: rest -> sel_rows rows_in rows_out rest
 
   let commit ~rows_out =
     match !stack with
@@ -707,7 +740,9 @@ module Profile = struct
         | Disabled | Nested -> ()
         | Region p ->
             let t1 = now_ns () in
-            push_record
+            let nodes = List.rev p.pd_nodes in
+            let sel_in, sel_out = sel_rows 0 0 nodes in
+            let r =
               { p_session = Labels.to_string (ambient_labels ());
                 p_at_ns = t1 - epoch_ns;
                 p_uid = p.pd_uid;
@@ -719,11 +754,14 @@ module Profile = struct
                   Float.max 0. (Gc.allocated_bytes () -. p.pd_alloc0);
                 p_cache = p.pd_cache;
                 p_strategy = p.pd_strategy;
-                p_sel_rows_in = Metrics.get c_sel_in - p.pd_sel_in0;
-                p_sel_rows_out = Metrics.get c_sel_out - p.pd_sel_out0;
+                p_sel_rows_in = sel_in;
+                p_sel_rows_out = sel_out;
                 p_compiled = List.rev p.pd_compiled;
                 p_fallbacks = List.rev p.pd_fallbacks;
-                p_nodes = List.rev p.pd_nodes })
+                p_nodes = nodes }
+            in
+            push_record r;
+            count r)
 
   let region ~kind ~uid ~rows_out f =
     enter ~kind ~uid;
@@ -744,15 +782,15 @@ module Profile = struct
 
   let note_strategy s = note (fun p -> p.pd_strategy <- s)
 
-  let note_compiled pred =
-    note (fun p -> p.pd_compiled <- pred :: p.pd_compiled)
-
-  let note_fallback ~pred ~reason =
-    note (fun p -> p.pd_fallbacks <- (pred, reason) :: p.pd_fallbacks)
-
-  let note_node ?(rows_in = -1) ?(rows_out = -1) ?(path = "") ?(detail = "")
-      ~kind ~label ~start_ns ~time_ns ~alloc_bytes () =
+  let note_node ?(rows_in = -1) ?(rows_out = -1) ?(path = "") ?compiled
+      ?fallback ~kind ~label ~start_ns ~time_ns ~alloc_bytes () =
     note (fun p ->
+        (match compiled with
+        | Some e -> p.pd_compiled <- e :: p.pd_compiled
+        | None -> ());
+        (match fallback with
+        | Some f -> p.pd_fallbacks <- f :: p.pd_fallbacks
+        | None -> ());
         p.pd_nodes <-
           { n_kind = kind;
             n_label = label;
@@ -762,7 +800,7 @@ module Profile = struct
             n_time_ns = time_ns;
             n_alloc_bytes = alloc_bytes;
             n_path = path;
-            n_detail = detail }
+            n_detail = "" }
           :: p.pd_nodes)
 
   let is_event r =

@@ -21,9 +21,12 @@
       ({!Slo}), evaluated against the live registry including every
       labeled per-session series.
 
-    Counters and histograms always count (sink or no sink) and are
-    {e thread- and domain-safe}: every cell is atomic, so the totals
-    of concurrent writers equal a single-writer run exactly, and the ring is mutex-protected. *)
+    Counters and histograms count sink or no sink, and are {e thread-
+    and domain-safe}: every cell is atomic, so concurrent totals equal
+    a single-writer run exactly, and the ring is mutex-protected. Those
+    that describe a materialization are read off its profile record
+    as it commits ({!Profile.commit}), so they move only while profile
+    collection is on. *)
 
 (** {1 Clock} *)
 
@@ -152,9 +155,9 @@ end
     different runs are comparable. Count, sum and max are exact;
     p50/p90/p99 are bucket estimates (linear interpolation inside the
     bucket holding the rank, never above the observed max). Like
-    counters, histograms always record — sink or no sink — and from
-    any thread or domain: a histogram is one record of atomic cells,
-    so concurrent totals are exact. *)
+    counters, histograms record sink or no sink, and from any thread
+    or domain: a histogram is one record of atomic cells, so
+    concurrent totals are exact. *)
 
 module Histogram : sig
   type h
@@ -171,6 +174,11 @@ module Histogram : sig
   (** Intern the labeled series [name ^ Labels.to_string labels],
       subject to the family cardinality cap (the overflow series past
       it). With {!Labels.empty} this is [histogram]. *)
+
+  val family : string -> string -> h
+  (** [family prefix kind] is the series [prefix ^ kind], interned once
+      per kind: keep [family prefix], and a lookup builds no name and
+      takes no lock. *)
 
   val record : h -> int -> unit
   (** Record one duration in nanoseconds (negative samples clamp
@@ -226,7 +234,8 @@ val h_materialize_full : string
 val h_incremental_derive : string
 
 val h_plan_node_prefix : string
-(** ["plan.node."] — the plan executor appends the node kind. *)
+(** ["plan.node."] and a node kind: one sample per node of a committed
+    record ({!Profile.commit}); the executor times [scan] itself. *)
 
 val h_sql_run : string
 
@@ -313,8 +322,7 @@ val k_gc_heap : string
     [Gc.allocated_bytes]), and {e path attribution} — which filter
     predicates ran as compiled selection vectors and which fell back
     to the row path (naming the non-total subtree), plus the rows in
-    and out of the selection vectors ([columnar.sel_rows_*] counter
-    deltas over the region). Session and engine events — ["op"],
+    and out of its own selection vectors. Session and engine events — ["op"],
     ["op-rejected"], ["undo"], ["redo"], ["cache-eviction"],
     ["sql-translation"] — commit node-less records into the same ring
     ({!Profile.event}), and so does every span while the sink is on
@@ -332,9 +340,7 @@ val k_gc_heap : string
 
     Collection is always on, bounded at 512 records with a drop
     counter. The region stack is {e single-writer}: only the session's
-    driving thread calls {!Profile.enter}/{!Profile.commit}/[note_*];
-    the counter deltas a region records are read at its
-    boundaries. *)
+    driving thread calls {!Profile.enter}/{!Profile.commit}/[note_*]. *)
 
 module Profile : sig
   type node = {
@@ -345,9 +351,8 @@ module Profile : sig
     n_start_ns : int;  (** relative to process start *)
     n_time_ns : int;
     n_alloc_bytes : float;
-    n_path : string;
-        (** ["columnar"] | ["row"] | ["fused"] | ["blocking"] | [""] *)
-    n_detail : string;
+    n_path : string;  (** ["columnar"] | ["row"] | ["batch"] | [""] *)
+    n_detail : string;  (** [""]: a v3 JSON field no writer fills *)
   }
 
   type t = {
@@ -372,7 +377,8 @@ module Profile : sig
     p_strategy : string;
         (** ["full-replay"] | ["incremental"] | [""] *)
     p_sel_rows_in : int;
-        (** [columnar.sel_rows_in] delta over the region *)
+        (** rows into its own columnar filter nodes — not a nested
+            region's of another uid *)
     p_sel_rows_out : int;
     p_compiled : string list;
         (** predicates that ran as compiled selection vectors *)
@@ -390,7 +396,11 @@ module Profile : sig
   val commit : rows_out:int -> unit
   (** Close the innermost region; a real (non-nested) region pushes
       its record into the ring. Callers pass [-1] on the exception
-      path. *)
+      path. The commit alone moves what the record accounts for: per
+      node the [plan.*] counters and a [plan.node.<kind>] sample; its
+      cache outcome's [materialize.cache_*]; its strategy's
+      [materialize.full_replays] (and, in an ["incremental"] record,
+      [incremental.full_fallbacks]) or [incremental.derivations]. *)
 
   val region : kind:string -> uid:int -> rows_out:('a -> int) ->
     (unit -> 'a) -> 'a
@@ -411,14 +421,13 @@ module Profile : sig
       is). *)
 
   val note_strategy : string -> unit
-  val note_compiled : string -> unit
-  val note_fallback : pred:string -> reason:string -> unit
 
   val note_node :
     ?rows_in:int ->
     ?rows_out:int ->
     ?path:string ->
-    ?detail:string ->
+    ?compiled:string ->
+    ?fallback:string * string ->
     kind:string ->
     label:string ->
     start_ns:int ->
@@ -426,9 +435,10 @@ module Profile : sig
     alloc_bytes:float ->
     unit ->
     unit
-  (** [start_ns] is the {!now_ns} reading the node started at. *)
+  (** [start_ns] is the {!now_ns} reading the node started at;
+      [compiled] (a predicate run as a selection vector) and [fallback]
+      (a predicate run on the row path, and why) land in the record. *)
 
-  val in_region : unit -> bool
   val open_regions : unit -> int
   (** Regions entered but not yet committed — 0 after any balanced
       workload (the doctor gate fails otherwise). *)
@@ -438,8 +448,8 @@ module Profile : sig
   val enabled : unit -> bool
   val set_enabled : bool -> unit
   (** Switch collection off entirely ([enter] pushes an inert slot,
-      [event] records nothing). Default on; the overhead bench
-      measures the difference. *)
+      [event] records nothing, and what {!commit} counts stands
+      still). Default on; nothing in production turns it off. *)
 
   val set_capacity : int -> unit
   (** Ring capacity (default 512, clamped to >= 1). *)

@@ -72,10 +72,11 @@ let typed_column schema (b : Relation.batch) name =
 
 let typed_arg r name = typed_column (Relation.schema r) (Relation.batch r) name
 
-(* Why an expression over [b] cannot run on typed columns: a column it
+(* Why an expression over [r] cannot run on typed columns: a column it
    reads has none, or [blocker] (the subtree the compiler refused) is
    not total. *)
-let fallback_reason schema (b : Relation.batch) e ~blocker =
+let fallback_reason (r : Relation.t) e ~blocker =
+  let schema = Relation.schema r and b = Relation.batch r in
   let untyped name =
     match Schema.find schema name with
     | None -> None
@@ -91,23 +92,6 @@ let fallback_reason schema (b : Relation.batch) e ~blocker =
   match List.find_map untyped (Expr.columns e) with
   | Some reason -> reason
   | None -> "non-total subtree " ^ Expr.to_string blocker
-
-(* The Col_pred filter for [p] over [b]'s typed columns — base
-   columns of its image, computed columns — or [None] (the caller
-   takes the row path). Inside a profile region the predicate is
-   attributed to the path it will really take, with the reason for a
-   fallback. *)
-let compile_columnar schema (b : Relation.batch) p =
-  match Col_pred.compile ~column:(typed_column schema b) p with
-  | Ok f ->
-      if Obs.Profile.in_region () then
-        Obs.Profile.note_compiled (Expr.to_string p);
-      Some f
-  | Error blocker ->
-      if Obs.Profile.in_region () then
-        Obs.Profile.note_fallback ~pred:(Expr.to_string p)
-          ~reason:(fallback_reason schema b p ~blocker);
-      None
 
 (* Run a compiled selection-vector filter [f] over [b]'s vector in one
    pass. The filter works in place, and [b]'s vector may be shared (a
@@ -136,14 +120,18 @@ let filter_rows schema (b : Relation.batch) pred =
   done;
   if !k = n then b else { b with sel = Array.sub buf 0 !k }
 
+(* The Col_pred filter runs over [b]'s typed columns — base columns
+   of its image, computed columns — when the predicate compiles;
+   otherwise the row path runs, and the path names the subtree the
+   compiler refused. *)
 let select_path pred (r : Relation.t) =
   let schema = Relation.schema r in
   check_selection schema pred;
   let b = Relation.batch r in
   let b, path =
-    match compile_columnar schema b pred with
-    | Some f -> (run_compiled b f, `Columnar)
-    | None -> (filter_rows schema b pred, `Row)
+    match Col_pred.compile ~column:(typed_column schema b) pred with
+    | Ok f -> (run_compiled b f, `Columnar)
+    | Error blocker -> (filter_rows schema b pred, `Row blocker)
   in
   (Relation.of_batch schema b, path)
 
@@ -175,13 +163,10 @@ let extend_path (column : Schema.column) e (r : Relation.t) =
     match Col_expr.compile ~column:typed e with
     | Ok kernel -> (Col_expr.eval kernel ~size sel, `Columnar)
     | Error blocker ->
-        if Obs.Profile.in_region () then
-          Obs.Profile.note_fallback ~pred:(Expr.to_string e)
-            ~reason:(fallback_reason rschema b e ~blocker);
         let value = compile_batch rschema b e in
         let cells = Array.make size Value.Null in
         Array.iter (fun id -> Array.unsafe_set cells id (value id)) sel;
-        ({ Column.repr = Column.Boxed cells; validity = None }, `Row)
+        ({ Column.repr = Column.Boxed cells; validity = None }, `Row blocker)
   in
   ( Relation.of_batch schema
       { b with cols = Array.append b.cols [| Relation.Computed col |] },

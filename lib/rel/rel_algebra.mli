@@ -29,8 +29,14 @@ val select : Expr.t -> Relation.t -> Relation.t
     @raise Algebra_error on an ill-typed predicate, before reading a
     row. *)
 
-val select_path : Expr.t -> Relation.t -> Relation.t * [ `Columnar | `Row ]
-(** {!select}, also telling which of the two paths ran. *)
+val select_path :
+  Expr.t -> Relation.t -> Relation.t * [ `Columnar | `Row of Expr.t ]
+(** {!select}, also telling which of the two paths ran; the row path
+    carries the subtree the columnar compiler refused. *)
+
+val fallback_reason : Relation.t -> Expr.t -> blocker:Expr.t -> string
+(** Why the expression ran on the row path over the relation, given
+    the subtree its path carries: an untyped column, or the subtree. *)
 
 val compile : Relation.t -> Expr.t -> int -> Value.t
 (** {!Expr_eval.compile_with} over the relation's batch: the closure
@@ -61,9 +67,10 @@ val extend : Schema.column -> Expr.t -> Relation.t -> Relation.t
     expression fails. *)
 
 val extend_path :
-  Schema.column -> Expr.t -> Relation.t -> Relation.t * [ `Columnar | `Row ]
-(** {!extend}, also telling which of the two paths ran. Inside a
-    profile region a fallback notes its reason. *)
+  Schema.column -> Expr.t -> Relation.t ->
+  Relation.t * [ `Columnar | `Row of Expr.t ]
+(** {!extend}, also telling which of the two paths ran; the row path
+    carries the subtree the typed kernel refused. *)
 
 val product : Relation.t -> Relation.t -> Relation.t
 (** [×_r]: clashing right-hand column names get a numeric suffix (see

@@ -1,9 +1,11 @@
-(* A connection: its [Server] state, the unanswered bytes it sent, and
-   the one response line not yet written ([out] from [off] on). *)
+(* A connection: its [Server] state, the unanswered bytes it sent
+   ([inbuf] from [pos] on), and the one response line not yet written
+   ([out] from [off] on). *)
 type conn = {
   fd : Unix.file_descr;
   session : Server.conn;
-  inbuf : Buffer.t;
+  mutable inbuf : string;
+  mutable pos : int;
   mutable out : string;
   mutable off : int;
   mutable closing : bool;  (* close once no whole line is left *)
@@ -56,24 +58,24 @@ let answer l c line =
   | exception e -> (refusal ~busy:false (Printexc.to_string e), false)
 
 (* Answer whole lines while each answer is written at once; a line
-   whose answer the socket does not take now waits for [select]. *)
+   whose answer the socket does not take now waits for [select]. Lines
+   are scanned from [pos]: answering one copies nothing else. *)
 let rec serve_lines l c =
   if c.out = "" then begin
-    let s = Buffer.contents c.inbuf in
-    match String.index_opt s '\n' with
-    | Some i when i <= max_line_bytes ->
-        Buffer.clear c.inbuf;
-        Buffer.add_substring c.inbuf s (i + 1) (String.length s - i - 1);
-        let resp, quit = answer l c (String.sub s 0 i) in
+    let s = c.inbuf and pos = c.pos in
+    match String.index_from_opt s pos '\n' with
+    | Some i when i - pos <= max_line_bytes ->
+        c.pos <- i + 1;
+        let resp, quit = answer l c (String.sub s pos (i - pos)) in
         (* [quit] ends the connection: what follows it is dropped *)
-        if quit then Buffer.clear c.inbuf;
+        if quit then c.pos <- String.length s;
         c.closing <- c.closing || quit;
         c.out <- resp ^ "\n";
         flush l c
-    | None when String.length s <= max_line_bytes ->
+    | None when String.length s - pos <= max_line_bytes ->
         if c.closing then close_conn l c
     | _ ->
-        Buffer.clear c.inbuf;
+        c.pos <- String.length s;
         c.closing <- true;
         c.out <- refusal ~busy:false "request line exceeds 1 MiB" ^ "\n";
         flush l c
@@ -91,15 +93,20 @@ and flush l c =
   | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
   | exception Unix.Unix_error _ -> close_conn l c
 
-(* At end of input a last line without its newline is still answered. *)
+(* A read keeps the unread tail once, then what it brought in. At end
+   of input a last line without its newline is still answered. *)
 let read l chunk c =
+  let append s =
+    c.inbuf <- String.sub c.inbuf c.pos (String.length c.inbuf - c.pos) ^ s;
+    c.pos <- 0
+  in
   match Unix.read c.fd chunk 0 (Bytes.length chunk) with
   | 0 ->
-      if Buffer.length c.inbuf > 0 then Buffer.add_char c.inbuf '\n';
+      if c.pos < String.length c.inbuf then append "\n";
       c.closing <- true;
       serve_lines l c
   | n ->
-      Buffer.add_subbytes c.inbuf chunk 0 n;
+      append (Bytes.sub_string chunk 0 n);
       serve_lines l c
   | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
   | exception Unix.Unix_error _ -> close_conn l c
@@ -115,7 +122,7 @@ let accept l =
       end
       else
         Hashtbl.replace l.conns fd
-          { fd; session = Server.connect l.server; inbuf = Buffer.create 256;
+          { fd; session = Server.connect l.server; inbuf = ""; pos = 0;
             out = ""; off = 0; closing = false }
   | exception Unix.Unix_error _ -> ()
 

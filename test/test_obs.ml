@@ -8,8 +8,10 @@
    - the same with the Memory sink on, plus: overlapping records in
      the ring (spans included) nest — also when materialization
      raises — and two threads' interleaved spans are caught;
-   - the production executor writes the plan telemetry: one
-     [plan.nodes_executed] per profile node;
+   - the plan telemetry is read off the committed record: one
+     [plan.nodes_executed] per profile node, a fixed script's cache,
+     strategy and node accounting pinned exactly, and a record's
+     selection totals its own columnar filters';
    - counters are monotone across work; gauges are not counters;
    - the Chrome trace export is drawn from the ring (a node's event
      inside its record's), parses back through Obs_json and
@@ -196,8 +198,8 @@ let failed_derivation_closes_spans () =
     (Obs.Profile.well_nested (Obs.Profile.records ()));
   Alcotest.(check int) "no open region" 0 (Obs.Profile.open_regions ())
 
-(* The production executor bumps the plan counters once per executed
-   unit — exactly the nodes its profile record lists. *)
+(* The plan counters move once per executed unit — exactly the nodes
+   the committed profile record lists. *)
 let executor_counts_plan_nodes () =
   let sheet = Spreadsheet.of_relation ~name:"cars" Sample_cars.relation in
   let apply sheet op =
@@ -236,6 +238,112 @@ let executor_counts_plan_nodes () =
         (v Obs.k_plan_rows_out - out0);
       Alcotest.(check int) "record rows" (Relation.cardinality rel)
         r.Obs.Profile.p_rows_out
+
+(* ---------- the accounting of one fixed script ---------- *)
+
+let parse = Expr_parse.parse_string_exn
+
+let step session op =
+  match Session.apply session op with
+  | Ok s -> s
+  | Error _ -> Alcotest.fail ("op refused: " ^ Op.describe op)
+
+(* The derived counters and the plan.node.<kind> sample counts that a
+   fixed cars script moves, pinned exactly: a selection derived over a
+   missed base (a miss, a full replay, a seed, a derivation), a
+   formula derived over the cached selection, a rename that falls back
+   to a full replay, an exact hit and a subsumed hit. *)
+let pinned_counters =
+  [ Obs.k_cache_requests; Obs.k_cache_hits; Obs.k_cache_hits_subsumed;
+    Obs.k_cache_misses; Obs.k_cache_seeds; Obs.k_full_replays;
+    Obs.k_incremental_derivations; Obs.k_incremental_fallbacks;
+    Obs.k_plan_nodes; Obs.k_plan_rows_in; Obs.k_plan_rows_out ]
+
+let pinned_kinds =
+  [ "scan"; "project"; "filter"; "distinct"; "extend"; "extend-agg"; "sort" ]
+
+let pinned_accounting () =
+  Materialize.reset_cache ();
+  let read () =
+    List.map Obs.Metrics.value_of pinned_counters
+    @ List.map
+        (fun kind ->
+          Obs.Histogram.count
+            (Obs.Histogram.histogram (Obs.h_plan_node_prefix ^ kind)))
+        pinned_kinds
+  in
+  let before = read () in
+  let session = Session.create ~name:"cars" Sample_cars.relation in
+  let session = step session (Op.Select (parse "Price > 5000")) in
+  let session =
+    step session (Op.Formula { name = Some "p2"; expr = parse "Price * 2" })
+  in
+  let session =
+    step session (Op.Rename { old_name = "Year"; new_name = "Built" })
+  in
+  let sheet = Session.current session in
+  ignore (Materialize.full_cached sheet);
+  (match Engine.apply sheet (Op.Select (parse "Mileage < 50000")) with
+  | Ok narrower -> ignore (Materialize.full_cached narrower)
+  | Error _ -> Alcotest.fail "narrowing selection refused");
+  let s = Materialize.cache_stats () in
+  Alcotest.(check (list int)) "cache_stats: requests hits subsumed misses seeds"
+    [ 4; 2; 1; 1; 3 ]
+    [ s.Materialize.requests; s.hits; s.subsumed_hits; s.misses; s.seeds ];
+  Alcotest.(check (list (pair string int)))
+    "counter deltas, then plan.node.<kind> samples"
+    (List.combine
+       (pinned_counters
+       @ List.map (fun k -> Obs.h_plan_node_prefix ^ k) pinned_kinds)
+       [ 4; 2; 1; 1; 3; 2; 2; 1; 6; 54; 49;
+         4; 0; 4; 0; 2; 0; 0 ])
+    (List.combine
+       (pinned_counters
+       @ List.map (fun k -> Obs.h_plan_node_prefix ^ k) pinned_kinds)
+       (List.map2 ( - ) (read ()) before));
+  Materialize.reset_cache ()
+
+(* A record's selection totals are its own columnar filter nodes'
+   rows. The formula step below re-materializes its evicted parent
+   inside its own region: the parent's filter belongs to the parent's
+   record alone, and the formula step's record filters nothing. *)
+let selection_totals_own_nodes () =
+  P.clear ();
+  let session = Session.create ~name:"cars" Sample_cars.relation in
+  let session = step session (Op.Select (parse "Price > 5000")) in
+  Materialize.reset_cache ();
+  let session =
+    step session (Op.Formula { name = Some "p2"; expr = parse "Price * 2" })
+  in
+  let uid = (Session.current session).Spreadsheet.uid in
+  let records = List.filter (fun r -> not (P.is_event r)) (P.records ()) in
+  (match
+     List.find_opt
+       (fun r -> r.P.p_kind = "incremental" && r.P.p_uid = uid)
+       records
+   with
+  | Some r ->
+      Alcotest.(check (pair int int)) "formula step: sel 0 -> 0" (0, 0)
+        (r.P.p_sel_rows_in, r.P.p_sel_rows_out);
+      Alcotest.(check (list string)) "formula step: nothing compiled" []
+        r.P.p_compiled
+  | None -> Alcotest.fail "no incremental record for the formula step");
+  List.iter
+    (fun r ->
+      let own f =
+        List.fold_left
+          (fun acc (n : P.node) ->
+            if n.n_kind = "filter" && n.n_path = "columnar" then acc + f n
+            else acc)
+          0 r.P.p_nodes
+      in
+      Alcotest.(check (pair int int))
+        (Printf.sprintf "#%d %s: sel = own columnar filters" r.P.p_uid
+           r.P.p_kind)
+        (own (fun n -> n.n_rows_in), own (fun n -> n.n_rows_out))
+        (r.P.p_sel_rows_in, r.P.p_sel_rows_out))
+    records;
+  Materialize.reset_cache ()
 
 (* ---------- counters ---------- *)
 
@@ -1115,10 +1223,14 @@ let profile_region_basic () =
   (* a same-uid re-entry (full under a full_cached miss) nests *)
   P.enter ~kind:"materialize" ~uid:42;
   P.note_strategy "full-replay";
-  P.note_compiled "Price > 3";
-  P.note_fallback ~pred:"f(Price)" ~reason:"non-total subtree f(Price)";
-  P.note_node ~rows_in:10 ~rows_out:5 ~kind:"stratum" ~label:"stratum 0"
-    ~start_ns:(Obs.now_ns ()) ~time_ns:1_000 ~alloc_bytes:64. ();
+  (* a node's path attribution lands on the record *)
+  P.note_node ~rows_in:10 ~rows_out:5 ~path:"columnar" ~compiled:"Price > 3"
+    ~kind:"filter" ~label:"Filter Price > 3" ~start_ns:(Obs.now_ns ())
+    ~time_ns:1_000 ~alloc_bytes:64. ();
+  P.note_node ~rows_in:5 ~rows_out:5 ~path:"row"
+    ~fallback:("f(Price)", "non-total subtree f(Price)")
+    ~kind:"extend" ~label:"Extend g = f(Price)" ~start_ns:(Obs.now_ns ())
+    ~time_ns:1_000 ~alloc_bytes:64. ();
   P.commit ~rows_out:5;
   Alcotest.(check int) "nested commit records nothing" 0 (P.length ());
   Alcotest.(check int) "outer region still open" 1 (P.open_regions ());
@@ -1138,12 +1250,17 @@ let profile_region_basic () =
         "fallbacks"
         [ ("f(Price)", "non-total subtree f(Price)") ]
         r.P.p_fallbacks;
+      Alcotest.(check (pair int int))
+        "sel totals: the columnar filter node's rows" (10, 5)
+        (r.P.p_sel_rows_in, r.P.p_sel_rows_out);
       (match r.P.p_nodes with
-      | [ n ] ->
-          Alcotest.(check string) "node label" "stratum 0" n.P.n_label;
-          Alcotest.(check int) "node rows out" 5 n.P.n_rows_out
+      | [ f; e ] ->
+          Alcotest.(check (list string)) "node labels, in order"
+            [ "Filter Price > 3"; "Extend g = f(Price)" ]
+            [ f.P.n_label; e.P.n_label ];
+          Alcotest.(check int) "node rows out" 5 f.P.n_rows_out
       | ns ->
-          Alcotest.failf "expected 1 node, got %d" (List.length ns))
+          Alcotest.failf "expected 2 nodes, got %d" (List.length ns))
   | rs -> Alcotest.failf "expected 1 record, got %d" (List.length rs)
 
 let profile_ring_bounded () =
@@ -1191,14 +1308,31 @@ let profile_json_round_trip () =
   P.reset_stack_for_tests ();
   P.enter ~kind:"materialize" ~uid:1;
   P.note_cache "subsumed";
-  P.note_node ~rows_in:100 ~rows_out:7 ~path:"columnar" ~kind:"filter"
-    ~label:"Price < 9000" ~start_ns:(Obs.now_ns ()) ~time_ns:123
-    ~alloc_bytes:1024.5 ();
+  P.note_node ~rows_in:100 ~rows_out:7 ~path:"columnar"
+    ~compiled:"Price < 9000" ~kind:"filter" ~label:"Filter Price < 9000"
+    ~start_ns:(Obs.now_ns ()) ~time_ns:123 ~alloc_bytes:1024.5 ();
   P.commit ~rows_out:7;
   P.event ~uid:2 ~kind:"op" "Select Price < 9000";
   P.enter ~kind:"plan" ~uid:2;
-  P.note_fallback ~pred:"a / b = 1" ~reason:"non-total subtree a / b";
+  P.note_node ~rows_in:7 ~rows_out:0 ~path:"row"
+    ~fallback:("a / b = 1", "non-total subtree a / b") ~kind:"filter"
+    ~label:"Filter a / b = 1" ~start_ns:(Obs.now_ns ()) ~time_ns:5
+    ~alloc_bytes:0. ();
   P.commit ~rows_out:(-1);
+  (* the attribution the nodes carried is in the export *)
+  let attribution r =
+    (J.member "compiled" r, J.member "fallbacks" r)
+  in
+  Alcotest.(check bool) "compiled and (pred, reason) pairs exported" true
+    (List.map attribution (List.map P.record_to_json (P.records ()))
+    = [ (Some (J.List [ J.String "Price < 9000" ]), Some (J.List []));
+        (Some (J.List []), Some (J.List []));
+        ( Some (J.List []),
+          Some
+            (J.List
+               [ J.Obj
+                   [ ("pred", J.String "a / b = 1");
+                     ("reason", J.String "non-total subtree a / b") ] ]) ) ]);
   (* the export parses back through the bundled parser to the value
      it printed, one entry per record, each the record's own JSON *)
   let text = J.to_string (P.to_json ()) in
@@ -1425,7 +1559,11 @@ let () =
          Alcotest.test_case "failed derivation closes its spans" `Quick
            failed_derivation_closes_spans;
          Alcotest.test_case "executor counts its plan nodes" `Quick
-           executor_counts_plan_nodes ]);
+           executor_counts_plan_nodes;
+         Alcotest.test_case "a fixed script's accounting, pinned" `Quick
+           pinned_accounting;
+         Alcotest.test_case "selection totals are the record's own" `Quick
+           selection_totals_own_nodes ]);
       ("metrics",
        [ prop counters_monotone;
          Alcotest.test_case "snapshot carries well-known names" `Quick

@@ -487,6 +487,72 @@ let test_oversized_line () =
   Alcotest.(check bool) "another client still gets pong" true
     (Net.Client.call c Protocol.Ping = Ok Protocol.Pong)
 
+(* Requests pipelined in one write — more than one read of the
+   server's takes — get one answer each, in order; a line over 1 MiB
+   after them is still refused. The writer is a thread of its own, so
+   neither side waits on the other's full socket buffer. *)
+let test_pipelined () =
+  with_listener cars_lookup "pipelined" @@ fun path ->
+  let fd, inch = raw_connect ~timeout:10. path in
+  Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+  let selects = 200 and pings = 8_000 in
+  let buf = Buffer.create (1 lsl 21) in
+  let add req = Buffer.add_string buf (Protocol.encode_request req ^ "\n") in
+  add (Protocol.Hello "pipeliner");
+  add (Protocol.Open "cars");
+  for k = 1 to selects do
+    add (Protocol.Line (Printf.sprintf "select Mileage <> %d" k));
+    add Protocol.Status
+  done;
+  for _ = 1 to pings do
+    add Protocol.Ping
+  done;
+  Buffer.add_string buf (String.make ((1 lsl 20) + 1) 'x' ^ "\n");
+  let bytes = Buffer.to_bytes buf in
+  let writer =
+    Thread.create
+      (fun () ->
+        let rec go off =
+          if off < Bytes.length bytes then
+            go (off + Unix.write fd bytes off (Bytes.length bytes - off))
+        in
+        (* the server may close before the long line is all sent *)
+        try go 0 with Unix.Unix_error _ -> ())
+      ()
+  in
+  Fun.protect ~finally:(fun () -> Thread.join writer) @@ fun () ->
+  expect_welcome (read_response "hello" inch);
+  (match read_response "open" inch with
+  | Protocol.Opened _ -> ()
+  | r -> Alcotest.failf "open answered %s" (Protocol.encode_response r));
+  let ops0 = ref 0 and uid0 = ref 0 in
+  for k = 1 to selects do
+    (match read_response "select" inch with
+    | Protocol.Applied { uid; _ } ->
+        if k > 1 && uid <= !uid0 then
+          Alcotest.failf "select %d answered uid %d after %d" k uid !uid0;
+        uid0 := uid
+    | r ->
+        Alcotest.failf "select %d answered %s" k (Protocol.encode_response r));
+    match read_response "status" inch with
+    | Protocol.Stats { ops; _ } ->
+        if k = 1 then ops0 := ops - 1
+        else
+          Alcotest.(check int)
+            (Printf.sprintf "status after select %d" k)
+            (!ops0 + k) ops
+    | r -> Alcotest.failf "status %d answered %s" k (Protocol.encode_response r)
+  done;
+  for i = 1 to pings do
+    match read_response "ping" inch with
+    | Protocol.Pong -> ()
+    | r -> Alcotest.failf "ping %d answered %s" i (Protocol.encode_response r)
+  done;
+  match read_response "oversized line" inch with
+  | Protocol.Refused { busy = false; _ } -> ()
+  | r ->
+      Alcotest.failf "oversized line answered %s" (Protocol.encode_response r)
+
 (* a request that raises inside the server is answered with a
    refusal, and the connection keeps serving *)
 let test_raising_request () =
@@ -857,6 +923,8 @@ let () =
             `Quick test_subsumed_from_another_session;
           Alcotest.test_case "oversized request line (socket)" `Quick
             test_oversized_line;
+          Alcotest.test_case "pipelined requests answered in order (socket)"
+            `Quick test_pipelined;
           Alcotest.test_case "a raising request is refused (socket)" `Quick
             test_raising_request;
           Alcotest.test_case "a client that never reads stalls only itself"

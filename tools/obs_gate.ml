@@ -5,7 +5,8 @@
    result that disagrees with the task's SQL result (an oracle
    independent of the plan executor), an EXPLAIN ANALYZE that is not
    the profile record of its own run, per-task labeled series that do
-   not add up, cache outcomes the profile ring does not account for,
+   not add up, cache outcomes, plan nodes, full replays or
+   derivations that the profile ring does not account for,
    a JSON export that does not parse back, or an incremental session
    whose rows or order differ from a full replay. Run via
    [dune build @obs], next to [@lint]. *)
@@ -122,6 +123,38 @@ let run_task catalog (task : Sheet_tpch.Tpch_tasks.t) =
                (v Obs.k_cache_requests) (v Obs.k_cache_hits) (noted "exact")
                (v Obs.k_cache_hits_subsumed) (noted "subsumed")
                (v Obs.k_cache_misses) (noted "miss"));
+          (* the rest of what a materialization record says is counted
+             off it too: its nodes, and its kind and strategy *)
+          let materializations =
+            List.filter (fun r -> not (Obs.Profile.is_event r)) ring
+          in
+          let records keep = List.length (List.filter keep materializations) in
+          let nodes =
+            List.fold_left
+              (fun n r -> n + List.length r.Obs.Profile.p_nodes)
+              0 materializations
+          in
+          check (label "node accounting")
+            (v Obs.k_plan_nodes = nodes)
+            (Printf.sprintf "%s %d, nodes over the ring's records %d"
+               Obs.k_plan_nodes (v Obs.k_plan_nodes) nodes);
+          let replays =
+            records (fun r -> r.Obs.Profile.p_strategy = "full-replay")
+          and incremental strategy =
+            records (fun r ->
+                r.Obs.Profile.p_kind = "incremental"
+                && r.Obs.Profile.p_strategy = strategy)
+          in
+          check (label "strategy accounting")
+            (v Obs.k_full_replays = replays
+            && v Obs.k_incremental_derivations = incremental "incremental"
+            && v Obs.k_incremental_fallbacks = incremental "full-replay")
+            (Printf.sprintf
+               "full replays %d (ring %d), derivations %d (ring %d), \
+                fallbacks %d (ring %d)"
+               (v Obs.k_full_replays) replays
+               (v Obs.k_incremental_derivations) (incremental "incremental")
+               (v Obs.k_incremental_fallbacks) (incremental "full-replay"));
           (* columnar selection accounting: a selection vector can
              only shrink, so survivors never exceed candidates *)
           check (label "columnar sel")
