@@ -74,11 +74,26 @@ let set_sink s = current_sink := s
    "{__overflow__}" series, so a hostile or buggy labeler can create
    at most cap + 1 entries per family. *)
 
-module Labels = struct
-  type t = (string * string) list  (* sorted by key, deduped *)
+(* A latency histogram (see [Histogram]). Declared before the label
+   sets, so that a label set can keep the labeled series it has named. *)
+type hist = {
+  h_name : string;
+  h_counts : int Atomic.t array;
+  h_count : int Atomic.t;
+  h_sum : int Atomic.t;
+  h_max : int Atomic.t;
+}
 
-  let empty = []
-  let is_empty l = l = []
+module Labels = struct
+  type t = {
+    suffix : string;  (* "{k=v,...}", keys sorted and deduped *)
+    mutable series : (string * hist) list;
+        (* the labeled histograms resolved for this set, by base name:
+           a set resolves each series once *)
+  }
+
+  let empty = { suffix = ""; series = [] }
+  let is_empty l = l.suffix = ""
 
   (* keys/values are embedded in series names: strip the four
      characters that would make the encoding ambiguous *)
@@ -86,20 +101,24 @@ module Labels = struct
     String.map (function '{' | '}' | ',' | '=' -> '_' | c -> c) s
 
   let v pairs =
-    List.fold_left
-      (fun acc (k, value) ->
-        let k = sanitize k and value = sanitize value in
-        (k, value) :: List.remove_assoc k acc)
-      [] pairs
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+    let suffix =
+      match
+        List.fold_left
+          (fun acc (k, value) ->
+            let k = sanitize k and value = sanitize value in
+            (k, value) :: List.remove_assoc k acc)
+          [] pairs
+        |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+      with
+      | [] -> ""
+      | ls ->
+          "{"
+          ^ String.concat "," (List.map (fun (k, value) -> k ^ "=" ^ value) ls)
+          ^ "}"
+    in
+    { suffix; series = [] }
 
-  let to_string = function
-    | [] -> ""
-    | ls ->
-        "{"
-        ^ String.concat ","
-            (List.map (fun (k, value) -> k ^ "=" ^ value) ls)
-        ^ "}"
+  let to_string l = l.suffix
 end
 
 let overflow_suffix = "{__overflow__}"
@@ -236,13 +255,7 @@ module Histogram = struct
 
   let num_buckets = Array.length boundaries + 1
 
-  type h = {
-    h_name : string;
-    h_counts : int Atomic.t array;
-    h_count : int Atomic.t;
-    h_sum : int Atomic.t;
-    h_max : int Atomic.t;
-  }
+  type h = hist
 
   let make name =
     { h_name = name;
@@ -256,10 +269,17 @@ module Histogram = struct
   let histogram name =
     with_lock reg_mutex (fun () -> find_locked registry make name)
 
-  let histogram_labeled name labels =
-    with_lock reg_mutex (fun () ->
-        find_locked registry make
-          (labeled_key ~mem:(Hashtbl.mem registry) name labels))
+  let histogram_labeled name (labels : Labels.t) =
+    match List.assoc_opt name labels.series with
+    | Some h -> h
+    | None ->
+        let h =
+          with_lock reg_mutex (fun () ->
+              find_locked registry make
+                (labeled_key ~mem:(Hashtbl.mem registry) name labels))
+        in
+        labels.series <- (name, h) :: labels.series;
+        h
 
   (* The series [prefix ^ kind], interned once per kind: a lookup in
      a short list that grows by compare-and-set, so a hot path names

@@ -173,7 +173,9 @@ module Histogram : sig
   val histogram_labeled : string -> Labels.t -> h
   (** Intern the labeled series [name ^ Labels.to_string labels],
       subject to the family cardinality cap (the overflow series past
-      it). With {!Labels.empty} this is [histogram]. *)
+      it). With {!Labels.empty} this is [histogram]. A label set
+      resolves each series once: a later call with the same set builds
+      no name and takes no lock. *)
 
   val family : string -> string -> h
   (** [family prefix kind] is the series [prefix ^ kind], interned once

@@ -303,7 +303,7 @@ let rec instantiate cap (e : t) : buf =
                 incr m
               end
             done;
-            let kept = if !m = 0 then 0 else f candidates !m in
+            let kept = if !m = 0 then 0 else f candidates !m candidates in
             if kept > 0 then begin
               x.run ids off len;
               let s = ref 0 in

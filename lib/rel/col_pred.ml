@@ -1,14 +1,21 @@
 (* Compile predicates to selection-vector filters over typed columns.
 
-   A compiled filter [f sel k] takes the first [k] entries of [sel]
-   (distinct row indices in any order — a sorted batch's selection
-   vector is not ascending), keeps the surviving indices in place, in
-   their order, and returns the new count. Compilation is deliberately PARTIAL: only
-   subtrees whose row evaluation is total (cannot raise) are
-   compiled, so the columnar path can never diverge from the row
-   path on error identity — anything else returns [None] and the
-   caller falls back to [Expr_eval]. The compiled leaves replicate
-   [Expr_eval]'s two-valued NULL semantics exactly:
+   A compiled filter [f src k dst] reads the candidates [src.(0)] ..
+   [src.(k - 1)] (distinct row indices in any order — a sorted batch's
+   selection vector is not ascending), writes the survivors to [dst]
+   from index 0, in their order, and returns their count. It writes
+   nothing else: [src] is never written unless it is [dst] itself,
+   and survivors never overtake the candidate being read, so a filter
+   may run in place. A caller runs the first filter of a chain from a
+   (possibly shared) vector into another, and every later one in
+   place on that.
+
+   Compilation is deliberately PARTIAL: only subtrees whose row
+   evaluation is total (cannot raise) are compiled, so the columnar
+   path can never diverge from the row path on error identity —
+   anything else returns [Error] and the caller falls back to
+   [Expr_eval]. The compiled leaves replicate [Expr_eval]'s two-valued
+   NULL semantics exactly:
 
    - [Cmp] goes through [Value.sql_compare]: NULL or incomparable
      types compare to false. Numeric cross-type comparisons use
@@ -23,49 +30,105 @@
      (on any other typed column the row path raises for non-null
      values, so those stay on the row path).
 
-   String predicates evaluate once per DICTIONARY ENTRY into a
-   per-code keep table, then test one array load per row. *)
+   Every leaf is one loop over the candidates with its test written
+   out, a validity bitmap tested in the same loop: no closure is
+   called per row. An int or date column compared with a constant is
+   an inclusive range of ints, and a float column's is a range of
+   floats in [Float.compare] order (NaN below every number), so the
+   ranges a conjunction puts on one column intersect into one loop —
+   a band ([a >= lo AND a < hi], [BETWEEN]) is one pass. String
+   predicates evaluate once per DICTIONARY ENTRY into a per-code keep
+   table, then test one array load per row. *)
 
-type filter = int array -> int -> int
+type filter = int array -> int -> int array -> int
 
-let keep_none : filter = fun _ _ -> 0
-let keep_all : filter = fun _ k -> k
+let keep_none : filter = fun _ _ _ -> 0
 
-let keep_if (test : int -> bool) : filter =
- fun sel k ->
+let keep_all : filter =
+ fun src k dst ->
+  if src != dst then
+    for i = 0 to k - 1 do
+      Array.unsafe_set dst i (Array.unsafe_get src i)
+    done;
+  k
+
+let[@inline] valid validity id =
+  match validity with
+  | None -> true
+  | Some b ->
+      Char.code (Bytes.unsafe_get b (id lsr 3)) land (1 lsl (id land 7)) <> 0
+
+(* ---------- the leaf loops ---------- *)
+
+(* [lo <= x <= hi] (or its complement, [inside] false), as one
+   unsigned comparison: [x - lo] wraps into [0, hi - lo] exactly for
+   the [x] in range, and flipping the sign bit turns the unsigned
+   order into the signed one. Needs [lo <= hi]. *)
+let int_range (a : int array) validity ~lo ~hi ~inside : filter =
+  let width = (hi - lo) lxor min_int in
+  fun src k dst ->
+    let out = ref 0 in
+    for i = 0 to k - 1 do
+      let id = Array.unsafe_get src i in
+      if
+        valid validity id
+        && ((Array.unsafe_get a id - lo) lxor min_int <= width) = inside
+      then begin
+        Array.unsafe_set dst !out id;
+        incr out
+      end
+    done;
+    !out
+
+(* [lo <= x <= hi], or [x] NaN when [nan] (or the complement of that,
+   [inside] false); [-0.] and [0.] are one value, as in
+   [Float.compare]. *)
+let float_range (a : float array) validity ~lo ~hi ~nan ~inside : filter =
+ fun src k dst ->
   let out = ref 0 in
   for i = 0 to k - 1 do
-    let idx = Array.unsafe_get sel i in
-    if test idx then begin
-      Array.unsafe_set sel !out idx;
+    let id = Array.unsafe_get src i in
+    if valid validity id then begin
+      let x = Array.unsafe_get a id in
+      if ((x >= lo && x <= hi) || (nan && Float.is_nan x)) = inside then begin
+        Array.unsafe_set dst !out id;
+        incr out
+      end
+    end
+  done;
+  !out
+
+(* [keep.(code)] of each row's dictionary code. *)
+let code_table (codes : int array) validity (keep : bool array) : filter =
+ fun src k dst ->
+  let out = ref 0 in
+  for i = 0 to k - 1 do
+    let id = Array.unsafe_get src i in
+    if
+      valid validity id
+      && Array.unsafe_get keep (Array.unsafe_get codes id)
+    then begin
+      Array.unsafe_set dst !out id;
       incr out
     end
   done;
   !out
 
-(* Guard a test with a column's validity bitmap (NULL fails every
-   compiled leaf except IS NULL). *)
-let masked (validity : Bytes.t option) test =
-  match validity with
-  | None -> test
-  | Some b -> fun i -> Column.valid_bit b i && test i
+(* ---------- the comparisons, and the rarer leaves ---------- *)
 
-let masked2 va vb test =
-  match (va, vb) with
-  | None, None -> test
-  | Some a, None -> fun i -> Column.valid_bit a i && test i
-  | None, Some b -> fun i -> Column.valid_bit b i && test i
-  | Some a, Some b ->
-      fun i -> Column.valid_bit a i && Column.valid_bit b i && test i
+type cmp_sign = { lt : bool; eq : bool; gt : bool }
 
-let cmp_test (op : Expr.cmp) : int -> bool =
+(* Which outcomes of a comparison [op] accepts. *)
+let accepts (op : Expr.cmp) =
   match op with
-  | Expr.Eq -> fun c -> c = 0
-  | Expr.Ne -> fun c -> c <> 0
-  | Expr.Lt -> fun c -> c < 0
-  | Expr.Le -> fun c -> c <= 0
-  | Expr.Gt -> fun c -> c > 0
-  | Expr.Ge -> fun c -> c >= 0
+  | Expr.Eq -> { lt = false; eq = true; gt = false }
+  | Expr.Ne -> { lt = true; eq = false; gt = true }
+  | Expr.Lt -> { lt = true; eq = false; gt = false }
+  | Expr.Le -> { lt = true; eq = true; gt = false }
+  | Expr.Gt -> { lt = false; eq = false; gt = true }
+  | Expr.Ge -> { lt = false; eq = true; gt = true }
+
+let holds s c = if c < 0 then s.lt else if c = 0 then s.eq else s.gt
 
 let flip_cmp : Expr.cmp -> Expr.cmp = function
   | Expr.Eq -> Expr.Eq
@@ -75,212 +138,408 @@ let flip_cmp : Expr.cmp -> Expr.cmp = function
   | Expr.Gt -> Expr.Lt
   | Expr.Ge -> Expr.Le
 
+(* The rarer leaves share one loop, which tests each row by a match
+   on the leaf: a jump, not a closure call. *)
+type rare =
+  | Ints_as_floats of { a : int array; lo : float; hi : float; inside : bool }
+      (* [lo <= x <= hi] (or not) of an int column read as floats,
+          as [Value.compare] reads an [Int] against a [Float] *)
+  | Bool_table of bool array * bool array
+      (* [keep.(0)] for false, [keep.(1)] for true *)
+  | Null of Bytes.t  (* the rows whose validity bit is clear *)
+  | Int_members of int array * int array * float array
+      (* an int cell in the ints, or, as a float, among the floats
+          (none of them NaN) *)
+  | Float_members of float array * float array * bool
+      (* a float cell among the floats (none of them NaN), or NaN
+          when the flag is set *)
+  | Cols of cols * Bytes.t option * cmp_sign
+      (* two cells compared, the outcomes kept; the second column's
+          validity *)
+
+and cols =
+  | Int_int of int array * int array
+  | Float_float of float array * float array
+  | Int_float of int array * float array
+  | Bool_bool of bool array * bool array
+  | String_string of int array * string array * int array * string array
+
+let mem_int (ints : int array) x =
+  let hit = ref false and j = ref 0 in
+  while (not !hit) && !j < Array.length ints do
+    hit := Array.unsafe_get ints !j = x;
+    incr j
+  done;
+  !hit
+
+let mem_float (floats : float array) x =
+  let hit = ref false and j = ref 0 in
+  while (not !hit) && !j < Array.length floats do
+    hit := Array.unsafe_get floats !j = x;
+    incr j
+  done;
+  !hit
+
+let passes t id =
+  match t with
+  | Ints_as_floats { a; lo; hi; inside } ->
+      let x = float_of_int (Array.unsafe_get a id) in
+      (x >= lo && x <= hi) = inside
+  | Bool_table (a, keep) ->
+      Array.unsafe_get keep (Bool.to_int (Array.unsafe_get a id))
+  | Null bits -> not (valid (Some bits) id)
+  | Int_members (a, ints, floats) ->
+      let x = Array.unsafe_get a id in
+      mem_int ints x || mem_float floats (float_of_int x)
+  | Float_members (a, floats, nan) ->
+      let x = Array.unsafe_get a id in
+      (nan && Float.is_nan x) || mem_float floats x
+  | Cols (cols, vb, s) ->
+      valid vb id
+      && holds s
+           (match cols with
+           | Int_int (x, y) ->
+               Int.compare (Array.unsafe_get x id) (Array.unsafe_get y id)
+           | Float_float (x, y) ->
+               Float.compare (Array.unsafe_get x id) (Array.unsafe_get y id)
+           | Int_float (x, y) ->
+               Float.compare
+                 (float_of_int (Array.unsafe_get x id))
+                 (Array.unsafe_get y id)
+           | Bool_bool (x, y) ->
+               Bool.compare (Array.unsafe_get x id) (Array.unsafe_get y id)
+           | String_string (ca, da, cb, db) ->
+               String.compare
+                 (Array.unsafe_get da (Array.unsafe_get ca id))
+                 (Array.unsafe_get db (Array.unsafe_get cb id)))
+
+let rare validity t : filter =
+ fun src k dst ->
+  let out = ref 0 in
+  for i = 0 to k - 1 do
+    let id = Array.unsafe_get src i in
+    if valid validity id && passes t id then begin
+      Array.unsafe_set dst !out id;
+      incr out
+    end
+  done;
+  !out
+
+(* ---------- comparisons with a constant ---------- *)
+
+(* A compiled predicate before it becomes a filter: a range on a
+   column stays open to intersection with the other ranges of its
+   conjunction on the same column. *)
+type node =
+  | Ints_in of { a : int array; validity : Bytes.t option; lo : int; hi : int }
+  | Floats_in of {
+      a : float array;
+      validity : Bytes.t option;
+      lo : float;
+      hi : float;
+      nan : bool;
+    }
+  | Loop of filter
+  | All of node list  (* a conjunction of at least two *)
+
+(* The ints [x] with [Int.compare x k] accepted by [op], as
+   [(inside, lo, hi)]: the range [lo, hi] or its complement. *)
+let int_bounds op k =
+  match op with
+  | Expr.Eq -> (true, k, k)
+  | Expr.Ne -> (false, k, k)
+  | Expr.Lt -> if k = min_int then (true, 1, 0) else (true, min_int, k - 1)
+  | Expr.Le -> (true, min_int, k)
+  | Expr.Gt -> if k = max_int then (true, 1, 0) else (true, k + 1, max_int)
+  | Expr.Ge -> (true, k, max_int)
+
+(* The floats [x] with [Float.compare x f] accepted by [op], as
+   [(inside, lo, hi, nan)]. Against a number, NaN compares below, so
+   it is in exactly the ranges that reach down to [neg_infinity]:
+   [<] and [<=]. Against NaN, every number compares above. *)
+let float_bounds op f =
+  let none = (infinity, neg_infinity) in
+  if Float.is_nan f then
+    let s = accepts op in
+    (* a NaN cell compares equal, any number greater *)
+    let lo, hi = if s.gt then (neg_infinity, infinity) else none in
+    (true, lo, hi, s.eq)
+  else
+    let lo, hi, nan, inside =
+      match op with
+      | Expr.Eq -> (f, f, false, true)
+      | Expr.Ne -> (f, f, false, false)
+      | Expr.Lt ->
+          let lo, hi =
+            if f = neg_infinity then none else (neg_infinity, Float.pred f)
+          in
+          (lo, hi, true, true)
+      | Expr.Le -> (neg_infinity, f, true, true)
+      | Expr.Gt ->
+          let lo, hi =
+            if f = infinity then none else (Float.succ f, infinity)
+          in
+          (lo, hi, false, true)
+      | Expr.Ge -> (f, infinity, false, true)
+    in
+    (inside, lo, hi, nan)
+
+let ints_node a validity (inside, lo, hi) =
+  if inside then Ints_in { a; validity; lo; hi }
+  else Loop (int_range a validity ~lo ~hi ~inside)
+
+let floats_node a validity (inside, lo, hi, nan) =
+  if inside then Floats_in { a; validity; lo; hi; nan }
+  else Loop (float_range a validity ~lo ~hi ~nan ~inside)
+
 (* column OP constant — mirrors [Value.sql_compare (get col i) v]. *)
-let compile_cmp_const op (col : Column.t) (v : Value.t) : filter option =
-  let ok = cmp_test op in
-  let mask test = Some (keep_if (masked col.Column.validity test)) in
+let compile_cmp_const op (col : Column.t) (v : Value.t) : node option =
+  let validity = col.Column.validity in
   match (col.Column.repr, v) with
   | Column.Boxed _, _ -> None
-  | _, Value.Null -> Some keep_none
-  | Column.Ints d, Value.Int k ->
-      mask (fun i -> ok (Int.compare (Array.unsafe_get d i) k))
-  | Column.Ints d, Value.Float f ->
-      mask (fun i ->
-          ok (Float.compare (float_of_int (Array.unsafe_get d i)) f))
-  | Column.Floats d, Value.Int k ->
-      let kf = float_of_int k in
-      mask (fun i -> ok (Float.compare (Array.unsafe_get d i) kf))
-  | Column.Floats d, Value.Float f ->
-      mask (fun i -> ok (Float.compare (Array.unsafe_get d i) f))
-  | Column.Dates d, Value.Date k ->
-      mask (fun i -> ok (Int.compare (Array.unsafe_get d i) k))
-  | Column.Bools d, Value.Bool b ->
-      mask (fun i -> ok (Bool.compare (Array.unsafe_get d i) b))
-  | Column.Strings { codes; dict }, Value.String s ->
-      let keep = Array.map (fun e -> ok (String.compare e s)) dict in
-      mask (fun i ->
-          Array.unsafe_get keep (Array.unsafe_get codes i))
+  | _, Value.Null -> Some (Loop keep_none)
+  | (Column.Ints a, Value.Int k | Column.Dates a, Value.Date k) ->
+      Some (ints_node a validity (int_bounds op k))
+  | Column.Ints a, Value.Float f ->
+      let inside, lo, hi, _ = float_bounds op f in
+      Some (Loop (rare validity (Ints_as_floats { a; lo; hi; inside })))
+  | Column.Floats a, Value.Int k ->
+      Some (floats_node a validity (float_bounds op (float_of_int k)))
+  | Column.Floats a, Value.Float f ->
+      Some (floats_node a validity (float_bounds op f))
+  | Column.Bools a, Value.Bool b ->
+      let s = accepts op in
+      Some
+        (Loop
+           (rare validity
+              (Bool_table
+                 ( a,
+                   [| holds s (Bool.compare false b);
+                      holds s (Bool.compare true b) |] ))))
+  | Column.Strings { codes; dict }, Value.String x ->
+      let s = accepts op in
+      Some
+        (Loop
+           (code_table codes validity
+              (Array.map (fun e -> holds s (String.compare e x)) dict)))
   | (Column.Ints _ | Column.Floats _ | Column.Dates _ | Column.Bools _
     | Column.Strings _), _ ->
       (* incomparable types: sql_compare = None = false on every row *)
-      Some keep_none
+      Some (Loop keep_none)
+
+(* ---------- comparisons between columns ---------- *)
 
 (* column OP column. *)
 let compile_cmp_cols op (a : Column.t) (b : Column.t) : filter option =
-  let ok = cmp_test op in
-  let mask test =
-    Some (keep_if (masked2 a.Column.validity b.Column.validity test))
-  in
+  let va = a.Column.validity and vb = b.Column.validity in
+  let cols c s = Some (rare va (Cols (c, vb, s))) in
+  let s = accepts op in
   match (a.Column.repr, b.Column.repr) with
   | Column.Boxed _, _ | _, Column.Boxed _ -> None
-  | Column.Ints da, Column.Ints db ->
-      mask (fun i ->
-          ok (Int.compare (Array.unsafe_get da i) (Array.unsafe_get db i)))
-  | Column.Ints da, Column.Floats db ->
-      mask (fun i ->
-          ok
-            (Float.compare
-               (float_of_int (Array.unsafe_get da i))
-               (Array.unsafe_get db i)))
-  | Column.Floats da, Column.Ints db ->
-      mask (fun i ->
-          ok
-            (Float.compare (Array.unsafe_get da i)
-               (float_of_int (Array.unsafe_get db i))))
-  | Column.Floats da, Column.Floats db ->
-      mask (fun i ->
-          ok (Float.compare (Array.unsafe_get da i) (Array.unsafe_get db i)))
-  | Column.Dates da, Column.Dates db ->
-      mask (fun i ->
-          ok (Int.compare (Array.unsafe_get da i) (Array.unsafe_get db i)))
-  | Column.Bools da, Column.Bools db ->
-      mask (fun i ->
-          ok (Bool.compare (Array.unsafe_get da i) (Array.unsafe_get db i)))
-  | Column.Strings sa, Column.Strings sb ->
-      mask (fun i ->
-          ok
-            (String.compare
-               sa.dict.(sa.codes.(i))
-               sb.dict.(sb.codes.(i))))
+  | Column.Ints x, Column.Ints y | Column.Dates x, Column.Dates y ->
+      cols (Int_int (x, y)) s
+  | Column.Ints x, Column.Floats y -> cols (Int_float (x, y)) s
+  | Column.Floats x, Column.Ints y ->
+      Some (rare vb (Cols (Int_float (y, x), va, accepts (flip_cmp op))))
+  | Column.Floats x, Column.Floats y -> cols (Float_float (x, y)) s
+  | Column.Bools x, Column.Bools y -> cols (Bool_bool (x, y)) s
+  | Column.Strings x, Column.Strings y ->
+      cols (String_string (x.codes, x.dict, y.codes, y.dict)) s
   | _ ->
       (* incomparable column types: false on every (non-null) row,
          and false on null rows too *)
       Some keep_none
 
+(* ---------- IN lists ---------- *)
+
 let compile_in_list (col : Column.t) (vs : Value.t list) : filter option =
-  let mask test = Some (keep_if (masked col.Column.validity test)) in
+  let validity = col.Column.validity in
+  let pick f = Array.of_list (List.filter_map f vs) in
+  let float = function
+    | Value.Float f when not (Float.is_nan f) -> Some f
+    | _ -> None
+  in
   match col.Column.repr with
   | Column.Boxed _ -> None
-  | Column.Ints d ->
-      mask (fun i ->
-          let x = Array.unsafe_get d i in
-          List.exists
-            (function
-              | Value.Int k -> k = x
-              | Value.Float f -> Float.compare (float_of_int x) f = 0
-              | _ -> false)
-            vs)
-  | Column.Floats d ->
-      mask (fun i ->
-          let x = Array.unsafe_get d i in
-          List.exists
-            (function
-              | Value.Float f -> Float.compare x f = 0
-              | Value.Int k -> Float.compare x (float_of_int k) = 0
-              | _ -> false)
-            vs)
-  | Column.Dates d ->
-      mask (fun i ->
-          let x = Array.unsafe_get d i in
-          List.exists (function Value.Date k -> k = x | _ -> false) vs)
-  | Column.Bools d ->
-      mask (fun i ->
-          let x = Array.unsafe_get d i in
-          List.exists (function Value.Bool b -> b = x | _ -> false) vs)
+  | Column.Ints a ->
+      Some
+        (rare validity
+           (Int_members
+              ( a,
+                pick (function Value.Int k -> Some k | _ -> None),
+                pick float )))
+  | Column.Floats a ->
+      Some
+        (rare validity
+           (Float_members
+              ( a,
+                pick (function
+                  | Value.Int k -> Some (float_of_int k)
+                  | v -> float v),
+                List.exists
+                  (function Value.Float f -> Float.is_nan f | _ -> false)
+                  vs )))
+  | Column.Dates a ->
+      Some
+        (rare validity
+           (Int_members
+              (a, pick (function Value.Date k -> Some k | _ -> None), [||])))
+  | Column.Bools a ->
+      Some
+        (rare validity
+           (Bool_table
+              ( a,
+                Array.map
+                  (fun b -> List.exists (Value.equal (Value.Bool b)) vs)
+                  [| false; true |] )))
   | Column.Strings { codes; dict } ->
-      let keep =
-        Array.map
-          (fun e -> List.exists (Value.equal (Value.String e)) vs)
-          dict
-      in
-      mask (fun i -> Array.unsafe_get keep (Array.unsafe_get codes i))
+      Some
+        (code_table codes validity
+           (Array.map
+              (fun e -> List.exists (Value.equal (Value.String e)) vs)
+              dict))
 
-(* AND: survivors of [fa] feed [fb]. Compiled filters are pure and
-   total, so sequential composition matches short-circuit row
-   evaluation. *)
-let and_filter fa fb : filter = fun sel k -> fb sel (fa sel k)
+(* ---------- connectives ---------- *)
 
-(* OR: run [fa], recover the rejected candidates (both sequences are
-   subsequences of the input, in its order), run [fb] on those, and
-   merge the two disjoint survivor sets back in input order: walking
-   the input, each index is the next survivor of one side or of
-   neither. Comparing index values instead would reorder a vector
-   that is not ascending. *)
+(* The conjuncts of [a AND b], each range merged into the range of
+   the same column already there: both hold exactly on the
+   intersection. *)
+let conjoin a b =
+  let conjuncts = function All l -> l | n -> [ n ] in
+  let add acc n =
+    let rec merge = function
+      | [] -> None
+      | Ints_in r :: rest -> (
+          match n with
+          | Ints_in s when r.a == s.a && r.validity == s.validity ->
+              Some
+                (Ints_in { r with lo = max r.lo s.lo; hi = min r.hi s.hi }
+                :: rest)
+          | _ -> Option.map (fun rest -> Ints_in r :: rest) (merge rest))
+      | Floats_in r :: rest -> (
+          match n with
+          | Floats_in s when r.a == s.a && r.validity == s.validity ->
+              Some
+                (Floats_in
+                   { r with
+                     lo = Float.max r.lo s.lo;
+                     hi = Float.min r.hi s.hi;
+                     nan = r.nan && s.nan
+                   }
+                :: rest)
+          | _ -> Option.map (fun rest -> Floats_in r :: rest) (merge rest))
+      | m :: rest -> Option.map (fun rest -> m :: rest) (merge rest)
+    in
+    match merge acc with Some acc -> acc | None -> acc @ [ n ]
+  in
+  match List.fold_left add (conjuncts a) (conjuncts b) with
+  | [ n ] -> n
+  | l -> All l
+
+let rec to_filter = function
+  | Ints_in { lo; hi; _ } when lo > hi -> keep_none
+  | Ints_in { a; validity; lo; hi } -> int_range a validity ~lo ~hi ~inside:true
+  | Floats_in { a; validity; lo; hi; nan } ->
+      if lo > hi && not nan then keep_none
+      else float_range a validity ~lo ~hi ~nan ~inside:true
+  | Loop f -> f
+  | All l -> (
+      match List.map to_filter l with
+      | [] -> keep_all
+      | first :: rest ->
+          (* the first conjunct writes [dst], the rest narrow it in
+             place *)
+          fun src k dst ->
+            List.fold_left (fun k f -> f dst k dst) (first src k dst) rest)
+
+(* OR: run [fa] into a scratch vector, run [fb] over the candidates it
+   rejected (both sequences are subsequences of the input, in its
+   order), and merge the two disjoint survivor sets back in input
+   order: walking the input, each index is the next survivor of one
+   side or of neither. Comparing index values instead would reorder a
+   vector that is not ascending. *)
 let or_filter fa fb : filter =
- fun sel k ->
-  let orig = Array.sub sel 0 k in
-  let na = fa sel k in
-  let rest = Array.make (max 1 (k - na)) 0 in
-  let nr = ref 0 in
-  let j = ref 0 in
+ fun src k dst ->
+  let a = Array.make k 0 in
+  let na = fa src k a in
+  let rest = Array.make (k - na) 0 in
+  let nr = ref 0 and j = ref 0 in
   for i = 0 to k - 1 do
-    let v = Array.unsafe_get orig i in
-    if !j < na && Array.unsafe_get sel !j = v then incr j
+    let v = Array.unsafe_get src i in
+    if !j < na && Array.unsafe_get a !j = v then incr j
     else begin
       Array.unsafe_set rest !nr v;
       incr nr
     end
   done;
-  let nb = fb rest !nr in
-  let survivors_a = Array.sub sel 0 na in
+  let nb = fb rest !nr rest in
   let ia = ref 0 and ib = ref 0 and m = ref 0 in
   for i = 0 to k - 1 do
-    let v = Array.unsafe_get orig i in
-    if !ia < na && Array.unsafe_get survivors_a !ia = v then begin
-      Array.unsafe_set sel !m v;
+    let v = Array.unsafe_get src i in
+    if !ia < na && Array.unsafe_get a !ia = v then begin
+      Array.unsafe_set dst !m v;
       incr ia;
       incr m
     end
     else if !ib < nb && Array.unsafe_get rest !ib = v then begin
-      Array.unsafe_set sel !m v;
+      Array.unsafe_set dst !m v;
       incr ib;
       incr m
     end
   done;
   !m
 
-(* NOT: complement of the survivors within the candidate set, in
-   input order. *)
+(* NOT: the candidates [fa] rejects, in input order. *)
 let not_filter fa : filter =
- fun sel k ->
-  let orig = Array.sub sel 0 k in
-  let na = fa sel k in
-  let survivors = Array.sub sel 0 na in
-  let out = ref 0 in
-  let j = ref 0 in
+ fun src k dst ->
+  let a = Array.make k 0 in
+  let na = fa src k a in
+  let out = ref 0 and j = ref 0 in
   for i = 0 to k - 1 do
-    let v = Array.unsafe_get orig i in
-    if !j < na && Array.unsafe_get survivors !j = v then incr j
+    let v = Array.unsafe_get src i in
+    if !j < na && Array.unsafe_get a !j = v then incr j
     else begin
-      Array.unsafe_set sel !out v;
+      Array.unsafe_set dst !out v;
       incr out
     end
   done;
   !out
 
-(* The filter for [e], or the smallest subtree that blocks compiling
+(* The node for [e], or the smallest subtree that blocks compiling
    it — the non-total (or boxed-column) part the profiler's path
    attribution reports. A connective blocks on its first blocked
    operand, so the blocker is always a genuine leaf, not an enclosing
    conjunction. *)
-let rec compile ~column:col_of (e : Expr.t) : (filter, Expr.t) result =
-  let compile = compile ~column:col_of in
-  let leaf = function Some f -> Ok f | None -> Error e in
+let rec compile_node ~column:col_of (e : Expr.t) : (node, Expr.t) result =
+  let compile = compile_node ~column:col_of in
+  let filter e = Result.map to_filter (compile e) in
+  let leaf = function Some n -> Ok n | None -> Error e in
+  let loop = function Some f -> Ok (Loop f) | None -> Error e in
   match e with
-  | Expr.Const (Value.Bool true) -> Ok keep_all
-  | Expr.Const (Value.Bool false) | Expr.Const Value.Null -> Ok keep_none
+  | Expr.Const (Value.Bool true) -> Ok (Loop keep_all)
+  | Expr.Const (Value.Bool false) | Expr.Const Value.Null -> Ok (Loop keep_none)
   | Expr.Const _ -> Error e (* truthy raises on non-bool *)
   | Expr.And (a, b) ->
-      Result.bind (compile a) (fun fa ->
-          Result.map (fun fb -> and_filter fa fb) (compile b))
+      Result.bind (compile a) (fun na ->
+          Result.map (fun nb -> conjoin na nb) (compile b))
   | Expr.Or (a, b) ->
-      Result.bind (compile a) (fun fa ->
-          Result.map (fun fb -> or_filter fa fb) (compile b))
-  | Expr.Not a -> Result.map not_filter (compile a)
+      Result.bind (filter a) (fun fa ->
+          Result.map (fun fb -> Loop (or_filter fa fb)) (filter b))
+  | Expr.Not a -> Result.map (fun fa -> Loop (not_filter fa)) (filter a)
   | Expr.Cmp (op, Expr.Col a, Expr.Const v) ->
       leaf (Option.bind (col_of a) (fun c -> compile_cmp_const op c v))
   | Expr.Cmp (op, Expr.Const v, Expr.Col a) ->
       leaf
         (Option.bind (col_of a) (fun c -> compile_cmp_const (flip_cmp op) c v))
   | Expr.Cmp (op, Expr.Col a, Expr.Col b) ->
-      leaf
+      loop
         (Option.bind (col_of a) (fun ca ->
              Option.bind (col_of b) (fun cb -> compile_cmp_cols op ca cb)))
   | Expr.Cmp (op, Expr.Const u, Expr.Const v) -> (
       (* constant comparison: total, fold it now *)
       match Value.sql_compare u v with
-      | None -> Ok keep_none
-      | Some c -> Ok (if cmp_test op c then keep_all else keep_none))
+      | Some c when holds (accepts op) c -> Ok (Loop keep_all)
+      | _ -> Ok (Loop keep_none))
   | Expr.Between (a, lo, hi) ->
       (* a BETWEEN lo AND hi = a >= lo AND a <= hi: both comparisons
          are total once compiled, so the conjunction is equivalent to
@@ -288,30 +547,25 @@ let rec compile ~column:col_of (e : Expr.t) : (filter, Expr.t) result =
       compile
         (Expr.And (Expr.Cmp (Expr.Ge, a, lo), Expr.Cmp (Expr.Le, a, hi)))
   | Expr.In_list (Expr.Col a, vs) ->
-      leaf (Option.bind (col_of a) (fun c -> compile_in_list c vs))
+      loop (Option.bind (col_of a) (fun c -> compile_in_list c vs))
   | Expr.Is_null (Expr.Col a) ->
-      leaf
+      loop
         (Option.bind (col_of a) (fun c ->
-             match c.Column.repr with
-             | Column.Boxed _ -> None
-             | _ -> (
-                 match c.Column.validity with
-                 | None -> Some keep_none
-                 | Some b ->
-                     Some (keep_if (fun i -> not (Column.valid_bit b i))))))
+             match (c.Column.repr, c.Column.validity) with
+             | Column.Boxed _, _ -> None
+             | _, None -> Some keep_none
+             | _, Some bits -> Some (rare None (Null bits))))
   | Expr.Like (Expr.Col a, pattern) ->
-      leaf
+      loop
         (Option.bind (col_of a) (fun c ->
              match c.Column.repr with
              | Column.Strings { codes; dict } ->
-                 let keep =
-                   Array.map (fun e -> Expr_eval.like_match ~pattern e) dict
-                 in
                  Some
-                   (keep_if
-                      (masked c.Column.validity (fun i ->
-                           Array.unsafe_get keep (Array.unsafe_get codes i))))
+                   (code_table codes c.Column.validity
+                      (Array.map (Expr_eval.like_match ~pattern) dict))
              | _ ->
                  (* the row path raises on non-string values: not total *)
                  None))
   | _ -> Error e
+
+let compile ~column e = Result.map to_filter (compile_node ~column e)

@@ -37,16 +37,62 @@ let compile_batch schema b e =
 
 let compile r e = compile_batch (Relation.schema r) (Relation.batch r) e
 
+(* ---------- scratch vectors ----------
+
+   A fresh vector longer than 256 words is allocated on the major
+   heap, and the collector pays for it in proportion to its length:
+   over a large heap, more than the loop that fills it. A kernel's
+   temporaries are therefore borrowed from the calling domain's pool,
+   so that it allocates little beyond its result. *)
+
+let pool = Domain.DLS.new_key (fun () -> Atomic.make [])
+
+(* [f] run with a vector of at least [n] ints, of unspecified
+   contents, that is [f]'s alone until it returns: a kernel [f] calls
+   borrows another. The pool is a compare-and-set stack, so threads
+   sharing the domain never borrow one vector twice. *)
+let with_scratch n f =
+  let free = Domain.DLS.get pool in
+  let rec take () =
+    match Atomic.get free with
+    | [] -> Array.make n 0
+    | b :: rest as l ->
+        if not (Atomic.compare_and_set free l rest) then take ()
+        else if Array.length b >= n then b
+        else Array.make n 0
+  in
+  let buf = take () in
+  let r = f buf in
+  let rec give () =
+    let l = Atomic.get free in
+    if not (Atomic.compare_and_set free l (buf :: l)) then give ()
+  in
+  give ();
+  r
+
+(* The first [k] entries of [a], in a vector of their own. *)
+let copy_ints (a : int array) k =
+  let out = Array.make k 0 in
+  for j = 0 to k - 1 do
+    Array.unsafe_set out j (Array.unsafe_get a j)
+  done;
+  out
+
 (* ---------- selection ----------
 
-   Two strategies, each one pass over the selection vector:
+   Three strategies, each one pass over the selection vector, whose
+   survivors land in a vector of their own:
 
    1. Columnar: when every column the predicate reads is typed — a
       base column of the base's Sheetcol image (built on the first
       scan, memoized), or a typed computed column — and the predicate
-      compiles (Col_pred), a copy of the vector goes through the
-      compiled chain — no Value boxing, no per-row name resolution.
-   2. Row: otherwise each handle goes through the compiled expression
+      compiles (Col_pred), its filter reads the vector and writes the
+      survivors — no Value boxing, no per-row name resolution.
+   2. Per group: when every column the predicate reads is an
+      aggregate column of one grouping (a HAVING), the predicate is
+      evaluated once per group, at the group's first row in vector
+      order, and each row tests its group's verdict.
+   3. Row: otherwise each handle goes through the compiled expression
       ({!Expr_eval.compile_pred}); the first failing row in
       vector order raises. *)
 
@@ -93,37 +139,83 @@ let fallback_reason (r : Relation.t) e ~blocker =
   | Some reason -> reason
   | None -> "non-total subtree " ^ Expr.to_string blocker
 
-(* Run a compiled selection-vector filter [f] over [b]'s vector in one
-   pass. The filter works in place, and [b]'s vector may be shared (a
-   cached parent's batch, a base's identity batch), so it runs over a
-   copy; when no row is dropped the batch itself is the answer. *)
-let run_compiled (b : Relation.batch) f =
-  let sel = Array.copy b.sel in
-  let n = Array.length sel in
-  Obs.Metrics.incr ~by:n c_sel_in;
-  let k = f sel n in
-  Obs.Metrics.incr ~by:k c_sel_out;
-  if k = n then b else { b with sel = Array.sub sel 0 k }
+(* [b] narrowed by the filter [f]: [f] reads [b]'s vector, which may
+   be shared (a cached parent's batch, a base's identity batch) and is
+   never written, and writes the survivors into a scratch vector; they
+   are copied, by a typed loop, into a vector of their exact length.
+   When no row is dropped the batch itself is the answer. *)
+let narrow (b : Relation.batch) (f : Col_pred.filter) =
+  let n = Array.length b.sel in
+  let k, sel =
+    with_scratch n (fun dst ->
+        let k = f b.sel n dst in
+        (k, if k = n then b.sel else copy_ints dst k))
+  in
+  if k = n then b else { b with sel }
 
-let filter_rows schema (b : Relation.batch) pred =
-  let keep = Expr_eval.compile_pred ~column:(resolve schema b) pred in
-  let sel = b.sel in
-  let n = Array.length sel in
-  let buf = Array.make n 0 in
-  let k = ref 0 in
-  for i = 0 to n - 1 do
-    let id = Array.unsafe_get sel i in
-    if keep id then begin
-      Array.unsafe_set buf !k id;
-      incr k
+(* A compiled selection (strategies 1 and 2), counted as one. *)
+let run_compiled (b : Relation.batch) f =
+  let n = Array.length b.sel in
+  Obs.Metrics.incr ~by:n c_sel_in;
+  let b = narrow b f in
+  Obs.Metrics.incr ~by:(Array.length b.sel) c_sel_out;
+  b
+
+(* The grouping whose aggregate columns are the only columns [pred]
+   reads, if there is one. *)
+let predicate_grouping schema (b : Relation.batch) pred =
+  let grouping name =
+    match Schema.find schema name with
+    | Some (c, _) -> (
+        match b.cols.(c) with
+        | Relation.Broadcast { grouping; _ } -> Some grouping
+        | Relation.Base _ | Relation.Computed _ -> None)
+    | None -> None
+  in
+  match List.map grouping (Expr.columns pred) with
+  | Some g :: rest
+    when List.for_all (function Some h -> h == g | None -> false) rest ->
+      Some g
+  | _ -> None
+
+(* Every row of a group reads the same aggregate cells, so [keep]
+   decides a group at its first row in vector order, and raises there
+   exactly when the row path would first raise. *)
+let group_filter (g : Relation.grouping) keep : Col_pred.filter =
+ fun src k dst ->
+  (* '\000' undecided, '\001' kept, '\002' dropped *)
+  let verdict = Bytes.make g.groups '\000' in
+  let group = g.group in
+  let out = ref 0 in
+  for i = 0 to k - 1 do
+    let id = Array.unsafe_get src i in
+    let gi = Array.unsafe_get group id in
+    if Bytes.unsafe_get verdict gi = '\000' then
+      Bytes.unsafe_set verdict gi (if keep id then '\001' else '\002');
+    if Bytes.unsafe_get verdict gi = '\001' then begin
+      Array.unsafe_set dst !out id;
+      incr out
     end
   done;
-  if !k = n then b else { b with sel = Array.sub buf 0 !k }
+  !out
+
+let row_filter keep : Col_pred.filter =
+ fun src k dst ->
+  let out = ref 0 in
+  for i = 0 to k - 1 do
+    let id = Array.unsafe_get src i in
+    if keep id then begin
+      Array.unsafe_set dst !out id;
+      incr out
+    end
+  done;
+  !out
 
 (* The Col_pred filter runs over [b]'s typed columns — base columns
-   of its image, computed columns — when the predicate compiles;
-   otherwise the row path runs, and the path names the subtree the
-   compiler refused. *)
+   of its image, computed columns — when the predicate compiles; a
+   predicate over one grouping's aggregates runs per group; otherwise
+   the row path runs, and the path names the subtree the compiler
+   refused. *)
 let select_path pred (r : Relation.t) =
   let schema = Relation.schema r in
   check_selection schema pred;
@@ -131,7 +223,11 @@ let select_path pred (r : Relation.t) =
   let b, path =
     match Col_pred.compile ~column:(typed_column schema b) pred with
     | Ok f -> (run_compiled b f, `Columnar)
-    | Error blocker -> (filter_rows schema b pred, `Row blocker)
+    | Error blocker -> (
+        let keep = Expr_eval.compile_pred ~column:(resolve schema b) pred in
+        match predicate_grouping schema b pred with
+        | Some g -> (run_compiled b (group_filter g keep), `Columnar)
+        | None -> (narrow b (row_filter keep), `Row blocker))
   in
   (Relation.of_batch schema b, path)
 
@@ -331,21 +427,22 @@ let equijoin ~on:(left_col, right_col) (a : Relation.t) (b : Relation.t) =
      (memoized with the image), numbering only the codes the vector
      selects;
    - an int or date column ranks by offset from its minimum, or, when
-     that range overflows, as a float column does;
-   - a float column ranks by the bits of its cells: each maps to a
-     64-bit key whose unsigned order is [Float.compare]'s, radix-sorted
-     in two 32-bit halves and numbered densely;
+     that range overflows, by sorting its values;
+   - a float column ranks by the bits of its cells: within its class
+     (NaN, negative, non-negative, null) each maps to a 63-bit key
+     whose signed order is [Float.compare]'s; the keys are sorted by a
+     most-significant-digit bucket sort and numbered densely;
    - a bool column ranks false before true;
    - cells alone (a [Boxed] column, an aggregate column's per-group
      values) rank as the typed column of their one constructor would.
    Only cells that mix constructors, or strings without a dictionary,
    rank by hashing their distinct cells and sorting only those: a
    typed column never hashes. Every ranking puts nulls last.
-   Descending keys flip their ranks, the ranks of several keys are
-   combined into one order-preserving int key, and the vector is
-   permuted by a stable radix sort on it (or thinned by the group ids
-   it yields). No comparison ever looks at a boxed value after
-   ranking. *)
+   Descending keys flip their ranks. A sort orders the positions by
+   one stable pass per key, the last key first; grouping and
+   duplicate elimination combine the ranks of their keys into one
+   order-preserving int key, whose dense numbering are the group ids.
+   No comparison ever looks at a boxed value after ranking. *)
 
 (* [Array.init] for ints: typed stores, no write barrier on a large
    (major-heap) result. *)
@@ -364,79 +461,118 @@ let gather (a : int array) (idx : int array) =
   done;
   out
 
-(* Stable LSD radix sort of [perm], a permutation of the positions
-   [0, n), on an int key in [0, m) read by position, in digit passes of
-   up to 16 bits, least significant first; [spare] (length [n]) is
-   scratch. Every pass is a stable counting sort, so ties keep their
-   order in [perm]. Returns the sorted permutation and the other
-   array, both of them [perm] and [spare]. *)
-let radix_sort ~perm ~spare key m =
-  let n = Array.length key in
-  let bits =
-    let rec width b = if b < 16 && 1 lsl b < n then width (b + 1) else b in
-    width 8
-  in
-  let perm = ref perm and next = ref spare in
-  (* a pass never has more buckets than there are key values *)
-  let count = Array.make (min (1 lsl bits) m + 1) 0 in
-  let mask = (1 lsl bits) - 1 in
-  let shift = ref 0 in
-  (* [lsr] by the word size or more is unspecified (x86 masks the
-     count), so the loop stops at the word size itself *)
-  while !shift < Sys.int_size && (m - 1) lsr !shift > 0 do
-    let sh = !shift in
-    let buckets = min (1 lsl bits) (((m - 1) lsr sh) + 1) in
-    let src = !perm and dst = !next in
-    Array.fill count 0 (buckets + 1) 0;
-    for j = 0 to n - 1 do
-      let d = (key.(src.(j)) lsr sh) land mask in
-      count.(d + 1) <- count.(d + 1) + 1
-    done;
-    for d = 1 to buckets do
-      count.(d) <- count.(d) + count.(d - 1)
-    done;
-    for j = 0 to n - 1 do
-      let i = src.(j) in
-      let d = (key.(i) lsr sh) land mask in
-      dst.(count.(d)) <- i;
-      count.(d) <- count.(d) + 1
-    done;
-    perm := dst;
-    next := src;
-    shift := sh + bits
-  done;
-  (!perm, !next)
+(* The counts [count.(0)] .. [count.(m - 1)] turned into where each
+   bucket starts, the first at [from]. *)
+let starts (count : int array) m from =
+  let at = ref from in
+  for d = 0 to m - 1 do
+    let c = Array.unsafe_get count d in
+    Array.unsafe_set count d !at;
+    at := !at + c
+  done
 
-(* The stable radix permutation of the positions [0, n) on [key]. *)
-let radix_perm key m =
-  let n = Array.length key in
-  fst (radix_sort ~perm:(init_ints n Fun.id) ~spare:(Array.make n 0) key m)
-
-(* [sel] stably sorted on [key] (position-indexed, in [0, m)): one
-   counting pass straight into the new vector when the key range is
-   no wider than a pass's buckets or the row count, else the radix
-   permutation of the positions, gathered. *)
-let radix_sel key m (sel : int array) =
-  let n = Array.length sel in
-  if m > 1 lsl 16 && m > n then gather sel (radix_perm key m)
+(* Sort [perm.(lo)] .. [perm.(hi - 1)], positions into [key], stably
+   by key in signed order: one counting pass on the leading bits of
+   [key - min] into about as many buckets as keys (256 to 2^16), then
+   each bucket the same way, down to an insertion sort for at most 32
+   keys. The bits a pass reads cover the range, so a bucket's range
+   is at most 1/128 of its parent's: the recursion is at most 9 deep,
+   whatever the keys' distribution. [spare] is scratch as long as
+   [perm]. *)
+let rec sort_by_key (key : int array) perm spare lo hi =
+  if hi - lo <= 32 then
+    for j = lo + 1 to hi - 1 do
+      let p = Array.unsafe_get perm j in
+      let kp = Array.unsafe_get key p in
+      let i = ref (j - 1) in
+      while !i >= lo && Array.unsafe_get key (Array.unsafe_get perm !i) > kp do
+        Array.unsafe_set perm (!i + 1) (Array.unsafe_get perm !i);
+        decr i
+      done;
+      Array.unsafe_set perm (!i + 1) p
+    done
   else begin
-    let count = Array.make (m + 1) 0 in
+    let kmin = ref max_int and kmax = ref min_int in
+    for j = lo to hi - 1 do
+      let x = Array.unsafe_get key (Array.unsafe_get perm j) in
+      if x < !kmin then kmin := x;
+      if x > !kmax then kmax := x
+    done;
+    let kmin = !kmin in
+    (* [range] and each [x - kmin] are unsigned: [lsr] reads them so *)
+    let range = !kmax - kmin in
+    if range <> 0 then begin
+      let bits =
+        let rec width b =
+          if b < 16 && 1 lsl b < hi - lo then width (b + 1) else b
+        in
+        width 8
+      in
+      let shift =
+        let rec fit s =
+          let top = range lsr s in
+          if top < 0 || top >= 1 lsl bits then fit (s + 1) else s
+        in
+        fit 0
+      in
+      let buckets = (range lsr shift) + 1 in
+      with_scratch buckets @@ fun count ->
+      Array.fill count 0 buckets 0;
+      for j = lo to hi - 1 do
+        let x = Array.unsafe_get key (Array.unsafe_get perm j) in
+        let d = (x - kmin) lsr shift in
+        Array.unsafe_set count d (Array.unsafe_get count d + 1)
+      done;
+      starts count buckets lo;
+      (* [count.(d)] is where bucket [d] starts; the scatter advances
+         it to where the bucket ends *)
+      for j = lo to hi - 1 do
+        let p = Array.unsafe_get perm j in
+        let d = (Array.unsafe_get key p - kmin) lsr shift in
+        let at = Array.unsafe_get count d in
+        Array.unsafe_set spare at p;
+        Array.unsafe_set count d (at + 1)
+      done;
+      (* a typed loop: [Array.blit] into a major-heap array goes
+         through [caml_modify] for every entry *)
+      for j = lo to hi - 1 do
+        Array.unsafe_set perm j (Array.unsafe_get spare j)
+      done;
+      let start = ref lo in
+      for d = 0 to buckets - 1 do
+        let stop = Array.unsafe_get count d in
+        if stop - !start > 1 then sort_by_key key perm spare !start stop;
+        start := stop
+      done
+    end
+  end
+
+(* [src.(0)] .. [src.(n - 1)], positions into [key] (in [0, m)),
+   stably sorted on their keys: by one counting pass into [dst] when
+   the key range is no wider than 2^16 or the row count, else by the
+   bucket sort in place ([dst] its scratch). Returns the array that
+   holds the result. *)
+let sort_positions key m n ~src ~dst =
+  if m > 1 lsl 16 && m > n then begin
+    sort_by_key key src dst 0 n;
+    src
+  end
+  else
+    with_scratch m @@ fun count ->
+    Array.fill count 0 m 0;
     for j = 0 to n - 1 do
-      let d = Array.unsafe_get key j + 1 in
+      let d = Array.unsafe_get key (Array.unsafe_get src j) in
       Array.unsafe_set count d (Array.unsafe_get count d + 1)
     done;
-    for d = 1 to m do
-      count.(d) <- count.(d) + count.(d - 1)
-    done;
-    let out = Array.make n 0 in
+    starts count m 0;
     for j = 0 to n - 1 do
-      let d = Array.unsafe_get key j in
-      let k = Array.unsafe_get count d in
-      Array.unsafe_set out k (Array.unsafe_get sel j);
-      Array.unsafe_set count d (k + 1)
+      let p = Array.unsafe_get src j in
+      let d = Array.unsafe_get key p in
+      let at = Array.unsafe_get count d in
+      Array.unsafe_set dst at p;
+      Array.unsafe_set count d (at + 1)
     done;
-    out
-  end
+    dst
 
 (* Ranks by hashing: number the distinct cells ([Value.Tbl] keys
    compare-equal cells, [Int 3] and [Float 3.0] included, together),
@@ -488,85 +624,87 @@ let offset_ranks n ~null_at ~int_at =
         if !nulls then range + 1 else range )
   else None
 
-(* Keys of up to 64 bits held as two 32-bit halves, position-indexed:
-   [hi.(j)] and [lo.(j)] in [0, 2^32). [half_mask] in both halves is
-   the null key, above every key a float or an int maps to. *)
-let half_mask = 0xFFFF_FFFF
+(* Dense ranks of [n] positions, each of a class in [0, classes)
+   ([cls]) and, in a class that [keyed] holds, of a key in signed
+   order: classes rank in their order, a keyed class's positions by
+   key (equal keys, equal ranks), and every position of another class
+   alike. The ranks are written over [key]. *)
+let class_ranks n ~classes (cls : Bytes.t) ~keyed (key : int array) =
+  let start = Array.make (classes + 1) 0 in
+  for j = 0 to n - 1 do
+    let c = Char.code (Bytes.unsafe_get cls j) + 1 in
+    Array.unsafe_set start c (Array.unsafe_get start c + 1)
+  done;
+  for c = 1 to classes do
+    start.(c) <- start.(c) + start.(c - 1)
+  done;
+  let next = Array.sub start 0 classes in
+  let r = ref (-1) in
+  with_scratch n (fun perm ->
+      with_scratch n (fun spare ->
+          for j = 0 to n - 1 do
+            let c = Char.code (Bytes.unsafe_get cls j) in
+            let at = Array.unsafe_get next c in
+            Array.unsafe_set perm at j;
+            Array.unsafe_set next c (at + 1)
+          done;
+          for c = 0 to classes - 1 do
+            let lo = start.(c) and hi = start.(c + 1) and keyed = keyed c in
+            if keyed then sort_by_key key perm spare lo hi;
+            (* each key is read before its rank is written over it *)
+            let prev = ref 0 in
+            for k = lo to hi - 1 do
+              let j = Array.unsafe_get perm k in
+              let x = Array.unsafe_get key j in
+              if k = lo || (keyed && x <> !prev) then incr r;
+              prev := x;
+              Array.unsafe_set key j !r
+            done
+          done));
+  (key, !r + 1)
 
-(* Dense ranks of the keys [(hi, lo)] in unsigned key order: equal
-   keys, equal ranks, nulls (the top key) last — the ranks
-   [rank_by_hashing] gives the cells they were made from. A stable
-   radix sort by [lo], then by [hi] from that order, and one walk
-   numbering the classes; the ranks are written over [lo]. *)
-let half_key_ranks hi lo =
-  let n = Array.length hi in
-  if n = 0 then ([||], 0)
+(* The class and key at [j] of a non-null float, for [float_ranks].
+   The classes: NaN (below [neg_infinity]), negative, non-negative
+   ([-0.] is [0.]); null is the last. A number's bits without the sign
+   are 63, an int: the key is they, reversed for a negative, with the
+   sign bit flipped so that signed order is theirs unsigned. *)
+let set_float_key cls key j x =
+  if Float.is_nan x then Bytes.unsafe_set cls j '\000'
   else begin
-    let m = half_mask + 1 in
-    let perm, spare =
-      radix_sort ~perm:(init_ints n Fun.id) ~spare:(Array.make n 0) lo m
-    in
-    let perm, _ = radix_sort ~perm ~spare hi m in
-    let first = perm.(0) in
-    let ph = ref hi.(first) and pl = ref lo.(first) and g = ref 0 in
-    for k = 0 to n - 1 do
-      let j = Array.unsafe_get perm k in
-      let h = Array.unsafe_get hi j and l = Array.unsafe_get lo j in
-      if h <> !ph || l <> !pl then begin
-        incr g;
-        ph := h;
-        pl := l
-      end;
-      Array.unsafe_set lo j !g
-    done;
-    (lo, !g + 1)
+    let x = if x = 0. then 0. else x in
+    let m = Int64.to_int (Int64.bits_of_float x) lxor min_int in
+    if x < 0. then begin
+      Bytes.unsafe_set cls j '\001';
+      Array.unsafe_set key j (lnot m)
+    end
+    else begin
+      Bytes.unsafe_set cls j '\002';
+      Array.unsafe_set key j m
+    end
   end
 
-(* Dense ranks of a float column under [Float.compare], nulls last.
-   A float's key: [-0.] is [0.]; every NaN is 0, below [-infinity];
-   a negative's bits are flipped, any other's sign bit only. *)
-let float_ranks n ~null_at ~float_at =
-  let hi = Array.make n half_mask and lo = Array.make n half_mask in
-  for j = 0 to n - 1 do
-    if not (null_at j) then begin
-      let x = float_at j in
-      if Float.is_nan x then begin
-        Array.unsafe_set hi j 0;
-        Array.unsafe_set lo j 0
-      end
-      else begin
-        let b = Int64.bits_of_float (if x = 0. then 0. else x) in
-        let h = Int64.to_int (Int64.shift_right_logical b 32)
-        and l = Int64.to_int b land half_mask in
-        if h land 0x8000_0000 <> 0 then begin
-          Array.unsafe_set hi j (lnot h land half_mask);
-          Array.unsafe_set lo j (lnot l land half_mask)
-        end
-        else begin
-          Array.unsafe_set hi j (h lor 0x8000_0000);
-          Array.unsafe_set lo j l
-        end
-      end
-    end
-  done;
-  half_key_ranks hi lo
+(* Dense ranks of [n] floats under [Float.compare], nulls last:
+   [fill] sets the class and key of each non-null position by
+   [set_float_key], in one loop of its own. *)
+let float_ranks n fill =
+  let cls = Bytes.make n '\003' and key = Array.make n 0 in
+  fill cls key;
+  class_ranks n ~classes:4 cls ~keyed:(fun c -> c = 1 || c = 2) key
 
 (* Ranks of an int (or date) column: by offset, or, when the range
-   overflows an int, densely by key (the int with its sign bit
-   flipped, below the null key). *)
+   overflows an int, densely by value, nulls last. *)
 let int_ranks n ~null_at ~int_at =
   match offset_ranks n ~null_at ~int_at with
   | Some r -> r
   | None ->
-      let hi = Array.make n half_mask and lo = Array.make n half_mask in
+      let cls = Bytes.make n '\001' and key = Array.make n 0 in
       for j = 0 to n - 1 do
         if not (null_at j) then begin
-          let x = int_at j lxor min_int in
-          Array.unsafe_set hi j (x lsr 32);
-          Array.unsafe_set lo j (x land half_mask)
+          Bytes.unsafe_set cls j '\000';
+          Array.unsafe_set key j (int_at j)
         end
       done;
-      half_key_ranks hi lo
+      class_ranks n ~classes:2 cls ~keyed:(fun c -> c = 0) key
 
 (* Dense ranks of a dictionary-coded column: the selected codes are
    numbered in the dictionary's sorted [order], nulls last — the
@@ -620,8 +758,12 @@ let rank_cells n cell =
   match kind 0 `Empty with
   | `Mixed -> rank_by_hashing n cell
   | `Float ->
-      float_ranks n ~null_at ~float_at:(fun j ->
-          match cell j with Value.Float x -> x | _ -> 0.)
+      float_ranks n (fun cls key ->
+          for j = 0 to n - 1 do
+            match cell j with
+            | Value.Float x -> set_float_key cls key j x
+            | _ -> ()
+          done)
   | `Empty | `Int | `Date | `Bool ->
       int_ranks n ~null_at ~int_at:(fun j ->
           match cell j with
@@ -649,8 +791,14 @@ let rank_column (b : Relation.batch) c =
         int_ranks n ~null_at ~int_at:(fun k ->
             Array.unsafe_get a (Array.unsafe_get sel k))
     | Column.Floats a ->
-        float_ranks n ~null_at ~float_at:(fun k ->
-            Array.unsafe_get a (Array.unsafe_get sel k))
+        let validity = col.Column.validity in
+        float_ranks n (fun cls key ->
+            for k = 0 to n - 1 do
+              let id = Array.unsafe_get sel k in
+              match validity with
+              | Some bits when not (Column.valid_bit bits id) -> ()
+              | _ -> set_float_key cls key k (Array.unsafe_get a id)
+            done)
     | Column.Bools a ->
         int_ranks n ~null_at ~int_at:(fun k ->
             Bool.to_int (Array.unsafe_get a (Array.unsafe_get sel k)))
@@ -675,19 +823,12 @@ let rank_column (b : Relation.batch) c =
 
 (* Dense numbering of an int key in [0, m), in key order: equal keys,
    equal ids; a smaller key, a smaller id. *)
-let renumber key m =
-  let order = radix_perm key m in
-  let ids = Array.make (Array.length key) 0 in
-  let g = ref 0 in
-  Array.iteri
-    (fun k j ->
-      if k > 0 && key.(j) <> key.(order.(k - 1)) then incr g;
-      ids.(j) <- !g)
-    order;
-  (ids, !g + 1)
+let renumber key =
+  let n = Array.length key in
+  class_ranks n ~classes:1 (Bytes.make n '\000') ~keyed:(fun _ -> true) key
 
 (* A key in [0, m) of at most [n] values, in key order. *)
-let dense n (key, m) = if m > n then renumber key m else (key, m)
+let dense n (key, m) = if m > n then renumber key else (key, m)
 
 (* One int key in [0, m) that orders [n] rows lexicographically by
    their per-column ranks (each [(ranks, mc)], ranks in [0, mc)):
@@ -802,9 +943,26 @@ let sort keys (r : Relation.t) =
               :: rank (List.filteri (fun i _ -> i >= Array.length g.keys) keys)
           | None -> directed dir (rank_column b c) :: rank (List.tl keys))
     in
-    let key, m = combine n (rank keys) in
-    Relation.of_batch schema
-      { b with sel = radix_sel key m b.sel }
+    (* one stable pass per key, the last key first, over the
+       positions; then the vector in their order *)
+    let ranked = List.rev (rank keys) in
+    with_scratch n @@ fun first ->
+    with_scratch n @@ fun second ->
+    for j = 0 to n - 1 do
+      Array.unsafe_set first j j
+    done;
+    let order, _ =
+      List.fold_left
+        (fun (src, dst) (key, m) ->
+          let out = sort_positions key m n ~src ~dst in
+          (out, if out == src then dst else src))
+        (first, second) ranked
+    in
+    let sel = Array.make n 0 in
+    for j = 0 to n - 1 do
+      Array.unsafe_set sel j (Array.unsafe_get b.sel (Array.unsafe_get order j))
+    done;
+    Relation.of_batch schema { b with sel }
 
 (* Ids equal exactly for rows equal on the columns at [positions], in
    no particular order. An aggregate column whose basis is among those
@@ -849,7 +1007,7 @@ let distinct_on keys (r : Relation.t) =
         incr k
       end)
     gid;
-  Relation.of_batch schema { b with sel = Array.sub kept 0 !k }
+  Relation.of_batch schema { b with sel = copy_ints kept !k }
 
 let distinct (r : Relation.t) =
   distinct_on (Schema.names (Relation.schema r)) r

@@ -7,9 +7,10 @@
    the profile record of its own run, per-task labeled series that do
    not add up, cache outcomes, plan nodes, full replays or
    derivations that the profile ring does not account for,
-   a JSON export that does not parse back, or an incremental session
-   whose rows or order differ from a full replay. Run via
-   [dune build @obs], next to [@lint]. *)
+   a JSON export that does not parse back, an incremental session
+   whose rows or order differ from a full replay, or a pinned script's
+   fallback derivation that the counters and the ring disagree on.
+   Run via [dune build @obs], next to [@lint]. *)
 
 open Sheet_core
 module Obs = Sheet_obs.Obs
@@ -220,6 +221,38 @@ let run_task catalog (task : Sheet_tpch.Tpch_tasks.t) =
             "Session.materialized differs from Materialize.full's visible \
              columns")
 
+(* No bundled task script takes a fallback derivation, so every
+   task's [strategy accounting] compares the fallbacks at 0 = 0. This
+   pinned script over the sample cars relation takes one — a rename
+   derives nothing from its cached parent — so the fallback count is
+   also checked where it is not 0. *)
+let fallback_accounting () =
+  let label what = "cars script " ^ what in
+  Obs.Profile.clear ();
+  Obs.Metrics.reset ();
+  Obs.Histogram.reset ();
+  Materialize.reset_cache ();
+  let session = Session.create ~name:"cars" Sheet_rel.Sample_cars.relation in
+  match
+    Script.run_silent session
+      "select Price > 5000\nformula p2 = Price * 2\nrename Year Built"
+  with
+  | Error msg -> check (label "script") false msg
+  | Ok _ ->
+      let fallbacks = Obs.Metrics.value_of Obs.k_incremental_fallbacks in
+      let ring =
+        List.length
+          (List.filter
+             (fun r ->
+               r.Obs.Profile.p_kind = "incremental"
+               && r.Obs.Profile.p_strategy = "full-replay")
+             (Obs.Profile.records ()))
+      in
+      check (label "fallback accounting")
+        (fallbacks >= 1 && fallbacks = ring)
+        (Printf.sprintf "fallbacks %d (ring %d), want at least 1" fallbacks
+           ring)
+
 let () =
   Obs.set_sink Obs.Memory;
   let tasks = Sheet_tpch.Tpch_tasks.all @ Sheet_tpch.Tpch_tasks.extensions in
@@ -230,6 +263,7 @@ let () =
   in
   List.iter (run_task catalog) tasks;
   Obs.set_ambient_labels Obs.Labels.empty;
+  fallback_accounting ();
   if !failures > 0 then begin
     Printf.eprintf "obs gate: %d failure(s)\n" !failures;
     exit 1
