@@ -8,108 +8,6 @@ let last_computed (child : Spreadsheet.t) =
   | c :: _ -> c
   | [] -> invalid_arg "Incremental.last_computed"
 
-(* Whether the aggregate [c], appended to [parent], can fold to
-   another value over the parent's rows in their presented order than
-   in base order, where a full replay folds them (it aggregates before
-   it sorts). Only a float sum (AVG always sums in floats) and the
-   first of equal extremes that are not identical (0. and -0.) depend
-   on the order, and only on the order within a group: rows of one
-   group tie on every sort key that is a basis column, and the stable
-   sort left ties in base order. *)
-let fold_order_matters ~(parent : Spreadsheet.t) ~(child : Spreadsheet.t)
-    (c : Computed.t) =
-  match c.Computed.spec with
-  | Computed.Formula _ -> false
-  | Computed.Aggregate { fn; arg; level } -> (
-      let basis =
-        Grouping.cumulative_basis (Spreadsheet.grouping child) level
-      in
-      let arg_ty =
-        match
-          Option.map (Expr_check.check (Spreadsheet.full_schema parent)) arg
-        with
-        | Some (Ok ty) -> ty
-        | None | Some (Error _) -> None
-      in
-      (not
-         (List.for_all
-            (fun (key, _) -> List.mem key basis)
-            (Grouping.sort_keys (Spreadsheet.grouping parent))))
-      &&
-      match (fn, arg_ty) with
-      | (Expr.Count_star | Expr.Count | Expr.Count_distinct), _ -> false
-      | Expr.Sum, Some Value.TInt -> false
-      | ( (Expr.Min | Expr.Max),
-          Some (Value.TInt | Value.TDate | Value.TString | Value.TBool) ) ->
-          false
-      | _ -> true)
-
-let ascending a =
-  let rec go i = i >= Array.length a || (a.(i - 1) < a.(i) && go (i + 1)) in
-  go 1
-
-(* The vector of [b], a batch over the rows of [base], in the order a
-   full replay scans them in — physically [b]'s own when it is in that
-   order already — or [None] when [b] does not select from [base]'s
-   rows. *)
-let base_order ~base (b : Relation.batch) =
-  let root = b.Relation.base and sel = b.Relation.sel in
-  (* the vector a replay scans [root]'s rows in, [None] for id order *)
-  let scan =
-    if base == root then Some None
-    else
-      let s = Relation.batch base in
-      if s.Relation.base != root then None
-      else if ascending s.Relation.sel then Some None
-      else Some (Some s.Relation.sel)
-  in
-  match scan with
-  | None -> None
-  | Some None when ascending sel -> Some sel
-  | Some scan ->
-      let picked = Bytes.make (Relation.cardinality root) '\000' in
-      Array.iter (fun id -> Bytes.set picked id '\001') sel;
-      let out = Array.make (Array.length sel) 0 and k = ref 0 in
-      let visit id =
-        if Bytes.get picked id = '\001' then begin
-          out.(!k) <- id;
-          incr k
-        end
-      in
-      (match scan with
-      | None ->
-          for id = 0 to Bytes.length picked - 1 do
-            visit id
-          done
-      | Some scan -> Array.iter visit scan);
-      if !k = Array.length sel then Some out else None
-
-(* [rel] with its vector permuted to [sel]. A grouping that numbers
-   the old vector numbers [sel] too (group ids are by base row id), so
-   it moves along and a later aggregate over [sel] still shares it. *)
-let permute rel sel =
-  let b = Relation.batch rel in
-  let moved = ref [] in
-  let move (g : Relation.grouping) =
-    if g.Relation.over != b.Relation.sel then g
-    else
-      match List.assq_opt g !moved with
-      | Some g' -> g'
-      | None ->
-          let g' = { g with Relation.over = sel } in
-          moved := (g, g') :: !moved;
-          g'
-  in
-  let cols =
-    Array.map
-      (function
-        | Relation.Broadcast { grouping; values } ->
-            Relation.Broadcast { grouping = move grouping; values }
-        | col -> col)
-      b.Relation.cols
-  in
-  Relation.of_batch (Relation.schema rel) { b with Relation.sel; cols }
-
 (* Each derivation is a short plan over a [Scan] of the parent's
    cached materialization, run by the one executor, which continues
    from the parent's batch; its profile notes land in the child's
@@ -130,20 +28,10 @@ let derive ~(parent : Spreadsheet.t) ~(op : Op.t) ~(child : Spreadsheet.t) =
   | Op.Order_groups _ ->
       (* content is unchanged (the engine refused anything that would
          invalidate computed values); only the presentation order
-         moves. A stable re-sort of the parent's rows leaves ties in
-         the parent's order, which is base order only among rows
-         equal on every parent sort key — so it reproduces a full
-         replay exactly when each parent key column is a child key
-         column; otherwise the order would depend on the history *)
-      let key_cols sheet =
-        List.map fst (Grouping.sort_keys (Spreadsheet.grouping sheet))
-      in
-      if
-        List.for_all
-          (fun col -> List.mem col (key_cols child))
-          (key_cols parent)
-      then over_parent (Plan.sorted child)
-      else None
+         moves. A sort orders by its keys, then by root row id, so the
+         parent's order is forgotten: with no keys it restores root
+         order, as a replay leaves it *)
+      over_parent (Plan.sorted child)
   | Op.Select pred ->
       (* safe only when the selection lands in the highest stratum:
          nothing recomputes after it *)
@@ -152,31 +40,12 @@ let derive ~(parent : Spreadsheet.t) ~(op : Op.t) ~(child : Spreadsheet.t) =
         = List.length state.Query_state.computed
       then over_parent (fun scan -> Plan.Filter (pred, scan))
       else None
-  | Op.Formula _ ->
+  | Op.Formula _ | Op.Aggregate _ ->
       (* a fresh computed column is appended after every existing
-         stratum; the appended column cannot disturb the sort keys *)
+         stratum; the appended column cannot disturb the sort keys,
+         and an aggregate folds each group in root order whatever the
+         parent's order *)
       over_parent (Plan.extend child (last_computed child))
-  | Op.Aggregate _ -> (
-      (* likewise, but where the aggregate depends on the order its
-         fold visits the rows in, it must visit them as a full replay
-         does, in base order before the sort: it runs over the
-         parent's rows put back in base order, and its result goes
-         back to the parent's order *)
-      let c = last_computed child in
-      let parent_rel = Materialize.full_cached parent in
-      let extend scan =
-        Plan.execute ~uid:child.Spreadsheet.uid
-          (Plan.extend child c (Plan.Scan scan))
-      in
-      if not (fold_order_matters ~parent ~child c) then
-        Some (extend parent_rel)
-      else
-        let b = Relation.batch parent_rel in
-        match base_order ~base:child.Spreadsheet.base b with
-        | None -> None
-        | Some sel when sel == b.Relation.sel -> Some (extend parent_rel)
-        | Some sel ->
-            Some (permute (extend (permute parent_rel sel)) b.Relation.sel))
   | Op.Dedup ->
       (* equal visible rows are equal full rows only when nothing is
          hidden and no computed column could differ; the parent's rows

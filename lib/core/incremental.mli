@@ -20,19 +20,21 @@
       unchanged (hidden columns are presentational) — unless duplicate
       elimination is active, whose key is the visible column set;
     - grouping and ordering operators: a [Sort] of the parent rows
-      (their guards ensure no computed value changes), provided every
-      parent sort column is a child sort column — otherwise ties
-      would keep the parent's order instead of base order;
+      on the child's keys, none included (their guards ensure no
+      computed value changes); a sort breaks ties by root row id, so
+      the parent's order leaves no trace;
     - a selection applied at the highest stratum (no computed column
       defined after it): a [Filter] of the parent rows;
     - a new aggregation or formula column: one [Extend_*] node
-      ({!Plan.extend}) over the parent rows;
+      ({!Plan.extend}) over the parent rows (an aggregate folds each
+      group in root order, whatever the parent's order);
     - duplicate elimination with nothing hidden and no computed
       column: a [Distinct_on] every column.
 
-    Anything else — duplicate elimination with computed columns,
-    renames, binary operators, query modification — answers [None]
-    and falls back to full replay. Derivations are exact: the result
+    Anything else — a selection below the highest stratum, duplicate
+    elimination with hidden or computed columns, projection under
+    duplicate elimination, renames, binary operators, query
+    modification — answers [None] and falls back to full replay. Derivations are exact: the result
     is the relation {!Materialize.full} would compute, rows and order
     (checked against the test oracle by the differential battery). *)
 

@@ -109,30 +109,11 @@ let evict_if_over_limit () =
       (Printf.sprintf "oldest half, %d of %d entries" !removed n)
   end
 
-(* Order safety: the subsumed path answers by re-sorting the cached
-   rows, and a stable sort leaves ties in the input's order — so the
-   served row order reproduces a full replay's (ties in base order)
-   only when the cached entry's sort keys are a prefix of the
-   candidate's (empty and equal included). Anything else would leak
-   the subsumer's tie arrangement into the answer, making the visible
-   order depend on what happens to be cached — under Sheetserve's
-   shared cache, on other sessions' timing. Such entries are skipped;
-   the request simply falls through to the next candidate or a miss. *)
-let keys_prefix shorter longer =
-  let rec go = function
-    | [], _ -> true
-    | _, [] -> false
-    | (a : string * Grouping.dir) :: xs, b :: ys -> a = b && go (xs, ys)
-  in
-  go (shorter, longer)
-
 (* Scan for a cached state proven to subsume [sheet]'s. Oldest-first
    keeps the answer deterministic; the structural checks (same base
-   relation, physically; order-safe sort keys; then
-   [State_subsume.check]'s own) are cheap, and only a call of the
-   solver spends budget. *)
+   relation, physically; then [State_subsume.check]'s own) are cheap,
+   and only a call of the solver spends budget. *)
 let find_subsumer (sheet : Spreadsheet.t) =
-  let candidate_keys = Grouping.sort_keys (Spreadsheet.grouping sheet) in
   let type_of = Schema.type_of (Spreadsheet.full_schema sheet) in
   let budget = ref scan_budget in
   let found = ref None in
@@ -145,10 +126,6 @@ let find_subsumer (sheet : Spreadsheet.t) =
              if
                uid <> sheet.Spreadsheet.uid
                && entry.e_sheet.Spreadsheet.base == sheet.Spreadsheet.base
-               && keys_prefix
-                    (Grouping.sort_keys
-                       (Spreadsheet.grouping entry.e_sheet))
-                    candidate_keys
              then
                match
                  State_subsume.check ~type_of ~budget
@@ -165,8 +142,11 @@ let find_subsumer (sheet : Spreadsheet.t) =
 
 (* Answer [sheet] from a subsuming entry: keep only the rows passing
    [sheet]'s own selections (sound because State_subsume guaranteed
-   identical schemas, computed cells and dedup survivors), then
-   re-sort for [sheet]'s grouping/ordering. *)
+   identical schemas, computed cells and dedup survivors), then sort
+   on [sheet]'s keys, none included. A sort breaks ties by root row
+   id, so the entry's own order leaves no trace: the served order is
+   a replay's, whatever happens to be cached — under Sheetserve's
+   shared cache, whatever other sessions did. *)
 let serve_subsumed (sheet : Spreadsheet.t) (cached_rel : Relation.t) =
   let filtered =
     List.fold_left

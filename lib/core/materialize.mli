@@ -45,11 +45,10 @@ val full_cached : Spreadsheet.t -> Relation.t
     weaker selection) and answers by re-filtering/re-sorting that
     entry's rows — a {e subsumed hit}, run as a Filter/Sort plan over
     a [Scan] of the cached relation — before falling back to a full
-    replay. Only {e order-safe} subsumers are eligible: the entry's
-    sort keys must be a prefix of the request's, so the stable re-sort
-    reproduces a full replay's row order exactly (ties in base order)
-    rather than inheriting the subsumer's tie arrangement — under
-    Sheetserve's shared cache, served rows must not depend on what
+    replay. The re-sort runs on the request's sort keys, none
+    included, and a sort breaks ties by root row id, so the served
+    order is a full replay's whatever the entry's own order — under
+    Sheetserve's shared cache, served rows do not depend on what
     other sessions happen to have materialized. Every answer equals
     {!full}, rows {e and} order (property-tested on the differential
     battery and hammered by [test/test_serve.ml]).

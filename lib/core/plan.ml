@@ -22,14 +22,13 @@ and extend_agg = {
 
 (* ---------- compilation: stratified replay as an operator chain ---- *)
 
-let sorted (sheet : Spreadsheet.t) plan =
-  let keys =
-    List.map
-      (fun (attr, dir) ->
-        (attr, match dir with Grouping.Asc -> `Asc | Grouping.Desc -> `Desc))
-      (Grouping.sort_keys (Spreadsheet.grouping sheet))
-  in
-  if keys = [] then plan else Sort (keys, plan)
+let sort_keys (sheet : Spreadsheet.t) =
+  List.map
+    (fun (attr, dir) ->
+      (attr, match dir with Grouping.Asc -> `Asc | Grouping.Desc -> `Desc))
+    (Grouping.sort_keys (Spreadsheet.grouping sheet))
+
+let sorted sheet plan = Sort (sort_keys sheet, plan)
 
 let extend (sheet : Spreadsheet.t) (c : Computed.t) plan =
   match c.Computed.spec with
@@ -74,7 +73,11 @@ let unsorted (sheet : Spreadsheet.t) =
        (fun (plan, k) c -> (filters_at k (extend sheet c plan), k + 1))
        (plan, 1) state.Query_state.computed)
 
-let of_sheet sheet = sorted sheet (unsorted sheet)
+(* a replay scans the base in root order: with no keys, nothing to sort *)
+let of_sheet sheet =
+  match sort_keys sheet with
+  | [] -> unsorted sheet
+  | keys -> Sort (keys, unsorted sheet)
 
 let base_rows (sheet : Spreadsheet.t) =
   Project (Schema.names (Spreadsheet.base_schema sheet), unsorted sheet)
@@ -157,14 +160,20 @@ let linearize node =
 (* Grouped aggregation with per-row broadcast (Table III), with no
    per-group list: [Rel_algebra.grouping] gives every row its group —
    shared with an earlier aggregate of the same level over the same
-   vector — one pass folds each row's argument, in input order, into
-   its group's accumulator, and every row's handle gets its group's
-   value. The folds reproduce [Expr_eval.apply_agg] over the group's
-   values exactly: a sum keeps an int total beside a float total
-   accumulated in row order, so either result is bit-identical, a
-   minimum or maximum keeps the first of equal values under
-   [Value.compare], and the first ill-typed argument in input order
-   raises.
+   vector — one pass folds each row's argument, in root-id order,
+   into its group's accumulator, and every row's handle gets its
+   group's value. A float sum and the first of equal extremes depend
+   on the order of the fold, so it never depends on the order of the
+   vector: the pass visits the vector itself when each group's ids
+   ascend along it (always over a scan in root order, and after a
+   sort whose keys are basis columns), else the ids in root order
+   ([Rel_algebra.root_order]).
+   The folds reproduce [Expr_eval.apply_agg] over the group's values
+   in root order exactly: a sum keeps an int total beside a float
+   total accumulated in that order, so either result is
+   bit-identical, a minimum or maximum keeps the first of equal
+   values under [Value.compare], and the first ill-typed argument in
+   root order raises.
 
    An argument that is a typed column (of the base image, or computed
    by the typed kernel) folds its unboxed array: COUNT reads only the
@@ -250,17 +259,32 @@ let aggregate_typed fn (col : Column.t) (g : Relation.grouping) sel =
       per_group (fun g -> Value.Float best.(g))
   | _ -> None
 
+(* Whether each group's ids ascend along [sel]. *)
+let groups_ascend (g : Relation.grouping) sel =
+  let last = Array.make g.Relation.groups (-1) and group = g.Relation.group in
+  let rec go j =
+    j >= Array.length sel
+    ||
+    let id = Array.unsafe_get sel j in
+    let gi = Array.unsafe_get group id in
+    id > Array.unsafe_get last gi
+    && (Array.unsafe_set last gi id;
+        go (j + 1))
+  in
+  go 0
+
 (* The aggregate's per-group values, and whether a typed fold (or no
    argument read at all, COUNT( * )) produced them. *)
 let aggregate fn arg r (g : Relation.grouping) =
-  let b = Relation.batch r in
+  let sel = (Relation.batch r).sel in
+  let sel = if groups_ascend g sel then sel else Rel_algebra.root_order r in
   let typed =
     match (fn, arg) with
     | Expr.Count_star, _ -> None
     | _, Some (Expr.Col name) -> Rel_algebra.typed_arg r name
     | _ -> None
   in
-  match Option.bind typed (fun col -> aggregate_typed fn col g b.sel) with
+  match Option.bind typed (fun col -> aggregate_typed fn col g sel) with
   | Some values -> (values, true)
   | None ->
       let arg =
@@ -278,7 +302,7 @@ let aggregate fn arg r (g : Relation.grouping) =
                       (Expr.agg_fun_name fn)));
             fun _ -> Value.Null
       in
-      (aggregate_boxed fn arg g b.sel, fn = Expr.Count_star)
+      (aggregate_boxed fn arg g sel, fn = Expr.Count_star)
 
 let extend_aggregate { agg_name; agg_ty; fn; arg; basis } r =
   let schema = Relation.schema r in

@@ -25,8 +25,8 @@ type node =
   | Project of string list * node  (** keep the named columns *)
   | Filter of Expr.t * node
   | Distinct_on of string list * node
-      (** duplicate elimination keyed on the given columns; first
-          occurrence survives *)
+      (** duplicate elimination keyed on the given columns; the row
+          of the lowest root row id survives *)
   | Extend_formula of extend * node
   | Extend_aggregate of extend_agg * node
   | Sort of (string * [ `Asc | `Desc ]) list * node
@@ -43,7 +43,9 @@ and extend_agg = {
 
 val of_sheet : Spreadsheet.t -> node
 (** Compile the sheet's query state: all columns (hidden ones
-    included), rows in presentation order. *)
+    included), rows in presentation order. A sheet with no ordering
+    gets no [Sort]: its base scans in root order
+    ({!Spreadsheet.of_relation}). *)
 
 val base_rows : Spreadsheet.t -> node
 (** The paper's [R^j]: the base relation filtered by the accumulated
@@ -52,8 +54,9 @@ val base_rows : Spreadsheet.t -> node
 
 val sorted : Spreadsheet.t -> node -> node
 (** Wrap a plan in the sheet's presentation [Sort] (the flat ordering
-    that emulates the recursive grouping, {!Grouping.sort_keys}); the
-    plan itself when the sheet has no ordering. *)
+    that emulates the recursive grouping, {!Grouping.sort_keys}),
+    keys or none: a [Sort] with no keys puts the rows back in root
+    order. *)
 
 val extend : Spreadsheet.t -> Computed.t -> node -> node
 (** The extension node computing one computed column of the sheet
@@ -88,9 +91,9 @@ val execute : ?uid:int -> node -> Relation.t
       columns ({!Sheet_rel.Rel_algebra.grouping}) — reusing the
       grouping of an earlier aggregate over the same selection vector
       and basis, which travels with the batch on that aggregate's
-      column — folds the argument of every row, in input order, into
-      per-group accumulators and appends the column broadcasting each
-      group's value. An argument that is a typed column folds its
+      column — folds the argument of every row, in root-id order
+      whatever the order of the vector, into per-group accumulators
+      and appends the column broadcasting each group's value. An argument that is a typed column folds its
       unboxed array (COUNT reads only its validity, SUM/AVG an int or
       float array, MIN/MAX an int, date or float array; path
       [columnar], as is COUNT( * )); any other folds boxed cells
@@ -98,11 +101,12 @@ val execute : ?uid:int -> node -> Relation.t
       [row]). Results equal {!Sheet_rel.Expr_eval.apply_agg} over
       each group's values bit for bit. An ill-typed argument — one
       that fails to evaluate, or a non-numeric [SUM]/[AVG] input —
-      raises at the first such row in input order, whatever its
+      raises at the first such row in root order, whatever its
       group;
-    - [Sort] permutes the vector by ranked key columns
-      ({!Sheet_rel.Rel_algebra.sort}) and [Distinct_on] thins it to
-      the first row of each key group (path [batch]).
+    - [Sort] permutes the vector by ranked key columns, ties by root
+      row id ({!Sheet_rel.Rel_algebra.sort}), and [Distinct_on] thins
+      it to the row of the lowest root row id of each key group (path
+      [batch]).
     Each unit notes one profile node, with the path its predicate or
     formula took and why; the record's commit derives the [plan.*]
     counters and the per-kind histograms from it.

@@ -52,6 +52,11 @@ let same_uid_arena a b = a lsr arena_shift = b lsr arena_shift
 let reset_uid_arena arena = Hashtbl.remove arena_counters arena
 
 let of_relation ~name base =
+  let base =
+    if Rel_algebra.root_order base == (Relation.batch base).Relation.sel then
+      base
+    else Relation.unsafe_of_array (Relation.schema base) (Relation.to_array base)
+  in
   { uid = fresh_uid ();
     name;
     base_name = name;

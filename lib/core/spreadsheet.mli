@@ -61,7 +61,10 @@ val reset_uid_arena : int -> unit
 
 val of_relation : name:string -> Relation.t -> t
 (** The base spreadsheet [S^0] (Definition 2): columns inherited,
-    grouping and ordering empty. *)
+    grouping and ordering empty. A batch-backed relation whose vector
+    does not ascend is re-rooted on its rows, so that every sheet's
+    base scans in root order: its order is the base order ties and
+    folds follow. *)
 
 val bump : t -> t
 (** Next version of the same sheet. *)

@@ -439,7 +439,8 @@ let equijoin ~on:(left_col, right_col) (a : Relation.t) (b : Relation.t) =
    rank by hashing their distinct cells and sorting only those: a
    typed column never hashes. Every ranking puts nulls last.
    Descending keys flip their ranks. A sort orders the positions by
-   one stable pass per key, the last key first; grouping and
+   one stable pass per key, the last key first, and breaks ties by
+   root row id, whatever the order of its input; grouping and
    duplicate elimination combine the ranks of their keys into one
    order-preserving int key, whose dense numbering are the group ids.
    No comparison ever looks at a boxed value after ranking. *)
@@ -904,15 +905,51 @@ let grouping r positions =
       done;
       { Relation.over = b.sel; keys; group; groups }
 
+(* Whether [a] strictly ascends. *)
+let ascending (a : int array) =
+  let rec go i =
+    i >= Array.length a
+    || (Array.unsafe_get a (i - 1) < Array.unsafe_get a i && go (i + 1))
+  in
+  go 1
+
+(* Whether [b]'s vector is in root order: the root's own (a
+   projection of the root), or one that ascends. *)
+let in_root_order (b : Relation.batch) =
+  b.sel == (Relation.batch b.base).sel || ascending b.sel
+
+(* [b]'s ids in root order: its vector itself when it is in root
+   order, else its positions stably sorted on their ids (one counting
+   pass over the root's id range, or the bucket sort past 2^16 ids
+   more than the rows), read back through the vector. *)
+let root_ids (b : Relation.batch) =
+  let sel = b.sel in
+  if in_root_order b then sel
+  else begin
+    let n = Array.length sel in
+    with_scratch n @@ fun src ->
+    with_scratch n @@ fun dst ->
+    for j = 0 to n - 1 do
+      Array.unsafe_set src j j
+    done;
+    let order = sort_positions sel (Relation.cardinality b.base) n ~src ~dst in
+    init_ints n (fun j -> Array.unsafe_get sel (Array.unsafe_get order j))
+  end
+
+let root_order r = root_ids (Relation.batch r)
+
 let sort keys (r : Relation.t) =
   let schema = Relation.schema r in
   let keys =
     List.map (fun (name, dir) -> (Schema.index_exn schema name, dir)) keys
   in
-  let n = Relation.cardinality r in
-  if keys = [] || n < 2 then r
+  let b = Relation.batch r in
+  let n = Array.length b.sel in
+  if n < 2 then r
+  else if keys = [] then
+    let ids = root_ids b in
+    if ids == b.sel then r else Relation.of_batch schema { b with sel = ids }
   else
-    let b = Relation.batch r in
     let groupings = groupings b in
     let directed dir (ranks, m) =
       (match dir with
@@ -951,7 +988,7 @@ let sort keys (r : Relation.t) =
     for j = 0 to n - 1 do
       Array.unsafe_set first j j
     done;
-    let order, _ =
+    let order, spare =
       List.fold_left
         (fun (src, dst) (key, m) ->
           let out = sort_positions key m n ~src ~dst in
@@ -962,6 +999,44 @@ let sort keys (r : Relation.t) =
     for j = 0 to n - 1 do
       Array.unsafe_set sel j (Array.unsafe_get b.sel (Array.unsafe_get order j))
     done;
+    (* the passes leave ties in the vector's order: unless that is
+       root order, each run of ties whose ids descend somewhere is
+       sorted by id *)
+    if not (in_root_order b) then begin
+      let ranks = Array.of_list (List.map fst ranked) in
+      (* whether the rows at [j - 1] and [j] tie on every key *)
+      let tie j =
+        let p = Array.unsafe_get order (j - 1) and q = Array.unsafe_get order j in
+        let k = ref 0 in
+        while
+          !k < Array.length ranks
+          && Array.unsafe_get (Array.unsafe_get ranks !k) p
+             = Array.unsafe_get (Array.unsafe_get ranks !k) q
+        do
+          incr k
+        done;
+        !k = Array.length ranks
+      in
+      let j = ref 1 in
+      while !j < n do
+        if Array.unsafe_get sel (!j - 1) > Array.unsafe_get sel !j && tie !j
+        then begin
+          let lo = ref (!j - 1) and hi = ref (!j + 1) in
+          while !lo > 0 && tie !lo do
+            decr lo
+          done;
+          while !hi < n && tie !hi do
+            incr hi
+          done;
+          sort_by_key b.sel order spare !lo !hi;
+          for k = !lo to !hi - 1 do
+            Array.unsafe_set sel k (Array.unsafe_get b.sel (Array.unsafe_get order k))
+          done;
+          j := !hi
+        end
+        else incr j
+      done
+    end;
     Relation.of_batch schema { b with sel }
 
 (* Ids equal exactly for rows equal on the columns at [positions], in
@@ -996,17 +1071,23 @@ let distinct_on keys (r : Relation.t) =
   let positions = List.map (Schema.index_exn schema) keys in
   let b = Relation.batch r in
   let gid, groups = class_ids b positions in
-  let seen = Bytes.make groups '\000' in
-  let kept = Array.make (Array.length gid) 0 in
+  let sel = b.sel and n = Array.length gid in
+  (* each class's lowest root id, then the rows that hold one, in
+     vector order *)
+  let low = Array.make groups max_int in
+  for j = 0 to n - 1 do
+    let g = Array.unsafe_get gid j and id = Array.unsafe_get sel j in
+    if id < Array.unsafe_get low g then Array.unsafe_set low g id
+  done;
+  let kept = Array.make n 0 in
   let k = ref 0 in
-  Array.iteri
-    (fun j g ->
-      if Bytes.get seen g = '\000' then begin
-        Bytes.set seen g '\001';
-        kept.(!k) <- b.sel.(j);
-        incr k
-      end)
-    gid;
+  for j = 0 to n - 1 do
+    let id = Array.unsafe_get sel j in
+    if Array.unsafe_get low (Array.unsafe_get gid j) = id then begin
+      Array.unsafe_set kept !k id;
+      incr k
+    end
+  done;
   Relation.of_batch schema { b with sel = copy_ints kept !k }
 
 let distinct (r : Relation.t) =

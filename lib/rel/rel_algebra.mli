@@ -98,36 +98,51 @@ val equijoin : on:(string * string) -> Relation.t -> Relation.t -> Relation.t
 
 val distinct : Relation.t -> Relation.t
 (** Remove duplicate rows (equal under {!Value.compare} column by
-    column), keeping the first occurrence of each: {!distinct_on}
+    column), keeping the row of the lowest root row id of each (the
+    first occurrence, over a vector in root order): {!distinct_on}
     every column, which thins the selection vector by {!group_ids}
     and hashes no row. *)
 
 val distinct_on : string list -> Relation.t -> Relation.t
-(** Keep the first row of each group of rows equal (under
-    {!Value.compare}) on the given columns. An aggregate column whose
+(** Keep, of each group of rows equal (under {!Value.compare}) on the
+    given columns, the row of the lowest root row id (the id in
+    [Relation.batch r]'s vector), whatever the order of the vector;
+    survivors stay in vector order. Over a vector in root order that
+    is the first row of each group. An aggregate column whose
     basis is among the columns is left out of the comparison (its
     cells follow its group), and a grouping of the batch over exactly
     the remaining columns numbers the rows without ranking them. *)
 
 val sort : (string * [ `Asc | `Desc ]) list -> Relation.t -> Relation.t
-(** Stable sort by the given key columns under {!Value.compare};
-    [Null]s sort last in ascending order. Rows and order equal a
-    stable comparison sort's, ties included ([Int 3] and [Float 3.0]
-    tie). Column at a time: each key column is ranked once into ints
-    that order as {!Value.compare} orders its cells — a
+(** Sort by the given key columns under {!Value.compare}, then by
+    root row id (the id in [Relation.batch r]'s vector): the order
+    does not depend on the order of the input's vector. [Null]s sort
+    last in ascending order. Rows and order equal a stable comparison
+    sort's over the rows in root order ({!root_order}), ties included
+    ([Int 3] and [Float 3.0] tie). With no keys the rows go back to
+    root order. Column at a time: each key column is ranked once into
+    ints that order as {!Value.compare} orders its cells — a
     dictionary-coded string column of the base image by its sorted
     dictionary, an int or date column by offset from its minimum, a
-    float column by radix-sorting the bits of its cells, a bool
+    float column by bucket-sorting 63-bit keys of its cells, a bool
     column false first; cells of one constructor as their typed
     column would, and only mixed cells or strings without a
     dictionary by hashing their distinct values and sorting only
-    those — and descending keys flip their ranks. The ranks are
-    combined into one order-preserving int key (as in {!group_ids})
-    and the selection vector is LSD-radix-sorted on it. A run of keys
+    those — and descending keys flip their ranks. The vector then
+    takes one stable counting pass per key, the last key first; when
+    it was not in root order, each run of ties whose ids descend is
+    then sorted by id. A run of keys
     in one direction that is the basis of a grouping an aggregate
     column of the batch carries ({!Relation.grouping}) ranks by that
-    grouping's ids, which order as the run's cells do. No keys or
-    fewer than two rows return the relation itself. *)
+    grouping's ids, which order as the run's cells do. Fewer than two
+    rows, or no keys over a vector that ascends, return the relation
+    itself. *)
+
+val root_order : Relation.t -> int array
+(** The ids of [Relation.batch r]'s vector in root order (ascending):
+    the vector itself when it ascends, else sorted by one counting
+    pass over the root's id range (a bucket sort over a root much
+    wider than the vector). *)
 
 val group_ids : Relation.t -> int list -> int array * int
 (** [group_ids r positions] is [(gid, groups)]: row [i] of [r] gets

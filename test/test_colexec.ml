@@ -620,6 +620,117 @@ let having_matches_row_path =
       | Ok _, Error e -> QCheck.Test.fail_reportf "no error, want %s" e
       | Error e, Ok _ -> QCheck.Test.fail_reportf "unexpected %s" e)
 
+(* ---------- order independence ----------
+
+   Sort, duplicate elimination and grouped aggregation decide row
+   order and fold order by root row id, never by the order of the
+   input's vector: over the same rows read through a random
+   permutation of the vector, a sort gives the same rows in the same
+   order, and duplicate elimination and an aggregate give the same
+   rows and cells, float bits included, once put back in root order
+   (a sort with no keys). *)
+
+(* The rows as a root, read through the vector [perm]. *)
+let permuted schema rows perm =
+  let root = Relation.unsafe_of_array schema rows in
+  Relation.of_batch schema { (Relation.batch root) with Relation.sel = perm }
+
+let gen_perm n = QCheck.Gen.(map Array.of_list (shuffle_l (List.init n Fun.id)))
+
+let rows_exact a b =
+  Array.length a = Array.length b
+  && Array.for_all2
+       (fun r s -> Array.length r = Array.length s && Array.for_all2 value_exact r s)
+       a b
+
+let in_root_order r = Relation.to_array (Rel_algebra.sort [] r)
+
+let sort_ignores_vector_order =
+  QCheck.Test.make ~count:150 ~name:"sort: a permuted vector, the same order"
+    (QCheck.make
+       QCheck.Gen.(
+         let* rows, keys = gen_sort_case in
+         let* perm = gen_perm (Array.length rows) in
+         return (rows, keys, perm)))
+    (fun (rows, keys, perm) ->
+      let want = Relation.to_array (Rel_algebra.sort keys (base rows)) in
+      let got =
+        Relation.to_array (Rel_algebra.sort keys (permuted sort_schema rows perm))
+      in
+      rows_identical got want
+      || QCheck.Test.fail_reportf "got %s\nwant %s" (print_rows got)
+           (print_rows want))
+
+let distinct_ignores_vector_order =
+  QCheck.Test.make ~count:300
+    ~name:"distinct_on: a permuted vector keeps the lowest root ids"
+    (QCheck.make
+       QCheck.Gen.(
+         let* rows = gen_distinct_rows in
+         let rows = Array.mapi (fun j r -> Array.append r [| Value.Int j |]) rows in
+         let* perm = gen_perm (Array.length rows) in
+         return (rows, perm)))
+    (fun (rows, perm) ->
+      let schema = Schema.append distinct_schema { Schema.name = "row"; ty = Value.TInt } in
+      let keys = Schema.names distinct_schema in
+      let distinct r = Rel_algebra.distinct_on keys r in
+      let want = Relation.to_array (distinct (Relation.unsafe_of_array schema rows)) in
+      let got = in_root_order (distinct (permuted schema rows perm)) in
+      rows_identical got want
+      || QCheck.Test.fail_reportf "got %s\nwant %s" (print_rows got)
+           (print_rows want))
+
+(* Float sums that cancel (1e16 - 1e16 + 1 depends on the order of
+   the fold), extremes among equal zeros of either sign, and mixed
+   Int/Float cells (a boxed column, 3 beside 3.0). *)
+let gen_order_agg_case =
+  let open QCheck.Gen in
+  let* fn = oneofl Expr.[ Sum; Avg; Min; Max ] in
+  let* cells =
+    oneofl
+      [ [ Value.Float 1e16; Value.Float (-1e16); Value.Float 1.0;
+          Value.Float 0.1; Value.Float (-0.7) ];
+        [ Value.Float 0.0; Value.Float (-0.0); Value.Float 1.0;
+          Value.Float (-1.0); Value.Null ];
+        [ Value.Int 3; Value.Float 3.0; Value.Int 1; Value.Float 1e16;
+          Value.Float (-1e16); Value.Null ] ]
+  in
+  let* basis = oneofl [ []; [ "g" ]; [ "g"; "h" ] ] in
+  let* n = int_range 0 80 in
+  let* rows =
+    array_repeat n
+      (let* g = oneofl [ Value.Int 1; Value.Int 2; Value.Null ] in
+       let* h = oneofl [ Value.String "u"; Value.String "v" ] in
+       let* x = oneofl cells in
+       return (g, h, x))
+  in
+  let rows = Array.mapi (fun j (g, h, x) -> [| g; h; Value.Int j; x |]) rows in
+  let* perm = gen_perm n in
+  return (fn, basis, rows, perm)
+
+let aggregate_ignores_vector_order =
+  QCheck.Test.make ~count:500
+    ~name:"aggregate: a permuted vector, the same cells (bit-identical)"
+    (QCheck.make
+       ~print:(fun (fn, basis, rows, perm) ->
+         Printf.sprintf "%s over [%s]: %s, vector %s" (Expr.agg_fun_name fn)
+           (String.concat ", " basis) (print_rows rows)
+           (String.concat " " (Array.to_list (Array.map string_of_int perm))))
+       gen_order_agg_case)
+    (fun (fn, basis, rows, perm) ->
+      let run scan =
+        Plan.execute
+          (Plan.Extend_aggregate
+             ( { Plan.agg_name = "v"; agg_ty = Value.TFloat; fn;
+                 arg = Some (Expr.Col "x"); basis },
+               Plan.Scan scan ))
+      in
+      let want = Relation.to_array (run (Relation.unsafe_of_array agg_schema rows)) in
+      let got = in_root_order (run (permuted agg_schema rows perm)) in
+      rows_exact got want
+      || QCheck.Test.fail_reportf "got %s\nwant %s" (print_rows got)
+           (print_rows want))
+
 (* ---------- compiled expressions ---------- *)
 
 let expr_schema =
@@ -1106,6 +1217,9 @@ let () =
             test_skewed_float_ranks;
           q or_filter_after_sort ] );
       ("distinct", [ q distinct_matches_row_tbl ]);
+      ( "ordering",
+        [ q sort_ignores_vector_order; q distinct_ignores_vector_order;
+          q aggregate_ignores_vector_order ] );
       ( "batch",
         [ Alcotest.test_case "relation access" `Quick test_relation_access;
           Alcotest.test_case "page reads its window" `Quick

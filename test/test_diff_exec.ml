@@ -240,7 +240,25 @@ let gen_unary_op ~tag : Op.t QCheck.Gen.t =
        return (Op.Group { basis = [ col ]; dir }));
       (let* col = oneofl (numeric_cols @ string_cols) in
        let* dir = oneofl [ Grouping.Asc; Grouping.Desc ] in
-       return (Op.Order { attr = col; dir; level = 1 })) ]
+       return (Op.Order { attr = col; dir; level = 1 }));
+      return Op.Ungroup;
+      (let* col = oneofl (string_cols @ [ "Year" ]) in
+       let* dir = oneofl [ Grouping.Asc; Grouping.Desc ] in
+       return (Op.Regroup { basis = [ col ]; dir }));
+      (* the leaf order of a sheet grouped once (refused otherwise) *)
+      (let* col = oneofl numeric_cols in
+       let* dir = oneofl [ Grouping.Asc; Grouping.Desc ] in
+       return (Op.Order { attr = col; dir; level = 2 })) ]
+
+(* A grouping, then a leaf order inside it. *)
+let gen_group_then_order : Op.t list QCheck.Gen.t =
+  let open QCheck.Gen in
+  let* basis = oneofl (string_cols @ [ "Year" ]) in
+  let* attr = oneofl numeric_cols in
+  let* dir = oneofl [ Grouping.Asc; Grouping.Desc ] in
+  return
+    [ Op.Group { basis = [ basis ]; dir };
+      Op.Order { attr; dir; level = 2 } ]
 
 let gen_ops lo hi =
   let open QCheck.Gen in
@@ -250,6 +268,7 @@ let gen_ops lo hi =
         let tag = string_of_int i in
         frequency
           [ (6, map (fun op -> [ op ]) (gen_unary_op ~tag));
+            (1, gen_group_then_order);
             (1, gen_formula_then_aggregate ~tag);
             (1, gen_mixed_formula_then_use ~tag);
             (1, gen_float_key_then_use ~tag) ]))
@@ -300,7 +319,9 @@ let sql_agrees sheet base =
    the cache with a relaxed parent — the last Select dropped — and
    require that whatever the subsumption scan decides (exact hit,
    proven subsumer, or full replay), the served relation equals the
-   oracle's, rows and order. *)
+   oracle's, rows and order. The relaxed parent is warmed twice: as
+   it is, and sorted on other keys (ID descending, then Mileage, at
+   its finest level), whose order a subsumed hit must not leak. *)
 let subsumption_agrees rel ops =
   let build ops =
     List.fold_left
@@ -318,14 +339,29 @@ let subsumption_agrees rel ops =
     in
     go ops
   in
-  Materialize.reset_cache ();
-  let parent = build (drop_last_select ops) in
-  ignore (Materialize.full_cached parent);
-  let candidate = build ops in
-  let served = Materialize.full_cached candidate in
-  let ok = Oracle.same_rows_in_order served (Oracle.materialize candidate) in
-  Materialize.reset_cache ();
-  ok
+  let relaxed = build (drop_last_select ops) in
+  let level = Grouping.num_levels (Spreadsheet.grouping relaxed) in
+  let resorted =
+    List.fold_left
+      (fun sheet (attr, dir) ->
+        match Engine.apply sheet (Op.Order { attr; dir; level }) with
+        | Ok s -> s
+        | Error _ -> sheet)
+      relaxed
+      [ ("ID", Grouping.Desc); ("Mileage", Grouping.Asc) ]
+  in
+  List.for_all
+    (fun parent ->
+      Materialize.reset_cache ();
+      ignore (Materialize.full_cached parent);
+      let candidate = build ops in
+      let served = Materialize.full_cached candidate in
+      let ok =
+        Oracle.same_rows_in_order served (Oracle.materialize candidate)
+      in
+      Materialize.reset_cache ();
+      ok)
+    [ relaxed; resorted ]
 
 (* Render.page against the oracle: for windows at the start, around
    the first finest-group break, past the end and over the whole
@@ -377,8 +413,11 @@ let pages_agree (sheet : Spreadsheet.t) expected =
 
 (* The same data scanned two ways: a fresh base, whose first scan
    builds its Sheetcol image whatever its size, and a batch-backed
-   relation from an earlier run, whose selection vector runs backwards
-   over its base and whose second column is a computed one. *)
+   relation from an earlier run, whose selection vector skips rows of
+   its root and whose second column is a computed one. A scan reads
+   its root in root order, so the batch's root holds the rows in base
+   order, each followed by another base row (in reverse) that the
+   vector skips. *)
 let two_scans base =
   let schema = Relation.schema base in
   let rows = Relation.to_array base in
@@ -387,9 +426,9 @@ let two_scans base =
   let names = Schema.names schema in
   let second = List.nth names 1 in
   let hidden = "__" ^ second in
-  (* the rows reversed, the second column renamed, each row's
-     original position appended *)
-  let reversed =
+  (* the second column renamed, each row's position appended: [-1]
+     for a row the vector skips *)
+  let root =
     Relation.unsafe_of_array
       (Schema.append
          (Schema.of_list
@@ -399,20 +438,22 @@ let two_scans base =
                   c.Schema.ty))
                (Schema.columns schema)))
          { Schema.name = "__pos"; ty = Value.TInt })
-      (Array.init n (fun i ->
-           Row.append rows.(n - 1 - i) [| Value.Int (n - 1 - i) |]))
+      (Array.init (2 * n) (fun k ->
+           let i = k / 2 in
+           if k mod 2 = 0 then Row.append rows.(i) [| Value.Int i |]
+           else Row.append rows.(n - 1 - i) [| Value.Int (-1) |]))
   in
   let batch =
     Plan.execute
       (Plan.Project
          ( names,
-           Plan.Sort
-             ( [ ("__pos", `Asc) ],
-               Plan.Extend_formula
-                 ( { Plan.name = second;
-                     ty = (Schema.column_at schema 1).Schema.ty;
-                     expr = Expr.Col hidden },
-                   Plan.Scan reversed ) ) ))
+           Plan.Extend_formula
+             ( { Plan.name = second;
+                 ty = (Schema.column_at schema 1).Schema.ty;
+                 expr = Expr.Col hidden },
+               Plan.Filter
+                 ( Expr.Cmp (Expr.Ge, Expr.Col "__pos", Expr.Const (Value.Int 0)),
+                   Plan.Scan root ) ) ))
   in
   [ ("fresh", fresh); ("batch", batch) ]
 

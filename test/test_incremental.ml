@@ -63,14 +63,26 @@ let test_organization_derivation () =
   ignore
     (check_derivation s
        (Op.Group { basis = [ "Condition" ]; dir = Grouping.Asc }));
-  (* ungroup falls back: re-sorting the grouped parent would keep its
-     rows grouped, where a replay restores base order among the
-     leaf-order ties *)
-  let flat =
+  (* ungroup is derived too: a sort with no keys puts the grouped
+     parent's rows back in base order, as a replay leaves them *)
+  let grouped =
     apply_exn (cars ())
       (Op.Group { basis = [ "Model" ]; dir = Grouping.Asc })
   in
-  ignore (check_derivation ~expect_derived:false flat Op.Ungroup)
+  ignore (check_derivation grouped Op.Ungroup);
+  (* neither needs the parent's sort keys among the child's, though
+     the child's keys tie across the parent's groups: a regroup on a
+     new basis, and an order that replaces the leaf order *)
+  ignore
+    (check_derivation grouped
+       (Op.Regroup { basis = [ "Condition" ]; dir = Grouping.Desc }));
+  let ordered =
+    check_derivation grouped
+      (Op.Order { attr = "Price"; dir = Grouping.Desc; level = 2 })
+  in
+  ignore
+    (check_derivation ordered
+       (Op.Order { attr = "Year"; dir = Grouping.Asc; level = 1 }))
 
 let test_order_groups_derivation () =
   let s =
@@ -158,8 +170,9 @@ let test_computed_derivation () =
    a sorted sheet must still fold in the order a full replay scans the
    base in (it aggregates before it sorts): in id order for a
    row-backed base (sum 1, where the K-descending order gives 0), in
-   its own vector's order for a batch-backed one (sorted by B: sum 0,
-   where id order and the K-ascending order give 1). *)
+   its own order for a batch-backed one, which the sheet re-roots
+   (sorted by B: sum 0, where the root's id order and the K-ascending
+   order give 1). *)
 let test_aggregate_base_order () =
   let rows =
     Relation.make

@@ -170,10 +170,12 @@ let pipeline_permutation =
             (String.concat "; " (List.map Op.describe ops)))
         Gen.(
           let* rel = gen_base_relation in
+          (* one tag per op: two aggregates of one name would change
+             which column the name denotes when one of them moves *)
+          let* n = int_range 2 5 in
           let* ops =
-            list_size (int_range 2 5)
-              (let* i = int_range 0 999 in
-               gen_unary_op ~tag:(string_of_int i))
+            flatten_l
+              (List.init n (fun i -> gen_unary_op ~tag:(string_of_int i)))
           in
           let* k = int_range 0 (List.length ops - 1) in
           return (rel, ops, k)))

@@ -345,6 +345,30 @@ let check_cache_hit_kinds () =
     (s.Materialize.hits + s.Materialize.subsumed_hits + s.Materialize.misses);
   Materialize.reset_cache ()
 
+(* A subsumer sorted on keys that are not a prefix of the request's —
+   Price descending, where the request orders by Year — still serves
+   a subsumed hit, rows and order those of a full replay: the re-sort
+   breaks Year's ties by base row, not by the cached Price order. *)
+let check_cache_resorted_subsumer () =
+  let b =
+    apply_exn (cars ())
+      (Op.Order { attr = "Price"; dir = Grouping.Desc; level = 1 })
+  in
+  let a =
+    apply_exn
+      (apply_exn (cars ()) (Op.Select (p "Price < 17000")))
+      (Op.Order { attr = "Year"; dir = Grouping.Asc; level = 1 })
+  in
+  Materialize.reset_cache ();
+  ignore (Materialize.full_cached b);
+  let served = Materialize.full_cached a in
+  Alcotest.(check int) "a subsumed hit" 1
+    (Materialize.cache_stats ()).Materialize.subsumed_hits;
+  Alcotest.(check bool) "rows and order of a full replay" true
+    (List.equal Row.equal (Relation.rows served)
+       (Relation.rows (Materialize.full a)));
+  Materialize.reset_cache ()
+
 let check_cache_eviction () =
   Materialize.reset_cache ();
   let rel = Sample_cars.relation in
@@ -421,6 +445,8 @@ let () =
       ( "cache",
         [
           Alcotest.test_case "hit kinds" `Quick check_cache_hit_kinds;
+          Alcotest.test_case "a subsumer on other sort keys" `Quick
+            check_cache_resorted_subsumer;
           Alcotest.test_case "oldest-half eviction" `Quick check_cache_eviction;
           Alcotest.test_case "the budget counts solver calls only" `Quick
             check_cache_budget;
