@@ -429,6 +429,57 @@ let cache_cold_workload () =
   Materialize.reset_cache ();
   ignore (Materialize.full_cached (Lazy.force cache_child))
 
+(* The redisplay after a gesture (render/, wire/): the text of a page
+   and the answer that carries it, over the 30k-row explore view
+   (TPC-H sf 0.005, v_lineitem_orders). Each run reads a cached
+   materialization, so only the page, its text and the codec are
+   timed. render/print-grouped-30k prints the whole view grouped on a
+   near-unique key: a group break on most rows. *)
+
+let explore_view =
+  lazy
+    (let catalog =
+       Sheet_tpch.Tpch_views.install
+         (Sheet_tpch.Tpch_gen.generate
+            { Sheet_tpch.Tpch_gen.sf = 0.005; seed = 42 })
+     in
+     Option.get (Sheet_sql.Catalog.find catalog "v_lineitem_orders"))
+
+let view_sheet script =
+  lazy
+    (Session.current
+       (run_script_exn
+          (Session.create ~name:"v_lineitem_orders" (Lazy.force explore_view))
+          script))
+
+let page_sheet =
+  view_sheet
+    "select l_quantity >= 10 AND l_quantity <= 34\n\
+     select o_totalprice >= 50000 AND o_totalprice < 200000\n\
+     formula revenue = l_extendedprice * (1 - l_discount)\n\
+     order l_extendedprice desc\n\
+     group l_shipmode asc\n\
+     agg avg l_extendedprice as avg_price"
+
+let grouped_30k_sheet = view_sheet "group l_orderkey asc"
+
+let page_answer =
+  lazy
+    (let sheet = Lazy.force page_sheet in
+     Sheet_serve.Protocol.Applied
+       { uid = sheet.Spreadsheet.uid;
+         output = Some (Render.to_string ~max_rows:20 sheet) })
+
+let render_workloads =
+  [ ("render/page-20", Some 20,
+     fun () -> ignore (Render.to_string ~max_rows:20 (Lazy.force page_sheet)));
+    ("render/print-grouped-30k", Some 30_000,
+     fun () -> ignore (Render.to_string (Lazy.force grouped_30k_sheet)));
+    ("wire/page-answer", Some 20,
+     fun () ->
+       let open Sheet_serve.Protocol in
+       ignore (decode_response (encode_response (Lazy.force page_answer)))) ]
+
 (* Ablation 4: group-tree presentation vs flat-sort emulation
    (Sec. II-A: recursive grouping can be emulated by one ordering). *)
 let grouping_vs_sort sheet ~tree () =
@@ -487,6 +538,7 @@ let workloads =
     ("obs/record", Some 100_000, obs_record_workload);
     ("obs/profile-overhead", Some 4000, profile_overhead_workload)
   ]
+  @ render_workloads
   @ [ (* ablations *)
     ("ablation/replay-8-selections", Some 1000,
      replay_ablation sheet_1k ~k:8 ~merged:false);

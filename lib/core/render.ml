@@ -77,7 +77,7 @@ let page ?(offset = 0) ?limit sheet =
   }
 
 let header_decoration c =
-  (match c.level with Some l -> Printf.sprintf " *%d" l | None -> "")
+  (match c.level with Some l -> " *" ^ string_of_int l | None -> "")
   ^ (match c.dir with
     | Some Grouping.Asc -> " ^"
     | Some Grouping.Desc -> " v"
@@ -86,25 +86,24 @@ let header_decoration c =
 
 let to_string ?max_rows sheet =
   let p = page ?limit:max_rows sheet in
-  let header = List.map (fun c -> c.name ^ header_decoration c) p.columns in
-  let align_right = List.map (fun c -> Value.numeric c.ty) p.columns in
+  let columns = Array.of_list p.columns in
+  let header = Array.map (fun c -> c.name ^ header_decoration c) columns in
+  let align_right = Array.map (fun c -> Value.numeric c.ty) columns in
   let rows =
-    Array.to_list
-      (Array.map (fun row -> List.map Value.to_string (Row.to_list row)) p.rows)
+    Array.map
+      (fun row ->
+        Array.init (Row.width row) (fun i -> Value.to_string (Row.get row i)))
+      p.rows
   in
-  let separators_after =
-    List.filter
-      (fun i -> p.breaks.(i))
-      (List.init (Array.length p.breaks) Fun.id)
+  let footer =
+    match max_rows with
+    | Some m when p.total > m ->
+        "... ("
+        ^ string_of_int (p.total - Array.length p.rows)
+        ^ " more rows)\n"
+    | _ -> ""
   in
-  let table =
-    Table_print.render_cells ~align_right ~header ~separators_after rows
-  in
-  match max_rows with
-  | Some m when p.total > m ->
-      table
-      ^ Printf.sprintf "... (%d more rows)\n" (p.total - Array.length p.rows)
-  | _ -> table
+  Table_print.render_cells ~align_right ~header ~breaks:p.breaks ~footer rows
 
 let print ?max_rows sheet = print_string (to_string ?max_rows sheet)
 

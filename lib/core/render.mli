@@ -50,8 +50,12 @@ val page : ?offset:int -> ?limit:int -> Spreadsheet.t -> page
     own rows and leaves the sheet's unbuilt. *)
 
 val to_string : ?max_rows:int -> Spreadsheet.t -> string
-(** Render the visible materialization. [max_rows] renders the first
-    [max_rows] rows and an ellipsis line counting the rest. *)
+(** Render the visible materialization: {!page}'s cells as
+    {!Sheet_rel.Value.to_string} prints them, laid out by
+    {!Sheet_rel.Table_print.render_cells} with a rule after each row
+    whose break flag is set. [max_rows] renders the first [max_rows]
+    rows and an ellipsis line ["... (<n> more rows)\n"] counting the
+    rest. *)
 
 val print : ?max_rows:int -> Spreadsheet.t -> unit
 

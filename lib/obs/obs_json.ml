@@ -9,10 +9,23 @@ type t =
 
 (* ---------- printing ---------- *)
 
+(* A character a JSON string may carry as itself: neither the quote,
+   the backslash, nor a control character. *)
+let plain c = c <> '"' && c <> '\\' && Char.code c >= 0x20
+
+let hex_digit v = "0123456789abcdef".[v]
+
+(* Each run of plain characters is copied with one [add_substring];
+   only the characters between runs are looked at one by one. *)
 let escape_string buf s =
   Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
+  let n = String.length s in
+  let start = ref 0 in
+  for i = 0 to n - 1 do
+    let c = String.unsafe_get s i in
+    if not (plain c) then begin
+      Buffer.add_substring buf s !start (i - !start);
+      start := i + 1;
       match c with
       | '"' -> Buffer.add_string buf "\\\""
       | '\\' -> Buffer.add_string buf "\\\\"
@@ -21,11 +34,18 @@ let escape_string buf s =
       | '\t' -> Buffer.add_string buf "\\t"
       | '\b' -> Buffer.add_string buf "\\b"
       | '\012' -> Buffer.add_string buf "\\f"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
+      | c ->
+          Buffer.add_string buf "\\u00";
+          Buffer.add_char buf (hex_digit (Char.code c lsr 4));
+          Buffer.add_char buf (hex_digit (Char.code c land 15))
+    end
+  done;
+  Buffer.add_substring buf s !start (n - !start);
   Buffer.add_char buf '"'
+
+(* Printf's [%.17g] is this primitive with the same format string
+   (camlinternalFormat's [convert_float]). *)
+external format_float : string -> float -> string = "caml_format_float"
 
 (* A float must re-read as a float (never as an int) and round-trip
    bit-exactly; %.17g is exact, and a trailing ".0" keeps "1" from
@@ -34,7 +54,7 @@ let escape_string buf s =
 let float_repr f =
   if not (Float.is_finite f) then "null"
   else
-    let s = Printf.sprintf "%.17g" f in
+    let s = format_float "%.17g" f in
     if String.exists (fun c -> c = '.' || c = 'e' || c = 'E') s then s
     else s ^ ".0"
 
@@ -130,10 +150,18 @@ let parse (s : string) : (t, string) result =
     | None -> fail "bad \\u escape %S" h
   in
   let utf8_add buf code = Buffer.add_utf_8_uchar buf (Uchar.of_int code) in
+  (* the end of the run of plain characters from [i]: a string's body
+     is copied a run at a time *)
+  let rec run_end i =
+    if i < n && plain (String.unsafe_get s i) then run_end (i + 1) else i
+  in
   let parse_string_body () =
     expect '"';
     let buf = Buffer.create 16 in
     let rec go () =
+      let stop = run_end !pos in
+      Buffer.add_substring buf s !pos (stop - !pos);
+      pos := stop;
       match peek () with
       | None -> fail "unterminated string"
       | Some '"' -> advance ()
@@ -175,11 +203,7 @@ let parse (s : string) : (t, string) result =
                   else utf8_add buf code)
               | c -> fail "bad escape \\%C" c));
           go ())
-      | Some c ->
-          if Char.code c < 0x20 then fail "raw control character in string";
-          advance ();
-          Buffer.add_char buf c;
-          go ()
+      | Some _ -> fail "raw control character in string"
     in
     go ();
     Buffer.contents buf

@@ -59,13 +59,13 @@ let relation rel =
 
 let render rel =
   let header =
-    [ "column"; "type"; "non-null"; "nulls"; "distinct"; "min"; "max";
-      "mean" ]
+    [| "column"; "type"; "non-null"; "nulls"; "distinct"; "min"; "max";
+       "mean" |]
   in
   let rows =
-    List.map
-      (fun p ->
-        [ p.name;
+    Array.of_list (relation rel)
+    |> Array.map (fun p ->
+        [| p.name;
           Value.type_name p.ty;
           string_of_int p.non_null;
           string_of_int p.nulls;
@@ -74,7 +74,6 @@ let render rel =
           Value.to_string p.max_value;
           (match p.mean with
           | Some m -> Printf.sprintf "%.2f" m
-          | None -> "-") ])
-      (relation rel)
+          | None -> "-") |])
   in
   Table_print.render_cells ~header rows

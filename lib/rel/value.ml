@@ -119,10 +119,39 @@ let ymd_of_days z =
 
 let of_ymd y m d = Date (days_of_ymd y m d)
 
+(* The C primitive under Printf's [%g]: camlinternalFormat's
+   [convert_float] hands it the same format string, so the bytes are
+   Printf's without its format interpretation. *)
+external format_float : string -> float -> string = "caml_format_float"
+
+(* [%.1f] of an integral float below 1e15 is its integer and ".0";
+   only [-0.] keeps a sign its integer lacks. *)
 let float_to_string f =
   if Float.is_integer f && Float.abs f < 1e15 then
-    Printf.sprintf "%.1f" f
-  else Printf.sprintf "%.6g" f
+    if f = 0. && Float.sign_bit f then "-0.0"
+    else string_of_int (int_of_float f) ^ ".0"
+  else format_float "%.6g" f
+
+(* [%04d-%02d-%02d] by digits; a year outside 0..9999 (wider, or
+   signed) keeps Printf. *)
+let date_to_string d =
+  let y, m, dd = ymd_of_days d in
+  if y < 0 || y > 9999 then Printf.sprintf "%04d-%02d-%02d" y m dd
+  else begin
+    let b = Bytes.create 10 in
+    let digit i v = Bytes.unsafe_set b i (Char.unsafe_chr (48 + v)) in
+    digit 0 (y / 1000);
+    digit 1 (y / 100 mod 10);
+    digit 2 (y / 10 mod 10);
+    digit 3 (y mod 10);
+    Bytes.unsafe_set b 4 '-';
+    digit 5 (m / 10);
+    digit 6 (m mod 10);
+    Bytes.unsafe_set b 7 '-';
+    digit 8 (dd / 10);
+    digit 9 (dd mod 10);
+    Bytes.unsafe_to_string b
+  end
 
 let to_string = function
   | Null -> "NULL"
@@ -130,9 +159,7 @@ let to_string = function
   | Int i -> string_of_int i
   | Float f -> float_to_string f
   | String s -> s
-  | Date d ->
-      let y, m, dd = ymd_of_days d in
-      Printf.sprintf "%04d-%02d-%02d" y m dd
+  | Date d -> date_to_string d
 
 let to_csv_string = function Null -> "" | v -> to_string v
 

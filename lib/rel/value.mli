@@ -70,8 +70,16 @@ val ymd_of_days : int -> int * int * int
 (** Inverse of the civil-from-days calculation. *)
 
 val to_string : t -> string
-(** Display form: dates as [YYYY-MM-DD], floats without trailing
-    noise, [Null] as the empty string's placeholder ["NULL"]. *)
+(** Display form, byte for byte these Printf forms (which are the
+    specification; only years outside 0–9999 are printed through
+    Printf itself):
+    - [Float f]: [Printf.sprintf "%.1f" f] when [Float.is_integer f]
+      and [Float.abs f < 1e15], else [Printf.sprintf "%.6g" f]
+      (["nan"], ["inf"], ["-inf"] for non-finite floats);
+    - [Date d]: [Printf.sprintf "%04d-%02d-%02d" y m d] of
+      {!ymd_of_days};
+    - [Int i]: [string_of_int i]; [Bool b]: ["true"] / ["false"];
+      [String s]: [s] itself; [Null]: ["NULL"]. *)
 
 val to_csv_string : t -> string
 (** CSV cell form (no quoting applied; [Null] is the empty string). *)

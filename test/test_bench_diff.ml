@@ -99,7 +99,8 @@ let added_removed () =
         "removed" [ "obs/record" ] (names "removed");
       Alcotest.(check (list string))
         "guarded prefixes"
-        [ "op/"; "table"; "cache/"; "col/"; "obs/"; "serve/" ]
+        [ "op/"; "table"; "cache/"; "col/"; "obs/"; "serve/"; "render/";
+          "wire/" ]
         (names "guarded_prefixes");
       Alcotest.(check bool) "ok flag" true
         (J.member "ok" report = Some (J.Bool true))

@@ -330,6 +330,79 @@ let json_round_trip =
       | Ok v' -> J.equal v v'
       | Error _ -> false)
 
+(* The string codec copies runs of plain characters whole; these
+   hold it to the character-at-a-time escaper it replaced. *)
+let reference_escape s =
+  let buf = Buffer.create 16 in
+  Buffer.add_char buf '"';
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string buf "\\\""
+      | '\\' -> Buffer.add_string buf "\\\\"
+      | '\n' -> Buffer.add_string buf "\\n"
+      | '\r' -> Buffer.add_string buf "\\r"
+      | '\t' -> Buffer.add_string buf "\\t"
+      | '\b' -> Buffer.add_string buf "\\b"
+      | '\012' -> Buffer.add_string buf "\\f"
+      | c when Char.code c < 0x20 ->
+          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char buf c)
+    s;
+  Buffer.add_char buf '"';
+  Buffer.contents buf
+
+let plain_char =
+  QCheck.Gen.(
+    map Char.chr (int_range 0x20 0xff)
+    |> map (fun c -> if c = '"' || c = '\\' then 'x' else c))
+
+let plain_run = QCheck.Gen.(string_size ~gen:plain_char (int_range 0 200))
+
+(* long plain runs, with control bytes, quotes and backslashes between
+   them, so every special character sits at a run's edge *)
+let gen_runs =
+  let open QCheck.Gen in
+  let special =
+    oneof
+      [ map Char.chr (int_range 0 0x1f); return '"'; return '\\' ]
+  in
+  map (String.concat "")
+    (list_size (int_range 0 8)
+       (oneof
+          [ plain_run;
+            map (String.make 1) special;
+            map2 (fun a b -> String.make 1 a ^ String.make 1 b) special special
+          ]))
+
+let json_escape_is_reference =
+  QCheck.Test.make ~count:2000
+    ~name:"Obs_json: a string prints as the per-character escaper's"
+    (QCheck.make ~print:String.escaped gen_runs)
+    (fun s ->
+      J.to_string (J.String s) = reference_escape s
+      && J.parse (J.to_string (J.String s)) = Ok (J.String s))
+
+let json_raw_control_rejected =
+  QCheck.Test.make ~count:2000
+    ~name:"Obs_json: a raw control byte in a run fails at its position"
+    (QCheck.make
+       ~print:(fun (p, c, e, q) -> String.escaped (p ^ String.make 1 c ^ e ^ q))
+       QCheck.Gen.(
+         quad plain_run
+           (map Char.chr (int_range 0 0x1f))
+           (oneofl [ ""; "\\n"; "\\u00e9"; "\\\"" ])
+           plain_run))
+    (fun (before, c, escape, after) ->
+      (* the control byte lands after [escape] or before it *)
+      let text = before ^ escape ^ String.make 1 c ^ after in
+      let at = 1 + String.length before + String.length escape in
+      J.parse ("\"" ^ text ^ "\"")
+      = Error (Printf.sprintf "at %d: raw control character in string" at)
+      && J.parse ("{\"" ^ text ^ "\": 1}")
+         = Error (Printf.sprintf "at %d: raw control character in string"
+                    (at + 1)))
+
 let sheetlint_sql_total =
   QCheck.Test.make ~count:500
     ~name:"Sheetlint.sql_string never raises nor reports an analyzer failure"
@@ -359,5 +432,6 @@ let () =
       suite "analysis"
         [ sheetsolve_total; sheetlint_expr_total; sheetlint_sql_total ];
       suite "json"
-        [ json_parser_total; json_round_trip ];
+        [ json_parser_total; json_round_trip; json_escape_is_reference;
+          json_raw_control_rejected ];
       suite "tui" [ browser_total ] ]

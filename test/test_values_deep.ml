@@ -141,7 +141,148 @@ let test_row_utilities () =
   Alcotest.(check bool) "lexicographic shorter-first" true
     (Row.compare (Row.of_list [ Value.Int 1 ]) r < 0)
 
+(* ---------- display formats: the Printf forms are the specification ---------- *)
+
+let printf_float f =
+  if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f
+  else Printf.sprintf "%.6g" f
+
+let float_edges =
+  let p53 = 9007199254740992. in
+  [ 0.; -0.; Float.infinity; Float.neg_infinity; Float.nan; -.Float.nan;
+    Float.min_float; Float.min_float /. 2.; 4.9e-324; -4.9e-324;
+    Float.max_float; -.Float.max_float; Float.epsilon;
+    1e15; -1e15; 1e15 -. 1.; -.(1e15 -. 1.); 1e15 +. 1.; -.(1e15 +. 1.);
+    999999999999999.5; -999999999999999.5; 1e15 -. 0.125;
+    p53; -.p53; p53 +. 2.; -.(p53 +. 2.); p53 -. 1.; 1e16; 1e17;
+    (* ties at the sixth significant digit *)
+    1234565.; 12345650.; 123456.5; 1.234565; 0.1234565; 1.0000005;
+    9999995.; 999999.5; 99999.95; 0.0000012345650; 2.5; 0.5; 1.5e-5;
+    0.1; 0.2; 0.3; 1e-5; 1e-4; 100000.; 1000000.; 999999.; 1e21 ]
+
+let gen_float =
+  let open QCheck.Gen in
+  frequency
+    [ (3, map Int64.float_of_bits ui64);
+      (2, oneofl float_edges);
+      (* integral floats on both sides of 1e15 *)
+      (2, map float_of_int (int_range (-2_000_000_000_000_000)
+                              2_000_000_000_000_000));
+      (2, map float_of_int (int_range (-1000) 1000));
+      (* six-digit mantissas with a fifth digit after them: the
+         rounding tie of %.6g, at every scale *)
+      (2, map2 (fun m e -> (float_of_int m +. 0.5) *. (10. ** float_of_int e))
+            (int_range 100000 999999) (int_range (-20) 20));
+      (2, float) ]
+
+let float_format_is_printf =
+  QCheck.Test.make ~count:20_000
+    ~name:"Float: %.1f when integral below 1e15, else %.6g"
+    (QCheck.make ~print:(Printf.sprintf "%h") gen_float)
+    (fun f -> Value.to_string (Value.Float f) = printf_float f)
+
+let test_float_edges () =
+  List.iter
+    (fun f ->
+      Alcotest.(check string) (Printf.sprintf "%h" f) (printf_float f)
+        (Value.to_string (Value.Float f)))
+    float_edges;
+  Alcotest.(check string) "-0." "-0.0" (Value.to_string (Value.Float (-0.)))
+
+let printf_date d =
+  let y, m, dd = Value.ymd_of_days d in
+  Printf.sprintf "%04d-%02d-%02d" y m dd
+
+(* every day of years -5 to 10005: both sides of 0 and 9999 *)
+let test_date_every_day () =
+  let day y m d =
+    match Value.of_ymd y m d with Value.Date d -> d | _ -> assert false
+  in
+  let first = day (-5) 1 1 and last = day 10005 12 31 in
+  for d = first to last do
+    let got = Value.to_string (Value.Date d) in
+    if got <> printf_date d then
+      Alcotest.failf "day %d: %S, Printf %S" d got (printf_date d)
+  done
+
+let date_format_is_printf =
+  QCheck.Test.make ~count:5000 ~name:"Date: %04d-%02d-%02d of any day"
+    (QCheck.make ~print:string_of_int
+       QCheck.Gen.(
+         oneof
+           [ int; int_range (-1_000_000_000) 1_000_000_000;
+             int_range (-800_000) 3_000_000 ]))
+    (fun d -> Value.to_string (Value.Date d) = printf_date d)
+
+(* The table text as it was written before it was built from arrays:
+   lists, [List.mem] for the group breaks, a fresh padding string per
+   cell. *)
+let reference_table ~align ~header ~breaks rows =
+  let pad right w s =
+    let len = String.length s in
+    if len >= w then s
+    else
+      let fill = String.make (w - len) ' ' in
+      if right then fill ^ s else s ^ fill
+  in
+  let widths = Array.of_list (List.map String.length header) in
+  List.iter
+    (List.iteri (fun i c -> widths.(i) <- max widths.(i) (String.length c)))
+    rows;
+  let buf = Buffer.create 256 in
+  let rule () =
+    Array.iter
+      (fun w -> Buffer.add_string buf ("+" ^ String.make (w + 2) '-'))
+      widths;
+    Buffer.add_string buf "+\n"
+  in
+  let row cells =
+    List.iteri
+      (fun i c ->
+        Buffer.add_string buf "| ";
+        Buffer.add_string buf (pad (List.nth align i) widths.(i) c);
+        Buffer.add_char buf ' ')
+      cells;
+    Buffer.add_string buf "|\n"
+  in
+  rule ();
+  row header;
+  rule ();
+  List.iteri
+    (fun i r ->
+      row r;
+      if List.mem i breaks then rule ())
+    rows;
+  rule ();
+  Buffer.contents buf
+
+let table_is_reference =
+  let open QCheck.Gen in
+  let cell = string_size ~gen:(char_range ' ' '~') (int_range 0 9) in
+  let grid =
+    let* ncols = int_range 0 5 in
+    let* nrows = int_range 0 12 in
+    let* header = list_repeat ncols cell in
+    let* align = list_repeat ncols bool in
+    let* rows = list_repeat nrows (list_repeat ncols cell) in
+    let* breaks = list_repeat nrows bool in
+    return (align, header, breaks, rows)
+  in
+  QCheck.Test.make ~count:1000 ~name:"render_cells = the list-built table"
+    (QCheck.make grid)
+    (fun (align, header, breaks, rows) ->
+      let of_lists l = Array.of_list (List.map Array.of_list l) in
+      Table_print.render_cells ~align_right:(Array.of_list align)
+        ~header:(Array.of_list header) ~breaks:(Array.of_list breaks)
+        ~footer:"tail\n" (of_lists rows)
+      = reference_table ~align ~header
+          ~breaks:
+            (List.concat (List.mapi (fun i b -> if b then [ i ] else []) breaks))
+          rows
+        ^ "tail\n")
+
 let () =
+  let prop = QCheck_alcotest.to_alcotest ~long:false in
   Alcotest.run "sheet_values_deep"
     [ ( "values",
         [ Alcotest.test_case "parse_typed" `Quick test_parse_typed;
@@ -152,5 +293,12 @@ let () =
           Alcotest.test_case "date boundaries" `Quick test_date_boundaries;
           Alcotest.test_case "date arithmetic" `Quick test_date_arithmetic ]
       );
-      ("rows", [ Alcotest.test_case "utilities" `Quick test_row_utilities ])
+      ("rows", [ Alcotest.test_case "utilities" `Quick test_row_utilities ]);
+      ( "formats",
+        [ prop float_format_is_printf;
+          Alcotest.test_case "float edges" `Quick test_float_edges;
+          Alcotest.test_case "every day of years -5 to 10005" `Quick
+            test_date_every_day;
+          prop date_format_is_printf;
+          prop table_is_reference ] )
     ]

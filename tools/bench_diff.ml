@@ -9,8 +9,10 @@
    guarded entry — a name starting with "op/", "table" (the paper's
    operator-scaling and table-regeneration workloads, including the
    1M-row "table/*-1m" scans), "cache/" (the semantic-cache win),
-   "col/" (the Sheetcol columnar substrate) or "obs/" (the Sheetscope
-   record path and profile collection) — regressed by more than 25 % on
+   "col/" (the Sheetcol columnar substrate), "obs/" (the Sheetscope
+   record path and profile collection), "serve/" (the Sheetserve load
+   replay), "render/" (a page's text) or "wire/" (the protocol codec
+   on a page's answer) — regressed by more than 25 % on
    ns_per_run. This is the required check for every perf-claiming PR:
    regenerate a fresh baseline, diff against the committed one, and
    only commit the new file if the gate is green.
@@ -30,7 +32,8 @@ let threshold_pct = 25.
 
 (* the regression-guarded benchmark families; also emitted in the
    --json report so consumers know what the gate covered *)
-let guarded_prefixes = [ "op/"; "table"; "cache/"; "col/"; "obs/"; "serve/" ]
+let guarded_prefixes =
+  [ "op/"; "table"; "cache/"; "col/"; "obs/"; "serve/"; "render/"; "wire/" ]
 
 let guarded name =
   let starts_with prefix s =

@@ -5,12 +5,13 @@
    Each simulated user is one [Study.Sheetmusiq_model.op_stream] —
    the task's direct-manipulation script with that subject's
    deterministic mistake/undo/retry detours — sent line by line over
-   a Unix socket. All sessions share the process's semantic
+   a Unix socket; every eighth user runs the tie probe instead (see
+   [tie_probe]). All sessions share the process's semantic
    materialization cache. After the concurrent phase, every session
    is replayed serially in its own uid arena (after
    [reset_uid_arena] + [Materialize.reset_cache]) and the driver
-   asserts the concurrent result is bit-identical: same rows, same
-   order, same final uid.
+   asserts the concurrent result is bit-identical to a full replay of
+   the final state: same rows, same order, same final uid.
 
    Reports sessions/sec, op-latency percentiles and cache hit ratios;
    [--json BENCH_sheetmusiq.json] merges them under the regression-
@@ -60,8 +61,26 @@ let rec call_admitted c req =
 
 let fail fmt = Printf.ksprintf failwith fmt
 
-let run_user ~path ~think ~client (task : Sheet_tpch.Tpch_tasks.t) steps
-    latencies =
+(* A stream whose last state is served as a subsumed hit from an
+   entry sorted on other keys. The query modification tightens the
+   first selection and is not materialized when it is applied, so the
+   [rows] that follows asks the cache for a state it has not seen. Its
+   subsumers (the same selection and formula, loosened) are grouped
+   on l_shipmode, or derived from that grouping; the state itself
+   sorts on l_returnflag, so each of its three tie runs must come out
+   in base-row order, as the full replay it is checked against leaves
+   them, and not in the subsumer's shipmode order. *)
+let tie_probe =
+  List.map
+    (fun line -> { Sheet_study.Sheetmusiq_model.line; think_s = 0. })
+    [ "select l_quantity >= 5";
+      "group l_shipmode asc";
+      "formula net = l_extendedprice * (1 - l_discount)";
+      "ungroup";
+      "order l_returnflag asc";
+      "replace 1 l_quantity >= 20" ]
+
+let run_user ~path ~think ~client ~base steps latencies =
   let started = Unix.gettimeofday () in
   let c = retry_connect ~path 500 in
   Fun.protect ~finally:(fun () -> Net.Client.close c) @@ fun () ->
@@ -70,7 +89,7 @@ let run_user ~path ~think ~client (task : Sheet_tpch.Tpch_tasks.t) steps
     | Protocol.Welcome { arena; _ } -> arena
     | r -> fail "%s: hello answered %s" client (Protocol.encode_response r)
   in
-  (match call_admitted c (Protocol.Open task.Sheet_tpch.Tpch_tasks.base) with
+  (match call_admitted c (Protocol.Open base) with
   | Protocol.Opened _ -> ()
   | r -> fail "%s: open answered %s" client (Protocol.encode_response r));
   let ops = ref 0 in
@@ -103,14 +122,15 @@ let run_user ~path ~think ~client (task : Sheet_tpch.Tpch_tasks.t) steps
     u_wall_ns = ns_of_s (Unix.gettimeofday () -. started);
   }
 
-(* the serial ground truth: same arena, cold cache, same stream *)
-let serial_replay catalog (task : Sheet_tpch.Tpch_tasks.t) steps arena =
+(* the serial ground truth: same arena, same stream, then a full
+   replay of the final state, which no cache entry can reorder *)
+let serial_replay catalog ~base steps arena =
   Spreadsheet.reset_uid_arena arena;
   Spreadsheet.in_uid_arena arena @@ fun () ->
-  match Sheet_sql.Catalog.find catalog task.base with
-  | None -> Error ("no base relation " ^ task.base)
-  | Some base ->
-      let session = ref (Session.create ~name:task.base base) in
+  match Sheet_sql.Catalog.find catalog base with
+  | None -> Error ("no base relation " ^ base)
+  | Some rel ->
+      let session = ref (Session.create ~name:base rel) in
       let err = ref None in
       List.iter
         (fun (step : Sheet_study.Sheetmusiq_model.step) ->
@@ -122,9 +142,14 @@ let serial_replay catalog (task : Sheet_tpch.Tpch_tasks.t) steps arena =
       (match !err with
       | Some msg -> Error msg
       | None ->
-          let rel = Session.materialized !session in
+          let sheet = Session.current !session in
+          let rel =
+            Sheet_rel.Rel_algebra.project
+              (Spreadsheet.visible_columns sheet)
+              (Materialize.full sheet)
+          in
           Ok
-            ( (Session.current !session).Spreadsheet.uid,
+            ( sheet.Spreadsheet.uid,
               List.map
                 (fun c -> (c.Sheet_rel.Schema.name, c.Sheet_rel.Schema.ty))
                 (Sheet_rel.Schema.columns (Sheet_rel.Relation.schema rel)),
@@ -216,9 +241,16 @@ let () =
       (Sheet_tpch.Tpch_tasks.all @ Sheet_tpch.Tpch_tasks.extensions)
   in
   let user_task i = tasks.(i mod Array.length tasks) in
+  let probe i = i mod 8 = 7 in
+  let user_base i =
+    if probe i then "v_lineitem_orders"
+    else (user_task i).Sheet_tpch.Tpch_tasks.base
+  in
   let user_steps i =
-    Sheet_study.Sheetmusiq_model.op_stream ~seed:!seed ~subject:(i + 1)
-      (user_task i)
+    if probe i then tie_probe
+    else
+      Sheet_study.Sheetmusiq_model.op_stream ~seed:!seed ~subject:(i + 1)
+        (user_task i)
   in
   Materialize.reset_cache ();
   let server =
@@ -247,7 +279,7 @@ let () =
                  Some
                    (run_user ~path ~think:!think
                       ~client:(Printf.sprintf "u%d" i)
-                      (user_task i) (user_steps i) local)
+                      ~base:(user_base i) (user_steps i) local)
              with e -> errors.(i) <- Some (Printexc.to_string e));
             Mutex.lock lat_mutex;
             latencies := List.rev_append !local !latencies;
@@ -275,7 +307,9 @@ let () =
       match r with
       | None -> ()
       | Some r -> (
-          match serial_replay catalog (user_task i) (user_steps i) r.u_arena with
+          match
+            serial_replay catalog ~base:(user_base i) (user_steps i) r.u_arena
+          with
           | Error msg ->
               incr failures;
               Printf.printf "FAIL u%d serial replay: %s\n" i msg
