@@ -359,7 +359,7 @@ let columnar_workloads =
   ]
 
 (* Sheetscope record path, sinks off: 100k counter increments and
-   100k histogram records on the calling domain, the way the engine
+   100k histogram records on the calling thread, the way the engine
    and the plan nodes write them. Guarded under the "obs/" prefix so
    tools/bench_diff.exe fails the build if a record ever grows a lock
    or an allocation. *)

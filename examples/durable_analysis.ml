@@ -48,7 +48,11 @@ order Price asc|}
       ignore session;
 
       (* --- session two: reload and continue --- *)
-      let restored = Persist.load ~path in
+      let restored =
+        match Persist.load ~path with
+        | Ok sheet -> sheet
+        | Error msg -> failwith msg
+      in
       let session2 =
         Session.push_sheet
           (Session.create ~name:"scratch" Sample_cars.relation)

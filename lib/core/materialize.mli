@@ -75,8 +75,9 @@ val seed_cache : Spreadsheet.t -> Relation.t -> unit
     fresh uid, entries never go stale; but the table is shared across
     every session/spreadsheet alive in the process, so tests that
     assert on hit/miss behaviour must call {!reset_cache} first.
-    The cache takes no lock: it is driven from one thread (in
-    Sheetserve, the listener's loop).
+    The cache takes no lock: like the rest of the engine, it is
+    written by one thread at a time (the contract stated in
+    {!Sheet_obs.Obs}, "One engine thread").
     Eviction drops the {e oldest half} (by insertion order) once more
     than 512 entries are resident, so a hot subsumer is not thrown
     away with the cold tail; the profile ring's [cache-eviction]

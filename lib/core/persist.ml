@@ -1,8 +1,10 @@
 open Sheet_rel
 
-exception Persist_error of string
+(* A fault aborts the parse where it is found; [of_string] and [load]
+   turn it into an [Error]. *)
+exception Malformed of string
 
-let err fmt = Printf.ksprintf (fun s -> raise (Persist_error s)) fmt
+let err fmt = Printf.ksprintf (fun s -> raise (Malformed s)) fmt
 
 let ty_name = Value.type_name
 
@@ -144,7 +146,7 @@ let parse_computed rest =
           spec = Computed.Formula (parse_expr_exn "formula" rhs) }
   | other -> err "unknown computed kind %S" other
 
-let of_string text =
+let parse text =
   let lines = String.split_on_char '\n' text in
   match lines with
   | header :: rest when String.trim header = "musiq-sheet v1" ->
@@ -290,11 +292,19 @@ let of_string text =
                 leaf_order = List.rev !leaf } } }
   | _ -> err "not a musiq-sheet file"
 
+let of_string text =
+  match parse text with
+  | sheet -> Ok sheet
+  | exception Malformed msg -> Error msg
+
 let save sheet ~path =
-  try Csv.write_file path (to_string sheet)
-  with Sys_error msg -> err "cannot write %s: %s" path msg
+  match Csv.write_file path (to_string sheet) with
+  | () -> Ok ()
+  | exception Sys_error msg ->
+      Error (Printf.sprintf "cannot write %s: %s" path msg)
 
 let load ~path =
   match Csv.read_file path with
   | text -> of_string text
-  | exception Sys_error msg -> err "cannot read %s: %s" path msg
+  | exception Sys_error msg ->
+      Error (Printf.sprintf "cannot read %s: %s" path msg)

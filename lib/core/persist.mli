@@ -22,14 +22,17 @@
     leaf <ASC|DESC> <column>
     data
     <CSV with a  name:type  header>
-    v} *)
+    v}
 
-exception Persist_error of string
+    A saved file is user input, so the readers are total: malformed
+    text and I/O failures come back as [Error], never as an
+    exception. *)
 
 val to_string : Spreadsheet.t -> string
-val of_string : string -> Spreadsheet.t
-(** @raise Persist_error on malformed input. *)
 
-val save : Spreadsheet.t -> path:string -> unit
-val load : path:string -> Spreadsheet.t
-(** @raise Persist_error (also wraps I/O errors). *)
+val of_string : string -> (Spreadsheet.t, string) result
+(** [Error] names the first fault in the text. *)
+
+val save : Spreadsheet.t -> path:string -> (unit, string) result
+val load : path:string -> (Spreadsheet.t, string) result
+(** [Error] on malformed text or when the file cannot be read. *)

@@ -267,18 +267,17 @@ let run_line session line =
             Error msg)
     | "export" -> (
         match Persist.save (Session.current session) ~path:(trim rest) with
-        | () -> say ("saved to " ^ trim rest)
-        | exception Persist.Persist_error msg -> Error msg)
-    | "import" -> (
-        match Persist.load ~path:(trim rest) with
-        | sheet ->
-            Ok
-              { session =
-                  Session.push_sheet session
-                    ~label:(Printf.sprintf "Import %s" (trim rest))
-                    sheet;
-                output = None }
-        | exception Persist.Persist_error msg -> Error msg)
+        | Ok () -> say ("saved to " ^ trim rest)
+        | Error msg -> Error msg)
+    | "import" ->
+        Result.map
+          (fun sheet ->
+            { session =
+                Session.push_sheet session
+                  ~label:(Printf.sprintf "Import %s" (trim rest))
+                  sheet;
+              output = None })
+          (Persist.load ~path:(trim rest))
     | "product" -> apply_op session (Op.Product (trim rest))
     | "union" -> apply_op session (Op.Union (trim rest))
     | "except" -> apply_op session (Op.Diff (trim rest))

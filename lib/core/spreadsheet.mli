@@ -46,8 +46,8 @@ val in_uid_arena : int -> (unit -> 'a) -> 'a
 (** Run a thunk with uid allocation redirected to the given arena
     (1 <= arena <= 2^29; [Invalid_argument] otherwise). The previous
     namespace is restored afterwards, exceptions included. Uid
-    allocation is driven from one thread (in Sheetserve, the
-    listener's loop). *)
+    allocation is the engine's, so it runs on one thread at a time
+    ({!Sheet_obs.Obs}, "One engine thread"). *)
 
 val same_uid_arena : int -> int -> bool
 (** Whether two uids were allocated from the same namespace — one

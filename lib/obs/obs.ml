@@ -3,42 +3,33 @@
    and per-query records all commit into, and that the Chrome trace
    is drawn from.
 
-   The metric families survive concurrent writers from any thread or
-   domain: a counter or gauge is one atomic cell, a histogram one
-   record of atomic cells, and the ring is mutex-protected. The off-sink fast
-   path of [with_span] is a single mutable-bool test so instrumented
-   code costs nothing when nobody is watching (property-tested
-   byte-identical). *)
+   One thread writes all of it at a time (the contract in obs.mli): a
+   counter or gauge is a mutable int, a histogram one record of plain
+   ints, and the registry, the label admission table and the ring are
+   plain tables. The off-sink fast path of [with_span] is a single
+   mutable-bool test so instrumented code costs nothing when nobody
+   is watching (property-tested byte-identical). *)
 
 let src = Logs.Src.create "sheetscope" ~doc:"SheetMusiq instrumentation"
-
-let with_lock m f = Mutex.protect m f
-
-(* atomic max via CAS loop *)
-let rec atomic_max cell v =
-  let cur = Atomic.get cell in
-  if v > cur && not (Atomic.compare_and_set cell cur v) then atomic_max cell v
 
 (* ---------- clock ----------
 
    The wall clock can step backwards (NTP slew, VM migration); a span
    or histogram sample must never report a negative duration. Readings
    are clamped into a monotone timeline: [now_ns] never decreases
-   within a process — the watermark is atomic so the guarantee holds
-   across domains too. The raw source is swappable so tests can drive
-   time backwards and check the clamp. *)
+   within a process, because it never reads below its watermark. The
+   raw source is swappable so tests can drive time backwards and check
+   the clamp. *)
 
 let wall_clock_ns () = int_of_float (Unix.gettimeofday () *. 1e9)
 
 let raw_clock = ref wall_clock_ns
-let last_ns = Atomic.make 0
+let last_ns = ref 0
 
-let rec now_ns () =
+let now_ns () =
   let t = !raw_clock () in
-  let cur = Atomic.get last_ns in
-  if t > cur then
-    if Atomic.compare_and_set last_ns cur t then t else now_ns ()
-  else cur
+  if t > !last_ns then last_ns := t;
+  !last_ns
 
 let set_raw_clock_for_tests = function
   | Some f -> raw_clock := f
@@ -46,7 +37,7 @@ let set_raw_clock_for_tests = function
       raw_clock := wall_clock_ns;
       (* re-anchor so a test clock set far in the future does not pin
          the timeline there *)
-      Atomic.set last_ns (wall_clock_ns ())
+      last_ns := wall_clock_ns ()
 
 let epoch_ns = now_ns ()
 
@@ -78,10 +69,10 @@ let set_sink s = current_sink := s
    sets, so that a label set can keep the labeled series it has named. *)
 type hist = {
   h_name : string;
-  h_counts : int Atomic.t array;
-  h_count : int Atomic.t;
-  h_sum : int Atomic.t;
-  h_max : int Atomic.t;
+  h_counts : int array;
+  mutable h_count : int;
+  mutable h_sum : int;
+  mutable h_max : int;
 }
 
 module Labels = struct
@@ -141,16 +132,12 @@ let series_order a b =
 
 let label_cap = 64
 
-(* one mutex guards both registries and the per-family label counts *)
-let reg_mutex = Mutex.create ()
-
 (* admitted label sets per histogram family (base name) *)
 let label_sets : (string, int) Hashtbl.t = Hashtbl.create 16
 
 (* Resolve the registry key for [name]+[labels]: an existing labeled
    series, a fresh one while the family is under the cap, or the
-   overflow series. Caller holds [reg_mutex]; [mem] answers "is this
-   key already registered". *)
+   overflow series. [mem] answers "is this key already registered". *)
 let labeled_key ~mem name labels =
   if Labels.is_empty labels then name
   else
@@ -184,9 +171,9 @@ let visible_to ?session name =
       | None -> true
       | Some i -> String.sub name i (String.length name - i) = s)
 
-(* The two registries intern by name; [find_locked] runs under
-   [reg_mutex], and [sorted] lists entries in [series_order]. *)
-let find_locked registry make name =
+(* The two registries intern by name; [sorted] lists entries in
+   [series_order]. *)
+let find registry make name =
   match Hashtbl.find_opt registry name with
   | Some x -> x
   | None ->
@@ -195,39 +182,35 @@ let find_locked registry make name =
       x
 
 let sorted registry name_of =
-  with_lock reg_mutex (fun () ->
-      Hashtbl.fold (fun _ x acc -> x :: acc) registry [])
+  Hashtbl.fold (fun _ x acc -> x :: acc) registry []
   |> List.sort (fun a b -> series_order (name_of a) (name_of b))
 
 (* ---------- metrics ---------- *)
 
 module Metrics = struct
-  type m = { m_name : string; cell : int Atomic.t }
+  type m = { m_name : string; mutable cell : int }
 
   let registry : (string, m) Hashtbl.t = Hashtbl.create 64
-  let make name = { m_name = name; cell = Atomic.make 0 }
+  let make name = { m_name = name; cell = 0 }
 
   (* a counter and a gauge differ only in how they are written
      ([incr] vs [set]) *)
-  let counter name =
-    with_lock reg_mutex (fun () -> find_locked registry make name)
+  let counter name = find registry make name
 
   let gauge = counter
 
-  let incr ?(by = 1) m = ignore (Atomic.fetch_and_add m.cell by)
-  let set m v = Atomic.set m.cell v
-  let get m = Atomic.get m.cell
+  let incr ?(by = 1) m = m.cell <- m.cell + by
+  let set m v = m.cell <- v
+  let get m = m.cell
 
   let value_of name =
-    match with_lock reg_mutex (fun () -> Hashtbl.find_opt registry name) with
-    | Some m -> get m
-    | None -> 0
+    match Hashtbl.find_opt registry name with Some m -> get m | None -> 0
 
   let entries () = sorted registry (fun m -> m.m_name)
 
   let snapshot () = List.map (fun m -> (m.m_name, get m)) (entries ())
 
-  let reset () = List.iter (fun m -> Atomic.set m.cell 0) (entries ())
+  let reset () = List.iter (fun m -> m.cell <- 0) (entries ())
 
   let to_json () =
     Obs_json.Obj
@@ -259,43 +242,37 @@ module Histogram = struct
 
   let make name =
     { h_name = name;
-      h_counts = Array.init num_buckets (fun _ -> Atomic.make 0);
-      h_count = Atomic.make 0;
-      h_sum = Atomic.make 0;
-      h_max = Atomic.make 0 }
+      h_counts = Array.make num_buckets 0;
+      h_count = 0;
+      h_sum = 0;
+      h_max = 0 }
 
   let registry : (string, h) Hashtbl.t = Hashtbl.create 32
 
-  let histogram name =
-    with_lock reg_mutex (fun () -> find_locked registry make name)
+  let histogram name = find registry make name
 
   let histogram_labeled name (labels : Labels.t) =
     match List.assoc_opt name labels.series with
     | Some h -> h
     | None ->
         let h =
-          with_lock reg_mutex (fun () ->
-              find_locked registry make
-                (labeled_key ~mem:(Hashtbl.mem registry) name labels))
+          find registry make
+            (labeled_key ~mem:(Hashtbl.mem registry) name labels)
         in
         labels.series <- (name, h) :: labels.series;
         h
 
   (* The series [prefix ^ kind], interned once per kind: a lookup in
-     a short list that grows by compare-and-set, so a hot path names
-     no series and takes no lock. *)
+     a short list, so a hot path names no series. *)
   let family prefix =
-    let known = Atomic.make [] in
-    let rec get kind =
-      let seen = Atomic.get known in
-      match List.assoc_opt kind seen with
+    let known = ref [] in
+    fun kind ->
+      match List.assoc_opt kind !known with
       | Some h -> h
       | None ->
           let h = histogram (prefix ^ kind) in
-          if Atomic.compare_and_set known seen ((kind, h) :: seen) then h
-          else get kind
-    in
-    get
+          known := (kind, h) :: !known;
+          h
 
   (* smallest i with v <= boundaries.(i); the overflow bucket past the
      last boundary *)
@@ -319,28 +296,20 @@ module Histogram = struct
   (* exclusive lower edge (0 for the first bucket) *)
   let bucket_lo i = if i = 0 then 0 else boundaries.(i - 1)
 
-  (* a bucket is bumped before the count, and [counts] reads the
-     count before the buckets, so a snapshot's buckets always hold at
-     least its count — the percentile walk stays in range even under
-     concurrent writers *)
   let record h ns =
     let ns = if ns < 0 then 0 else ns in
-    ignore (Atomic.fetch_and_add h.h_counts.(bucket_index ns) 1);
-    ignore (Atomic.fetch_and_add h.h_count 1);
-    ignore (Atomic.fetch_and_add h.h_sum ns);
-    atomic_max h.h_max ns
+    let i = bucket_index ns in
+    h.h_counts.(i) <- h.h_counts.(i) + 1;
+    h.h_count <- h.h_count + 1;
+    h.h_sum <- h.h_sum + ns;
+    if ns > h.h_max then h.h_max <- ns
 
-  (* the count and a plain copy of the buckets, read in that order *)
-  let counts h =
-    let n = Atomic.get h.h_count in
-    (n, Array.map Atomic.get h.h_counts)
-
-  let count h = Atomic.get h.h_count
+  let count h = h.h_count
 
   (* Estimate the [phi]-quantile (0 < phi <= 1): locate the bucket
      holding the ceil(phi*count)-th smallest sample, interpolate
      linearly inside it, and never exceed the exact max. *)
-  let percentile_of (n, counts) ~max_ns phi =
+  let percentile_of n counts ~max_ns phi =
     if n = 0 then 0.
     else begin
       let rank =
@@ -358,7 +327,7 @@ module Histogram = struct
     end
 
   let percentile h phi =
-    percentile_of (counts h) ~max_ns:(Atomic.get h.h_max) phi
+    percentile_of h.h_count h.h_counts ~max_ns:h.h_max phi
 
   type snapshot = {
     s_name : string;
@@ -372,15 +341,14 @@ module Histogram = struct
   }
 
   let snapshot_of h =
-    let ((n, counts) as t) = counts h in
-    let max_ns = Atomic.get h.h_max in
+    let n = h.h_count and counts = h.h_counts and max_ns = h.h_max in
     { s_name = h.h_name;
       s_count = n;
-      s_sum_ns = Atomic.get h.h_sum;
+      s_sum_ns = h.h_sum;
       s_max_ns = max_ns;
-      s_p50_ns = percentile_of t ~max_ns 0.50;
-      s_p90_ns = percentile_of t ~max_ns 0.90;
-      s_p99_ns = percentile_of t ~max_ns 0.99;
+      s_p50_ns = percentile_of n counts ~max_ns 0.50;
+      s_p90_ns = percentile_of n counts ~max_ns 0.90;
+      s_p99_ns = percentile_of n counts ~max_ns 0.99;
       s_buckets =
         List.filter_map
           (fun i ->
@@ -401,10 +369,10 @@ module Histogram = struct
   let reset () =
     List.iter
       (fun h ->
-        Array.iter (fun c -> Atomic.set c 0) h.h_counts;
-        Atomic.set h.h_count 0;
-        Atomic.set h.h_sum 0;
-        Atomic.set h.h_max 0)
+        Array.fill h.h_counts 0 num_buckets 0;
+        h.h_count <- 0;
+        h.h_sum <- 0;
+        h.h_max <- 0)
       (entries ())
 
   let json_of_snapshot s =
@@ -474,7 +442,7 @@ let k_sql_executions = "sql.executions"
 
 (* Sheetcol names, counters fed by the columnar scan driver. The two
    [par.*] names are not registered and nothing feeds them: scans run
-   in one pass on the calling domain, and the names stay only for
+   in one pass on the calling thread, and the names stay only for
    readers that still ask for them (they read 0). *)
 let k_par_morsels = "par.morsels"
 let k_par_scans = "par.scans"
@@ -547,11 +515,10 @@ let sample_gc_gauges () =
    records is exact and {!well_nested} can demand it.
 
    Always on (a record is a few small allocations), bounded with a
-   drop counter. The region stack is single-writer — only the
-   session's driving thread enters/commits regions and notes nodes;
-   a region reads no counter, and its commit writes the ones its
-   record accounts for. Event and span commits take only the ring
-   lock and are safe from any thread. *)
+   drop counter. Like the rest of Sheetscope it has one writer, the
+   thread driving the engine: it enters and commits regions, notes
+   nodes and commits events and spans. A region reads no counter, and
+   its commit writes the ones its record accounts for. *)
 
 module Profile = struct
   type node = {
@@ -563,7 +530,6 @@ module Profile = struct
     n_time_ns : int;
     n_alloc_bytes : float;
     n_path : string;  (* "" | "columnar" | "row" | "batch" *)
-    n_detail : string;  (* "": a v3 JSON field no writer fills *)
   }
 
   type t = {
@@ -590,7 +556,6 @@ module Profile = struct
   let set_capacity n = capacity := max 1 n
   let ring : t Queue.t = Queue.create ()
   let dropped_records = ref 0
-  let pr_mutex = Mutex.create ()
 
   (* collection can be switched off entirely (the overhead bench
      measures the difference); regions entered while disabled record
@@ -645,15 +610,12 @@ module Profile = struct
              (Printf.sprintf "(%.3f ms)" (float_of_int r.p_total_ns /. 1e6));
            part (r.p_total_ns >= slow_ns) "slow" ])
 
-  (* The [Logs] sink prints outside the ring lock: a reporter may
-     yield to another thread, which may commit a record of its own. *)
   let push_record r =
-    with_lock pr_mutex (fun () ->
-        if Queue.length ring >= !capacity then begin
-          ignore (Queue.pop ring);
-          incr dropped_records
-        end;
-        Queue.push r ring);
+    if Queue.length ring >= !capacity then begin
+      ignore (Queue.pop ring);
+      incr dropped_records
+    end;
+    Queue.push r ring;
     if !current_sink = Logs then
       Logs.app ~src (fun m -> m "%s" (render_line r))
 
@@ -819,8 +781,7 @@ module Profile = struct
             n_start_ns = start_ns - epoch_ns;
             n_time_ns = time_ns;
             n_alloc_bytes = alloc_bytes;
-            n_path = path;
-            n_detail = "" }
+            n_path = path }
           :: p.pd_nodes)
 
   let is_event r =
@@ -829,18 +790,17 @@ module Profile = struct
     | _ -> true
 
   let records ?session () =
-    let all = with_lock pr_mutex (fun () -> List.of_seq (Queue.to_seq ring)) in
+    let all = List.of_seq (Queue.to_seq ring) in
     match session with
     | None -> all
     | Some s -> List.filter (fun r -> r.p_session = s) all
 
-  let length () = with_lock pr_mutex (fun () -> Queue.length ring)
-  let dropped () = with_lock pr_mutex (fun () -> !dropped_records)
+  let length () = Queue.length ring
+  let dropped () = !dropped_records
 
   let clear () =
-    with_lock pr_mutex (fun () ->
-        Queue.clear ring;
-        dropped_records := 0)
+    Queue.clear ring;
+    dropped_records := 0
 
   (* Records whose intervals overlap must nest. Sorted by start (the
      longer first on a tie), the records still open form a chain of
@@ -877,7 +837,7 @@ module Profile = struct
   let last ?session () = latest ?session (fun _ -> true)
   let find ~uid = latest (fun r -> r.p_uid = uid)
 
-  (* ----- JSON (schema "sheetscope-profile/v3") ----- *)
+  (* ----- JSON (schema "sheetscope-profile/v4") ----- *)
 
   let node_to_json n =
     Obs_json.Obj
@@ -888,8 +848,7 @@ module Profile = struct
         ("start_ns", Obs_json.Int n.n_start_ns);
         ("time_ns", Obs_json.Int n.n_time_ns);
         ("alloc_bytes", Obs_json.Float n.n_alloc_bytes);
-        ("path", Obs_json.String n.n_path);
-        ("detail", Obs_json.String n.n_detail) ]
+        ("path", Obs_json.String n.n_path) ]
 
   (* every field but the nodes: the args of the record's trace event *)
   let record_fields r =
@@ -923,7 +882,7 @@ module Profile = struct
 
   let to_json ?session () =
     Obs_json.Obj
-      [ ("schema", Obs_json.String "sheetscope-profile/v3");
+      [ ("schema", Obs_json.String "sheetscope-profile/v4");
         ("capacity", Obs_json.Int !capacity);
         ("dropped", Obs_json.Int (dropped ()));
         ("profiles",

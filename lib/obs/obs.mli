@@ -21,20 +21,30 @@
       ({!Slo}), evaluated against the live registry including every
       labeled per-session series.
 
-    Counters and histograms count sink or no sink, and are {e thread-
-    and domain-safe}: every cell is atomic, so concurrent totals equal
-    a single-writer run exactly, and the ring is mutex-protected. Those
-    that describe a materialization are read off its profile record
-    as it commits ({!Profile.commit}), so they move only while profile
-    collection is on. *)
+    Counters and histograms count sink or no sink. Those that describe
+    a materialization are read off its profile record as it commits
+    ({!Profile.commit}), so they move only while profile collection is
+    on.
+
+    {2 One engine thread}
+
+    The engine, the materialization cache, Sheetscope and the kernels'
+    scratch vectors are written by one thread at a time, and nothing
+    in the libraries starts a domain. That thread is the one driving
+    the engine: [Net]'s loop while a Sheetserve listener runs, the
+    caller's thread otherwise; other threads (the clients of
+    [serve_load]) only talk to the socket. So nothing here takes a
+    lock or an atomic: a counter or gauge is a mutable [int], a
+    histogram one record of plain ints, and the registry, the label
+    admission table, the region stack and the profile ring are plain
+    tables (DESIGN.md §10). *)
 
 (** {1 Clock} *)
 
 val now_ns : unit -> int
 (** Monotone clock in integer nanoseconds: wall readings clamped so
     the value never decreases within a process (NTP steps and VM
-    migrations cannot produce a negative span or histogram sample).
-    The watermark is atomic, so the guarantee holds across domains. *)
+    migrations cannot produce a negative span or histogram sample). *)
 
 val set_raw_clock_for_tests : (unit -> int) option -> unit
 (** Swap the raw reading under the monotone clamp ([None] restores the
@@ -65,9 +75,8 @@ val with_span :
     [uid], [rows_out] read off the thunk's result (-1 for a raising
     thunk), and its start and duration. Span names are dotted
     (["engine.apply"]), so none reads as a materialization kind. When
-    the sink is [Off] this only runs the thunk. Safe from any thread:
-    two threads' spans that overlap without nesting show up in
-    {!Profile.well_nested}. *)
+    the sink is [Off] this only runs the thunk. Spans of two threads
+    that overlap without nesting show up in {!Profile.well_nested}. *)
 
 val clear_events : unit -> unit
 (** {!Profile.clear} under its old name, kept only because
@@ -104,15 +113,14 @@ val set_ambient_labels : Labels.t -> unit
 (** Install the ambient label set the hot paths (engine apply, SQL
     run) stamp on their histograms — the shells set
     [session=<name>] at startup, the gates set [task=<id>] per
-    replay. Single-writer, like the region stack. *)
+    replay. *)
 
 val ambient_labels : unit -> Labels.t
 
 (** {1 Metrics}
 
-    A counter or gauge is one atomic cell: {!Metrics.incr} is a
-    fetch-and-add, safe from any thread or domain, so totals are exact
-    whatever the interleaving. Gauges are last-write-wins. *)
+    A counter or gauge is one mutable [int]: {!Metrics.incr} adds to
+    it, {!Metrics.set} overwrites it (a gauge is a fact, not a sum). *)
 
 module Metrics : sig
   type m
@@ -155,9 +163,7 @@ end
     different runs are comparable. Count, sum and max are exact;
     p50/p90/p99 are bucket estimates (linear interpolation inside the
     bucket holding the rank, never above the observed max). Like
-    counters, histograms record sink or no sink, and from any thread
-    or domain: a histogram is one record of atomic cells, so
-    concurrent totals are exact. *)
+    counters, histograms record sink or no sink. *)
 
 module Histogram : sig
   type h
@@ -175,16 +181,15 @@ module Histogram : sig
       subject to the family cardinality cap (the overflow series past
       it). With {!Labels.empty} this is [histogram]. A label set
       resolves each series once: a later call with the same set builds
-      no name and takes no lock. *)
+      no name. *)
 
   val family : string -> string -> h
   (** [family prefix kind] is the series [prefix ^ kind], interned once
-      per kind: keep [family prefix], and a lookup builds no name and
-      takes no lock. *)
+      per kind: keep [family prefix], and a lookup builds no name. *)
 
   val record : h -> int -> unit
   (** Record one duration in nanoseconds (negative samples clamp
-      to 0). O(1); safe from any domain. *)
+      to 0). O(1). *)
 
   val count : h -> int
 
@@ -281,7 +286,7 @@ val k_par_morsels : string
 val k_par_scans : string
 (** ["par.morsels"] and ["par.scans"]: names of counters that are
     neither registered nor fed, since scans run in one pass on the
-    calling domain; {!Metrics.value_of} reads them as 0. Kept for the
+    calling thread; {!Metrics.value_of} reads them as 0. Kept for the
     readers that still ask for them. *)
 
 val k_col_columns : string
@@ -341,8 +346,8 @@ val k_gc_heap : string
     records, and a record's nodes lie inside it.
 
     Collection is always on, bounded at 512 records with a drop
-    counter. The region stack is {e single-writer}: only the session's
-    driving thread calls {!Profile.enter}/{!Profile.commit}/[note_*]. *)
+    counter. Regions nest strictly on the engine's thread: each
+    {!Profile.enter} is closed by one {!Profile.commit}. *)
 
 module Profile : sig
   type node = {
@@ -354,7 +359,6 @@ module Profile : sig
     n_time_ns : int;
     n_alloc_bytes : float;
     n_path : string;  (** ["columnar"] | ["row"] | ["batch"] | [""] *)
-    n_detail : string;  (** [""]: a v3 JSON field no writer fills *)
   }
 
   type t = {
@@ -413,9 +417,8 @@ module Profile : sig
     kind:string -> ?uid:int -> ?since:int -> ?rows_out:int -> string -> unit
   (** Commit a node-less event record labelled with the string; with
       [since] (a {!now_ns} reading), the record lasts from then until
-      its commit, otherwise it has no duration. Safe from any thread
-      (it takes only the ring lock); a no-op while collection is
-      off. *)
+      its commit, otherwise it has no duration. A no-op while
+      collection is off. *)
 
   val note_cache : ?label:string -> string -> unit
   (** Record the cache outcome (and optionally the record's label) on
@@ -484,7 +487,7 @@ module Profile : sig
   val record_to_json : t -> Obs_json.t
 
   val to_json : ?session:string -> unit -> Obs_json.t
-  (** ["sheetscope-profile/v3"]: capacity, dropped count and the
+  (** ["sheetscope-profile/v4"]: capacity, dropped count and the
       record list ([session] filters as in {!records}). *)
 
   val render_record : t -> string

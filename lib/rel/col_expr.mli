@@ -34,4 +34,4 @@ val eval : t -> size:int -> int array -> Column.t
     row id in [ids] (distinct, in any order, each below [size]) is the
     expression's value at that id; other cells are meaningless. An
     [Ints], [Floats] or [Dates] column, with a validity bitmap when
-    some cell is null. One pass over [ids] on the calling domain. *)
+    some cell is null. One pass over [ids] on the calling thread. *)

@@ -1,11 +1,10 @@
 (* Sheetcol: the columnar image of a row array.
 
-   An image exists only for rectangular data: [of_rows ~width] refuses
-   (returns [None]) at the first row of another width, before it
-   builds any column. Ragged rows are possible only through
-   [Relation.unsafe_make], and the compiled path could not reproduce
-   their row-path behaviour (index errors), so the engine keeps them
-   on the row path. *)
+   An image exists only for rectangular data: [of_rows ~width] raises
+   at the first row of another width, before it builds any column.
+   Ragged rows are possible only through the unsafe constructors of
+   [Relation], and no library code builds them ([Csv] checks row
+   widths). *)
 
 module Obs = Sheet_obs.Obs
 
@@ -22,8 +21,9 @@ type t = {
 
 let column t j = t.cols.(j)
 
-let of_rows ~width (rows : Row.t array) : t option =
-  if Array.exists (fun row -> Row.width row <> width) rows then None
+let of_rows ~width (rows : Row.t array) : t =
+  if Array.exists (fun row -> Row.width row <> width) rows then
+    invalid_arg "Columnar.of_rows: ragged rows"
   else begin
     let cols =
       Array.init width (fun j ->
@@ -33,7 +33,7 @@ let of_rows ~width (rows : Row.t array) : t option =
     Array.iter
       (fun c -> Obs.Metrics.incr ~by:(Column.dict_size c) c_dict_entries)
       cols;
-    Some { cols; orders = Array.make width None }
+    { cols; orders = Array.make width None }
   end
 
 let dict_order t j =

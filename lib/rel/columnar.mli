@@ -5,10 +5,11 @@
 
 type t
 
-val of_rows : width:int -> Row.t array -> t option
-(** Materialize [width] columns (typically the schema arity). [None]
-    when a row has another width — checked before any column is
-    built. Feeds the [columnar.*] Obs counters. *)
+val of_rows : width:int -> Row.t array -> t
+(** Materialize [width] columns (typically the schema arity). Feeds
+    the [columnar.*] Obs counters.
+    @raise Invalid_argument when a row has another width — checked
+    before any column is built. *)
 
 val column : t -> int -> Column.t
 

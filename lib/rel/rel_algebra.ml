@@ -42,32 +42,25 @@ let compile r e = compile_batch (Relation.schema r) (Relation.batch r) e
    A fresh vector longer than 256 words is allocated on the major
    heap, and the collector pays for it in proportion to its length:
    over a large heap, more than the loop that fills it. A kernel's
-   temporaries are therefore borrowed from the calling domain's pool,
-   so that it allocates little beyond its result. *)
+   temporaries are therefore borrowed from one pool, a plain stack of
+   vectors (the engine runs on one thread, as obs.mli states), so
+   that it allocates little beyond its result. *)
 
-let pool = Domain.DLS.new_key (fun () -> Atomic.make [])
+let pool : int array list ref = ref []
 
 (* [f] run with a vector of at least [n] ints, of unspecified
    contents, that is [f]'s alone until it returns: a kernel [f] calls
-   borrows another. The pool is a compare-and-set stack, so threads
-   sharing the domain never borrow one vector twice. *)
+   borrows another. *)
 let with_scratch n f =
-  let free = Domain.DLS.get pool in
-  let rec take () =
-    match Atomic.get free with
+  let buf =
+    match !pool with
     | [] -> Array.make n 0
-    | b :: rest as l ->
-        if not (Atomic.compare_and_set free l rest) then take ()
-        else if Array.length b >= n then b
-        else Array.make n 0
+    | b :: rest ->
+        pool := rest;
+        if Array.length b >= n then b else Array.make n 0
   in
-  let buf = take () in
   let r = f buf in
-  let rec give () =
-    let l = Atomic.get free in
-    if not (Atomic.compare_and_set free l (buf :: l)) then give ()
-  in
-  give ();
+  pool := buf :: !pool;
   r
 
 (* The first [k] entries of [a], in a vector of their own. *)
@@ -103,16 +96,14 @@ let check_selection schema pred =
 
 (* The typed column a reference reads, indexed by base row id: a base
    column of the base's Sheetcol image or a computed column; [None]
-   for an aggregate column, or a base column of ragged rows. *)
+   for an aggregate column. *)
 let typed_column schema (b : Relation.batch) name =
   match Schema.find schema name with
   | None -> None
   | Some (c, _) -> (
       match b.cols.(c) with
       | Relation.Base j ->
-          Option.map
-            (fun view -> Columnar.column view j)
-            (Relation.columnar_view b.base)
+          Some (Columnar.column (Relation.columnar_view b.base) j)
       | Relation.Computed col -> Some col
       | Relation.Broadcast _ -> None)
 
@@ -128,8 +119,6 @@ let fallback_reason (r : Relation.t) e ~blocker =
     | None -> None
     | Some (c, _) -> (
         match b.cols.(c) with
-        | Relation.Base _ when Relation.columnar_view b.base = None ->
-            Some "ragged rows"
         | Relation.Computed { Column.repr = Column.Boxed _; _ }
         | Relation.Broadcast _ ->
             Some ("computed column " ^ name)
@@ -813,14 +802,10 @@ let rank_column (b : Relation.batch) c =
       let ranks, m = rank_cells (Array.length values) (Array.unsafe_get values) in
       let group = grouping.group in
       (init_ints n (fun j -> ranks.(group.(Array.unsafe_get sel j))), m)
-  | Relation.Base j -> (
-      match Relation.columnar_view b.base with
-      | None ->
-          let read = reader b c in
-          rank_cells n (fun k -> read (Array.unsafe_get sel k))
-      | Some view ->
-          typed (Columnar.column view j)
-            ~dict_order:(fun _ -> Columnar.dict_order view j))
+  | Relation.Base j ->
+      let view = Relation.columnar_view b.base in
+      typed (Columnar.column view j)
+        ~dict_order:(fun _ -> Columnar.dict_order view j)
 
 (* Dense numbering of an int key in [0, m), in key order: equal keys,
    equal ids; a smaller key, a smaller id. *)

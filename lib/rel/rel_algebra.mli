@@ -24,7 +24,7 @@ val select : Expr.t -> Relation.t -> Relation.t
     typed — a base column of the base's Sheetcol image, or a typed
     computed column — and the predicate compiles; otherwise through
     the compiled expression, which is observationally identical.
-    Either way one pass on the calling domain; the input's vector is
+    Either way one pass on the calling thread; the input's vector is
     never written.
     @raise Algebra_error on an ill-typed predicate, before reading a
     row. *)
@@ -47,8 +47,7 @@ val typed_arg : Relation.t -> string -> Column.t option
 (** The typed column a reference to the named column reads, indexed
     by base row id of [Relation.batch r]: a base column of the base's
     Sheetcol image ({!Relation.columnar_view}), or a computed column.
-    [None] for an aggregate column, a base column of ragged rows, or
-    an unknown name. *)
+    [None] for an aggregate column or an unknown name. *)
 
 val project : string list -> Relation.t -> Relation.t
 (** [π_r]: keep the named columns in the given order; duplicates are

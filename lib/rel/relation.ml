@@ -8,17 +8,12 @@
    relation's identity batch. All of them are derived
    purely from immutable inputs, so the mutation is invisible: any
    interleaving of builders computes the same value. *)
-type col_memo =
-  | Col_unbuilt
-  | Col_built of Columnar.t
-  | Col_unavailable  (* ragged data (unsafe_make): never serve columns *)
-
 type t = {
   schema : Schema.t;
   src : src;
   mutable data : Row.t array option;
   mutable rows_memo : Row.t list option;
-  mutable col_memo : col_memo;
+  mutable col_memo : Columnar.t option;
   mutable batch_memo : batch option;
 }
 
@@ -67,7 +62,7 @@ let of_rows ?rows_memo schema data =
     src = Rows;
     data = Some data;
     rows_memo;
-    col_memo = Col_unbuilt;
+    col_memo = None;
     batch_memo = None }
 
 let unsafe_of_array schema data = of_rows schema data
@@ -109,7 +104,7 @@ let of_batch schema (b : batch) =
     src = Batch (b, is_identity b.base b.cols);
     data = None;
     rows_memo = None;
-    col_memo = Col_unbuilt;
+    col_memo = None;
     batch_memo = None }
 
 let base_rows (b : batch) =
@@ -177,18 +172,12 @@ let iter f t = Array.iter f (to_array t)
 (* the identity batch's base is [t] itself, not the renamed copy *)
 let with_schema schema t = { t with schema; batch_memo = None }
 
-(* Build (and memoize) the columnar image. Usable only when the data
-   is rectangular at the schema's arity — [unsafe_make] can smuggle in
-   ragged rows, whose row-path behaviour (index errors) the compiled
-   path could not reproduce. *)
 let columnar_view t =
   match t.col_memo with
-  | Col_built v -> Some v
-  | Col_unavailable -> None
-  | Col_unbuilt ->
+  | Some v -> v
+  | None ->
       let v = Columnar.of_rows ~width:(Schema.arity t.schema) (to_array t) in
-      t.col_memo <-
-        (match v with Some v -> Col_built v | None -> Col_unavailable);
+      t.col_memo <- Some v;
       v
 
 let column_values t name =

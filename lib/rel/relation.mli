@@ -143,12 +143,12 @@ val iter : (Row.t -> unit) -> t -> unit
 val with_schema : Schema.t -> t -> t
 (** Same rows under a different (same-arity) schema — zero-copy rename. *)
 
-val columnar_view : t -> Columnar.t option
+val columnar_view : t -> Columnar.t
 (** The relation's Sheetcol image, built on the first call and
     memoized (relations are immutable, so the image can never go
-    stale). [None] only when the rows are ragged (possible only
-    through the unsafe constructors) — the engine then stays on the
-    row path. *)
+    stale).
+    @raise Invalid_argument when a row's width is not the schema's
+    arity (possible only through the unsafe constructors). *)
 
 val column_values : t -> string -> Value.t list
 (** All values of a column, in row order. *)

@@ -32,8 +32,12 @@ type t = {
 
 (* Arenas are process-global (they key the shared uid namespace), so
    two servers in one test process never reuse each other's. *)
-let next_arena = Atomic.make 1
-let fresh_arena () = Atomic.fetch_and_add next_arena 1
+let next_arena = ref 1
+
+let fresh_arena () =
+  let a = !next_arena in
+  incr next_arena;
+  a
 
 let create cfg =
   {

@@ -9,7 +9,8 @@
     A server is driven from one thread — {!Net}'s loop calls {!handle}
     for every connection — and takes no lock: each request's engine
     work, from reading its session's state to writing the new one,
-    runs with no other request in between.
+    runs with no other request in between. That loop is the engine's
+    one thread ({!Sheet_obs.Obs}, "One engine thread").
 
     {2 Sessions and determinism}
 

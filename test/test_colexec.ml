@@ -117,12 +117,17 @@ let reference_sort keys rows =
    sorted dictionary). *)
 let base rows = Relation.unsafe_of_array sort_schema rows
 
-(* The same cells in rows one cell wider than the schema: ragged for
-   the image, which is refused, so every column ranks from its
-   cells. *)
+(* The same cells as boxed computed columns over the rows, so every
+   column ranks from its cells, not from the image. *)
 let cells_only_of schema rows =
-  Relation.unsafe_of_array schema
-    (Array.map (fun r -> Array.append r [| Value.Null |]) rows)
+  Relation.of_batch schema
+    { Relation.base = Relation.unsafe_of_array schema rows;
+      sel = Array.init (Array.length rows) Fun.id;
+      cols =
+        Array.init (Schema.arity schema) (fun j ->
+            Relation.Computed
+              { Column.repr = Column.Boxed (Array.map (fun r -> r.(j)) rows);
+                validity = None }) }
 
 let cells_only = cells_only_of sort_schema
 
@@ -177,11 +182,7 @@ let image_ranks_equal_hashing =
       List.for_all
         (fun c ->
           Rel_algebra.group_ids imaged [ c ] = Rel_algebra.group_ids plain [ c ])
-        [ 0; 1; 2 ]
-      (* with no rows nothing is ragged: both have an (empty) image *)
-      && (rows = [||]
-         || Relation.columnar_view imaged <> None
-            && Relation.columnar_view plain = None))
+        [ 0; 1; 2 ])
 
 (* The ranks [Value.Tbl] hashing gives cells: the distinct cells
    numbered in [Value.compare] order, nulls last. *)
@@ -206,7 +207,7 @@ let gen_float_rows =
 (* Typed float ranks equal hashed ranks over the same boxed cells, from
    each place a float column comes from: the base image, a typed
    formula (Col_expr), an aggregate's per-group values (AVG, float
-   SUM), and an all-Float [Boxed] column of ragged rows. Over one key
+   SUM), and an all-Float [Boxed] computed column. Over one key
    column, group ids are that column's ranks. *)
 let float_ranks_equal_hashing =
   QCheck.Test.make ~count:150 ~name:"group_ids: float ranks == hashed ranks"
@@ -215,9 +216,8 @@ let float_ranks_equal_hashing =
        gen_float_rows) (fun rows ->
       let base = Relation.unsafe_of_array float_schema rows in
       let floats =
-        match Relation.columnar_view base with
-        | Some v -> Column.kind_name (Columnar.column v 1) = "float"
-        | None -> false
+        Column.kind_name (Columnar.column (Relation.columnar_view base) 1)
+        = "float"
       in
       let formula, path =
         Rel_algebra.extend_path
@@ -916,13 +916,11 @@ let typed_formula_matches_row_path =
     (fun (e, rows) ->
       let r = Relation.unsafe_of_array kernel_schema rows in
       let column =
-        match Relation.columnar_view r with
-        | None -> fun _ -> None
-        | Some v ->
-            fun name ->
-              Option.map
-                (fun (j, _) -> Columnar.column v j)
-                (Schema.find kernel_schema name)
+        let v = Relation.columnar_view r in
+        fun name ->
+          Option.map
+            (fun (j, _) -> Columnar.column v j)
+            (Schema.find kernel_schema name)
       in
       let compiles = Result.is_ok (Col_expr.compile ~column e) in
       let eval row =
@@ -1040,9 +1038,7 @@ let typed_folds_match_apply_agg =
         members;
       (* what the image made of the argument column decides the fold *)
       let kind =
-        match Relation.columnar_view base with
-        | Some v -> Column.kind_name (Columnar.column v 3)
-        | None -> "boxed"
+        Column.kind_name (Columnar.column (Relation.columnar_view base) 3)
       in
       let typed =
         match (fn, kind) with

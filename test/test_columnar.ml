@@ -86,23 +86,23 @@ let gen_ragged_rows : (int * Row.t array) QCheck.Gen.t =
 let image_cells_exact =
   QCheck.Test.make ~count:300 ~name:"rectangular rows: Some, cells exact"
     (QCheck.make gen_uniform_rows) (fun (width, rows) ->
-      match Columnar.of_rows ~width rows with
-      | None -> false
-      | Some img ->
-          Array.for_all
-            (fun i ->
-              List.for_all
-                (fun j ->
-                  value_exact
-                    (Column.get (Columnar.column img j) i)
-                    (Row.get rows.(i) j))
-                (List.init width Fun.id))
-            (Array.init (Array.length rows) Fun.id))
+      let img = Columnar.of_rows ~width rows in
+      Array.for_all
+        (fun i ->
+          List.for_all
+            (fun j ->
+              value_exact
+                (Column.get (Columnar.column img j) i)
+                (Row.get rows.(i) j))
+            (List.init width Fun.id))
+        (Array.init (Array.length rows) Fun.id))
 
 let ragged_no_image =
-  QCheck.Test.make ~count:300 ~name:"ragged rows: None"
+  QCheck.Test.make ~count:300 ~name:"ragged rows: Invalid_argument"
     (QCheck.make gen_ragged_rows) (fun (width, rows) ->
-      Option.is_none (Columnar.of_rows ~width rows)
+      (match Columnar.of_rows ~width rows with
+      | _ -> false
+      | exception Invalid_argument _ -> true)
       = Array.exists (fun row -> Row.width row <> width) rows)
 
 (* ---------- specialization ---------- *)
@@ -144,12 +144,9 @@ let test_mixed_column_fallback () =
             (if i mod 3 = 0 then Value.Int i else Value.Float (float i)) ])
   in
   let r = Relation.of_array schema rows in
-  (match Relation.columnar_view r with
-  | Some img ->
-      Alcotest.(check string)
-        "V column boxed" "boxed"
-        (Column.kind_name (Columnar.column img 1))
-  | None -> Alcotest.fail "uniform relation must have a columnar view");
+  Alcotest.(check string)
+    "V column boxed" "boxed"
+    (Column.kind_name (Columnar.column (Relation.columnar_view r) 1));
   let pred = Expr.(Cmp (Lt, Col "V", Const (Value.Int 100))) in
   let out, path = Rel_algebra.select_path pred r in
   Alcotest.(check bool)
@@ -175,9 +172,9 @@ let test_ragged_relation_has_no_view () =
       [ Row.of_list [ Value.Int 1; Value.Int 2 ];
         Row.of_list [ Value.Int 3 ] ]
   in
-  Alcotest.(check bool)
-    "ragged => no columnar view" true
-    (Relation.columnar_view r = None)
+  Alcotest.check_raises "ragged => no columnar view"
+    (Invalid_argument "Columnar.of_rows: ragged rows") (fun () ->
+      ignore (Relation.columnar_view r))
 
 (* ---------- compiled predicates vs the row interpreter ---------- *)
 
@@ -398,16 +395,14 @@ let compiled_vs_row =
       (* the image is built by the scan itself; whenever the predicate
          compiles against it, the compiled path is the one that ran *)
       let compiles =
-        match Relation.columnar_view base with
-        | None -> false
-        | Some v ->
-            Result.is_ok
-              (Col_pred.compile
-                 ~column:(fun name ->
-                   Option.map
-                     (fun (j, _) -> Columnar.column v j)
-                     (Schema.find schema name))
-                 pred)
+        let v = Relation.columnar_view base in
+        Result.is_ok
+          (Col_pred.compile
+             ~column:(fun name ->
+               Option.map
+                 (fun (j, _) -> Columnar.column v j)
+                 (Schema.find schema name))
+             pred)
       in
       (path = `Columnar) = compiles
       && input.Relation.sel = before
@@ -515,8 +510,7 @@ let test_rows_memoized () =
   let v1 = Relation.columnar_view r in
   let v2 = Relation.columnar_view r in
   Alcotest.(check bool)
-    "columnar view built once" true
-    (match (v1, v2) with Some a, Some b -> a == b | _ -> false)
+    "columnar view built once" true (v1 == v2)
 
 let () =
   let q = QCheck_alcotest.to_alcotest ~long:false in

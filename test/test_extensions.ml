@@ -230,7 +230,7 @@ let test_persist_roundtrip () =
   let s = full_state_session () in
   let sheet = Session.current s in
   let text = Persist.to_string sheet in
-  let sheet2 = Persist.of_string text in
+  let sheet2 = Result.get_ok (Persist.of_string text) in
   Alcotest.(check bool) "same materialization" true
     (Relation.equal (Materialize.full sheet) (Materialize.full sheet2));
   Alcotest.(check (list string))
@@ -248,7 +248,9 @@ let test_persist_roundtrip () =
 
 let test_persist_state_still_modifiable () =
   let s = full_state_session () in
-  let sheet2 = Persist.of_string (Persist.to_string (Session.current s)) in
+  let sheet2 =
+    Result.get_ok (Persist.of_string (Persist.to_string (Session.current s)))
+  in
   (* replace the Year selection on the reloaded sheet *)
   let sel =
     List.hd (Query_state.selections_on sheet2.Spreadsheet.state "Year")
@@ -271,8 +273,9 @@ let test_persist_file_io () =
   Fun.protect
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
     (fun () ->
-      Persist.save (Session.current s) ~path;
-      let sheet2 = Persist.load ~path in
+      Alcotest.(check (result unit string)) "saved" (Ok ())
+        (Persist.save (Session.current s) ~path);
+      let sheet2 = Result.get_ok (Persist.load ~path) in
       Alcotest.(check bool) "file roundtrip" true
         (Relation.equal
            (Materialize.full (Session.current s))
@@ -298,7 +301,7 @@ agg avg Price level 2 as ap
 order-groups ap desc|}
   in
   let sheet = Session.current s in
-  let sheet2 = Persist.of_string (Persist.to_string sheet) in
+  let sheet2 = Result.get_ok (Persist.of_string (Persist.to_string sheet)) in
   Alcotest.(check bool) "override survives the roundtrip" true
     (Grouping.equal (Spreadsheet.grouping sheet)
        (Spreadsheet.grouping sheet2));
@@ -307,15 +310,11 @@ order-groups ap desc|}
 
 let test_persist_rejects_garbage () =
   Alcotest.(check bool) "not a sheet file" true
-    (try
-       ignore (Persist.of_string "hello world");
-       false
-     with Persist.Persist_error _ -> true);
+    (Result.is_error (Persist.of_string "hello world"));
   Alcotest.(check bool) "truncated file" true
-    (try
-       ignore (Persist.of_string "musiq-sheet v1\nname x\n");
-       false
-     with Persist.Persist_error _ -> true)
+    (Result.is_error (Persist.of_string "musiq-sheet v1\nname x\n"));
+  Alcotest.(check bool) "unreadable file" true
+    (Result.is_error (Persist.load ~path:"/nonexistent/dir/x.sheet"))
 
 (* ---- cached materialization ---- *)
 

@@ -1,6 +1,6 @@
 (* Robustness fuzzing: no public parsing or command entry point may
    escape with an exception — malformed input must come back as a
-   clean [Error] (or a documented exception type for Persist). *)
+   clean [Error]. *)
 
 open Sheet_rel
 open Sheet_core
@@ -79,7 +79,7 @@ let sql_executor_total =
 
 let persist_total =
   QCheck.Test.make ~count:500
-    ~name:"Persist.of_string raises only Persist_error"
+    ~name:"Persist.of_string never raises, returns Error"
     (QCheck.make ~print:(fun s -> s)
        QCheck.Gen.(
          let* garbage = gen_garbage in
@@ -90,8 +90,8 @@ let persist_total =
              "musiq-sheet v1\nselection notanint x = 1\ndata\na:int\n1\n" ]))
     (fun s ->
       match Persist.of_string s with
-      | _ -> true
-      | exception Persist.Persist_error _ -> true
+      | Error _ -> true
+      | Ok _ -> QCheck.Test.fail_reportf "accepted %S" s
       | exception _ -> false)
 
 let csv_total =

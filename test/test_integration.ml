@@ -82,7 +82,7 @@ order delta desc level 2|}
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
     (fun () ->
       let s = run s (Printf.sprintf "export %s" path) in
-      let reloaded = Persist.load ~path in
+      let reloaded = Result.get_ok (Persist.load ~path) in
       Alcotest.(check bool) "reloaded equals live" true
         (Relation.equal
            (Materialize.full (Session.current s))

@@ -450,7 +450,7 @@ let persist_roundtrip =
     ~name:"persist: save/load preserves the materialization and state"
     (QCheck.make gen_sheet_with_state)
     (fun sheet ->
-      let sheet2 = Persist.of_string (Persist.to_string sheet) in
+      let sheet2 = Result.get_ok (Persist.of_string (Persist.to_string sheet)) in
       Relation.equal (Materialize.full sheet) (Materialize.full sheet2)
       && Spreadsheet.hidden_columns sheet = Spreadsheet.hidden_columns sheet2
       && Grouping.equal (Spreadsheet.grouping sheet)
