@@ -55,10 +55,9 @@ Observability (Sheetscope):
   doctor                          anomaly detection over recorded profiles
   metrics                         counters, gauges, latency percentiles
   slo [json]                      evaluate latency/error-rate SLOs
-                                  (per-session series included)
   flightrec [json|clear]          flight recorder: the last 512 profile-ring
                                   records, one line each; clear empties it
-  trace [status|mem|logs|off]     span tracing sink control
+  trace [status|mem|off]          span tracing sink control
   trace export <path>             write Chrome trace_event JSON|}
 
 let load_initial () =
@@ -88,8 +87,8 @@ let load_initial () =
   else if Array.length argv > 1 then begin
     let path = argv.(1) in
     match Csv.load_relation (Csv.read_file path) with
-    | rel -> Session.create ~name:(Filename.basename path) rel
-    | exception (Csv.Csv_error msg | Sys_error msg) ->
+    | Ok rel -> Session.create ~name:(Filename.basename path) rel
+    | Error msg | (exception Sys_error msg) ->
         Printf.eprintf "cannot load %s: %s\n" path msg;
         exit 2
   end
@@ -147,11 +146,6 @@ let handle_extra session line =
 
 let () =
   let session = ref (load_initial ()) in
-  (* per-session labeled series: engine.apply{session=...} etc. feed
-     the `slo` report *)
-  Sheet_obs.Obs.set_ambient_labels
-    (Sheet_obs.Obs.Labels.v
-       [ ("session", (Session.current !session).Spreadsheet.base_name) ]);
   Printf.printf "SheetMusiq -- direct data manipulation. 'help' for \
                  commands, 'quit' to exit.\n\n";
   show !session;

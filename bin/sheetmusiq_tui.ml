@@ -32,8 +32,8 @@ let load_initial () =
   end
   else if Array.length argv > 1 then
     match Csv.load_relation (Csv.read_file argv.(1)) with
-    | rel -> Session.create ~name:(Filename.basename argv.(1)) rel
-    | exception (Csv.Csv_error msg | Sys_error msg) ->
+    | Ok rel -> Session.create ~name:(Filename.basename argv.(1)) rel
+    | Error msg | (exception Sys_error msg) ->
         Printf.eprintf "cannot load %s: %s\n" argv.(1) msg;
         exit 2
   else Session.create ~name:"cars" Sample_cars.relation
@@ -59,10 +59,6 @@ let event_of_notty = function
 
 let () =
   let session = load_initial () in
-  (* per-session labeled series feeding the slo status segment *)
-  Sheet_obs.Obs.set_ambient_labels
-    (Sheet_obs.Obs.Labels.v
-       [ ("session", (Session.current session).Spreadsheet.base_name) ]);
   let term = Notty_unix.Term.create () in
   let state = ref (Browser.init session) in
   let rec loop () =

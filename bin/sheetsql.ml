@@ -18,7 +18,6 @@
      \flightrec [json|clear]   dump / export / reset the flight
                    recorder (a view over the profile ring)
      \slo [json]   evaluate the declared latency/error-rate SLOs
-                   (per-session labeled series included)
      \d            list tables
      \d <table>    describe a table
      \q            quit
@@ -52,8 +51,8 @@ let build_catalog () =
             Filename.remove_extension (Filename.basename path)
           in
           match Csv.load_relation (Csv.read_file path) with
-          | rel -> Catalog.add catalog ~name rel
-          | exception (Csv.Csv_error msg | Sys_error msg) ->
+          | Ok rel -> Catalog.add catalog ~name rel
+          | Error msg | (exception Sys_error msg) ->
               Printf.eprintf "skipping %s: %s\n" path msg)
       argv;
     catalog
@@ -143,9 +142,6 @@ let translate_and_run catalog sql =
 
 let () =
   let catalog = build_catalog () in
-  (* per-session labeled series: sql.run{session=sheetsql} feeds \slo *)
-  Sheet_obs.Obs.set_ambient_labels
-    (Sheet_obs.Obs.Labels.v [ ("session", "sheetsql") ]);
   Printf.printf
     "sheetsql -- core single-block SQL over the spreadsheet engine.\n\
      Tables:\n";

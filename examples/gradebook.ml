@@ -45,7 +45,7 @@ let show title session =
   Render.print (Session.current session)
 
 let () =
-  let rel = Csv.load_relation gradebook_csv in
+  let rel = Result.get_ok (Csv.load_relation gradebook_csv) in
   let session = Session.create ~name:"gradebook" rel in
 
   Printf.printf "Column profile (types were inferred from the CSV):\n\n";

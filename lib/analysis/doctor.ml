@@ -62,21 +62,6 @@ let cache_diagnostics () =
            (if s.Materialize.evictions = 1 then "" else "s")) ]
   else []
 
-let overflow_diagnostics () =
-  let overflowing (name, v) =
-    if v > 0 && String.ends_with ~suffix:"{__overflow__}" name then
-      Some
-        (Diagnostic.warning ~code:"label-overflow" ~loc:Diagnostic.Query
-           (Printf.sprintf
-              "%s absorbed %d event%s — the per-family label cap is \
-               exhausted, per-series data is being lost"
-              name v
-              (if v = 1 then "" else "s")))
-    else None
-  in
-  List.filter_map overflowing (Obs.Metrics.snapshot ())
-  @ List.filter_map overflowing (Obs.Histogram.counts_snapshot ())
-
 let slo_diagnostics () =
   List.filter_map
     (fun (v : Obs.Slo.verdict) ->
@@ -99,7 +84,6 @@ let run () =
               (fun r -> not (Obs.Profile.is_event r))
               (Obs.Profile.records ())))
     @ guard cache_diagnostics
-    @ guard overflow_diagnostics
     @ guard slo_diagnostics)
 
 let render () = Diagnostic.render (run ())

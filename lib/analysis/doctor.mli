@@ -13,8 +13,6 @@
       selection vector; the message names the blocking subtree.
     - [cache-thrash] (warning): the materialization cache evicted
       entries but never answered a subsumed hit.
-    - [label-overflow] (warning): a metric family's label cap is
-      exhausted and the [{__overflow__}] series is absorbing events.
     - [slo-burn] (error): a declared SLO with data is failing.
     - [sort-dominated] (hint): a sort node takes more than half of a
       region at least 1 ms long. *)

@@ -449,11 +449,6 @@ let apply ?store sheet (op : Op.t) =
   let dt = Obs.now_ns () - t0 in
   Obs.Histogram.record h_apply dt;
   Obs.Histogram.record (h_apply_kind (Op.kind op)) dt;
-  (let labels = Obs.ambient_labels () in
-   if not (Obs.Labels.is_empty labels) then
-     Obs.Histogram.record
-       (Obs.Histogram.histogram_labeled Obs.h_engine_apply labels)
-       dt);
   (match result with Error _ -> Obs.Metrics.incr c_errors | Ok _ -> ());
   result
 

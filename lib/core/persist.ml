@@ -228,10 +228,9 @@ let parse text =
       let data_lines = header_lines rest in
       let csv_text = String.concat "\n" data_lines in
       let raw =
-        try Csv.load_relation csv_text with
-        | Csv.Csv_error msg -> err "data section: %s" msg
-        | Schema.Schema_error msg | Relation.Relation_error msg ->
-            err "data section: %s" msg
+        match Csv.load_relation csv_text with
+        | Ok raw -> raw
+        | Error msg -> err "data section: %s" msg
       in
       (* decode the name:type header and re-type the columns *)
       let schema =

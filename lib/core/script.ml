@@ -255,16 +255,13 @@ let run_line session line =
     | "load" -> (
         let path = trim rest in
         match Csv.load_relation (Csv.read_file path) with
-        | rel ->
+        | Ok rel ->
             Ok
               { session =
                   Session.load_relation session
                     ~name:(Filename.basename path) rel;
                 output = None }
-        | exception (Csv.Csv_error msg | Sys_error msg) -> Error msg
-        | exception (Schema.Schema_error msg | Relation.Relation_error msg)
-          ->
-            Error msg)
+        | Error msg | (exception Sys_error msg) -> Error msg)
     | "export" -> (
         match Persist.save (Session.current session) ~path:(trim rest) with
         | Ok () -> say ("saved to " ^ trim rest)
@@ -383,12 +380,11 @@ let run_line session line =
         | _ -> Error "profile: expected [last|<uid>|json]")
     | "metrics" ->
         no_args "metrics" @@ fun () ->
-        say (Obs.metrics_report ~session:(mine ()) ())
+        say (Obs.metrics_report ())
     | "slo" -> (
         match split_words (String.lowercase_ascii rest) with
-        | [] -> say (Obs.Slo.render ~session:(mine ()) ())
-        | [ "json" ] ->
-            say (Obs_json.to_string (Obs.Slo.to_json ~session:(mine ()) ()))
+        | [] -> say (Obs.Slo.render ())
+        | [ "json" ] -> say (Obs_json.to_string (Obs.Slo.to_json ()))
         | _ -> Error "slo: expected [json]")
     | "flightrec" -> (
         match split_words (String.lowercase_ascii rest) with
@@ -404,7 +400,6 @@ let run_line session line =
             let s =
               match Obs.sink () with
               | Obs.Off -> "off"
-              | Obs.Logs -> "logs"
               | Obs.Memory ->
                   Printf.sprintf "memory (%d records, %d dropped)"
                     (Obs.Profile.length ()) (Obs.Profile.dropped ())
@@ -413,9 +408,6 @@ let run_line session line =
         | ([ "mem" ] | [ "memory" ]), _ ->
             Obs.set_sink Obs.Memory;
             say "tracing to in-memory ring"
-        | [ "logs" ], _ ->
-            Obs.set_sink Obs.Logs;
-            say "tracing to logs"
         | [ "off" ], _ ->
             Obs.set_sink Obs.Off;
             say "tracing off"
@@ -424,7 +416,7 @@ let run_line session line =
             | () -> say ("trace written to " ^ path)
             | exception Sys_error msg -> Error msg)
         | _ ->
-            Error "trace: expected status|mem|logs|off|export <path>")
+            Error "trace: expected status|mem|off|export <path>")
     | "html" -> (
         match Render_html.save (Session.current session) ~path:(trim rest) with
         | () -> say ("written to " ^ trim rest)

@@ -1,16 +1,14 @@
-(* Sheetscope: a metrics registry, labeled per-session series, SLO
-   evaluation, and one tape — the profile ring — that spans, events
-   and per-query records all commit into, and that the Chrome trace
-   is drawn from.
+(* Sheetscope: a metrics registry, SLO evaluation, and one tape — the
+   profile ring — that spans, events and per-query records all commit
+   into, each stamped with its session, and that the Chrome trace is
+   drawn from.
 
    One thread writes all of it at a time (the contract in obs.mli): a
    counter or gauge is a mutable int, a histogram one record of plain
-   ints, and the registry, the label admission table and the ring are
-   plain tables. The off-sink fast path of [with_span] is a single
-   mutable-bool test so instrumented code costs nothing when nobody
-   is watching (property-tested byte-identical). *)
-
-let src = Logs.Src.create "sheetscope" ~doc:"SheetMusiq instrumentation"
+   ints, and the registry and the ring are plain tables. The off-sink
+   fast path of [with_span] is a single test so instrumented code
+   costs nothing when nobody is watching (property-tested
+   byte-identical). *)
 
 (* ---------- clock ----------
 
@@ -48,7 +46,7 @@ let time f =
 
 (* ---------- sinks ---------- *)
 
-type sink = Off | Logs | Memory
+type sink = Off | Memory
 
 let current_sink = ref Off
 
@@ -57,122 +55,49 @@ let set_sink s = current_sink := s
 
 (* ---------- labels ----------
 
-   A bounded extra dimension on counters and histograms: a labeled
-   series is a full registry entry named [base ^ "{k=v,...}"], so
-   snapshots, JSON export and SLO evaluation see per-session /
-   per-task series with no new machinery. Cardinality is capped per
-   base name; past the cap every new label set lands in one shared
-   "{__overflow__}" series, so a hostile or buggy labeler can create
-   at most cap + 1 entries per family. *)
-
-(* A latency histogram (see [Histogram]). Declared before the label
-   sets, so that a label set can keep the labeled series it has named. *)
-type hist = {
-  h_name : string;
-  h_counts : int array;
-  mutable h_count : int;
-  mutable h_sum : int;
-  mutable h_max : int;
-}
+   The session a record belongs to: a label set rendered once as
+   "{k=v,...}" (keys sorted and deduped) and stamped on every ring
+   record as [p_session], which is what the per-session views filter
+   on. The registry has no label dimension: its series are
+   process-wide. *)
 
 module Labels = struct
-  type t = {
-    suffix : string;  (* "{k=v,...}", keys sorted and deduped *)
-    mutable series : (string * hist) list;
-        (* the labeled histograms resolved for this set, by base name:
-           a set resolves each series once *)
-  }
+  type t = string
 
-  let empty = { suffix = ""; series = [] }
-  let is_empty l = l.suffix = ""
+  let empty = ""
 
-  (* keys/values are embedded in series names: strip the four
-     characters that would make the encoding ambiguous *)
+  (* keys/values are embedded in the stamp: strip the four characters
+     that would make the encoding ambiguous *)
   let sanitize s =
     String.map (function '{' | '}' | ',' | '=' -> '_' | c -> c) s
 
   let v pairs =
-    let suffix =
-      match
-        List.fold_left
-          (fun acc (k, value) ->
-            let k = sanitize k and value = sanitize value in
-            (k, value) :: List.remove_assoc k acc)
-          [] pairs
-        |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-      with
-      | [] -> ""
-      | ls ->
-          "{"
-          ^ String.concat "," (List.map (fun (k, value) -> k ^ "=" ^ value) ls)
-          ^ "}"
-    in
-    { suffix; series = [] }
+    match
+      List.fold_left
+        (fun acc (k, value) ->
+          let k = sanitize k and value = sanitize value in
+          (k, value) :: List.remove_assoc k acc)
+        [] pairs
+      |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+    with
+    | [] -> ""
+    | ls ->
+        "{"
+        ^ String.concat "," (List.map (fun (k, value) -> k ^ "=" ^ value) ls)
+        ^ "}"
 
-  let to_string l = l.suffix
+  let to_string l = l
 end
 
-let overflow_suffix = "{__overflow__}"
-
-let series_base name =
-  match String.index_opt name '{' with
-  | Some i -> String.sub name 0 i
-  | None -> name
-
-(* Deterministic registry order: sort by (family base, label suffix)
-   so a base series is immediately followed by its labeled variants.
-   Raw byte order would tear families apart — '{' (0x7b) sorts after
-   every letter, so "engine.apply{...}" would land after
-   "engine.apply.filter". Gate and doctor output diff stably because
-   every snapshot/render/JSON export goes through this order. *)
-let series_order a b =
-  match String.compare (series_base a) (series_base b) with
-  | 0 -> String.compare a b
-  | c -> c
-
-let label_cap = 64
-
-(* admitted label sets per histogram family (base name) *)
-let label_sets : (string, int) Hashtbl.t = Hashtbl.create 16
-
-(* Resolve the registry key for [name]+[labels]: an existing labeled
-   series, a fresh one while the family is under the cap, or the
-   overflow series. [mem] answers "is this key already registered". *)
-let labeled_key ~mem name labels =
-  if Labels.is_empty labels then name
-  else
-    let key = name ^ Labels.to_string labels in
-    if mem key then key
-    else
-      let admitted =
-        Option.value (Hashtbl.find_opt label_sets name) ~default:0
-      in
-      if admitted < label_cap then begin
-        Hashtbl.replace label_sets name (admitted + 1);
-        key
-      end
-      else name ^ overflow_suffix
-
-(* Ambient labels: the session identity the shells stamp on hot-path
-   series (engine.apply, sql.run). Single-writer: Sheetserve sets it
-   only on its loop thread. *)
+(* Ambient labels: the session whose work is running, stamped on each
+   ring record. Single-writer: Sheetserve sets it only on its loop
+   thread. *)
 let ambient = ref Labels.empty
 let set_ambient_labels ls = ambient := ls
 let ambient_labels () = !ambient
 
-(* A reader shown one session's view ([?session], an ambient label
-   string) sees the unlabeled series and that session's own, and no
-   other session's. *)
-let visible_to ?session name =
-  match session with
-  | None -> true
-  | Some s -> (
-      match String.index_opt name '{' with
-      | None -> true
-      | Some i -> String.sub name i (String.length name - i) = s)
-
-(* The two registries intern by name; [sorted] lists entries in
-   [series_order]. *)
+(* The two registries intern by name; [sorted] lists entries by name,
+   so every snapshot, render and JSON export has one stable order. *)
 let find registry make name =
   match Hashtbl.find_opt registry name with
   | Some x -> x
@@ -183,7 +108,7 @@ let find registry make name =
 
 let sorted registry name_of =
   Hashtbl.fold (fun _ x acc -> x :: acc) registry []
-  |> List.sort (fun a b -> series_order (name_of a) (name_of b))
+  |> List.sort (fun a b -> String.compare (name_of a) (name_of b))
 
 (* ---------- metrics ---------- *)
 
@@ -216,10 +141,8 @@ module Metrics = struct
     Obs_json.Obj
       (List.map (fun (name, v) -> (name, Obs_json.Int v)) (snapshot ()))
 
-  let render ?session () =
-    let snap =
-      List.filter (fun (name, _) -> visible_to ?session name) (snapshot ())
-    in
+  let render () =
+    let snap = snapshot () in
     if snap = [] then "(no metrics recorded)"
     else
       String.concat "\n"
@@ -238,7 +161,13 @@ module Histogram = struct
 
   let num_buckets = Array.length boundaries + 1
 
-  type h = hist
+  type h = {
+    h_name : string;
+    h_counts : int array;
+    mutable h_count : int;
+    mutable h_sum : int;
+    mutable h_max : int;
+  }
 
   let make name =
     { h_name = name;
@@ -250,17 +179,6 @@ module Histogram = struct
   let registry : (string, h) Hashtbl.t = Hashtbl.create 32
 
   let histogram name = find registry make name
-
-  let histogram_labeled name (labels : Labels.t) =
-    match List.assoc_opt name labels.series with
-    | Some h -> h
-    | None ->
-        let h =
-          find registry make
-            (labeled_key ~mem:(Hashtbl.mem registry) name labels)
-        in
-        labels.series <- (name, h) :: labels.series;
-        h
 
   (* The series [prefix ^ kind], interned once per kind: a lookup in
      a short list, so a hot path names no series. *)
@@ -361,11 +279,6 @@ module Histogram = struct
 
   let counts_snapshot () = List.map (fun h -> (h.h_name, count h)) (entries ())
 
-  (* every registered series of one family: the base histogram plus
-     its labeled variants, sorted by name — what SLO evaluation walks *)
-  let series_of_base base =
-    List.filter (fun h -> series_base h.h_name = base) (entries ())
-
   let reset () =
     List.iter
       (fun h ->
@@ -400,10 +313,8 @@ module Histogram = struct
     else if f >= 1e3 then Printf.sprintf "%7.2f us" (f /. 1e3)
     else Printf.sprintf "%7.0f ns" f
 
-  let render ?session () =
-    let snaps =
-      List.filter (fun s -> visible_to ?session s.s_name) (snapshots ())
-    in
+  let render () =
+    let snaps = snapshots () in
     if snaps = [] then "(no histograms recorded)"
     else
       String.concat "\n"
@@ -461,9 +372,8 @@ let k_gc_heap = "gc.heap_words"
 
 (* Well-known histogram names. [h_engine_apply] counts every
    [Engine.apply] (per-kind series ride alongside under
-   "engine.apply.<kind>", per-session ones under
-   "engine.apply{session=...}"); a committed profile record adds one
-   sample per node under "plan.node.<kind>". *)
+   "engine.apply.<kind>"); a committed profile record adds one sample
+   per node under "plan.node.<kind>". *)
 let h_engine_apply = "engine.apply"
 let h_materialize_full = "materialize.full"
 let h_incremental_derive = "incremental.derive"
@@ -594,8 +504,7 @@ module Profile = struct
 
   let slow_ns = 100_000_000
 
-  (* one flight-recorder line: what the [Logs] sink prints per record
-     and {!render} lists *)
+  (* one flight-recorder line: what {!render} lists per record *)
   let render_line r =
     let part cond s = if cond then s else "" in
     String.concat "  "
@@ -615,9 +524,7 @@ module Profile = struct
       ignore (Queue.pop ring);
       incr dropped_records
     end;
-    Queue.push r ring;
-    if !current_sink = Logs then
-      Logs.app ~src (fun m -> m "%s" (render_line r))
+    Queue.push r ring
 
   (* a record's end and duration come from the same clock readings *)
   let event ~kind ?(uid = 0) ?since ?(rows_out = -1) label =
@@ -973,12 +880,10 @@ let clear_events = Profile.clear
 (* ---------- SLO definitions and evaluation ----------
 
    Service-level objectives evaluated against the live registry:
-   latency targets check a percentile of a histogram family — the base
-   series and every labeled (per-session / per-task) series it has
-   grown — and rate targets check a counter ratio. A series with no
-   data passes vacuously but is reported as such. Surfaced as `slo` in
-   the REPL, `\slo` in sheetsql, the TUI status segment, and JSON via
-   {!Slo.to_json}. *)
+   latency targets check a percentile of a histogram, rate targets a
+   counter ratio. A series with no data passes vacuously but is
+   reported as such. Surfaced as `slo` in the REPL, `\slo` in
+   sheetsql, the TUI status segment, and JSON via {!Slo.to_json}. *)
 
 module Slo = struct
   type def =
@@ -1027,56 +932,43 @@ module Slo = struct
     v_ok : bool;
   }
 
-  let evaluate ?session defs =
-    List.concat_map
-      (fun def ->
-        match def with
+  let evaluate defs =
+    List.map
+      (function
         | Latency { slo_name; hist; phi; under_ms } ->
-            let series =
-              match Histogram.series_of_base hist with
-              | [] -> [ Histogram.histogram hist ]
-              | hs -> hs
-            in
-            let series =
-              List.filter
-                (fun (h : Histogram.h) -> visible_to ?session h.h_name)
-                series
-            in
-            List.map
-              (fun (h : Histogram.h) ->
-                let n = Histogram.count h in
-                let observed_ms = Histogram.percentile h phi /. 1e6 in
-                { v_slo = slo_name;
-                  v_series = h.h_name;
-                  v_unit = "ms";
-                  v_observed = observed_ms;
-                  v_limit = under_ms;
-                  v_count = n;
-                  v_ok = n = 0 || observed_ms <= under_ms })
-              series
+            let h = Histogram.histogram hist in
+            let n = Histogram.count h in
+            let observed_ms = Histogram.percentile h phi /. 1e6 in
+            { v_slo = slo_name;
+              v_series = hist;
+              v_unit = "ms";
+              v_observed = observed_ms;
+              v_limit = under_ms;
+              v_count = n;
+              v_ok = n = 0 || observed_ms <= under_ms }
         | Error_rate { slo_name; errors; total; under } ->
             let den = Metrics.value_of total in
             let num = Metrics.value_of errors in
             let frac =
               if den = 0 then 0. else float_of_int num /. float_of_int den
             in
-            [ { v_slo = slo_name;
-                v_series = errors ^ "/" ^ total;
-                v_unit = "fraction";
-                v_observed = frac;
-                v_limit = under;
-                v_count = den;
-                v_ok = den = 0 || frac <= under } ])
+            { v_slo = slo_name;
+              v_series = errors ^ "/" ^ total;
+              v_unit = "fraction";
+              v_observed = frac;
+              v_limit = under;
+              v_count = den;
+              v_ok = den = 0 || frac <= under })
       defs
 
-  let summary ?session () =
-    let vs = evaluate ?session defaults in
+  let summary () =
+    let vs = evaluate defaults in
     let failing = List.length (List.filter (fun v -> not v.v_ok) vs) in
     if failing = 0 then Printf.sprintf "slo %d/%d ok" (List.length vs) (List.length vs)
     else Printf.sprintf "slo %d/%d FAILING" failing (List.length vs)
 
-  let render ?session () =
-    let vs = evaluate ?session defaults in
+  let render () =
+    let vs = evaluate defaults in
     if vs = [] then "(no SLOs declared)"
     else
       String.concat "\n"
@@ -1096,8 +988,8 @@ module Slo = struct
                   else "FAIL"))
              vs)
 
-  let to_json ?session () =
-    let vs = evaluate ?session defaults in
+  let to_json () =
+    let vs = evaluate defaults in
     Obs_json.Obj
       [ ("schema", Obs_json.String "sheetscope-slo/v1");
         ("ok", Obs_json.Bool (List.for_all (fun v -> v.v_ok) vs));
@@ -1170,16 +1062,15 @@ let chrome_trace_string () =
 (* One human-readable page: counters/gauges (GC included), latency
    histograms, the SLO summary, and the ring's health lines (so a
    truncated ring or a nesting violation shows up in `metrics`, not
-   only in exported JSON). With [session], labeled series of other
-   sessions are left out. *)
-let metrics_report ?session () =
+   only in exported JSON). *)
+let metrics_report () =
   sample_gc_gauges ();
   String.concat "\n"
-    [ Metrics.render ?session ();
+    [ Metrics.render ();
       "";
-      Histogram.render ?session ();
+      Histogram.render ();
       "";
-      Printf.sprintf "%-32s %10s" "slo.status" (Slo.summary ?session ());
+      Printf.sprintf "%-32s %10s" "slo.status" (Slo.summary ());
       Printf.sprintf "%-32s %10d" "profile.records" (Profile.length ());
       Printf.sprintf "%-32s %10d" "profile.dropped" (Profile.dropped ());
       Printf.sprintf "%-32s %10b" "profile.nesting_ok"

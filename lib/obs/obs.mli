@@ -4,22 +4,23 @@
 
     - {e the profile ring} ({!Profile}): the one bounded tape of what
       ran. Per-query records (cache outcome, strategy, a node per plan
-      unit), session and engine events, and spans all commit into it;
+      unit), session and engine events, and spans all commit into it,
+      each stamped with the session it ran for ({!Labels});
       EXPLAIN ANALYZE, the doctor, the flight recorder and the Chrome
       trace ({!to_chrome_trace}) are views over it.
     - {e metrics}: a process-wide registry of named counters, gauges
       and latency histograms (cache hits/misses, replays vs
       derivations, rows per plan node, undo/redo depth, GC activity,
       per-op latency), snapshotable as an association list or JSON.
+      The registry has no label dimension: every series is
+      process-wide.
     - {e sinks}: whether spans are recorded. [Off] (the default) makes
-      {!with_span} a single mutable-bool test before the thunk runs —
+      {!with_span} a single test before the thunk runs —
       instrumented code paths are property-tested byte-identical to
       uninstrumented ones. [Memory] commits each span into the ring as
-      a record; [Logs] does too, and also prints every record as it
-      commits through the [sheetscope] {!Logs.Src.t}.
+      a record.
     - {e SLOs}: latency and error-rate targets declared in one place
-      ({!Slo}), evaluated against the live registry including every
-      labeled per-session series.
+      ({!Slo}), evaluated against the live registry.
 
     Counters and histograms count sink or no sink. Those that describe
     a materialization are read off its profile record as it commits
@@ -35,9 +36,8 @@
     caller's thread otherwise; other threads (the clients of
     [serve_load]) only talk to the socket. So nothing here takes a
     lock or an atomic: a counter or gauge is a mutable [int], a
-    histogram one record of plain ints, and the registry, the label
-    admission table, the region stack and the profile ring are plain
-    tables (DESIGN.md §10). *)
+    histogram one record of plain ints, and the registry, the region
+    stack and the profile ring are plain tables (DESIGN.md §10). *)
 
 (** {1 Clock} *)
 
@@ -59,7 +59,7 @@ val time : (unit -> 'a) -> 'a * float
 
 (** {1 Sinks} *)
 
-type sink = Off | Logs | Memory
+type sink = Off | Memory
 
 val sink : unit -> sink
 val set_sink : sink -> unit
@@ -84,36 +84,30 @@ val clear_events : unit -> unit
 
 (** {1 Labels}
 
-    A bounded extra dimension on counters and histograms: a labeled
-    series is a full registry entry named [base ^ "{k=v,...}"] (keys
-    sorted, characters ['{' '}' ',' '='] sanitized to ['_']), so
-    snapshots, JSON export and SLO evaluation see per-session and
-    per-task series with no extra machinery. Cardinality is hard-capped
-    per base name (64 label sets): past the cap, every new
-    label set collapses into one shared ["{__overflow__}"] series, so
-    a buggy or hostile labeler creates at most cap + 1 entries per
-    family. *)
+    The session a ring record belongs to. The ambient label set is
+    stamped on every record as it commits (its [p_session]),
+    and the per-session views ({!Profile.records}, {!Profile.render},
+    {!Profile.to_json} with [session]) filter on that stamp. Labels
+    name no registry series: counters, gauges and histograms are
+    process-wide. *)
 
 module Labels : sig
   type t
 
   val empty : t
-  val is_empty : t -> bool
 
   val v : (string * string) list -> t
   (** Build a label set: keys deduped (last binding wins), sorted,
-      and sanitized. *)
+      and sanitized (characters ['{' '}' ',' '='] become ['_']). *)
 
   val to_string : t -> string
-  (** ["{k=v,k2=v2}"], or [""] for {!empty} — exactly the suffix
-      appended to the base series name. *)
+  (** ["{k=v,k2=v2}"], or [""] for {!empty} — the record stamp. *)
 end
 
 val set_ambient_labels : Labels.t -> unit
-(** Install the ambient label set the hot paths (engine apply, SQL
-    run) stamp on their histograms — the shells set
-    [session=<name>] at startup, the gates set [task=<id>] per
-    replay. *)
+(** Install the ambient label set stamped on each committed record —
+    Sheetserve sets [session=<client>] around a request's engine work,
+    the gates set [task=<id>] per replay. *)
 
 val ambient_labels : unit -> Labels.t
 
@@ -139,19 +133,17 @@ module Metrics : sig
   (** 0 when the name was never registered. *)
 
   val snapshot : unit -> (string * int) list
-  (** Sorted by (family base, label suffix): a base series is followed
-      directly by its labeled variants — deterministic and stable
-      under label admission order. *)
+  (** Sorted by name: deterministic, whatever the registration
+      order. *)
 
   val reset : unit -> unit
   (** Zero every registered metric (registrations survive). *)
 
   val to_json : unit -> Obs_json.t
 
-  val render : ?session:string -> unit -> string
-  (** With [session] (an ambient label string, as in
-      {!Profile.records}), the unlabeled series and that session's
-      own labeled ones; no other session's. *)
+  val render : unit -> string
+  (** One line per registered counter and gauge, in {!snapshot}
+      order. *)
 end
 
 (** {1 Latency histograms}
@@ -175,13 +167,6 @@ module Histogram : sig
   val histogram : string -> h
   (** Intern by name (returns the existing histogram if registered) —
       the analogue of {!Metrics.counter}. *)
-
-  val histogram_labeled : string -> Labels.t -> h
-  (** Intern the labeled series [name ^ Labels.to_string labels],
-      subject to the family cardinality cap (the overflow series past
-      it). With {!Labels.empty} this is [histogram]. A label set
-      resolves each series once: a later call with the same set builds
-      no name. *)
 
   val family : string -> string -> h
   (** [family prefix kind] is the series [prefix ^ kind], interned once
@@ -213,25 +198,19 @@ module Histogram : sig
   val snapshot_of : h -> snapshot
 
   val snapshots : unit -> snapshot list
-  (** Every registered histogram, sorted by (family base, label
-      suffix) — labeled series directly after their base. *)
+  (** Every registered histogram, sorted by name. *)
 
   val counts_snapshot : unit -> (string * int) list
   (** (name, exact sample count) for every registered histogram, in
       {!snapshots} order — the duration-free slice. *)
-
-  val series_of_base : string -> h list
-  (** Every registered series of one family — the base histogram plus
-      its labeled variants — sorted by name. What {!Slo} evaluation
-      walks. *)
 
   val reset : unit -> unit
   (** Zero every registered histogram (registrations survive). *)
 
   val to_json : unit -> Obs_json.t
 
-  val render : ?session:string -> unit -> string
-  (** [session] filters as in {!Metrics.render}. *)
+  val render : unit -> string
+  (** The percentile table: one line per registered histogram. *)
 end
 
 (** {2 Well-known histogram names} *)
@@ -503,11 +482,9 @@ end
 (** {1 SLOs}
 
     Latency and error-rate targets, evaluated against the live
-    registry. A latency target checks a percentile of a histogram
-    family — the base series {e and} every labeled (per-session /
-    per-task) series it has grown; a rate target checks a counter
-    ratio. Series with no data pass vacuously but are reported as "no
-    data". The shipped targets are surfaced as `slo` in the REPL,
+    registry. A latency target checks a percentile of a histogram; a
+    rate target checks a counter ratio. Series with no data pass
+    vacuously but are reported as "no data". The shipped targets are surfaced as `slo` in the REPL,
     `\slo` in sheetsql, the TUI status segment, {!metrics_report}, and
     trace export. *)
 
@@ -515,7 +492,7 @@ module Slo : sig
   type def =
     | Latency of {
         slo_name : string;
-        hist : string;  (** histogram family base name *)
+        hist : string;  (** histogram name *)
         phi : float;  (** e.g. 0.99 *)
         under_ms : float;
       }
@@ -543,20 +520,17 @@ module Slo : sig
     v_ok : bool;
   }
 
-  val evaluate : ?session:string -> def list -> verdict list
-  (** One verdict per (target, series) pair, in list order, labeled
-      series sorted by name within a target. With [session], only the
-      unlabeled series and that session's own (as in
-      {!Metrics.render}); the same holds for the three below. *)
+  val evaluate : def list -> verdict list
+  (** One verdict per target, in list order. *)
 
-  val summary : ?session:string -> unit -> string
+  val summary : unit -> string
   (** e.g. ["slo 4/4 ok"] or ["slo 1/6 FAILING"] for the shipped
       targets — the TUI status segment. *)
 
-  val render : ?session:string -> unit -> string
+  val render : unit -> string
   (** The human-readable report table of the shipped targets. *)
 
-  val to_json : ?session:string -> unit -> Obs_json.t
+  val to_json : unit -> Obs_json.t
   (** ["sheetscope-slo/v1"] of the shipped targets. *)
 end
 
@@ -579,9 +553,9 @@ val save_chrome_trace : path:string -> unit
 (** Write {!chrome_trace_string} to a file ([--trace out.json] in
     [experiments] and [bench]). *)
 
-val metrics_report : ?session:string -> unit -> string
+val metrics_report : unit -> string
 (** The full observability snapshot as one human-readable block:
     counters/gauges (GC included), histogram percentiles, the SLO
     summary, and the ring's health (records, drops, nesting) — what
-    the REPL [metrics] command prints. [session] filters the series as
-    in {!Metrics.render}. *)
+    the REPL [metrics] command prints. Every series is process-wide,
+    so it names no session. *)

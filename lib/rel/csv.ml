@@ -72,7 +72,7 @@ let infer_type values =
   in
   List.find fits candidates
 
-let load_relation ?schema text =
+let load_relation_exn ?schema text =
   match parse_string text with
   | [] -> err "empty CSV input"
   | header :: data ->
@@ -114,6 +114,15 @@ let load_relation ?schema text =
           data
       in
       Relation.make schema rows
+
+let load_relation ?schema text =
+  match load_relation_exn ?schema text with
+  | rel -> Ok rel
+  | exception
+      ( Csv_error msg
+      | Schema.Schema_error msg
+      | Relation.Relation_error msg ) ->
+      Error msg
 
 let needs_quoting s =
   String.exists (fun c -> c = ',' || c = '"' || c = '\n' || c = '\r') s

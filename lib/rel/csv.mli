@@ -11,13 +11,14 @@ val parse_string : string -> string list list
     produce an empty record.
     @raise Csv_error on an unterminated quoted field. *)
 
-val load_relation : ?schema:Schema.t -> string -> Relation.t
+val load_relation :
+  ?schema:Schema.t -> string -> (Relation.t, string) result
 (** Build a relation from CSV text whose first record is the header.
     Without [schema], column types are inferred from the data (the
     narrowest of bool/int/float/date/string that fits every non-empty
-    cell; empty cells are [Null]).
-    @raise Csv_error on ragged rows or cells that do not parse under
-    the given schema. *)
+    cell; empty cells are [Null]). [Error] on empty input, an
+    unterminated quote, ragged rows, a duplicate column name, or cells
+    that do not parse under the given schema; it never raises. *)
 
 val of_relation : Relation.t -> string
 (** Render a relation as CSV with a header record. *)

@@ -37,7 +37,7 @@
     commands whose {!Sheet_core.Script.reach} is [Sheet_only]: those
     that read or write the daemon's file system ([load], [import],
     [export], [html], [trace export]) or change telemetry for every
-    session in the process ([trace mem|logs|off], [flightrec clear])
+    session in the process ([trace mem|off], [flightrec clear])
     are refused with [busy = false]. *)
 
 open Sheet_rel

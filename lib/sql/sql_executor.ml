@@ -131,14 +131,7 @@ let run catalog (q : Sql_ast.query) =
   let t0 = Sheet_obs.Obs.now_ns () in
   Fun.protect
     ~finally:(fun () ->
-      let dt = Sheet_obs.Obs.now_ns () - t0 in
-      Sheet_obs.Obs.Histogram.record h_run dt;
-      let labels = Sheet_obs.Obs.ambient_labels () in
-      if not (Sheet_obs.Obs.Labels.is_empty labels) then
-        Sheet_obs.Obs.Histogram.record
-          (Sheet_obs.Obs.Histogram.histogram_labeled Sheet_obs.Obs.h_sql_run
-             labels)
-          dt)
+      Sheet_obs.Obs.Histogram.record h_run (Sheet_obs.Obs.now_ns () - t0))
   @@ fun () ->
   let* resolved = Sql_analyzer.analyze catalog q in
   let q = resolved.Sql_analyzer.query in

@@ -96,17 +96,15 @@ let persist_total =
 
 let csv_total =
   QCheck.Test.make ~count:500
-    ~name:"Csv.parse_string / load_relation raise only Csv_error"
+    ~name:"Csv.parse_string / load_relation raise Csv_error / nothing"
     (QCheck.make ~print:(fun s -> s) gen_garbage)
     (fun s ->
-      match Csv.load_relation s with
-      | _ -> true
-      | exception Csv.Csv_error _ -> true
-      | exception (Schema.Schema_error _ | Relation.Relation_error _) ->
-          (* duplicate headers surface as schema errors: acceptable,
-             but they must not be anything wilder *)
-          true
+      (match Csv.parse_string s with
+      | _ | (exception Csv.Csv_error _) -> true
       | exception _ -> false)
+      && match Csv.load_relation s with
+         | Ok _ | Error _ -> true
+         | exception _ -> false)
 
 (* structurally plausible but ragged CSV: rows of independent widths
    (including zero-width and blank lines), half-quoted cells,
@@ -130,20 +128,22 @@ let gen_ragged_csv : string QCheck.Gen.t =
 
 let csv_ragged_total =
   QCheck.Test.make ~count:500
-    ~name:"Csv.load_relation on ragged rows raises only Csv_error"
+    ~name:"Csv.load_relation on ragged rows raises nothing"
     (QCheck.make ~print:(fun s -> s) gen_ragged_csv)
     (fun s ->
-      let tolerated = function
-        | Csv.Csv_error _ | Schema.Schema_error _ | Relation.Relation_error _
-          ->
-            true
-        | _ -> false
-      in
       let total load =
-        match load s with _ -> true | exception e -> tolerated e
+        match load s with Ok _ | Error _ -> true | exception _ -> false
       in
       total Csv.load_relation
       && total (Csv.load_relation ~schema:Sample_cars.schema))
+
+(* a header naming one column twice is a schema fault: an [Error], not
+   the [Schema_error] that [Schema.of_list] raises *)
+let csv_duplicate_header () =
+  match Csv.load_relation "a,a\n1,2\n" with
+  | Error msg ->
+      Alcotest.(check string) "names the column" "duplicate column \"a\"" msg
+  | Ok _ -> Alcotest.fail "a duplicate header was accepted"
 
 let browser_total =
   QCheck.Test.make ~count:300
@@ -426,9 +426,15 @@ let () =
   in
   Alcotest.run "sheet_fuzz"
     [ suite "parsers" [ expr_parser_total; sql_parser_total ];
-      suite "entry-points"
-        [ script_total; sql_executor_total; persist_total; csv_total;
-          csv_ragged_total ];
+      (let name, tests =
+         suite "entry-points"
+           [ script_total; sql_executor_total; persist_total; csv_total;
+             csv_ragged_total ]
+       in
+       ( name,
+         tests
+         @ [ Alcotest.test_case "Csv.load_relation: duplicate header is an Error"
+               `Quick csv_duplicate_header ] ));
       suite "analysis"
         [ sheetsolve_total; sheetlint_expr_total; sheetlint_sql_total ];
       suite "json"

@@ -919,53 +919,29 @@ let labels_normalize () =
     "{session=x_y__z_w,task=b}"
     (Obs.Labels.to_string l);
   Alcotest.(check bool) "empty renders empty" true
-    (Obs.Labels.to_string Obs.Labels.empty = "");
-  (* the labeled series belongs to its base's family *)
-  ignore (H.histogram_labeled "test.norm" l);
-  Alcotest.(check (list string)) "family of the base"
-    [ "test.norm{session=x_y__z_w,task=b}" ]
-    (List.map (fun h -> (H.snapshot_of h).H.s_name) (H.series_of_base "test.norm"))
+    (Obs.Labels.to_string Obs.Labels.empty = "")
 
-(* the cap is 64 label sets per family *)
-let label_cardinality_bounded () =
-  let base = "test.labelcap" in
-  for i = 1 to 65 do
-    let h =
-      H.histogram_labeled base
-        (Obs.Labels.v [ ("session", Printf.sprintf "s%02d" i) ])
-    in
-    H.record h 100
-  done;
-  let series = H.series_of_base base in
-  Alcotest.(check int) "cap + 1 series" 65 (List.length series);
-  let overflow =
-    List.find_opt
-      (fun h -> (H.snapshot_of h).H.s_name = base ^ "{__overflow__}")
-      series
-  in
-  (match overflow with
-  | None -> Alcotest.fail "no overflow series created"
-  | Some h ->
-      (* 64 admitted series got 1 sample each; the 65th overflowed *)
-      Alcotest.(check int) "overflow absorbed the rest" 1 (H.count h));
-  (* total samples conserved across the family *)
-  Alcotest.(check int) "family total" 65
-    (List.fold_left (fun acc h -> acc + H.count h) 0 series)
-
+(* the ambient labels stamp the records an engine op commits — the
+   op event and, with the sink on, the engine.apply span — and name no
+   registry series *)
 let ambient_labels_flow_to_engine () =
-  H.reset ();
-  Obs.set_ambient_labels (Obs.Labels.v [ ("session", "amb-test") ]);
+  P.clear ();
+  let stamp = Obs.Labels.v [ ("session", "amb-test") ] in
+  Obs.set_ambient_labels stamp;
   Fun.protect ~finally:(fun () -> Obs.set_ambient_labels Obs.Labels.empty)
   @@ fun () ->
-  let sheet = Spreadsheet.of_relation ~name:"cars" Sample_cars.relation in
-  (match Engine.apply sheet Op.Dedup with
-  | Ok _ -> ()
-  | Error _ -> Alcotest.fail "dedup refused");
-  Alcotest.(check int) "one labeled sample" 1
-    (H.count
-       (H.histogram_labeled Obs.h_engine_apply
-          (Obs.Labels.v [ ("session", "amb-test") ])));
-  H.reset ()
+  with_sink Obs.Memory @@ fun () ->
+  let session = Session.create ~name:"cars" Sample_cars.relation in
+  ignore (step session Op.Dedup);
+  let mine = P.records ~session:(Obs.Labels.to_string stamp) () in
+  let kinds k = List.length (List.filter (fun r -> r.P.p_kind = k) mine) in
+  Alcotest.(check int) "one stamped op record" 1 (kinds "op");
+  Alcotest.(check int) "one stamped engine.apply span" 1 (kinds "engine.apply");
+  Alcotest.(check bool) "no series names the session" false
+    (List.exists
+       (fun (name, _) -> contains name "amb-test")
+       (H.counts_snapshot () @ Obs.Metrics.snapshot ()));
+  P.clear ()
 
 (* ---------- SLOs ---------- *)
 
@@ -1017,22 +993,19 @@ let slo_latency_and_rate () =
   H.reset ();
   Obs.Metrics.reset ()
 
-(* a session name with a '/' (a Sheetserve client's hello name) must
-   not turn a latency verdict into a rate *)
+(* a latency verdict reads in ms, a rate in %: the unit comes from
+   the target's kind, whatever its series is called *)
 let slo_unit_from_def () =
   H.reset ();
-  let series = Obs.h_engine_apply ^ "{session=alice/laptop}" in
-  H.record
-    (H.histogram_labeled Obs.h_engine_apply
-       (Obs.Labels.v [ ("session", "alice/laptop") ]))
-    2_000_000;
+  let series = Obs.h_engine_apply in
+  H.record (H.histogram series) 2_000_000;
   let line =
     List.find_opt
-      (fun l -> contains l series)
+      (fun l -> String.starts_with ~prefix:"engine-apply-p99" l)
       (String.split_on_char '\n' (Obs.Slo.render ()))
   in
   (match line with
-  | None -> Alcotest.fail "labeled series not reported"
+  | None -> Alcotest.fail "latency series not reported"
   | Some l ->
       Alcotest.(check bool) "observed in ms" true (contains l "2.000 ms");
       Alcotest.(check bool) "limit in ms" true (contains l "50.000 ms");
@@ -1047,35 +1020,8 @@ let slo_unit_from_def () =
       | Some v ->
           Alcotest.(check bool) "unit ms" true
             (J.member "unit" v = Some (J.String "ms"))
-      | None -> Alcotest.fail "labeled series missing from the JSON")
+      | None -> Alcotest.fail "latency series missing from the JSON")
   | _ -> Alcotest.fail "no slos list");
-  H.reset ()
-
-let slo_covers_labeled_series () =
-  H.reset ();
-  (* a fast base series but a slow labeled one: the labeled series
-     must be evaluated on its own and fail the 50 ms default *)
-  H.record (H.histogram Obs.h_engine_apply) 1_000;
-  H.record
-    (H.histogram_labeled Obs.h_engine_apply
-       (Obs.Labels.v [ ("session", "slow-tenant") ]))
-    90_000_000;
-  let verdicts = Obs.Slo.evaluate Obs.Slo.defaults in
-  let labeled =
-    List.find_opt
-      (fun v -> contains v.Obs.Slo.v_series "session=slow-tenant")
-      verdicts
-  in
-  (match labeled with
-  | None -> Alcotest.fail "labeled series not evaluated"
-  | Some v ->
-      Alcotest.(check bool) "slow tenant flagged" false v.Obs.Slo.v_ok);
-  let base =
-    List.find
-      (fun v -> v.Obs.Slo.v_series = Obs.h_engine_apply)
-      verdicts
-  in
-  Alcotest.(check bool) "fast base still ok" true base.Obs.Slo.v_ok;
   H.reset ()
 
 let slo_defaults_present () =
@@ -1098,9 +1044,7 @@ let slo_defaults_present () =
 let series_ordering_pinned () =
   Obs.Metrics.reset ();
   Obs.Histogram.reset ();
-  let lab t = Obs.Labels.v [ ("t", t) ] in
-  (* admission order deliberately scrambled: second family first,
-     labeled before base *)
+  (* registration order deliberately scrambled: second name first *)
   Obs.Metrics.incr (Obs.Metrics.counter "zz.order.ops");
   Obs.Metrics.incr (Obs.Metrics.counter "zz.order.aaa");
   let mine =
@@ -1110,19 +1054,17 @@ let series_ordering_pinned () =
   in
   Alcotest.(check (list string))
     "counters: families sorted" [ "zz.order.aaa"; "zz.order.ops" ] mine;
-  Obs.Histogram.record
-    (Obs.Histogram.histogram_labeled "zz.order.lat" (lab "b")) 10;
+  Obs.Histogram.record (Obs.Histogram.histogram "zz.order.lat.b") 10;
   Obs.Histogram.record (Obs.Histogram.histogram "zz.order.lat") 10;
-  Obs.Histogram.record
-    (Obs.Histogram.histogram_labeled "zz.order.lat" (lab "a")) 10;
+  Obs.Histogram.record (Obs.Histogram.histogram "zz.order.lat.a") 10;
   let mine =
     List.filter
       (fun n -> String.starts_with ~prefix:"zz.order.lat" n)
       (List.map fst (Obs.Histogram.counts_snapshot ()))
   in
   Alcotest.(check (list string))
-    "histograms: base before its labels"
-    [ "zz.order.lat"; "zz.order.lat{t=a}"; "zz.order.lat{t=b}" ]
+    "histograms: sorted by name"
+    [ "zz.order.lat"; "zz.order.lat.a"; "zz.order.lat.b" ]
     mine;
   Obs.Metrics.reset ();
   Obs.Histogram.reset ()
@@ -1538,23 +1480,19 @@ let () =
          Alcotest.test_case "flightrec clear empties the trace" `Quick
            flightrec_clear_empties_trace ]);
       ("labels",
-       [ Alcotest.test_case "normalization and series names" `Quick
+       [ Alcotest.test_case "normalization of the session stamp" `Quick
            labels_normalize;
-         Alcotest.test_case "cardinality bounded by the cap" `Quick
-           label_cardinality_bounded;
          Alcotest.test_case "ambient labels reach engine.apply" `Quick
            ambient_labels_flow_to_engine ]);
       ("slo",
        [ Alcotest.test_case "latency and rate verdicts" `Quick
            slo_latency_and_rate;
-         Alcotest.test_case "labeled series evaluated per tenant" `Quick
-           slo_covers_labeled_series;
          Alcotest.test_case "unit comes from the target, not the series"
            `Quick slo_unit_from_def;
          Alcotest.test_case "shipped defaults declared" `Quick
            slo_defaults_present ]);
       ("ordering",
-       [ Alcotest.test_case "series sorted by (base, labels)" `Quick
+       [ Alcotest.test_case "series sorted by name" `Quick
            series_ordering_pinned ]);
       ("profile",
        [ Alcotest.test_case "region lifecycle and notes" `Quick

@@ -421,10 +421,11 @@ let csv_roundtrip =
   QCheck.Test.make ~count:200 ~name:"CSV write/read roundtrip"
     (QCheck.make gen_base_relation)
     (fun rel ->
-      let again =
+      match
         Csv.load_relation ~schema:Sample_cars.schema (Csv.of_relation rel)
-      in
-      Relation.equal rel again)
+      with
+      | Ok again -> Relation.equal rel again
+      | Error msg -> QCheck.Test.fail_report msg)
 
 (* ---------- persistence ---------- *)
 

@@ -269,8 +269,9 @@ let test_refuse_process_telemetry () =
   Obs.Profile.clear ()
 
 (* [flightrec] and [profile] show a client only its own session's
-   records, and [metrics] and [slo] only its own labeled series:
-   nothing client A did appears in client B's output *)
+   records, and [metrics] and [slo] report process-wide series that
+   name no session: nothing client A did appears in client B's
+   output *)
 let test_telemetry_per_session () =
   let server = Server.create (Server.config cars_lookup) in
   let path = temp_path "telemetry-isolation.sock" in
@@ -313,17 +314,47 @@ let test_telemetry_per_session () =
             false (contains text alices))
         [ "12345"; "Group"; "alice" ])
     [ "flightrec"; "flightrec json"; "profile json" ];
-  (* the latency series: unlabeled ones and bob's own, not alice's *)
   List.iter
     (fun line ->
-      let text = output b line in
-      Alcotest.(check bool) (line ^ " shows bob's series") true
-        (contains text "engine.apply{session=bob}");
-      Alcotest.(check bool) (line ^ " hides alice's series") false
-        (contains text "alice"))
+      Alcotest.(check bool) (line ^ " hides alice") false
+        (contains (output b line) "alice"))
     [ "metrics"; "slo"; "slo json" ];
   Alcotest.(check bool) "alice still sees her own" true
     (contains (output a "flightrec") "12345")
+
+(* Sessions are told apart on the ring's records, never in the
+   registry: 70 sessions leave it exactly as large as the first one
+   did. *)
+let test_sessions_add_no_series () =
+  let module Obs = Sheet_obs.Obs in
+  let server = Server.create (Server.config cars_lookup) in
+  let series () =
+    List.length (Obs.Metrics.snapshot ())
+    + List.length (Obs.Histogram.counts_snapshot ())
+  in
+  let session i =
+    let conn = Server.connect server in
+    List.iter
+      (fun req ->
+        let answer, _ = Server.handle server conn (Protocol.encode_request req) in
+        match Protocol.decode_response answer with
+        | Ok (Protocol.Refused { reason; _ }) ->
+            Alcotest.failf "session %d refused: %s" i reason
+        | Ok _ -> ()
+        | Error msg -> Alcotest.failf "session %d: %s" i msg)
+      [ Protocol.Hello (Printf.sprintf "growth%d" i);
+        Protocol.Open "cars";
+        Protocol.Line (Printf.sprintf "select Mileage <> %d" i);
+        Protocol.Quit ]
+  in
+  session 0;
+  let after_first = series () in
+  for i = 1 to 69 do
+    session i
+  done;
+  Alcotest.(check int) "registry series after 70 sessions" after_first
+    (series ());
+  Alcotest.(check int) "every session quit" 0 (Server.session_count server)
 
 (* ---------- one session, two connections ---------- *)
 
@@ -331,18 +362,16 @@ let test_telemetry_per_session () =
    the same session. Two client threads, one per connection, each
    apply [n] selections: every step must land in the session's
    history, none overwritten by the other connection's stale state.
-   Spans go to a Logs reporter that yields, so the server hands the
-   runtime to the clients in the middle of its engine work. *)
+   Every clock reading yields first, so the server hands the runtime
+   to the clients in the middle of its engine work. *)
 let test_shared_session_no_lost_update () =
   let module Obs = Sheet_obs.Obs in
-  let old_sink = Obs.sink () and old_reporter = Logs.reporter () in
-  Obs.set_sink Obs.Logs;
-  Logs.set_reporter
-    { Logs.report = (fun _ _ ~over k _ -> Thread.yield (); over (); k ()) };
-  Fun.protect
-    ~finally:(fun () ->
-      Obs.set_sink old_sink;
-      Logs.set_reporter old_reporter)
+  Obs.set_raw_clock_for_tests
+    (Some
+       (fun () ->
+         Thread.yield ();
+         int_of_float (Unix.gettimeofday () *. 1e9)));
+  Fun.protect ~finally:(fun () -> Obs.set_raw_clock_for_tests None)
   @@ fun () ->
   with_listener cars_lookup "shared" @@ fun path ->
   let conn () =
@@ -936,6 +965,8 @@ let () =
           Alcotest.test_case "rate cap" `Quick test_rate_cap;
           Alcotest.test_case "connection cap (socket)" `Quick
             test_connection_cap;
+          Alcotest.test_case "70 sessions add no registry series" `Quick
+            test_sessions_add_no_series;
         ] );
       ( "sharing",
         [

@@ -4,8 +4,8 @@
    dropped record, negative counters, a sheet
    result that disagrees with the task's SQL result (an oracle
    independent of the plan executor), an EXPLAIN ANALYZE that is not
-   the profile record of its own run, per-task labeled series that do
-   not add up, cache outcomes, plan nodes, full replays or
+   the profile record of its own run, task-stamped op records that do
+   not add up to the engine's op count, cache outcomes, plan nodes, full replays or
    derivations that the profile ring does not account for,
    a JSON export that does not parse back, an incremental session
    whose rows or order differ from a full replay, or a pinned script's
@@ -81,26 +81,27 @@ let run_task catalog (task : Sheet_tpch.Tpch_tasks.t) =
                   (Obs.Histogram.histogram Obs.h_engine_apply))
                Obs.k_engine_ops
                (Obs.Metrics.value_of Obs.k_engine_ops));
-          (* ... and one sample in this task's labeled series — the
-             per-session accounting the SLO report reads *)
-          check
-            (label "labeled histogram")
-            (Obs.Histogram.count
-               (Obs.Histogram.histogram_labeled Obs.h_engine_apply
-                  (task_labels task))
-            = Obs.Metrics.value_of Obs.k_engine_ops)
-            (Printf.sprintf
-               "engine.apply{task=%d} has %d samples, %s = %d" task.id
-               (Obs.Histogram.count
-                  (Obs.Histogram.histogram_labeled Obs.h_engine_apply
-                     (task_labels task)))
-               Obs.k_engine_ops
-               (Obs.Metrics.value_of Obs.k_engine_ops));
           (* hit-kind accounting: every materialization request is
              exactly one of exact hit, subsumed hit, or miss, and each
              left one record in the profile ring saying which *)
           let v = Obs.Metrics.value_of in
           let ring = Obs.Profile.records () in
+          (* ... and one op record stamped with this task per engine
+             op: the per-session accounting lives on the tape *)
+          let stamped_ops =
+            List.length
+              (List.filter
+                 (fun r -> r.Obs.Profile.p_kind = "op")
+                 (Obs.Profile.records
+                    ~session:(Obs.Labels.to_string (task_labels task))
+                    ()))
+          in
+          check (label "stamped ops")
+            (stamped_ops = v Obs.k_engine_ops)
+            (Printf.sprintf "%d op record(s) stamped %s, %s = %d"
+               stamped_ops
+               (Obs.Labels.to_string (task_labels task))
+               Obs.k_engine_ops (v Obs.k_engine_ops));
           let noted outcome =
             List.length
               (List.filter (fun r -> r.Obs.Profile.p_cache = outcome) ring)
@@ -188,8 +189,8 @@ let run_task catalog (task : Sheet_tpch.Tpch_tasks.t) =
                     (Printf.sprintf "%d JSON entries for %d records"
                        (List.length l) (List.length ring))
               | _ -> check (label "ring json") false "no profiles list"));
-          (* the SLO report (which now includes the labeled series)
-             round-trips through the bundled JSON parser *)
+          (* the SLO report round-trips through the bundled JSON
+             parser *)
           let slo = Sheet_obs.Obs_json.to_string (Obs.Slo.to_json ()) in
           (match Sheet_obs.Obs_json.parse slo with
           | Error msg -> check (label "slo") false ("invalid JSON: " ^ msg)

@@ -10,9 +10,9 @@
      events, per-query records) must nest;
    - zero profile-ring drops (capacity raised first, so a drop means
      lost records, not a small ring);
-   - labeled per-session accounting: every client's
-     engine.apply{session=uN} series has the same sample count, and
-     their sum is exactly the unlabeled engine.ops total;
+   - per-session accounting on the tape: every client's op records
+     (stamped {session=uN}) are equal in number, and they sum to
+     exactly the engine.ops total;
    - shared-cache accounting stays exact: requests = exact hits +
      subsumed hits + misses, agreeing with the Obs counters, and the
      profile ring holds one record noting each outcome.
@@ -114,8 +114,8 @@ let () =
       (Sheet_tpch.Tpch_gen.generate
          { Sheet_tpch.Tpch_gen.sf = 0.001; seed = 42 })
   in
-  (* ground truth first, then a clean telemetry slate so the labeled
-     accounting below sees only server-side work *)
+  (* ground truth first, then a clean telemetry slate so the
+     per-session accounting below sees only server-side work *)
   let expected =
     List.map (fun t -> (t, direct_replay catalog t)) tasks
   in
@@ -200,25 +200,31 @@ let () =
   check "ring drops"
     (Obs.Profile.dropped () = 0)
     (Printf.sprintf "%d record(s) dropped" (Obs.Profile.dropped ()));
-  (* per-session labeled accounting: identical per client, summing to
-     the unlabeled total *)
-  let labeled_count i =
-    Obs.Histogram.count
-      (Obs.Histogram.histogram_labeled Obs.h_engine_apply
-         (Obs.Labels.v [ ("session", Printf.sprintf "u%d" i) ]))
+  (* per-session accounting: each client's op records, read off the
+     ring by their session stamp, are equal in number and sum to the
+     engine's op count *)
+  let stamped_ops i =
+    List.length
+      (List.filter
+         (fun r -> r.Obs.Profile.p_kind = "op")
+         (Obs.Profile.records
+            ~session:
+              (Obs.Labels.to_string
+                 (Obs.Labels.v [ ("session", Printf.sprintf "u%d" i) ]))
+            ()))
   in
-  let counts = List.init n_clients labeled_count in
+  let counts = List.init n_clients stamped_ops in
   let total_ops = Obs.Metrics.value_of Obs.k_engine_ops in
-  check "labeled sum"
+  check "stamped sum"
     (List.fold_left ( + ) 0 counts = total_ops)
-    (Printf.sprintf "session series sum to %d, %s = %d"
+    (Printf.sprintf "session op records sum to %d, %s = %d"
        (List.fold_left ( + ) 0 counts)
        Obs.k_engine_ops total_ops);
-  check "labeled balance"
+  check "stamped balance"
     (match counts with
     | [] -> false
     | c0 :: rest -> c0 > 0 && List.for_all (fun c -> c = c0) rest)
-    (Printf.sprintf "per-session sample counts diverge: [%s]"
+    (Printf.sprintf "per-session op record counts diverge: [%s]"
        (String.concat "; " (List.map string_of_int counts)));
   (* shared semantic cache stayed exact under concurrent sessions:
      every request is one outcome, and the ring holds one record
