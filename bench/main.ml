@@ -327,6 +327,37 @@ let sort_float_workloads =
           (Rel_algebra.sort [ ("Model", `Asc); ("Net", `Asc) ] (Lazy.force rel))
     ) ]
 
+(* A computed column over a narrow selection, the shape of an explore
+   session after its bands: a ~2 % band of a 30k-row relation, narrowed
+   once, then a formula (extend) or a grouped sum (a two-node plan: the
+   scan of the narrowed relation and its aggregate). Only those are
+   timed; their cost follows the ~600 rows the band keeps. *)
+let narrow_30k =
+  lazy
+    (Rel_algebra.select
+       (Expr_parse.parse_string_exn "Price >= 15000 AND Price < 15300")
+       (Sample_cars.scaled ~rows:30_000 ~seed:11))
+
+let narrow_workloads =
+  let formula = Expr_parse.parse_string_exn "Price * 0.93 + Mileage * 0.001" in
+  let agg =
+    lazy
+      (Plan.Extend_aggregate
+         ( { Plan.agg_name = "sum_price"; agg_ty = Value.TFloat;
+             fn = Expr.Sum; arg = Some (Expr.Col "Price"); basis = [ "Model" ] },
+           Plan.Scan (Lazy.force narrow_30k) ))
+  in
+  [ ( "table/extend-narrow-30k",
+      Some 30_000,
+      fun () ->
+        ignore
+          (Rel_algebra.extend
+             { Schema.name = "Net"; ty = Value.TFloat }
+             formula (Lazy.force narrow_30k)) );
+    ( "table/agg-narrow-30k",
+      Some 30_000,
+      fun () -> ignore (Plan.execute (Lazy.force agg)) ) ]
+
 (* Sheetcol: the columnar substrate itself (col/) and the 1M-row
    scans (table/*-1m). The 1M relation is lazy so the paper-artifact
    runs never pay for it; "quick" mode skips these with the other
@@ -531,6 +562,7 @@ let workloads =
   ]
   @ scaling_workloads
   @ sort_float_workloads
+  @ narrow_workloads
   @ columnar_workloads
   @ [ (* semantic cache (guarded under the "cache/" prefix) *)
     ("cache/cold-100k", Some 100_000, cache_cold_workload);

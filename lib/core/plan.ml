@@ -158,16 +158,16 @@ let linearize node =
   go [] node
 
 (* Grouped aggregation with per-row broadcast (Table III), with no
-   per-group list: [Rel_algebra.grouping] gives every row its group —
-   shared with an earlier aggregate of the same level over the same
-   vector — one pass folds each row's argument, in root-id order,
-   into its group's accumulator, and every row's handle gets its
-   group's value. A float sum and the first of equal extremes depend
-   on the order of the fold, so it never depends on the order of the
-   vector: the pass visits the vector itself when each group's ids
-   ascend along it (always over a scan in root order, and after a
-   sort whose keys are basis columns), else the ids in root order
-   ([Rel_algebra.root_order]).
+   per-group list: [Rel_algebra.grouping] gives every position of the
+   vector its group — shared with an earlier aggregate of the same
+   level over the same vector — one pass folds each row's argument,
+   in root-id order, into its group's accumulator, and every row gets
+   its group's value. A float sum and the first of equal extremes
+   depend on the order of the fold, so it never depends on the order
+   of the vector: the pass visits the positions in vector order when
+   each group's ids ascend along it (always over a scan in root
+   order, and after a sort whose keys are basis columns), else in
+   root order ([Rel_algebra.root_positions]).
    The folds reproduce [Expr_eval.apply_agg] over the group's values
    in root order exactly: a sum keeps an int total beside a float
    total accumulated in that order, so either result is
@@ -175,37 +175,44 @@ let linearize node =
    values under [Value.compare], and the first ill-typed argument in
    root order raises.
 
-   An argument that is a typed column (of the base image, or computed
-   by the typed kernel) folds its unboxed array: COUNT reads only the
-   validity bitmap, SUM/AVG an [Ints] or [Floats] array, MIN/MAX an
-   [Ints], [Dates] or [Floats] array — none of them can fail. Every
-   other argument folds boxed cells into one [Expr_eval.acc] per
-   group, the accumulator [apply_agg] itself folds. *)
+   An argument that is a typed column (of the base image, read
+   through the vector, or computed by the typed kernel) folds its
+   unboxed array: COUNT reads only the validity bitmap, SUM/AVG an
+   [Ints] or [Floats] array, MIN/MAX an [Ints], [Dates] or [Floats]
+   array — none of them can fail. Every other argument folds boxed
+   cells into one [Expr_eval.acc] per group, the accumulator
+   [apply_agg] itself folds. *)
 
-(* The boxed fold: [arg] reads a row's cell by base row id. *)
-let aggregate_boxed fn arg (g : Relation.grouping) (sel : int array) =
+(* The boxed fold over [n] positions in [order] ([None]: vector
+   order): [arg] reads a row's cell by position. *)
+let aggregate_boxed fn arg (g : Relation.grouping) order n =
   let accs = Array.init g.Relation.groups (fun _ -> Expr_eval.acc_create fn) in
   let group = g.Relation.group in
-  Array.iter
-    (fun id -> Expr_eval.acc_add accs.(Array.unsafe_get group id) (arg id))
-    sel;
+  for j = 0 to n - 1 do
+    let p = Col_pred.at order j in
+    Expr_eval.acc_add accs.(Array.unsafe_get group p) (arg p)
+  done;
   Array.map Expr_eval.acc_result accs
 
 (* A typed fold, or [None] when [fn] over [col] takes the boxed one.
-   Loops visit the selection in order and skip null cells. *)
-let aggregate_typed fn (col : Column.t) (g : Relation.grouping) sel =
+   Loops visit the positions as [aggregate_boxed] does and skip null
+   cells. *)
+let aggregate_typed fn { Col_pred.col; through } (g : Relation.grouping) order
+    n =
   let groups = g.Relation.groups and group = g.Relation.group in
   let validity = col.Column.validity in
   let[@inline] valid id =
     match validity with None -> true | Some bits -> Column.valid_bit bits id
   in
   let count = Array.make groups 0 in
-  (* visit the valid cells: [f group id] after counting the cell *)
+  (* visit the valid cells: [f group id] after counting the cell, [id]
+     its index in the column *)
   let[@inline] fold f =
-    for j = 0 to Array.length sel - 1 do
-      let id = Array.unsafe_get sel j in
+    for j = 0 to n - 1 do
+      let p = Col_pred.at order j in
+      let id = Col_pred.at through p in
       if valid id then begin
-        let g = Array.unsafe_get group id in
+        let g = Array.unsafe_get group p in
         f g id;
         count.(g) <- count.(g) + 1
       end
@@ -266,7 +273,7 @@ let groups_ascend (g : Relation.grouping) sel =
     j >= Array.length sel
     ||
     let id = Array.unsafe_get sel j in
-    let gi = Array.unsafe_get group id in
+    let gi = Array.unsafe_get group j in
     id > Array.unsafe_get last gi
     && (Array.unsafe_set last gi id;
         go (j + 1))
@@ -277,22 +284,24 @@ let groups_ascend (g : Relation.grouping) sel =
    argument read at all, COUNT( * )) produced them. *)
 let aggregate fn arg r (g : Relation.grouping) =
   let sel = (Relation.batch r).sel in
-  let sel = if groups_ascend g sel then sel else Rel_algebra.root_order r in
+  let n = Array.length sel in
+  let order =
+    if groups_ascend g sel then None else Some (Rel_algebra.root_positions r)
+  in
   let typed =
     match (fn, arg) with
     | Expr.Count_star, _ -> None
     | _, Some (Expr.Col name) -> Rel_algebra.typed_arg r name
     | _ -> None
   in
-  match Option.bind typed (fun col -> aggregate_typed fn col g sel) with
+  match Option.bind typed (fun src -> aggregate_typed fn src g order n) with
   | Some values -> (values, true)
   | None ->
       let arg =
         match (fn, arg, typed) with
         | Expr.Count_star, _, _ -> fun _ -> Value.Null
-        | _, _, Some { Column.repr = Column.Boxed cells; _ } ->
-            Array.unsafe_get cells
-        | _, _, Some col -> Column.get col
+        | _, _, Some { Col_pred.col; through } ->
+            fun p -> Column.get col (Col_pred.at through p)
         | _, Some e, None -> Rel_algebra.compile r e
         | _, None, None ->
             if g.Relation.groups > 0 then
@@ -302,7 +311,7 @@ let aggregate fn arg r (g : Relation.grouping) =
                       (Expr.agg_fun_name fn)));
             fun _ -> Value.Null
       in
-      (aggregate_boxed fn arg g sel, fn = Expr.Count_star)
+      (aggregate_boxed fn arg g order n, fn = Expr.Count_star)
 
 let extend_aggregate { agg_name; agg_ty; fn; arg; basis } r =
   let schema = Relation.schema r in

@@ -80,7 +80,8 @@ val execute : ?uid:int -> node -> Relation.t
       expression otherwise (path [row]). An ill-typed predicate
       raises before the filter reads a row;
     - [Project] edits the map (path [batch]);
-    - [Extend_formula] appends a column indexed by base row id: the
+    - [Extend_formula] appends a column of one cell per position of
+      the vector: the
       typed kernel ({!Sheet_rel.Col_expr}) writes an unboxed [Ints],
       [Floats] or [Dates] column when the formula compiles over typed
       columns (the base image's, or earlier typed formulas'; path

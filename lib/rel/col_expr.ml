@@ -2,11 +2,13 @@
    computation, column at a time).
 
    [compile] turns an arithmetic expression over typed columns into a
-   tree of typed nodes; [eval] runs it over a selection vector in
-   chunks of row ids, each node filling an unboxed [int]/[float]
-   buffer and a byte-per-row validity buffer from its children's, and
-   scatters the root's cells into a column indexed by base row id.
-   No cell is boxed.
+   tree of typed nodes; [eval] runs it over the row handles [0, n) in
+   chunks, each node filling an unboxed [int]/[float] buffer and a
+   byte-per-row validity buffer from its children's, and copies the
+   root's cells into a column of [n] cells, cell [p] for handle [p]
+   (a position in a batch's selection vector). A column leaf reads
+   its cell at the handle, or through a vector (a base column read
+   through the batch's). No cell is boxed.
 
    Compilation is deliberately PARTIAL, as in Col_pred: only subtrees
    whose row evaluation is total compile, so a kernel can never
@@ -32,8 +34,9 @@ type ty = Int | Float | Date
 type t =
   | Const_int of ty * int  (* an Int or a Date constant *)
   | Const_float of float
-  | Ints_col of ty * int array * Bytes.t option
-  | Floats_col of float array * Bytes.t option
+  | Ints_col of ty * int array * Bytes.t option * int array option
+  | Floats_col of float array * Bytes.t option * int array option
+      (* a column, read through the vector when there is one *)
   | Promote of t  (* an Int operand of a Float operation *)
   | Neg of ty * t
   | Arith_int of ty * Expr.arith * t * t
@@ -42,7 +45,8 @@ type t =
       (* every branch and the default of type [ty] *)
 
 let ty_of = function
-  | Const_int (ty, _) | Ints_col (ty, _, _) | Neg (ty, _) | Arith_int (ty, _, _, _)
+  | Const_int (ty, _) | Ints_col (ty, _, _, _) | Neg (ty, _)
+  | Arith_int (ty, _, _, _)
     ->
       ty
   | Const_float _ | Floats_col _ | Promote _ | Arith_float _ -> Float
@@ -64,12 +68,16 @@ let rec compile ~column (e : Expr.t) : (t, Expr.t) result =
   | Expr.Const (Value.Float f) -> Ok (Const_float f)
   | Expr.Col name -> (
       match column name with
-      | Some { Column.repr = Column.Ints a; validity } ->
-          Ok (Ints_col (Int, a, validity))
-      | Some { Column.repr = Column.Dates a; validity } ->
-          Ok (Ints_col (Date, a, validity))
-      | Some { Column.repr = Column.Floats a; validity } ->
-          Ok (Floats_col (a, validity))
+      | Some { Col_pred.col = { Column.repr = Column.Ints a; validity }; through }
+        ->
+          Ok (Ints_col (Int, a, validity, through))
+      | Some { Col_pred.col = { Column.repr = Column.Dates a; validity }; through }
+        ->
+          Ok (Ints_col (Date, a, validity, through))
+      | Some
+          { Col_pred.col = { Column.repr = Column.Floats a; validity }; through }
+        ->
+          Ok (Floats_col (a, validity, through))
       | _ -> Error e)
   | Expr.Neg a ->
       Result.bind (compile a) (fun a ->
@@ -114,24 +122,26 @@ let rec compile ~column (e : Expr.t) : (t, Expr.t) result =
 
 (* ---------- evaluation ---------- *)
 
-(* One node's output over a chunk of row ids: cell [k] is the value
-   at id [ids.(off + k)]; [valid] holds '\001' for a non-null cell. *)
+(* One node's output over a chunk of row handles: cell [k] is the
+   value at handle [off + k]; [valid] holds '\001' for a non-null
+   cell. *)
 type buf = {
-  run : int array -> int -> int -> unit;  (* ids, off, len *)
+  run : int -> int -> unit;  (* off, len *)
   ints : int array;
   floats : float array;
   valid : Bytes.t;
+  nulls : bool;  (* whether a cell can be null: else [valid] stays all '\001' *)
 }
 
-let nop _ _ _ = ()
+let nop _ _ = ()
 
-let fill_validity valid validity ids off len =
+let fill_validity valid validity through off len =
   match validity with
   | None -> ()
   | Some bits ->
       for k = 0 to len - 1 do
         Bytes.unsafe_set valid k
-          (if Column.valid_bit bits (Array.unsafe_get ids (off + k)) then
+          (if Column.valid_bit bits (Col_pred.at through (off + k)) then
              '\001'
            else '\000')
       done
@@ -143,73 +153,92 @@ let both valid (a : Bytes.t) (b : Bytes.t) len =
          (Char.code (Bytes.unsafe_get a k) land Char.code (Bytes.unsafe_get b k)))
   done
 
-(* Buffers for chunks of up to [cap] ids. *)
+(* Division and modulo by zero give null. *)
+let divides = function Expr.Div | Expr.Mod -> true | _ -> false
+
+(* Buffers for chunks of up to [cap] handles. *)
 let rec instantiate cap (e : t) : buf =
   let all_valid () = Bytes.make cap '\001' in
   match e with
   | Const_int (_, k) ->
-      { run = nop; ints = Array.make cap k; floats = [||]; valid = all_valid () }
+      { run = nop; ints = Array.make cap k; floats = [||]; valid = all_valid ();
+        nulls = false }
   | Const_float x ->
-      { run = nop; ints = [||]; floats = Array.make cap x; valid = all_valid () }
-  | Ints_col (_, a, validity) ->
+      { run = nop; ints = [||]; floats = Array.make cap x; valid = all_valid ();
+        nulls = false }
+  | Ints_col (_, a, validity, through) ->
       let ints = Array.make cap 0 and valid = all_valid () in
-      let run ids off len =
-        for k = 0 to len - 1 do
-          Array.unsafe_set ints k
-            (Array.unsafe_get a (Array.unsafe_get ids (off + k)))
-        done;
-        fill_validity valid validity ids off len
+      let run off len =
+        (match through with
+        | None ->
+            for k = 0 to len - 1 do
+              Array.unsafe_set ints k (Array.unsafe_get a (off + k))
+            done
+        | Some s ->
+            for k = 0 to len - 1 do
+              Array.unsafe_set ints k
+                (Array.unsafe_get a (Array.unsafe_get s (off + k)))
+            done);
+        fill_validity valid validity through off len
       in
-      { run; ints; floats = [||]; valid }
-  | Floats_col (a, validity) ->
+      { run; ints; floats = [||]; valid; nulls = validity <> None }
+  | Floats_col (a, validity, through) ->
       let floats = Array.make cap 0. and valid = all_valid () in
-      let run ids off len =
-        for k = 0 to len - 1 do
-          Array.unsafe_set floats k
-            (Array.unsafe_get a (Array.unsafe_get ids (off + k)))
-        done;
-        fill_validity valid validity ids off len
+      let run off len =
+        (match through with
+        | None ->
+            for k = 0 to len - 1 do
+              Array.unsafe_set floats k (Array.unsafe_get a (off + k))
+            done
+        | Some s ->
+            for k = 0 to len - 1 do
+              Array.unsafe_set floats k
+                (Array.unsafe_get a (Array.unsafe_get s (off + k)))
+            done);
+        fill_validity valid validity through off len
       in
-      { run; ints = [||]; floats; valid }
+      { run; ints = [||]; floats; valid; nulls = validity <> None }
   | Promote a ->
       let a = instantiate cap a in
       let floats = Array.make cap 0. in
-      let run ids off len =
-        a.run ids off len;
+      let run off len =
+        a.run off len;
         for k = 0 to len - 1 do
           Array.unsafe_set floats k
             (float_of_int (Array.unsafe_get a.ints k))
         done
       in
-      { run; ints = [||]; floats; valid = a.valid }
+      { run; ints = [||]; floats; valid = a.valid; nulls = a.nulls }
   | Neg (Float, a) ->
       let a = instantiate cap a in
       let floats = Array.make cap 0. in
-      let run ids off len =
-        a.run ids off len;
+      let run off len =
+        a.run off len;
         for k = 0 to len - 1 do
           Array.unsafe_set floats k (-.Array.unsafe_get a.floats k)
         done
       in
-      { run; ints = [||]; floats; valid = a.valid }
+      { run; ints = [||]; floats; valid = a.valid; nulls = a.nulls }
   | Neg (_, a) ->
       let a = instantiate cap a in
       let ints = Array.make cap 0 in
-      let run ids off len =
-        a.run ids off len;
+      let run off len =
+        a.run off len;
         for k = 0 to len - 1 do
           Array.unsafe_set ints k (-Array.unsafe_get a.ints k)
         done
       in
-      { run; ints; floats = [||]; valid = a.valid }
+      { run; ints; floats = [||]; valid = a.valid; nulls = a.nulls }
   | Arith_int (_, op, a, b) ->
       let a = instantiate cap a and b = instantiate cap b in
       let x = a.ints and y = b.ints in
       let ints = Array.make cap 0 and valid = all_valid () in
-      let run ids off len =
-        a.run ids off len;
-        b.run ids off len;
-        both valid a.valid b.valid len;
+      let operands = a.nulls || b.nulls in
+      let run off len =
+        a.run off len;
+        b.run off len;
+        if operands then both valid a.valid b.valid len
+        else if divides op then Bytes.fill valid 0 len '\001';
         match op with
         | Expr.Add ->
             for k = 0 to len - 1 do
@@ -237,15 +266,17 @@ let rec instantiate cap (e : t) : buf =
               else Array.unsafe_set ints k (Array.unsafe_get x k mod d)
             done
       in
-      { run; ints; floats = [||]; valid }
+      { run; ints; floats = [||]; valid; nulls = operands || divides op }
   | Arith_float (op, a, b) ->
       let a = instantiate cap a and b = instantiate cap b in
       let x = a.floats and y = b.floats in
       let floats = Array.make cap 0. and valid = all_valid () in
-      let run ids off len =
-        a.run ids off len;
-        b.run ids off len;
-        both valid a.valid b.valid len;
+      let operands = a.nulls || b.nulls in
+      let run off len =
+        a.run off len;
+        b.run off len;
+        if operands then both valid a.valid b.valid len
+        else if divides op then Bytes.fill valid 0 len '\001';
         match op with
         | Expr.Add ->
             for k = 0 to len - 1 do
@@ -275,7 +306,7 @@ let rec instantiate cap (e : t) : buf =
               else Array.unsafe_set floats k (Float.rem (Array.unsafe_get x k) d)
             done
       in
-      { run; ints = [||]; floats; valid }
+      { run; ints = [||]; floats; valid; nulls = operands || divides op }
   | Case (ty, branches, default) ->
       let branches = List.map (fun (f, x) -> (f, instantiate cap x)) branches in
       let default = Option.map (instantiate cap) default in
@@ -290,29 +321,29 @@ let rec instantiate cap (e : t) : buf =
         Bytes.unsafe_set valid k (Bytes.unsafe_get x.valid k);
         Bytes.unsafe_set decided k '\001'
       in
-      let run ids off len =
+      let run off len =
         Bytes.fill decided 0 len '\000';
         List.iter
           (fun (f, x) ->
-            (* the condition filters the undecided ids; its survivors
-               come back in order, a subsequence of the candidates *)
+            (* the condition filters the undecided handles; its
+               survivors come back in order, a subsequence of the
+               candidates *)
             let m = ref 0 in
             for k = 0 to len - 1 do
               if Bytes.unsafe_get decided k = '\000' then begin
-                Array.unsafe_set candidates !m (Array.unsafe_get ids (off + k));
+                Array.unsafe_set candidates !m (off + k);
                 incr m
               end
             done;
             let kept = if !m = 0 then 0 else f candidates !m candidates in
             if kept > 0 then begin
-              x.run ids off len;
+              x.run off len;
               let s = ref 0 in
               for k = 0 to len - 1 do
                 if
                   !s < kept
                   && Bytes.unsafe_get decided k = '\000'
-                  && Array.unsafe_get candidates !s
-                     = Array.unsafe_get ids (off + k)
+                  && Array.unsafe_get candidates !s = off + k
                 then begin
                   take x k;
                   incr s
@@ -321,7 +352,7 @@ let rec instantiate cap (e : t) : buf =
             end)
           branches;
         (* no branch matched: the default, else null *)
-        (match default with Some d -> d.run ids off len | None -> ());
+        (match default with Some d -> d.run off len | None -> ());
         for k = 0 to len - 1 do
           if Bytes.unsafe_get decided k = '\000' then
             match default with
@@ -329,56 +360,52 @@ let rec instantiate cap (e : t) : buf =
             | None -> Bytes.unsafe_set valid k '\000'
         done
       in
-      { run; ints; floats; valid }
+      { run; ints; floats; valid; nulls = true }
 
-let chunk = 1024
+(* A node's buffers hold one chunk: at 256 cells each is a minor-heap
+   block (a longer one is allocated on the major heap, whose
+   collector then pays for it in proportion to its length). *)
+let chunk = 256
 
-(* Evaluate ids [sel.(0)], ..., [sel.(n - 1)] in chunks, writing each
-   cell at its id in [out] and clearing the validity bit of each null
+(* Evaluate handles [0, n) in chunks, copying each chunk's cells into
+   [out] at their handles and clearing the validity bit of each null
    cell as it is found; [None] when no cell is null. *)
-let fill e (out : Column.repr) ~size sel =
-  let n = Array.length sel in
+let fill e (out : Column.repr) n =
   let root = instantiate (min chunk n) e in
-  let bits = lazy (Bytes.make ((size + 7) / 8) '\xff') in
-  let clear id =
+  let bits = lazy (Bytes.make ((n + 7) / 8) '\xff') in
+  let clear p =
     let b = Lazy.force bits in
-    Bytes.unsafe_set b (id lsr 3)
+    Bytes.unsafe_set b (p lsr 3)
       (Char.unsafe_chr
-         (Char.code (Bytes.unsafe_get b (id lsr 3))
-         land lnot (1 lsl (id land 7))))
+         (Char.code (Bytes.unsafe_get b (p lsr 3)) land lnot (1 lsl (p land 7))))
   in
   let off = ref 0 in
   while !off < n do
     let off0 = !off in
     let len = min chunk (n - off0) in
-    root.run sel off0 len;
+    root.run off0 len;
     (match out with
-    | Column.Floats dst ->
-        for k = 0 to len - 1 do
-          Array.unsafe_set dst (Array.unsafe_get sel (off0 + k))
-            (Array.unsafe_get root.floats k)
-        done
+    | Column.Floats dst -> Array.blit root.floats 0 dst off0 len
     | Column.Ints dst | Column.Dates dst ->
         for k = 0 to len - 1 do
-          Array.unsafe_set dst (Array.unsafe_get sel (off0 + k))
-            (Array.unsafe_get root.ints k)
+          Array.unsafe_set dst (off0 + k) (Array.unsafe_get root.ints k)
         done
     | Column.Bools _ | Column.Strings _ | Column.Boxed _ ->
         invalid_arg "Col_expr.fill");
-    for k = 0 to len - 1 do
-      if Bytes.unsafe_get root.valid k = '\000' then
-        clear (Array.unsafe_get sel (off0 + k))
-    done;
+    if root.nulls then
+      for k = 0 to len - 1 do
+        if Bytes.unsafe_get root.valid k = '\000' then clear (off0 + k)
+      done;
     off := off0 + len
   done;
   if Lazy.is_val bits then Some (Lazy.force bits) else None
 
-let eval e ~size sel =
+let eval e n =
   let repr =
     match ty_of e with
-    | Float -> Column.Floats (Array.create_float size)
-    | Int -> Column.Ints (Array.make size 0)
-    | Date -> Column.Dates (Array.make size 0)
+    | Float -> Column.Floats (Array.create_float n)
+    | Int -> Column.Ints (Array.make n 0)
+    | Date -> Column.Dates (Array.make n 0)
   in
-  let validity = fill e repr ~size sel in
+  let validity = fill e repr n in
   { Column.repr; validity }

@@ -15,9 +15,10 @@
 type t
 
 val compile :
-  column:(string -> Column.t option) -> Expr.t -> (t, Expr.t) result
+  column:(string -> Col_pred.source option) -> Expr.t -> (t, Expr.t) result
 (** Compile against typed columns: [column name] is the column a
-    reference reads ([None]: it has none). Handled forms: [Int],
+    reference reads ([None]: it has none), at a row handle or through
+    a vector ({!Col_pred.source}). Handled forms: [Int],
     [Float] and [Date] constants, references to [Ints], [Floats] and
     [Dates] columns, [Neg] of a number, and [Arith] between numbers
     (every operator), Date ± Int, Int + Date and Date - Date, and a
@@ -29,9 +30,9 @@ val compile :
     a condition {!Col_pred} refuses, or an operation it cannot
     type. *)
 
-val eval : t -> size:int -> int array -> Column.t
-(** [eval k ~size ids] is a column of [size] cells whose cell at each
-    row id in [ids] (distinct, in any order, each below [size]) is the
-    expression's value at that id; other cells are meaningless. An
-    [Ints], [Floats] or [Dates] column, with a validity bitmap when
-    some cell is null. One pass over [ids] on the calling thread. *)
+val eval : t -> int -> Column.t
+(** [eval k n] is a column of [n] cells: cell [p] is the expression's
+    value at row handle [p] (over a batch, position [p] of its
+    selection vector). An [Ints], [Floats] or [Dates] column, with a
+    validity bitmap when some cell is null. One pass over the
+    handles, in order, on the calling thread. *)

@@ -1,14 +1,16 @@
 (* Compile predicates to selection-vector filters over typed columns.
 
    A compiled filter [f src k dst] reads the candidates [src.(0)] ..
-   [src.(k - 1)] (distinct row indices in any order — a sorted batch's
-   selection vector is not ascending), writes the survivors to [dst]
-   from index 0, in their order, and returns their count. It writes
-   nothing else: [src] is never written unless it is [dst] itself,
-   and survivors never overtake the candidate being read, so a filter
-   may run in place. A caller runs the first filter of a chain from a
-   (possibly shared) vector into another, and every later one in
-   place on that.
+   [src.(k - 1)] (distinct row handles in any order), writes the
+   survivors to [dst] from index 0, in their order, and returns their
+   count. It writes nothing else: [src] is never written unless it is
+   [dst] itself, and survivors never overtake the candidate being
+   read, so a filter may run in place. A caller runs the first filter
+   of a chain from a (possibly shared) vector into another, and every
+   later one in place on that. A column is read at a handle directly,
+   or through a vector ([source.through]): a batch's handle is a
+   position in its selection vector, which its computed columns are
+   indexed by and its base columns are read through.
 
    Compilation is deliberately PARTIAL: only subtrees whose row
    evaluation is total (cannot raise) are compiled, so the columnar
@@ -42,6 +44,8 @@
 
 type filter = int array -> int -> int array -> int
 
+type source = { col : Column.t; through : int array option }
+
 let keep_none : filter = fun _ _ _ -> 0
 
 let keep_all : filter =
@@ -58,61 +62,114 @@ let[@inline] valid validity id =
   | Some b ->
       Char.code (Bytes.unsafe_get b (id lsr 3)) land (1 lsl (id land 7)) <> 0
 
-(* ---------- the leaf loops ---------- *)
+(* ---------- the leaf loops ----------
+
+   A candidate is a row handle [p]; a column's cell for it is at [p],
+   or at [through.(p)] for a column read through a vector. Each hot
+   leaf has its loop written out for both, so that neither pays a
+   test per row for the other. A hot loop writes every candidate at
+   the survivor count and advances the count by the test's outcome:
+   no branch depends on a cell, which a band keeping about half the
+   rows would mispredict at every other row. The write never
+   overtakes the read ([out <= i]), so a filter still runs in
+   place. *)
+
+let[@inline] at through p =
+  match through with None -> p | Some s -> Array.unsafe_get s p
+
+let[@inline] int_in (a : int array) validity ~lo ~width ~inside id =
+  valid validity id
+  && ((Array.unsafe_get a id - lo) lxor min_int <= width) = inside
 
 (* [lo <= x <= hi] (or its complement, [inside] false), as one
    unsigned comparison: [x - lo] wraps into [0, hi - lo] exactly for
    the [x] in range, and flipping the sign bit turns the unsigned
    order into the signed one. Needs [lo <= hi]. *)
-let int_range (a : int array) validity ~lo ~hi ~inside : filter =
+let int_range (a : int array) validity through ~lo ~hi ~inside : filter =
   let width = (hi - lo) lxor min_int in
-  fun src k dst ->
-    let out = ref 0 in
-    for i = 0 to k - 1 do
-      let id = Array.unsafe_get src i in
-      if
-        valid validity id
-        && ((Array.unsafe_get a id - lo) lxor min_int <= width) = inside
-      then begin
-        Array.unsafe_set dst !out id;
-        incr out
-      end
-    done;
-    !out
+  match through with
+  | None ->
+      fun src k dst ->
+        let out = ref 0 in
+        for i = 0 to k - 1 do
+          let p = Array.unsafe_get src i in
+          Array.unsafe_set dst !out p;
+          out := !out + Bool.to_int (int_in a validity ~lo ~width ~inside p)
+        done;
+        !out
+  | Some s ->
+      fun src k dst ->
+        let out = ref 0 in
+        for i = 0 to k - 1 do
+          let p = Array.unsafe_get src i in
+          Array.unsafe_set dst !out p;
+          out := !out + Bool.to_int (int_in a validity ~lo ~width ~inside (Array.unsafe_get s p))
+        done;
+        !out
+
+(* [(lo <= x <= hi || (nan && x is NaN)) = inside], with no branch on
+   the cell *)
+let[@inline] float_in (a : float array) validity ~lo ~hi ~nan ~inside id =
+  valid validity id
+  &&
+  let x = Array.unsafe_get a id in
+  Bool.to_int (x >= lo) land Bool.to_int (x <= hi)
+  lor (Bool.to_int nan land Bool.to_int (x <> x))
+  = Bool.to_int inside
 
 (* [lo <= x <= hi], or [x] NaN when [nan] (or the complement of that,
    [inside] false); [-0.] and [0.] are one value, as in
    [Float.compare]. *)
-let float_range (a : float array) validity ~lo ~hi ~nan ~inside : filter =
- fun src k dst ->
-  let out = ref 0 in
-  for i = 0 to k - 1 do
-    let id = Array.unsafe_get src i in
-    if valid validity id then begin
-      let x = Array.unsafe_get a id in
-      if ((x >= lo && x <= hi) || (nan && Float.is_nan x)) = inside then begin
-        Array.unsafe_set dst !out id;
-        incr out
-      end
-    end
-  done;
-  !out
+let float_range (a : float array) validity through ~lo ~hi ~nan ~inside :
+    filter =
+  match through with
+  | None ->
+      fun src k dst ->
+        let out = ref 0 in
+        for i = 0 to k - 1 do
+          let p = Array.unsafe_get src i in
+          Array.unsafe_set dst !out p;
+          out := !out + Bool.to_int (float_in a validity ~lo ~hi ~nan ~inside p)
+        done;
+        !out
+  | Some s ->
+      fun src k dst ->
+        let out = ref 0 in
+        for i = 0 to k - 1 do
+          let p = Array.unsafe_get src i in
+          Array.unsafe_set dst !out p;
+          out :=
+            !out
+            + Bool.to_int
+                (float_in a validity ~lo ~hi ~nan ~inside (Array.unsafe_get s p))
+        done;
+        !out
+
+let[@inline] code_in (codes : int array) validity (keep : bool array) id =
+  valid validity id && Array.unsafe_get keep (Array.unsafe_get codes id)
 
 (* [keep.(code)] of each row's dictionary code. *)
-let code_table (codes : int array) validity (keep : bool array) : filter =
- fun src k dst ->
-  let out = ref 0 in
-  for i = 0 to k - 1 do
-    let id = Array.unsafe_get src i in
-    if
-      valid validity id
-      && Array.unsafe_get keep (Array.unsafe_get codes id)
-    then begin
-      Array.unsafe_set dst !out id;
-      incr out
-    end
-  done;
-  !out
+let code_table (codes : int array) validity through (keep : bool array) :
+    filter =
+  match through with
+  | None ->
+      fun src k dst ->
+        let out = ref 0 in
+        for i = 0 to k - 1 do
+          let p = Array.unsafe_get src i in
+          Array.unsafe_set dst !out p;
+          out := !out + Bool.to_int (code_in codes validity keep p)
+        done;
+        !out
+  | Some s ->
+      fun src k dst ->
+        let out = ref 0 in
+        for i = 0 to k - 1 do
+          let p = Array.unsafe_get src i in
+          Array.unsafe_set dst !out p;
+          out := !out + Bool.to_int (code_in codes validity keep (Array.unsafe_get s p))
+        done;
+        !out
 
 (* ---------- the comparisons, and the rarer leaves ---------- *)
 
@@ -153,9 +210,9 @@ type rare =
   | Float_members of float array * float array * bool
       (* a float cell among the floats (none of them NaN), or NaN
           when the flag is set *)
-  | Cols of cols * Bytes.t option * cmp_sign
+  | Cols of cols * Bytes.t option * int array option * cmp_sign
       (* two cells compared, the outcomes kept; the second column's
-          validity *)
+          validity and vector *)
 
 and cols =
   | Int_int of int array * int array
@@ -180,7 +237,8 @@ let mem_float (floats : float array) x =
   done;
   !hit
 
-let passes t id =
+(* [id] is the handle's cell in the leaf's column, [p] the handle *)
+let passes t id p =
   match t with
   | Ints_as_floats { a; lo; hi; inside } ->
       let x = float_of_int (Array.unsafe_get a id) in
@@ -194,34 +252,34 @@ let passes t id =
   | Float_members (a, floats, nan) ->
       let x = Array.unsafe_get a id in
       (nan && Float.is_nan x) || mem_float floats x
-  | Cols (cols, vb, s) ->
-      valid vb id
+  | Cols (cols, vb, tb, s) ->
+      let jd = at tb p in
+      valid vb jd
       && holds s
            (match cols with
            | Int_int (x, y) ->
-               Int.compare (Array.unsafe_get x id) (Array.unsafe_get y id)
+               Int.compare (Array.unsafe_get x id) (Array.unsafe_get y jd)
            | Float_float (x, y) ->
-               Float.compare (Array.unsafe_get x id) (Array.unsafe_get y id)
+               Float.compare (Array.unsafe_get x id) (Array.unsafe_get y jd)
            | Int_float (x, y) ->
                Float.compare
                  (float_of_int (Array.unsafe_get x id))
-                 (Array.unsafe_get y id)
+                 (Array.unsafe_get y jd)
            | Bool_bool (x, y) ->
-               Bool.compare (Array.unsafe_get x id) (Array.unsafe_get y id)
+               Bool.compare (Array.unsafe_get x id) (Array.unsafe_get y jd)
            | String_string (ca, da, cb, db) ->
                String.compare
                  (Array.unsafe_get da (Array.unsafe_get ca id))
-                 (Array.unsafe_get db (Array.unsafe_get cb id)))
+                 (Array.unsafe_get db (Array.unsafe_get cb jd)))
 
-let rare validity t : filter =
+let rare validity through t : filter =
  fun src k dst ->
   let out = ref 0 in
   for i = 0 to k - 1 do
-    let id = Array.unsafe_get src i in
-    if valid validity id && passes t id then begin
-      Array.unsafe_set dst !out id;
-      incr out
-    end
+    let p = Array.unsafe_get src i in
+    let id = at through p in
+    Array.unsafe_set dst !out p;
+    out := !out + Bool.to_int (valid validity id && passes t id p)
   done;
   !out
 
@@ -231,10 +289,17 @@ let rare validity t : filter =
    column stays open to intersection with the other ranges of its
    conjunction on the same column. *)
 type node =
-  | Ints_in of { a : int array; validity : Bytes.t option; lo : int; hi : int }
+  | Ints_in of {
+      a : int array;
+      validity : Bytes.t option;
+      through : int array option;
+      lo : int;
+      hi : int;
+    }
   | Floats_in of {
       a : float array;
       validity : Bytes.t option;
+      through : int array option;
       lo : float;
       hi : float;
       nan : bool;
@@ -284,34 +349,34 @@ let float_bounds op f =
     in
     (inside, lo, hi, nan)
 
-let ints_node a validity (inside, lo, hi) =
-  if inside then Ints_in { a; validity; lo; hi }
-  else Loop (int_range a validity ~lo ~hi ~inside)
+let ints_node a validity through (inside, lo, hi) =
+  if inside then Ints_in { a; validity; through; lo; hi }
+  else Loop (int_range a validity through ~lo ~hi ~inside)
 
-let floats_node a validity (inside, lo, hi, nan) =
-  if inside then Floats_in { a; validity; lo; hi; nan }
-  else Loop (float_range a validity ~lo ~hi ~nan ~inside)
+let floats_node a validity through (inside, lo, hi, nan) =
+  if inside then Floats_in { a; validity; through; lo; hi; nan }
+  else Loop (float_range a validity through ~lo ~hi ~nan ~inside)
 
 (* column OP constant — mirrors [Value.sql_compare (get col i) v]. *)
-let compile_cmp_const op (col : Column.t) (v : Value.t) : node option =
+let compile_cmp_const op { col; through } (v : Value.t) : node option =
   let validity = col.Column.validity in
   match (col.Column.repr, v) with
   | Column.Boxed _, _ -> None
   | _, Value.Null -> Some (Loop keep_none)
   | (Column.Ints a, Value.Int k | Column.Dates a, Value.Date k) ->
-      Some (ints_node a validity (int_bounds op k))
+      Some (ints_node a validity through (int_bounds op k))
   | Column.Ints a, Value.Float f ->
       let inside, lo, hi, _ = float_bounds op f in
-      Some (Loop (rare validity (Ints_as_floats { a; lo; hi; inside })))
+      Some (Loop (rare validity through (Ints_as_floats { a; lo; hi; inside })))
   | Column.Floats a, Value.Int k ->
-      Some (floats_node a validity (float_bounds op (float_of_int k)))
+      Some (floats_node a validity through (float_bounds op (float_of_int k)))
   | Column.Floats a, Value.Float f ->
-      Some (floats_node a validity (float_bounds op f))
+      Some (floats_node a validity through (float_bounds op f))
   | Column.Bools a, Value.Bool b ->
       let s = accepts op in
       Some
         (Loop
-           (rare validity
+           (rare validity through
               (Bool_table
                  ( a,
                    [| holds s (Bool.compare false b);
@@ -320,7 +385,7 @@ let compile_cmp_const op (col : Column.t) (v : Value.t) : node option =
       let s = accepts op in
       Some
         (Loop
-           (code_table codes validity
+           (code_table codes validity through
               (Array.map (fun e -> holds s (String.compare e x)) dict)))
   | (Column.Ints _ | Column.Floats _ | Column.Dates _ | Column.Bools _
     | Column.Strings _), _ ->
@@ -330,9 +395,10 @@ let compile_cmp_const op (col : Column.t) (v : Value.t) : node option =
 (* ---------- comparisons between columns ---------- *)
 
 (* column OP column. *)
-let compile_cmp_cols op (a : Column.t) (b : Column.t) : filter option =
+let compile_cmp_cols op (sa : source) (sb : source) : filter option =
+  let a = sa.col and b = sb.col in
   let va = a.Column.validity and vb = b.Column.validity in
-  let cols c s = Some (rare va (Cols (c, vb, s))) in
+  let cols c s = Some (rare va sa.through (Cols (c, vb, sb.through, s))) in
   let s = accepts op in
   match (a.Column.repr, b.Column.repr) with
   | Column.Boxed _, _ | _, Column.Boxed _ -> None
@@ -340,7 +406,9 @@ let compile_cmp_cols op (a : Column.t) (b : Column.t) : filter option =
       cols (Int_int (x, y)) s
   | Column.Ints x, Column.Floats y -> cols (Int_float (x, y)) s
   | Column.Floats x, Column.Ints y ->
-      Some (rare vb (Cols (Int_float (y, x), va, accepts (flip_cmp op))))
+      Some
+        (rare vb sb.through
+           (Cols (Int_float (y, x), va, sa.through, accepts (flip_cmp op))))
   | Column.Floats x, Column.Floats y -> cols (Float_float (x, y)) s
   | Column.Bools x, Column.Bools y -> cols (Bool_bool (x, y)) s
   | Column.Strings x, Column.Strings y ->
@@ -352,8 +420,9 @@ let compile_cmp_cols op (a : Column.t) (b : Column.t) : filter option =
 
 (* ---------- IN lists ---------- *)
 
-let compile_in_list (col : Column.t) (vs : Value.t list) : filter option =
+let compile_in_list { col; through } (vs : Value.t list) : filter option =
   let validity = col.Column.validity in
+  let rare = rare validity through in
   let pick f = Array.of_list (List.filter_map f vs) in
   let float = function
     | Value.Float f when not (Float.is_nan f) -> Some f
@@ -363,14 +432,14 @@ let compile_in_list (col : Column.t) (vs : Value.t list) : filter option =
   | Column.Boxed _ -> None
   | Column.Ints a ->
       Some
-        (rare validity
+        (rare
            (Int_members
               ( a,
                 pick (function Value.Int k -> Some k | _ -> None),
                 pick float )))
   | Column.Floats a ->
       Some
-        (rare validity
+        (rare
            (Float_members
               ( a,
                 pick (function
@@ -381,12 +450,12 @@ let compile_in_list (col : Column.t) (vs : Value.t list) : filter option =
                   vs )))
   | Column.Dates a ->
       Some
-        (rare validity
+        (rare
            (Int_members
               (a, pick (function Value.Date k -> Some k | _ -> None), [||])))
   | Column.Bools a ->
       Some
-        (rare validity
+        (rare
            (Bool_table
               ( a,
                 Array.map
@@ -394,12 +463,19 @@ let compile_in_list (col : Column.t) (vs : Value.t list) : filter option =
                   [| false; true |] )))
   | Column.Strings { codes; dict } ->
       Some
-        (code_table codes validity
+        (code_table codes validity through
            (Array.map
               (fun e -> List.exists (Value.equal (Value.String e)) vs)
               dict))
 
 (* ---------- connectives ---------- *)
+
+(* Whether two leaves read one array through one vector. *)
+let same_through a b =
+  match (a, b) with
+  | None, None -> true
+  | Some s, Some t -> s == t
+  | _ -> false
 
 (* The conjuncts of [a AND b], each range merged into the range of
    the same column already there: both hold exactly on the
@@ -411,14 +487,18 @@ let conjoin a b =
       | [] -> None
       | Ints_in r :: rest -> (
           match n with
-          | Ints_in s when r.a == s.a && r.validity == s.validity ->
+          | Ints_in s
+            when r.a == s.a && r.validity == s.validity
+                 && same_through r.through s.through ->
               Some
                 (Ints_in { r with lo = max r.lo s.lo; hi = min r.hi s.hi }
                 :: rest)
           | _ -> Option.map (fun rest -> Ints_in r :: rest) (merge rest))
       | Floats_in r :: rest -> (
           match n with
-          | Floats_in s when r.a == s.a && r.validity == s.validity ->
+          | Floats_in s
+            when r.a == s.a && r.validity == s.validity
+                 && same_through r.through s.through ->
               Some
                 (Floats_in
                    { r with
@@ -438,10 +518,11 @@ let conjoin a b =
 
 let rec to_filter = function
   | Ints_in { lo; hi; _ } when lo > hi -> keep_none
-  | Ints_in { a; validity; lo; hi } -> int_range a validity ~lo ~hi ~inside:true
-  | Floats_in { a; validity; lo; hi; nan } ->
+  | Ints_in { a; validity; through; lo; hi } ->
+      int_range a validity through ~lo ~hi ~inside:true
+  | Floats_in { a; validity; through; lo; hi; nan } ->
       if lo > hi && not nan then keep_none
-      else float_range a validity ~lo ~hi ~nan ~inside:true
+      else float_range a validity through ~lo ~hi ~nan ~inside:true
   | Loop f -> f
   | All l -> (
       match List.map to_filter l with
@@ -550,18 +631,18 @@ let rec compile_node ~column:col_of (e : Expr.t) : (node, Expr.t) result =
       loop (Option.bind (col_of a) (fun c -> compile_in_list c vs))
   | Expr.Is_null (Expr.Col a) ->
       loop
-        (Option.bind (col_of a) (fun c ->
-             match (c.Column.repr, c.Column.validity) with
+        (Option.bind (col_of a) (fun { col; through } ->
+             match (col.Column.repr, col.Column.validity) with
              | Column.Boxed _, _ -> None
              | _, None -> Some keep_none
-             | _, Some bits -> Some (rare None (Null bits))))
+             | _, Some bits -> Some (rare None through (Null bits))))
   | Expr.Like (Expr.Col a, pattern) ->
       loop
-        (Option.bind (col_of a) (fun c ->
-             match c.Column.repr with
+        (Option.bind (col_of a) (fun { col; through } ->
+             match col.Column.repr with
              | Column.Strings { codes; dict } ->
                  Some
-                   (code_table codes c.Column.validity
+                   (code_table codes col.Column.validity through
                       (Array.map (Expr_eval.like_match ~pattern) dict))
              | _ ->
                  (* the row path raises on non-string values: not total *)

@@ -1,7 +1,7 @@
 (** Predicate compilation to selection-vector filters (Sheetcol).
 
     A [filter] reads the first [k] entries of a source vector
-    (distinct indices, in any order), writes the survivors, in their
+    (distinct row handles, in any order), writes the survivors, in their
     order, to a destination vector from index 0, and returns their
     count. It writes nothing else, and may run in place (source and
     destination one array). Compilation is
@@ -13,13 +13,24 @@
     comparisons. [Error] means "use the row path". *)
 
 type filter = int array -> int -> int array -> int
-(** [f src k dst] *)
+(** [f src k dst]: the candidates and survivors are row handles. *)
+
+type source = { col : Column.t; through : int array option }
+(** A column as a compiled loop reads it: the cell of handle [p] is
+    [col]'s cell [p], or, with [through], its cell [through.(p)]. Over
+    a batch the handle is a position in its selection vector: a
+    computed column is read directly, a base column through the
+    vector (directly when the vector is the base's identity). *)
+
+val at : int array option -> int -> int
+(** [at through p]: handle [p]'s index into a column read [through] a
+    vector (or directly). *)
 
 val compile :
-  column:(string -> Column.t option) -> Expr.t -> (filter, Expr.t) result
+  column:(string -> source option) -> Expr.t -> (filter, Expr.t) result
 (** Compile against typed columns: [column name] is the column a
     reference reads, [None] when it has none (the predicate then does
-    not compile). Indices are row positions of those columns. Handled
+    not compile). Handled
     forms: boolean constants,
     [And]/[Or]/[Not], [Cmp] between columns and/or constants,
     [Between] with any compilable operands, [In_list] and [Is_null]

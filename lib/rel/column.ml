@@ -47,6 +47,48 @@ let get t i =
       | Strings { codes; dict } -> Value.String dict.(codes.(i))
       | Boxed a -> a.(i))
 
+(* Typed loops: a fresh int or float array is filled without the
+   write barrier [Array.map] would pay over a boxed result. *)
+let gather_ints (a : int array) (idx : int array) n =
+  let out = Array.make n 0 in
+  for j = 0 to n - 1 do
+    Array.unsafe_set out j (Array.unsafe_get a (Array.unsafe_get idx j))
+  done;
+  out
+
+let gather t (idx : int array) n =
+  let validity =
+    match t.validity with
+    | None -> None
+    | Some bits ->
+        let out = Bytes.make ((n + 7) / 8) '\xff' and nulls = ref false in
+        for j = 0 to n - 1 do
+          if not (valid_bit bits (Array.unsafe_get idx j)) then begin
+            nulls := true;
+            Bytes.unsafe_set out (j lsr 3)
+              (Char.unsafe_chr
+                 (Char.code (Bytes.unsafe_get out (j lsr 3))
+                 land lnot (1 lsl (j land 7))))
+          end
+        done;
+        if !nulls then Some out else None
+  in
+  let repr =
+    match t.repr with
+    | Ints a -> Ints (gather_ints a idx n)
+    | Dates a -> Dates (gather_ints a idx n)
+    | Floats a ->
+        let out = Array.create_float n in
+        for j = 0 to n - 1 do
+          Array.unsafe_set out j (Array.unsafe_get a (Array.unsafe_get idx j))
+        done;
+        Floats out
+    | Bools a -> Bools (Array.init n (fun j -> Array.unsafe_get a idx.(j)))
+    | Strings { codes; dict } -> Strings { codes = gather_ints codes idx n; dict }
+    | Boxed a -> Boxed (Array.init n (fun j -> Array.unsafe_get a idx.(j)))
+  in
+  { repr; validity }
+
 let kind_name t =
   match t.repr with
   | Ints _ -> "int"

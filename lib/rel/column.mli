@@ -31,6 +31,11 @@ val get : t -> int -> Value.t
 
 val length : t -> int
 
+val gather : t -> int array -> int -> t
+(** [gather c idx n]: a fresh column of [n] cells, cell [j] being
+    [c]'s cell [idx.(j)] (a [Strings] column keeps its dictionary). The validity bitmap is [None] when no gathered cell
+    is null. *)
+
 val valid_bit : Bytes.t -> int -> bool
 (** Raw bitmap test (for compiled predicate loops). *)
 

@@ -1,8 +1,10 @@
+(* A malformed input, private to this module: every public entry
+   point turns it into [Error]. *)
 exception Csv_error of string
 
 let err fmt = Printf.ksprintf (fun s -> raise (Csv_error s)) fmt
 
-let parse_string input =
+let parse_exn input =
   let n = String.length input in
   let rows = ref [] in
   let fields = ref [] in
@@ -60,6 +62,11 @@ let parse_string input =
   if Buffer.length buf > 0 || !field_started || !fields <> [] then push_row ();
   List.rev !rows
 
+let parse_string input =
+  match parse_exn input with
+  | rows -> Ok rows
+  | exception Csv_error msg -> Error msg
+
 let infer_type values =
   (* Narrowest vtype accepting every non-empty cell. *)
   let candidates =
@@ -73,7 +80,7 @@ let infer_type values =
   List.find fits candidates
 
 let load_relation_exn ?schema text =
-  match parse_string text with
+  match parse_exn text with
   | [] -> err "empty CSV input"
   | header :: data ->
       let schema =

@@ -4,12 +4,10 @@
     are supported. Used to load example datasets and to export
     spreadsheets. *)
 
-exception Csv_error of string
-
-val parse_string : string -> string list list
+val parse_string : string -> (string list list, string) result
 (** Parse CSV text into rows of fields. A trailing newline does not
-    produce an empty record.
-    @raise Csv_error on an unterminated quoted field. *)
+    produce an empty record. [Error] on an unterminated quoted field;
+    it never raises. *)
 
 val load_relation :
   ?schema:Schema.t -> string -> (Relation.t, string) result

@@ -169,8 +169,9 @@ let rec eval ~lookup ?agg (e : Expr.t) : Value.t =
    value or the same [Eval_error]; only column resolution moves to
    compile time. An unknown column or an [Agg] node still raises per
    row, as [eval] does, unless [agg] resolves it. The row handle is
-   abstract: a [Row.t] for [compile], a base row id of a batch for the
-   plan executor, a group for the SQL executor's aggregate outputs. *)
+   abstract: a [Row.t] for [compile], a position in a batch's vector
+   for the plan executor, a group for the SQL executor's aggregate
+   outputs. *)
 let compile_with ~column ?agg e =
   let rec go (e : Expr.t) =
     match e with

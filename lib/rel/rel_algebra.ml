@@ -13,21 +13,24 @@ let c_sel_out = Obs.Metrics.counter Obs.k_col_sel_rows_out
    selection vector over a row-backed base plus a column map — and
    return a batch-backed relation, so a chain of them never builds a
    row: selection narrows the vector, projection edits the map, an
-   extension appends a column indexed by base row id, sorting
+   extension appends a column of as many cells as the vector, sorting
    permutes the vector and duplicate elimination thins it. A batch's
-   row handle is its base row id. *)
+   row handle is a position in its vector: computed columns and
+   groupings are indexed by it, and base columns are read through the
+   vector. So an operator that makes a new vector gathers the
+   positional columns with it ([reindex]). *)
 
-(* Column [c] of [b], read by base row id. Base cells come from the
+(* Column [c] of [b], read by position. Base cells come from the
    base's own rows, so nothing is boxed anew. *)
 let reader (b : Relation.batch) c : int -> Value.t =
   match b.cols.(c) with
   | Relation.Base j ->
-      let rows = Relation.to_array b.base in
-      fun id -> Row.get (Array.unsafe_get rows id) j
+      let rows = Relation.to_array b.base and sel = b.sel in
+      fun p -> Row.get (Array.unsafe_get rows (Array.unsafe_get sel p)) j
   | Relation.Computed col -> Column.get col
   | Relation.Broadcast { grouping; values } ->
       let group = grouping.group in
-      fun id -> values.(Array.unsafe_get group id)
+      fun p -> values.(Array.unsafe_get group p)
 
 let resolve schema b name =
   Option.map (fun (c, _) -> reader b c) (Schema.find schema name)
@@ -71,6 +74,71 @@ let copy_ints (a : int array) k =
   done;
   out
 
+(* [a.(idx.(j))] for every [j] below [n] *)
+let gather (a : int array) (idx : int array) n =
+  let out = Array.make n 0 in
+  for j = 0 to n - 1 do
+    Array.unsafe_set out j (Array.unsafe_get a (Array.unsafe_get idx j))
+  done;
+  out
+
+(* [0, 1, ..., n - 1] and maybe more: one shared vector, grown by
+   doubling and never written once made, the positions a filter over
+   a batch reads as its candidates. *)
+let iota = ref [||]
+
+let positions n =
+  if Array.length !iota < n then begin
+    let v = Array.make (max n (2 * Array.length !iota)) 0 in
+    for j = 0 to Array.length v - 1 do
+      Array.unsafe_set v j j
+    done;
+    iota := v
+  end;
+  !iota
+
+(* Whether [b]'s vector is its base's identity vector: positions are
+   then base row ids, and base columns are read by position. *)
+let on_identity (b : Relation.batch) = b.sel == (Relation.batch b.base).sel
+
+(* The vector a base column of [b] is read through. *)
+let base_through (b : Relation.batch) = if on_identity b then None else Some b.sel
+
+(* [b] over the vector [sel], whose entry [j] is [b]'s row at position
+   [idx.(j)] ([idx] may be longer than [sel]): each positional column — computed, or a grouping's
+   group ids — gathered along [idx]. A column or grouping several
+   entries share (a grouping's basis columns, the aggregates of one
+   level) is gathered once, so they still share one, and a gathered
+   grouping is over [sel]. Per-group values and the base stay. *)
+let reindex (b : Relation.batch) sel (idx : int array) =
+  let n = Array.length sel in
+  let positional = function Relation.Base _ -> false | _ -> true in
+  if not (Array.exists positional b.cols) then { b with sel }
+  else begin
+    let columns = ref [] and groupings = ref [] in
+    let memo table make x =
+      match List.assq_opt x !table with
+      | Some y -> y
+      | None ->
+          let y = make x in
+          table := (x, y) :: !table;
+          y
+    in
+    let rec col = function
+      | Relation.Base _ as c -> c
+      | Relation.Computed x ->
+          Relation.Computed (memo columns (fun x -> Column.gather x idx n) x)
+      | Relation.Broadcast { grouping; values } ->
+          Relation.Broadcast { grouping = memo groupings regroup grouping; values }
+    and regroup (g : Relation.grouping) =
+      { Relation.over = sel;
+        keys = Array.map col g.keys;
+        group = gather g.group idx n;
+        groups = g.groups }
+    in
+    { b with sel; cols = Array.map col b.cols }
+  end
+
 (* ---------- selection ----------
 
    Three strategies, each one pass over the selection vector, whose
@@ -94,17 +162,19 @@ let check_selection schema pred =
   | Ok () -> ()
   | Error msg -> err "selection: %s" msg
 
-(* The typed column a reference reads, indexed by base row id: a base
-   column of the base's Sheetcol image or a computed column; [None]
-   for an aggregate column. *)
+(* The typed column a reference reads at a position: a base column of
+   the base's Sheetcol image, through the vector, or a computed
+   column; [None] for an aggregate column. *)
 let typed_column schema (b : Relation.batch) name =
   match Schema.find schema name with
   | None -> None
   | Some (c, _) -> (
       match b.cols.(c) with
       | Relation.Base j ->
-          Some (Columnar.column (Relation.columnar_view b.base) j)
-      | Relation.Computed col -> Some col
+          Some
+            { Col_pred.col = Columnar.column (Relation.columnar_view b.base) j;
+              through = base_through b }
+      | Relation.Computed col -> Some { Col_pred.col; through = None }
       | Relation.Broadcast _ -> None)
 
 let typed_arg r name = typed_column (Relation.schema r) (Relation.batch r) name
@@ -128,19 +198,22 @@ let fallback_reason (r : Relation.t) e ~blocker =
   | Some reason -> reason
   | None -> "non-total subtree " ^ Expr.to_string blocker
 
-(* [b] narrowed by the filter [f]: [f] reads [b]'s vector, which may
-   be shared (a cached parent's batch, a base's identity batch) and is
-   never written, and writes the survivors into a scratch vector; they
-   are copied, by a typed loop, into a vector of their exact length.
-   When no row is dropped the batch itself is the answer. *)
+(* [b] narrowed by the filter [f]: [f] reads [b]'s positions — the
+   shared [positions] vector, or the base's identity vector, which
+   are never written — and writes the surviving ones into a scratch
+   vector, along which the new vector (of their exact length) and the
+   positional columns are gathered. When no row is dropped the batch
+   itself is the answer. *)
 let narrow (b : Relation.batch) (f : Col_pred.filter) =
   let n = Array.length b.sel in
-  let k, sel =
-    with_scratch n (fun dst ->
-        let k = f b.sel n dst in
-        (k, if k = n then b.sel else copy_ints dst k))
-  in
-  if k = n then b else { b with sel }
+  let identity = on_identity b in
+  with_scratch n (fun kept ->
+      let k = f (if identity then b.sel else positions n) n kept in
+      if k = n then b
+      else
+        reindex b
+          (if identity then copy_ints kept k else gather b.sel kept k)
+          kept)
 
 (* A compiled selection (strategies 1 and 2), counted as one. *)
 let run_compiled (b : Relation.batch) f =
@@ -177,12 +250,12 @@ let group_filter (g : Relation.grouping) keep : Col_pred.filter =
   let group = g.group in
   let out = ref 0 in
   for i = 0 to k - 1 do
-    let id = Array.unsafe_get src i in
-    let gi = Array.unsafe_get group id in
+    let p = Array.unsafe_get src i in
+    let gi = Array.unsafe_get group p in
     if Bytes.unsafe_get verdict gi = '\000' then
-      Bytes.unsafe_set verdict gi (if keep id then '\001' else '\002');
+      Bytes.unsafe_set verdict gi (if keep p then '\001' else '\002');
     if Bytes.unsafe_get verdict gi = '\001' then begin
-      Array.unsafe_set dst !out id;
+      Array.unsafe_set dst !out p;
       incr out
     end
   done;
@@ -192,9 +265,9 @@ let row_filter keep : Col_pred.filter =
  fun src k dst ->
   let out = ref 0 in
   for i = 0 to k - 1 do
-    let id = Array.unsafe_get src i in
-    if keep id then begin
-      Array.unsafe_set dst !out id;
+    let p = Array.unsafe_get src i in
+    if keep p then begin
+      Array.unsafe_set dst !out p;
       incr out
     end
   done;
@@ -233,24 +306,21 @@ let project names (r : Relation.t) =
           (List.map (fun name -> b.cols.(Schema.index_exn rschema name)) names)
     }
 
-(* The new column's cells are written at their base row ids, in one
-   pass over the vector: by the typed kernel when the expression
-   compiles over typed columns, else per row handle into a boxed
-   column. *)
+(* The new column holds one cell per position of the vector, written
+   in one pass in vector order: by the typed kernel when the
+   expression compiles over typed columns, else per position into a
+   boxed column. *)
 let extend_path (column : Schema.column) e (r : Relation.t) =
   let rschema = Relation.schema r in
   let schema = Schema.append rschema column in
   let b = Relation.batch r in
-  let size = Relation.cardinality b.base in
-  let sel = b.sel in
+  let n = Array.length b.sel in
   let typed = typed_column rschema b in
   let col, path =
     match Col_expr.compile ~column:typed e with
-    | Ok kernel -> (Col_expr.eval kernel ~size sel, `Columnar)
+    | Ok kernel -> (Col_expr.eval kernel n, `Columnar)
     | Error blocker ->
-        let value = compile_batch rschema b e in
-        let cells = Array.make size Value.Null in
-        Array.iter (fun id -> Array.unsafe_set cells id (value id)) sel;
+        let cells = Array.init n (compile_batch rschema b e) in
         ({ Column.repr = Column.Boxed cells; validity = None }, `Row blocker)
   in
   ( Relation.of_batch schema
@@ -442,14 +512,6 @@ let init_ints n (f : int -> int) =
     Array.unsafe_set a j (f j)
   done;
   a
-
-(* [a.(idx.(j))] for every [j] *)
-let gather (a : int array) (idx : int array) =
-  let out = Array.make (Array.length idx) 0 in
-  for j = 0 to Array.length idx - 1 do
-    Array.unsafe_set out j (Array.unsafe_get a (Array.unsafe_get idx j))
-  done;
-  out
 
 (* The counts [count.(0)] .. [count.(m - 1)] turned into where each
    bucket starts, the first at [from]. *)
@@ -696,11 +758,11 @@ let int_ranks n ~null_at ~int_at =
       done;
       class_ranks n ~classes:2 cls ~keyed:(fun c -> c = 0) key
 
-(* Dense ranks of a dictionary-coded column: the selected codes are
-   numbered in the dictionary's sorted [order], nulls last — the
-   ranks [rank_by_hashing] gives the same cells. *)
-let dictionary_ranks sel ~order ~validity (codes : int array) =
-  let n = Array.length sel in
+(* Dense ranks of a dictionary-coded column at [sel.(0)] ..
+   [sel.(n - 1)]: the codes there are numbered in the dictionary's
+   sorted [order], nulls last — the ranks [rank_by_hashing] gives the
+   same cells. *)
+let dictionary_ranks n sel ~order ~validity (codes : int array) =
   let[@inline] valid id =
     match validity with None -> true | Some bits -> Column.valid_bit bits id
   in
@@ -762,11 +824,11 @@ let rank_cells n cell =
           | _ -> 0)
 
 (* Ranks of column [c] of [b] over its selection vector. A typed
-   column — of the base image, or computed — ranks from its arrays. *)
+   column ranks from its arrays: a base image column at the vector's
+   ids, a computed one at its positions. *)
 let rank_column (b : Relation.batch) c =
-  let sel = b.sel in
-  let n = Array.length sel in
-  let typed col ~dict_order =
+  let n = Array.length b.sel in
+  let typed col ~sel ~dict_order =
     let null_at =
       match col.Column.validity with
       | None -> fun _ -> false
@@ -775,7 +837,7 @@ let rank_column (b : Relation.batch) c =
     in
     match col.Column.repr with
     | Column.Strings { codes; dict } ->
-        dictionary_ranks sel ~order:(dict_order dict)
+        dictionary_ranks n sel ~order:(dict_order dict)
           ~validity:col.Column.validity codes
     | Column.Ints a | Column.Dates a ->
         int_ranks n ~null_at ~int_at:(fun k ->
@@ -796,15 +858,16 @@ let rank_column (b : Relation.batch) c =
         rank_cells n (fun k -> Array.unsafe_get cells (Array.unsafe_get sel k))
   in
   match b.cols.(c) with
-  | Relation.Computed col -> typed col ~dict_order:Column.dict_order
+  | Relation.Computed col ->
+      typed col ~sel:(positions n) ~dict_order:Column.dict_order
   | Relation.Broadcast { grouping; values } ->
       (* rank the per-group values, then look each row's up *)
       let ranks, m = rank_cells (Array.length values) (Array.unsafe_get values) in
       let group = grouping.group in
-      (init_ints n (fun j -> ranks.(group.(Array.unsafe_get sel j))), m)
+      (init_ints n (fun j -> ranks.(Array.unsafe_get group j)), m)
   | Relation.Base j ->
       let view = Relation.columnar_view b.base in
-      typed (Columnar.column view j)
+      typed (Columnar.column view j) ~sel:b.sel
         ~dict_order:(fun _ -> Columnar.dict_order view j)
 
 (* Dense numbering of an int key in [0, m), in key order: equal keys,
@@ -855,10 +918,9 @@ let same_col (a : Relation.col) (b : Relation.col) =
   | _ -> false
 
 (* The groupings the batch's aggregate columns carry, longest basis
-   first. Every column of a batch is meaningful at every id its vector
-   selects — operators only narrow or permute a vector — so a
-   grouping's ids number the batch's rows even after a later sort or
-   filter. *)
+   first. An operator that narrows or permutes a vector gathers them
+   with it, so a grouping's ids number the batch's rows even after a
+   later sort or filter. *)
 let groupings (b : Relation.batch) =
   Array.fold_left
     (fun acc -> function
@@ -883,11 +945,7 @@ let grouping r positions =
   match shared with
   | Some g -> g
   | None ->
-      let gid, groups = group_ids_batch b positions in
-      let group = Array.make (Relation.cardinality b.base) 0 in
-      for j = 0 to Array.length gid - 1 do
-        Array.unsafe_set group (Array.unsafe_get b.sel j) (Array.unsafe_get gid j)
-      done;
+      let group, groups = group_ids_batch b positions in
       { Relation.over = b.sel; keys; group; groups }
 
 (* Whether [a] strictly ascends. *)
@@ -900,28 +958,30 @@ let ascending (a : int array) =
 
 (* Whether [b]'s vector is in root order: the root's own (a
    projection of the root), or one that ascends. *)
-let in_root_order (b : Relation.batch) =
-  b.sel == (Relation.batch b.base).sel || ascending b.sel
+let in_root_order (b : Relation.batch) = on_identity b || ascending b.sel
 
-(* [b]'s ids in root order: its vector itself when it is in root
-   order, else its positions stably sorted on their ids (one counting
-   pass over the root's id range, or the bucket sort past 2^16 ids
-   more than the rows), read back through the vector. *)
-let root_ids (b : Relation.batch) =
+(* [f] of [b]'s positions in root order: stably sorted on their ids
+   (one counting pass over the root's id range, or the bucket sort
+   past 2^16 ids more than the rows), in a scratch vector [f] must not
+   keep. *)
+let by_id (b : Relation.batch) f =
   let sel = b.sel in
-  if in_root_order b then sel
-  else begin
-    let n = Array.length sel in
-    with_scratch n @@ fun src ->
-    with_scratch n @@ fun dst ->
-    for j = 0 to n - 1 do
-      Array.unsafe_set src j j
-    done;
-    let order = sort_positions sel (Relation.cardinality b.base) n ~src ~dst in
-    init_ints n (fun j -> Array.unsafe_get sel (Array.unsafe_get order j))
-  end
+  let n = Array.length sel in
+  with_scratch n @@ fun src ->
+  with_scratch n @@ fun dst ->
+  for j = 0 to n - 1 do
+    Array.unsafe_set src j j
+  done;
+  f (sort_positions sel (Relation.cardinality b.base) n ~src ~dst)
 
-let root_order r = root_ids (Relation.batch r)
+let root_positions r =
+  let b = Relation.batch r in
+  by_id b (fun order -> copy_ints order (Array.length b.sel))
+
+let root_order r =
+  let b = Relation.batch r in
+  if in_root_order b then b.sel
+  else by_id b (fun order -> gather b.sel order (Array.length b.sel))
 
 let sort keys (r : Relation.t) =
   let schema = Relation.schema r in
@@ -932,8 +992,10 @@ let sort keys (r : Relation.t) =
   let n = Array.length b.sel in
   if n < 2 then r
   else if keys = [] then
-    let ids = root_ids b in
-    if ids == b.sel then r else Relation.of_batch schema { b with sel = ids }
+    if in_root_order b then r
+    else
+      by_id b (fun order ->
+          Relation.of_batch schema (reindex b (gather b.sel order n) order))
   else
     let groupings = groupings b in
     let directed dir (ranks, m) =
@@ -960,8 +1022,12 @@ let sort keys (r : Relation.t) =
           in
           match List.find_opt covers groupings with
           | Some g ->
-              directed dir
-                (gather g.group b.sel, g.groups)
+              (* the group array is the grouping's: flipped into a
+                 copy *)
+              (match dir with
+              | `Asc -> (g.group, g.groups)
+              | `Desc ->
+                  (init_ints n (fun j -> g.groups - 1 - g.group.(j)), g.groups))
               :: rank (List.filteri (fun i _ -> i >= Array.length g.keys) keys)
           | None -> directed dir (rank_column b c) :: rank (List.tl keys))
     in
@@ -1022,7 +1088,7 @@ let sort keys (r : Relation.t) =
         else incr j
       done
     end;
-    Relation.of_batch schema { b with sel }
+    Relation.of_batch schema (reindex b sel order)
 
 (* Ids equal exactly for rows equal on the columns at [positions], in
    no particular order. An aggregate column whose basis is among those
@@ -1048,7 +1114,7 @@ let class_ids (b : Relation.batch) positions =
     && List.for_all (fun c -> Array.exists (same_col c) g.keys) rest
   in
   match (rest, List.find_opt spans (groupings b)) with
-  | _ :: _, Some g -> (gather g.group b.sel, g.groups)
+  | _ :: _, Some g -> (g.group, g.groups)
   | _ -> group_ids_batch b positions
 
 let distinct_on keys (r : Relation.t) =
@@ -1057,23 +1123,23 @@ let distinct_on keys (r : Relation.t) =
   let b = Relation.batch r in
   let gid, groups = class_ids b positions in
   let sel = b.sel and n = Array.length gid in
-  (* each class's lowest root id, then the rows that hold one, in
-     vector order *)
+  (* each class's lowest root id, then the positions that hold one,
+     in vector order *)
   let low = Array.make groups max_int in
   for j = 0 to n - 1 do
     let g = Array.unsafe_get gid j and id = Array.unsafe_get sel j in
     if id < Array.unsafe_get low g then Array.unsafe_set low g id
   done;
-  let kept = Array.make n 0 in
+  with_scratch n @@ fun kept ->
   let k = ref 0 in
   for j = 0 to n - 1 do
-    let id = Array.unsafe_get sel j in
-    if Array.unsafe_get low (Array.unsafe_get gid j) = id then begin
-      Array.unsafe_set kept !k id;
+    if Array.unsafe_get low (Array.unsafe_get gid j) = Array.unsafe_get sel j
+    then begin
+      Array.unsafe_set kept !k j;
       incr k
     end
   done;
-  Relation.of_batch schema { b with sel = copy_ints kept !k }
+  Relation.of_batch schema (reindex b (gather sel kept !k) kept)
 
 let distinct (r : Relation.t) =
   distinct_on (Schema.names (Relation.schema r)) r

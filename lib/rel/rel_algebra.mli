@@ -13,14 +13,19 @@ exception Algebra_error of string
     over [Relation.batch] of their input and return a batch-backed
     relation ({!Relation.of_batch}): selection narrows the selection
     vector, projection edits the column map, extension appends a
-    column indexed by base row id, sorting permutes the vector and
-    duplicate elimination thins it. None of them builds a row, and
-    over a batch-backed input each continues from its batch. *)
+    column of one cell per position of the vector, sorting permutes
+    the vector and duplicate elimination thins it. A row handle is a
+    position in the vector. Whatever makes a new vector gathers the
+    batch's computed columns and groupings along with it, so each
+    stays as long as the vector. None of them builds a row, and over a
+    batch-backed input each continues from its batch. *)
 
 val select : Expr.t -> Relation.t -> Relation.t
 (** [σ_r]: keep rows satisfying the (aggregate-free) predicate.
-    Runs columnar (compiled selection-vector filters over a copy of
-    the input's vector) when every column the predicate reads is
+    Runs columnar (compiled selection-vector filters over the
+    positions of the input's vector, whose survivors the new vector
+    and the computed columns are gathered along) when every column
+    the predicate reads is
     typed — a base column of the base's Sheetcol image, or a typed
     computed column — and the predicate compiles; otherwise through
     the compiled expression, which is observationally identical.
@@ -40,14 +45,15 @@ val fallback_reason : Relation.t -> Expr.t -> blocker:Expr.t -> string
 
 val compile : Relation.t -> Expr.t -> int -> Value.t
 (** {!Expr_eval.compile_with} over the relation's batch: the closure
-    takes a base row id of [Relation.batch r] (an entry of its
-    selection vector) and reads base cells from the base's own rows. *)
+    takes a position in [Relation.batch r]'s selection vector and
+    reads base cells from the base's own rows. *)
 
-val typed_arg : Relation.t -> string -> Column.t option
-(** The typed column a reference to the named column reads, indexed
-    by base row id of [Relation.batch r]: a base column of the base's
-    Sheetcol image ({!Relation.columnar_view}), or a computed column.
-    [None] for an aggregate column or an unknown name. *)
+val typed_arg : Relation.t -> string -> Col_pred.source option
+(** The typed column a reference to the named column reads at a
+    position of [Relation.batch r]'s vector: a base column of the
+    base's Sheetcol image ({!Relation.columnar_view}) read through the
+    vector, or a computed column. [None] for an aggregate column or an
+    unknown name. *)
 
 val project : string list -> Relation.t -> Relation.t
 (** [π_r]: keep the named columns in the given order; duplicates are
@@ -55,10 +61,12 @@ val project : string list -> Relation.t -> Relation.t
 
 val extend : Schema.column -> Expr.t -> Relation.t -> Relation.t
 (** Append a column computed by the expression on every row, a
-    [Relation.Computed] column indexed by base row id. When the expression compiles over typed columns
+    [Relation.Computed] column of one cell per position of the
+    vector. When the expression compiles over typed columns
     ({!Col_expr}) the typed kernel writes an [Ints], [Floats] or
     [Dates] column; otherwise each row handle goes through the
-    compiled expression into a [Boxed] column. The cells are the same
+    compiled expression into a [Boxed] column, in vector order. The
+    cells are the same
     either way. The typed column of a base column is read from the
     base's Sheetcol image ({!Relation.columnar_view}).
     @raise Schema.Schema_error on a name clash.
@@ -143,6 +151,10 @@ val root_order : Relation.t -> int array
     pass over the root's id range (a bucket sort over a root much
     wider than the vector). *)
 
+val root_positions : Relation.t -> int array
+(** The positions of [Relation.batch r]'s vector in root order: [p]
+    before [q] when [sel.(p) < sel.(q)]. A fresh vector. *)
+
 val group_ids : Relation.t -> int list -> int array * int
 (** [group_ids r positions] is [(gid, groups)]: row [i] of [r] gets
     id [gid.(i)] in [\[0, groups)], and rows get the same id exactly
@@ -155,8 +167,8 @@ val group_ids : Relation.t -> int list -> int array * int
 
 val grouping : Relation.t -> int list -> Relation.grouping
 (** The grouping of [Relation.batch r] by the columns at [positions]:
-    {!group_ids} over its selection vector, scattered to a group id
-    per base row id. When a [Broadcast] column of the batch carries a
+    {!group_ids} over its selection vector, one group id per position.
+    When a [Broadcast] column of the batch carries a
     grouping over this very selection vector (physically) and the
     same basis columns (the same base column, or physically the same
     computed or aggregate column), that grouping is returned instead

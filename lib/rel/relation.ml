@@ -127,18 +127,18 @@ let batch t =
 
 (* Row [i] of a batch: the base's own row under an identity map,
    otherwise a fresh row whose base cells are the base row's values
-   themselves (nothing is boxed anew). *)
+   themselves (nothing is boxed anew) and whose computed cells are
+   the columns' cells [i]. *)
 let build_row (b : batch) identity rows i =
-  let id = Array.unsafe_get b.sel i in
-  let row = Array.unsafe_get rows id in
+  let row = Array.unsafe_get rows (Array.unsafe_get b.sel i) in
   if identity then row
   else
     Array.map
       (function
         | Base j -> Row.get row j
-        | Computed c -> Column.get c id
+        | Computed c -> Column.get c i
         | Broadcast { grouping; values } ->
-            values.(Array.unsafe_get grouping.group id))
+            values.(Array.unsafe_get grouping.group i))
       b.cols
 
 let to_array t =

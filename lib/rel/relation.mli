@@ -55,31 +55,33 @@ val empty : Schema.t -> t
 type col =
   | Base of int  (** column [j] of the base *)
   | Computed of Column.t
-      (** a computed column, indexed by base row id: only the cells
-          at ids in the selection are meaningful. A formula the typed
+      (** a computed column, {e positional}: cell [p] belongs to
+          position [p] of the batch's selection vector, so it holds
+          exactly as many cells as the vector. A formula the typed
           kernel ({!Col_expr}) computes is an [Ints], [Floats] or
           [Dates] column with a validity bitmap; any other is
           [Boxed]. *)
   | Broadcast of { grouping : grouping; values : Value.t array }
       (** a column broadcast from per-group values (an aggregate):
-          the cell at base row id [i] is
-          [values.(grouping.group.(i))] *)
+          the cell at position [p] is [values.(grouping.group.(p))] *)
 
 and grouping = {
   over : int array;
       (** the selection vector it numbers — physically the batch's
-          [sel] when the grouping was computed *)
+          [sel] *)
   keys : col array;  (** the basis columns it was computed from *)
   group : int array;
-      (** group id by base row id, in [\[0, groups)], like [Computed]
-          meaningful only at ids in [over] *)
+      (** group id by position in [over], in [\[0, groups)]: as
+          long as [over], like a [Computed] column *)
   groups : int;
 }
 (** The grouping of one aggregate level. It travels with the batch on
-    its [Broadcast] column, so a later aggregate over the same vector
+    its [Broadcast] columns, so a later aggregate over the same vector
     and basis reuses it ({!Rel_algebra.grouping}), and a sort or
     duplicate elimination over its basis reads its ids instead of
-    ranking the basis. *)
+    ranking the basis. An operator that makes a new vector gathers
+    the grouping with it, once for all the columns that share it, so
+    they still share one. *)
 
 type batch = {
   base : t;  (** always row-backed *)
@@ -89,12 +91,14 @@ type batch = {
   cols : col array;  (** column map, one entry per schema column *)
 }
 (** Row [i] of a batch-backed relation is base row [sel.(i)], read
-    through [cols]. Base cells are the base row's own values; when the
-    map is the base's columns in order, the row is the base row
-    itself (physically); a typed computed cell is boxed when its row
-    is built. Every column of a batch is meaningful at every id its
-    vector selects: operators only narrow or permute a vector after
-    appending a column over it. *)
+    through [cols]: its base cells are the base row's own values (when
+    the map is the base's columns in order, the row is the base row
+    itself, physically), and its computed and aggregate cells are
+    their columns' cells at position [i] (a typed one is boxed when
+    the row is built). Every [Computed] column and every [group] array
+    of a batch is exactly as long as its [sel]: an operator that
+    narrows, permutes or thins the vector gathers them along with
+    it ([Rel_algebra]). *)
 
 val of_batch : Schema.t -> batch -> t
 (** A batch-backed relation; [schema] names [cols], one to one. No

@@ -248,7 +248,7 @@ let float_ranks_equal_hashing =
         match b.Relation.cols.(c) with
         | Relation.Broadcast { grouping; values } ->
             let ranks, m = hashed_ranks values in
-            ( Array.map (fun id -> ranks.(grouping.Relation.group.(id))) b.Relation.sel,
+            ( Array.map (fun gi -> ranks.(gi)) grouping.Relation.group,
               m )
         | _ -> hashed_ranks (Array.map (fun row -> row.(c)) (Relation.to_array r))
       in
@@ -919,7 +919,7 @@ let typed_formula_matches_row_path =
         let v = Relation.columnar_view r in
         fun name ->
           Option.map
-            (fun (j, _) -> Columnar.column v j)
+            (fun (j, _) -> { Col_pred.col = Columnar.column v j; through = None })
             (Schema.find kernel_schema name)
       in
       let compiles = Result.is_ok (Col_expr.compile ~column e) in
@@ -1076,8 +1076,9 @@ let grouping_of r name =
   | Relation.Broadcast { grouping; _ } -> grouping
   | _ -> Alcotest.failf "%s is not an aggregate column" name
 
-(* Two aggregates of one level over one vector share one grouping;
-   over another vector, or another basis, each ranks its own. *)
+(* Two aggregates of one level over one vector share one grouping,
+   also across a filter, which gathers it with the vector; over
+   another basis each ranks its own. *)
 let test_aggregates_share_grouping () =
   let base = Sample_cars.scaled ~rows:2_000 ~seed:6 in
   let agg name fn col basis child =
@@ -1108,11 +1109,14 @@ let test_aggregates_share_grouping () =
             ( Expr_parse.parse_string_exn "Price > 12000",
               agg "a" Expr.Sum "Price" [ "Model"; "Year" ] (Plan.Scan base) )))
   in
+  (* the filter gathers the grouping with the vector it narrows, so
+     the second aggregate, over that vector, reuses it *)
   let a = grouping_of vector "a" and b = grouping_of vector "b" in
-  Alcotest.(check bool) "another vector: its own group array" false
+  let sel = (Relation.batch vector).Relation.sel in
+  Alcotest.(check bool) "a narrowed vector: the grouping gathered with it" true
     (a.Relation.group == b.Relation.group);
-  Alcotest.(check bool) "each over its own vector" true
-    (a.Relation.over != b.Relation.over)
+  Alcotest.(check bool) "over the narrowed vector, one id per position" true
+    (a.Relation.over == sel && Array.length a.Relation.group = Array.length sel)
 
 (* ---------- the empty plan ---------- *)
 
@@ -1203,6 +1207,214 @@ let test_page_reads_window () =
           (Relation.to_array (Materialize.visible sheet))
           1000 20))
 
+(* ---------- positional columns ----------
+
+   A batch's computed columns and group arrays hold one cell per
+   position of its selection vector, so every operator that makes a
+   new vector gathers them. Random chains of narrowing (bands, on base,
+   formula and aggregate columns), sorts (both directions, with ties),
+   duplicate elimination, typed and boxed formulas and two aggregates
+   sharing one grouping run over a small relation with nulls, NaN and
+   both zeros: the plan's rows equal the oracle's, bit for bit, every
+   intermediate batch's positional arrays are exactly as long as its
+   vector, and one materialized parent feeds two children — one
+   narrowed, one re-sorted — that both read their own cells while the
+   parent's stay as they were. *)
+
+let chain_schema =
+  Schema.of_list
+    [ ("k", Value.TInt); ("s", Value.TString); ("f", Value.TFloat);
+      ("i", Value.TInt); ("n", Value.TInt); ("row", Value.TInt) ]
+
+let gen_chain_rows =
+  let open QCheck.Gen in
+  let null_or g = frequency [ (1, return Value.Null); (5, g) ] in
+  (* past 256 rows, a formula runs in more than one chunk *)
+  let* count = oneof [ int_range 0 60; int_range 250 600 ] in
+  let* rows =
+    array_repeat count
+      (let* k = null_or (map (fun x -> Value.Int x) (int_range 0 3)) in
+       let* s = null_or (map (fun x -> Value.String x) (oneofl [ "a"; "b"; "c" ])) in
+       let* f =
+         null_or
+           (map (fun x -> Value.Float x)
+              (oneofl [ 0.0; -0.0; 1.5; -2.25; 3.0; Float.nan; 1e300 ]))
+       in
+       let* i = null_or (map (fun x -> Value.Int x) (int_range (-50) 50)) in
+       let* n = int_range 0 99 in
+       return [| k; s; f; i; Value.Int n |])
+  in
+  return (Array.mapi (fun j r -> Array.append r [| Value.Int j |]) rows)
+
+(* One step of a chain; names are resolved against the columns the
+   chain has made so far. *)
+type step =
+  | Band of int * int  (* n in [lo, lo + width) *)
+  | Float_band of float
+  | Typed of int  (* a typed formula *)
+  | Boxed of int  (* a formula of Int and Float cells *)
+  | Group of string * Grouping.dir
+  | Two_aggs of int
+  | Order of int * Grouping.dir  (* among k, f, i and the formulas *)
+  | Select_made of int * int  (* on a formula or aggregate made so far *)
+  | Dedup
+
+let gen_step =
+  let open QCheck.Gen in
+  let dir = oneofl [ Grouping.Asc; Grouping.Desc ] in
+  frequency
+    [ (3, map2 (fun lo w -> Band (lo, w)) (int_range 0 90) (int_range 1 40));
+      (1, map (fun x -> Float_band x) (oneofl [ -1.0; 0.0; 1.5 ]));
+      (3, map (fun x -> Typed x) (int_range 0 5));
+      (2, map (fun x -> Boxed x) (int_range 10 90));
+      (2, map2 (fun c d -> Group (c, d)) (oneofl [ "k"; "s" ]) dir);
+      (2, map (fun x -> Two_aggs x) (int_range 0 3));
+      (3, map2 (fun x d -> Order (x, d)) (int_range 0 9) dir);
+      (2, map2 (fun x v -> Select_made (x, v)) (int_range 0 9) (int_range (-5) 60));
+      (1, return Dedup) ]
+
+let typed_formulas =
+  [| "i * 0.5 + n"; "n / k"; "n - i"; "f * 2.0"; "n % 7"; "-f" |]
+
+(* The ops of a chain of steps: each formula or aggregate gets a fresh
+   name, and later steps refer to the ones made before them. *)
+let chain_ops steps =
+  let made = ref [] and ops = ref [] and fresh = ref 0 and grouped = ref false in
+  (* level 1 is the whole sheet; a grouping adds level 2 *)
+  let level () = if !grouped then 2 else 1 in
+  let name prefix =
+    incr fresh;
+    Printf.sprintf "%s%d" prefix !fresh
+  in
+  let push op = ops := op :: !ops in
+  let pick x = match !made with [] -> None | l -> Some (List.nth l (x mod List.length l)) in
+  List.iter
+    (function
+      | Band (lo, w) ->
+          push (Op.Select (parse (Printf.sprintf "n >= %d AND n < %d" lo (lo + w))))
+      | Float_band x ->
+          push (Op.Select (parse (Printf.sprintf "f >= %g AND f < %g" x (x +. 2.))))
+      | Typed x ->
+          let nm = name "t" in
+          push (Op.Formula { name = Some nm; expr = parse typed_formulas.(x) });
+          made := nm :: !made
+      | Boxed v ->
+          let nm = name "b" in
+          push
+            (Op.Formula
+               { name = Some nm;
+                 expr =
+                   parse
+                     (Printf.sprintf
+                        "CASE WHEN n > %d THEN n %% 3 ELSE (n %% 3) * 1.0 END" v) });
+          made := nm :: !made
+      | Group (c, dir) ->
+          push (Op.Group { basis = [ c ]; dir });
+          grouped := true
+      | Two_aggs x ->
+          let fns = [| (Expr.Sum, "f"); (Expr.Max, "i"); (Expr.Avg, "n"); (Expr.Min, "f") |] in
+          List.iter
+            (fun (fn, col) ->
+              let nm = name "a" in
+              push
+                (Op.Aggregate { fn; col = Some col; level = level (); as_name = Some nm });
+              made := nm :: !made)
+            [ fns.(x); fns.((x + 1) mod 4) ]
+      | Order (x, dir) ->
+          let attr =
+            if x < 3 then [| "k"; "f"; "i" |].(x)
+            else Option.value ~default:"k" (pick x)
+          in
+          push (Op.Order { attr; dir; level = level () })
+      | Select_made (x, v) -> (
+          match pick x with
+          | Some nm -> push (Op.Select (parse (Printf.sprintf "%s >= %d" nm v)))
+          | None -> ())
+      | Dedup ->
+          List.iter (fun c -> push (Op.Project c)) [ "row"; "s" ];
+          push Op.Dedup)
+    steps;
+  List.rev !ops
+
+(* Every computed column and group array of [r]'s batch as long as its
+   vector, and each grouping over that very vector. *)
+let positional_ok r =
+  let b = Relation.batch r in
+  let n = Array.length b.Relation.sel in
+  let rec col = function
+    | Relation.Base _ -> true
+    | Relation.Computed c -> Column.length c = n
+    | Relation.Broadcast { grouping = g; _ } ->
+        g.Relation.over == b.Relation.sel
+        && Array.length g.Relation.group = n
+        && Array.for_all col g.Relation.keys
+  in
+  Array.for_all col b.Relation.cols
+
+let rec plan_prefixes = function
+  | Plan.Scan _ -> []
+  | ( Plan.Project (_, c) | Plan.Filter (_, c) | Plan.Distinct_on (_, c)
+    | Plan.Extend_formula (_, c) | Plan.Extend_aggregate (_, c) | Plan.Sort (_, c) )
+    as node ->
+      node :: plan_prefixes c
+
+let positional_chains_match_oracle =
+  QCheck.Test.make ~count:300
+    ~name:"positional columns: chains == oracle, arrays as long as vectors"
+    (QCheck.make
+       ~print:(fun (rows, steps) ->
+         Printf.sprintf "%d rows: %s" (Array.length rows)
+           (String.concat "; " (List.map Op.describe (chain_ops steps))))
+       QCheck.Gen.(pair gen_chain_rows (list_size (int_range 1 8) gen_step)))
+    (fun (rows, steps) ->
+      Materialize.reset_cache ();
+      let session =
+        List.fold_left
+          (fun s op -> match Session.apply s op with Ok s -> s | Error _ -> s)
+          (Session.create ~name:"chain" (Relation.make chain_schema (Array.to_list rows)))
+          (chain_ops steps)
+      in
+      let sheet = Session.current session in
+      let expected = Relation.to_array (Oracle.materialize sheet) in
+      let plan = Plan.of_sheet sheet in
+      let got = Plan.execute plan in
+      let short =
+        List.find_opt (fun node -> not (positional_ok (Plan.execute node)))
+          (plan_prefixes plan)
+      in
+      (* one cached parent, two children: narrowed and re-sorted *)
+      let parent = Materialize.full_cached sheet in
+      let schema = Relation.schema parent in
+      let fresh () = Relation.to_array (Relation.of_batch schema (Relation.batch parent)) in
+      let before = fresh () in
+      let row_at = Schema.index_exn schema "row" in
+      let row_of r = match r.(row_at) with Value.Int j -> j | _ -> -1 in
+      let cut = Array.length rows / 2 in
+      let narrowed =
+        Plan.execute
+          (Plan.Filter (parse (Printf.sprintf "row < %d" cut), Plan.Scan parent))
+      in
+      let resorted = Plan.execute (Plan.Sort ([ ("row", `Desc) ], Plan.Scan parent)) in
+      let by_row_desc =
+        let a = Array.copy before in
+        Array.stable_sort (fun x y -> Int.compare (row_of y) (row_of x)) a;
+        a
+      in
+      let children_ok =
+        rows_exact (Relation.to_array narrowed)
+          (Array.of_list (List.filter (fun r -> row_of r < cut) (Array.to_list before)))
+        && rows_exact (Relation.to_array resorted) by_row_desc
+        && positional_ok narrowed && positional_ok resorted
+        && rows_exact (fresh ()) before
+      in
+      (rows_exact (Relation.to_array got) expected
+      || QCheck.Test.fail_reportf "plan rows %s, oracle rows %s"
+           (print_rows (Relation.to_array got)) (print_rows expected))
+      && (short = None
+         || QCheck.Test.fail_reportf "a batch's positional arrays are not as long as its vector after %s"
+              (Plan.explain (Option.get short)))
+      && (children_ok || QCheck.Test.fail_reportf "a child of the cached parent read wrong cells"))
+
 let () =
   let q = QCheck_alcotest.to_alcotest ~long:false in
   Alcotest.run "sheet_colexec"
@@ -1227,6 +1439,7 @@ let () =
           Alcotest.test_case "one grouping per level" `Quick
             test_aggregates_share_grouping ] );
       ("compile", [ q compile_matches_eval; q typed_formula_matches_row_path ]);
+      ("positional", [ q positional_chains_match_oracle ]);
       ( "empty plan",
         [ Alcotest.test_case "returns its scan" `Quick test_empty_plan_returns_scan;
           Alcotest.test_case "first select compiles" `Quick

@@ -400,7 +400,8 @@ let compiled_vs_row =
           (Col_pred.compile
              ~column:(fun name ->
                Option.map
-                 (fun (j, _) -> Columnar.column v j)
+                 (fun (j, _) ->
+                   { Col_pred.col = Columnar.column v j; through = None })
                  (Schema.find schema name))
              pred)
       in

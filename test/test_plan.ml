@@ -124,6 +124,49 @@ let test_explain_arguments () =
       | Ok _ -> Alcotest.failf "%S was accepted" line)
     [ "explain foo"; "explain analyze now"; "explain analyze analyze" ]
 
+(* A computed column costs the rows it holds: over a ~2 % band of a
+   30k-row base, the formula and the aggregate each allocate in
+   proportion to the ~600 rows that survive, not to the base (a
+   base-sized float column alone is 240 KB). *)
+let test_computed_columns_sized_by_survivors () =
+  let sheet =
+    apply_seq
+      (Spreadsheet.of_relation ~name:"cars30k"
+         (Sample_cars.scaled ~rows:30_000 ~seed:11))
+      [ Op.Select (parse "Price >= 15000 AND Price < 15300");
+        Op.Formula { name = Some "net"; expr = parse "Price * 0.93 + Mileage * 0.001" };
+        Op.Group { basis = [ "Model" ]; dir = Grouping.Asc };
+        Op.Aggregate
+          { fn = Expr.Sum; col = Some "Price"; level = 2; as_name = Some "sp" } ]
+  in
+  let uid = sheet.Spreadsheet.uid in
+  let rel, _ = Plan.explain_analyze ~uid (Plan.of_sheet sheet) in
+  let survivors = Relation.cardinality rel in
+  Alcotest.(check bool)
+    (Printf.sprintf "a narrow band (%d rows)" survivors)
+    true
+    (survivors > 300 && survivors < 900);
+  let record =
+    match Obs.Profile.find ~uid with
+    | Some r -> r
+    | None -> Alcotest.fail "explain analyze committed no record"
+  in
+  List.iter
+    (fun kind ->
+      match
+        List.find_opt
+          (fun n -> n.Obs.Profile.n_kind = kind)
+          record.Obs.Profile.p_nodes
+      with
+      | None -> Alcotest.failf "no %s node" kind
+      | Some n ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s allocates %.0f B, under 64 KB" kind
+               n.Obs.Profile.n_alloc_bytes)
+            true
+            (n.Obs.Profile.n_alloc_bytes < 65_536.))
+    [ "extend"; "extend-agg" ]
+
 let () =
   Alcotest.run "sheet_plan"
     [ ( "compile",
@@ -134,4 +177,7 @@ let () =
           Alcotest.test_case "explain is the plan that runs" `Quick
             test_explain_is_the_plan_that_runs;
           Alcotest.test_case "explain refuses other arguments" `Quick
-            test_explain_arguments ] ) ]
+            test_explain_arguments ] );
+      ( "allocation",
+        [ Alcotest.test_case "computed columns sized by survivors" `Quick
+            test_computed_columns_sized_by_survivors ] ) ]
